@@ -433,6 +433,21 @@ impl FlitOwnerOpt {
     }
 }
 
+impl FlitOwnerOpt {
+    /// Testing hook: raises the FliT counter for `loc` as an in-flight
+    /// writer would.
+    #[doc(hidden)]
+    pub fn raise_counter(&self, loc: Loc) {
+        self.core.table.enter(loc);
+    }
+
+    /// Testing hook: lowers the FliT counter for `loc`.
+    #[doc(hidden)]
+    pub fn lower_counter(&self, loc: Loc) {
+        self.core.table.exit(loc);
+    }
+}
+
 impl Default for FlitOwnerOpt {
     fn default() -> Self {
         FlitOwnerOpt::new(1024)
@@ -463,6 +478,21 @@ impl FlitX86 {
                 name: "flit-x86",
             },
         }
+    }
+}
+
+impl FlitX86 {
+    /// Testing hook: raises the FliT counter for `loc` as an in-flight
+    /// writer would.
+    #[doc(hidden)]
+    pub fn raise_counter(&self, loc: Loc) {
+        self.core.table.enter(loc);
+    }
+
+    /// Testing hook: lowers the FliT counter for `loc`.
+    #[doc(hidden)]
+    pub fn lower_counter(&self, loc: Loc) {
+        self.core.table.exit(loc);
     }
 }
 
