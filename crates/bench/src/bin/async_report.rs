@@ -15,13 +15,13 @@ use std::sync::Arc;
 use cxl0_bench::bench_cluster;
 use cxl0_model::{Loc, MachineId};
 use cxl0_runtime::api::PersistMode;
-use cxl0_runtime::{FlitAsync, FlitCxl0, Persistence};
+use cxl0_runtime::{Flit, FlitPolicy, Persistence};
 
 const OPS: usize = 2_000;
 
 fn run(k: usize, strategy: Arc<dyn Persistence>, raise: impl Fn(Loc)) -> (f64, f64, f64) {
     // The cluster supplies fabric + heap; the strategies under test are
-    // concrete (their raise_counter hooks are not on the trait).
+    // concrete `Flit`s (the counter table is not on the trait).
     let cluster = bench_cluster(1 << 12, PersistMode::None);
     let cells: Vec<Loc> = (0..k)
         .map(|_| cluster.heap().alloc(1).expect("heap fits"))
@@ -51,10 +51,10 @@ fn main() {
         "k", "sync ns/op", "async ns/op", "speedup", "rflush/op", "aflush/op"
     );
     for k in [1usize, 2, 4, 8, 16, 32] {
-        let sync = Arc::new(FlitCxl0::default());
-        let (sync_ns, sync_flush, _) = run(k, Arc::clone(&sync) as _, |c| sync.raise_counter(c));
-        let asy = Arc::new(FlitAsync::default());
-        let (async_ns, _, async_af) = run(k, Arc::clone(&asy) as _, |c| asy.raise_counter(c));
+        let sync = Arc::new(Flit::new(FlitPolicy::CXL0));
+        let (sync_ns, sync_flush, _) = run(k, Arc::clone(&sync) as _, |c| sync.table().enter(c));
+        let asy = Arc::new(Flit::new(FlitPolicy::ASYNC));
+        let (async_ns, _, async_af) = run(k, Arc::clone(&asy) as _, |c| asy.table().enter(c));
         println!(
             "{:>3} {:>16.1} {:>16.1} {:>8.2}x {:>10.2} {:>10.2}",
             k,

@@ -11,10 +11,10 @@
 //!
 //! Run: `cargo run -p cxl0-bench --bin buffered_report --release`
 
-use cxl0_bench::bench_cluster;
+use cxl0_bench::{apply_map_op, bench_cluster};
 use cxl0_model::MachineId;
 use cxl0_runtime::api::PersistMode;
-use cxl0_workloads::{KeyDist, OpMix, Workload, WorkloadOp};
+use cxl0_workloads::{KeyDist, OpMix, Workload};
 
 const OPS: usize = 20_000;
 
@@ -35,17 +35,7 @@ fn run(label: &str, mode: PersistMode, at_risk: &str) -> Row {
     let session = cluster.session(MachineId(0)); // measurement window
     let mut w = Workload::new(KeyDist::zipfian(512, 0.99), OpMix::update_heavy(), 42);
     for op in w.take_ops(OPS) {
-        match op {
-            WorkloadOp::Read(k) => {
-                map.get(&session, k).unwrap();
-            }
-            WorkloadOp::Insert(k, v) => {
-                map.insert(&session, k, v).unwrap();
-            }
-            WorkloadOp::Remove(k) => {
-                map.remove(&session, k).unwrap();
-            }
-        }
+        apply_map_op(&map, &session, op);
     }
     let s = session.stats_delta();
     Row {

@@ -6,18 +6,49 @@
 //! FliT-CXL0 (Alg. 2), FliT with the owner-LFlush optimisation, and the
 //! naive all-MStore transform.
 //!
+//! A third table is the FliT counter-striping ablation: the same map
+//! workload under `FlitPolicy::CXL0` with the counter table shrunk from
+//! per-cell (4096 stripes) to a single shared counter, while one stalled
+//! writer keeps the counter of an unrelated cell raised — every reader
+//! whose cell aliases that stripe pays a spurious helping flush.
+//!
 //! Run: `cargo run -p cxl0-bench --bin flit_report --release`
 
-use cxl0_bench::{run_map_workload, run_queue_workload, standard_map_workload};
+use std::sync::Arc;
+
+use cxl0_bench::{
+    apply_map_op, bench_smr, run_map_workload, run_queue_workload, standard_map_workload, RunReport,
+};
+use cxl0_model::{Loc, MachineId};
 use cxl0_runtime::api::PersistMode;
+use cxl0_runtime::{DurableMap, Flit, FlitPolicy};
+use cxl0_workloads::{KeyDist, OpMix, Workload};
 
-fn main() {
-    const N: usize = 20_000;
+/// `n` uniform update-heavy map ops under `FlitPolicy::CXL0` with a
+/// `stripes`-counter table and one unrelated counter held raised;
+/// returns (flushes/op, sim ns/op).
+fn striping_row(stripes: usize, n: usize) -> (f64, f64) {
+    let flit = Arc::new(Flit::with_stripes(FlitPolicy::CXL0, stripes));
+    let (fabric, smr) = bench_smr(1 << 20, Arc::clone(&flit) as _);
+    let node = fabric.node(MachineId(0));
+    let map = DurableMap::create(&smr, &node, 4096)
+        .expect("a fresh machine cannot be crashed")
+        .expect("heap fits the map");
+    // The stalled writer: a cell of a compute node, never touched by
+    // the map, whose store "never completes".
+    flit.table().enter(Loc::new(MachineId(1), 0));
+    let mut w = Workload::new(KeyDist::uniform(1024), OpMix::update_heavy(), 13);
+    let before = fabric.stats().snapshot();
+    for op in w.take_ops(n) {
+        apply_map_op(&map, &node, op);
+    }
+    let d = fabric.stats().snapshot().since(&before);
+    (d.flushes() as f64 / n as f64, d.sim_ns as f64 / n as f64)
+}
 
-    println!(
-        "map workload: {} ops, zipfian(1024, 0.99), 50/50 read/insert\n",
-        N
-    );
+/// One row per mode of the comparison set: primitive counts, simulated
+/// and wall nanoseconds per operation.
+fn strategy_table(mut run: impl FnMut(PersistMode) -> RunReport) {
     println!(
         "{:<16} {:>9} {:>9} {:>9} {:>9} {:>9} {:>12} {:>12}",
         "strategy",
@@ -30,8 +61,7 @@ fn main() {
         "wall ns/op"
     );
     for mode in PersistMode::comparison_set() {
-        let mut w = standard_map_workload(42);
-        let r = run_map_workload(mode, &mut w, N);
+        let r = run(mode);
         let per = |x: u64| x as f64 / r.ops as f64;
         println!(
             "{:<16} {:>9.2} {:>9.2} {:>9.2} {:>9.2} {:>9.2} {:>12.1} {:>12.1}",
@@ -45,33 +75,27 @@ fn main() {
             r.wall_ns_per_op
         );
     }
+}
+
+fn main() {
+    const N: usize = 20_000;
+
+    println!(
+        "map workload: {} ops, zipfian(1024, 0.99), 50/50 read/insert\n",
+        N
+    );
+    strategy_table(|mode| run_map_workload(mode, &mut standard_map_workload(42), N));
 
     println!("\nqueue workload: {} enqueue/dequeue pairs\n", N);
+    strategy_table(|mode| run_queue_workload(mode, N));
+
     println!(
-        "{:<16} {:>9} {:>9} {:>9} {:>9} {:>9} {:>12} {:>12}",
-        "strategy",
-        "loads/op",
-        "stores/op",
-        "rmws/op",
-        "flush/op",
-        "async/op",
-        "sim ns/op",
-        "wall ns/op"
+        "\nFliT counter striping (flit-cxl0, map, uniform(1024), one stalled writer elsewhere)\n"
     );
-    for mode in PersistMode::comparison_set() {
-        let r = run_queue_workload(mode, N);
-        let per = |x: u64| x as f64 / r.ops as f64;
-        println!(
-            "{:<16} {:>9.2} {:>9.2} {:>9.2} {:>9.2} {:>9.2} {:>12.1} {:>12.1}",
-            r.strategy,
-            per(r.stats.loads),
-            per(r.stats.lstores + r.stats.rstores + r.stats.mstores),
-            per(r.stats.rmws),
-            r.flushes_per_op(),
-            per(r.stats.aflushes),
-            r.sim_ns_per_op,
-            r.wall_ns_per_op
-        );
+    println!("{:>8} {:>10} {:>12}", "stripes", "flush/op", "sim ns/op");
+    for stripes in [1usize, 16, 256, 4096] {
+        let (flushes, sim_ns) = striping_row(stripes, N);
+        println!("{stripes:>8} {flushes:>10.2} {sim_ns:>12.1}");
     }
 
     println!("\nnotes:");

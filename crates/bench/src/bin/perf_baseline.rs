@@ -405,9 +405,7 @@ fn combined_sweep_row(
             })
         }
         ("queue", true) => {
-            let q = session0
-                .create_queue_combined::<u64>("perf/cmb")
-                .expect("heap fits");
+            let q = cluster.combined(session0.create_queue::<u64>("perf/cmb").expect("heap fits"));
             rows(&mut |t| {
                 let session = cluster.session(MachineId(t % 2));
                 let q = q.clone();
@@ -445,9 +443,7 @@ fn combined_sweep_row(
             })
         }
         ("stack", true) => {
-            let s = session0
-                .create_stack_combined::<u64>("perf/cmb")
-                .expect("heap fits");
+            let s = cluster.combined(session0.create_stack::<u64>("perf/cmb").expect("heap fits"));
             rows(&mut |t| {
                 let session = cluster.session(MachineId(t % 2));
                 let s = s.clone();

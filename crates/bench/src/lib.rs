@@ -1,7 +1,7 @@
 //! # `cxl0-bench` — experiment harnesses
 //!
 //! Shared plumbing for the per-table/per-figure regenerator binaries
-//! (`src/bin/*`) and the criterion benches (`benches/*`):
+//! (`src/bin/*`):
 //!
 //! | Binary | Regenerates |
 //! |---|---|
@@ -12,8 +12,9 @@
 //! | `fig5` | Figure 5 |
 //! | `refine` | §3.5 refinement claims + witnesses |
 //! | `topologies` | §4 capability matrix |
-//! | `flit_report` | §6.1 transformation-overhead comparison |
+//! | `flit_report` | §6.1 transformation-overhead comparison + FliT counter-striping ablation |
 //! | `contention` | link-contention extension sweep |
+//! | `explore_perf` | explorer wall-clock medians (litmus suite, state space, Proposition 1) |
 //! | `perf_baseline` | the recorded multi-threaded backend baseline (`BENCH_fabric.json`) |
 
 #![warn(missing_docs)]
@@ -24,7 +25,9 @@ use std::sync::Arc;
 use cxl0_model::{MachineId, SystemConfig};
 use cxl0_runtime::alloc::Allocator;
 use cxl0_runtime::api::{Cluster, PersistMode};
-use cxl0_runtime::{Persistence, SharedHeap, SimFabric, SmrDomain, StatsSnapshot, TraceConfig};
+use cxl0_runtime::{
+    AsNode, DurableMap, Persistence, SimFabric, SmrDomain, StatsSnapshot, TraceConfig,
+};
 use cxl0_workloads::{KeyDist, OpMix, Workload, WorkloadOp};
 
 /// The machine hosting benchmark data structures.
@@ -52,37 +55,18 @@ impl RunReport {
     }
 }
 
-/// A fresh 2-compute + 1-memory fabric with `cells` shared cells (the
-/// low-level layer, for the criterion benches that drive primitives).
-pub fn bench_fabric(cells: u32) -> (Arc<SimFabric>, Arc<SharedHeap>) {
-    let fabric = SimFabric::new(SystemConfig::symmetric_nvm(3, cells));
-    let heap = Arc::new(SharedHeap::new(fabric.config(), MEM_NODE));
-    (fabric, heap)
-}
-
 /// A fresh 2-compute + 1-memory fabric with a crash-consistent
-/// [`Allocator`] over the memory node — for benches that drive the
-/// reclaiming data structures below the session API.
-pub fn bench_allocator(
-    cells: u32,
-    persist: Arc<dyn Persistence>,
-) -> (Arc<SimFabric>, Arc<Allocator>) {
+/// [`Allocator`] over the memory node wrapped in an [`SmrDomain`] — the
+/// low-level layer, for reports that drive the traversal structures
+/// (map, list) under a hand-built [`Persistence`] strategy.
+pub fn bench_smr(cells: u32, persist: Arc<dyn Persistence>) -> (Arc<SimFabric>, Arc<SmrDomain>) {
     let fabric = SimFabric::new(SystemConfig::symmetric_nvm(3, cells));
     let alloc = Arc::new(Allocator::over_region(fabric.config(), MEM_NODE, persist));
-    (fabric, alloc)
-}
-
-/// As [`bench_allocator`], but wrapped in an [`SmrDomain`] — for benches
-/// that drive the traversal structures (map, list), which allocate and
-/// retire through the reclamation domain.
-pub fn bench_smr(cells: u32, persist: Arc<dyn Persistence>) -> (Arc<SimFabric>, Arc<SmrDomain>) {
-    let (fabric, alloc) = bench_allocator(cells, persist);
     (fabric, Arc::new(SmrDomain::new(alloc)))
 }
 
 /// A fresh 2-compute + 1-memory [`Cluster`] with `cells` shared cells
-/// under `mode` — the session-API counterpart of [`bench_fabric`]. The
-/// memory node is [`MEM_NODE`].
+/// under `mode`. The memory node is [`MEM_NODE`].
 pub fn bench_cluster(cells: u32, mode: PersistMode) -> Arc<Cluster> {
     Cluster::builder(SystemConfig::symmetric_nvm(3, cells))
         .memory_node(MEM_NODE)
@@ -103,6 +87,22 @@ pub fn bench_cluster_traced(cells: u32, mode: PersistMode) -> Arc<Cluster> {
         .expect("benchmark cluster configuration is valid")
 }
 
+/// Issues one workload op against `map` (results discarded; a crashed
+/// machine is a harness bug and panics).
+pub fn apply_map_op(map: &DurableMap<u64, u64>, at: &impl AsNode, op: WorkloadOp) {
+    match op {
+        WorkloadOp::Read(k) => {
+            map.get(at, k).unwrap();
+        }
+        WorkloadOp::Insert(k, v) => {
+            map.insert(at, k, v).unwrap();
+        }
+        WorkloadOp::Remove(k) => {
+            map.remove(at, k).unwrap();
+        }
+    }
+}
+
 /// Runs `n` map operations from `workload` under `mode`, returning a
 /// report of primitive counts and per-op costs.
 pub fn run_map_workload(mode: PersistMode, workload: &mut Workload, n: usize) -> RunReport {
@@ -116,17 +116,7 @@ pub fn run_map_workload(mode: PersistMode, workload: &mut Workload, n: usize) ->
     let session = cluster.session(MachineId(0));
     let start = std::time::Instant::now();
     for op in workload.take_ops(n) {
-        match op {
-            WorkloadOp::Read(k) => {
-                map.get(&session, k).unwrap();
-            }
-            WorkloadOp::Insert(k, v) => {
-                map.insert(&session, k, v).unwrap();
-            }
-            WorkloadOp::Remove(k) => {
-                map.remove(&session, k).unwrap();
-            }
-        }
+        apply_map_op(&map, &session, op);
     }
     let wall = start.elapsed().as_nanos() as f64;
     let stats = session.stats_delta();

@@ -1083,12 +1083,12 @@ impl Allocator {
 mod tests {
     use super::*;
     use crate::backend::SimFabric;
-    use crate::flit::FlitCxl0;
+    use crate::flit::{Flit, FlitPolicy};
     use cxl0_model::SystemConfig;
 
     fn setup(cells: u32) -> (Arc<SimFabric>, Arc<Allocator>) {
         let f = SimFabric::new(SystemConfig::symmetric_nvm(2, cells));
-        let persist: Arc<dyn Persistence> = Arc::new(FlitCxl0::default());
+        let persist: Arc<dyn Persistence> = Arc::new(Flit::new(FlitPolicy::CXL0));
         let a = Arc::new(Allocator::over_region(f.config(), MachineId(1), persist));
         (f, a)
     }

@@ -94,11 +94,11 @@
 //! ```
 //! use std::sync::Arc;
 //! use cxl0_runtime::alloc::Allocator;
-//! use cxl0_runtime::{FlitCxl0, Persistence, SimFabric};
+//! use cxl0_runtime::{Flit, FlitPolicy, Persistence, SimFabric};
 //! use cxl0_model::{MachineId, SystemConfig};
 //!
 //! let fabric = SimFabric::new(SystemConfig::symmetric_nvm(2, 1024));
-//! let persist: Arc<dyn Persistence> = Arc::new(FlitCxl0::default());
+//! let persist: Arc<dyn Persistence> = Arc::new(Flit::new(FlitPolicy::CXL0));
 //! let alloc = Allocator::over_region(fabric.config(), MachineId(1), persist);
 //! let node = fabric.node(MachineId(0));
 //!

@@ -18,8 +18,7 @@ use crate::buffered::BufferedEpoch;
 use crate::check::{CheckConfig, Checker};
 use crate::cost::CostModel;
 use crate::ds::combine::{Combinable, CombineBoard, CombineStats, Combined};
-use crate::flit::{FlitCxl0, FlitOwnerOpt, FlitX86, NaiveMStore, NoPersistence, Persistence};
-use crate::flit_async::FlitAsync;
+use crate::flit::{Flit, FlitPolicy, Persistence};
 use crate::heap::SharedHeap;
 use crate::smr::SmrDomain;
 use crate::trace::{TraceConfig, Tracer};
@@ -56,45 +55,47 @@ pub enum PersistMode {
     },
 }
 
+/// The one mode → policy map, in report order: baseline first, then the
+/// unsound port, the sound transformations, and the naive one. Every
+/// [`PersistMode`] accessor reads it; [`PersistMode::Buffered`] (any
+/// parameters) is the row that is not here.
+const FLIT_MODES: [(PersistMode, FlitPolicy); 6] = [
+    (PersistMode::None, FlitPolicy::NONE),
+    (PersistMode::FlitX86, FlitPolicy::X86),
+    (PersistMode::FlitCxl0, FlitPolicy::CXL0),
+    (PersistMode::OwnerOpt, FlitPolicy::OWNER_OPT),
+    (PersistMode::FlitAsync, FlitPolicy::ASYNC),
+    (PersistMode::NaiveMStore, FlitPolicy::NAIVE_MSTORE),
+];
+
 impl PersistMode {
-    /// The strategy's report name (matches
-    /// [`Persistence::name`]).
+    /// The [`FlitPolicy`] this mode runs under: what [`Flit`] executes
+    /// for the six FliT-shaped modes, and the descriptor
+    /// [`FlitPolicy::BUFFERED`] for the buffered one.
+    pub fn policy(&self) -> FlitPolicy {
+        FLIT_MODES
+            .iter()
+            .find(|(mode, _)| mode == self)
+            .map_or(FlitPolicy::BUFFERED, |(_, policy)| *policy)
+    }
+
+    /// The strategy's report name (equals [`Persistence::name`] of the
+    /// strategy a cluster builds for this mode).
     pub fn name(&self) -> &'static str {
-        match self {
-            PersistMode::FlitCxl0 => "flit-cxl0",
-            PersistMode::OwnerOpt => "flit-owner-opt",
-            PersistMode::FlitX86 => "flit-x86",
-            PersistMode::FlitAsync => "flit-async",
-            PersistMode::NaiveMStore => "naive-mstore",
-            PersistMode::None => "none",
-            PersistMode::Buffered { .. } => "buffered",
-        }
+        self.policy().name
     }
 
     /// The standard strategy-comparison lineup, in report order: baseline
     /// first, then the unsound port, the sound transformations, and the
     /// naive one.
     pub fn comparison_set() -> Vec<PersistMode> {
-        vec![
-            PersistMode::None,
-            PersistMode::FlitX86,
-            PersistMode::FlitCxl0,
-            PersistMode::OwnerOpt,
-            PersistMode::FlitAsync,
-            PersistMode::NaiveMStore,
-        ]
+        FLIT_MODES.iter().map(|(mode, _)| *mode).collect()
     }
 
     /// True if a completed operation is guaranteed durable before it
     /// returns (the strict, per-operation durability modes).
     pub fn is_strict(&self) -> bool {
-        matches!(
-            self,
-            PersistMode::FlitCxl0
-                | PersistMode::OwnerOpt
-                | PersistMode::FlitAsync
-                | PersistMode::NaiveMStore
-        )
+        self.policy().strict
     }
 }
 
@@ -252,7 +253,7 @@ impl ClusterBuilder {
                     durability_races: self.mode.is_strict(),
                     unpersisted_reads: true,
                     use_after_retire: true,
-                    fail_fast: !matches!(self.mode, PersistMode::FlitX86),
+                    fail_fast: self.mode.policy().sound,
                 })
         });
         let checker = check_cfg.map(|cfg| Arc::new(Checker::new(cfg)));
@@ -287,12 +288,6 @@ impl ClusterBuilder {
 
         let mut buffered = Option::None;
         let persist: Arc<dyn Persistence> = match self.mode {
-            PersistMode::FlitCxl0 => Arc::new(FlitCxl0::default()),
-            PersistMode::OwnerOpt => Arc::new(FlitOwnerOpt::default()),
-            PersistMode::FlitX86 => Arc::new(FlitX86::default()),
-            PersistMode::FlitAsync => Arc::new(FlitAsync::default()),
-            PersistMode::NaiveMStore => Arc::new(NaiveMStore),
-            PersistMode::None => Arc::new(NoPersistence),
             PersistMode::Buffered {
                 capacity,
                 sync_interval,
@@ -306,6 +301,7 @@ impl ClusterBuilder {
                 buffered = Some(Arc::clone(&epoch));
                 epoch
             }
+            flit_mode => Arc::new(Flit::new(flit_mode.policy())),
         };
 
         // The allocator sits right after the registry (and, in buffered
@@ -553,10 +549,29 @@ impl Cluster {
         &self.combine_stats
     }
 
-    /// Wraps `inner` in the cluster's shared combining front for its
-    /// root cell: every handle of one structure — across sessions and
-    /// machines — shares one volatile announcement board.
-    pub(crate) fn combined<S: Combinable>(&self, inner: S) -> Combined<S> {
+    /// Wraps a queue or stack handle in the cluster's shared combining
+    /// front ([`crate::ds::combine`]) for its root cell: every wrapped
+    /// handle of one structure — across sessions and machines — shares
+    /// one volatile announcement board, and all mutations go through
+    /// per-thread announcement slots and an elected combiner that
+    /// batches the ops' persistence (stack fronts additionally
+    /// annihilate concurrent push/pop pairs by elimination). Orthogonal
+    /// to the cluster's `PersistMode`; the structure itself, its named
+    /// root and its recovery are the plain handle's — after a crash,
+    /// reopen by name, wrap again, and call `recover` on the front.
+    ///
+    /// ```
+    /// use cxl0_runtime::api::Cluster;
+    /// use cxl0_model::MachineId;
+    ///
+    /// let cluster = Cluster::symmetric(2, 4096)?;
+    /// let session = cluster.session(MachineId(0));
+    /// let jobs = cluster.combined(session.create_queue::<u64>("jobs")?);
+    /// jobs.enqueue(&session, 7)?;
+    /// assert_eq!(jobs.dequeue(&session)?, Some(7));
+    /// # Ok::<(), cxl0_runtime::api::ApiError>(())
+    /// ```
+    pub fn combined<S: Combinable>(&self, inner: S) -> Combined<S> {
         let board = Arc::clone(
             self.combine_boards
                 .lock()
@@ -683,5 +698,23 @@ mod tests {
             .unwrap();
         assert!(buffered.buffered().is_some());
         assert_eq!(buffered.mode().name(), "buffered");
+        assert_eq!(buffered.persistence().name(), "buffered");
+    }
+
+    #[test]
+    fn strict_and_sound_modes_are_the_documented_ones() {
+        use PersistMode::*;
+        let buffered = Buffered {
+            capacity: 8,
+            sync_interval: 3,
+        };
+        assert_eq!(buffered.policy(), FlitPolicy::BUFFERED);
+        let mut modes = PersistMode::comparison_set();
+        modes.push(buffered);
+        let strict: Vec<_> = modes.iter().filter(|m| m.is_strict()).collect();
+        assert_eq!(strict, [&FlitCxl0, &OwnerOpt, &FlitAsync, &NaiveMStore]);
+        // `CXL0_SANITIZE=1` fails fast under every mode but this one.
+        let unsound: Vec<_> = modes.iter().filter(|m| !m.policy().sound).collect();
+        assert_eq!(unsound, [&FlitX86]);
     }
 }

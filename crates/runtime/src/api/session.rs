@@ -14,8 +14,8 @@ use crate::api::registry::{truncate_type_tag, RootInfo, RootKind, RootRecord};
 use crate::api::word::Word;
 use crate::backend::{AsNode, NodeHandle, StatsSnapshot};
 use crate::ds::{
-    CombinedQueue, CombinedStack, DurableCounter, DurableList, DurableLog, DurableMap,
-    DurableQueue, DurableRegister, DurableStack,
+    DurableCounter, DurableList, DurableLog, DurableMap, DurableQueue, DurableRegister,
+    DurableStack,
 };
 use crate::flit::Persistence;
 use crate::heap::SharedHeap;
@@ -364,54 +364,6 @@ impl Session {
             info.header,
             Arc::clone(self.allocator()),
         ))
-    }
-
-    /// Creates a durable queue under `name` and wraps it in the
-    /// cluster's shared combining front ([`crate::ds::combine`]): all
-    /// mutations go through per-thread announcement slots and an
-    /// elected combiner that batches the ops' persistence. Orthogonal to
-    /// the cluster's `PersistMode`; the structure itself (and its
-    /// recovery) is a plain [`DurableQueue`].
-    ///
-    /// # Errors
-    ///
-    /// As [`Session::create_register`].
-    pub fn create_queue_combined<T: Word>(&self, name: &str) -> ApiResult<CombinedQueue<T>> {
-        Ok(self.cluster.combined(self.create_queue(name)?))
-    }
-
-    /// Reattaches to the queue committed under `name`, behind the
-    /// cluster's shared combining front. Call
-    /// [`CombinedQueue::recover`](crate::ds::CombinedQueue) afterwards
-    /// when reattaching post-crash.
-    ///
-    /// # Errors
-    ///
-    /// As [`Session::open_register`].
-    pub fn open_queue_combined<T: Word>(&self, name: &str) -> ApiResult<CombinedQueue<T>> {
-        Ok(self.cluster.combined(self.open_queue(name)?))
-    }
-
-    /// Creates a durable stack under `name` behind the cluster's shared
-    /// combining front (see [`Session::create_queue_combined`]); stack
-    /// fronts additionally annihilate concurrent push/pop pairs by
-    /// elimination.
-    ///
-    /// # Errors
-    ///
-    /// As [`Session::create_register`].
-    pub fn create_stack_combined<T: Word>(&self, name: &str) -> ApiResult<CombinedStack<T>> {
-        Ok(self.cluster.combined(self.create_stack(name)?))
-    }
-
-    /// Reattaches to the stack committed under `name`, behind the
-    /// cluster's shared combining front.
-    ///
-    /// # Errors
-    ///
-    /// As [`Session::open_register`].
-    pub fn open_stack_combined<T: Word>(&self, name: &str) -> ApiResult<CombinedStack<T>> {
-        Ok(self.cluster.combined(self.open_stack(name)?))
     }
 
     /// Creates and registers a durable hash map with `capacity` slots

@@ -494,9 +494,12 @@ impl StatsSnapshot {
     }
 
     /// Component-wise difference (`self - earlier`) for the monotonic
-    /// counters; the *gauges* (`live_cells`, `hw_cells`, `smr_epoch`,
-    /// `smr_limbo`) are carried over from `self` (a "delta" of a level
-    /// is meaningless and could underflow).
+    /// counters; the twelve *gauges* are carried over from `self`: the
+    /// levels `live_cells`, `hw_cells`, `smr_epoch`, `smr_limbo` and the
+    /// three `trace_p*_sim_ns` percentiles (a "delta" of a level is
+    /// meaningless and could underflow), and the running totals one
+    /// asserts on whole — the three `check_*` violation counts,
+    /// `trace_events` and `trace_dropped`.
     pub fn since(&self, earlier: &StatsSnapshot) -> StatsSnapshot {
         StatsSnapshot {
             loads: self.loads - earlier.loads,
@@ -704,7 +707,7 @@ const PENDING_SHARDS: usize = 8;
 /// — no per-entry node allocation, and `clear()` retains capacity so the
 /// steady state allocates nothing at all. The `nonempty` bitmask (bit
 /// per shard) lets `Barrier` visit only occupied shards, so the
-/// barrier-per-store pattern (`FlitAsync`) pays one shard lock, and an
+/// barrier-per-store pattern (`FlitPolicy::ASYNC`) pays one shard lock, and an
 /// empty barrier pays none.
 #[derive(Debug)]
 struct PendingBuf {
@@ -1679,6 +1682,80 @@ impl NodeHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A snapshot whose `k`-th field holds `base * k`. Deliberately a
+    /// full literal: a field appended to [`StatsSnapshot`] fails to
+    /// compile here until it is numbered — and then
+    /// `since_subtracts_counters_and_carries_gauges` makes its author
+    /// decide which class it is in.
+    fn filled(base: u64) -> StatsSnapshot {
+        let mut k = 0;
+        let mut next = || {
+            k += 1;
+            base * k
+        };
+        StatsSnapshot {
+            loads: next(),
+            lstores: next(),
+            rstores: next(),
+            mstores: next(),
+            lflushes: next(),
+            rflushes: next(),
+            rmws: next(),
+            aflushes: next(),
+            barriers: next(),
+            sim_ns: next(),
+            allocs: next(),
+            frees: next(),
+            freelist_hits: next(),
+            live_cells: next(),
+            hw_cells: next(),
+            combine_batches: next(),
+            combine_ops: next(),
+            combine_eliminations: next(),
+            combine_elections: next(),
+            combine_barriers_saved: next(),
+            combine_spare_reuses: next(),
+            smr_pins: next(),
+            smr_retires: next(),
+            smr_reclaims: next(),
+            smr_advances: next(),
+            smr_epoch: next(),
+            smr_limbo: next(),
+            check_durability_races: next(),
+            check_unpersisted_reads: next(),
+            check_use_after_retire: next(),
+            trace_events: next(),
+            trace_dropped: next(),
+            trace_p50_sim_ns: next(),
+            trace_p99_sim_ns: next(),
+            trace_p999_sim_ns: next(),
+        }
+    }
+
+    #[test]
+    fn since_subtracts_counters_and_carries_gauges() {
+        // The two snapshots differ in every field.
+        let (earlier, later) = (filled(2), filled(5));
+        let expected = StatsSnapshot {
+            // The gauges carry the later value...
+            live_cells: later.live_cells,
+            hw_cells: later.hw_cells,
+            smr_epoch: later.smr_epoch,
+            smr_limbo: later.smr_limbo,
+            check_durability_races: later.check_durability_races,
+            check_unpersisted_reads: later.check_unpersisted_reads,
+            check_use_after_retire: later.check_use_after_retire,
+            trace_events: later.trace_events,
+            trace_dropped: later.trace_dropped,
+            trace_p50_sim_ns: later.trace_p50_sim_ns,
+            trace_p99_sim_ns: later.trace_p99_sim_ns,
+            trace_p999_sim_ns: later.trace_p999_sim_ns,
+            // ... and every other field is a counter: 5k - 2k.
+            ..filled(3)
+        };
+        assert_eq!(later.since(&earlier), expected);
+    }
     use std::sync::atomic::AtomicBool;
 
     const M0: MachineId = MachineId(0);

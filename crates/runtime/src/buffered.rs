@@ -55,7 +55,7 @@ use parking_lot::Mutex;
 
 use crate::backend::NodeHandle;
 use crate::error::OpResult;
-use crate::flit::Persistence;
+use crate::flit::{FlitPolicy, Persistence};
 use crate::heap::SharedHeap;
 
 const REGION_BITS: u64 = 1;
@@ -319,7 +319,7 @@ impl BufferedEpoch {
 
 impl Persistence for BufferedEpoch {
     fn name(&self) -> &'static str {
-        "buffered-epoch"
+        FlitPolicy::BUFFERED.name
     }
 
     fn shared_load(&self, node: &NodeHandle, loc: Loc, _pflag: bool) -> OpResult<u64> {
@@ -338,10 +338,6 @@ impl Persistence for BufferedEpoch {
         node.lstore(loc, v)?;
         self.record(loc, v);
         Ok(())
-    }
-
-    fn private_load(&self, node: &NodeHandle, loc: Loc) -> OpResult<u64> {
-        node.load(loc)
     }
 
     fn private_store(&self, node: &NodeHandle, loc: Loc, v: u64, pflag: bool) -> OpResult<()> {
@@ -388,9 +384,9 @@ impl Persistence for BufferedEpoch {
     }
 
     // Rollback recovery replays the *redo log*: a batched store that
-    // bypassed `record()` (the trait's `AFlush`-riding default) would be
-    // rolled back to the last epoch snapshot without a log entry to
-    // restore it. Keep combined batches on the logged store path; the
+    // bypassed `record()` (as `Flit`'s `AFlush`-riding batch path does)
+    // would be rolled back to the last epoch snapshot without a log entry
+    // to restore it. Keep combined batches on the logged store path; the
     // buffered promise (durable as of the last sync) already needs no
     // per-batch sync.
     fn defers_batches(&self) -> bool {

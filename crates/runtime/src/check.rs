@@ -39,7 +39,7 @@
 //!   reached the owner's memory, the crash destroyed the only cached
 //!   copy, and recovery then read the stale cell. This is exactly the §6
 //!   unsoundness of the unadapted x86 FliT
-//!   ([`FlitX86`](crate::FlitX86)): a local flush by a non-owner only
+//!   ([`FlitPolicy::X86`](crate::FlitPolicy::X86)): a local flush by a non-owner only
 //!   moves the line to the owner's cache. Sound modes never trip it.
 //! * [`ViolationClass::UseAfterRetire`] — a thread touches a block after
 //!   [`SmrGuard::retire`](crate::smr::SmrGuard::retire) without being

@@ -5,8 +5,9 @@
 //! or two hot cells *and* pays its own persistence sync. Both costs are
 //! per-op; neither needs to be. A [`Combined`] front turns N concurrent
 //! ops into one sequential pass by a single *combiner*, and — under a
-//! deferring strategy such as [`FlitAsync`](crate::FlitAsync) — covers
-//! the whole batch's persistence with ~one barrier.
+//! policy whose batches owe durability
+//! ([`FlitPolicy::batch_durable`](crate::FlitPolicy::batch_durable)) —
+//! covers the whole batch's persistence with one barrier.
 //!
 //! # The announcement-slot protocol
 //!
@@ -84,9 +85,9 @@
 //! overflow path for threads without an exclusive slot also takes the
 //! combiner lock). Mixing plain `enqueue`/`push` calls on the same
 //! underlying structure with a live front would violate the combiner's
-//! sole-mutator assumption; the session constructors
-//! (`create_queue_combined` & co.) hand out only wrapped handles, so
-//! this cannot happen by accident. Read-only helpers (`drain`,
+//! sole-mutator assumption: wrap the handle with
+//! [`Cluster::combined`](crate::api::Cluster::combined) where it is
+//! created or opened and hand out only the front. Read-only helpers (`drain`,
 //! `recover`) are for quiescent phases — tests and post-crash repair.
 
 use std::collections::VecDeque;
@@ -438,8 +439,7 @@ impl<T: Word> Combinable for DurableStack<T> {
 /// A flat-combining front over a durable structure (see the [module
 /// docs](self) for the protocol and crash contract). Clones share the
 /// same board; obtain cluster-wide shared fronts through
-/// [`Session::create_queue_combined`](crate::api::Session::create_queue_combined)
-/// and friends.
+/// [`Cluster::combined`](crate::api::Cluster::combined).
 #[derive(Debug, Clone)]
 pub struct Combined<S: Combinable> {
     inner: S,
@@ -880,8 +880,7 @@ mod tests {
     use super::*;
     use crate::alloc::Allocator;
     use crate::backend::SimFabric;
-    use crate::flit::FlitCxl0;
-    use crate::flit_async::FlitAsync;
+    use crate::flit::{Flit, FlitPolicy};
     use cxl0_model::{MachineId, SystemConfig};
 
     fn setup(persist: Arc<dyn Persistence>) -> (Arc<SimFabric>, CombinedQueue, CombinedStack) {
@@ -895,7 +894,7 @@ mod tests {
 
     #[test]
     fn fifo_and_lifo_through_the_front() {
-        let (f, q, s) = setup(Arc::new(FlitCxl0::default()));
+        let (f, q, s) = setup(Arc::new(Flit::new(FlitPolicy::CXL0)));
         let node = f.node(MachineId(0));
         for v in 1..=5u64 {
             assert!(q.enqueue(&node, v).unwrap());
@@ -911,7 +910,7 @@ mod tests {
 
     #[test]
     fn batch_of_one_counts_as_batch() {
-        let (f, q, _s) = setup(Arc::new(FlitAsync::default()));
+        let (f, q, _s) = setup(Arc::new(Flit::new(FlitPolicy::ASYNC)));
         let node = f.node(MachineId(0));
         q.enqueue(&node, 7).unwrap();
         assert_eq!(q.stats().batches(), 1);
@@ -921,7 +920,7 @@ mod tests {
 
     #[test]
     fn concurrent_ops_conserve_elements_and_batch() {
-        let (f, q, _s) = setup(Arc::new(FlitAsync::default()));
+        let (f, q, _s) = setup(Arc::new(Flit::new(FlitPolicy::ASYNC)));
         let threads = 8;
         let per = 100u64;
         let mut handles = Vec::new();
@@ -956,7 +955,7 @@ mod tests {
 
     #[test]
     fn stack_elimination_annihilates_pairs() {
-        let (f, _q, s) = setup(Arc::new(FlitAsync::default()));
+        let (f, _q, s) = setup(Arc::new(Flit::new(FlitPolicy::ASYNC)));
         let stop = Arc::new(AtomicU64::new(0));
         let mut handles = Vec::new();
         for t in 0..4u64 {
@@ -990,7 +989,7 @@ mod tests {
 
     #[test]
     fn batched_persistence_saves_barriers_under_flit_async() {
-        let (f, q, _s) = setup(Arc::new(FlitAsync::default()));
+        let (f, q, _s) = setup(Arc::new(Flit::new(FlitPolicy::ASYNC)));
         let threads = 6;
         // Large enough that a thread's whole loop cannot fit in one
         // scheduler timeslice (combined ops are fast): overlap — and
@@ -1023,7 +1022,7 @@ mod tests {
 
     #[test]
     fn contents_survive_memory_crash_and_recover() {
-        let (f, q, s) = setup(Arc::new(FlitCxl0::default()));
+        let (f, q, s) = setup(Arc::new(Flit::new(FlitPolicy::CXL0)));
         let node = f.node(MachineId(0));
         for v in [1u64, 2, 3] {
             q.enqueue(&node, v).unwrap();
@@ -1042,7 +1041,7 @@ mod tests {
         let alloc = Arc::new(Allocator::over_region(
             f.config(),
             MachineId(1),
-            Arc::new(FlitAsync::default()),
+            Arc::new(Flit::new(FlitPolicy::ASYNC)),
         ));
         let node = f.node(MachineId(0));
         let q: CombinedQueue = Combined::new(DurableQueue::create(&alloc, &node).unwrap().unwrap());
@@ -1063,7 +1062,7 @@ mod tests {
 
     #[test]
     fn recover_returns_spare_nodes_to_the_allocator() {
-        let (f, q, s) = setup(Arc::new(FlitCxl0::default()));
+        let (f, q, s) = setup(Arc::new(Flit::new(FlitPolicy::CXL0)));
         let node = f.node(MachineId(0));
         // Leave both boards with non-empty spare caches: enqueue/push
         // then dequeue/pop moves the unlinked nodes into spare.

@@ -78,14 +78,14 @@ impl DurableCounter {
 mod tests {
     use super::*;
     use crate::backend::SimFabric;
-    use crate::flit::FlitCxl0;
+    use crate::flit::{Flit, FlitPolicy};
     use cxl0_model::{MachineId, SystemConfig};
 
     #[test]
     fn concurrent_adds_from_two_machines() {
         let f = SimFabric::new(SystemConfig::symmetric_nvm(3, 4));
         let heap = SharedHeap::new(f.config(), MachineId(2));
-        let ctr = DurableCounter::create(&heap, Arc::new(FlitCxl0::default())).unwrap();
+        let ctr = DurableCounter::create(&heap, Arc::new(Flit::new(FlitPolicy::CXL0))).unwrap();
         let mut handles = Vec::new();
         for m in 0..2 {
             let node = f.node(MachineId(m));
@@ -111,7 +111,7 @@ mod tests {
     fn add_returns_previous() {
         let f = SimFabric::new(SystemConfig::symmetric_nvm(2, 4));
         let heap = SharedHeap::new(f.config(), MachineId(1));
-        let ctr = DurableCounter::create(&heap, Arc::new(FlitCxl0::default())).unwrap();
+        let ctr = DurableCounter::create(&heap, Arc::new(Flit::new(FlitPolicy::CXL0))).unwrap();
         let node = f.node(MachineId(0));
         assert_eq!(ctr.add(&node, 3).unwrap(), 0);
         assert_eq!(ctr.add(&node, 4).unwrap(), 3);

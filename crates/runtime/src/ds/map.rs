@@ -487,14 +487,14 @@ impl<K: Word, V: Word> DurableMap<K, V> {
 mod tests {
     use super::*;
     use crate::backend::SimFabric;
-    use crate::flit::FlitCxl0;
+    use crate::flit::{Flit, FlitPolicy};
     use cxl0_model::{MachineId, SystemConfig};
 
     fn domain(f: &SimFabric, mem: MachineId) -> Arc<SmrDomain> {
         Arc::new(SmrDomain::new(Arc::new(Allocator::over_region(
             f.config(),
             mem,
-            Arc::new(FlitCxl0::default()),
+            Arc::new(Flit::new(FlitPolicy::CXL0)),
         ))))
     }
 

@@ -110,7 +110,7 @@ impl<T: Word> DurableRegister<T> {
 mod tests {
     use super::*;
     use crate::backend::SimFabric;
-    use crate::flit::{FlitCxl0, FlitX86, NaiveMStore};
+    use crate::flit::{Flit, FlitPolicy};
     use cxl0_model::{MachineId, SystemConfig};
 
     fn setup(p: Arc<dyn Persistence>) -> (Arc<SimFabric>, DurableRegister) {
@@ -122,7 +122,7 @@ mod tests {
 
     #[test]
     fn read_write_round_trip() {
-        let (f, reg) = setup(Arc::new(FlitCxl0::default()));
+        let (f, reg) = setup(Arc::new(Flit::new(FlitPolicy::CXL0)));
         let node = f.node(MachineId(0));
         reg.write(&node, 11).unwrap();
         assert_eq!(reg.read(&node).unwrap(), 11);
@@ -130,7 +130,7 @@ mod tests {
 
     #[test]
     fn completed_write_survives_memory_node_crash() {
-        let (f, reg) = setup(Arc::new(FlitCxl0::default()));
+        let (f, reg) = setup(Arc::new(Flit::new(FlitPolicy::CXL0)));
         let node = f.node(MachineId(0));
         reg.write(&node, 11).unwrap();
         f.crash(MachineId(1));
@@ -140,7 +140,7 @@ mod tests {
 
     #[test]
     fn naive_mstore_is_also_durable() {
-        let (f, reg) = setup(Arc::new(NaiveMStore));
+        let (f, reg) = setup(Arc::new(Flit::new(FlitPolicy::NAIVE_MSTORE)));
         let node = f.node(MachineId(0));
         reg.write(&node, 11).unwrap();
         f.crash(MachineId(1));
@@ -150,7 +150,7 @@ mod tests {
 
     #[test]
     fn unadapted_flit_loses_the_write() {
-        let (f, reg) = setup(Arc::new(FlitX86::default()));
+        let (f, reg) = setup(Arc::new(Flit::new(FlitPolicy::X86)));
         let node = f.node(MachineId(0));
         reg.write(&node, 11).unwrap();
         // The LFlush parked the line in the owner's cache; the owner's
@@ -162,7 +162,7 @@ mod tests {
 
     #[test]
     fn cas_through_register() {
-        let (f, reg) = setup(Arc::new(FlitCxl0::default()));
+        let (f, reg) = setup(Arc::new(Flit::new(FlitPolicy::CXL0)));
         let node = f.node(MachineId(0));
         assert_eq!(reg.cas(&node, 0, 1).unwrap(), Ok(0));
         assert_eq!(reg.cas(&node, 0, 2).unwrap(), Err(1));
@@ -170,11 +170,11 @@ mod tests {
 
     #[test]
     fn attach_reuses_cell() {
-        let (f, reg) = setup(Arc::new(FlitCxl0::default()));
+        let (f, reg) = setup(Arc::new(Flit::new(FlitPolicy::CXL0)));
         let node = f.node(MachineId(0));
         reg.write(&node, 42).unwrap();
         let reg2: DurableRegister =
-            DurableRegister::attach(reg.cell(), Arc::new(FlitCxl0::default()));
+            DurableRegister::attach(reg.cell(), Arc::new(Flit::new(FlitPolicy::CXL0)));
         assert_eq!(reg2.read(&node).unwrap(), 42);
     }
 }

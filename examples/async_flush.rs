@@ -20,7 +20,7 @@ use cxl0::api::{Cluster, PersistMode};
 use cxl0::explore::paper_async::{async_flush_tests, check_aflush_barrier_equivalence};
 use cxl0::model::asyncflush::{AsyncLabel, AsyncSemantics};
 use cxl0::model::{Label, Loc, MachineId, SystemConfig, Val};
-use cxl0::runtime::{FlitAsync, FlitCxl0, Persistence};
+use cxl0::runtime::{Flit, FlitPolicy, Persistence};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let m1 = MachineId(0);
@@ -84,8 +84,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let run = |name: &str, p: Arc<dyn Persistence>, raise: &dyn Fn(Loc)| -> u64 {
         // The cluster supplies fabric + heap; the strategies under
-        // comparison are constructed concretely (their raise_counter
-        // testing hooks are not on the Persistence trait).
+        // comparison are concrete `Flit`s (the counter table is not on
+        // the Persistence trait).
         let cluster = Cluster::builder(SystemConfig::symmetric_nvm(3, 256))
             .persist(PersistMode::None)
             .root_capacity(0)
@@ -109,13 +109,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ns
     };
 
-    let sync = Arc::new(FlitCxl0::default());
+    let sync = Arc::new(Flit::new(FlitPolicy::CXL0));
     let sync_ns = run("flit-cxl0", Arc::clone(&sync) as _, &|c| {
-        sync.raise_counter(c)
+        sync.table().enter(c)
     });
-    let asy = Arc::new(FlitAsync::default());
+    let asy = Arc::new(Flit::new(FlitPolicy::ASYNC));
     let async_ns = run("flit-async", Arc::clone(&asy) as _, &|c| {
-        asy.raise_counter(c)
+        asy.table().enter(c)
     });
     println!(
         "\nbatching {CELLS} helping flushes under one Barrier: {:.2}x faster",

@@ -69,10 +69,12 @@ where
 fn combined_queue_durably_linearizable_under_crash_all_sound_modes() {
     for mode in sound_modes() {
         let cluster = setup(mode);
-        let queue = cluster
-            .session(MachineId(0))
-            .create_queue_combined::<u64>("q")
-            .unwrap();
+        let queue = cluster.combined(
+            cluster
+                .session(MachineId(0))
+                .create_queue::<u64>("q")
+                .unwrap(),
+        );
         let recorder: Recorder<QueueOp, QueueRet> = Recorder::new();
         {
             let queue = queue.clone();
@@ -107,7 +109,7 @@ fn combined_queue_durably_linearizable_under_crash_all_sound_modes() {
         // crash must still come out, in FIFO order.
         let session = cluster.session(MachineId(0));
         session.recover_roots().unwrap();
-        let queue = session.open_queue_combined::<u64>("q").unwrap();
+        let queue = cluster.combined(session.open_queue::<u64>("q").unwrap());
         queue.recover(&session).unwrap();
         loop {
             let id = recorder.invoke(ThreadId(98), 0, QueueOp::Deq);
@@ -130,10 +132,12 @@ fn combined_queue_durably_linearizable_under_crash_all_sound_modes() {
 fn combined_stack_durably_linearizable_under_crash_all_sound_modes() {
     for mode in sound_modes() {
         let cluster = setup(mode);
-        let stack = cluster
-            .session(MachineId(0))
-            .create_stack_combined::<u64>("s")
-            .unwrap();
+        let stack = cluster.combined(
+            cluster
+                .session(MachineId(0))
+                .create_stack::<u64>("s")
+                .unwrap(),
+        );
         let recorder: Recorder<StackOp, StackRet> = Recorder::new();
         {
             let stack = stack.clone();
@@ -163,7 +167,7 @@ fn combined_stack_durably_linearizable_under_crash_all_sound_modes() {
         recorder.crash(MEM.index());
         let session = cluster.session(MachineId(0));
         session.recover_roots().unwrap();
-        let stack = session.open_stack_combined::<u64>("s").unwrap();
+        let stack = cluster.combined(session.open_stack::<u64>("s").unwrap());
         stack.recover(&session).unwrap();
         loop {
             let id = recorder.invoke(ThreadId(98), 0, StackOp::Pop);
@@ -186,10 +190,12 @@ fn combined_stack_durably_linearizable_under_crash_all_sound_modes() {
 #[test]
 fn mid_batch_crash_leaves_no_partial_batch() {
     let cluster = setup(PersistMode::FlitAsync);
-    let queue = cluster
-        .session(MachineId(0))
-        .create_queue_combined::<u64>("q")
-        .unwrap();
+    let queue = cluster.combined(
+        cluster
+            .session(MachineId(0))
+            .create_queue::<u64>("q")
+            .unwrap(),
+    );
     let threads = 6usize;
     let stop = Arc::new(AtomicBool::new(false));
     let mut handles = Vec::new();
@@ -221,7 +227,7 @@ fn mid_batch_crash_leaves_no_partial_batch() {
 
     let session = cluster.session(MachineId(0));
     session.recover_roots().unwrap();
-    let queue = session.open_queue_combined::<u64>("q").unwrap();
+    let queue = cluster.combined(session.open_queue::<u64>("q").unwrap());
     queue.recover(&session).unwrap();
     // The drain itself would fail on a torn node (a head swing persisted
     // without its node's contents).
@@ -253,7 +259,7 @@ fn mid_batch_crash_leaves_no_partial_batch() {
 fn stress_counts_every_op_exactly_once() {
     let cluster = setup(PersistMode::FlitAsync);
     let session0 = cluster.session(MachineId(0));
-    let queue = session0.create_queue_combined::<u64>("q").unwrap();
+    let queue = cluster.combined(session0.create_queue::<u64>("q").unwrap());
     let before = session0.stats_delta();
 
     let threads = 8usize;
@@ -290,7 +296,7 @@ fn stress_counts_every_op_exactly_once() {
     assert!(delta.combine_batches <= delta.combine_ops);
     // Eliminations come in insert/remove pairs, and each saves its two
     // ops' persistence syncs; batching can only add to the saving under
-    // a deferring strategy like FlitAsync.
+    // a policy whose batches owe durability (all but `none`/`buffered`).
     assert!(delta.combine_eliminations.is_multiple_of(2));
     assert!(delta.combine_barriers_saved >= delta.combine_eliminations);
     assert!(delta.combine_elections >= delta.combine_batches);
@@ -329,8 +335,8 @@ fn run_interleaving(mode: PersistMode, steps: Vec<Step>) {
         .build()
         .unwrap();
     let session = cluster.session(MachineId(0));
-    let queue = session.create_queue_combined::<u64>("q").unwrap();
-    let stack = session.create_stack_combined::<u64>("s").unwrap();
+    let queue = cluster.combined(session.create_queue::<u64>("q").unwrap());
+    let stack = cluster.combined(session.create_stack::<u64>("s").unwrap());
     let mut qmodel: VecDeque<u64> = VecDeque::new();
     let mut smodel: Vec<u64> = Vec::new();
     let mut seq = 0u64;

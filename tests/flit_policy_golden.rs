@@ -21,8 +21,7 @@ use std::sync::Arc;
 use cxl0::model::{Loc, MachineId, SystemConfig};
 use cxl0::runtime::api::{Cluster, PersistMode};
 use cxl0::runtime::{
-    BufferedEpoch, FlitAsync, FlitCxl0, FlitOwnerOpt, FlitX86, NaiveMStore, NoPersistence,
-    NodeHandle, Persistence, SharedHeap, SimFabric, StatsSnapshot,
+    BufferedEpoch, Flit, NodeHandle, Persistence, SharedHeap, SimFabric, StatsSnapshot,
 };
 
 const M0: MachineId = MachineId(0);
@@ -118,35 +117,24 @@ type CounterHook = Box<dyn Fn(Loc, bool)>;
 /// The strategy `mode` stands for plus its counter hook — the only part
 /// of this file that follows the strategy layer's construction API.
 fn strategy(mode: PersistMode, heap: &SharedHeap) -> (Arc<dyn Persistence>, CounterHook) {
-    macro_rules! counted {
-        ($ty:ty) => {{
-            let p = Arc::new(<$ty>::default());
-            let hook = Arc::clone(&p);
-            let hook: CounterHook = Box::new(move |loc, raise| {
-                if raise {
-                    hook.raise_counter(loc)
-                } else {
-                    hook.lower_counter(loc)
-                }
-            });
-            (p as Arc<dyn Persistence>, hook)
-        }};
+    if let PersistMode::Buffered {
+        capacity,
+        sync_interval,
+    } = mode
+    {
+        let epoch = BufferedEpoch::create(heap, capacity, sync_interval).expect("epoch cells fit");
+        return (Arc::new(epoch), Box::new(|_, _| ()));
     }
-    let uncounted = |p: Arc<dyn Persistence>| (p, Box::new(|_, _| ()) as CounterHook);
-    match mode {
-        PersistMode::FlitCxl0 => counted!(FlitCxl0),
-        PersistMode::OwnerOpt => counted!(FlitOwnerOpt),
-        PersistMode::FlitX86 => counted!(FlitX86),
-        PersistMode::FlitAsync => counted!(FlitAsync),
-        PersistMode::NaiveMStore => uncounted(Arc::new(NaiveMStore)),
-        PersistMode::None => uncounted(Arc::new(NoPersistence)),
-        PersistMode::Buffered {
-            capacity,
-            sync_interval,
-        } => uncounted(Arc::new(
-            BufferedEpoch::create(heap, capacity, sync_interval).expect("epoch cells fit"),
-        )),
-    }
+    let flit = Arc::new(Flit::new(mode.policy()));
+    let hook = Arc::clone(&flit);
+    let hook: CounterHook = Box::new(move |loc, raise| {
+        if raise {
+            hook.table().enter(loc)
+        } else {
+            hook.table().exit(loc)
+        }
+    });
+    (flit, hook)
 }
 
 /// Every `Persistence` method once, return values pinned.

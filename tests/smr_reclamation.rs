@@ -16,7 +16,7 @@ use std::sync::Arc;
 use cxl0::model::{Loc, MachineId, SystemConfig};
 use cxl0::runtime::alloc::META_CELLS;
 use cxl0::runtime::api::{Cluster, PersistMode};
-use cxl0::runtime::{Allocator, FlitCxl0, NaiveMStore, Persistence, SimFabric, SmrDomain};
+use cxl0::runtime::{Allocator, Flit, FlitPolicy, Persistence, SimFabric, SmrDomain};
 use proptest::prelude::*;
 
 /// Every mode the reclamation layer must be sound under: the strict
@@ -399,7 +399,7 @@ proptest! {
     fn epochs_limbo_and_free_lists_track_the_model(
         ops in proptest::collection::vec(arb_smr_op(), 0..64)
     ) {
-        run_smr_interleaving(Arc::new(FlitCxl0::default()), ops.clone());
-        run_smr_interleaving(Arc::new(NaiveMStore), ops);
+        run_smr_interleaving(Arc::new(Flit::new(FlitPolicy::CXL0)), ops.clone());
+        run_smr_interleaving(Arc::new(Flit::new(FlitPolicy::NAIVE_MSTORE)), ops);
     }
 }
