@@ -1,16 +1,16 @@
 //! The crash-consistent size-class allocator. See the module docs in
 //! [`crate::alloc`] for the protocol walkthrough.
 
+use std::collections::HashSet;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use cxl0_model::{Loc, MachineId, SystemConfig};
 
 use crate::alloc::layout::{
-    decode_addr, decode_gen, head_slot, head_top, head_ver, head_word, header_class, header_gen,
-    header_next, header_state, header_word, intent_block, null_word, op_class, op_kind, op_word,
-    popping_word, ptr_word, seed_gen, GEN_MASK, HUGE_CLASS, OP_ALLOC, OP_FREE, ST_ALLOCATED,
-    ST_FREE, ST_FREEING,
+    decode_addr, decode_gen, head_top, head_ver, head_word, header_class, header_gen, header_next,
+    header_state, header_word, intent_class, intent_op, intent_word, null_word, ptr_word, seed_gen,
+    GEN_MASK, HUGE_CLASS, OP_ALLOC, OP_FREE, ST_ALLOCATED, ST_FREE,
 };
 use crate::backend::{AsNode, NodeHandle};
 use crate::error::OpResult;
@@ -35,7 +35,7 @@ const HEADER_META_CELLS: u32 = 4;
 
 /// Durable metadata cells the allocator reserves at the start of its
 /// range: region header + one free-list head per class + two cells per
-/// intent slot.
+/// intent slot (the intent word and a reserved cell).
 pub const META_CELLS: u32 = HEADER_META_CELLS + NUM_CLASSES as u32 + 2 * INTENT_SLOTS as u32;
 
 /// Region-header magic ("CXL0ALOC", little-endian-ish).
@@ -78,13 +78,13 @@ pub struct BlockRef {
     pub recycled: bool,
 }
 
-/// Why a [`Allocator::free`] was refused (the block is left untouched).
+/// Why a free was refused (the block is left untouched).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FreeError {
     /// The location is outside the allocator's range or its header does
     /// not describe a block.
     NotABlock,
-    /// The block is already free or already being freed.
+    /// The block is already free (or a racing free of it won).
     DoubleFree,
     /// The block is an oversize exact-fit allocation; those are served
     /// from the bump tail and cannot be reclaimed.
@@ -127,11 +127,9 @@ pub struct AllocStats {
 /// What one [`Allocator::recover`] sweep did.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AllocRecovery {
-    /// Free-list heads reverted out of a torn `POPPING` claim.
-    pub reverted_pops: usize,
-    /// Intent slots found latched and sealed.
+    /// Intent slots found latched and sealed (torn or merely stale).
     pub sealed_intents: usize,
-    /// Blocks pushed back onto their free lists (torn mid-alloc or
+    /// Blocks put back onto their free lists (torn mid-alloc or
     /// mid-free; without the sweep they would be lost).
     pub restored_blocks: usize,
 }
@@ -140,29 +138,27 @@ pub struct AllocRecovery {
 #[doc(hidden)]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TornAlloc {
-    /// After the `POPPING` claim CAS, before the intent records the
-    /// block. The head is left claimed; only recovery unsticks it.
-    Claimed,
-    /// After the intent records the popped block, before the head swings.
+    /// After the intent records the top block, before the head CAS.
     Recorded,
     /// After the head swings past the block, before its header is marked
     /// allocated.
     Swung,
-    /// After the header is marked allocated, before the intent clears.
+    /// After the header is marked allocated (the pop is complete),
+    /// before the intent clears.
     Marked,
 }
 
-/// Tear points of a free, for crash-consistency tests.
+/// Tear points of a free — of one block or a chain — for
+/// crash-consistency tests.
 #[doc(hidden)]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TornFree {
-    /// After the intent latches, before the header claim CAS.
+    /// After the intent latches, before any claim.
     Latched,
-    /// After the header claim CAS (state `FREEING`), before the push.
-    Claimed,
-    /// After the header links into the free list, before the head CAS.
-    Linked,
-    /// After the push completes, before the intent clears.
+    /// After the `n`-th block's claim CAS (`n >= 1`; the chain's length
+    /// is "after the last claim"), before the head CAS.
+    Claimed(usize),
+    /// After the head CAS publishes the chain, before the intent clears.
     Pushed,
 }
 
@@ -224,12 +220,31 @@ enum PopOutcome {
     Torn(Loc),
 }
 
-/// Outcome of the free protocol body.
-enum FreeOutcome {
-    Done,
-    Refused(FreeError),
-    Torn,
+/// What the chain-free path did with the blocks it was handed.
+#[derive(Default)]
+struct Chained {
+    /// Blocks claimed (and, unless torn, published).
+    freed: usize,
+    /// The first refusal, if any block was not freeable.
+    refused: Option<FreeError>,
+    /// A torn-operation hook stopped mid-protocol (see [`PopOutcome`]).
+    torn: bool,
 }
+
+/// A block the chain-free path validated as freeable.
+#[derive(Clone, Copy)]
+struct Owned {
+    class: u64,
+    /// Payload address.
+    addr: u32,
+    /// The (`ALLOCATED`) header as loaded — what the claim CAS expects.
+    hdr: u64,
+}
+
+/// Recovery's per-class view of which blocks a free list holds: `None`
+/// until the class is first asked about (one list walk), then kept
+/// current as recovery republishes blocks.
+type OnList = [Option<HashSet<u32>>; NUM_CLASSES];
 
 /// A crash-consistent size-class allocator over the durable shared
 /// segment of one memory node.
@@ -377,19 +392,21 @@ impl Allocator {
         )
     }
 
-    fn op_cell(&self, slot: usize) -> Loc {
+    /// The intent word of `slot` (the cell after it is reserved).
+    fn intent_cell(&self, slot: usize) -> Loc {
         Loc::new(
             self.region,
             self.meta_base + HEADER_META_CELLS + NUM_CLASSES as u32 + 2 * slot as u32,
         )
     }
 
-    fn block_cell(&self, slot: usize) -> Loc {
-        Loc::new(self.op_cell(slot).owner, self.op_cell(slot).addr.0 + 1)
-    }
-
     fn header_cell(&self, payload: u32) -> Loc {
         Loc::new(self.region, payload - 1)
+    }
+
+    /// Whether `payload` can be a block's payload address at all.
+    fn in_block_area(&self, payload: u32) -> bool {
+        payload > self.data_base && payload < self.limit
     }
 
     /// Stamps the persistent region header (magic, geometry, extent).
@@ -445,11 +462,8 @@ impl Allocator {
     /// never alias allocator metadata or a foreign range.
     pub fn decode(&self, raw: u64) -> Option<Loc> {
         let addr = decode_addr(raw)?;
-        if addr > self.data_base && addr < self.limit {
-            Some(Loc::new(self.region, addr))
-        } else {
-            None
-        }
+        self.in_block_area(addr)
+            .then(|| Loc::new(self.region, addr))
     }
 
     // ---- allocation -----------------------------------------------------
@@ -462,6 +476,14 @@ impl Allocator {
     /// Recycled payload cells contain their previous contents — callers
     /// must initialize every cell they rely on before publication.
     ///
+    /// A free-list allocation is **complete once the block's header is
+    /// marked allocated**, one persist before this call returns: a crash
+    /// from then on leaves the block allocated, and if the caller dies
+    /// with it before durably linking the block anywhere, the block
+    /// leaks — the same window in which a caller that crashes right
+    /// after `alloc` returns leaks it. Before the mark, recovery returns
+    /// the block to its free list.
+    ///
     /// # Panics
     ///
     /// Panics if `cells` is zero.
@@ -472,27 +494,22 @@ impl Allocator {
     pub fn alloc(&self, at: &impl AsNode, cells: u32) -> OpResult<Option<BlockRef>> {
         assert!(cells > 0, "zero-cell allocations are meaningless");
         let node = at.as_node();
-        let result = self.alloc_inner(node, cells, None)?;
+        let result = self.alloc_inner(node, cells)?;
         self.persist.complete_op(node)?;
         Ok(result)
     }
 
-    fn alloc_inner(
-        &self,
-        node: &NodeHandle,
-        cells: u32,
-        stop: Option<TornAlloc>,
-    ) -> OpResult<Option<BlockRef>> {
+    fn alloc_inner(&self, node: &NodeHandle, cells: u32) -> OpResult<Option<BlockRef>> {
         let (payload_cells, class_tag) = match class_for(cells) {
             Some(class) => {
-                match self.pop(node, class, stop)? {
+                match self.pop(node, class, None)? {
                     PopOutcome::Got(block) => {
                         self.freelist_hits.fetch_add(1, Ordering::Relaxed);
                         self.note_alloc(class_cells(class));
                         return Ok(Some(block));
                     }
-                    PopOutcome::Torn(_) => return Ok(None),
                     PopOutcome::Empty => {}
+                    PopOutcome::Torn(_) => unreachable!("tear hooks only run via torn_alloc"),
                 }
                 (class_cells(class), class as u64)
             }
@@ -534,27 +551,38 @@ impl Allocator {
         self.hw_cells.fetch_max(live, Ordering::Relaxed);
     }
 
-    /// The two-phase crash-consistent pop:
+    fn note_free(&self, cells: u32) {
+        self.frees.fetch_add(1, Ordering::Relaxed);
+        let _ = self
+            .live_cells
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| {
+                Some(v.saturating_sub(u64::from(cells)))
+            });
+    }
+
+    /// The crash-consistent pop — a version-tagged Treiber pop with its
+    /// intent recorded *before* the head CAS, lock-free:
     ///
-    /// 1. **Claim**: CAS the class head from plain to `POPPING(slot)`.
-    ///    The claim commits the pop to this intent slot.
-    /// 2. **Record**: persist the claimed block (+ its generation) into
-    ///    the slot's intent cells.
-    /// 3. **Swing**: CAS the head past the block (anyone who observes
-    ///    the recorded intent may help).
-    /// 4. Mark the header `ALLOCATED` and clear the intent.
+    /// 1. **Record**: persist an intent naming the top block and the
+    ///    generation its (free) header carries.
+    /// 2. **Swing**: CAS the head past the block. A failed CAS retries
+    ///    from the head it observed, overwriting the intent.
+    /// 3. **Mark** the header `ALLOCATED` — the pop is complete — and
+    ///    clear the intent with a plain cached store.
     ///
-    /// The record (2) strictly follows the claim (1), so a latched
-    /// intent block always names a block this slot really popped — a
-    /// stale intent can never cause recovery to free someone else's
-    /// live block.
+    /// An intent therefore only says "this slot *may* have popped that
+    /// block": whether it did is read off the block itself. Recovery
+    /// returns the block only while its header is still `FREE` at the
+    /// recorded generation and no list holds it, so an intent that lost
+    /// its CAS, never ran it, or resurfaced after its unflushed clear
+    /// was lost is harmless.
     fn pop(
         &self,
         node: &NodeHandle,
         class: usize,
         stop: Option<TornAlloc>,
     ) -> OpResult<PopOutcome> {
-        // Cheap peek before leasing a slot and latching an intent.
+        // Peek before leasing a slot: an empty list needs no intent.
         let head = self
             .persist
             .shared_load(node, self.head_cell(class), true)?;
@@ -562,7 +590,7 @@ impl Allocator {
             return Ok(PopOutcome::Empty);
         }
         let slot = self.slots.acquire();
-        let outcome = self.pop_with_slot(node, class, slot, stop);
+        let outcome = self.pop_with_slot(node, class, slot, head, stop);
         match &outcome {
             // A crash error or a deliberate tear leaves the lease
             // leaked: the latched durable intent must survive untouched
@@ -578,126 +606,79 @@ impl Allocator {
         node: &NodeHandle,
         class: usize,
         slot: usize,
+        mut head: u64,
         stop: Option<TornAlloc>,
     ) -> OpResult<PopOutcome> {
         let head_cell = self.head_cell(class);
-        // Latch the intent: zero the block cell first so a crash between
-        // the two stores can never expose a stale block reference.
-        self.persist
-            .private_store(node, self.block_cell(slot), 0, true)?;
-        self.persist.private_store(
-            node,
-            self.op_cell(slot),
-            op_word(OP_ALLOC, class as u64),
-            true,
-        )?;
-        loop {
-            let head = self.persist.shared_load(node, head_cell, true)?;
-            if head_slot(head).is_some() {
-                self.help(node, class, head)?;
-                continue;
-            }
+        let intent_cell = self.intent_cell(slot);
+        let popped = loop {
             let Some(top) = head_top(head) else {
-                // Emptied while we latched: unlatch and fall back.
-                self.persist
-                    .private_store(node, self.op_cell(slot), 0, true)?;
-                return Ok(PopOutcome::Empty);
+                break None;
             };
-            // (1) claim
-            if self
-                .persist
-                .shared_cas(node, head_cell, head, popping_word(head, slot), true)?
-                .is_err()
-            {
-                continue;
-            }
-            let payload = Loc::new(self.region, top);
-            if stop == Some(TornAlloc::Claimed) {
-                return Ok(PopOutcome::Torn(payload));
-            }
-            // The claim made the top block ours: its header is stable.
             let hdr = self
                 .persist
                 .shared_load(node, self.header_cell(top), true)?;
-            debug_assert_eq!(header_state(hdr), ST_FREE, "claimed top must be free");
+            if header_state(hdr) != ST_FREE {
+                // A racing pop already took `top`: our head is stale.
+                head = self.persist.shared_load(node, head_cell, true)?;
+                continue;
+            }
             let gen = header_gen(hdr);
-            // (2) record
+            // (1) record
             self.persist.private_store(
                 node,
-                self.block_cell(slot),
-                intent_block(top, gen),
+                intent_cell,
+                intent_word(OP_ALLOC, class as u64, top, gen),
                 true,
             )?;
             if stop == Some(TornAlloc::Recorded) {
-                return Ok(PopOutcome::Torn(payload));
+                return Ok(PopOutcome::Torn(Loc::new(self.region, top)));
             }
-            // (3) swing (a helper may have done it already)
-            let swung = head_word(header_next(hdr), head_ver(head).wrapping_add(2));
-            let _ =
-                self.persist
-                    .shared_cas(node, head_cell, popping_word(head, slot), swung, true)?;
-            if stop == Some(TornAlloc::Swung) {
-                return Ok(PopOutcome::Torn(payload));
-            }
-            // (4) hand out
-            self.persist.private_store(
-                node,
-                self.header_cell(top),
-                header_word(ST_ALLOCATED, class as u64, gen, None),
-                true,
-            )?;
-            if stop == Some(TornAlloc::Marked) {
-                return Ok(PopOutcome::Torn(payload));
-            }
-            self.persist
-                .private_store(node, self.op_cell(slot), 0, true)?;
-            node.check_alloc(payload, class_cells(class), gen);
-            return Ok(PopOutcome::Got(BlockRef {
-                loc: payload,
-                gen,
-                recycled: true,
-            }));
-        }
-    }
-
-    /// Resolves an observed `POPPING` head: once the claiming slot's
-    /// intent records the claimed block, anyone can complete the swing.
-    /// Until it does, we wait (the window is two private stores wide; a
-    /// machine that crashes inside it stalls this class until
-    /// [`Allocator::recover`], which reverts the claim).
-    fn help(&self, node: &NodeHandle, class: usize, observed: u64) -> OpResult<()> {
-        let head_cell = self.head_cell(class);
-        let slot = head_slot(observed).expect("help is only called on POPPING heads");
-        let top = head_top(observed).expect("a POPPING head always has a top");
-        let mut spins = 0u32;
-        loop {
-            let cur = self.persist.shared_load(node, head_cell, true)?;
-            if cur != observed {
-                return Ok(());
-            }
-            let recorded = self
+            // (2) swing
+            let swung = head_word(header_next(hdr), head_ver(head).wrapping_add(1));
+            match self
                 .persist
-                .shared_load(node, self.block_cell(slot), true)?;
-            if decode_addr(recorded) == Some(top) {
-                let hdr = self
-                    .persist
-                    .shared_load(node, self.header_cell(top), true)?;
-                let swung = head_word(header_next(hdr), head_ver(observed).wrapping_add(1));
-                let _ = self
-                    .persist
-                    .shared_cas(node, head_cell, observed, swung, true)?;
-                return Ok(());
+                .shared_cas(node, head_cell, head, swung, true)?
+            {
+                Ok(_) => break Some((top, gen)),
+                Err(actual) => head = actual,
             }
-            spins += 1;
-            if spins.is_multiple_of(64) {
-                std::thread::yield_now();
-            }
+        };
+        let Some((top, gen)) = popped else {
+            // Emptied under us. A losing intent is harmless; tidy it.
+            self.persist.private_store(node, intent_cell, 0, false)?;
+            return Ok(PopOutcome::Empty);
+        };
+        let payload = Loc::new(self.region, top);
+        if stop == Some(TornAlloc::Swung) {
+            return Ok(PopOutcome::Torn(payload));
         }
+        // (3) mark: the CAS took the block off the list, so its header
+        // is exclusively ours.
+        self.persist.private_store(
+            node,
+            self.header_cell(top),
+            header_word(ST_ALLOCATED, class as u64, gen, None),
+            true,
+        )?;
+        if stop == Some(TornAlloc::Marked) {
+            return Ok(PopOutcome::Torn(payload));
+        }
+        // Unflagged: a lost clear only resurfaces a stale intent, which
+        // recovery tells from a live one by the block's generation.
+        self.persist.private_store(node, intent_cell, 0, false)?;
+        node.check_alloc(payload, class_cells(class), gen);
+        Ok(PopOutcome::Got(BlockRef {
+            loc: payload,
+            gen,
+            recycled: true,
+        }))
     }
 
     // ---- free -----------------------------------------------------------
 
-    /// Returns `payload`'s block to its class free list for reuse.
+    /// Returns `payload`'s block to its class free list for reuse: the
+    /// [`free_chain`](Allocator::free_chain) of one block.
     ///
     /// The allocation-intent protocol makes this crash-consistent: once
     /// `free` is invoked, a crash at any instant either leaves the block
@@ -712,170 +693,249 @@ impl Allocator {
     /// `Err(Crashed)` if the issuing machine has crashed; `Ok(Err(_))`
     /// when the free is refused (see [`FreeError`]).
     pub fn free(&self, at: &impl AsNode, payload: Loc) -> OpResult<Result<(), FreeError>> {
-        let node = at.as_node();
-        let result = self.free_inner(node, payload, None)?;
+        let done = self.chain(at.as_node(), &[payload], None)?;
+        Ok(done.refused.map_or(Ok(()), Err))
+    }
+
+    /// Returns every block of `blocks` to its class free list as one
+    /// **chain** per size class: one intent naming the chain's first
+    /// block, one claim CAS per block that also links it to its
+    /// successor (the last to the list's current top), and one head CAS
+    /// publishing the whole chain — `k + 2` persists for `k` blocks of
+    /// one class, where `k` single frees pay `3k`.
+    ///
+    /// Returns how many blocks were freed. A block that is not freeable
+    /// is skipped and left untouched, exactly as [`Allocator::free`]
+    /// would refuse it, so the count falls short of `blocks.len()` by
+    /// the number of refusals. A crash mid-chain loses nothing: recovery
+    /// walks the links from the intent's block and publishes every
+    /// block already claimed; the unclaimed rest stay allocated.
+    ///
+    /// # Errors
+    ///
+    /// Fails if the issuing machine has crashed.
+    pub fn free_chain(&self, at: &impl AsNode, blocks: &[Loc]) -> OpResult<usize> {
+        Ok(self.chain(at.as_node(), blocks, None)?.freed)
+    }
+
+    /// The one free path: validates every block, groups the freeable
+    /// ones by size class (a free list holds one class) and pushes each
+    /// group as a chain.
+    fn chain(
+        &self,
+        node: &NodeHandle,
+        blocks: &[Loc],
+        stop: Option<TornFree>,
+    ) -> OpResult<Chained> {
+        let mut done = Chained::default();
+        let mut owned: Vec<Owned> = Vec::with_capacity(blocks.len());
+        for &payload in blocks {
+            match self.freeable(node, payload)? {
+                Ok(hdr) => owned.push(Owned {
+                    class: header_class(hdr),
+                    addr: payload.addr.0,
+                    hdr,
+                }),
+                Err(e) => {
+                    done.refused.get_or_insert(e);
+                }
+            }
+        }
+        if !owned.is_empty() {
+            // Stable: within a class the caller's order is the chain's.
+            owned.sort_by_key(|b| b.class);
+            let slot = self.slots.acquire();
+            let pushed = self.chain_with_slot(node, slot, &owned, stop, &mut done);
+            if pushed.is_ok() && !done.torn {
+                self.slots.release(slot); // else leak the lease (see pop)
+            }
+            pushed?;
+        }
         self.persist.complete_op(node)?;
-        Ok(match result {
-            FreeOutcome::Done => Ok(()),
-            FreeOutcome::Refused(e) => Err(e),
-            FreeOutcome::Torn => unreachable!("tear hooks only run via torn_free"),
+        Ok(done)
+    }
+
+    /// The header of `payload`'s block if the block can be freed, else
+    /// why it cannot.
+    fn freeable(&self, node: &NodeHandle, payload: Loc) -> OpResult<Result<u64, FreeError>> {
+        let addr = payload.addr.0;
+        if payload.owner != self.region || !self.in_block_area(addr) {
+            return Ok(Err(FreeError::NotABlock));
+        }
+        let hdr = self
+            .persist
+            .shared_load(node, self.header_cell(addr), true)?;
+        Ok(match (header_state(hdr), header_class(hdr)) {
+            (ST_ALLOCATED, HUGE_CLASS) => Err(FreeError::Oversize),
+            (ST_ALLOCATED, class) if (class as usize) < NUM_CLASSES => Ok(hdr),
+            (ST_FREE, _) => Err(FreeError::DoubleFree),
+            _ => Err(FreeError::NotABlock),
         })
     }
 
-    fn free_inner(
+    fn chain_with_slot(
         &self,
         node: &NodeHandle,
-        payload: Loc,
-        stop: Option<TornFree>,
-    ) -> OpResult<FreeOutcome> {
-        let addr = payload.addr.0;
-        if payload.owner != self.region || addr <= self.data_base || addr >= self.limit {
-            return Ok(FreeOutcome::Refused(FreeError::NotABlock));
-        }
-        let header_cell = self.header_cell(addr);
-        let hdr = self.persist.shared_load(node, header_cell, true)?;
-        match header_state(hdr) {
-            ST_ALLOCATED => {}
-            ST_FREE | ST_FREEING => return Ok(FreeOutcome::Refused(FreeError::DoubleFree)),
-            _ => return Ok(FreeOutcome::Refused(FreeError::NotABlock)),
-        }
-        let class = header_class(hdr);
-        if class == HUGE_CLASS {
-            return Ok(FreeOutcome::Refused(FreeError::Oversize));
-        }
-        if class as usize >= NUM_CLASSES {
-            return Ok(FreeOutcome::Refused(FreeError::NotABlock));
-        }
-
-        let slot = self.slots.acquire();
-        let outcome = self.free_with_slot(node, payload, hdr, slot, stop);
-        match &outcome {
-            Err(_) | Ok(FreeOutcome::Torn) => {} // leak the lease (see pop)
-            Ok(_) => self.slots.release(slot),
-        }
-        if matches!(outcome, Ok(FreeOutcome::Done)) {
-            node.check_free(payload);
-            self.frees.fetch_add(1, Ordering::Relaxed);
-            let cells = u64::from(class_cells(class as usize));
-            let _ = self
-                .live_cells
-                .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| {
-                    Some(v.saturating_sub(cells))
-                });
-        }
-        outcome
-    }
-
-    fn free_with_slot(
-        &self,
-        node: &NodeHandle,
-        payload: Loc,
-        hdr: u64,
         slot: usize,
+        owned: &[Owned],
         stop: Option<TornFree>,
-    ) -> OpResult<FreeOutcome> {
-        let addr = payload.addr.0;
-        let class = header_class(hdr);
-        let gen = header_gen(hdr);
-        // Latch the intent (block before op: the op word is the latch).
-        self.persist
-            .private_store(node, self.block_cell(slot), intent_block(addr, gen), true)?;
-        self.persist
-            .private_store(node, self.op_cell(slot), op_word(OP_FREE, class), true)?;
-        if stop == Some(TornFree::Latched) {
-            return Ok(FreeOutcome::Torn);
+        done: &mut Chained,
+    ) -> OpResult<()> {
+        for run in owned.chunk_by(|a, b| a.class == b.class) {
+            let mut rest = run;
+            while !rest.is_empty() && !done.torn {
+                rest = &rest[self.push_run(node, slot, rest, stop, done)?..];
+            }
         }
-        // Claim: exactly one concurrent free of this incarnation wins.
-        if self
-            .persist
-            .shared_cas(
-                node,
-                self.header_cell(addr),
-                hdr,
-                header_word(ST_FREEING, class, gen, None),
-                true,
-            )?
-            .is_err()
-        {
-            self.persist
-                .private_store(node, self.op_cell(slot), 0, true)?;
-            return Ok(FreeOutcome::Refused(FreeError::DoubleFree));
-        }
-        if stop == Some(TornFree::Claimed) {
-            return Ok(FreeOutcome::Torn);
-        }
-        let new_gen = gen.wrapping_add(1) & GEN_MASK;
-        if self
-            .push(node, class as usize, addr, new_gen, stop)?
-            .is_some()
-        {
-            return Ok(FreeOutcome::Torn);
-        }
-        self.persist
-            .private_store(node, self.op_cell(slot), 0, true)?;
-        Ok(FreeOutcome::Done)
+        Ok(())
     }
 
-    /// Links `addr` (generation already bumped to `new_gen`) onto its
-    /// class free list. Returns `Some(loc)` when a tear hook stopped.
-    fn push(
+    /// Pushes one chain, `run` being blocks of one class:
+    ///
+    /// 1. **Latch** an intent naming the first block at its generation.
+    /// 2. **Claim and link**, front to back: each block's header goes
+    ///    `ALLOCATED g → FREE g+1, next = successor` in one CAS (exactly
+    ///    one free of an incarnation wins it); the last block's
+    ///    successor is the list's current top. Claimed blocks are on no
+    ///    list yet, but a walk along `next` from the intent's block
+    ///    reaches every one of them — that is what recovery does.
+    /// 3. **Publish** the chain with one head CAS (re-aiming the last
+    ///    block first if the top moved), then clear the intent with a
+    ///    plain cached store.
+    ///
+    /// Returns how many blocks of `run` it consumed: all of them, or —
+    /// when a racing free won a block's claim — the chain up to that
+    /// block plus the lost block itself.
+    fn push_run(
         &self,
         node: &NodeHandle,
-        class: usize,
-        addr: u32,
-        new_gen: u64,
+        slot: usize,
+        run: &[Owned],
         stop: Option<TornFree>,
-    ) -> OpResult<Option<Loc>> {
-        let head_cell = self.head_cell(class);
-        loop {
-            let head = self.persist.shared_load(node, head_cell, true)?;
-            if head_slot(head).is_some() {
-                self.help(node, class, head)?;
-                continue;
-            }
-            // The block is exclusively ours until the head CAS publishes
-            // it: a persistent private store suffices for the link.
-            self.persist.private_store(
-                node,
-                self.header_cell(addr),
-                header_word(ST_FREE, class as u64, new_gen, head_top(head)),
-                true,
-            )?;
-            if stop == Some(TornFree::Linked) {
-                return Ok(Some(Loc::new(self.region, addr)));
-            }
+        done: &mut Chained,
+    ) -> OpResult<usize> {
+        let Owned {
+            class,
+            addr: first,
+            hdr: first_hdr,
+        } = run[0];
+        let head_cell = self.head_cell(class as usize);
+        let intent_cell = self.intent_cell(slot);
+        // (1) latch
+        self.persist.private_store(
+            node,
+            intent_cell,
+            intent_word(OP_FREE, class, first, header_gen(first_hdr)),
+            true,
+        )?;
+        if stop == Some(TornFree::Latched) {
+            done.torn = true;
+            return Ok(run.len());
+        }
+        let mut head = self.persist.shared_load(node, head_cell, true)?;
+        // (2) claim and link. `tail` is the last block claimed: its
+        // address, bumped generation, and where its `next` aims.
+        let mut tail = None;
+        let mut claimed = 0;
+        for (i, &Owned { addr, hdr, .. }) in run.iter().enumerate() {
+            let next = run.get(i + 1).map_or(head_top(head), |b| Some(b.addr));
+            let gen = header_gen(hdr).wrapping_add(1) & GEN_MASK;
             if self
                 .persist
                 .shared_cas(
                     node,
-                    head_cell,
-                    head,
-                    head_word(Some(addr), head_ver(head).wrapping_add(1)),
+                    self.header_cell(addr),
+                    hdr,
+                    header_word(ST_FREE, class, gen, next),
                     true,
                 )?
-                .is_ok()
+                .is_err()
             {
-                if stop == Some(TornFree::Pushed) {
-                    return Ok(Some(Loc::new(self.region, addr)));
-                }
-                return Ok(None);
+                done.refused.get_or_insert(FreeError::DoubleFree);
+                break;
+            }
+            // The sanitizer learns of the free here, while the block is
+            // still unpublished: once the head CAS republishes it a
+            // racing pop may hand it out, and a late "freed" would
+            // overwrite that pop's "live".
+            node.check_free(Loc::new(self.region, addr));
+            self.note_free(class_cells(class as usize));
+            claimed += 1;
+            done.freed += 1;
+            tail = Some((addr, gen, next));
+            if stop == Some(TornFree::Claimed(claimed)) {
+                done.torn = true;
+                return Ok(run.len());
             }
         }
+        // (3) publish
+        if let Some((tail, gen, mut next)) = tail {
+            loop {
+                let top = head_top(head);
+                if next != top {
+                    // The tail aims at a block whose claim was lost, or
+                    // at a top that has moved.
+                    self.relink(node, class, tail, gen, top)?;
+                    next = top;
+                }
+                let pushed = head_word(Some(first), head_ver(head).wrapping_add(1));
+                match self
+                    .persist
+                    .shared_cas(node, head_cell, head, pushed, true)?
+                {
+                    Ok(_) => break,
+                    Err(actual) => head = actual,
+                }
+            }
+            if stop == Some(TornFree::Pushed) {
+                done.torn = true;
+                return Ok(run.len());
+            }
+        }
+        self.persist.private_store(node, intent_cell, 0, false)?;
+        Ok((claimed + 1).min(run.len()))
+    }
+
+    /// Re-aims the `next` link of a free block that no list can reach
+    /// (claimed but unpublished, or orphaned and being restored) — the
+    /// block is exclusively the caller's, so a persistent private store
+    /// suffices.
+    fn relink(
+        &self,
+        node: &NodeHandle,
+        class: u64,
+        addr: u32,
+        gen: u64,
+        next: Option<u32>,
+    ) -> OpResult<()> {
+        self.persist.private_store(
+            node,
+            self.header_cell(addr),
+            header_word(ST_FREE, class, gen, next),
+            true,
+        )
     }
 
     // ---- recovery -------------------------------------------------------
 
     /// Post-crash sweep. Must run quiesced (no concurrent allocator
-    /// traffic), like every `recover` in this crate. In order:
+    /// traffic), like every `recover` in this crate. Seals every latched
+    /// intent, reading off the named block's header — state, generation,
+    /// list membership; the table is in [`crate::alloc`] — whether the
+    /// operation was torn: a pop torn after its head CAS is put back, a
+    /// free torn before its claim is claimed, and a torn chain is
+    /// *walked* — along `next` from the intent's block while blocks are
+    /// `FREE`, of the intent's class, and on no list (under quiescence
+    /// such a block belongs to no one) — and published. Anything else is
+    /// a stale intent, its unflushed clear lost with the issuer's cache,
+    /// and frees nothing: a live block is `ALLOCATED`, and a generation
+    /// only matches the operation that recorded it.
     ///
-    /// 1. reverts free-list heads stuck in a torn `POPPING` claim;
-    /// 2. seals every latched intent: a block named by an intent whose
-    ///    recorded generation still matches the block's header is
-    ///    guaranteed unreachable by the application (the operation never
-    ///    returned), so if it is not on its free list it is pushed back —
-    ///    stale intents (generation moved on) are ignored, so a live
-    ///    block is never freed;
-    /// 3. resets the volatile intent-slot pool.
+    /// Cost: one load per intent slot and one header load per latched
+    /// intent; each class's free list is walked **at most once** per
+    /// sweep (only if some intent names a `FREE` block of that class at
+    /// a matching generation), plus the blocks of the torn chains
+    /// themselves. Finally the volatile intent-slot pool is reset.
     ///
     /// # Errors
     ///
@@ -883,118 +943,113 @@ impl Allocator {
     pub fn recover(&self, at: &impl AsNode) -> OpResult<AllocRecovery> {
         let node = at.as_node();
         let mut report = AllocRecovery::default();
-        // (1) torn POPPING claims: the claimed block is still linked
-        // (the swing never happened once the intent stayed empty, and if
-        // it did happen the head no longer carries the claim), so
-        // reverting to a plain head restores the list. Recorded-intent
-        // pops are also reverted: their block is back on top and step
-        // (2) will find it present.
-        for class in 0..NUM_CLASSES {
-            let cell = self.head_cell(class);
-            let head = self.persist.shared_load(node, cell, true)?;
-            if head_slot(head).is_some() {
-                let reverted = head_word(head_top(head), head_ver(head).wrapping_add(1));
-                self.persist.private_store(node, cell, reverted, true)?;
-                report.reverted_pops += 1;
-            }
-        }
-        // (2) latched intents.
-        let mut restored: Vec<u32> = Vec::new();
+        let mut on_list = OnList::default();
         for slot in 0..INTENT_SLOTS {
-            let op = self.persist.shared_load(node, self.op_cell(slot), true)?;
-            if op == 0 {
+            let cell = self.intent_cell(slot);
+            let word = self.persist.shared_load(node, cell, true)?;
+            if word == 0 {
                 continue;
             }
             report.sealed_intents += 1;
-            let kind = op_kind(op);
-            let class = op_class(op) as usize;
-            let recorded = self
-                .persist
-                .shared_load(node, self.block_cell(slot), true)?;
-            if let Some(addr) = decode_addr(recorded) {
-                let expected_gen = decode_gen(recorded);
-                if class < NUM_CLASSES
-                    && addr > self.data_base
-                    && addr < self.limit
-                    && !restored.contains(&addr)
-                    && self.intent_needs_push(node, kind, class, addr, expected_gen)?
-                {
-                    let new_gen = expected_gen.wrapping_add(1) & GEN_MASK;
-                    self.push(node, class, addr, new_gen, None)?;
-                    restored.push(addr);
-                    report.restored_blocks += 1;
+            let class = intent_class(word);
+            let gen = decode_gen(word);
+            let bumped = gen.wrapping_add(1) & GEN_MASK;
+            let named = decode_addr(word)
+                .filter(|&a| (class as usize) < NUM_CLASSES && self.in_block_area(a));
+            if let Some(addr) = named {
+                let hdr = self
+                    .persist
+                    .shared_load(node, self.header_cell(addr), true)?;
+                let maybe_orphaned = match (intent_op(word), header_state(hdr)) {
+                    (OP_ALLOC, ST_FREE) => header_gen(hdr) == gen,
+                    (OP_FREE, ST_FREE) => header_gen(hdr) == bumped,
+                    (OP_FREE, ST_ALLOCATED) if header_gen(hdr) == gen => {
+                        // Roll the free forward to its claimed state.
+                        self.relink(node, class, addr, bumped, None)?;
+                        true
+                    }
+                    _ => false,
+                };
+                if maybe_orphaned {
+                    report.restored_blocks +=
+                        self.restore_chain(node, &mut on_list, class as usize, addr)?;
                 }
             }
-            self.persist
-                .private_store(node, self.op_cell(slot), 0, true)?;
+            self.persist.private_store(node, cell, 0, true)?;
         }
-        // (3) void all leases.
         self.slots.reset();
         self.persist.complete_op(node)?;
         Ok(report)
     }
 
-    /// Decides whether a latched intent's block must be pushed back.
-    /// The generation check is what rejects *stale* intents: if the
-    /// block's header generation moved past what the intent recorded,
-    /// some later operation completed on this block and the intent is a
-    /// leftover of an op that lost its race — pushing would free a block
-    /// that may be live.
-    fn intent_needs_push(
+    /// Recovery's chain walk (see [`Allocator::recover`]): collects the
+    /// orphans reachable from `start`, then republishes them as they
+    /// are linked — the last re-aimed at the current top, the head
+    /// swung to `start` — in two persists however long the chain.
+    /// Returns how many blocks it put back.
+    fn restore_chain(
         &self,
         node: &NodeHandle,
-        kind: u64,
+        on_list: &mut OnList,
         class: usize,
-        addr: u32,
-        expected_gen: u64,
-    ) -> OpResult<bool> {
-        let hdr = self
-            .persist
-            .shared_load(node, self.header_cell(addr), true)?;
-        let state = header_state(hdr);
-        let gen = header_gen(hdr);
-        let bumped = expected_gen.wrapping_add(1) & GEN_MASK;
-        let needs = match kind {
-            // A recorded alloc intent means this slot really popped the
-            // block and the caller never received it. Present on the
-            // list (claim reverted) → done; otherwise push it back.
-            OP_ALLOC => {
-                gen == expected_gen
-                    && matches!(state, ST_FREE | ST_ALLOCATED)
-                    && !self.list_contains(node, class, addr)?
+        start: u32,
+    ) -> OpResult<usize> {
+        if on_list[class].is_none() {
+            on_list[class] = Some(self.list_blocks(node, class)?.into_iter().collect());
+        }
+        let listed = on_list[class].as_mut().expect("built above");
+        let mut tail = None;
+        let mut restored = 0;
+        let mut cur = Some(start);
+        while let Some(addr) = cur.filter(|&a| self.in_block_area(a)) {
+            let hdr = self
+                .persist
+                .shared_load(node, self.header_cell(addr), true)?;
+            let orphan = header_state(hdr) == ST_FREE
+                && header_class(hdr) == class as u64
+                && listed.insert(addr);
+            if !orphan {
+                break;
             }
-            // A free intent: complete it unless the push already
-            // happened (or the intent is stale).
-            OP_FREE => match state {
-                ST_ALLOCATED | ST_FREEING if gen == expected_gen => true,
-                ST_FREE if gen == bumped => !self.list_contains(node, class, addr)?,
-                _ => false,
-            },
-            _ => false,
+            restored += 1;
+            tail = Some((addr, header_gen(hdr)));
+            cur = header_next(hdr);
+        }
+        let Some((tail, gen)) = tail else {
+            return Ok(0);
         };
-        Ok(needs)
+        let head_cell = self.head_cell(class);
+        let head = self.persist.shared_load(node, head_cell, true)?;
+        self.relink(node, class as u64, tail, gen, head_top(head))?;
+        // Quiesced: nothing races the head, a persistent store will do.
+        self.persist.private_store(
+            node,
+            head_cell,
+            head_word(Some(start), head_ver(head).wrapping_add(1)),
+            true,
+        )?;
+        Ok(restored)
     }
 
-    /// Walks class `class`'s free list looking for `addr` (recovery
-    /// only; bounded by the block area size against corrupted links).
-    fn list_contains(&self, node: &NodeHandle, class: usize, addr: u32) -> OpResult<bool> {
+    /// The payload addresses on class `class`'s free list, top first
+    /// (recovery and test inspection; bounded by the block area size
+    /// against corrupted links).
+    fn list_blocks(&self, node: &NodeHandle, class: usize) -> OpResult<Vec<u32>> {
+        let mut out = Vec::new();
         let head = self
             .persist
             .shared_load(node, self.head_cell(class), true)?;
         let mut cur = head_top(head);
-        let mut steps = self.limit - self.data_base;
-        while let Some(a) = cur {
-            if a == addr {
-                return Ok(true);
-            }
-            if steps == 0 || a <= self.data_base || a >= self.limit {
-                return Ok(false);
-            }
+        let mut steps = self.block_area_cells();
+        while let Some(addr) = cur.filter(|&a| steps > 0 && self.in_block_area(a)) {
+            out.push(addr);
             steps -= 1;
-            let hdr = self.persist.shared_load(node, self.header_cell(a), true)?;
+            let hdr = self
+                .persist
+                .shared_load(node, self.header_cell(addr), true)?;
             cur = header_next(hdr);
         }
-        Ok(false)
+        Ok(out)
     }
 
     // ---- test hooks -----------------------------------------------------
@@ -1012,48 +1067,29 @@ impl Allocator {
         stage: TornAlloc,
     ) -> OpResult<Option<Loc>> {
         let node = at.as_node();
-        let result = self.alloc_torn_inner(node, cells, stage)?;
-        self.persist.complete_op(node)?;
-        Ok(result)
-    }
-
-    fn alloc_torn_inner(
-        &self,
-        node: &NodeHandle,
-        cells: u32,
-        stage: TornAlloc,
-    ) -> OpResult<Option<Loc>> {
-        let Some(class) = class_for(cells) else {
-            return Ok(None);
+        let class = class_for(cells).expect("torn_alloc takes a reclaimable size");
+        let torn = match self.pop(node, class, Some(stage))? {
+            PopOutcome::Torn(loc) => Some(loc),
+            PopOutcome::Empty => None,
+            PopOutcome::Got(_) => unreachable!("every stage tears before the pop returns"),
         };
-        match self.pop(node, class, Some(stage))? {
-            PopOutcome::Torn(loc) => Ok(Some(loc)),
-            PopOutcome::Got(b) => {
-                // Raced past the tear point is impossible single-threaded;
-                // treat a completed pop as "nothing torn" defensively.
-                let _ = self.free_inner(node, b.loc, None)?;
-                Ok(None)
-            }
-            PopOutcome::Empty => Ok(None),
-        }
+        self.persist.complete_op(node)?;
+        Ok(torn)
     }
 
-    /// Testing hook: run a free and stop at `stage` (see
-    /// [`Allocator::torn_alloc`]). Returns the refusal, if any.
+    /// Testing hook: run a free of `blocks` (one block or a chain) and
+    /// stop at `stage` (see [`Allocator::torn_alloc`]). Returns the
+    /// first refusal, if any. A `Claimed(n)` beyond the chain's length
+    /// tears nothing: the free completes.
     #[doc(hidden)]
     pub fn torn_free(
         &self,
         at: &impl AsNode,
-        payload: Loc,
+        blocks: &[Loc],
         stage: TornFree,
     ) -> OpResult<Result<(), FreeError>> {
-        let node = at.as_node();
-        let outcome = self.free_inner(node, payload, Some(stage))?;
-        self.persist.complete_op(node)?;
-        Ok(match outcome {
-            FreeOutcome::Torn | FreeOutcome::Done => Ok(()),
-            FreeOutcome::Refused(e) => Err(e),
-        })
+        let done = self.chain(at.as_node(), blocks, Some(stage))?;
+        Ok(done.refused.map_or(Ok(()), Err))
     }
 
     /// Testing hook: the blocks on class-of-`cells`'s free list, top
@@ -1062,20 +1098,9 @@ impl Allocator {
     pub fn debug_free_list(&self, at: &impl AsNode, cells: u32) -> OpResult<Vec<Loc>> {
         let node = at.as_node();
         let class = class_for(cells).expect("debug_free_list takes a reclaimable size");
-        let mut out = Vec::new();
-        let head = self
-            .persist
-            .shared_load(node, self.head_cell(class), true)?;
-        let mut cur = head_top(head);
-        let mut steps = self.limit - self.data_base;
-        while let (Some(a), true) = (cur, steps > 0) {
-            out.push(Loc::new(self.region, a));
-            steps -= 1;
-            let hdr = self.persist.shared_load(node, self.header_cell(a), true)?;
-            cur = header_next(hdr);
-        }
+        let list = self.list_blocks(node, class)?;
         self.persist.complete_op(node)?;
-        Ok(out)
+        Ok(list.into_iter().map(|a| Loc::new(self.region, a)).collect())
     }
 }
 
@@ -1204,16 +1229,11 @@ mod tests {
 
     #[test]
     fn torn_frees_are_completed_exactly_once() {
-        for stage in [
-            TornFree::Latched,
-            TornFree::Claimed,
-            TornFree::Linked,
-            TornFree::Pushed,
-        ] {
+        for stage in [TornFree::Latched, TornFree::Claimed(1), TornFree::Pushed] {
             let (f, a) = setup(1024);
             let node = f.node(MachineId(0));
             let b = a.alloc(&node, 2).unwrap().unwrap();
-            a.torn_free(&node, b.loc, stage).unwrap().unwrap();
+            a.torn_free(&node, &[b.loc], stage).unwrap().unwrap();
             let r = a.recover(&node).unwrap();
             assert_eq!(r.sealed_intents, 1, "{stage:?}");
             assert_eq!(
@@ -1229,12 +1249,7 @@ mod tests {
 
     #[test]
     fn torn_allocs_never_lose_the_block() {
-        for stage in [
-            TornAlloc::Claimed,
-            TornAlloc::Recorded,
-            TornAlloc::Swung,
-            TornAlloc::Marked,
-        ] {
+        for stage in [TornAlloc::Recorded, TornAlloc::Swung, TornAlloc::Marked] {
             let (f, a) = setup(1024);
             let node = f.node(MachineId(0));
             let b = a.alloc(&node, 2).unwrap().unwrap();
@@ -1242,12 +1257,158 @@ mod tests {
             let torn = a.torn_alloc(&node, 2, stage).unwrap();
             assert_eq!(torn, Some(b.loc), "{stage:?}");
             a.recover(&node).unwrap();
+            // Complete at the mark: from then on the block is allocated
+            // (and freeable); before it, back on the list exactly once.
+            if stage == TornAlloc::Marked {
+                assert!(a.debug_free_list(&node, 2).unwrap().is_empty());
+                a.free(&node, b.loc).unwrap().unwrap();
+            }
             assert_eq!(
                 a.debug_free_list(&node, 2).unwrap(),
                 vec![b.loc],
-                "{stage:?}: block must be back on the list exactly once"
+                "{stage:?}"
             );
         }
+    }
+
+    /// `n` fresh two-cell blocks.
+    fn blocks(a: &Allocator, node: &NodeHandle, n: usize) -> Vec<Loc> {
+        (0..n)
+            .map(|_| a.alloc(node, 2).unwrap().unwrap().loc)
+            .collect()
+    }
+
+    #[test]
+    fn free_chain_publishes_the_blocks_in_order_with_k_plus_2_flushes() {
+        let (f, a) = setup(1024);
+        let node = f.node(MachineId(0));
+        let (old, chain) = (blocks(&a, &node, 1), blocks(&a, &node, 5));
+        a.free(&node, old[0]).unwrap().unwrap();
+        let before = f.stats().snapshot();
+        assert_eq!(a.free_chain(&node, &chain).unwrap(), 5);
+        assert_eq!(f.stats().snapshot().since(&before).flushes(), 5 + 2);
+        // The chain sits on top of the old list, first block first.
+        let mut expected = chain.clone();
+        expected.extend(&old);
+        assert_eq!(a.debug_free_list(&node, 2).unwrap(), expected);
+        let s = a.stats();
+        assert_eq!((s.frees, s.live_cells), (6, 0));
+        assert_eq!(a.free_chain(&node, &[]).unwrap(), 0);
+    }
+
+    #[test]
+    fn free_chain_splits_by_class_and_skips_what_free_would_refuse() {
+        let (f, a) = setup(1024);
+        let node = f.node(MachineId(0));
+        let small = blocks(&a, &node, 2);
+        let big = a.alloc(&node, 8).unwrap().unwrap().loc;
+        let gone = blocks(&a, &node, 1)[0];
+        a.free(&node, gone).unwrap().unwrap();
+        // Mixed classes, a double free, a repeated block, a non-block.
+        let handed = [
+            small[0],
+            big,
+            gone,
+            small[1],
+            small[0],
+            Loc::new(MachineId(1), 3),
+        ];
+        assert_eq!(a.free_chain(&node, &handed).unwrap(), 3);
+        assert_eq!(
+            a.debug_free_list(&node, 2).unwrap(),
+            vec![small[0], small[1], gone]
+        );
+        assert_eq!(a.debug_free_list(&node, 8).unwrap(), vec![big]);
+        assert_eq!(a.recover(&node).unwrap(), AllocRecovery::default());
+    }
+
+    #[test]
+    fn torn_chains_are_recovered_by_walking_their_links() {
+        const K: usize = 4;
+        let stages = (1..=K)
+            .map(TornFree::Claimed)
+            .chain([TornFree::Latched, TornFree::Pushed]);
+        for stage in stages {
+            let (f, a) = setup(1024);
+            let node = f.node(MachineId(0));
+            let (old, chain) = (blocks(&a, &node, 1), blocks(&a, &node, K));
+            a.free(&node, old[0]).unwrap().unwrap();
+            a.torn_free(&node, &chain, stage).unwrap().unwrap();
+            let r = a.recover(&node).unwrap();
+            // Every claimed block is published; `Latched` completes the
+            // free of the block its intent names; the rest stay
+            // allocated.
+            let freed = match stage {
+                TornFree::Latched => 1,
+                TornFree::Claimed(n) => n,
+                TornFree::Pushed => K,
+            };
+            let mut expected = chain[..freed].to_vec();
+            expected.extend(&old);
+            assert_eq!(a.debug_free_list(&node, 2).unwrap(), expected, "{stage:?}");
+            let restored = if stage == TornFree::Pushed { 0 } else { freed };
+            assert_eq!((r.sealed_intents, r.restored_blocks), (1, restored));
+            for &b in &chain[freed..] {
+                a.free(&node, b).unwrap().expect("still allocated");
+            }
+        }
+    }
+
+    #[test]
+    fn stale_intents_never_free_a_live_block() {
+        // The intent clear is an unflushed cached store: crash the
+        // issuing machine and the last intents of its slots resurface.
+        let (f, a) = setup(1024);
+        let node = f.node(MachineId(0));
+        let kept = blocks(&a, &node, 1)[0];
+        a.free(&node, kept).unwrap().unwrap(); // slot 0: FREE(kept, g)
+        let live = a.alloc(&node, 2).unwrap().unwrap(); // slot 0: ALLOC(kept, g+1)
+        assert_eq!(live.loc, kept);
+        let listed = blocks(&a, &node, 1)[0];
+        a.free(&node, listed).unwrap().unwrap(); // slot 0: FREE(listed, g')
+        f.crash(MachineId(0));
+        f.recover(MachineId(0));
+        let r = a.recover(&node).unwrap();
+        assert_eq!((r.sealed_intents, r.restored_blocks), (1, 0));
+        assert_eq!(a.debug_free_list(&node, 2).unwrap(), vec![listed]);
+        // The live block is still its owner's to free.
+        a.free(&node, live.loc).unwrap().unwrap();
+        // And a stale ALLOC intent over a live block is as harmless.
+        let again = a.alloc(&node, 2).unwrap().unwrap();
+        f.crash(MachineId(0));
+        f.recover(MachineId(0));
+        let r = a.recover(&node).unwrap();
+        assert_eq!((r.sealed_intents, r.restored_blocks), (1, 0));
+        assert_eq!(a.debug_free_list(&node, 2).unwrap(), vec![listed]);
+        a.free(&node, again.loc).unwrap().unwrap();
+    }
+
+    #[test]
+    fn a_dead_operations_intent_goes_stale_under_later_traffic() {
+        // A free dies right after publishing: its slot stays leased and
+        // keeps FREE(b, g) while other slots pop and re-free the block.
+        let (f, a) = setup(1024);
+        let node = f.node(MachineId(0));
+        let b = blocks(&a, &node, 1)[0];
+        a.torn_free(&node, &[b], TornFree::Pushed).unwrap().unwrap();
+        let live = a.alloc(&node, 2).unwrap().unwrap();
+        assert_eq!(live.loc, b, "the published block is poppable");
+        // FREE(b, g) now faces ALLOCATED g+1: stale, b stays live.
+        let r = a.recover(&node).unwrap();
+        assert_eq!((r.sealed_intents, r.restored_blocks), (1, 0));
+        assert!(a.debug_free_list(&node, 2).unwrap().is_empty());
+        a.free(&node, live.loc).unwrap().unwrap();
+        // A pop that dies after its head CAS does not stall the class
+        // (nothing to wait for: pops are lock-free) ...
+        let other = blocks(&a, &node, 1)[0];
+        assert_eq!(other, b);
+        a.free(&node, other).unwrap().unwrap();
+        assert_eq!(a.torn_alloc(&node, 2, TornAlloc::Swung).unwrap(), Some(b));
+        let fresh = a.alloc(&node, 2).unwrap().unwrap();
+        assert_ne!(fresh.loc, b, "the torn pop owns b until recovery");
+        // ... and recovery puts its block back exactly once.
+        assert_eq!(a.recover(&node).unwrap().restored_blocks, 1);
+        assert_eq!(a.debug_free_list(&node, 2).unwrap(), vec![b]);
     }
 
     #[test]

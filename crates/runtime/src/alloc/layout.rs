@@ -1,6 +1,6 @@
 //! Bit layouts of the allocator's durable words.
 //!
-//! Three word shapes live in shared memory:
+//! Four word shapes live in shared memory:
 //!
 //! * **pointer words** — what data structures store in their cells to
 //!   reference an allocated block: `gen << 34 | (addr + 1)`, with zero
@@ -14,9 +14,12 @@
 //!   payload: state + size class + generation + an intrusive free-list
 //!   `next` link (meaningful only while the block is free).
 //! * **free-list heads** — one cell per size class: the top block's
-//!   address, a `POPPING` claim (flag + intent-slot index) installed by
-//!   the two-phase pop, and a version counter bumped by every successful
-//!   CAS so a pushed-back block never re-creates an old head word.
+//!   address and a version counter bumped by every successful CAS, so a
+//!   pushed-back block never re-creates an old head word (the Treiber
+//!   pop's ABA guard).
+//! * **intents** — one word per intent slot naming the in-flight
+//!   operation, its size class, and the block and generation it acts
+//!   on; `0` is an idle slot.
 
 /// Bits of an encoded address (`addr + 1`; `0` = null).
 pub(crate) const PTR_BITS: u32 = 34;
@@ -38,11 +41,9 @@ const STATE_MASK: u64 = 0x7;
 
 /// Header state: handed out (or being handed out) to the application.
 pub(crate) const ST_ALLOCATED: u64 = 1;
-/// Header state: on (or being pushed onto) its class free list.
+/// Header state: on its class free list, or claimed by an in-flight
+/// `free` and about to be published there.
 pub(crate) const ST_FREE: u64 = 2;
-/// Header state: claimed by an in-flight `free` (between the claim CAS
-/// and the free-list push).
-pub(crate) const ST_FREEING: u64 = 3;
 
 /// Class tag of an oversize (exact-fit, unreclaimable) block.
 pub(crate) const HUGE_CLASS: u64 = CLASS_MASK;
@@ -99,7 +100,7 @@ pub(crate) fn null_word(gen: u64) -> u64 {
 }
 
 /// The address carried by a pointer word (also used for header `next`
-/// fields and intent block cells). `None` when the pointer bits are 0.
+/// fields and intent words). `None` when the pointer bits are 0.
 pub(crate) fn decode_addr(raw: u64) -> Option<u32> {
     let p = raw & PTR_MASK;
     if p == 0 {
@@ -109,7 +110,7 @@ pub(crate) fn decode_addr(raw: u64) -> Option<u32> {
     }
 }
 
-/// The generation carried by a pointer word or intent block cell.
+/// The generation carried by a pointer word or intent word.
 pub(crate) fn decode_gen(raw: u64) -> u64 {
     (raw >> GEN_SHIFT) & GEN_MASK
 }
@@ -130,42 +131,18 @@ pub(crate) fn seed_gen(addr: u32) -> u64 {
 
 // ---- free-list head words -----------------------------------------------
 
-/// `POPPING` claim flag: bit 34.
-const POP_FLAG: u64 = 1 << 34;
-/// Intent-slot index of the claiming pop: bits 35..42.
-const SLOT_SHIFT: u32 = 35;
-const SLOT_MASK: u64 = 0x7f;
-/// Head version counter: bits 42..64 (wraps).
-const VER_SHIFT: u32 = 42;
+/// Head version counter: bits 34..64 (wraps).
+const VER_SHIFT: u32 = PTR_BITS;
 const VER_MASK: u64 = (1 << (64 - VER_SHIFT)) - 1;
 
-/// Builds a plain (unclaimed) head word.
+/// Builds a head word.
 pub(crate) fn head_word(top: Option<u32>, ver: u64) -> u64 {
     ((ver & VER_MASK) << VER_SHIFT) | top.map_or(0, |a| u64::from(a) + 1)
-}
-
-/// Stamps a `POPPING(slot)` claim onto `head` (which must be plain),
-/// bumping the version.
-pub(crate) fn popping_word(head: u64, slot: usize) -> u64 {
-    debug_assert!(head_slot(head).is_none());
-    debug_assert!(slot as u64 <= SLOT_MASK);
-    head_word(head_top(head), head_ver(head).wrapping_add(1))
-        | POP_FLAG
-        | ((slot as u64) << SLOT_SHIFT)
 }
 
 /// The top block's payload address (`None` = empty list).
 pub(crate) fn head_top(head: u64) -> Option<u32> {
     decode_addr(head)
-}
-
-/// The claiming intent slot, when the head is in the `POPPING` state.
-pub(crate) fn head_slot(head: u64) -> Option<usize> {
-    if head & POP_FLAG != 0 {
-        Some(((head >> SLOT_SHIFT) & SLOT_MASK) as usize)
-    } else {
-        None
-    }
 }
 
 pub(crate) fn head_ver(head: u64) -> u64 {
@@ -176,27 +153,31 @@ pub(crate) fn head_ver(head: u64) -> u64 {
 
 /// Intent opcode: an allocation pop is in flight.
 pub(crate) const OP_ALLOC: u64 = 1;
-/// Intent opcode: a free is in flight.
+/// Intent opcode: a free (of one block or a chain) is in flight.
 pub(crate) const OP_FREE: u64 = 2;
 
-/// Builds an intent op word (`0` = idle slot).
-pub(crate) fn op_word(op: u64, class: u64) -> u64 {
+/// Opcode field of an intent word: bits 59..61, where a header keeps its
+/// state — the block, generation and class fields sit exactly where a
+/// header has them.
+const OP_SHIFT: u32 = STATE_SHIFT;
+const OP_MASK: u64 = 0x3;
+
+/// Builds a one-word intent (`0` = idle slot): the operation, the size
+/// class it works on, and the block it names at the generation the
+/// operation observed — what lets recovery tell a live intent from a
+/// stale one.
+pub(crate) fn intent_word(op: u64, class: u64, addr: u32, gen: u64) -> u64 {
     debug_assert!(op == OP_ALLOC || op == OP_FREE);
-    (class << 8) | op
+    debug_assert!(class <= CLASS_MASK);
+    (op << OP_SHIFT) | (class << CLASS_SHIFT) | ptr_word(addr, gen)
 }
 
-pub(crate) fn op_kind(word: u64) -> u64 {
-    word & 0xff
+pub(crate) fn intent_op(word: u64) -> u64 {
+    (word >> OP_SHIFT) & OP_MASK
 }
 
-pub(crate) fn op_class(word: u64) -> u64 {
-    (word >> 8) & CLASS_MASK
-}
-
-/// An intent block cell: the affected block + the generation the op
-/// observed, so recovery can tell a live intent from a stale one.
-pub(crate) fn intent_block(addr: u32, gen: u64) -> u64 {
-    ptr_word(addr, gen)
+pub(crate) fn intent_class(word: u64) -> u64 {
+    header_class(word)
 }
 
 #[cfg(test)]
@@ -250,16 +231,12 @@ mod tests {
     }
 
     #[test]
-    fn head_claim_round_trips() {
-        let plain = head_word(Some(7), 9);
-        assert_eq!(head_top(plain), Some(7));
-        assert_eq!(head_slot(plain), None);
-        assert_eq!(head_ver(plain), 9);
-        let claimed = popping_word(plain, 5);
-        assert_eq!(head_top(claimed), Some(7));
-        assert_eq!(head_slot(claimed), Some(5));
-        assert_eq!(head_ver(claimed), 10);
-        assert_ne!(claimed, plain);
+    fn head_round_trips() {
+        let h = head_word(Some(7), 9);
+        assert_eq!(head_top(h), Some(7));
+        assert_eq!(head_ver(h), 9);
+        assert_eq!(head_top(head_word(None, 9)), None);
+        assert_ne!(head_word(Some(7), 9), head_word(Some(7), 10));
     }
 
     #[test]
@@ -273,11 +250,16 @@ mod tests {
 
     #[test]
     fn intent_words_round_trip() {
-        let w = op_word(OP_FREE, 11);
-        assert_eq!(op_kind(w), OP_FREE);
-        assert_eq!(op_class(w), 11);
-        let b = intent_block(99, 6);
-        assert_eq!(decode_addr(b), Some(99));
-        assert_eq!(decode_gen(b), 6);
+        let w = intent_word(OP_FREE, 11, 99, 6);
+        assert_eq!(intent_op(w), OP_FREE);
+        assert_eq!(intent_class(w), 11);
+        assert_eq!(decode_addr(w), Some(99));
+        assert_eq!(decode_gen(w), 6);
+        // The widest fields still fit one word, and no intent is idle.
+        let w = intent_word(OP_ALLOC, CLASS_MASK - 1, u32::MAX, GEN_MASK);
+        assert_eq!(intent_op(w), OP_ALLOC);
+        assert_eq!(decode_addr(w), Some(u32::MAX));
+        assert_eq!(decode_gen(w), GEN_MASK);
+        assert_ne!(intent_word(OP_ALLOC, 0, 0, 0), 0);
     }
 }

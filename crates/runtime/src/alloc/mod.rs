@@ -29,31 +29,83 @@
 //! inherits whatever durability the cluster was built with — exactly
 //! like the named-root registry.
 //!
-//! ## Crash consistency: intents + two-phase pops
+//! ## Crash consistency: one-word intents, persisted only where recovery looks
 //!
 //! A crash must never *lose* a block (reachable from no free list and
 //! owned by no one) nor hand one out *twice* (reachable from a free
-//! list while live). Both are prevented by durable **allocation
-//! intents**:
+//! list while live). Under Algorithm 2 every persist point is a full
+//! memory round trip (`RFlush` ≈ `MStore`, §5.2), so the protocol
+//! persists exactly the steps recovery reads — **three per operation**
+//! — and nothing else. Each in-flight operation leases one of 32
+//! durable **intent** slots: one word, `op | class | block | generation`
+//! (the slot's second cell is reserved).
 //!
-//! * **free**: latch an intent naming the block and its generation →
-//!   claim the header (`ALLOCATED → FREEING`, the only winner of a
-//!   racing double free) → link + CAS-push onto the class list → clear
-//!   the intent. A crash anywhere in between leaves a latched intent;
-//!   recovery completes the push (deduplicating via a list walk).
-//! * **alloc**: pops are two-phase. The popper first CASes the list
-//!   head into a `POPPING(slot)` *claim*, then records the claimed
-//!   block into its intent slot, then swings the head past it. Because
-//!   the record strictly follows the claim, a latched alloc intent
-//!   always names a block this slot really popped — recovery can push
-//!   it back without ever freeing someone else's live block. Competing
-//!   operations that observe a claim help complete the swing once the
-//!   intent is recorded.
-//! * **recovery** ([`Allocator::recover`], run from
-//!   [`Session::recover_roots`](crate::api::Session::recover_roots)):
-//!   revert torn claims, then seal every latched intent — pushing the
-//!   named block back unless it is already on its list or the intent is
-//!   stale (the block's header generation moved past the recorded one).
+//! | operation | persist points (flit-cxl0: each one store/CAS + `RFlush`) |
+//! |---|---|
+//! | **alloc** from a free list | ① intent `ALLOC(top, g)` → ② head CAS past `top` → ③ header `ALLOCATED g` — complete at ③ |
+//! | **free** | ① intent `FREE(b, g)` → ② header CAS `ALLOCATED g → FREE g+1, next = top` (claim *and* link) → ③ head CAS to `b` |
+//! | **free_chain** of `k` blocks of one class | ① intent `FREE(b₀, g₀)` → `k` claim CASes, each linking `bᵢ` to `bᵢ₊₁` (the last to `top`) → one head CAS to `b₀` — `k + 2` |
+//! | alloc from the bump tail | the header store |
+//!
+//! * The **pop** is a plain Treiber pop on a version-tagged head (every
+//!   successful head CAS bumps a 30-bit version, so a popped-and-
+//!   repushed top never re-creates an old head word). It is lock-free:
+//!   an operation that dies anywhere leaves nothing for others to wait
+//!   on. Its intent is recorded *before* the CAS, so an intent only
+//!   says "this slot **may** have popped that block"; whether it did is
+//!   read off the block.
+//! * The **claim** CAS of a free is won by exactly one free of an
+//!   incarnation (a racing double free is refused), bumps the
+//!   generation, and leaves the block `FREE` but on no list until the
+//!   head CAS publishes it. A chain's claimed blocks are linked front
+//!   to back, so a walk along `next` from the intent's block reaches
+//!   every one of them. [`Allocator::free`] *is* the chain of one.
+//! * The intent **clear** is a plain cached store — no flush. If the
+//!   issuer's cache is lost before the line drains, the intent
+//!   resurfaces *stale* in the next sweep, which is harmless (below).
+//!
+//! **Recovery** ([`Allocator::recover`], run from
+//! [`Session::recover_roots`](crate::api::Session::recover_roots),
+//! quiesced) reads each latched intent against the header of the block
+//! it names:
+//!
+//! | intent | header | generation | on its list | verdict → action |
+//! |---|---|---|---|---|
+//! | `ALLOC(b, g)` | `FREE` | `g` | no | torn after ②: put `b` back |
+//! | `ALLOC(b, g)` | `FREE` | `g` | yes | torn before ②, or lost its CAS: none |
+//! | `ALLOC(b, g)` | `ALLOCATED` | `g` | — | complete (or another pop's block): none |
+//! | `FREE(b, g)` | `ALLOCATED` | `g` | — | torn after ①: claim `b`, then as next row |
+//! | `FREE(b, g)` | `FREE` | `g+1` | no | torn after a claim: **walk** the chain, publish it |
+//! | `FREE(b, g)` | `FREE` | `g+1` | yes | complete: none |
+//! | either | any | any other | — | **stale** — the block moved on: none |
+//!
+//! The *chain walk* follows `next` from the intent's block while blocks
+//! are `FREE`, of the intent's class, and on no list; it stops at the
+//! first block the torn chain had not claimed (still `ALLOCATED`, and
+//! still its owner's) or at the old top (on the list). Every block it
+//! reaches is put back, which is sound because recovery is quiesced: a
+//! `FREE` block on no list belongs to no one. The walked blocks are
+//! already linked, so republishing them costs two persists however long
+//! the chain.
+//!
+//! Why **stale intents are harmless**: a live block's header is
+//! `ALLOCATED`, and the only rule that acts on an `ALLOCATED` header
+//! needs a `FREE` intent at the header's *current* generation — which
+//! only a free invoked on this incarnation writes, and a free that
+//! returns without claiming does so only because the header already
+//! moved on. Every other rule acts on `FREE` blocks that no list holds,
+//! which no one owns. Generations advance on every free, so an intent
+//! from an earlier incarnation of a block matches nothing (up to the
+//! 20-bit wrap bound below).
+//!
+//! "On its list" is answered by a per-class set built lazily by one
+//! walk of that list, so a sweep walks each free list **at most once**
+//! however many intents ask.
+//!
+//! One window is *not* the allocator's to close: an allocation is
+//! complete at ③, so a caller that dies after it — inside `alloc` or
+//! right after it returns — before durably linking the block anywhere
+//! leaks the block, as with any allocator.
 //!
 //! ## ABA safety for reclaiming lock-free structures
 //!
@@ -107,6 +159,10 @@
 //! let b = alloc.alloc(&node, 2)?.expect("heap fits");
 //! assert_eq!(b.loc, a.loc);     // the block is reused…
 //! assert_eq!(b.gen, a.gen + 1); // …under a fresh generation
+//!
+//! // Several blocks go back as one chain: k + 2 persists, not 3k.
+//! let c = alloc.alloc(&node, 2)?.expect("heap fits");
+//! assert_eq!(alloc.free_chain(&node, &[b.loc, c.loc])?, 2);
 //! # Ok::<(), cxl0_runtime::Crashed>(())
 //! ```
 //!

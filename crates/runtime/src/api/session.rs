@@ -158,9 +158,9 @@ impl Session {
     /// replays the buffered epoch's recovery (when the cluster runs
     /// [`PersistMode::Buffered`](crate::api::PersistMode::Buffered)),
     /// runs the allocator's recovery sweep
-    /// ([`Allocator::recover`]: torn claims reverted, latched
-    /// alloc/free intents sealed, orphaned blocks pushed back onto
-    /// their free lists), sweeps the reclamation domain's volatile
+    /// ([`Allocator::recover`]: latched alloc/free intents sealed, the
+    /// blocks of torn pops and torn free chains put back onto their
+    /// free lists, stale intents ignored), sweeps the reclamation domain's volatile
     /// limbo bags back to the free lists
     /// ([`SmrDomain::recover`](crate::smr::SmrDomain::recover): retired
     /// blocks are already durably unlinked, so post-crash they are

@@ -221,11 +221,9 @@ impl<T: Word> DurableStack<T> {
     /// Returns nodes a combined batch unlinked to the allocator, once
     /// the batch's top swings are durable.
     pub(crate) fn reclaim_batch(&self, at: &impl AsNode, frees: &[BlockRef]) -> OpResult<()> {
-        let node = at.as_node();
-        for b in frees {
-            let freed = self.alloc.free(node, b.loc)?;
-            debug_assert!(freed.is_ok(), "combiner owns the nodes it unlinked");
-        }
+        let locs: Vec<Loc> = frees.iter().map(|b| b.loc).collect();
+        let freed = self.alloc.free_chain(at, &locs)?;
+        debug_assert_eq!(freed, locs.len(), "combiner owns the nodes it unlinked");
         Ok(())
     }
 

@@ -37,10 +37,11 @@
 //! `e` drains back to the allocator once the global epoch reaches
 //! `e + 2`, because by then every traversal that could have loaded a
 //! pointer to its blocks (necessarily pinned at `e` or earlier, since
-//! retirement follows durable unlinking) has unpinned. Draining is
-//! amortized into `retire` itself (every few retirements) and available
-//! explicitly through [`SmrDomain::collect`]; no quiescence is ever
-//! required.
+//! retirement follows durable unlinking) has unpinned. A ripe bag goes
+//! back whole, as one [`Allocator::free_chain`] (`k + 2` persists for
+//! `k` blocks of a class). Draining is amortized into `retire` itself
+//! (every few retirements) and available explicitly through
+//! [`SmrDomain::collect`]; no quiescence is ever required.
 //!
 //! ## Crash interaction
 //!
@@ -50,9 +51,9 @@
 //! are merely not yet on a free list. After recovery,
 //! [`SmrDomain::recover`] (run from
 //! [`Session::recover_roots`](crate::api::Session::recover_roots),
-//! quiesced like every recovery) sweeps all limbo bags back to the free
-//! lists through the allocator's normal free path and clears every
-//! epoch slot. Nothing durable records the epochs themselves.
+//! quiesced like every recovery) hands all of limbo back to the free
+//! lists as one [`Allocator::free_chain`] and clears every epoch slot.
+//! Nothing durable records the epochs themselves.
 //!
 //! ## Example
 //!
@@ -444,26 +445,30 @@ impl SmrDomain {
                     _ => None,
                 }
             };
-            let Some(mut bag) = bag else {
+            let Some(bag) = bag else {
                 return Ok(freed);
             };
-            while let Some(loc) = bag.blocks.pop() {
-                match self.alloc.free(node, loc) {
-                    Ok(done) => {
-                        debug_assert!(done.is_ok(), "retired blocks are allocated exactly once");
-                        freed += 1;
-                        self.reclaims.fetch_add(1, Ordering::Relaxed);
-                        self.limbo_len.fetch_sub(1, Ordering::Relaxed);
-                    }
-                    Err(crashed) => {
-                        // The machine crashed mid-drain. The in-flight
-                        // free is the allocator's recovery problem
-                        // (its intent seals); everything else goes back
-                        // to limbo for `recover` to sweep.
-                        bag.blocks.push(loc);
-                        self.limbo.lock().push_front(bag);
-                        return Err(crashed);
-                    }
+            // The whole bag goes back as one chain per size class.
+            match self.alloc.free_chain(node, &bag.blocks) {
+                Ok(n) => {
+                    debug_assert_eq!(
+                        n,
+                        bag.blocks.len(),
+                        "retired blocks are allocated exactly once"
+                    );
+                    freed += n;
+                    self.reclaims.fetch_add(n as u64, Ordering::Relaxed);
+                    self.limbo_len
+                        .fetch_sub(bag.blocks.len() as u64, Ordering::Relaxed);
+                }
+                Err(crashed) => {
+                    // The machine crashed mid-drain. The blocks the
+                    // chain had already claimed are the allocator's
+                    // recovery problem (its intent seals); the bag goes
+                    // back to limbo whole for `recover` to sweep, which
+                    // skips those.
+                    self.limbo.lock().push_front(bag);
+                    return Err(crashed);
                 }
             }
         }
@@ -471,40 +476,34 @@ impl SmrDomain {
 
     /// Post-crash sweep, run from
     /// [`Session::recover_roots`](crate::api::Session::recover_roots)
-    /// after [`Allocator::recover`]: hands **every** limbo bag straight
-    /// back to the allocator (grace periods are moot — recovery is
-    /// quiesced, so no traversal holds references) and clears every
-    /// epoch slot. Returns the number of blocks swept. Frees that the
-    /// allocator's own recovery already completed (a crash mid-drain)
-    /// are recognized and skipped.
+    /// after [`Allocator::recover`]: hands **all** of limbo straight
+    /// back to the allocator as one chain (grace periods are moot —
+    /// recovery is quiesced, so no traversal holds references) and
+    /// clears every epoch slot. Returns the number of blocks swept.
+    /// Frees that the allocator's own recovery already completed (a
+    /// crash mid-drain) are refused there as double frees and skipped —
+    /// tolerated here only.
     ///
     /// **Must run quiesced**: no concurrent operations, no live guards
     /// — the same contract as every other `recover`.
     ///
     /// # Errors
     ///
-    /// Fails if the issuing machine has crashed.
+    /// Fails if the issuing machine has crashed; limbo then keeps every
+    /// block for the next `recover`.
     pub fn recover(&self, at: &impl AsNode) -> OpResult<usize> {
         let node = at.as_node();
         for slot in self.slots.iter() {
             slot.word.store(0, Ordering::SeqCst);
         }
         node.check_smr_recover();
-        let bags: Vec<Bag> = self.limbo.lock().drain(..).collect();
-        let mut swept = 0;
-        for bag in bags {
-            for loc in bag.blocks {
-                self.limbo_len.fetch_sub(1, Ordering::Relaxed);
-                // A block whose free was cut down mid-flight by the
-                // crash may already be back on its list (the sealed
-                // intent completed it): a double free is reported, not
-                // performed, and tolerated here only.
-                if self.alloc.free(node, loc)?.is_ok() {
-                    swept += 1;
-                    self.reclaims.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-        }
+        let mut limbo = self.limbo.lock();
+        let blocks: Vec<Loc> = limbo.iter().flat_map(|bag| &bag.blocks).copied().collect();
+        let swept = self.alloc.free_chain(node, &blocks)?;
+        limbo.clear();
+        self.limbo_len
+            .fetch_sub(blocks.len() as u64, Ordering::Relaxed);
+        self.reclaims.fetch_add(swept as u64, Ordering::Relaxed);
         Ok(swept)
     }
 }
@@ -663,6 +662,34 @@ mod tests {
             let b = alloc.alloc(&node, 2).unwrap().unwrap();
             assert!(locs.contains(&b.loc));
         }
+    }
+
+    #[test]
+    fn recover_keeps_limbo_when_the_sweeping_machine_is_down() {
+        let (f, alloc, smr) = setup();
+        let node = f.node(MachineId(0));
+        let mut locs = Vec::new();
+        {
+            let guard = smr.pin();
+            for _ in 0..5 {
+                let b = alloc.alloc(&node, 2).unwrap().unwrap();
+                guard.retire(&node, b.loc).unwrap();
+                locs.push(b.loc);
+            }
+        }
+        // The issuing compute node is down: the sweep fails, and must
+        // drop nothing.
+        f.crash(MachineId(0));
+        assert!(smr.recover(&node).is_err());
+        assert_eq!(smr.limbo_len(), 5);
+        f.recover(MachineId(0));
+        alloc.recover(&node).unwrap();
+        assert_eq!(smr.recover(&node).unwrap(), 5);
+        assert_eq!(smr.limbo_len(), 0);
+        let mut listed = alloc.debug_free_list(&node, 2).unwrap();
+        listed.sort();
+        locs.sort();
+        assert_eq!(listed, locs, "every retired block is on its free list");
     }
 
     #[test]

@@ -1,6 +1,8 @@
 //! Crash consistency of the `cxl0::alloc` allocator subsystem, under
-//! randomized interleavings of alloc/free/torn-op/crash/recover and
-//! under every [`PersistMode`]: **no block is ever lost, and no block
+//! randomized interleavings of alloc/free/chain-free/torn-op/crash/
+//! recover — crashes of the memory node, of the issuing compute node
+//! (whose lost cache resurfaces stale intents), or both — and under
+//! every [`PersistMode`]: **no block is ever lost, and no block
 //! is ever handed out twice** — plus the headline acceptance scenario,
 //! a `DurableQueue` churn loop of ≥ 10× the region's bump capacity that
 //! completes because reclaimed nodes are reused.
@@ -23,37 +25,74 @@ enum Op {
     Free(u8),
     /// Double-free the i-th oldest *freed* block — must be refused.
     DoubleFree(u8),
-    /// Tear an allocation pop at the given stage, then crash + recover.
-    TornAllocCrash(u8),
+    /// Free up to n of the oldest live blocks as one chain.
+    FreeChain(u8),
+    /// Tear an allocation pop at the given stage, then crash + recover
+    /// (see [`Op::TornChainCrash`] for the `None` case).
+    TornAllocCrash(u8, Option<Victims>),
     /// Tear a free of the i-th oldest live block, then crash + recover.
-    TornFreeCrash(u8, u8),
+    TornFreeCrash(u8, u8, Option<Victims>),
+    /// Tear a chain free of up to n of the oldest live blocks — after
+    /// the intent, after j < n claims, after the last claim, after the
+    /// head CAS — then crash + recover. With `None` the crash is left
+    /// to a later op: the torn operation's thread is dead, its intent
+    /// slot stays leased, and traffic goes on over the other slots —
+    /// which is how intents of *several* slots, stale ones included,
+    /// come to face one sweep.
+    TornChainCrash(u8, u8, Option<Victims>),
     /// Crash the memory node and run recovery (clean — nothing torn).
     CrashRecover,
+    /// Crash the issuing compute node as well as the memory node: the
+    /// unflushed intent clears die with its cache, so the stale intents
+    /// of every slot it used resurface in the sweep.
+    ComputeCrashRecover,
+}
+
+/// Which machines a crash takes down.
+#[derive(Debug, Clone, Copy)]
+enum Victims {
+    Memory,
+    /// The issuing compute node alone.
+    Compute,
+    Both,
+}
+
+fn arb_victims() -> impl Strategy<Value = Option<Victims>> {
+    prop_oneof![
+        Just(None),
+        Just(None),
+        Just(Some(Victims::Memory)),
+        Just(Some(Victims::Compute)),
+        Just(Some(Victims::Both)),
+    ]
 }
 
 fn arb_op() -> impl Strategy<Value = Op> {
     prop_oneof![
         Just(Op::Alloc),
+        Just(Op::Alloc),
         (0..8u8).prop_map(Op::Free),
         (0..8u8).prop_map(Op::DoubleFree),
-        (0..4u8).prop_map(Op::TornAllocCrash),
-        (0..8u8, 0..4u8).prop_map(|(i, s)| Op::TornFreeCrash(i, s)),
+        (1..6u8).prop_map(Op::FreeChain),
+        (0..3u8, arb_victims()).prop_map(|(s, v)| Op::TornAllocCrash(s, v)),
+        (0..8u8, 0..3u8, arb_victims()).prop_map(|(i, s, v)| Op::TornFreeCrash(i, s, v)),
+        (1..6u8, 0..8u8, arb_victims()).prop_map(|(n, s, v)| Op::TornChainCrash(n, s, v)),
         Just(Op::CrashRecover),
+        Just(Op::ComputeCrashRecover),
     ]
 }
 
-const ALLOC_STAGES: [TornAlloc; 4] = [
-    TornAlloc::Claimed,
-    TornAlloc::Recorded,
-    TornAlloc::Swung,
-    TornAlloc::Marked,
-];
-const FREE_STAGES: [TornFree; 4] = [
-    TornFree::Latched,
-    TornFree::Claimed,
-    TornFree::Linked,
-    TornFree::Pushed,
-];
+const ALLOC_STAGES: [TornAlloc; 3] = [TornAlloc::Recorded, TornAlloc::Swung, TornAlloc::Marked];
+
+/// The tear points of an `n`-block chain free, in protocol order:
+/// `Latched`, `Claimed(1..=n)`, `Pushed` (`stage` wraps).
+fn chain_stage(n: usize, stage: u8) -> TornFree {
+    match usize::from(stage) % (n + 2) {
+        0 => TornFree::Latched,
+        j if j <= n => TornFree::Claimed(j),
+        _ => TornFree::Pushed,
+    }
+}
 
 /// The single-threaded reference model: which blocks the application
 /// owns, and which it has returned. (Block size is fixed at one class
@@ -64,7 +103,49 @@ struct Model {
     live: Vec<Loc>,
     /// Blocks returned to the allocator (the class free set).
     freed: BTreeSet<Loc>,
+    /// Blocks a torn operation left for recovery to put back: on no
+    /// list and not the application's until the next sweep.
+    orphaned: Vec<Loc>,
+    /// Intent slots leased to torn (dead) operations since the last
+    /// sweep.
+    leaked_slots: usize,
 }
+
+impl Model {
+    /// Takes up to `n` of the oldest live blocks out of the live set.
+    fn take_oldest(&mut self, n: u8) -> Vec<Loc> {
+        let n = usize::from(n).min(self.live.len());
+        self.live.drain(..n).collect()
+    }
+
+    /// A free torn at `stage`: a published chain is free already;
+    /// short of that every claimed block is recovery's to put back (a
+    /// latched intent completes the free of the block it names), and
+    /// the unclaimed rest stay with the application.
+    fn tear_free(&mut self, blocks: &[Loc], stage: TornFree) {
+        self.leaked_slots += 1;
+        let claimed = match stage {
+            TornFree::Latched => 1,
+            TornFree::Claimed(j) => j,
+            TornFree::Pushed => {
+                self.freed.extend(blocks);
+                return;
+            }
+        };
+        self.orphaned.extend(&blocks[..claimed]);
+        self.live.extend(&blocks[claimed..]);
+    }
+
+    /// The sweep ran: every orphan is back on its list.
+    fn recovered(&mut self) {
+        self.freed.extend(self.orphaned.drain(..));
+        self.leaked_slots = 0;
+    }
+}
+
+/// Torn operations leak their intent slot until the next sweep; force
+/// one well before the pool of 32 runs dry.
+const MAX_LEAKED_SLOTS: usize = 8;
 
 fn run_interleaving(mode: PersistMode, ops: Vec<Op>) {
     let cluster = Cluster::builder(SystemConfig::symmetric_nvm(2, 4096))
@@ -73,18 +154,37 @@ fn run_interleaving(mode: PersistMode, ops: Vec<Op>) {
         .build()
         .unwrap();
     let mem = cluster.memory_node();
-    let session = cluster.session(MachineId(0));
+    let compute = MachineId(0);
+    let session = cluster.session(compute);
     let alloc = Arc::clone(session.allocator());
     let mut model = Model::default();
     // All blocks share one size class, so the model's `freed` set must
     // equal that class's free list after every recovery.
     const CELLS: u32 = 2;
 
-    let crash_recover = |model: &Model| {
-        cluster.crash(mem);
-        cluster.recover(mem);
-        let s = cluster.session(MachineId(0));
+    let crash_recover = |model: &mut Model, victims: Victims| {
+        // Only the strict modes keep the allocator's state out of the
+        // issuing node's cache; the no-durability baseline survives a
+        // memory-node crash there and nothing else.
+        let victims = if mode.is_strict() {
+            victims
+        } else {
+            Victims::Memory
+        };
+        let down: &[MachineId] = match victims {
+            Victims::Memory => &[mem],
+            Victims::Compute => &[compute],
+            Victims::Both => &[mem, compute],
+        };
+        for &m in down {
+            cluster.crash(m);
+        }
+        for &m in down {
+            cluster.recover(m);
+        }
+        let s = cluster.session(compute);
         s.recover_roots().unwrap();
+        model.recovered();
         // Invariant: after recovery the free list holds *exactly* the
         // model's freed set (no block lost, none twice).
         let list: Vec<Loc> = alloc.debug_free_list(&s, CELLS).unwrap();
@@ -97,12 +197,18 @@ fn run_interleaving(mode: PersistMode, ops: Vec<Op>) {
     };
 
     for op in ops {
+        let mut crash = None;
         match op {
             Op::Alloc => {
                 if let Some(b) = alloc.alloc(&session, CELLS).unwrap() {
                     assert!(
                         !model.live.contains(&b.loc),
                         "block {0:?} handed out while live",
+                        b.loc
+                    );
+                    assert!(
+                        !model.orphaned.contains(&b.loc),
+                        "block {0:?} handed out from a torn operation",
                         b.loc
                     );
                     model.freed.remove(&b.loc);
@@ -130,45 +236,77 @@ fn run_interleaving(mode: PersistMode, ops: Vec<Op>) {
                     Err(FreeError::DoubleFree)
                 );
             }
-            Op::TornAllocCrash(stage) => {
-                // Tears mid-pop (a no-op if the free list is empty),
-                // then crashes: the popped block must be restored.
-                let torn = alloc
-                    .torn_alloc(&session, CELLS, ALLOC_STAGES[usize::from(stage) % 4])
-                    .unwrap();
+            Op::FreeChain(n) => {
+                let chain = model.take_oldest(n);
+                assert_eq!(alloc.free_chain(&session, &chain).unwrap(), chain.len());
+                model.freed.extend(chain);
+            }
+            Op::TornAllocCrash(stage, victims) => {
+                // Tears mid-pop (a no-op if the free list is empty):
+                // before the head CAS the block never left its list,
+                // after it recovery must put it back — unless the tear
+                // came after the header mark, where the allocation is
+                // complete and the block is the (dead) caller's.
+                let stage = ALLOC_STAGES[usize::from(stage) % 3];
+                let torn = alloc.torn_alloc(&session, CELLS, stage).unwrap();
                 if let Some(loc) = torn {
                     assert!(model.freed.contains(&loc), "tore a non-free block");
+                    model.leaked_slots += 1;
+                    match stage {
+                        TornAlloc::Recorded => {}
+                        TornAlloc::Swung => {
+                            model.freed.remove(&loc);
+                            model.orphaned.push(loc);
+                        }
+                        TornAlloc::Marked => {
+                            model.freed.remove(&loc);
+                            model.live.push(loc);
+                        }
+                    }
                 }
-                crash_recover(&model);
+                crash = victims;
             }
-            Op::TornFreeCrash(i, stage) => {
-                if model.live.is_empty() {
-                    crash_recover(&model);
-                    continue;
+            Op::TornFreeCrash(i, stage, victims) => {
+                if !model.live.is_empty() {
+                    let loc = model.live.remove(usize::from(i) % model.live.len());
+                    let stage = chain_stage(1, stage);
+                    alloc.torn_free(&session, &[loc], stage).unwrap().unwrap();
+                    // The free was invoked and the caller no longer owns
+                    // the block; recovery must complete it exactly once.
+                    model.tear_free(&[loc], stage);
                 }
-                let loc = model.live.remove(usize::from(i) % model.live.len());
-                alloc
-                    .torn_free(&session, loc, FREE_STAGES[usize::from(stage) % 4])
-                    .unwrap()
-                    .unwrap();
-                // The free was invoked and the caller no longer owns the
-                // block; recovery must complete it exactly once.
-                assert!(model.freed.insert(loc));
-                crash_recover(&model);
+                crash = victims;
             }
-            Op::CrashRecover => crash_recover(&model),
+            Op::TornChainCrash(n, stage, victims) => {
+                let chain = model.take_oldest(n);
+                if !chain.is_empty() {
+                    let stage = chain_stage(chain.len(), stage);
+                    alloc.torn_free(&session, &chain, stage).unwrap().unwrap();
+                    model.tear_free(&chain, stage);
+                }
+                crash = victims;
+            }
+            Op::CrashRecover => crash = Some(Victims::Memory),
+            Op::ComputeCrashRecover => crash = Some(Victims::Both),
+        }
+        if model.leaked_slots >= MAX_LEAKED_SLOTS {
+            crash.get_or_insert(Victims::Both);
+        }
+        if let Some(victims) = crash {
+            crash_recover(&mut model, victims);
         }
     }
-    crash_recover(&model);
+    crash_recover(&mut model, Victims::Both);
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
+    #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// The acceptance-criterion proptest: random alloc/free/torn-op/
-    /// crash/recover interleavings, under every *sound* durability mode
-    /// plus the no-durability baseline (whose state survives a
-    /// memory-node crash in the issuing node's cache). The one
+    /// The acceptance-criterion proptest: random alloc/free/chain/
+    /// torn-op/crash/recover interleavings, under every *sound*
+    /// durability mode plus the no-durability baseline (whose state
+    /// survives a memory-node crash in the issuing node's cache, so its
+    /// crashes are memory-node crashes only). The one
     /// exclusion is `FlitX86`, the deliberately unsound x86 port the
     /// paper's §6 keeps for comparison: its "flushes" park lines in the
     /// memory node's cache, so a memory-node crash loses acknowledged
@@ -238,7 +376,7 @@ fn torn_ops_recover_under_buffered_mode_after_sync() {
     let b = alloc.alloc(&s, 2).unwrap().unwrap();
     alloc.free(&s, a.loc).unwrap().unwrap();
     alloc
-        .torn_free(&s, b.loc, TornFree::Claimed)
+        .torn_free(&s, &[b.loc], TornFree::Claimed(1))
         .unwrap()
         .unwrap();
     s.sync().unwrap();
@@ -337,7 +475,7 @@ fn recover_roots_runs_the_allocator_sweep() {
 
     let b = alloc.alloc(&s, 2).unwrap().unwrap();
     alloc
-        .torn_free(&s, b.loc, TornFree::Linked)
+        .torn_free(&s, &[b.loc], TornFree::Claimed(1))
         .unwrap()
         .unwrap();
 
