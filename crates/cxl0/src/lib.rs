@@ -50,7 +50,8 @@
 //! ```
 //!
 //! See `examples/` at the repository root for runnable walkthroughs and
-//! `crates/bench` for the per-table/per-figure regeneration harnesses.
+//! the per-table/per-figure regenerators (`litmus_suite`,
+//! `protocol_trace`, `proposition1`, `refinement`).
 //! The low-level runtime layer (`runtime::backend`, `runtime::heap`,
 //! `runtime::flit`) stays public for primitive-level experiments.
 

@@ -17,8 +17,8 @@
 //!
 //! * [`pool_op`] — the value-free transaction-generation rules: which link
 //!   transactions a CXL0 primitive triggers from a given (issuer state,
-//!   directory state), and the resulting states. These regenerate the
-//!   *envisioned* Table-1 analogue printed by the `future_pool` binary.
+//!   directory state), and the resulting states: the *envisioned*
+//!   Table-1 analogue.
 //! * [`CoherentPool`] — a stateful multi-host simulator with values, used
 //!   to check that the envisioned device satisfies the CXL0 model's global
 //!   cache invariant (§3.3) and single-writer/multiple-reader exclusion —

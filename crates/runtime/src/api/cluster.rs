@@ -1,12 +1,12 @@
 //! [`ClusterBuilder`] → [`Cluster`]: one value that owns the whole
-//! deployment — topology, model variant, cost model, durability strategy
-//! and the named-root registry — so application code never hand-assembles
-//! fabric + heap + persistence again.
+//! deployment — topology, durability strategy and the named-root
+//! registry — so application code never hand-assembles fabric + heap +
+//! persistence again.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use cxl0_model::{Loc, MachineId, ModelVariant, SystemConfig};
+use cxl0_model::{Loc, MachineId, SystemConfig};
 use parking_lot::Mutex;
 
 use crate::alloc::{Allocator, META_CELLS};
@@ -16,7 +16,6 @@ use crate::api::session::Session;
 use crate::backend::{SimFabric, Stats, StatsSnapshot};
 use crate::buffered::BufferedEpoch;
 use crate::check::{CheckConfig, Checker};
-use crate::cost::CostModel;
 use crate::ds::combine::{Combinable, CombineBoard, CombineStats, Combined};
 use crate::flit::{Flit, FlitPolicy, Persistence};
 use crate::heap::SharedHeap;
@@ -105,10 +104,9 @@ impl PersistMode {
 ///
 /// ```
 /// use cxl0_runtime::api::{Cluster, PersistMode};
-/// use cxl0_model::{ModelVariant, SystemConfig};
+/// use cxl0_model::SystemConfig;
 ///
 /// let cluster = Cluster::builder(SystemConfig::symmetric_nvm(3, 4096))
-///     .variant(ModelVariant::Base)
 ///     .persist(PersistMode::FlitCxl0)
 ///     .build()?;
 /// assert_eq!(cluster.memory_node().index(), 2);
@@ -117,8 +115,6 @@ impl PersistMode {
 #[derive(Debug, Clone)]
 pub struct ClusterBuilder {
     cfg: SystemConfig,
-    variant: ModelVariant,
-    cost: CostModel,
     mode: PersistMode,
     memory_node: Option<MachineId>,
     root_capacity: u32,
@@ -127,32 +123,19 @@ pub struct ClusterBuilder {
 }
 
 impl ClusterBuilder {
-    /// Starts from a topology. Defaults: base variant, Figure-5 cost
-    /// model, [`PersistMode::FlitCxl0`], the highest-indexed machine with
-    /// shared locations as the memory node, 32 registry entries.
+    /// Starts from a topology. Defaults: [`PersistMode::FlitCxl0`], the
+    /// highest-indexed machine with shared locations as the memory node,
+    /// 32 registry entries. The fabric always runs the base variant under
+    /// the Figure-5 cost model ([`SimFabric::new`]).
     pub fn new(cfg: SystemConfig) -> Self {
         ClusterBuilder {
             cfg,
-            variant: ModelVariant::Base,
-            cost: CostModel::figure5(),
             mode: PersistMode::FlitCxl0,
             memory_node: None,
             root_capacity: 32,
             checker: None,
             tracing: None,
         }
-    }
-
-    /// Sets the model variant (`Base`, `Psn`, `Lwb`).
-    pub fn variant(mut self, variant: ModelVariant) -> Self {
-        self.variant = variant;
-        self
-    }
-
-    /// Sets the simulated-latency cost model.
-    pub fn cost_model(mut self, cost: CostModel) -> Self {
-        self.cost = cost;
-        self
     }
 
     /// Sets the durability strategy.
@@ -238,7 +221,7 @@ impl ClusterBuilder {
         }
         let registry_cells = self.root_capacity * ENTRY_CELLS;
 
-        let fabric = SimFabric::with_options(self.cfg.clone(), self.variant, self.cost);
+        let fabric = SimFabric::new(self.cfg.clone());
         // Arm the sanitizer before any traffic (the allocator format
         // below must already be mirrored). An explicit `with_checker`
         // wins; otherwise `CXL0_SANITIZE=1` arms a mode-derived

@@ -34,8 +34,8 @@
 //!
 //! Four pieces:
 //!
-//! * [`ClusterBuilder`] → [`Cluster`] — owns topology, variant, cost
-//!   model and a [`PersistMode`];
+//! * [`ClusterBuilder`] → [`Cluster`] — owns topology and a
+//!   [`PersistMode`];
 //! * [`Session`] — the per-node context every operation takes;
 //! * [`Word`] — typed values over the 64-bit cells, with registry-checked
 //!   type fingerprints (see [`durable_word!`](crate::durable_word) for

@@ -34,8 +34,7 @@ use crate::error::OpResult;
 ///
 /// With `stripes >= number of cells` this behaves like a per-cell counter;
 /// smaller tables trade false sharing of counters (spurious helper
-/// flushes) for memory — the striping ablation of the `flit_report`
-/// binary measures that tradeoff.
+/// flushes) for memory.
 #[derive(Debug)]
 pub struct FlitTable {
     counters: Vec<AtomicU64>,
@@ -372,20 +371,13 @@ pub struct Flit {
 }
 
 impl Flit {
-    /// The transformation under `policy` (1024 counter stripes).
-    pub fn new(policy: FlitPolicy) -> Self {
-        Flit::with_stripes(policy, 1024)
-    }
+    /// Counter stripes per transformation.
+    const STRIPES: usize = 1024;
 
-    /// As [`Flit::new`] with a counter table of `stripes` (the striping
-    /// ablation).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `stripes` is zero.
-    pub fn with_stripes(policy: FlitPolicy, stripes: usize) -> Self {
+    /// The transformation under `policy`.
+    pub fn new(policy: FlitPolicy) -> Self {
         Flit {
-            table: FlitTable::new(stripes),
+            table: FlitTable::new(Self::STRIPES),
             policy,
         }
     }

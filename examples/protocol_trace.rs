@@ -1,18 +1,21 @@
 //! Watching the CXL link: drives the host–device pair simulator through
 //! a coherence scenario and prints every transaction the protocol
 //! analyzer observes — the §5.1 methodology — then regenerates Table 1
-//! and the Figure-5 latency sweep.
+//! (diffed against the paper's published cells; a mismatch exits
+//! non-zero) and the Figure-5 latency sweep with the ratios the paper
+//! reports alongside.
 //!
-//! Run with: `cargo run --example protocol_trace`
+//! Run with: `cargo run --release --example protocol_trace`
 //!
 //! "Trace" here means the protocol analyzer's transaction log (and, in
 //! the model crate, a sequence of visible labels) — not the runtime's
 //! `cxl0::trace` observability layer; see `examples/trace_export.rs`
 //! for that one.
 
-use cxl0::fabric::{run_figure5, LatencyConfig};
+use cxl0::fabric::{run_figure5, AccessPath, LatencyConfig};
 use cxl0::protocol::{
-    generate_table1, render_sequence, CxlOp, HostDevicePair, Line, MemTarget, Node,
+    expected_paper_cells, generate_table1, render_sequence, CxlOp, HostDevicePair, Line, MemTarget,
+    Node,
 };
 
 fn main() {
@@ -54,8 +57,57 @@ fn main() {
     println!("\n=== Table 1, regenerated from the protocol engine ===\n");
     let (table, _) = generate_table1();
     println!("{}", table.to_text());
+    let expected = expected_paper_cells();
+    let mut mismatches = 0;
+    for (key, want) in &expected {
+        let got = &table.cells[key];
+        if got != want {
+            mismatches += 1;
+            println!(
+                "MISMATCH {key:?}: generated `{}` but the paper reports `{}`",
+                got.render(),
+                want.render()
+            );
+        }
+    }
+    if mismatches == 0 {
+        println!("all {} cells match the paper's Table 1", expected.len());
+    }
 
-    println!("=== Figure 5, regenerated from the latency simulator ===\n");
+    println!("\n=== Figure 5, regenerated from the latency simulator ===\n");
     let fig = run_figure5(&LatencyConfig::testbed(), 1000, 42);
     println!("{fig}");
+
+    let m = |p, o| fig.median(p, o).unwrap() as f64;
+    println!("shape checks (simulated vs paper):");
+    println!(
+        "  host remote/local Read      {:.2}x   (paper: 2.34x)",
+        m(AccessPath::HostToHdm, CxlOp::Read) / m(AccessPath::HostToHm, CxlOp::Read)
+    );
+    println!(
+        "  device remote/local Read    {:.2}x   (paper: 1.94x)",
+        m(AccessPath::DeviceToHm, CxlOp::Read) / m(AccessPath::DeviceToHdmDeviceBias, CxlOp::Read)
+    );
+    println!(
+        "  device→HM RStore/LStore     {:.2}x   (paper: 2.08x)",
+        m(AccessPath::DeviceToHm, CxlOp::RStore) / m(AccessPath::DeviceToHm, CxlOp::LStore)
+    );
+    println!(
+        "  device→HM MStore/RStore     {:.2}x   (paper: 1.45x)",
+        m(AccessPath::DeviceToHm, CxlOp::MStore) / m(AccessPath::DeviceToHm, CxlOp::RStore)
+    );
+    println!(
+        "  host→HDM vs device→HM Read  {:.2}x   (paper: ~1.07x, 'same latency')",
+        m(AccessPath::DeviceToHm, CxlOp::Read) / m(AccessPath::HostToHdm, CxlOp::Read)
+    );
+    println!(
+        "  RFlush/MStore (host→HM)     {:.2}x   (paper: ~1.0x)",
+        m(AccessPath::HostToHm, CxlOp::RFlush) / m(AccessPath::HostToHm, CxlOp::MStore)
+    );
+    println!(
+        "  not-measurable cells        {}      (paper: 7)",
+        fig.not_measurable()
+    );
+
+    std::process::exit(if mismatches == 0 { 0 } else { 1 });
 }

@@ -151,10 +151,36 @@ fn deterministic_run() -> cxl0::runtime::StatsSnapshot {
     fabric.stats().snapshot()
 }
 
+/// The recorded sim anchor, in full (150 000 units, not the proportional
+/// 8 000-unit form: a debug build runs it in ~0.3 s): node 0 of `symmetric_nvm(3, 512)` over a 64-cell block of
+/// node 2, `b = a + 7 mod 64`, a barrier every 8th unit. `benchmark/`
+/// re-checks the same total as `backend.sim_anchor_ok`.
+fn anchor_run() -> cxl0::runtime::StatsSnapshot {
+    let fabric = SimFabric::new(SystemConfig::symmetric_nvm(3, 512));
+    let node = fabric.node(M0);
+    for i in 0..150_000u64 {
+        let a = Loc::new(MachineId(2), (i % 64) as u32);
+        let b = Loc::new(MachineId(2), ((i + 7) % 64) as u32);
+        node.lstore(a, i).unwrap();
+        node.load(a).unwrap();
+        node.lflush(a).unwrap();
+        node.rflush(a).unwrap();
+        node.mstore(b, i).unwrap();
+        node.load(b).unwrap();
+        node.faa(StoreKind::Memory, b, 1).unwrap();
+        node.aflush(a).unwrap();
+        if i % 8 == 7 {
+            node.barrier().unwrap();
+        }
+    }
+    fabric.stats().snapshot()
+}
+
 /// (c) Simulated time is deterministic: the same single-threaded
 /// workload under `CostModel::figure5()` produces bit-identical
-/// `sim_ns` totals (and counters) on every run. This pins the cost
-/// accounting: a perf change to the backend must not change it.
+/// `sim_ns` totals (and counters) on every run, and the recorded anchor
+/// unit costs exactly what it cost when it was recorded. This pins the
+/// cost accounting: a perf change to the backend must not change it.
 #[test]
 fn single_threaded_sim_ns_is_deterministic() {
     let a = deterministic_run();
@@ -164,4 +190,8 @@ fn single_threaded_sim_ns_is_deterministic() {
     // Locality split is part of the determinism contract: the same mix
     // must charge the same local/remote costs every time.
     assert_eq!(a.total_ops(), b.total_ops());
+
+    let anchor = anchor_run();
+    assert_eq!(anchor.total_ops(), 1_218_750);
+    assert_eq!(anchor.sim_ns, 292_931_250);
 }

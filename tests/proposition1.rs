@@ -5,10 +5,10 @@
 //!
 //! Exploration budgets are profile-scaled: a debug `cargo test` runs a
 //! fast smoke-scale subset of each state space, while
-//! `cargo test --release` — and the authoritative E3 harness,
-//! `cargo run -p cxl0-bench --bin prop1 --release` — explores the full
-//! budget. Every reachable state explored is checked for all eight items
-//! either way.
+//! `cargo test --release --test proposition1` explores the full budget
+//! (minutes). `cargo run --release --example proposition1` prints the
+//! per-item report at a budget that finishes in seconds. Every reachable
+//! state explored is checked for all eight items either way.
 
 use cxl0::explore::{check_proposition1, Prop1Item};
 use cxl0::model::{MachineConfig, Semantics, SystemConfig, Val};
