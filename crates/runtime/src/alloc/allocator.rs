@@ -6,13 +6,14 @@ use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use cxl0_model::{Loc, MachineId, SystemConfig};
+use parking_lot::{Mutex, MutexGuard};
 
 use crate::alloc::layout::{
     decode_addr, decode_gen, head_top, head_ver, head_word, header_class, header_gen, header_next,
     header_state, header_word, intent_class, intent_op, intent_word, null_word, ptr_word, seed_gen,
-    GEN_MASK, HUGE_CLASS, OP_ALLOC, OP_FREE, ST_ALLOCATED, ST_FREE,
+    GEN_MASK, HUGE_CLASS, OP_ALLOC, OP_FREE, OP_MAG, ST_ALLOCATED, ST_FREE, ST_MAGAZINE,
 };
-use crate::backend::{AsNode, NodeHandle};
+use crate::backend::{thread_slot_index, AsNode, NodeHandle};
 use crate::error::OpResult;
 use crate::flit::Persistence;
 use crate::heap::SharedHeap;
@@ -27,15 +28,28 @@ pub const MAX_CLASS_CELLS: u32 = 1 << (NUM_CLASSES - 1);
 
 /// Durable allocation-intent slots. Each in-flight `alloc`/`free` leases
 /// one; a crash mid-operation leaves its intent latched for the recovery
-/// sweep.
+/// sweep. The top 8 belong to the thread magazines (one each).
 pub const INTENT_SLOTS: usize = 32;
+
+/// Thread slots with a magazine (thread slots `0..MAG_SLOTS`), each
+/// owning the intent slot `INTENT_SLOTS - MAG_SLOTS + t`.
+const MAG_SLOTS: usize = 8;
+
+/// Blocks one magazine parks at most; a free beyond that goes to the
+/// shared list.
+const MAG_DEPTH: usize = 8;
+
+/// The lease bits of the magazines' intent slots: never leased to a
+/// transient operation.
+const MAG_RESERVED: u32 = !0 << (INTENT_SLOTS - MAG_SLOTS);
 
 /// Region-header cells: magic, geometry, data base, extent limit.
 const HEADER_META_CELLS: u32 = 4;
 
 /// Durable metadata cells the allocator reserves at the start of its
 /// range: region header + one free-list head per class + two cells per
-/// intent slot (the intent word and a reserved cell).
+/// intent slot (the intent word, and a second cell only a magazine's
+/// slot uses).
 pub const META_CELLS: u32 = HEADER_META_CELLS + NUM_CLASSES as u32 + 2 * INTENT_SLOTS as u32;
 
 /// Region-header magic ("CXL0ALOC", little-endian-ish).
@@ -130,7 +144,9 @@ pub struct AllocRecovery {
     /// Intent slots found latched and sealed (torn or merely stale).
     pub sealed_intents: usize,
     /// Blocks put back onto their free lists (torn mid-alloc or
-    /// mid-free; without the sweep they would be lost).
+    /// mid-free; without the sweep they would be lost). Blocks a sweep
+    /// takes back from the voided thread magazines are not counted: no
+    /// operation on them was torn.
     pub restored_blocks: usize,
 }
 
@@ -162,10 +178,19 @@ pub enum TornFree {
     Pushed,
 }
 
-/// Volatile lease pool over the durable intent slots.
-#[derive(Debug, Default)]
+/// Volatile lease pool over the durable intent slots the magazines do
+/// not own.
+#[derive(Debug)]
 struct SlotPool {
     mask: AtomicU32,
+}
+
+impl Default for SlotPool {
+    fn default() -> Self {
+        SlotPool {
+            mask: AtomicU32::new(MAG_RESERVED),
+        }
+    }
 }
 
 impl SlotPool {
@@ -205,7 +230,53 @@ impl SlotPool {
     /// are deliberately *not* released in-line, so their latched intents
     /// survive untouched until the sweep).
     fn reset(&self) {
-        self.mask.store(0, Ordering::Release);
+        self.mask.store(MAG_RESERVED, Ordering::Release);
+    }
+}
+
+/// The volatile side of one thread's magazine: which blocks its frees
+/// parked, oldest first, so the thread's next allocs of that class take
+/// them back without a load. The durable side is a chain of `MAGAZINE`
+/// headers, newest to oldest along `next`, named by one of the
+/// magazine's two intent cells.
+#[derive(Debug, Default)]
+struct Magazine {
+    /// Parked blocks, a ring of `len` from `oldest`: payload address and
+    /// the generation the `MAGAZINE` header carries. Inline: a small
+    /// heap buffer allocated mid-run can pin a large freed region of the
+    /// host heap (a `VecDeque` here cost the benchmark's `churn_crash`
+    /// 12 MB of peak RSS).
+    parked: [(u32, u64); MAG_DEPTH],
+    oldest: usize,
+    len: usize,
+    /// Size class of the parked blocks (meaningful while any are).
+    class: u64,
+    /// The intent cell (0 or 1) the next push writes: the one that does
+    /// *not* name the newest parked block.
+    next_cell: usize,
+    /// A push or pop died mid-protocol; the magazine is left as the
+    /// crash left it until recovery voids it.
+    torn: bool,
+}
+
+impl Magazine {
+    fn newest(&self) -> Option<u32> {
+        (self.len > 0).then(|| self.parked[(self.oldest + self.len - 1) % MAG_DEPTH].0)
+    }
+
+    fn push_newest(&mut self, block: (u32, u64)) {
+        debug_assert!(self.len < MAG_DEPTH);
+        self.parked[(self.oldest + self.len) % MAG_DEPTH] = block;
+        self.len += 1;
+    }
+
+    fn pop_oldest(&mut self) -> Option<(u32, u64)> {
+        (self.len > 0).then(|| {
+            let block = self.parked[self.oldest];
+            self.oldest = (self.oldest + 1) % MAG_DEPTH;
+            self.len -= 1;
+            block
+        })
     }
 }
 
@@ -231,7 +302,7 @@ struct Chained {
     torn: bool,
 }
 
-/// A block the chain-free path validated as freeable.
+/// A block the free path validated as freeable.
 #[derive(Clone, Copy)]
 struct Owned {
     class: u64,
@@ -241,10 +312,33 @@ struct Owned {
     hdr: u64,
 }
 
+impl Owned {
+    fn new(payload: Loc, hdr: u64) -> Self {
+        Owned {
+            class: header_class(hdr),
+            addr: payload.addr.0,
+            hdr,
+        }
+    }
+}
+
 /// Recovery's per-class view of which blocks a free list holds: `None`
 /// until the class is first asked about (one list walk), then kept
 /// current as recovery republishes blocks.
 type OnList = [Option<HashSet<u32>>; NUM_CLASSES];
+
+/// What recovery's magazine walks collected, published once every
+/// intent has been read.
+#[derive(Default)]
+struct Unparked {
+    /// Per class, the blocks to publish in walk order, each with the
+    /// generation its `FREE` header gets.
+    blocks: [Vec<(u32, u64)>; NUM_CLASSES],
+    /// Every block collected, whatever its class.
+    seen: HashSet<u32>,
+    /// The magazine intent cells to zero once the blocks are published.
+    cells: Vec<Loc>,
+}
 
 /// A crash-consistent size-class allocator over the durable shared
 /// segment of one memory node.
@@ -270,6 +364,8 @@ pub struct Allocator {
     heap: Arc<SharedHeap>,
     persist: Arc<dyn Persistence>,
     slots: SlotPool,
+    /// One magazine per thread slot below [`MAG_SLOTS`].
+    mags: [Mutex<Magazine>; MAG_SLOTS],
     allocs: AtomicU64,
     frees: AtomicU64,
     freelist_hits: AtomicU64,
@@ -331,6 +427,7 @@ impl Allocator {
             heap,
             persist,
             slots: SlotPool::default(),
+            mags: Default::default(),
             allocs: AtomicU64::new(0),
             frees: AtomicU64::new(0),
             freelist_hits: AtomicU64::new(0),
@@ -392,12 +489,24 @@ impl Allocator {
         )
     }
 
-    /// The intent word of `slot` (the cell after it is reserved).
-    fn intent_cell(&self, slot: usize) -> Loc {
+    /// The intent word of `slot` (cell 0) or its second cell (cell 1,
+    /// used only by a magazine's slot).
+    fn slot_cell(&self, slot: usize, cell: usize) -> Loc {
         Loc::new(
             self.region,
-            self.meta_base + HEADER_META_CELLS + NUM_CLASSES as u32 + 2 * slot as u32,
+            self.meta_base + HEADER_META_CELLS + NUM_CLASSES as u32 + (2 * slot + cell) as u32,
         )
+    }
+
+    fn intent_cell(&self, slot: usize) -> Loc {
+        self.slot_cell(slot, 0)
+    }
+
+    /// The calling thread's magazine and its intent slot, if its thread
+    /// slot has one.
+    fn magazine(&self) -> Option<(usize, MutexGuard<'_, Magazine>)> {
+        let t = thread_slot_index();
+        (t < MAG_SLOTS).then(|| (INTENT_SLOTS - MAG_SLOTS + t, self.mags[t].lock()))
     }
 
     fn header_cell(&self, payload: u32) -> Loc {
@@ -476,6 +585,10 @@ impl Allocator {
     /// Recycled payload cells contain their previous contents — callers
     /// must initialize every cell they rely on before publication.
     ///
+    /// A block the calling thread's own [`free`](Allocator::free) parked
+    /// in its magazine is taken back first, oldest first, with one
+    /// persist (the header mark) and no load.
+    ///
     /// A free-list allocation is **complete once the block's header is
     /// marked allocated**, one persist before this call returns: a crash
     /// from then on leaves the block allocated, and if the caller dies
@@ -502,6 +615,11 @@ impl Allocator {
     fn alloc_inner(&self, node: &NodeHandle, cells: u32) -> OpResult<Option<BlockRef>> {
         let (payload_cells, class_tag) = match class_for(cells) {
             Some(class) => {
+                if let Some(block) = self.unpark(node, class)? {
+                    self.freelist_hits.fetch_add(1, Ordering::Relaxed);
+                    self.note_alloc(class_cells(class));
+                    return Ok(Some(block));
+                }
                 match self.pop(node, class, None)? {
                     PopOutcome::Got(block) => {
                         self.freelist_hits.fetch_add(1, Ordering::Relaxed);
@@ -558,6 +676,39 @@ impl Allocator {
             .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| {
                 Some(v.saturating_sub(u64::from(cells)))
             });
+    }
+
+    /// The magazine pop: takes the calling thread's oldest parked block
+    /// of `class`, if it has one, by marking its header `ALLOCATED` at the
+    /// generation the park gave it — one persist, no load, no intent.
+    /// Taking the oldest keeps every block still parked on the walk from
+    /// the newest one, which is where the magazine's intent points.
+    fn unpark(&self, node: &NodeHandle, class: usize) -> OpResult<Option<BlockRef>> {
+        let Some((_, mut mag)) = self.magazine() else {
+            return Ok(None);
+        };
+        let class = class as u64;
+        if mag.torn || mag.class != class {
+            return Ok(None);
+        }
+        let Some((addr, gen)) = mag.pop_oldest() else {
+            return Ok(None);
+        };
+        let payload = Loc::new(self.region, addr);
+        mag.torn = true; // until the mark lands
+        self.persist.private_store(
+            node,
+            self.header_cell(addr),
+            header_word(ST_ALLOCATED, class, gen, None),
+            true,
+        )?;
+        mag.torn = false;
+        node.check_alloc(payload, class_cells(class as usize), gen);
+        Ok(Some(BlockRef {
+            loc: payload,
+            gen,
+            recycled: true,
+        }))
     }
 
     /// The crash-consistent pop — a version-tagged Treiber pop with its
@@ -677,24 +828,103 @@ impl Allocator {
 
     // ---- free -----------------------------------------------------------
 
-    /// Returns `payload`'s block to its class free list for reuse: the
+    /// Returns `payload`'s block for reuse. The block is **parked** in
+    /// the calling thread's magazine when the thread has one, the
+    /// magazine holds fewer than its depth and only blocks of this class:
+    /// an intent naming the block, then one claim-and-link CAS —
+    /// two persists — and the thread's next `alloc` of the class takes it
+    /// back. Otherwise it goes to its class free list as the
     /// [`free_chain`](Allocator::free_chain) of one block.
     ///
     /// The allocation-intent protocol makes this crash-consistent: once
     /// `free` is invoked, a crash at any instant either leaves the block
     /// allocated-and-intent-latched (recovery completes the free) or
-    /// free (recovery deduplicates) — never lost, never on the list
-    /// twice. Freeing a block that is already free is detected and
-    /// refused; freeing a block another caller still uses is a logic
-    /// error the allocator cannot detect (as in C).
+    /// free or parked (recovery deduplicates) — never lost, never on the
+    /// list twice. Freeing a block that is already free or parked is
+    /// detected and refused; freeing a block another caller still uses
+    /// is a logic error the allocator cannot detect (as in C).
     ///
     /// # Errors
     ///
     /// `Err(Crashed)` if the issuing machine has crashed; `Ok(Err(_))`
     /// when the free is refused (see [`FreeError`]).
     pub fn free(&self, at: &impl AsNode, payload: Loc) -> OpResult<Result<(), FreeError>> {
-        let done = self.chain(at.as_node(), &[payload], None)?;
+        let node = at.as_node();
+        let mut done = Chained::default();
+        match self.freeable(node, payload)? {
+            Ok(hdr) => {
+                let block = Owned::new(payload, hdr);
+                if !self.park(node, block, false, &mut done)? {
+                    self.push_owned(node, &[block], None, &mut done)?;
+                }
+            }
+            Err(e) => done.refused = Some(e),
+        }
+        self.persist.complete_op(node)?;
         Ok(done.refused.map_or(Ok(()), Err))
+    }
+
+    /// The magazine push: parks `block` in the calling thread's magazine
+    /// if it can take it (see [`Allocator::free`]), and returns whether
+    /// it did — a lost claim, refused as a double free, counts as taken.
+    ///
+    /// 1. **Latch** `MAG(b, g)` in whichever of the magazine's two intent
+    ///    cells does not name the newest parked block, so a push torn
+    ///    here leaves the chain's own intent intact.
+    /// 2. **Claim and link**: CAS the header `ALLOCATED g → MAGAZINE
+    ///    g+1, next = newest parked block`. From here the new intent
+    ///    names the whole chain.
+    ///
+    /// With `torn` set it stops after the latch, as a crash there would.
+    fn park(
+        &self,
+        node: &NodeHandle,
+        block: Owned,
+        torn: bool,
+        done: &mut Chained,
+    ) -> OpResult<bool> {
+        let Some((slot, mut mag)) = self.magazine() else {
+            return Ok(false);
+        };
+        let Owned { class, addr, hdr } = block;
+        if mag.torn || mag.len == MAG_DEPTH || (mag.len > 0 && mag.class != class) {
+            return Ok(false);
+        }
+        let cell = mag.next_cell;
+        let newest = mag.newest();
+        let gen = header_gen(hdr);
+        mag.torn = true; // until the claim lands
+        self.persist.private_store(
+            node,
+            self.slot_cell(slot, cell),
+            intent_word(OP_MAG, class, addr, gen),
+            true,
+        )?;
+        if torn {
+            return Ok(true);
+        }
+        let parked_gen = gen.wrapping_add(1) & GEN_MASK;
+        let claimed = self.persist.shared_cas(
+            node,
+            self.header_cell(addr),
+            hdr,
+            header_word(ST_MAGAZINE, class, parked_gen, newest),
+            true,
+        )?;
+        mag.torn = false;
+        if claimed.is_err() {
+            // A racing free won the block; the latched intent is stale
+            // and the next push overwrites it.
+            done.refused.get_or_insert(FreeError::DoubleFree);
+            return Ok(true);
+        }
+        node.check_free(Loc::new(self.region, addr));
+        self.note_free(class_cells(class as usize));
+        done.freed += 1;
+        mag.class = class;
+        mag.push_newest((addr, parked_gen));
+        mag.next_cell = 1 - cell;
+        Ok(true)
     }
 
     /// Returns every block of `blocks` to its class free list as one
@@ -718,9 +948,9 @@ impl Allocator {
         Ok(self.chain(at.as_node(), blocks, None)?.freed)
     }
 
-    /// The one free path: validates every block, groups the freeable
-    /// ones by size class (a free list holds one class) and pushes each
-    /// group as a chain.
+    /// The shared-list free path: validates every block, groups the
+    /// freeable ones by size class (a free list holds one class) and
+    /// pushes each group as a chain.
     fn chain(
         &self,
         node: &NodeHandle,
@@ -731,28 +961,37 @@ impl Allocator {
         let mut owned: Vec<Owned> = Vec::with_capacity(blocks.len());
         for &payload in blocks {
             match self.freeable(node, payload)? {
-                Ok(hdr) => owned.push(Owned {
-                    class: header_class(hdr),
-                    addr: payload.addr.0,
-                    hdr,
-                }),
+                Ok(hdr) => owned.push(Owned::new(payload, hdr)),
                 Err(e) => {
                     done.refused.get_or_insert(e);
                 }
             }
         }
-        if !owned.is_empty() {
-            // Stable: within a class the caller's order is the chain's.
-            owned.sort_by_key(|b| b.class);
-            let slot = self.slots.acquire();
-            let pushed = self.chain_with_slot(node, slot, &owned, stop, &mut done);
-            if pushed.is_ok() && !done.torn {
-                self.slots.release(slot); // else leak the lease (see pop)
-            }
-            pushed?;
-        }
+        // Stable: within a class the caller's order is the chain's.
+        owned.sort_by_key(|b| b.class);
+        self.push_owned(node, &owned, stop, &mut done)?;
         self.persist.complete_op(node)?;
         Ok(done)
+    }
+
+    /// Pushes validated blocks, sorted by class, onto their free lists
+    /// under one leased intent slot.
+    fn push_owned(
+        &self,
+        node: &NodeHandle,
+        owned: &[Owned],
+        stop: Option<TornFree>,
+        done: &mut Chained,
+    ) -> OpResult<()> {
+        if owned.is_empty() {
+            return Ok(());
+        }
+        let slot = self.slots.acquire();
+        let pushed = self.chain_with_slot(node, slot, owned, stop, done);
+        if pushed.is_ok() && !done.torn {
+            self.slots.release(slot); // else leak the lease (see pop)
+        }
+        pushed
     }
 
     /// The header of `payload`'s block if the block can be freed, else
@@ -768,7 +1007,7 @@ impl Allocator {
         Ok(match (header_state(hdr), header_class(hdr)) {
             (ST_ALLOCATED, HUGE_CLASS) => Err(FreeError::Oversize),
             (ST_ALLOCATED, class) if (class as usize) < NUM_CLASSES => Ok(hdr),
-            (ST_FREE, _) => Err(FreeError::DoubleFree),
+            (ST_FREE | ST_MAGAZINE, _) => Err(FreeError::DoubleFree),
             _ => Err(FreeError::NotABlock),
         })
     }
@@ -931,11 +1170,22 @@ impl Allocator {
     /// and frees nothing: a live block is `ALLOCATED`, and a generation
     /// only matches the operation that recorded it.
     ///
-    /// Cost: one load per intent slot and one header load per latched
-    /// intent; each class's free list is walked **at most once** per
-    /// sweep (only if some intent names a `FREE` block of that class at
-    /// a matching generation), plus the blocks of the torn chains
-    /// themselves. Finally the volatile intent-slot pool is reset.
+    /// The thread magazines are volatile, so the sweep voids them and
+    /// returns every parked block to its free list: each of a magazine's
+    /// two intent cells is walked along `next` from the block it names
+    /// while blocks are `MAGAZINE` (or `FREE` on no list), each block
+    /// taken once however the chains overlap; a push torn before its
+    /// claim (the named block still `ALLOCATED` at the intent's
+    /// generation) is completed. Both cells are zeroed once the blocks
+    /// are published.
+    ///
+    /// Cost: 32 intent loads, +1 per latched magazine (a magazine's
+    /// second cell is read only when its first holds a magazine intent)
+    /// and one header load per latched intent cell; each class's free
+    /// list is walked **at most once** per sweep (only if some intent
+    /// names a `FREE` block of that class at a matching generation),
+    /// plus the blocks walked — torn chains and parked blocks. Finally
+    /// the volatile intent-slot pool is reset.
     ///
     /// # Errors
     ///
@@ -944,10 +1194,31 @@ impl Allocator {
         let node = at.as_node();
         let mut report = AllocRecovery::default();
         let mut on_list = OnList::default();
+        let mut unparked = Unparked::default();
         for slot in 0..INTENT_SLOTS {
             let cell = self.intent_cell(slot);
             let word = self.persist.shared_load(node, cell, true)?;
             if word == 0 {
+                continue;
+            }
+            if intent_op(word) == OP_MAG {
+                // Cell 1 is written only after cell 0, and both are
+                // zeroed together: a magazine that never pushed costs
+                // no second load.
+                let second = self.slot_cell(slot, 1);
+                let other = self.persist.shared_load(node, second, true)?;
+                for (cell, word) in [(cell, word), (second, other)] {
+                    if word != 0 {
+                        self.recover_magazine_cell(
+                            node,
+                            word,
+                            &mut on_list,
+                            &mut unparked,
+                            &mut report,
+                        )?;
+                        unparked.cells.push(cell);
+                    }
+                }
                 continue;
             }
             report.sealed_intents += 1;
@@ -977,9 +1248,155 @@ impl Allocator {
             }
             self.persist.private_store(node, cell, 0, true)?;
         }
+        self.publish_unparked(node, &unparked)?;
+        for &cell in &unparked.cells {
+            self.persist.private_store(node, cell, 0, true)?;
+        }
+        for mag in &self.mags {
+            *mag.lock() = Magazine::default();
+        }
         self.slots.reset();
         self.persist.complete_op(node)?;
         Ok(report)
+    }
+
+    /// Recovery of one magazine intent cell `MAG(b, g)`: reads `b`'s
+    /// header and collects what the cell still names. A cell naming a
+    /// parked block is not counted as sealed, and parked blocks are not
+    /// counted as restored: no operation on them was torn.
+    ///
+    /// | header of `b` | verdict → action |
+    /// |---|---|
+    /// | `MAGAZINE g+1` | the chain's newest block (or an older one): walk |
+    /// | `ALLOCATED g` | push torn before its claim: take `b` |
+    /// | `FREE g+1` | a racing free won `b`, or a sweep died publishing: walk |
+    /// | anything else | stale: none |
+    fn recover_magazine_cell(
+        &self,
+        node: &NodeHandle,
+        word: u64,
+        on_list: &mut OnList,
+        unparked: &mut Unparked,
+        report: &mut AllocRecovery,
+    ) -> OpResult<()> {
+        let class = intent_class(word);
+        let gen = decode_gen(word);
+        let bumped = gen.wrapping_add(1) & GEN_MASK;
+        let named =
+            decode_addr(word).filter(|&a| (class as usize) < NUM_CLASSES && self.in_block_area(a));
+        let Some(addr) = named else {
+            report.sealed_intents += 1;
+            return Ok(());
+        };
+        let hdr = self
+            .persist
+            .shared_load(node, self.header_cell(addr), true)?;
+        match (header_state(hdr), header_gen(hdr)) {
+            (ST_MAGAZINE, g) if g == bumped => {}
+            (ST_ALLOCATED, g) if g == gen => {
+                report.sealed_intents += 1;
+                if unparked.seen.insert(addr) {
+                    report.restored_blocks += 1;
+                    unparked.blocks[class as usize].push((addr, bumped));
+                }
+                return Ok(());
+            }
+            (ST_FREE, g) if g == bumped => report.sealed_intents += 1,
+            _ => {
+                report.sealed_intents += 1;
+                return Ok(());
+            }
+        }
+        report.restored_blocks += self.walk_parked(node, on_list, unparked, class, addr, hdr)?;
+        Ok(())
+    }
+
+    /// Recovery's magazine walk: from `start` (whose header is `hdr`)
+    /// along `next` while blocks are of `class` and `MAGAZINE`, or
+    /// `FREE` on no list (under quiescence such a block belongs to no
+    /// one), collecting each block once. The walk ends at a block some
+    /// thread took back (`ALLOCATED`), at a listed one, or at a block
+    /// already collected — chains of one magazine overlap, and a block
+    /// taken back and parked again links into its old chain. Returns
+    /// how many `FREE` blocks it collected.
+    fn walk_parked(
+        &self,
+        node: &NodeHandle,
+        on_list: &mut OnList,
+        unparked: &mut Unparked,
+        class: u64,
+        start: u32,
+        mut hdr: u64,
+    ) -> OpResult<usize> {
+        let mut cur = start;
+        let mut orphans = 0;
+        loop {
+            if header_class(hdr) != class || unparked.seen.contains(&cur) {
+                return Ok(orphans);
+            }
+            match header_state(hdr) {
+                ST_MAGAZINE => {}
+                ST_FREE => {
+                    let listed = self.on_list(node, on_list, class as usize)?;
+                    if !listed.insert(cur) {
+                        return Ok(orphans);
+                    }
+                    orphans += 1;
+                }
+                _ => return Ok(orphans),
+            }
+            unparked.seen.insert(cur);
+            unparked.blocks[class as usize].push((cur, header_gen(hdr)));
+            match header_next(hdr).filter(|&a| self.in_block_area(a)) {
+                Some(next) => {
+                    cur = next;
+                    hdr = self
+                        .persist
+                        .shared_load(node, self.header_cell(next), true)?;
+                }
+                None => return Ok(orphans),
+            }
+        }
+    }
+
+    /// Publishes the blocks the magazine walks collected: per class,
+    /// each header set `FREE` and linked to the next collected block,
+    /// the last to the current top, and the head swung to the first —
+    /// `k + 1` persists for `k` blocks.
+    fn publish_unparked(&self, node: &NodeHandle, unparked: &Unparked) -> OpResult<()> {
+        for (class, blocks) in unparked.blocks.iter().enumerate() {
+            let Some(&(first, _)) = blocks.first() else {
+                continue;
+            };
+            let head_cell = self.head_cell(class);
+            let head = self.persist.shared_load(node, head_cell, true)?;
+            for (i, &(addr, gen)) in blocks.iter().enumerate() {
+                let next = blocks.get(i + 1).map_or(head_top(head), |&(a, _)| Some(a));
+                self.relink(node, class as u64, addr, gen, next)?;
+            }
+            // Quiesced: nothing races the head, a persistent store will do.
+            self.persist.private_store(
+                node,
+                head_cell,
+                head_word(Some(first), head_ver(head).wrapping_add(1)),
+                true,
+            )?;
+        }
+        Ok(())
+    }
+
+    /// Recovery's view of class `class`'s free list (one list walk, the
+    /// first time it is asked for).
+    fn on_list<'a>(
+        &self,
+        node: &NodeHandle,
+        on_list: &'a mut OnList,
+        class: usize,
+    ) -> OpResult<&'a mut HashSet<u32>> {
+        if on_list[class].is_none() {
+            on_list[class] = Some(self.list_blocks(node, class)?.into_iter().collect());
+        }
+        Ok(on_list[class].as_mut().expect("built above"))
     }
 
     /// Recovery's chain walk (see [`Allocator::recover`]): collects the
@@ -994,10 +1411,7 @@ impl Allocator {
         class: usize,
         start: u32,
     ) -> OpResult<usize> {
-        if on_list[class].is_none() {
-            on_list[class] = Some(self.list_blocks(node, class)?.into_iter().collect());
-        }
-        let listed = on_list[class].as_mut().expect("built above");
+        let listed = self.on_list(node, on_list, class)?;
         let mut tail = None;
         let mut restored = 0;
         let mut cur = Some(start);
@@ -1092,6 +1506,28 @@ impl Allocator {
         Ok(done.refused.map_or(Ok(()), Err))
     }
 
+    /// Testing hook: a [`free`](Allocator::free) of `payload` whose
+    /// magazine push stops after latching its intent, before the claim —
+    /// the state a crash there leaves. Returns `Ok(false)`, having done
+    /// nothing, when the calling thread's magazine cannot take the block
+    /// (the free would go to the shared list). The magazine stays unused
+    /// until [`Allocator::recover`].
+    #[doc(hidden)]
+    pub fn torn_park(&self, at: &impl AsNode, payload: Loc) -> OpResult<Result<bool, FreeError>> {
+        let node = at.as_node();
+        let torn = match self.freeable(node, payload)? {
+            Ok(hdr) => Ok(self.park(
+                node,
+                Owned::new(payload, hdr),
+                true,
+                &mut Chained::default(),
+            )?),
+            Err(e) => Err(e),
+        };
+        self.persist.complete_op(node)?;
+        Ok(torn)
+    }
+
     /// Testing hook: the blocks on class-of-`cells`'s free list, top
     /// first.
     #[doc(hidden)]
@@ -1167,6 +1603,16 @@ mod tests {
         let b = a.alloc(&node, 2).unwrap().unwrap();
         a.free(&node, b.loc).unwrap().unwrap();
         assert_eq!(a.free(&node, b.loc).unwrap(), Err(FreeError::DoubleFree));
+        // Parked in the thread's magazine (if it has one) or listed, the
+        // block is free either way, and a free through either path
+        // refuses it as such.
+        assert_eq!(a.free_chain(&node, &[b.loc]).unwrap(), 0);
+        let listed = blocks(&a, &node, 2);
+        assert_eq!(a.free_chain(&node, &listed).unwrap(), 2);
+        assert_eq!(
+            a.free(&node, listed[0]).unwrap(),
+            Err(FreeError::DoubleFree)
+        );
         // A payload cell that is not a block start.
         let inner = Loc::new(b.loc.owner, b.loc.addr.0 + 1);
         assert!(a.free(&node, inner).unwrap().is_err());
@@ -1253,7 +1699,7 @@ mod tests {
             let (f, a) = setup(1024);
             let node = f.node(MachineId(0));
             let b = a.alloc(&node, 2).unwrap().unwrap();
-            a.free(&node, b.loc).unwrap().unwrap();
+            assert_eq!(a.free_chain(&node, &[b.loc]).unwrap(), 1);
             let torn = a.torn_alloc(&node, 2, stage).unwrap();
             assert_eq!(torn, Some(b.loc), "{stage:?}");
             a.recover(&node).unwrap();
@@ -1261,7 +1707,7 @@ mod tests {
             // (and freeable); before it, back on the list exactly once.
             if stage == TornAlloc::Marked {
                 assert!(a.debug_free_list(&node, 2).unwrap().is_empty());
-                a.free(&node, b.loc).unwrap().unwrap();
+                assert_eq!(a.free_chain(&node, &[b.loc]).unwrap(), 1);
             }
             assert_eq!(
                 a.debug_free_list(&node, 2).unwrap(),
@@ -1283,7 +1729,7 @@ mod tests {
         let (f, a) = setup(1024);
         let node = f.node(MachineId(0));
         let (old, chain) = (blocks(&a, &node, 1), blocks(&a, &node, 5));
-        a.free(&node, old[0]).unwrap().unwrap();
+        assert_eq!(a.free_chain(&node, &old).unwrap(), 1);
         let before = f.stats().snapshot();
         assert_eq!(a.free_chain(&node, &chain).unwrap(), 5);
         assert_eq!(f.stats().snapshot().since(&before).flushes(), 5 + 2);
@@ -1303,7 +1749,7 @@ mod tests {
         let small = blocks(&a, &node, 2);
         let big = a.alloc(&node, 8).unwrap().unwrap().loc;
         let gone = blocks(&a, &node, 1)[0];
-        a.free(&node, gone).unwrap().unwrap();
+        assert_eq!(a.free_chain(&node, &[gone]).unwrap(), 1);
         // Mixed classes, a double free, a repeated block, a non-block.
         let handed = [
             small[0],
@@ -1332,7 +1778,7 @@ mod tests {
             let (f, a) = setup(1024);
             let node = f.node(MachineId(0));
             let (old, chain) = (blocks(&a, &node, 1), blocks(&a, &node, K));
-            a.free(&node, old[0]).unwrap().unwrap();
+            assert_eq!(a.free_chain(&node, &old).unwrap(), 1);
             a.torn_free(&node, &chain, stage).unwrap().unwrap();
             let r = a.recover(&node).unwrap();
             // Every claimed block is published; `Latched` completes the
@@ -1402,7 +1848,7 @@ mod tests {
         // (nothing to wait for: pops are lock-free) ...
         let other = blocks(&a, &node, 1)[0];
         assert_eq!(other, b);
-        a.free(&node, other).unwrap().unwrap();
+        assert_eq!(a.free_chain(&node, &[other]).unwrap(), 1);
         assert_eq!(a.torn_alloc(&node, 2, TornAlloc::Swung).unwrap(), Some(b));
         let fresh = a.alloc(&node, 2).unwrap().unwrap();
         assert_ne!(fresh.loc, b, "the torn pop owns b until recovery");

@@ -11,15 +11,16 @@
 //!   pointers). Bit 63 is left clear for structure-level tag bits (the
 //!   sorted list's deletion mark).
 //! * **block headers** — the cell immediately before every block's
-//!   payload: state + size class + generation + an intrusive free-list
-//!   `next` link (meaningful only while the block is free).
+//!   payload: state + size class + generation + an intrusive `next`
+//!   link (meaningful only while the block is free or parked).
 //! * **free-list heads** — one cell per size class: the top block's
 //!   address and a version counter bumped by every successful CAS, so a
 //!   pushed-back block never re-creates an old head word (the Treiber
 //!   pop's ABA guard).
 //! * **intents** — one word per intent slot naming the in-flight
 //!   operation, its size class, and the block and generation it acts
-//!   on; `0` is an idle slot.
+//!   on; `0` is an idle slot. A magazine's slot holds two such words
+//!   (`OP_MAG`), one per cell.
 
 /// Bits of an encoded address (`addr + 1`; `0` = null).
 pub(crate) const PTR_BITS: u32 = 34;
@@ -44,12 +45,17 @@ pub(crate) const ST_ALLOCATED: u64 = 1;
 /// Header state: on its class free list, or claimed by an in-flight
 /// `free` and about to be published there.
 pub(crate) const ST_FREE: u64 = 2;
+/// Header state: parked in a thread's magazine by a `free`, waiting for
+/// that thread's next `alloc` of its class; `next` links it to the
+/// magazine's previously newest block.
+pub(crate) const ST_MAGAZINE: u64 = 3;
 
 /// Class tag of an oversize (exact-fit, unreclaimable) block.
 pub(crate) const HUGE_CLASS: u64 = CLASS_MASK;
 
 /// Builds a header word. `next` is the next free block's payload address
-/// (`None` = end of list); only meaningful in [`ST_FREE`].
+/// (`None` = end of list); only meaningful in [`ST_FREE`] and
+/// [`ST_MAGAZINE`].
 pub(crate) fn header_word(state: u64, class: u64, gen: u64, next: Option<u32>) -> u64 {
     debug_assert!(state <= STATE_MASK && class <= CLASS_MASK && gen <= GEN_MASK);
     (state << STATE_SHIFT)
@@ -155,6 +161,9 @@ pub(crate) fn head_ver(head: u64) -> u64 {
 pub(crate) const OP_ALLOC: u64 = 1;
 /// Intent opcode: a free (of one block or a chain) is in flight.
 pub(crate) const OP_FREE: u64 = 2;
+/// Intent opcode: a magazine push — the block it names is (about to be)
+/// the newest block parked in the slot's magazine.
+pub(crate) const OP_MAG: u64 = 3;
 
 /// Opcode field of an intent word: bits 59..61, where a header keeps its
 /// state — the block, generation and class fields sit exactly where a
@@ -167,7 +176,7 @@ const OP_MASK: u64 = 0x3;
 /// operation observed — what lets recovery tell a live intent from a
 /// stale one.
 pub(crate) fn intent_word(op: u64, class: u64, addr: u32, gen: u64) -> u64 {
-    debug_assert!(op == OP_ALLOC || op == OP_FREE);
+    debug_assert!(op == OP_ALLOC || op == OP_FREE || op == OP_MAG);
     debug_assert!(class <= CLASS_MASK);
     (op << OP_SHIFT) | (class << CLASS_SHIFT) | ptr_word(addr, gen)
 }
@@ -195,6 +204,10 @@ mod tests {
         assert_eq!(header_state(h), ST_ALLOCATED);
         assert_eq!(header_class(h), HUGE_CLASS);
         assert_eq!(header_next(h), None);
+        let h = header_word(ST_MAGAZINE, 3, GEN_MASK, Some(7));
+        assert_eq!(header_state(h), ST_MAGAZINE);
+        assert_eq!((header_class(h), header_gen(h)), (3, GEN_MASK));
+        assert_eq!(header_next(h), Some(7));
     }
 
     #[test]
@@ -261,5 +274,8 @@ mod tests {
         assert_eq!(decode_addr(w), Some(u32::MAX));
         assert_eq!(decode_gen(w), GEN_MASK);
         assert_ne!(intent_word(OP_ALLOC, 0, 0, 0), 0);
+        let w = intent_word(OP_MAG, CLASS_MASK - 1, 5, GEN_MASK);
+        assert_eq!((intent_op(w), intent_class(w)), (OP_MAG, CLASS_MASK - 1));
+        assert_eq!((decode_addr(w), decode_gen(w)), (Some(5), GEN_MASK));
     }
 }

@@ -14,13 +14,17 @@
 //! The allocator owns a range of the memory node's shared segment:
 //!
 //! ```text
-//! [ region header | 15 free-list heads | 32 intent slots | block area … ]
-//!   META_CELLS durable metadata cells                      bump tail
+//! [ region header | 15 free-list heads | 32 intent slots × 2 cells | block area … ]
+//!   META_CELLS durable metadata cells                                bump tail
 //! ```
 //!
-//! Every block is `1 + payload` cells: a **header** (state, size class,
-//! reuse *generation*, intrusive free-list link) followed by the payload
-//! the caller sees. Payloads round up to power-of-two size classes
+//! An intent slot is two cells. The 24 transient slots use only the
+//! first (the intent word); each of the top 8, one per thread magazine,
+//! uses both, alternating pushes between them (below).
+//!
+//! Every block is `1 + payload` cells: a **header** (state —
+//! `ALLOCATED`, `FREE` or `MAGAZINE` —, size class, reuse *generation*,
+//! intrusive `next` link) followed by the payload the caller sees. Payloads round up to power-of-two size classes
 //! (1..=[`MAX_CLASS_CELLS`] cells); larger requests are exact-fit from
 //! the bump tail and unreclaimable.
 //!
@@ -36,16 +40,37 @@
 //! list while live). Under Algorithm 2 every persist point is a full
 //! memory round trip (`RFlush` ≈ `MStore`, §5.2), so the protocol
 //! persists exactly the steps recovery reads — **three per operation**
-//! — and nothing else. Each in-flight operation leases one of 32
-//! durable **intent** slots: one word, `op | class | block | generation`
-//! (the slot's second cell is reserved).
+//! on the shared lists, fewer through a magazine — and nothing else.
+//! Each in-flight operation leases one of 24 transient durable
+//! **intent** slots: one word, `op | class | block | generation`.
+//!
+//! **Magazines.** The first 8 thread slots (the process-wide leases of
+//! [`crate::backend`]) each own a magazine and one of the top 8 intent
+//! slots. A thread's [`free`](Allocator::free) parks the block in its
+//! magazine, and its next [`alloc`](Allocator::alloc) of that class
+//! takes the oldest parked block back. The durable side of a magazine is
+//! a chain of `MAGAZINE` headers, newest to oldest along `next`, named by
+//! an intent `MAG(b, g)` in one of the slot's **two** cells: a push
+//! writes the cell that does not name the newest parked block, so the
+//! chain's own intent survives a push torn before its claim. The
+//! volatile side knows each parked block's address and generation, so a
+//! pop loads nothing. An empty or full magazine (8 blocks), a block of
+//! another class than the parked ones, or a thread slot ≥ 8 takes the
+//! shared-list path unchanged; `free_chain` always does.
 //!
 //! | operation | persist points (flit-cxl0: each one store/CAS + `RFlush`) |
 //! |---|---|
+//! | **alloc** from the magazine | ① header `ALLOCATED g+1` of the oldest parked block — complete at ① |
+//! | **free** into the magazine | ① intent `MAG(b, g)` into the cell not naming the newest parked block → ② header CAS `ALLOCATED g → MAGAZINE g+1, next = newest` (claim *and* link) — complete at ② |
 //! | **alloc** from a free list | ① intent `ALLOC(top, g)` → ② head CAS past `top` → ③ header `ALLOCATED g` — complete at ③ |
-//! | **free** | ① intent `FREE(b, g)` → ② header CAS `ALLOCATED g → FREE g+1, next = top` (claim *and* link) → ③ head CAS to `b` |
+//! | **free** to a free list | ① intent `FREE(b, g)` → ② header CAS `ALLOCATED g → FREE g+1, next = top` (claim *and* link) → ③ head CAS to `b` |
 //! | **free_chain** of `k` blocks of one class | ① intent `FREE(b₀, g₀)` → `k` claim CASes, each linking `bᵢ` to `bᵢ₊₁` (the last to `top`) → one head CAS to `b₀` — `k + 2` |
 //! | alloc from the bump tail | the header store |
+//!
+//! A magazine takes back its **oldest** block, so the blocks still
+//! parked stay on the walk from the newest one: a pop only ever cuts the
+//! chain's end. Magazine intents are never cleared at run time (a stale
+//! one names a block that moved on); recovery zeroes them.
 //!
 //! * The **pop** is a plain Treiber pop on a version-tagged head (every
 //!   successful head CAS bumps a 30-bit version, so a popped-and-
@@ -77,7 +102,10 @@
 //! | `FREE(b, g)` | `ALLOCATED` | `g` | — | torn after ①: claim `b`, then as next row |
 //! | `FREE(b, g)` | `FREE` | `g+1` | no | torn after a claim: **walk** the chain, publish it |
 //! | `FREE(b, g)` | `FREE` | `g+1` | yes | complete: none |
-//! | either | any | any other | — | **stale** — the block moved on: none |
+//! | `MAG(b, g)` | `MAGAZINE` | `g+1` | — | parked: **walk** the magazine, publish it |
+//! | `MAG(b, g)` | `ALLOCATED` | `g` | — | push torn before its claim: publish `b` as `FREE g+1` |
+//! | `MAG(b, g)` | `FREE` | `g+1` | no | a racing free's claim, or a sweep that died publishing: walk |
+//! | any | any | any other | — | **stale** — the block moved on: none |
 //!
 //! The *chain walk* follows `next` from the intent's block while blocks
 //! are `FREE`, of the intent's class, and on no list; it stops at the
@@ -88,12 +116,26 @@
 //! already linked, so republishing them costs two persists however long
 //! the chain.
 //!
+//! The *magazine walk* reads a magazine slot's second cell only when
+//! its first holds a `MAG` intent (a push writes cell 0 first, and
+//! recovery zeroes both), so a heap whose magazines never pushed pays
+//! the same 32 intent loads as before. It follows `next` from each
+//! named block while blocks are of its class and `MAGAZINE` (or `FREE`
+//! on no list), with a visited set: a block taken back and parked again
+//! links into the chain it left, so chains overlap and revisit. The
+//! blocks it collects are published after every intent has been read,
+//! each header set `FREE` and linked to the next (`k + 1` persists per
+//! class), then both cells are zeroed and every volatile magazine is
+//! voided: the magazines are per-thread, volatile state that no crash
+//! preserves.
+//!
 //! Why **stale intents are harmless**: a live block's header is
-//! `ALLOCATED`, and the only rule that acts on an `ALLOCATED` header
-//! needs a `FREE` intent at the header's *current* generation — which
-//! only a free invoked on this incarnation writes, and a free that
-//! returns without claiming does so only because the header already
-//! moved on. Every other rule acts on `FREE` blocks that no list holds,
+//! `ALLOCATED`, and the only rules that act on an `ALLOCATED` header
+//! need a `FREE` or `MAG` intent at the header's *current* generation
+//! — which only a free invoked on this incarnation writes, and a free
+//! that returns without claiming does so only because the header
+//! already moved on. Every other rule acts on `MAGAZINE` blocks, whose
+//! magazines recovery voids, or on `FREE` blocks that no list holds,
 //! which no one owns. Generations advance on every free, so an intent
 //! from an earlier incarnation of a block matches nothing (up to the
 //! 20-bit wrap bound below).
@@ -159,6 +201,7 @@
 //! let b = alloc.alloc(&node, 2)?.expect("heap fits");
 //! assert_eq!(b.loc, a.loc);     // the block is reused…
 //! assert_eq!(b.gen, a.gen + 1); // …under a fresh generation
+//! assert!(b.recycled);
 //!
 //! // Several blocks go back as one chain: k + 2 persists, not 3k.
 //! let c = alloc.alloc(&node, 2)?.expect("heap fits");

@@ -741,8 +741,14 @@ impl PendingBuf {
     /// a not-yet-visited shard may or may not be included — exactly the
     /// guarantee a concurrent insert had against the old single-mutex
     /// buffer.
+    ///
+    /// A shard's bit is cleared under the shard's lock, *after* the
+    /// drain, as `insert` sets it under the lock: a barrier that still
+    /// sees the bit blocks on the lock until a concurrent drain of the
+    /// shard has put every line in memory, so no barrier of the machine
+    /// returns while a line inserted before it is in flight.
     fn retire(&self, mut f: impl FnMut(Loc)) -> usize {
-        let mut mask = self.nonempty.swap(0, Ordering::AcqRel);
+        let mut mask = self.nonempty.load(Ordering::Acquire);
         let mut retired = 0;
         while mask != 0 {
             let s = mask.trailing_zeros() as usize;
@@ -753,6 +759,7 @@ impl PendingBuf {
             }
             retired += set.len();
             set.clear();
+            self.nonempty.fetch_and(!(1u64 << s), Ordering::Release);
         }
         retired
     }

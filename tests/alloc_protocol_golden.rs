@@ -1,19 +1,25 @@
 //! Golden oracle for the allocator's **persist protocol**.
 //!
 //! For each of the seven [`PersistMode`]s: the exact per-class primitive
-//! counts and simulated nanoseconds of one bump `alloc`, one `free`, one
-//! free-list `alloc`, and `free_chain` of 1, 2 and 8 blocks, issued from
+//! counts and simulated nanoseconds of one bump `alloc`, one `free` into
+//! the thread's magazine and the `alloc` that takes the block back, one
+//! `free` past a full magazine and one `alloc` from the free list with
+//! an empty magazine, and `free_chain` of 1, 2 and 8 blocks, issued from
 //! a compute node against the memory node's allocator. After each phase
-//! `Stats::snapshot()` is compared against [`GOLDEN`].
+//! `Stats::snapshot()` is compared against [`GOLDEN`]. The test thread's
+//! slot is below 8, so it has a magazine.
 //!
-//! What the table pins (read it off the `flit-cxl0` rows): a free-list
-//! `alloc` is intent → head CAS → header mark, a `free` is intent →
+//! What the table pins (read it off the `flit-cxl0` rows): a `free` into
+//! the magazine is header load → intent → claim-and-link CAS — **2
+//! flushes** — and the `alloc` that takes it back is the header mark
+//! alone — **1 flush, no load**. On the shared list a free-list `alloc`
+//! is intent → head CAS → header mark, a `free` is intent →
 //! claim-and-link CAS → head CAS — **3 flushes each**, the intent clear
 //! an unflushed `LStore` — and a chain of `k` blocks is `k + 2` flushes
-//! (one intent, `k` claims, one head CAS), `free` being the chain of
-//! one. `tests/flit_policy_golden.rs` pins
-//! what each `Persistence` call costs per mode; this file pins which
-//! calls the allocator makes.
+//! (one intent, `k` claims, one head CAS), a `free` past a full magazine
+//! being the chain of one. `tests/flit_policy_golden.rs` pins what each
+//! `Persistence` call costs per mode; this file pins which calls the
+//! allocator makes.
 
 use cxl0::model::{Loc, MachineId, SystemConfig};
 use cxl0::runtime::api::{Cluster, PersistMode};
@@ -23,10 +29,12 @@ use cxl0::runtime::StatsSnapshot;
 /// aflushes, barriers, sim_ns]` of one phase.
 type Row = [u64; 10];
 
-const PHASES: [&str; 6] = [
+const PHASES: [&str; 8] = [
     "bump alloc",
     "free",
     "free-list alloc",
+    "free with a full magazine",
+    "alloc with an empty magazine",
     "free_chain of 1",
     "free_chain of 2",
     "free_chain of 8",
@@ -34,59 +42,73 @@ const PHASES: [&str; 6] = [
 
 /// One row per phase of [`PHASES`], per mode, in `modes()` order.
 #[rustfmt::skip]
-const GOLDEN: [(&str, [Row; 6]); 7] = [
+const GOLDEN: [(&str, [Row; 8]); 7] = [
     ("none", [
         [1, 1, 0, 0, 0, 0, 0, 0, 0, 270], // bump alloc
-        [2, 2, 0, 0, 0, 0, 2, 0, 0, 624], // free
-        [2, 3, 0, 0, 0, 0, 1, 0, 0, 594], // free-list alloc
+        [1, 1, 0, 0, 0, 0, 1, 0, 0, 312], // free
+        [0, 1, 0, 0, 0, 0, 0, 0, 0, 12], // free-list alloc
+        [2, 2, 0, 0, 0, 0, 2, 0, 0, 624], // free with a full magazine
+        [2, 3, 0, 0, 0, 0, 1, 0, 0, 594], // alloc with an empty magazine
         [2, 2, 0, 0, 0, 0, 2, 0, 0, 624], // free_chain of 1
         [3, 2, 0, 0, 0, 0, 3, 0, 0, 924], // free_chain of 2
         [9, 2, 0, 0, 0, 0, 9, 0, 0, 2724], // free_chain of 8
     ]),
     ("flit-x86", [
         [1, 1, 0, 0, 1, 0, 0, 0, 0, 330], // bump alloc
-        [2, 2, 0, 0, 3, 0, 2, 0, 0, 804], // free
-        [2, 3, 0, 0, 3, 0, 1, 0, 0, 774], // free-list alloc
+        [1, 1, 0, 0, 2, 0, 1, 0, 0, 432], // free
+        [0, 1, 0, 0, 1, 0, 0, 0, 0, 72], // free-list alloc
+        [2, 2, 0, 0, 3, 0, 2, 0, 0, 804], // free with a full magazine
+        [2, 3, 0, 0, 3, 0, 1, 0, 0, 774], // alloc with an empty magazine
         [2, 2, 0, 0, 3, 0, 2, 0, 0, 804], // free_chain of 1
         [3, 2, 0, 0, 4, 0, 3, 0, 0, 1164], // free_chain of 2
         [9, 2, 0, 0, 10, 0, 9, 0, 0, 3324], // free_chain of 8
     ]),
     ("flit-cxl0", [
         [1, 1, 0, 0, 0, 1, 0, 0, 0, 665], // bump alloc
-        [2, 2, 0, 0, 0, 3, 2, 0, 0, 1809], // free
-        [2, 3, 0, 0, 0, 3, 1, 0, 0, 1779], // free-list alloc
+        [1, 1, 0, 0, 0, 2, 1, 0, 0, 1102], // free
+        [0, 1, 0, 0, 0, 1, 0, 0, 0, 407], // free-list alloc
+        [2, 2, 0, 0, 0, 3, 2, 0, 0, 1809], // free with a full magazine
+        [2, 3, 0, 0, 0, 3, 1, 0, 0, 1779], // alloc with an empty magazine
         [2, 2, 0, 0, 0, 3, 2, 0, 0, 1809], // free_chain of 1
         [3, 2, 0, 0, 0, 4, 3, 0, 0, 2504], // free_chain of 2
         [9, 2, 0, 0, 0, 10, 9, 0, 0, 6674], // free_chain of 8
     ]),
     ("flit-owner-opt", [
         [1, 1, 0, 0, 0, 1, 0, 0, 0, 665], // bump alloc
-        [2, 2, 0, 0, 0, 3, 2, 0, 0, 1809], // free
-        [2, 3, 0, 0, 0, 3, 1, 0, 0, 1779], // free-list alloc
+        [1, 1, 0, 0, 0, 2, 1, 0, 0, 1102], // free
+        [0, 1, 0, 0, 0, 1, 0, 0, 0, 407], // free-list alloc
+        [2, 2, 0, 0, 0, 3, 2, 0, 0, 1809], // free with a full magazine
+        [2, 3, 0, 0, 0, 3, 1, 0, 0, 1779], // alloc with an empty magazine
         [2, 2, 0, 0, 0, 3, 2, 0, 0, 1809], // free_chain of 1
         [3, 2, 0, 0, 0, 4, 3, 0, 0, 2504], // free_chain of 2
         [9, 2, 0, 0, 0, 10, 9, 0, 0, 6674], // free_chain of 8
     ]),
     ("flit-async", [
         [1, 1, 0, 0, 0, 0, 0, 1, 2, 733], // bump alloc
-        [2, 2, 0, 0, 0, 0, 2, 3, 6, 2013], // free
-        [2, 3, 0, 0, 0, 0, 1, 3, 5, 1953], // free-list alloc
+        [1, 1, 0, 0, 0, 0, 1, 2, 4, 1238], // free
+        [0, 1, 0, 0, 0, 0, 0, 1, 2, 475], // free-list alloc
+        [2, 2, 0, 0, 0, 0, 2, 3, 6, 2013], // free with a full magazine
+        [2, 3, 0, 0, 0, 0, 1, 3, 5, 1953], // alloc with an empty magazine
         [2, 2, 0, 0, 0, 0, 2, 3, 6, 2013], // free_chain of 1
         [3, 2, 0, 0, 0, 0, 3, 4, 8, 2776], // free_chain of 2
         [9, 2, 0, 0, 0, 0, 9, 10, 20, 7354], // free_chain of 8
     ]),
     ("naive-mstore", [
         [1, 0, 0, 1, 0, 0, 0, 0, 0, 658], // bump alloc
-        [2, 1, 0, 1, 0, 0, 2, 0, 0, 1788], // free
-        [2, 1, 0, 2, 0, 0, 1, 0, 0, 1758], // free-list alloc
+        [1, 0, 0, 1, 0, 0, 1, 0, 0, 1088], // free
+        [0, 0, 0, 1, 0, 0, 0, 0, 0, 400], // free-list alloc
+        [2, 1, 0, 1, 0, 0, 2, 0, 0, 1788], // free with a full magazine
+        [2, 1, 0, 2, 0, 0, 1, 0, 0, 1758], // alloc with an empty magazine
         [2, 1, 0, 1, 0, 0, 2, 0, 0, 1788], // free_chain of 1
         [3, 1, 0, 1, 0, 0, 3, 0, 0, 2476], // free_chain of 2
         [9, 1, 0, 1, 0, 0, 9, 0, 0, 6604], // free_chain of 8
     ]),
     ("buffered", [
         [1, 1, 0, 0, 0, 0, 0, 0, 0, 270], // bump alloc
-        [2, 2, 0, 0, 0, 0, 2, 0, 0, 624], // free
-        [2, 3, 0, 0, 0, 0, 1, 0, 0, 594], // free-list alloc
+        [1, 1, 0, 0, 0, 0, 1, 0, 0, 312], // free
+        [0, 1, 0, 0, 0, 0, 0, 0, 0, 12], // free-list alloc
+        [2, 2, 0, 0, 0, 0, 2, 0, 0, 624], // free with a full magazine
+        [2, 3, 0, 0, 0, 0, 1, 0, 0, 594], // alloc with an empty magazine
         [2, 2, 0, 0, 0, 0, 2, 0, 0, 624], // free_chain of 1
         [3, 2, 0, 0, 0, 0, 3, 0, 0, 924], // free_chain of 2
         [9, 2, 0, 0, 0, 0, 9, 0, 0, 2724], // free_chain of 8
@@ -109,9 +131,9 @@ fn row(s: &StatsSnapshot) -> Row {
     ]
 }
 
-/// Runs the six phases on a fresh cluster under `mode`; the allocations
-/// that set a phase up are not part of its row.
-fn measure(mode: PersistMode) -> [Row; 6] {
+/// Runs the eight phases on a fresh cluster under `mode`; the
+/// allocations and frees that set a phase up are not part of its row.
+fn measure(mode: PersistMode) -> [Row; 8] {
     let cluster = Cluster::builder(SystemConfig::symmetric_nvm(2, 4096))
         .persist(mode)
         .root_capacity(0)
@@ -140,7 +162,17 @@ fn measure(mode: PersistMode) -> [Row; 6] {
     phase(2, &|| block.set(alloc.alloc(&s, 2).unwrap()));
     let again = block.get().expect("the freed block");
     assert!(again.recycled && again.loc == first.loc);
-    for (i, k) in [(3, 1), (4, 2), (5, 8)] {
+    // Fill the magazine (depth 8); the next free goes to the list.
+    for b in fresh(8) {
+        alloc.free(&s, b).unwrap().unwrap();
+    }
+    phase(3, &|| alloc.free(&s, again.loc).unwrap().unwrap());
+    assert_eq!(alloc.debug_free_list(&s, 2).unwrap(), vec![again.loc]);
+    // Empty it; the next alloc pops the list.
+    fresh(8);
+    phase(4, &|| block.set(alloc.alloc(&s, 2).unwrap()));
+    assert_eq!(block.get().expect("the listed block").loc, again.loc);
+    for (i, k) in [(5, 1), (6, 2), (7, 8)] {
         let chain = fresh(k);
         phase(i, &|| assert_eq!(alloc.free_chain(&s, &chain).unwrap(), k));
     }
@@ -148,7 +180,7 @@ fn measure(mode: PersistMode) -> [Row; 6] {
 }
 
 /// The measured table in `GOLDEN`'s source form, for regeneration.
-fn render(table: &[(&'static str, [Row; 6])]) -> String {
+fn render(table: &[(&'static str, [Row; 8])]) -> String {
     let mut out = String::new();
     for (name, rows) in table {
         out.push_str(&format!("    ({name:?}, [\n"));
@@ -162,7 +194,7 @@ fn render(table: &[(&'static str, [Row; 6])]) -> String {
 
 #[test]
 fn every_mode_runs_the_golden_allocator_protocol() {
-    let measured: Vec<(&'static str, [Row; 6])> = modes()
+    let measured: Vec<(&'static str, [Row; 8])> = modes()
         .into_iter()
         .map(|mode| (mode.name(), measure(mode)))
         .collect();
@@ -178,16 +210,41 @@ fn free_is_the_chain_of_one_and_a_chain_of_k_flushes_k_plus_2() {
     // Read off the table, so the claim cannot drift from the pinned rows.
     let flushes = |r: &Row| r[4] + r[5] + r[7];
     for (name, rows) in &GOLDEN {
-        assert_eq!(rows[1], rows[3], "{name}: free != free_chain of 1");
+        assert_eq!(
+            rows[3], rows[5],
+            "{name}: free past a full magazine != free_chain of 1"
+        );
         // Zero under the modes that never flush.
-        let per_persist = flushes(&rows[1]) / 3;
-        for (r, k) in [(&rows[3], 1), (&rows[4], 2), (&rows[5], 8)] {
+        let per_persist = flushes(&rows[3]) / 3;
+        for (r, k) in [(&rows[5], 1), (&rows[6], 2), (&rows[7], 8)] {
             assert_eq!(flushes(r), per_persist * (k + 2), "{name}: chain of {k}");
         }
+        // The magazine: a push is two persists, a pop one.
+        assert_eq!(flushes(&rows[1]), per_persist * 2, "{name}: parking free");
+        assert_eq!(flushes(&rows[2]), per_persist, "{name}: magazine alloc");
     }
     let (_, cxl0) = GOLDEN[2];
-    assert_eq!(flushes(&cxl0[1]), 3, "flit-cxl0 free: 3 flushes");
-    assert_eq!(flushes(&cxl0[2]), 3, "flit-cxl0 free-list alloc: 3 flushes");
-    assert_eq!(cxl0[1][..9].iter().sum::<u64>(), 9, "free: 9 primitives");
-    assert_eq!(cxl0[2][..9].iter().sum::<u64>(), 9, "alloc: 9 primitives");
+    assert_eq!(flushes(&cxl0[3]), 3, "flit-cxl0 list free: 3 flushes");
+    assert_eq!(flushes(&cxl0[4]), 3, "flit-cxl0 free-list alloc: 3 flushes");
+    assert_eq!(
+        cxl0[3][..9].iter().sum::<u64>(),
+        9,
+        "list free: 9 primitives"
+    );
+    assert_eq!(
+        cxl0[4][..9].iter().sum::<u64>(),
+        9,
+        "list alloc: 9 primitives"
+    );
+    assert_eq!(
+        cxl0[1][..9].iter().sum::<u64>(),
+        5,
+        "parking free: 5 primitives"
+    );
+    assert_eq!(
+        cxl0[2][..9].iter().sum::<u64>(),
+        2,
+        "magazine alloc: 2 primitives"
+    );
+    assert_eq!(cxl0[2][0], 0, "magazine alloc: no load");
 }

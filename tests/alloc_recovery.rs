@@ -1,19 +1,27 @@
 //! Crash consistency of the `cxl0::alloc` allocator subsystem, under
-//! randomized interleavings of alloc/free/chain-free/torn-op/crash/
-//! recover — crashes of the memory node, of the issuing compute node
-//! (whose lost cache resurfaces stale intents), or both — and under
+//! randomized interleavings of alloc/free/chain-free/magazine/torn-op/
+//! crash/recover — crashes of the memory node, of the issuing compute
+//! node (whose lost cache resurfaces stale intents), or both — and under
 //! every [`PersistMode`]: **no block is ever lost, and no block
-//! is ever handed out twice** — plus the headline acceptance scenario,
-//! a `DurableQueue` churn loop of ≥ 10× the region's bump capacity that
-//! completes because reclaimed nodes are reused.
+//! is ever handed out twice**; the same claim swept exhaustively over
+//! every crash point of a short script; plus the headline acceptance
+//! scenario, a `DurableQueue` churn loop of ≥ 10× the region's bump
+//! capacity that completes because reclaimed nodes are reused.
+//!
+//! Every test here runs on a test-harness thread whose thread slot is
+//! below 8, so its frees park in the thread's magazine.
 
 use std::collections::BTreeSet;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use cxl0::model::{Loc, MachineId, SystemConfig};
-use cxl0::runtime::alloc::{TornAlloc, TornFree, META_CELLS};
+use cxl0::runtime::alloc::{Allocator, TornAlloc, TornFree, META_CELLS};
 use cxl0::runtime::api::{Cluster, PersistMode};
-use cxl0::runtime::FreeError;
+use cxl0::runtime::{
+    BufferedEpoch, Crashed, DurableQueue, Flit, FreeError, NodeHandle, OpResult, Persistence,
+    SharedHeap, SimFabric,
+};
 use proptest::prelude::*;
 
 #[derive(Debug, Clone)]
@@ -27,6 +35,14 @@ enum Op {
     DoubleFree(u8),
     /// Free up to n of the oldest live blocks as one chain.
     FreeChain(u8),
+    /// Free up to n of the oldest live blocks one at a time: they park
+    /// in the thread's magazine until it is full, then go to the list.
+    FreeEach(u8),
+    /// Allocate up to n blocks, taking parked ones back first.
+    AllocEach(u8),
+    /// Tear a magazine push of the i-th oldest live block after its
+    /// intent, before its claim, then crash + recover.
+    TornParkCrash(u8, Option<Victims>),
     /// Tear an allocation pop at the given stage, then crash + recover
     /// (see [`Op::TornChainCrash`] for the `None` case).
     TornAllocCrash(u8, Option<Victims>),
@@ -74,6 +90,9 @@ fn arb_op() -> impl Strategy<Value = Op> {
         (0..8u8).prop_map(Op::Free),
         (0..8u8).prop_map(Op::DoubleFree),
         (1..6u8).prop_map(Op::FreeChain),
+        (1..10u8).prop_map(Op::FreeEach),
+        (1..10u8).prop_map(Op::AllocEach),
+        (0..8u8, arb_victims()).prop_map(|(i, v)| Op::TornParkCrash(i, v)),
         (0..3u8, arb_victims()).prop_map(|(s, v)| Op::TornAllocCrash(s, v)),
         (0..8u8, 0..3u8, arb_victims()).prop_map(|(i, s, v)| Op::TornFreeCrash(i, s, v)),
         (1..6u8, 0..8u8, arb_victims()).prop_map(|(n, s, v)| Op::TornChainCrash(n, s, v)),
@@ -196,25 +215,27 @@ fn run_interleaving(mode: PersistMode, ops: Vec<Op>) {
         }
     };
 
+    let alloc_one = |model: &mut Model| {
+        if let Some(b) = alloc.alloc(&session, CELLS).unwrap() {
+            assert!(
+                !model.live.contains(&b.loc),
+                "block {0:?} handed out while live",
+                b.loc
+            );
+            assert!(
+                !model.orphaned.contains(&b.loc),
+                "block {0:?} handed out from a torn operation",
+                b.loc
+            );
+            model.freed.remove(&b.loc);
+            model.live.push(b.loc);
+        }
+    };
     for op in ops {
         let mut crash = None;
         match op {
-            Op::Alloc => {
-                if let Some(b) = alloc.alloc(&session, CELLS).unwrap() {
-                    assert!(
-                        !model.live.contains(&b.loc),
-                        "block {0:?} handed out while live",
-                        b.loc
-                    );
-                    assert!(
-                        !model.orphaned.contains(&b.loc),
-                        "block {0:?} handed out from a torn operation",
-                        b.loc
-                    );
-                    model.freed.remove(&b.loc);
-                    model.live.push(b.loc);
-                }
-            }
+            Op::Alloc => alloc_one(&mut model),
+            Op::AllocEach(n) => (0..n).for_each(|_| alloc_one(&mut model)),
             Op::Free(i) => {
                 if model.live.is_empty() {
                     continue;
@@ -222,6 +243,26 @@ fn run_interleaving(mode: PersistMode, ops: Vec<Op>) {
                 let loc = model.live.remove(usize::from(i) % model.live.len());
                 alloc.free(&session, loc).unwrap().unwrap();
                 assert!(model.freed.insert(loc));
+            }
+            Op::FreeEach(n) => {
+                for loc in model.take_oldest(n) {
+                    alloc.free(&session, loc).unwrap().unwrap();
+                    assert!(model.freed.insert(loc));
+                }
+            }
+            Op::TornParkCrash(i, victims) => {
+                if !model.live.is_empty() {
+                    let at = usize::from(i) % model.live.len();
+                    let loc = model.live[at];
+                    // A push torn after its intent: the free was invoked,
+                    // so recovery completes it. A magazine that cannot
+                    // take the block leaves it untouched.
+                    if alloc.torn_park(&session, loc).unwrap().unwrap() {
+                        model.live.remove(at);
+                        model.orphaned.push(loc);
+                    }
+                }
+                crash = victims;
             }
             Op::DoubleFree(i) => {
                 let Some(loc) = model
@@ -487,4 +528,383 @@ fn recover_roots_runs_the_allocator_sweep() {
     let again = alloc.alloc(&s, 2).unwrap().unwrap();
     assert_eq!(again.loc, b.loc);
     assert!(alloc.debug_free_list(&s, 2).unwrap().is_empty());
+}
+
+/// Frees park in the thread's magazine up to its depth of 8 and go to
+/// the shared list beyond it, or when the block is of another class;
+/// allocs take parked blocks back oldest first, then fall through to
+/// the list.
+#[test]
+fn the_magazine_parks_eight_frees_and_hands_them_back_oldest_first() {
+    let cluster = Cluster::symmetric(1, 4096).unwrap();
+    let s = cluster.session(MachineId(0));
+    let alloc = Arc::clone(s.allocator());
+    let blocks: Vec<Loc> = (0..9)
+        .map(|_| alloc.alloc(&s, 2).unwrap().unwrap().loc)
+        .collect();
+    let other = alloc.alloc(&s, 1).unwrap().unwrap().loc;
+    for &b in &blocks[..8] {
+        alloc.free(&s, b).unwrap().unwrap();
+    }
+    assert!(alloc.debug_free_list(&s, 2).unwrap().is_empty(), "parked");
+    assert_eq!(
+        alloc.free(&s, blocks[3]).unwrap(),
+        Err(FreeError::DoubleFree),
+        "a parked block is free"
+    );
+    alloc.free(&s, blocks[8]).unwrap().unwrap();
+    alloc.free(&s, other).unwrap().unwrap();
+    assert_eq!(alloc.debug_free_list(&s, 2).unwrap(), vec![blocks[8]]);
+    assert_eq!(alloc.debug_free_list(&s, 1).unwrap(), vec![other]);
+    for &b in &blocks {
+        let again = alloc.alloc(&s, 2).unwrap().unwrap();
+        assert_eq!(again.loc, b, "oldest parked first, then the list");
+        assert!(again.recycled);
+    }
+    assert!(alloc.debug_free_list(&s, 2).unwrap().is_empty());
+}
+
+/// Recovery voids the magazines and publishes every parked block —
+/// through chains that overlap because a block taken back was parked
+/// again — and completes a push torn before its claim. A magazine that
+/// never pushed costs nothing: the sweep after it is clean.
+#[test]
+fn recovery_returns_parked_blocks_and_completes_a_torn_push() {
+    let cluster = Cluster::symmetric(1, 4096).unwrap();
+    let mem = cluster.memory_node();
+    let s = cluster.session(MachineId(0));
+    let alloc = Arc::clone(s.allocator());
+    let b: Vec<Loc> = (0..4)
+        .map(|_| alloc.alloc(&s, 2).unwrap().unwrap().loc)
+        .collect();
+    for &x in &b[..3] {
+        alloc.free(&s, x).unwrap().unwrap();
+    }
+    // Take the oldest back and park it again: it now heads a chain
+    // that runs into the one it left.
+    assert_eq!(alloc.alloc(&s, 2).unwrap().unwrap().loc, b[0]);
+    alloc.free(&s, b[0]).unwrap().unwrap();
+    assert!(alloc.torn_park(&s, b[3]).unwrap().unwrap());
+    // A torn magazine is left alone: this free goes to the list.
+    let listed = alloc.alloc(&s, 2).unwrap().unwrap().loc;
+    assert_eq!(alloc.free_chain(&s, &[listed]).unwrap(), 1);
+
+    for m in [mem, MachineId(0)] {
+        cluster.crash(m);
+    }
+    for m in [mem, MachineId(0)] {
+        cluster.recover(m);
+    }
+    let r = alloc.recover(&s).unwrap();
+    // Sealed: the torn push, and the list free's intent, whose
+    // unflushed clear died with the compute node's cache. The cell
+    // naming the chain's newest block is not, and only the torn
+    // block counts as restored.
+    assert_eq!((r.sealed_intents, r.restored_blocks), (2, 1));
+    let list: BTreeSet<Loc> = alloc.debug_free_list(&s, 2).unwrap().into_iter().collect();
+    let expected: BTreeSet<Loc> = b.iter().copied().chain([listed]).collect();
+    assert_eq!(list, expected);
+    assert_eq!(alloc.debug_free_list(&s, 2).unwrap().len(), 5);
+    // Both cells were zeroed and the magazine voided.
+    assert_eq!(alloc.recover(&s).unwrap(), Default::default());
+    let again = alloc.alloc(&s, 2).unwrap().unwrap();
+    assert!(expected.contains(&again.loc));
+}
+
+// ---- the exhaustive crash-point sweep -----------------------------------
+//
+// Granularity: one `Persistence` call, not one fabric primitive. A call
+// that issues several primitives (a FliT store is a store and a flush) is
+// cut before it starts, never between its primitives; a crash hook at the
+// primitive boundary would refine the sweep to those points.
+
+/// A [`Persistence`] that delegates to `inner` until its `k`-th call.
+/// Right before that call it crashes `victim` (recovering the machine at
+/// once: the crash is an instant) and fails the call and every later
+/// one — the calling thread dies there.
+#[derive(Debug)]
+struct CrashAt {
+    inner: Arc<dyn Persistence>,
+    fabric: Arc<SimFabric>,
+    victim: MachineId,
+    calls: AtomicUsize,
+    at: AtomicUsize,
+}
+
+impl CrashAt {
+    fn tick(&self) -> OpResult<()> {
+        let n = self.calls.fetch_add(1, Ordering::SeqCst);
+        let at = self.at.load(Ordering::SeqCst);
+        if n == at {
+            self.fabric.crash(self.victim);
+            self.fabric.recover(self.victim);
+        }
+        if n >= at {
+            return Err(Crashed {
+                machine: self.victim,
+            });
+        }
+        Ok(())
+    }
+}
+
+impl Persistence for CrashAt {
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+    fn shared_load(&self, node: &NodeHandle, loc: Loc, pflag: bool) -> OpResult<u64> {
+        self.tick()?;
+        self.inner.shared_load(node, loc, pflag)
+    }
+    fn shared_store(&self, node: &NodeHandle, loc: Loc, v: u64, pflag: bool) -> OpResult<()> {
+        self.tick()?;
+        self.inner.shared_store(node, loc, v, pflag)
+    }
+    fn private_load(&self, node: &NodeHandle, loc: Loc) -> OpResult<u64> {
+        self.tick()?;
+        self.inner.private_load(node, loc)
+    }
+    fn private_store(&self, node: &NodeHandle, loc: Loc, v: u64, pflag: bool) -> OpResult<()> {
+        self.tick()?;
+        self.inner.private_store(node, loc, v, pflag)
+    }
+    fn shared_cas(
+        &self,
+        node: &NodeHandle,
+        loc: Loc,
+        old: u64,
+        new: u64,
+        pflag: bool,
+    ) -> OpResult<Result<u64, u64>> {
+        self.tick()?;
+        self.inner.shared_cas(node, loc, old, new, pflag)
+    }
+    fn shared_faa(&self, node: &NodeHandle, loc: Loc, delta: u64, pflag: bool) -> OpResult<u64> {
+        self.tick()?;
+        self.inner.shared_faa(node, loc, delta, pflag)
+    }
+    fn complete_op(&self, node: &NodeHandle) -> OpResult<()> {
+        self.tick()?;
+        self.inner.complete_op(node)
+    }
+    fn defers_batches(&self) -> bool {
+        self.inner.defers_batches()
+    }
+    fn batched_store(&self, node: &NodeHandle, loc: Loc, v: u64) -> OpResult<()> {
+        self.tick()?;
+        self.inner.batched_store(node, loc, v)
+    }
+    fn flush_batch(&self, node: &NodeHandle) -> OpResult<()> {
+        self.tick()?;
+        self.inner.flush_batch(node)
+    }
+}
+
+const COMPUTE: MachineId = MachineId(0);
+const MEMORY: MachineId = MachineId(1);
+
+/// What the script knows of the heap.
+#[derive(Default)]
+struct Known {
+    /// Every block the script saw: its own allocations and every node
+    /// ever linked into the queue.
+    blocks: BTreeSet<Loc>,
+    /// The script's own live blocks.
+    live: BTreeSet<Loc>,
+    /// Blocks the cut operation acted on: free or not, either is right.
+    in_flight: Vec<Loc>,
+    /// The cut operation allocates: one block it took may be leaked, as
+    /// by any caller that dies once its allocation completed.
+    allocating: bool,
+}
+
+/// The queue's header block and every node reachable from its head.
+fn queue_blocks(alloc: &Allocator, q: &DurableQueue, node: &NodeHandle) -> BTreeSet<Loc> {
+    let mut out = BTreeSet::from([q.header_cell()]);
+    let mut cur = alloc.decode(node.load(q.header_cell()).unwrap());
+    while let Some(n) = cur {
+        out.insert(n);
+        cur = alloc.decode(node.load(Loc::new(n.owner, n.addr.0 + 1)).unwrap());
+    }
+    out
+}
+
+/// The swept script: free ×3 → alloc ×2 → a free of another class → a
+/// full magazine falling through to the shared list → queue
+/// enqueue/dequeue ×4. `b` are 11 two-cell blocks, `other` a one-cell
+/// one, all live.
+fn sweep_script(
+    alloc: &Allocator,
+    q: &DurableQueue,
+    node: &NodeHandle,
+    b: &[Loc],
+    other: Loc,
+    known: &mut Known,
+) -> OpResult<()> {
+    let free = |known: &mut Known, x: Loc| -> OpResult<()> {
+        known.in_flight = vec![x];
+        alloc.free(node, x)?.expect("the script frees live blocks");
+        known.live.remove(&x);
+        Ok(())
+    };
+    for &x in &b[..3] {
+        free(known, x)?;
+    }
+    for _ in 0..2 {
+        known.in_flight.clear();
+        known.allocating = true;
+        let got = alloc.alloc(node, 2)?.expect("heap fits").loc;
+        known.live.insert(got);
+    }
+    known.allocating = false;
+    free(known, other)?;
+    // One block is parked: seven more fill the magazine, the last of
+    // `b` overflows to the list.
+    for &x in &b[3..] {
+        free(known, x)?;
+    }
+    for v in 1..=4u64 {
+        known.in_flight.clear();
+        known.allocating = true;
+        assert!(q.enqueue(node, v)?);
+        known.blocks.extend(queue_blocks(alloc, q, node));
+        known.allocating = false;
+        let dummy = alloc.decode(node.load(q.header_cell()).unwrap());
+        known.in_flight = dummy.into_iter().collect();
+        assert_eq!(q.dequeue(node)?, Some(v));
+        known.blocks.extend(queue_blocks(alloc, q, node));
+    }
+    known.in_flight.clear();
+    Ok(())
+}
+
+/// Builds a durability strategy over the fabric (and hands back the
+/// buffered epoch, whose rollback runs before the allocator's sweep).
+type MakePersist = dyn Fn(&Arc<SimFabric>) -> (Arc<dyn Persistence>, Option<Arc<BufferedEpoch>>);
+
+/// One run of the sweep: builds the heap under `inner`, runs the script
+/// with a crash of `victim` before the `k`-th `Persistence` call (none
+/// when `k` is past the script's calls), recovers, and checks that no
+/// block is lost, none is listed twice, and no live block is listed.
+/// Returns how many calls the script made.
+fn sweep_run(mode: &str, make: &MakePersist, victim: MachineId, k: usize) -> usize {
+    let fabric = SimFabric::new(SystemConfig::symmetric_nvm(2, 8192));
+    let node = fabric.node(COMPUTE);
+    let (inner, buffered) = make(&fabric);
+    let crash = Arc::new(CrashAt {
+        inner,
+        fabric: Arc::clone(&fabric),
+        victim,
+        calls: AtomicUsize::new(0),
+        at: AtomicUsize::new(usize::MAX),
+    });
+    let alloc = Arc::new(Allocator::with_range(
+        fabric.config(),
+        MEMORY,
+        1024,
+        8192 - 1024,
+        Arc::clone(&crash) as Arc<dyn Persistence>,
+    ));
+    alloc.format(&node).unwrap();
+    let q = DurableQueue::<u64>::create(&alloc, &node).unwrap().unwrap();
+    let mut known = Known::default();
+    let b: Vec<Loc> = (0..11)
+        .map(|_| alloc.alloc(&node, 2).unwrap().unwrap().loc)
+        .collect();
+    let other = alloc.alloc(&node, 1).unwrap().unwrap().loc;
+    known.live.extend(b.iter().chain([&other]));
+    known.blocks.extend(known.live.iter().copied());
+    known.blocks.extend(queue_blocks(&alloc, &q, &node));
+
+    let base = crash.calls.load(Ordering::SeqCst);
+    crash.at.store(base.saturating_add(k), Ordering::SeqCst);
+    let cut = sweep_script(&alloc, &q, &node, &b, other, &mut known).is_err();
+    let calls = crash.calls.load(Ordering::SeqCst) - base;
+    crash.at.store(usize::MAX, Ordering::SeqCst);
+    if !cut {
+        known.in_flight.clear();
+        known.allocating = false;
+        // The full magazine's blocks are parked, not listed.
+        assert!(
+            alloc.debug_free_list(&node, 2).unwrap().len() < 3,
+            "{mode}: the script must run on a thread with a magazine"
+        );
+    }
+
+    if let Some(epoch) = &buffered {
+        epoch.recover(&node).unwrap();
+    }
+    alloc.recover(&node).unwrap();
+    q.recover(&node).unwrap();
+
+    let ctx = format!("{mode}, crash of {victim:?} before call {k}");
+    let mut listed = Vec::new();
+    for cells in [1, 2] {
+        listed.extend(alloc.debug_free_list(&node, cells).unwrap());
+    }
+    let listed_set: BTreeSet<Loc> = listed.iter().copied().collect();
+    assert_eq!(
+        listed_set.len(),
+        listed.len(),
+        "{ctx}: a block is listed twice"
+    );
+    let live: BTreeSet<Loc> = known
+        .live
+        .iter()
+        .filter(|x| !known.in_flight.contains(x))
+        .copied()
+        .chain(queue_blocks(&alloc, &q, &node))
+        .collect();
+    for x in &live {
+        assert!(!listed_set.contains(x), "{ctx}: live block {x:?} is listed");
+    }
+    let lost: Vec<Loc> = known
+        .blocks
+        .iter()
+        .filter(|x| !live.contains(x) && !listed_set.contains(x))
+        .filter(|x| !known.in_flight.contains(x))
+        .copied()
+        .collect();
+    let spare = usize::from(known.allocating);
+    assert!(lost.len() <= spare, "{ctx}: blocks lost: {lost:?}");
+    calls
+}
+
+/// Every crash point of the script, for both victims, under every sound
+/// durability mode. `Buffered` (synced after every operation) takes
+/// memory-node crashes only: tolerating a crash of the writer is outside
+/// that strategy's scope (see `BufferedEpoch`).
+#[test]
+fn every_crash_point_of_a_magazine_script_recovers_every_block() {
+    type Make = Box<MakePersist>;
+    let mut modes: Vec<(&str, Make, Vec<MachineId>)> = PersistMode::comparison_set()
+        .into_iter()
+        .filter(|m| m.is_strict() && *m != PersistMode::FlitX86)
+        .map(|mode| {
+            let make: Make = Box::new(move |_: &Arc<SimFabric>| {
+                let flit: Arc<dyn Persistence> = Arc::new(Flit::new(mode.policy()));
+                (flit, None)
+            });
+            (mode.name(), make, vec![COMPUTE, MEMORY])
+        })
+        .collect();
+    modes.push((
+        "buffered",
+        Box::new(|fabric: &Arc<SimFabric>| {
+            let heap = SharedHeap::with_range(fabric.config(), MEMORY, 0, 1024);
+            let epoch = Arc::new(BufferedEpoch::create(&heap, 128, 1).unwrap());
+            (Arc::clone(&epoch) as Arc<dyn Persistence>, Some(epoch))
+        }),
+        vec![MEMORY],
+    ));
+    assert_eq!(modes.len(), 5, "four sound FliT modes and buffered");
+    for (mode, make, victims) in &modes {
+        let calls = sweep_run(mode, make.as_ref(), COMPUTE, usize::MAX);
+        assert!(calls > 50, "{mode}: the script made only {calls} calls");
+        for &victim in victims {
+            for k in 0..=calls {
+                sweep_run(mode, make.as_ref(), victim, k);
+            }
+        }
+    }
 }

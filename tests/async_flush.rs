@@ -72,6 +72,45 @@ fn runtime_buffers_agree_with_the_model() {
     assert_eq!(n0.load(x).unwrap(), 2);
 }
 
+/// Two threads of one machine share its pending-`AFlush` buffer. Each
+/// flushes its own line and barriers; the barrier must not return while
+/// that line is still in flight in the other thread's drain — the model
+/// enables `Barrier` only once the issuer's pending set is empty.
+#[test]
+fn concurrent_barriers_of_one_machine_each_persist_their_own_line() {
+    const ROUNDS: u64 = 100_000;
+    let fabric = SimFabric::new(SystemConfig::symmetric_nvm(2, 4));
+    let start = Arc::new(std::sync::Barrier::new(2));
+    let handles: Vec<_> = (0..2u32)
+        .map(|t| {
+            let fabric = Arc::clone(&fabric);
+            let start = Arc::clone(&start);
+            std::thread::spawn(move || {
+                let node = fabric.node(MachineId(0));
+                let line = cxl0::model::Loc::new(MachineId(1), t);
+                let mut undurable = 0;
+                for round in 1..=ROUNDS {
+                    start.wait();
+                    node.lstore(line, round).unwrap();
+                    node.aflush(line).unwrap();
+                    node.barrier().unwrap();
+                    if fabric.peek_memory(line) != round {
+                        undurable += 1;
+                    }
+                }
+                undurable
+            })
+        })
+        .collect();
+    let undurable: u64 = handles.into_iter().map(|h| h.join().unwrap()).sum();
+    assert_eq!(
+        undurable,
+        0,
+        "{undurable} of {} barriers returned before their line was durable",
+        2 * ROUNDS
+    );
+}
+
 fn crash_workload<F>(fabric: &Arc<SimFabric>, threads: usize, work: F)
 where
     F: Fn(usize, &cxl0::runtime::NodeHandle, &AtomicBool) + Send + Sync + 'static,
