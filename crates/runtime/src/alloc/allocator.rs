@@ -264,6 +264,32 @@ impl Magazine {
         (self.len > 0).then(|| self.parked[(self.oldest + self.len - 1) % MAG_DEPTH].0)
     }
 
+    /// How many blocks of `class` a push may still park: none while
+    /// torn or holding blocks of another class.
+    fn room(&self, class: u64) -> usize {
+        if self.torn || (self.len > 0 && self.class != class) {
+            0
+        } else {
+            MAG_DEPTH - self.len
+        }
+    }
+
+    /// Splits `owned` into the blocks a push may park — in order, of
+    /// the parked blocks' class (the first block's when there are none),
+    /// up to the room left — and the rest.
+    fn split(&self, owned: Vec<Owned>) -> (Vec<Owned>, Vec<Owned>) {
+        let class = match owned.first() {
+            Some(b) if self.len == 0 => b.class,
+            _ => self.class,
+        };
+        let mut room = self.room(class);
+        owned.into_iter().partition(|b| {
+            let fits = b.class == class && room > 0;
+            room -= usize::from(fits);
+            fits
+        })
+    }
+
     fn push_newest(&mut self, block: (u32, u64)) {
         debug_assert!(self.len < MAG_DEPTH);
         self.parked[(self.oldest + self.len) % MAG_DEPTH] = block;
@@ -507,6 +533,11 @@ impl Allocator {
     fn magazine(&self) -> Option<(usize, MutexGuard<'_, Magazine>)> {
         let t = thread_slot_index();
         (t < MAG_SLOTS).then(|| (INTENT_SLOTS - MAG_SLOTS + t, self.mags[t].lock()))
+    }
+
+    /// The calling thread's magazine, if it can park a block of `class`.
+    fn magazine_taking(&self, class: u64) -> Option<(usize, MutexGuard<'_, Magazine>)> {
+        self.magazine().filter(|(_, mag)| mag.room(class) > 0)
     }
 
     fn header_cell(&self, payload: u32) -> Loc {
@@ -854,7 +885,9 @@ impl Allocator {
         match self.freeable(node, payload)? {
             Ok(hdr) => {
                 let block = Owned::new(payload, hdr);
-                if !self.park(node, block, false, &mut done)? {
+                if let Some((slot, mut mag)) = self.magazine_taking(block.class) {
+                    self.park(node, slot, &mut mag, &[block], false, &mut done)?;
+                } else {
                     self.push_owned(node, &[block], None, &mut done)?;
                 }
             }
@@ -864,67 +897,127 @@ impl Allocator {
         Ok(done.refused.map_or(Ok(()), Err))
     }
 
-    /// The magazine push: parks `block` in the calling thread's magazine
-    /// if it can take it (see [`Allocator::free`]), and returns whether
-    /// it did — a lost claim, refused as a double free, counts as taken.
+    /// The magazine push: parks `run` — one block, or a run of blocks
+    /// of one class that fits the magazine's room (see
+    /// [`Magazine::room`]) — in the calling thread's magazine `mag`,
+    /// whose intent slot is `slot`:
     ///
-    /// 1. **Latch** `MAG(b, g)` in whichever of the magazine's two intent
-    ///    cells does not name the newest parked block, so a push torn
-    ///    here leaves the chain's own intent intact.
-    /// 2. **Claim and link**: CAS the header `ALLOCATED g → MAGAZINE
-    ///    g+1, next = newest parked block`. From here the new intent
-    ///    names the whole chain.
+    /// 1. **Latch** `MAG(b₁, g₁)` in whichever of the magazine's two
+    ///    intent cells does not name the newest parked block, so a push
+    ///    torn here leaves the chain's own intent intact.
+    /// 2. **Claim and link**, front to back: CAS each header `ALLOCATED
+    ///    g → MAGAZINE g+1`, `next` = its successor in the run, the last
+    ///    block's the newest parked block. From the last claim on the
+    ///    new intent names the whole chain; a crash after `j` claims
+    ///    leaves a walk from it over exactly the claimed prefix, which
+    ///    ends at the first unclaimed block, still `ALLOCATED`.
     ///
-    /// With `torn` set it stops after the latch, as a crash there would.
+    /// `1 + k` persists for `k` blocks. The volatile ring takes the
+    /// blocks back to front, so it stays oldest first and every block
+    /// still parked stays on the walk from the newest one.
+    ///
+    /// A block whose claim a racing free won is refused as a double
+    /// free; the blocks claimed before it are re-aimed past it and the
+    /// rest of the run is pushed under a fresh latch. With `torn` set
+    /// the push stops after the first latch, as a crash there would.
     fn park(
         &self,
         node: &NodeHandle,
-        block: Owned,
+        slot: usize,
+        mag: &mut Magazine,
+        run: &[Owned],
         torn: bool,
         done: &mut Chained,
-    ) -> OpResult<bool> {
-        let Some((slot, mut mag)) = self.magazine() else {
-            return Ok(false);
+    ) -> OpResult<()> {
+        let parked_gen = |b: &Owned| header_gen(b.hdr).wrapping_add(1) & GEN_MASK;
+        let mut rest = run;
+        while let Some(first) = rest.first() {
+            let class = first.class;
+            let cell = mag.next_cell;
+            let newest = mag.newest();
+            mag.torn = true; // until the claims land
+            self.persist.private_store(
+                node,
+                self.slot_cell(slot, cell),
+                intent_word(OP_MAG, class, first.addr, header_gen(first.hdr)),
+                true,
+            )?;
+            if torn {
+                return Ok(());
+            }
+            let mut claimed = 0;
+            for (i, b) in rest.iter().enumerate() {
+                let next = rest.get(i + 1).map_or(newest, |s| Some(s.addr));
+                let parked = header_word(ST_MAGAZINE, class, parked_gen(b), next);
+                if self
+                    .persist
+                    .shared_cas(node, self.header_cell(b.addr), b.hdr, parked, true)?
+                    .is_err()
+                {
+                    done.refused.get_or_insert(FreeError::DoubleFree);
+                    break;
+                }
+                node.check_free(Loc::new(self.region, b.addr));
+                self.note_free(class_cells(class as usize));
+                claimed += 1;
+            }
+            let spliced = &rest[..claimed];
+            if let Some(last) = spliced.last().filter(|_| claimed < rest.len()) {
+                // It links to the block a racing free won.
+                self.persist.private_store(
+                    node,
+                    self.header_cell(last.addr),
+                    header_word(ST_MAGAZINE, class, parked_gen(last), newest),
+                    true,
+                )?;
+            }
+            mag.torn = false;
+            if claimed > 0 {
+                for b in spliced.iter().rev() {
+                    mag.push_newest((b.addr, parked_gen(b)));
+                }
+                mag.class = class;
+                mag.next_cell = 1 - cell;
+                done.freed += claimed;
+            }
+            // Past the lost block, if any: with nothing claimed the
+            // latched intent is stale and the next latch overwrites it.
+            rest = &rest[(claimed + 1).min(rest.len())..];
+        }
+        Ok(())
+    }
+
+    /// Frees a bag of blocks the caller is done with — a ripe limbo bag
+    /// of [`SmrDomain`](crate::smr::SmrDomain) — and returns how many it
+    /// freed. As many as the calling thread's magazine has room for are
+    /// **spliced** into it, in bag order: blocks of the magazine's class,
+    /// or of the bag's first freeable block when the magazine is empty —
+    /// one latch and one claim each (see [`Allocator::park`]), and each
+    /// is then taken back by one header mark. The rest go to the free
+    /// lists as [`free_chain`](Allocator::free_chain) would send them.
+    ///
+    /// A crash mid-call leaves a magazine that took blocks torn: the
+    /// caller hands the whole bag back to limbo, so none of them may be
+    /// taken back before [`Allocator::recover`] voids the magazine.
+    pub(crate) fn free_bag(&self, node: &NodeHandle, blocks: &[Loc]) -> OpResult<usize> {
+        let mut done = Chained::default();
+        let owned = self.owned(node, blocks, &mut done)?;
+        let mag = self.magazine();
+        let (fit, rest) = match &mag {
+            Some((_, mag)) => mag.split(owned),
+            None => (Vec::new(), owned),
         };
-        let Owned { class, addr, hdr } = block;
-        if mag.torn || mag.len == MAG_DEPTH || (mag.len > 0 && mag.class != class) {
-            return Ok(false);
+        let Some((slot, mut mag)) = mag.filter(|_| !fit.is_empty()) else {
+            self.push_chains(node, rest, None, &mut done)?;
+            return Ok(done.freed);
+        };
+        let freed = self
+            .park(node, slot, &mut mag, &fit, false, &mut done)
+            .and_then(|()| self.push_chains(node, rest, None, &mut done));
+        if freed.is_err() {
+            mag.torn = true;
         }
-        let cell = mag.next_cell;
-        let newest = mag.newest();
-        let gen = header_gen(hdr);
-        mag.torn = true; // until the claim lands
-        self.persist.private_store(
-            node,
-            self.slot_cell(slot, cell),
-            intent_word(OP_MAG, class, addr, gen),
-            true,
-        )?;
-        if torn {
-            return Ok(true);
-        }
-        let parked_gen = gen.wrapping_add(1) & GEN_MASK;
-        let claimed = self.persist.shared_cas(
-            node,
-            self.header_cell(addr),
-            hdr,
-            header_word(ST_MAGAZINE, class, parked_gen, newest),
-            true,
-        )?;
-        mag.torn = false;
-        if claimed.is_err() {
-            // A racing free won the block; the latched intent is stale
-            // and the next push overwrites it.
-            done.refused.get_or_insert(FreeError::DoubleFree);
-            return Ok(true);
-        }
-        node.check_free(Loc::new(self.region, addr));
-        self.note_free(class_cells(class as usize));
-        done.freed += 1;
-        mag.class = class;
-        mag.push_newest((addr, parked_gen));
-        mag.next_cell = 1 - cell;
-        Ok(true)
+        freed.map(|()| done.freed)
     }
 
     /// Returns every block of `blocks` to its class free list as one
@@ -958,7 +1051,15 @@ impl Allocator {
         stop: Option<TornFree>,
     ) -> OpResult<Chained> {
         let mut done = Chained::default();
-        let mut owned: Vec<Owned> = Vec::with_capacity(blocks.len());
+        let owned = self.owned(node, blocks, &mut done)?;
+        self.push_chains(node, owned, stop, &mut done)?;
+        Ok(done)
+    }
+
+    /// The freeable blocks of `blocks`, in order; the first refusal is
+    /// noted in `done`.
+    fn owned(&self, node: &NodeHandle, blocks: &[Loc], done: &mut Chained) -> OpResult<Vec<Owned>> {
+        let mut owned = Vec::with_capacity(blocks.len());
         for &payload in blocks {
             match self.freeable(node, payload)? {
                 Ok(hdr) => owned.push(Owned::new(payload, hdr)),
@@ -967,11 +1068,22 @@ impl Allocator {
                 }
             }
         }
+        Ok(owned)
+    }
+
+    /// Pushes validated blocks onto their free lists, one chain per size
+    /// class, and completes the operation.
+    fn push_chains(
+        &self,
+        node: &NodeHandle,
+        mut owned: Vec<Owned>,
+        stop: Option<TornFree>,
+        done: &mut Chained,
+    ) -> OpResult<()> {
         // Stable: within a class the caller's order is the chain's.
         owned.sort_by_key(|b| b.class);
-        self.push_owned(node, &owned, stop, &mut done)?;
-        self.persist.complete_op(node)?;
-        Ok(done)
+        self.push_owned(node, &owned, stop, done)?;
+        self.persist.complete_op(node)
     }
 
     /// Pushes validated blocks, sorted by class, onto their free lists
@@ -1516,16 +1628,32 @@ impl Allocator {
     pub fn torn_park(&self, at: &impl AsNode, payload: Loc) -> OpResult<Result<bool, FreeError>> {
         let node = at.as_node();
         let torn = match self.freeable(node, payload)? {
-            Ok(hdr) => Ok(self.park(
-                node,
-                Owned::new(payload, hdr),
-                true,
-                &mut Chained::default(),
-            )?),
+            Ok(hdr) => {
+                let block = Owned::new(payload, hdr);
+                match self.magazine_taking(block.class) {
+                    Some((slot, mut mag)) => {
+                        let done = &mut Chained::default();
+                        self.park(node, slot, &mut mag, &[block], true, done)?;
+                        Ok(true)
+                    }
+                    None => Ok(false),
+                }
+            }
             Err(e) => Err(e),
         };
         self.persist.complete_op(node)?;
         Ok(torn)
+    }
+
+    /// Testing hook: the blocks parked in the calling thread's magazine,
+    /// oldest first — none when its thread slot has no magazine.
+    #[doc(hidden)]
+    pub fn debug_parked(&self) -> Vec<Loc> {
+        self.magazine().map_or_else(Vec::new, |(_, mag)| {
+            (0..mag.len)
+                .map(|i| Loc::new(self.region, mag.parked[(mag.oldest + i) % MAG_DEPTH].0))
+                .collect()
+        })
     }
 
     /// Testing hook: the blocks on class-of-`cells`'s free list, top

@@ -58,6 +58,14 @@
 //! another class than the parked ones, or a thread slot ≥ 8 takes the
 //! shared-list path unchanged; `free_chain` always does.
 //!
+//! A ripe limbo bag of the reclamation domain ([`crate::smr`]) is
+//! offered to the draining thread's magazine first: as many of its
+//! blocks as the magazine has room for are **spliced** in under one
+//! intent — the push of one block generalised to a run — and the rest
+//! go to the shared lists as a `free_chain`. The claims run front to
+//! back, so a crash after `j` of them leaves a walk from the intent over
+//! exactly the claimed prefix.
+//!
 //! | operation | persist points (flit-cxl0: each one store/CAS + `RFlush`) |
 //! |---|---|
 //! | **alloc** from the magazine | ① header `ALLOCATED g+1` of the oldest parked block — complete at ① |
@@ -65,6 +73,7 @@
 //! | **alloc** from a free list | ① intent `ALLOC(top, g)` → ② head CAS past `top` → ③ header `ALLOCATED g` — complete at ③ |
 //! | **free** to a free list | ① intent `FREE(b, g)` → ② header CAS `ALLOCATED g → FREE g+1, next = top` (claim *and* link) → ③ head CAS to `b` |
 //! | **free_chain** of `k` blocks of one class | ① intent `FREE(b₀, g₀)` → `k` claim CASes, each linking `bᵢ` to `bᵢ₊₁` (the last to `top`) → one head CAS to `b₀` — `k + 2` |
+//! | **SMR drain** of `b₁ … b_k` into the magazine (`k` ≤ its room) | ① intent `MAG(b₁, g₁)` into the cell not naming the newest parked block → `k` claim CASes, front to back, `ALLOCATED g → MAGAZINE g+1`, each linking `bᵢ` to `bᵢ₊₁` and `b_k` to the newest — `k + 1`; the rest of the bag as a `free_chain` |
 //! | alloc from the bump tail | the header store |
 //!
 //! A magazine takes back its **oldest** block, so the blocks still
@@ -105,6 +114,8 @@
 //! | `MAG(b, g)` | `MAGAZINE` | `g+1` | — | parked: **walk** the magazine, publish it |
 //! | `MAG(b, g)` | `ALLOCATED` | `g` | — | push torn before its claim: publish `b` as `FREE g+1` |
 //! | `MAG(b, g)` | `FREE` | `g+1` | no | a racing free's claim, or a sweep that died publishing: walk |
+//! | `MAG(b₁, g₁)` of a splice | `ALLOCATED` | `g₁` | — | torn before its first claim: publish `b₁` as `FREE g₁+1`; `b₂ … b_k` are still `ALLOCATED` and back in limbo, and `SmrDomain::recover` frees them, refusing `b₁` |
+//! | `MAG(b₁, g₁)` of a splice | `MAGAZINE` | `g₁+1` | — | torn after `j` claims: walk `b₁ … b_j` (`b_{j+1}` is still `ALLOCATED`), the older blocks from the other cell; `SmrDomain::recover` frees `b_{j+1} … b_k`, refusing the prefix |
 //! | any | any | any other | — | **stale** — the block moved on: none |
 //!
 //! The *chain walk* follows `next` from the intent's block while blocks

@@ -38,10 +38,16 @@
 //! `e + 2`, because by then every traversal that could have loaded a
 //! pointer to its blocks (necessarily pinned at `e` or earlier, since
 //! retirement follows durable unlinking) has unpinned. A ripe bag goes
-//! back whole, as one [`Allocator::free_chain`] (`k + 2` persists for
-//! `k` blocks of a class). Draining is amortized into `retire` itself
-//! (every few retirements) and available explicitly through
-//! [`SmrDomain::collect`]; no quiescence is ever required.
+//! first to the **draining thread's allocator magazine** — the thread
+//! whose next inserts need blocks: as many blocks as the magazine has
+//! room for (of its class, up to its depth of 8, on thread slots 0–7)
+//! are spliced into it, one intent latch plus one claim each (`k + 1`
+//! persists for `k` blocks), and each is then taken back by an `alloc`
+//! with a single header mark instead of a shared-list pop. The rest go
+//! back as one [`Allocator::free_chain`] per class (`k + 2` persists).
+//! Draining is amortized into `retire` itself (every few retirements)
+//! and available explicitly through [`SmrDomain::collect`]; no
+//! quiescence is ever required.
 //!
 //! ## Crash interaction
 //!
@@ -53,7 +59,10 @@
 //! [`Session::recover_roots`](crate::api::Session::recover_roots),
 //! quiesced like every recovery) hands all of limbo back to the free
 //! lists as one [`Allocator::free_chain`] and clears every epoch slot.
-//! Nothing durable records the epochs themselves.
+//! A drain the crash cut short returned its bag to limbo whole; the
+//! blocks it had already spliced or chained are refused there as double
+//! frees, since [`Allocator::recover`] put them back first. Nothing
+//! durable records the epochs themselves.
 //!
 //! ## Example
 //!
@@ -433,7 +442,8 @@ impl SmrDomain {
     }
 
     /// Frees every bag at least [`GRACE_EPOCHS`] behind the global
-    /// epoch.
+    /// epoch, offering each to the calling thread's magazine first (see
+    /// the [module docs](self)).
     fn drain_ripe(&self, node: &NodeHandle) -> OpResult<usize> {
         let mut freed = 0;
         loop {
@@ -448,8 +458,9 @@ impl SmrDomain {
             let Some(bag) = bag else {
                 return Ok(freed);
             };
-            // The whole bag goes back as one chain per size class.
-            match self.alloc.free_chain(node, &bag.blocks) {
+            // Into the draining thread's magazine as far as it has
+            // room, the rest as one chain per size class.
+            match self.alloc.free_bag(node, &bag.blocks) {
                 Ok(n) => {
                     debug_assert_eq!(
                         n,
@@ -463,10 +474,10 @@ impl SmrDomain {
                 }
                 Err(crashed) => {
                     // The machine crashed mid-drain. The blocks the
-                    // chain had already claimed are the allocator's
-                    // recovery problem (its intent seals); the bag goes
-                    // back to limbo whole for `recover` to sweep, which
-                    // skips those.
+                    // splice or the chain had already claimed are the
+                    // allocator's recovery problem (its intents seal);
+                    // the bag goes back to limbo whole for `recover` to
+                    // sweep, which skips those.
                     self.limbo.lock().push_front(bag);
                     return Err(crashed);
                 }
@@ -637,6 +648,85 @@ mod tests {
             smr.limbo_len()
         );
         assert!(smr.stats().reclaims > 32);
+    }
+
+    /// `n` fresh blocks of `cells` cells.
+    fn fresh(alloc: &Allocator, node: &NodeHandle, n: usize, cells: u32) -> Vec<Loc> {
+        (0..n)
+            .map(|_| alloc.alloc(node, cells).unwrap().unwrap().loc)
+            .collect()
+    }
+
+    /// Retires `bag` under one pin, unpins, and collects: the bag ripens
+    /// and drains in that collect. Returns the flushes it took.
+    fn drain(f: &SimFabric, smr: &SmrDomain, node: &NodeHandle, bag: &[Loc]) -> u64 {
+        {
+            let guard = smr.pin();
+            for &b in bag {
+                guard.retire(node, b).unwrap();
+            }
+        }
+        let before = f.stats().snapshot();
+        assert_eq!(smr.collect(node).unwrap(), bag.len());
+        f.stats().snapshot().since(&before).flushes()
+    }
+
+    // Whether the test thread has a magazine depends on its thread slot
+    // (0–7 do), so the two tests below probe it with a first `free` and
+    // expect every block on the free lists when it has none.
+
+    #[test]
+    fn a_mixed_class_bag_parks_only_the_magazines_class_and_chains_the_rest() {
+        let (f, alloc, smr) = setup();
+        let node = f.node(MachineId(0));
+        let first = fresh(&alloc, &node, 1, 2)[0];
+        let (small, big) = (fresh(&alloc, &node, 3, 2), fresh(&alloc, &node, 2, 8));
+        alloc.free(&node, first).unwrap().unwrap();
+        let has_magazine = alloc.debug_parked() == [first];
+        drain(
+            &f,
+            &smr,
+            &node,
+            &[big[0], small[0], big[1], small[1], small[2]],
+        );
+        assert_eq!(alloc.debug_free_list(&node, 8).unwrap(), big);
+        if has_magazine {
+            // Spliced front to back, so the bag's first block is newest.
+            let parked = vec![first, small[2], small[1], small[0]];
+            assert_eq!(alloc.debug_parked(), parked);
+            assert!(alloc.debug_free_list(&node, 2).unwrap().is_empty());
+        } else {
+            assert_eq!(alloc.debug_free_list(&node, 2).unwrap().len(), 4);
+        }
+    }
+
+    #[test]
+    fn a_bag_past_the_magazines_room_spills_the_remainder_as_one_chain() {
+        let (f, alloc, smr) = setup();
+        let node = f.node(MachineId(0));
+        let (held, bag) = (fresh(&alloc, &node, 6, 2), fresh(&alloc, &node, 5, 2));
+        for &b in &held {
+            alloc.free(&node, b).unwrap().unwrap();
+        }
+        let has_magazine = alloc.debug_parked() == held;
+        let flushes = drain(&f, &smr, &node, &bag);
+        if has_magazine {
+            // Room for 2: a latch and 2 claims, then the remainder of 3
+            // as a chain — its intent, 3 claims and the head CAS.
+            assert_eq!(flushes, (1 + 2) + (3 + 2));
+            assert_eq!(alloc.debug_free_list(&node, 2).unwrap(), bag[2..]);
+            let mut parked = held.clone();
+            parked.extend([bag[1], bag[0]]);
+            assert_eq!(alloc.debug_parked(), parked);
+            // Oldest first: the blocks parked before the drain, then the
+            // spliced ones, then the list.
+            for &b in held.iter().chain([&bag[1], &bag[0]]).chain(&bag[2..]) {
+                assert_eq!(alloc.alloc(&node, 2).unwrap().unwrap().loc, b);
+            }
+        } else {
+            assert_eq!(flushes, 5 + 2);
+            assert_eq!(alloc.debug_free_list(&node, 2).unwrap().len(), 11);
+        }
     }
 
     #[test]

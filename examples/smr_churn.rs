@@ -2,8 +2,10 @@
 //! absorbs insert/remove churn of **10× the memory node's capacity**
 //! while reader threads traverse the whole time — no quiesce points,
 //! no explicit `reclaim` calls. Removed nodes are *retired* into the
-//! cluster's `cxl0::smr` domain and drain back to the allocator's free
-//! lists only after every traversal pinned at retirement has finished;
+//! cluster's `cxl0::smr` domain and drain back to the allocator — into
+//! the draining thread's magazine as far as it has room, the rest onto
+//! the free lists — only after every traversal pinned at retirement has
+//! finished;
 //! the amortized collection built into retirement alone keeps the tiny
 //! region serviceable.
 //!

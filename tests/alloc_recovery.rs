@@ -20,7 +20,7 @@ use cxl0::runtime::alloc::{Allocator, TornAlloc, TornFree, META_CELLS};
 use cxl0::runtime::api::{Cluster, PersistMode};
 use cxl0::runtime::{
     BufferedEpoch, Crashed, DurableQueue, Flit, FreeError, NodeHandle, OpResult, Persistence,
-    SharedHeap, SimFabric,
+    SharedHeap, SimFabric, SmrDomain,
 };
 use proptest::prelude::*;
 
@@ -729,12 +729,36 @@ fn queue_blocks(alloc: &Allocator, q: &DurableQueue, node: &NodeHandle) -> BTree
     out
 }
 
-/// The swept script: free ×3 → alloc ×2 → a free of another class → a
-/// full magazine falling through to the shared list → queue
-/// enqueue/dequeue ×4. `b` are 11 two-cell blocks, `other` a one-cell
-/// one, all live.
+/// The swept scripts.
+#[derive(Debug, Clone, Copy)]
+enum Script {
+    /// free ×3 → alloc ×2 → a free of another class → a full magazine
+    /// falling through to the shared list → queue enqueue/dequeue ×4.
+    Magazine,
+    /// SMR drains: retire ×10 → collect (a bag of 8 spliced whole into
+    /// the empty magazine, a bag of 2 chained past the full one) → alloc
+    /// ×3; free ×1 → retire ×4 → collect (the magazine holds 6: 2
+    /// blocks splice, 2 chain).
+    Splice,
+}
+
+impl Script {
+    /// Live two-cell blocks the script starts from.
+    fn blocks(self) -> usize {
+        match self {
+            Script::Magazine => 11,
+            Script::Splice => 15,
+        }
+    }
+}
+
+/// Runs `script` over `b`, its two-cell blocks, and `other`, a
+/// one-cell one — all live.
+#[allow(clippy::too_many_arguments)]
 fn sweep_script(
+    script: Script,
     alloc: &Allocator,
+    smr: &SmrDomain,
     q: &DurableQueue,
     node: &NodeHandle,
     b: &[Loc],
@@ -747,16 +771,38 @@ fn sweep_script(
         known.live.remove(&x);
         Ok(())
     };
+    let alloc_n = |known: &mut Known, n: usize| -> OpResult<()> {
+        known.in_flight.clear();
+        known.allocating = true;
+        for _ in 0..n {
+            let got = alloc.alloc(node, 2)?.expect("heap fits").loc;
+            known.live.insert(got);
+        }
+        known.allocating = false;
+        Ok(())
+    };
+    // A retired block is unlinked: no longer live, and reclaimed by the
+    // drain, by the allocator's sweep or by the domain's.
+    let drain = |known: &mut Known, bag: &[Loc]| -> OpResult<()> {
+        known.in_flight.clear();
+        for &x in bag {
+            known.live.remove(&x);
+            smr.pin().retire(node, x)?;
+        }
+        smr.collect(node)?;
+        Ok(())
+    };
+    if let Script::Splice = script {
+        drain(known, &b[..10])?;
+        alloc_n(known, 3)?;
+        free(known, b[10])?;
+        drain(known, &b[11..])?;
+        return Ok(());
+    }
     for &x in &b[..3] {
         free(known, x)?;
     }
-    for _ in 0..2 {
-        known.in_flight.clear();
-        known.allocating = true;
-        let got = alloc.alloc(node, 2)?.expect("heap fits").loc;
-        known.live.insert(got);
-    }
-    known.allocating = false;
+    alloc_n(known, 2)?;
     free(known, other)?;
     // One block is parked: seven more fill the magazine, the last of
     // `b` overflows to the list.
@@ -782,12 +828,13 @@ fn sweep_script(
 /// buffered epoch, whose rollback runs before the allocator's sweep).
 type MakePersist = dyn Fn(&Arc<SimFabric>) -> (Arc<dyn Persistence>, Option<Arc<BufferedEpoch>>);
 
-/// One run of the sweep: builds the heap under `inner`, runs the script
+/// One run of the sweep: builds the heap under `inner`, runs `script`
 /// with a crash of `victim` before the `k`-th `Persistence` call (none
-/// when `k` is past the script's calls), recovers, and checks that no
-/// block is lost, none is listed twice, and no live block is listed.
-/// Returns how many calls the script made.
-fn sweep_run(mode: &str, make: &MakePersist, victim: MachineId, k: usize) -> usize {
+/// when `k` is past the script's calls), recovers — the allocator's
+/// sweep, then the reclamation domain's, then the queue's — and checks
+/// that no block is lost, none is listed twice, and no live block is
+/// listed. Returns how many calls the script made.
+fn sweep_run(script: Script, mode: &str, make: &MakePersist, victim: MachineId, k: usize) -> usize {
     let fabric = SimFabric::new(SystemConfig::symmetric_nvm(2, 8192));
     let node = fabric.node(COMPUTE);
     let (inner, buffered) = make(&fabric);
@@ -806,9 +853,10 @@ fn sweep_run(mode: &str, make: &MakePersist, victim: MachineId, k: usize) -> usi
         Arc::clone(&crash) as Arc<dyn Persistence>,
     ));
     alloc.format(&node).unwrap();
+    let smr = SmrDomain::new(Arc::clone(&alloc));
     let q = DurableQueue::<u64>::create(&alloc, &node).unwrap().unwrap();
     let mut known = Known::default();
-    let b: Vec<Loc> = (0..11)
+    let b: Vec<Loc> = (0..script.blocks())
         .map(|_| alloc.alloc(&node, 2).unwrap().unwrap().loc)
         .collect();
     let other = alloc.alloc(&node, 1).unwrap().unwrap().loc;
@@ -818,26 +866,36 @@ fn sweep_run(mode: &str, make: &MakePersist, victim: MachineId, k: usize) -> usi
 
     let base = crash.calls.load(Ordering::SeqCst);
     crash.at.store(base.saturating_add(k), Ordering::SeqCst);
-    let cut = sweep_script(&alloc, &q, &node, &b, other, &mut known).is_err();
+    let cut = sweep_script(script, &alloc, &smr, &q, &node, &b, other, &mut known).is_err();
     let calls = crash.calls.load(Ordering::SeqCst) - base;
     crash.at.store(usize::MAX, Ordering::SeqCst);
     if !cut {
         known.in_flight.clear();
         known.allocating = false;
         // The full magazine's blocks are parked, not listed.
-        assert!(
-            alloc.debug_free_list(&node, 2).unwrap().len() < 3,
+        assert_eq!(
+            alloc.debug_parked().len(),
+            8,
             "{mode}: the script must run on a thread with a magazine"
         );
+        if let Script::Magazine = script {
+            assert!(alloc.debug_free_list(&node, 2).unwrap().len() < 3);
+        }
     }
 
     if let Some(epoch) = &buffered {
         epoch.recover(&node).unwrap();
     }
     alloc.recover(&node).unwrap();
+    smr.recover(&node).unwrap();
     q.recover(&node).unwrap();
+    assert!(
+        alloc.debug_parked().is_empty(),
+        "recovery voids the magazine"
+    );
+    assert_eq!(smr.limbo_len(), 0);
 
-    let ctx = format!("{mode}, crash of {victim:?} before call {k}");
+    let ctx = format!("{script:?} script, {mode}, crash of {victim:?} before call {k}");
     let mut listed = Vec::new();
     for cells in [1, 2] {
         listed.extend(alloc.debug_free_list(&node, cells).unwrap());
@@ -870,8 +928,8 @@ fn sweep_run(mode: &str, make: &MakePersist, victim: MachineId, k: usize) -> usi
     calls
 }
 
-/// Every crash point of the script, for both victims, under every sound
-/// durability mode. `Buffered` (synced after every operation) takes
+/// Every crash point of both scripts, for both victims, under every
+/// sound durability mode. `Buffered` (synced after every operation) takes
 /// memory-node crashes only: tolerating a crash of the writer is outside
 /// that strategy's scope (see `BufferedEpoch`).
 #[test]
@@ -898,12 +956,14 @@ fn every_crash_point_of_a_magazine_script_recovers_every_block() {
         vec![MEMORY],
     ));
     assert_eq!(modes.len(), 5, "four sound FliT modes and buffered");
-    for (mode, make, victims) in &modes {
-        let calls = sweep_run(mode, make.as_ref(), COMPUTE, usize::MAX);
-        assert!(calls > 50, "{mode}: the script made only {calls} calls");
-        for &victim in victims {
-            for k in 0..=calls {
-                sweep_run(mode, make.as_ref(), victim, k);
+    for script in [Script::Magazine, Script::Splice] {
+        for (mode, make, victims) in &modes {
+            let calls = sweep_run(script, mode, make.as_ref(), COMPUTE, usize::MAX);
+            assert!(calls > 50, "{mode}: the script made only {calls} calls");
+            for &victim in victims {
+                for k in 0..=calls {
+                    sweep_run(script, mode, make.as_ref(), victim, k);
+                }
             }
         }
     }

@@ -5,9 +5,10 @@
 //!   quiesce points anywhere — under every sound `PersistMode`;
 //! * a proptest drives random pin/retire/collect/crash/recover
 //!   interleavings against an exact single-threaded model of the epoch
-//!   algebra and limbo bags: the allocator's free list always holds
-//!   exactly the blocks the model says are reclaimed, and no block is
-//!   ever handed out while the model still counts it live or in limbo.
+//!   algebra and limbo bags: the allocator's free list and the
+//!   thread's magazine together always hold exactly the blocks the model
+//!   says are reclaimed, each once, and no block is ever handed out
+//!   while the model still counts it live or in limbo.
 
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -195,7 +196,8 @@ const COLLECT_EVERY: u64 = 8;
 
 /// An exact model of one single-threaded client of an `SmrDomain`: the
 /// global epoch, the one slot the thread pins through, the limbo bags,
-/// and which blocks have drained to the free list. Deterministic because
+/// and which blocks have drained back to the allocator (its free list or
+/// the thread's magazine). Deterministic because
 /// the real domain is driven from one thread.
 #[derive(Default)]
 struct Model {
@@ -379,12 +381,23 @@ fn run_smr_interleaving(persist: Arc<dyn Persistence>, ops: Vec<SmrOp>) {
         // The domain must agree with the model exactly, every step.
         assert_eq!(smr.epoch(), model.epoch, "epoch diverged");
         assert_eq!(smr.limbo_len(), model.limbo_len(), "limbo diverged");
+        // A drain splices into this thread's magazine what it has room
+        // for: every reclaimed block is listed or parked, never both.
         let listed: BTreeSet<Loc> = alloc
             .debug_free_list(&node, CELLS)
             .unwrap()
             .into_iter()
             .collect();
-        assert_eq!(listed, model.freed, "free list diverged from the model");
+        let parked: BTreeSet<Loc> = alloc.debug_parked().into_iter().collect();
+        assert!(
+            listed.is_disjoint(&parked),
+            "a block is both listed and parked"
+        );
+        assert_eq!(
+            &listed | &parked,
+            model.freed,
+            "free list and magazine diverged from the model"
+        );
     }
 }
 
@@ -393,7 +406,7 @@ proptest! {
 
     /// Random pin/retire/collect/crash/recover interleavings: the
     /// domain's epoch, limbo population and the allocator's free list
-    /// track an exact model, under a strict FliT strategy and the naive
+    /// plus magazine track an exact model, under a strict FliT strategy and the naive
     /// all-`MStore` one.
     #[test]
     fn epochs_limbo_and_free_lists_track_the_model(
