@@ -1,22 +1,26 @@
 //! The nondeterministic interpreter: lifts the per-label semantics of
 //! `cxl0-model` to the paper's `γ ⟹ γ′` relation, in which visible labels
-//! may be interleaved with arbitrary silent `τ` propagation steps.
+//! may be interleaved with arbitrary silent `τ` steps.
 //!
-//! Because the CXL0 semantics is deterministic per visible label, the set
-//! of states reachable after a trace is computed by alternating
-//! *τ-closure* (saturating under propagation) and *label application*.
-//! These state sets are exactly the subsets used by a determinized view of
-//! the LTS, which the refinement checker builds products of.
+//! Because the semantics is deterministic per visible label, the set of
+//! states reachable after a trace is computed by alternating *τ-closure*
+//! (saturating under the silent steps) and *label application*. These
+//! state sets are exactly the subsets used by a determinized view of the
+//! LTS, which the refinement checker builds products of.
 
 use std::collections::BTreeSet;
 
-use cxl0_model::{Label, Semantics, State, Trace};
+use cxl0_model::{Semantics, State};
+
+use crate::lts::Lts;
 
 /// A canonical set of states (τ-closures are represented this way so that
-/// they can be hashed and compared during product exploration).
-pub type StateSet = BTreeSet<State>;
+/// they can be hashed and compared during product exploration); under
+/// `CXL0_AF`, a `StateSet<AsyncState>`.
+pub type StateSet<S = State> = BTreeSet<S>;
 
-/// Interprets traces under a fixed [`Semantics`].
+/// Interprets traces under a fixed semantics ([`Semantics`] unless
+/// stated otherwise).
 ///
 /// # Examples
 ///
@@ -44,35 +48,34 @@ pub type StateSet = BTreeSet<State>;
 /// ]);
 /// assert!(!exp.is_allowed(&t));
 /// ```
-#[derive(Debug, Clone, Copy)]
-pub struct Explorer<'a> {
-    sem: &'a Semantics,
+#[derive(Debug, Clone)]
+pub struct Explorer<'a, L: Lts = Semantics> {
+    sem: &'a L,
 }
 
-impl<'a> Explorer<'a> {
+impl<'a, L: Lts> Explorer<'a, L> {
     /// Creates an explorer over the given semantics.
-    pub fn new(sem: &'a Semantics) -> Self {
+    pub fn new(sem: &'a L) -> Self {
         Explorer { sem }
     }
 
     /// The underlying semantics.
-    pub fn semantics(&self) -> &'a Semantics {
+    pub fn semantics(&self) -> &'a L {
         self.sem
     }
 
     /// The τ-closed singleton of the initial state.
-    pub fn initial_set(&self) -> StateSet {
-        let mut s = StateSet::new();
-        s.insert(self.sem.initial_state());
-        self.tau_closure(&s)
+    pub fn initial_set(&self) -> StateSet<L::State> {
+        self.tau_closure(&StateSet::from([self.sem.initial_state()]))
     }
 
-    /// All states reachable from `set` by zero or more silent propagation
-    /// steps (a fixpoint; always terminates because propagation strictly
-    /// moves values toward memory and the state space is finite).
-    pub fn tau_closure(&self, set: &StateSet) -> StateSet {
-        let mut closed: StateSet = set.clone();
-        let mut frontier: Vec<State> = set.iter().cloned().collect();
+    /// All states reachable from `set` by zero or more silent steps (a
+    /// fixpoint; always terminates because propagation strictly moves
+    /// values toward memory, retirement strictly shrinks buffers, and the
+    /// state space is finite).
+    pub fn tau_closure(&self, set: &StateSet<L::State>) -> StateSet<L::State> {
+        let mut closed = set.clone();
+        let mut frontier: Vec<L::State> = set.iter().cloned().collect();
         while let Some(st) = frontier.pop() {
             for step in self.sem.silent_steps(&st) {
                 let next = self
@@ -90,7 +93,7 @@ impl<'a> Explorer<'a> {
     /// Applies one visible label to every state in `set` (states where the
     /// label is blocked or mismatching simply drop out), without silent
     /// steps.
-    pub fn apply_label(&self, set: &StateSet, label: &Label) -> StateSet {
+    pub fn apply_label(&self, set: &StateSet<L::State>, label: &L::Label) -> StateSet<L::State> {
         set.iter()
             .filter_map(|st| self.sem.apply(st, label).ok())
             .collect()
@@ -98,14 +101,18 @@ impl<'a> Explorer<'a> {
 
     /// The `⟹` step for one label: τ-closure, then the label, then
     /// τ-closure again. Input need not be τ-closed.
-    pub fn after_label(&self, set: &StateSet, label: &Label) -> StateSet {
+    pub fn after_label(&self, set: &StateSet<L::State>, label: &L::Label) -> StateSet<L::State> {
         let closed = self.tau_closure(set);
         let stepped = self.apply_label(&closed, label);
         self.tau_closure(&stepped)
     }
 
-    /// The `⟹` relation for a whole trace starting from `set`.
-    pub fn after_trace(&self, set: &StateSet, trace: &Trace) -> StateSet {
+    /// The `⟹` relation for a whole label sequence starting from `set`.
+    pub fn after_trace<'t>(
+        &self,
+        set: &StateSet<L::State>,
+        trace: impl IntoIterator<Item = &'t L::Label>,
+    ) -> StateSet<L::State> {
         let mut cur = self.tau_closure(set);
         for label in trace {
             if cur.is_empty() {
@@ -118,26 +125,39 @@ impl<'a> Explorer<'a> {
 
     /// The states reachable from the initial state via `trace` (with τ
     /// steps interleaved freely).
-    pub fn run_trace(&self, trace: &Trace) -> StateSet {
+    pub fn run_trace<'t>(
+        &self,
+        trace: impl IntoIterator<Item = &'t L::Label>,
+    ) -> StateSet<L::State> {
         self.after_trace(&self.initial_set(), trace)
     }
 
     /// Whether `trace` is executable from the initial state — i.e. whether
     /// the behavior it describes is *allowed* by the model.
-    pub fn is_allowed(&self, trace: &Trace) -> bool {
+    pub fn is_allowed<'t>(&self, trace: impl IntoIterator<Item = &'t L::Label>) -> bool {
         !self.run_trace(trace).is_empty()
     }
 
     /// Whether two label sequences lead to exactly the same τ-closed state
     /// sets from `set` — the workhorse for Proposition-1 style equivalence
     /// checks.
-    pub fn same_outcomes(&self, set: &StateSet, a: &Trace, b: &Trace) -> bool {
+    pub fn same_outcomes<'t>(
+        &self,
+        set: &StateSet<L::State>,
+        a: impl IntoIterator<Item = &'t L::Label>,
+        b: impl IntoIterator<Item = &'t L::Label>,
+    ) -> bool {
         self.after_trace(set, a) == self.after_trace(set, b)
     }
 
     /// Whether every outcome of `a` is an outcome of `b` from `set`
     /// (`S(a) ⊆ S(b)` in the Prop.-1 reading of "`b` can simulate `a`").
-    pub fn simulates(&self, set: &StateSet, a: &Trace, b: &Trace) -> bool {
+    pub fn simulates<'t>(
+        &self,
+        set: &StateSet<L::State>,
+        a: impl IntoIterator<Item = &'t L::Label>,
+        b: impl IntoIterator<Item = &'t L::Label>,
+    ) -> bool {
         self.after_trace(set, a)
             .is_subset(&self.after_trace(set, b))
     }
@@ -146,7 +166,9 @@ impl<'a> Explorer<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cxl0_model::{Loc, MachineId, SystemConfig, Val};
+    use crate::space::reachable_states;
+    use cxl0_model::asyncflush::{AsyncLabel, AsyncSemantics, AsyncState};
+    use cxl0_model::{Label, Loc, MachineId, SystemConfig, Trace, Val};
 
     const M0: MachineId = MachineId(0);
     const M1: MachineId = MachineId(1);
@@ -230,5 +252,93 @@ mod tests {
         assert!(exp.same_outcomes(&set, &ls, &rs));
         assert!(exp.simulates(&set, &ls, &rs));
         assert!(exp.simulates(&set, &rs, &ls));
+    }
+
+    // The `CXL0_AF` extension through the same explorer.
+
+    fn async2() -> AsyncSemantics {
+        AsyncSemantics::new(SystemConfig::symmetric_nvm(2, 1))
+    }
+
+    #[test]
+    fn tau_closure_includes_retirement() {
+        let sem = async2();
+        let exp = Explorer::new(&sem);
+        let st = sem
+            .apply(&sem.initial_state(), &AsyncLabel::aflush(M0, x(1)))
+            .unwrap();
+        let closed = exp.tau_closure(&StateSet::from([st]));
+        // Pending and retired variants of the same base state.
+        assert_eq!(closed.len(), 2);
+        assert!(closed.iter().any(AsyncState::all_buffers_empty));
+    }
+
+    #[test]
+    fn barrier_filters_unretired_branches() {
+        let sem = async2();
+        let exp = Explorer::new(&sem);
+        let trace = [
+            Label::lstore(M0, x(1), Val(1)).into(),
+            AsyncLabel::aflush(M0, x(1)),
+            AsyncLabel::barrier(M0),
+        ];
+        let set = exp.run_trace(&trace);
+        assert!(!set.is_empty());
+        for st in &set {
+            // Every surviving branch has drained and persisted the store.
+            assert!(st.all_buffers_empty());
+            assert_eq!(st.memory(x(1)), Val(1));
+        }
+    }
+
+    #[test]
+    fn aflush_barrier_equals_rflush_from_reachable_states() {
+        // The headline equivalence: from every reachable state with an
+        // empty issuer buffer, AFlush;Barrier has exactly RFlush's
+        // outcomes. (With a non-empty buffer it is strictly stronger —
+        // covered by the inclusion check below.)
+        let sem = async2();
+        let exp = Explorer::new(&sem);
+        let alphabet: Vec<AsyncLabel> = vec![
+            Label::lstore(M0, x(1), Val(1)).into(),
+            Label::lstore(M1, x(1), Val(2)).into(),
+            Label::crash(M1).into(),
+            AsyncLabel::aflush(M0, x(0)),
+        ];
+        let reachable = reachable_states(&sem, &alphabet, 500);
+        assert!(reachable.len() > 3);
+        let via_async = [AsyncLabel::aflush(M0, x(1)), AsyncLabel::barrier(M0)];
+        let via_sync = [Label::rflush(M0, x(1)).into()];
+        for st in &reachable {
+            let set = StateSet::from([st.clone()]);
+            if st.pending_of(M0).is_empty() {
+                assert!(
+                    exp.same_outcomes(&set, &via_async, &via_sync),
+                    "outcome mismatch from {st}"
+                );
+            } else {
+                assert!(
+                    exp.simulates(&set, &via_async, &via_sync),
+                    "AFlush;Barrier must refine RFlush from {st}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn empty_trace_allowed() {
+        let sem = async2();
+        assert!(Explorer::new(&sem).is_allowed(&[]));
+    }
+
+    #[test]
+    fn reachable_states_respects_cap() {
+        let sem = async2();
+        let alphabet: Vec<AsyncLabel> = vec![
+            Label::lstore(M0, x(1), Val(1)).into(),
+            AsyncLabel::aflush(M0, x(1)),
+        ];
+        let capped = reachable_states(&sem, &alphabet, 2);
+        assert!(capped.len() <= 2, "cap exceeded: {}", capped.len());
     }
 }

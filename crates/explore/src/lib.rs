@@ -3,6 +3,10 @@
 //! This crate turns the per-step semantics of [`cxl0_model`] into the
 //! paper's full `γ ⟹ γ′` relation and builds four analyses on top:
 //!
+//! * [`lts`] — the [`Lts`] trait the rest of the crate is generic over,
+//!   implemented by the base semantics and by the `CXL0_AF`
+//!   asynchronous-flush extension (§3.2's persistency-buffer sketch), so
+//!   one interpreter, litmus runner and reachability search check both;
 //! * [`interp`] — the nondeterministic interpreter (τ-closure, label
 //!   application, trace executability);
 //! * [`litmus`] / [`paper`] — the litmus-test engine and the paper's 13
@@ -13,10 +17,8 @@
 //!   proofs, rechecked over finite configurations);
 //! * [`refine`] — bounded trace refinement between model variants (the
 //!   paper's FDR4/CSP analysis);
-//! * [`asyncinterp`] / [`paper_async`] — the same machinery for the
-//!   `CXL0_AF` asynchronous-flush extension (§3.2's persistency-buffer
-//!   sketch), with its `A1`–`A8` litmus suite and the
-//!   `AFlush;Barrier ≡ RFlush` equivalence check;
+//! * [`paper_async`] — the `CXL0_AF` litmus suite `A1`–`A8` and the
+//!   exhaustive `AFlush;Barrier ≡ RFlush` equivalence check;
 //! * [`dot`] — Graphviz export of explored graphs.
 //!
 //! ## Example: running a paper litmus test
@@ -32,10 +34,10 @@
 #![warn(missing_debug_implementations)]
 #![forbid(unsafe_code)]
 
-pub mod asyncinterp;
 pub mod dot;
 pub mod interp;
 pub mod litmus;
+pub mod lts;
 pub mod paper;
 pub mod paper_async;
 pub mod program;
@@ -43,9 +45,9 @@ pub mod refine;
 pub mod simulate;
 pub mod space;
 
-pub use asyncinterp::{AsyncExplorer, AsyncStateSet};
 pub use interp::{Explorer, StateSet};
 pub use litmus::{Litmus, LitmusOutcome, SuiteReport, Verdict};
+pub use lts::Lts;
 pub use program::{outcomes, Instr, Outcome, Program, Reg};
 pub use refine::{check_refinement, incomparability_witnesses, Refinement};
 pub use simulate::{check_all as check_proposition1, CounterExample, Prop1Item};

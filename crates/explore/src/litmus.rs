@@ -3,13 +3,15 @@
 //!
 //! This is the executable form of the paper's Figure 3 (tests 1–9), the
 //! §3.5 variant-comparison tests (10–12), and the §6 motivating example
-//! (test 13).
+//! (test 13), and — over [`AsyncSemantics`](cxl0_model::AsyncSemantics) —
+//! of the `CXL0_AF` suite `A1`–`A8` in [`crate::paper_async`].
 
 use std::fmt;
 
-use cxl0_model::{ModelVariant, Semantics, SystemConfig, Trace};
+use cxl0_model::{ModelVariant, Semantics, SystemConfig};
 
 use crate::interp::Explorer;
+use crate::lts::Lts;
 
 /// Whether a behavior is allowed (✔) or forbidden (✗) by a model.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -48,7 +50,7 @@ impl fmt::Display for Verdict {
 /// A litmus test: a trace over a configuration, with expected verdicts for
 /// one or more model variants.
 #[derive(Debug, Clone)]
-pub struct Litmus {
+pub struct Litmus<L: Lts = Semantics> {
     /// Short name, e.g. `"test-01"`.
     pub name: String,
     /// Human-readable description of what the test demonstrates.
@@ -56,13 +58,13 @@ pub struct Litmus {
     /// The system configuration the trace runs over.
     pub config: SystemConfig,
     /// The trace of visible labels (in execution order, as in Fig. 3).
-    pub trace: Trace,
+    pub trace: L::Trace,
     /// Expected verdicts, per variant. Only variants listed here are
     /// asserted by [`Litmus::check`].
     pub expected: Vec<(ModelVariant, Verdict)>,
 }
 
-impl Litmus {
+impl<L: Lts> Litmus<L> {
     /// The expected verdict under `variant`, if the paper states one.
     pub fn expected_for(&self, variant: ModelVariant) -> Option<Verdict> {
         self.expected
@@ -73,9 +75,8 @@ impl Litmus {
 
     /// Runs the test under `variant` and returns the observed verdict.
     pub fn run(&self, variant: ModelVariant) -> Verdict {
-        let sem = Semantics::with_variant(self.config.clone(), variant);
-        let exp = Explorer::new(&sem);
-        Verdict::from_allowed(exp.is_allowed(&self.trace))
+        let sem = L::with_variant(self.config.clone(), variant);
+        Verdict::from_allowed(Explorer::new(&sem).is_allowed(L::labels(&self.trace)))
     }
 
     /// Runs the test under every variant with a stated expectation.
@@ -135,7 +136,7 @@ impl fmt::Display for LitmusOutcome {
 }
 
 /// Runs a whole suite and formats a Figure-3-style report.
-pub fn run_suite(tests: &[Litmus]) -> SuiteReport {
+pub fn run_suite<L: Lts>(tests: &[Litmus<L>]) -> SuiteReport {
     let mut outcomes = Vec::new();
     for t in tests {
         outcomes.extend(t.check());
@@ -185,7 +186,7 @@ impl fmt::Display for SuiteReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cxl0_model::{Label, Loc, MachineId, Val};
+    use cxl0_model::{Label, Loc, MachineId, Trace, Val};
 
     fn simple_litmus(expect: Verdict) -> Litmus {
         let x = Loc::new(MachineId(0), 0);

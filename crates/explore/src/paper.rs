@@ -16,15 +16,15 @@ use cxl0_model::{Label, Loc, MachineConfig, MachineId, ModelVariant, SystemConfi
 
 use crate::litmus::{Litmus, Verdict};
 
-const M1: MachineId = MachineId(0);
-const M2: MachineId = MachineId(1);
+pub(crate) const M1: MachineId = MachineId(0);
+pub(crate) const M2: MachineId = MachineId(1);
 
-/// `xᵢ`: the single location owned by the paper's machine `i` (1-based).
-fn x(i: usize) -> Loc {
+/// `xᵢ`: the first location owned by the paper's machine `i` (1-based).
+pub(crate) fn x(i: usize) -> Loc {
     Loc::new(MachineId(i - 1), 0)
 }
 
-fn base(v: Verdict) -> Vec<(ModelVariant, Verdict)> {
+pub(crate) fn base(v: Verdict) -> Vec<(ModelVariant, Verdict)> {
     vec![(ModelVariant::Base, v)]
 }
 

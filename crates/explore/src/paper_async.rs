@@ -18,18 +18,12 @@
 //! | A8 | a crash discards pending requests: post-crash `Barrier` proves nothing | ✔ lossy |
 
 use cxl0_model::asyncflush::{AsyncLabel, AsyncSemantics};
-use cxl0_model::{Label, Loc, MachineId, ModelVariant, SystemConfig, Val};
+use cxl0_model::{Label, Loc, MachineId, SystemConfig, Val};
 
-use crate::asyncinterp::AsyncExplorer;
-use crate::litmus::Verdict;
-
-const M1: MachineId = MachineId(0);
-const M2: MachineId = MachineId(1);
-
-/// `xᵢ`: the first location owned by the paper's machine `i` (1-based).
-fn x(i: usize) -> Loc {
-    Loc::new(MachineId(i - 1), 0)
-}
+use crate::interp::{Explorer, StateSet};
+use crate::litmus::{Litmus, Verdict};
+use crate::paper::{base, x, M1, M2};
+use crate::space::{explore, ReachableGraph};
 
 /// `yᵢ`: the second location owned by machine `i` (used by the batching
 /// test A5).
@@ -37,42 +31,13 @@ fn y(i: usize) -> Loc {
     Loc::new(MachineId(i - 1), 1)
 }
 
-/// A litmus test over the extended label alphabet.
-#[derive(Debug, Clone)]
-pub struct AsyncLitmus {
-    /// Short name, e.g. `"test-A1"`.
-    pub name: String,
-    /// What the test demonstrates.
-    pub description: String,
-    /// The system configuration the trace runs over.
-    pub config: SystemConfig,
-    /// The trace of extended labels, in execution order.
-    pub trace: Vec<AsyncLabel>,
-    /// The expected verdict under the base variant of `CXL0_AF`.
-    pub expected: Verdict,
-}
-
-impl AsyncLitmus {
-    /// Runs the test and returns the observed verdict.
-    pub fn run(&self) -> Verdict {
-        let sem = AsyncSemantics::with_variant(self.config.clone(), ModelVariant::Base);
-        let exp = AsyncExplorer::new(&sem);
-        Verdict::from_allowed(exp.is_allowed(&self.trace))
-    }
-
-    /// True if the observed verdict matches the expectation.
-    pub fn passes(&self) -> bool {
-        self.run() == self.expected
-    }
-}
-
 /// The `A1`–`A8` suite.
-pub fn async_flush_tests() -> Vec<AsyncLitmus> {
+pub fn async_flush_tests() -> Vec<Litmus<AsyncSemantics>> {
     let one = SystemConfig::symmetric_nvm(1, 1);
     let two = SystemConfig::symmetric_nvm(2, 1);
     let two_wide = SystemConfig::symmetric_nvm(2, 2);
     vec![
-        AsyncLitmus {
+        Litmus {
             name: "test-A1".into(),
             description: "an un-barriered AFlush request dies with the issuer".into(),
             config: one.clone(),
@@ -82,9 +47,9 @@ pub fn async_flush_tests() -> Vec<AsyncLitmus> {
                 Label::crash(M1).into(),
                 Label::load(M1, x(1), Val(0)).into(),
             ],
-            expected: Verdict::Allowed,
+            expected: base(Verdict::Allowed),
         },
-        AsyncLitmus {
+        Litmus {
             name: "test-A2".into(),
             description: "AFlush;Barrier persists before the issuer's crash (≙ test 3)".into(),
             config: one,
@@ -95,9 +60,9 @@ pub fn async_flush_tests() -> Vec<AsyncLitmus> {
                 Label::crash(M1).into(),
                 Label::load(M1, x(1), Val(0)).into(),
             ],
-            expected: Verdict::Forbidden,
+            expected: base(Verdict::Forbidden),
         },
-        AsyncLitmus {
+        Litmus {
             name: "test-A3".into(),
             description: "AFlush;Barrier reaches remote persistent memory (≙ test 5)".into(),
             config: two.clone(),
@@ -108,9 +73,9 @@ pub fn async_flush_tests() -> Vec<AsyncLitmus> {
                 Label::crash(M2).into(),
                 Label::load(M1, x(2), Val(0)).into(),
             ],
-            expected: Verdict::Forbidden,
+            expected: base(Verdict::Forbidden),
         },
-        AsyncLitmus {
+        Litmus {
             name: "test-A4".into(),
             description: "without the barrier the remote store may still be lost (≙ test 4)".into(),
             config: two.clone(),
@@ -120,9 +85,9 @@ pub fn async_flush_tests() -> Vec<AsyncLitmus> {
                 Label::crash(M2).into(),
                 Label::load(M1, x(2), Val(0)).into(),
             ],
-            expected: Verdict::Allowed,
+            expected: base(Verdict::Allowed),
         },
-        AsyncLitmus {
+        Litmus {
             name: "test-A5".into(),
             description: "batching: one barrier retires both pending flushes".into(),
             config: two_wide,
@@ -137,9 +102,9 @@ pub fn async_flush_tests() -> Vec<AsyncLitmus> {
                 // branch (flushed second), so we assert it.
                 Label::load(M1, y(2), Val(0)).into(),
             ],
-            expected: Verdict::Forbidden,
+            expected: base(Verdict::Forbidden),
         },
-        AsyncLitmus {
+        Litmus {
             name: "test-A6".into(),
             description: "a barrier by machine 2 does not retire machine 1's requests".into(),
             config: two.clone(),
@@ -150,9 +115,9 @@ pub fn async_flush_tests() -> Vec<AsyncLitmus> {
                 Label::crash(M2).into(),
                 Label::load(M1, x(2), Val(0)).into(),
             ],
-            expected: Verdict::Allowed,
+            expected: base(Verdict::Allowed),
         },
-        AsyncLitmus {
+        Litmus {
             name: "test-A7".into(),
             description: "a barrier over an empty buffer never blocks".into(),
             config: two.clone(),
@@ -162,9 +127,9 @@ pub fn async_flush_tests() -> Vec<AsyncLitmus> {
                 AsyncLabel::barrier(M2),
                 Label::load(M1, x(2), Val(1)).into(),
             ],
-            expected: Verdict::Allowed,
+            expected: base(Verdict::Allowed),
         },
-        AsyncLitmus {
+        Litmus {
             name: "test-A8".into(),
             description: "a crash clears the buffer, so a post-crash barrier proves nothing".into(),
             config: two,
@@ -175,18 +140,16 @@ pub fn async_flush_tests() -> Vec<AsyncLitmus> {
                 AsyncLabel::barrier(M2),
                 Label::load(M1, x(2), Val(0)).into(),
             ],
-            expected: Verdict::Allowed,
+            expected: base(Verdict::Allowed),
         },
     ]
 }
 
-/// Checks the `AFlush;Barrier ≡ RFlush` equivalence exhaustively over the
-/// reachable states of a small two-machine system, for every issuer and
-/// location. Returns the first counterexample state, if any.
-pub fn check_aflush_barrier_equivalence() -> Option<String> {
+/// Every state of a two-machine, one-location-each system reachable under
+/// `LStore(·,1)`, `AFlush` and crashes by either machine (silent steps
+/// interleaved freely), bounded at 4 000 states.
+pub fn aflush_barrier_state_space() -> ReachableGraph<AsyncSemantics> {
     let cfg = SystemConfig::symmetric_nvm(2, 1);
-    let sem = AsyncSemantics::new(cfg.clone());
-    let exp = AsyncExplorer::new(&sem);
     let mut alphabet: Vec<AsyncLabel> = Vec::new();
     for m in cfg.machines() {
         for loc in cfg.all_locations() {
@@ -195,14 +158,30 @@ pub fn check_aflush_barrier_equivalence() -> Option<String> {
         }
         alphabet.push(Label::crash(m).into());
     }
-    let reachable = exp.reachable_states(&alphabet, 4_000);
-    for st in &reachable {
+    explore(&AsyncSemantics::new(cfg), &alphabet, 4_000)
+}
+
+/// Checks the `AFlush;Barrier ≡ RFlush` equivalence exhaustively over
+/// [`aflush_barrier_state_space`], for every issuer and location. Returns
+/// the first counterexample state, or a message if the state space was
+/// truncated (the check would not be exhaustive).
+pub fn check_aflush_barrier_equivalence() -> Option<String> {
+    let space = aflush_barrier_state_space();
+    if space.truncated {
+        return Some(format!(
+            "state space truncated at {} states: the check is not exhaustive",
+            space.num_states()
+        ));
+    }
+    let sem = AsyncSemantics::new(SystemConfig::symmetric_nvm(2, 1));
+    let exp = Explorer::new(&sem);
+    let cfg = sem.config();
+    for st in &space.states {
+        let set = StateSet::from([st.clone()]);
         for m in cfg.machines() {
             for loc in cfg.all_locations() {
                 let via_async = [AsyncLabel::aflush(m, loc), AsyncLabel::barrier(m)];
                 let via_sync = [Label::rflush(m, loc).into()];
-                let mut set = std::collections::BTreeSet::new();
-                set.insert(st.clone());
                 let ok = if st.pending_of(m).is_empty() {
                     exp.same_outcomes(&set, &via_async, &via_sync)
                 } else {
@@ -226,13 +205,7 @@ mod tests {
     #[test]
     fn all_async_litmus_tests_pass() {
         for t in async_flush_tests() {
-            assert!(
-                t.passes(),
-                "{} expected {} observed {}",
-                t.name,
-                t.expected,
-                t.run()
-            );
+            assert!(t.passes(), "{:?}", t.check());
         }
     }
 
@@ -257,7 +230,7 @@ mod tests {
         let mut t = async_flush_tests().swap_remove(1);
         assert_eq!(t.name, "test-A2");
         t.trace.retain(|l| !matches!(l, AsyncLabel::Barrier { .. }));
-        t.expected = Verdict::Allowed;
+        t.expected = base(Verdict::Allowed);
         assert!(t.passes());
     }
 }

@@ -94,148 +94,103 @@ type SearchKey = (
 /// all interleavings of the threads' instructions, all placements of the
 /// optional crash events, all propagation choices, and all load results.
 pub fn outcomes(sem: &Semantics, program: &Program) -> BTreeSet<Outcome> {
-    let exp = Explorer::new(sem);
-    let mut results = BTreeSet::new();
+    let mut search = Search {
+        exp: Explorer::new(sem),
+        program,
+        results: BTreeSet::new(),
+        seen: BTreeSet::new(),
+    };
     // Search node: per-thread program counter, crash flags, state set,
     // partial outcome.
+    let init = search.exp.initial_set();
     let pcs = vec![0usize; program.threads.len()];
     let crashed = vec![false; program.crashes.len()];
-    let init = exp.initial_set();
-    let mut seen = BTreeSet::new();
-    dfs(
-        &exp,
-        program,
-        &pcs,
-        &crashed,
-        &init,
-        &Outcome::new(),
-        &mut results,
-        &mut seen,
-    );
-    results
+    search.dfs(&pcs, &crashed, &init, &Outcome::new());
+    search.results
 }
 
-#[allow(clippy::too_many_arguments)]
-fn dfs(
-    exp: &Explorer<'_>,
-    program: &Program,
-    pcs: &[usize],
-    crashed: &[bool],
-    states: &StateSet,
-    outcome: &Outcome,
-    results: &mut BTreeSet<Outcome>,
-    seen: &mut BTreeSet<SearchKey>,
-) {
-    // Dedup on the full search node to avoid exponential revisits.
-    let key = (
-        pcs.to_vec(),
-        crashed.to_vec(),
-        states.iter().cloned().collect::<Vec<_>>(),
-        outcome.iter().map(|(r, v)| (*r, *v)).collect::<Vec<_>>(),
-    );
-    if !seen.insert(key) {
-        return;
-    }
+/// The depth-first search behind [`outcomes`].
+struct Search<'a> {
+    exp: Explorer<'a>,
+    program: &'a Program,
+    results: BTreeSet<Outcome>,
+    seen: BTreeSet<SearchKey>,
+}
 
-    let done = program
-        .threads
-        .iter()
-        .enumerate()
-        .all(|(t, (_, instrs))| pcs[t] >= instrs.len());
-    if done {
-        results.insert(outcome.clone());
-        return;
-    }
-
-    // Choice 1: step any thread with remaining instructions.
-    for (t, (machine, instrs)) in program.threads.iter().enumerate() {
-        if pcs[t] >= instrs.len() {
-            continue;
+impl Search<'_> {
+    fn dfs(&mut self, pcs: &[usize], crashed: &[bool], states: &StateSet, outcome: &Outcome) {
+        // Dedup on the full search node to avoid exponential revisits.
+        let key = (
+            pcs.to_vec(),
+            crashed.to_vec(),
+            states.iter().cloned().collect::<Vec<_>>(),
+            outcome.iter().map(|(r, v)| (*r, *v)).collect::<Vec<_>>(),
+        );
+        if !self.seen.insert(key) {
+            return;
         }
-        let instr = instrs[pcs[t]];
-        let mut next_pcs = pcs.to_vec();
-        next_pcs[t] += 1;
-        match instr {
-            Instr::Store(kind, loc, v) => {
-                let next = exp.after_label(states, &Label::store(kind, *machine, loc, v));
-                if !next.is_empty() {
-                    dfs(
-                        exp, program, &next_pcs, crashed, &next, outcome, results, seen,
-                    );
-                }
-            }
-            Instr::LFlush(loc) => {
-                let next = exp.after_label(states, &Label::lflush(*machine, loc));
-                if !next.is_empty() {
-                    dfs(
-                        exp, program, &next_pcs, crashed, &next, outcome, results, seen,
-                    );
-                }
-            }
-            Instr::RFlush(loc) => {
-                let next = exp.after_label(states, &Label::rflush(*machine, loc));
-                if !next.is_empty() {
-                    dfs(
-                        exp, program, &next_pcs, crashed, &next, outcome, results, seen,
-                    );
-                }
-            }
-            Instr::Gpf => {
-                let next = exp.after_label(states, &Label::gpf(*machine));
-                if !next.is_empty() {
-                    dfs(
-                        exp, program, &next_pcs, crashed, &next, outcome, results, seen,
-                    );
-                }
-            }
-            Instr::Load(loc, reg) => {
+
+        let done = self
+            .program
+            .threads
+            .iter()
+            .enumerate()
+            .all(|(t, (_, instrs))| pcs[t] >= instrs.len());
+        if done {
+            self.results.insert(outcome.clone());
+            return;
+        }
+
+        // Choice 1: step any thread with remaining instructions.
+        for (t, &(m, ref instrs)) in self.program.threads.iter().enumerate() {
+            let Some(&instr) = instrs.get(pcs[t]) else {
+                continue;
+            };
+            let mut next_pcs = pcs.to_vec();
+            next_pcs[t] += 1;
+            // Each branch is a label plus the register write it records.
+            let branches: Vec<(Label, Option<(Reg, Val)>)> = match instr {
+                Instr::Store(kind, loc, v) => vec![(Label::store(kind, m, loc, v), None)],
+                Instr::LFlush(loc) => vec![(Label::lflush(m, loc), None)],
+                Instr::RFlush(loc) => vec![(Label::rflush(m, loc), None)],
+                Instr::Gpf => vec![(Label::gpf(m), None)],
                 // Branch on every observable value.
-                for v in observable_values(states, loc) {
-                    let next = exp.after_label(states, &Label::load(*machine, loc, v));
-                    if !next.is_empty() {
-                        let mut o = outcome.clone();
-                        o.insert(reg, v);
-                        dfs(exp, program, &next_pcs, crashed, &next, &o, results, seen);
-                    }
-                }
-            }
-            Instr::Cas(kind, loc, old, new, reg) => {
-                for v in observable_values(states, loc) {
-                    let (label, observed) = if v == old {
-                        (Label::rmw(kind, *machine, loc, old, new), old)
-                    } else {
-                        (Label::load(*machine, loc, v), v)
-                    };
-                    let next = exp.after_label(states, &label);
-                    if !next.is_empty() {
-                        let mut o = outcome.clone();
-                        o.insert(reg, observed);
-                        dfs(exp, program, &next_pcs, crashed, &next, &o, results, seen);
-                    }
+                Instr::Load(loc, reg) => observable_values(states, loc)
+                    .into_iter()
+                    .map(|v| (Label::load(m, loc, v), Some((reg, v))))
+                    .collect(),
+                Instr::Cas(kind, loc, old, new, reg) => observable_values(states, loc)
+                    .into_iter()
+                    .map(|v| {
+                        if v == old {
+                            (Label::rmw(kind, m, loc, old, new), Some((reg, old)))
+                        } else {
+                            (Label::load(m, loc, v), Some((reg, v)))
+                        }
+                    })
+                    .collect(),
+            };
+            for (label, write) in branches {
+                let next = self.exp.after_label(states, &label);
+                if !next.is_empty() {
+                    let mut o = outcome.clone();
+                    o.extend(write);
+                    self.dfs(&next_pcs, crashed, &next, &o);
                 }
             }
         }
-    }
 
-    // Choice 2: fire a pending crash.
-    for (c, m) in program.crashes.iter().enumerate() {
-        if crashed[c] {
-            continue;
-        }
-        let mut next_crashed = crashed.to_vec();
-        next_crashed[c] = true;
-        let next = exp.after_label(states, &Label::crash(*m));
-        if !next.is_empty() {
-            dfs(
-                exp,
-                program,
-                pcs,
-                &next_crashed,
-                &next,
-                outcome,
-                results,
-                seen,
-            );
+        // Choice 2: fire a pending crash.
+        for (c, &m) in self.program.crashes.iter().enumerate() {
+            if crashed[c] {
+                continue;
+            }
+            let mut next_crashed = crashed.to_vec();
+            next_crashed[c] = true;
+            let next = self.exp.after_label(states, &Label::crash(m));
+            if !next.is_empty() {
+                self.dfs(pcs, &next_crashed, &next, outcome);
+            }
         }
     }
 }

@@ -2,11 +2,11 @@
 //! under a finite label alphabet, producing a graph that the Proposition-1
 //! checker, the refinement checker and the DOT exporter all consume.
 
-use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeSet, HashMap};
 
-use cxl0_model::{
-    Label, MachineId, Primitive, Semantics, SilentStep, State, StoreKind, SystemConfig, Val,
-};
+use cxl0_model::{Label, Primitive, Semantics, StoreKind, SystemConfig, Val};
+
+use crate::lts::Lts;
 
 /// Builds the finite label alphabet used to drive exploration and
 /// refinement: every instantiation of the selected primitives over the
@@ -60,74 +60,42 @@ impl AlphabetBuilder {
         self
     }
 
-    /// Generates the alphabet.
+    /// Generates the alphabet, ordered by primitive, then machine,
+    /// location and value(s).
     pub fn build(&self) -> Vec<Label> {
-        let mut out = Vec::new();
-        let machines: Vec<MachineId> = self.cfg.machines().collect();
         let locs: Vec<_> = self.cfg.all_locations().collect();
+        let vals = &self.values;
+        let mut out = Vec::new();
         for &p in &self.primitives {
-            match p {
-                Primitive::Load => {
-                    for &m in &machines {
-                        for &loc in &locs {
-                            for &v in &self.values {
-                                out.push(Label::load(m, loc, v));
+            let kind = match p {
+                Primitive::LStore | Primitive::LRmw => StoreKind::Local,
+                Primitive::RStore | Primitive::RRmw => StoreKind::Remote,
+                _ => StoreKind::Memory,
+            };
+            for m in self.cfg.machines() {
+                match p {
+                    Primitive::Gpf => out.push(Label::gpf(m)),
+                    Primitive::Crash => out.push(Label::crash(m)),
+                    Primitive::LFlush => out.extend(locs.iter().map(|&l| Label::lflush(m, l))),
+                    Primitive::RFlush => out.extend(locs.iter().map(|&l| Label::rflush(m, l))),
+                    Primitive::Load => {
+                        for &l in &locs {
+                            out.extend(vals.iter().map(|&v| Label::load(m, l, v)));
+                        }
+                    }
+                    Primitive::LStore | Primitive::RStore | Primitive::MStore => {
+                        for &l in &locs {
+                            out.extend(vals.iter().map(|&v| Label::store(kind, m, l, v)));
+                        }
+                    }
+                    Primitive::LRmw | Primitive::RRmw | Primitive::MRmw => {
+                        for &l in &locs {
+                            for &old in vals {
+                                out.extend(
+                                    vals.iter().map(|&new| Label::rmw(kind, m, l, old, new)),
+                                );
                             }
                         }
-                    }
-                }
-                Primitive::LStore | Primitive::RStore | Primitive::MStore => {
-                    let kind = match p {
-                        Primitive::LStore => StoreKind::Local,
-                        Primitive::RStore => StoreKind::Remote,
-                        _ => StoreKind::Memory,
-                    };
-                    for &m in &machines {
-                        for &loc in &locs {
-                            for &v in &self.values {
-                                out.push(Label::store(kind, m, loc, v));
-                            }
-                        }
-                    }
-                }
-                Primitive::LFlush => {
-                    for &m in &machines {
-                        for &loc in &locs {
-                            out.push(Label::lflush(m, loc));
-                        }
-                    }
-                }
-                Primitive::RFlush => {
-                    for &m in &machines {
-                        for &loc in &locs {
-                            out.push(Label::rflush(m, loc));
-                        }
-                    }
-                }
-                Primitive::Gpf => {
-                    for &m in &machines {
-                        out.push(Label::gpf(m));
-                    }
-                }
-                Primitive::LRmw | Primitive::RRmw | Primitive::MRmw => {
-                    let kind = match p {
-                        Primitive::LRmw => StoreKind::Local,
-                        Primitive::RRmw => StoreKind::Remote,
-                        _ => StoreKind::Memory,
-                    };
-                    for &m in &machines {
-                        for &loc in &locs {
-                            for &old in &self.values {
-                                for &new in &self.values {
-                                    out.push(Label::rmw(kind, m, loc, old, new));
-                                }
-                            }
-                        }
-                    }
-                }
-                Primitive::Crash => {
-                    for &m in &machines {
-                        out.push(Label::crash(m));
                     }
                 }
             }
@@ -137,27 +105,27 @@ impl AlphabetBuilder {
 }
 
 /// An edge of the explored transition graph.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Edge {
+#[derive(Debug, Clone)]
+pub enum Edge<L: Lts = Semantics> {
     /// A visible transition.
-    Visible(Label),
-    /// A silent propagation step.
-    Silent(SilentStep),
+    Visible(L::Label),
+    /// A silent step.
+    Silent(L::Silent),
 }
 
 /// The graph of all states reachable from the initial state under a label
 /// alphabet (plus silent steps), up to optional limits.
 #[derive(Debug, Clone)]
-pub struct ReachableGraph {
+pub struct ReachableGraph<L: Lts = Semantics> {
     /// Deduplicated states; index 0 is the initial state.
-    pub states: Vec<State>,
+    pub states: Vec<L::State>,
     /// Edges as `(from_index, edge, to_index)`.
-    pub edges: Vec<(usize, Edge, usize)>,
+    pub edges: Vec<(usize, Edge<L>, usize)>,
     /// True if exploration stopped because a limit was hit.
     pub truncated: bool,
 }
 
-impl ReachableGraph {
+impl<L: Lts> ReachableGraph<L> {
     /// Number of distinct states discovered.
     pub fn num_states(&self) -> usize {
         self.states.len()
@@ -173,70 +141,54 @@ impl ReachableGraph {
 ///
 /// `max_states` bounds the number of distinct states (the graph is marked
 /// [`ReachableGraph::truncated`] if the bound is hit).
-pub fn explore(sem: &Semantics, alphabet: &[Label], max_states: usize) -> ReachableGraph {
+pub fn explore<L: Lts>(sem: &L, alphabet: &[L::Label], max_states: usize) -> ReachableGraph<L> {
     let init = sem.initial_state();
-    let mut index: HashMap<State, usize> = HashMap::new();
-    let mut states = vec![init.clone()];
-    index.insert(init.clone(), 0);
-    let mut edges = Vec::new();
-    let mut queue = VecDeque::new();
-    queue.push_back(0usize);
-    let mut truncated = false;
-
-    while let Some(i) = queue.pop_front() {
-        let st = states[i].clone();
-        // Silent successors.
-        for step in sem.silent_steps(&st) {
+    let mut index = HashMap::from([(init.clone(), 0)]);
+    let mut graph = ReachableGraph::<L> {
+        states: vec![init],
+        edges: Vec::new(),
+        truncated: false,
+    };
+    // States are numbered in discovery order, so visiting them by index is
+    // the breadth-first order.
+    let mut i = 0;
+    while i < graph.states.len() {
+        let st = graph.states[i].clone();
+        let silent = sem.silent_steps(&st).into_iter().map(|step| {
             let next = sem
                 .apply_silent(&st, &step)
                 .expect("enumerated silent step must be enabled");
-            let j = intern(&mut index, &mut states, &mut queue, next, max_states);
-            match j {
-                Some(j) => edges.push((i, Edge::Silent(step), j)),
-                None => truncated = true,
-            }
-        }
-        // Visible successors.
-        for label in alphabet {
-            if let Ok(next) = sem.apply(&st, label) {
-                let j = intern(&mut index, &mut states, &mut queue, next, max_states);
-                match j {
-                    Some(j) => edges.push((i, Edge::Visible(*label), j)),
-                    None => truncated = true,
+            (Edge::Silent(step), next)
+        });
+        let visible = alphabet
+            .iter()
+            .filter_map(|label| Some((Edge::Visible(*label), sem.apply(&st, label).ok()?)));
+        for (edge, next) in silent.chain(visible) {
+            let j = match index.get(&next) {
+                Some(&j) => j,
+                None if graph.states.len() >= max_states => {
+                    graph.truncated = true;
+                    continue;
                 }
-            }
+                None => {
+                    index.insert(next.clone(), graph.states.len());
+                    graph.states.push(next);
+                    graph.states.len() - 1
+                }
+            };
+            graph.edges.push((i, edge, j));
         }
+        i += 1;
     }
-
-    ReachableGraph {
-        states,
-        edges,
-        truncated,
-    }
-}
-
-fn intern(
-    index: &mut HashMap<State, usize>,
-    states: &mut Vec<State>,
-    queue: &mut VecDeque<usize>,
-    st: State,
-    max_states: usize,
-) -> Option<usize> {
-    if let Some(&j) = index.get(&st) {
-        return Some(j);
-    }
-    if states.len() >= max_states {
-        return None;
-    }
-    let j = states.len();
-    states.push(st.clone());
-    index.insert(st, j);
-    queue.push_back(j);
-    Some(j)
+    graph
 }
 
 /// Convenience: the deduplicated set of reachable states.
-pub fn reachable_states(sem: &Semantics, alphabet: &[Label], max_states: usize) -> Vec<State> {
+pub fn reachable_states<L: Lts>(
+    sem: &L,
+    alphabet: &[L::Label],
+    max_states: usize,
+) -> Vec<L::State> {
     explore(sem, alphabet, max_states).states
 }
 

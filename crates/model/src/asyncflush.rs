@@ -22,7 +22,7 @@
 //!   strictly weaker than `RFlush` on its own.
 //!
 //! The headline properties, checked exhaustively by
-//! `cxl0-explore::asyncinterp` and the `paper_async` litmus suite:
+//! `cxl0-explore`'s generic `Explorer` and the `paper_async` litmus suite:
 //!
 //! * `AFlush_i(x); Barrier_i` has exactly the outcomes of `RFlush_i(x)`;
 //! * `AFlush_i(x)` alone guarantees nothing (litmus A1/A4);

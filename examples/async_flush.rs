@@ -12,7 +12,8 @@
 //! 3. the **runtime** (`NodeHandle::aflush`/`barrier`) and the
 //!    `flit-async` transformation's batching advantage.
 //!
-//! Run with: `cargo run --example async_flush`
+//! Run with: `cargo run --example async_flush` (exits 1 if an `A1`–`A8`
+//! verdict or the equivalence check fails).
 
 use std::sync::Arc;
 
@@ -56,24 +57,26 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     println!("=== Part 2: the A1–A8 litmus suite ===\n");
+    let mut ok = true;
     for t in async_flush_tests() {
-        let observed = t.run();
-        println!(
-            "{:<8} {} expected {} observed {} — {}",
-            t.name,
-            if observed == t.expected {
-                "PASS"
-            } else {
-                "FAIL"
-            },
-            t.expected,
-            observed,
-            t.description
-        );
+        for o in t.check() {
+            ok &= o.pass();
+            println!(
+                "{:<8} {} expected {} observed {} — {}",
+                t.name,
+                if o.pass() { "PASS" } else { "FAIL" },
+                o.expected,
+                o.observed,
+                t.description
+            );
+        }
     }
     match check_aflush_barrier_equivalence() {
         None => println!("\nAFlush;Barrier ≡ RFlush: verified over all reachable states"),
-        Some(cex) => println!("\nequivalence COUNTEREXAMPLE:\n{cex}"),
+        Some(cex) => {
+            ok = false;
+            println!("\nequivalence COUNTEREXAMPLE:\n{cex}");
+        }
     }
 
     println!("\n=== Part 3: deferred helping on the runtime ===\n");
@@ -121,5 +124,5 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "\nbatching {CELLS} helping flushes under one Barrier: {:.2}x faster",
         sync_ns as f64 / async_ns as f64
     );
-    Ok(())
+    std::process::exit(if ok { 0 } else { 1 });
 }

@@ -9,8 +9,8 @@
 //! τ-closure before each label shows the resulting state is one the
 //! blocking rule admits.
 
-use cxl0::explore::{AsyncExplorer, AsyncStateSet};
-use cxl0::model::asyncflush::{AsyncLabel, AsyncSemantics};
+use cxl0::explore::{Explorer, StateSet};
+use cxl0::model::asyncflush::{AsyncLabel, AsyncSemantics, AsyncState};
 use cxl0::model::{Label, Loc, MachineConfig, MachineId, StoreKind, SystemConfig, Val};
 use cxl0::runtime::{CostModel, SimFabric};
 use proptest::prelude::*;
@@ -73,8 +73,8 @@ proptest! {
             CostModel::free(),
         );
         let sem = AsyncSemantics::new(cfg);
-        let exp = AsyncExplorer::new(&sem);
-        let mut states: AsyncStateSet = exp.initial_set();
+        let exp = Explorer::new(&sem);
+        let mut states: StateSet<AsyncState> = exp.initial_set();
         let nodes: Vec<_> = (0..2).map(|m| fabric.node(MachineId(m))).collect();
 
         for op in ops {
@@ -169,7 +169,7 @@ fn deterministic_batching_scenario_matches_model() {
     assert_eq!(n0.load(y).unwrap(), 2);
 
     let sem = AsyncSemantics::new(cfg);
-    let exp = AsyncExplorer::new(&sem);
+    let exp = Explorer::new(&sem);
     let trace: Vec<AsyncLabel> = vec![
         Label::lstore(MachineId(0), x, Val(1)).into(),
         Label::lstore(MachineId(0), y, Val(2)).into(),
