@@ -150,34 +150,6 @@ pub struct AllocRecovery {
     pub restored_blocks: usize,
 }
 
-/// Tear points of an allocation pop, for crash-consistency tests.
-#[doc(hidden)]
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TornAlloc {
-    /// After the intent records the top block, before the head CAS.
-    Recorded,
-    /// After the head swings past the block, before its header is marked
-    /// allocated.
-    Swung,
-    /// After the header is marked allocated (the pop is complete),
-    /// before the intent clears.
-    Marked,
-}
-
-/// Tear points of a free — of one block or a chain — for
-/// crash-consistency tests.
-#[doc(hidden)]
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TornFree {
-    /// After the intent latches, before any claim.
-    Latched,
-    /// After the `n`-th block's claim CAS (`n >= 1`; the chain's length
-    /// is "after the last claim"), before the head CAS.
-    Claimed(usize),
-    /// After the head CAS publishes the chain, before the intent clears.
-    Pushed,
-}
-
 /// Volatile lease pool over the durable intent slots the magazines do
 /// not own.
 #[derive(Debug)]
@@ -306,26 +278,13 @@ impl Magazine {
     }
 }
 
-/// What a free-list pop attempt concluded (drives slot-lease cleanup).
-enum PopOutcome {
-    /// The class free list is empty; fall back to the bump tail.
-    Empty,
-    /// Got a reclaimed block.
-    Got(BlockRef),
-    /// A torn-operation hook stopped mid-protocol (intent left latched,
-    /// lease leaked on purpose).
-    Torn(Loc),
-}
-
-/// What the chain-free path did with the blocks it was handed.
+/// What the free paths did with the blocks they were handed.
 #[derive(Default)]
 struct Chained {
-    /// Blocks claimed (and, unless torn, published).
+    /// Blocks claimed (and published).
     freed: usize,
     /// The first refusal, if any block was not freeable.
     refused: Option<FreeError>,
-    /// A torn-operation hook stopped mid-protocol (see [`PopOutcome`]).
-    torn: bool,
 }
 
 /// A block the free path validated as freeable.
@@ -651,14 +610,10 @@ impl Allocator {
                     self.note_alloc(class_cells(class));
                     return Ok(Some(block));
                 }
-                match self.pop(node, class, None)? {
-                    PopOutcome::Got(block) => {
-                        self.freelist_hits.fetch_add(1, Ordering::Relaxed);
-                        self.note_alloc(class_cells(class));
-                        return Ok(Some(block));
-                    }
-                    PopOutcome::Empty => {}
-                    PopOutcome::Torn(_) => unreachable!("tear hooks only run via torn_alloc"),
+                if let Some(block) = self.pop(node, class)? {
+                    self.freelist_hits.fetch_add(1, Ordering::Relaxed);
+                    self.note_alloc(class_cells(class));
+                    return Ok(Some(block));
                 }
                 (class_cells(class), class as u64)
             }
@@ -758,40 +713,17 @@ impl Allocator {
     /// recorded generation and no list holds it, so an intent that lost
     /// its CAS, never ran it, or resurfaced after its unflushed clear
     /// was lost is harmless.
-    fn pop(
-        &self,
-        node: &NodeHandle,
-        class: usize,
-        stop: Option<TornAlloc>,
-    ) -> OpResult<PopOutcome> {
-        // Peek before leasing a slot: an empty list needs no intent.
-        let head = self
-            .persist
-            .shared_load(node, self.head_cell(class), true)?;
-        if head_top(head).is_none() {
-            return Ok(PopOutcome::Empty);
-        }
-        let slot = self.slots.acquire();
-        let outcome = self.pop_with_slot(node, class, slot, head, stop);
-        match &outcome {
-            // A crash error or a deliberate tear leaves the lease
-            // leaked: the latched durable intent must survive untouched
-            // until the recovery sweep resets the pool.
-            Err(_) | Ok(PopOutcome::Torn(_)) => {}
-            Ok(_) => self.slots.release(slot),
-        }
-        outcome
-    }
-
-    fn pop_with_slot(
-        &self,
-        node: &NodeHandle,
-        class: usize,
-        slot: usize,
-        mut head: u64,
-        stop: Option<TornAlloc>,
-    ) -> OpResult<PopOutcome> {
+    fn pop(&self, node: &NodeHandle, class: usize) -> OpResult<Option<BlockRef>> {
         let head_cell = self.head_cell(class);
+        // Peek before leasing a slot: an empty list needs no intent.
+        let mut head = self.persist.shared_load(node, head_cell, true)?;
+        if head_top(head).is_none() {
+            return Ok(None);
+        }
+        // A crash error leaves the lease leaked: the latched durable
+        // intent must survive untouched until the recovery sweep resets
+        // the pool.
+        let slot = self.slots.acquire();
         let intent_cell = self.intent_cell(slot);
         let popped = loop {
             let Some(top) = head_top(head) else {
@@ -813,9 +745,6 @@ impl Allocator {
                 intent_word(OP_ALLOC, class as u64, top, gen),
                 true,
             )?;
-            if stop == Some(TornAlloc::Recorded) {
-                return Ok(PopOutcome::Torn(Loc::new(self.region, top)));
-            }
             // (2) swing
             let swung = head_word(header_next(hdr), head_ver(head).wrapping_add(1));
             match self
@@ -829,12 +758,10 @@ impl Allocator {
         let Some((top, gen)) = popped else {
             // Emptied under us. A losing intent is harmless; tidy it.
             self.persist.private_store(node, intent_cell, 0, false)?;
-            return Ok(PopOutcome::Empty);
+            self.slots.release(slot);
+            return Ok(None);
         };
         let payload = Loc::new(self.region, top);
-        if stop == Some(TornAlloc::Swung) {
-            return Ok(PopOutcome::Torn(payload));
-        }
         // (3) mark: the CAS took the block off the list, so its header
         // is exclusively ours.
         self.persist.private_store(
@@ -843,14 +770,12 @@ impl Allocator {
             header_word(ST_ALLOCATED, class as u64, gen, None),
             true,
         )?;
-        if stop == Some(TornAlloc::Marked) {
-            return Ok(PopOutcome::Torn(payload));
-        }
         // Unflagged: a lost clear only resurfaces a stale intent, which
         // recovery tells from a live one by the block's generation.
         self.persist.private_store(node, intent_cell, 0, false)?;
         node.check_alloc(payload, class_cells(class), gen);
-        Ok(PopOutcome::Got(BlockRef {
+        self.slots.release(slot);
+        Ok(Some(BlockRef {
             loc: payload,
             gen,
             recycled: true,
@@ -886,9 +811,9 @@ impl Allocator {
             Ok(hdr) => {
                 let block = Owned::new(payload, hdr);
                 if let Some((slot, mut mag)) = self.magazine_taking(block.class) {
-                    self.park(node, slot, &mut mag, &[block], false, &mut done)?;
+                    self.park(node, slot, &mut mag, &[block], &mut done)?;
                 } else {
-                    self.push_owned(node, &[block], None, &mut done)?;
+                    self.push_owned(node, &[block], &mut done)?;
                 }
             }
             Err(e) => done.refused = Some(e),
@@ -918,15 +843,13 @@ impl Allocator {
     ///
     /// A block whose claim a racing free won is refused as a double
     /// free; the blocks claimed before it are re-aimed past it and the
-    /// rest of the run is pushed under a fresh latch. With `torn` set
-    /// the push stops after the first latch, as a crash there would.
+    /// rest of the run is pushed under a fresh latch.
     fn park(
         &self,
         node: &NodeHandle,
         slot: usize,
         mag: &mut Magazine,
         run: &[Owned],
-        torn: bool,
         done: &mut Chained,
     ) -> OpResult<()> {
         let parked_gen = |b: &Owned| header_gen(b.hdr).wrapping_add(1) & GEN_MASK;
@@ -942,9 +865,6 @@ impl Allocator {
                 intent_word(OP_MAG, class, first.addr, header_gen(first.hdr)),
                 true,
             )?;
-            if torn {
-                return Ok(());
-            }
             let mut claimed = 0;
             for (i, b) in rest.iter().enumerate() {
                 let next = rest.get(i + 1).map_or(newest, |s| Some(s.addr));
@@ -1008,12 +928,12 @@ impl Allocator {
             None => (Vec::new(), owned),
         };
         let Some((slot, mut mag)) = mag.filter(|_| !fit.is_empty()) else {
-            self.push_chains(node, rest, None, &mut done)?;
+            self.push_chains(node, rest, &mut done)?;
             return Ok(done.freed);
         };
         let freed = self
-            .park(node, slot, &mut mag, &fit, false, &mut done)
-            .and_then(|()| self.push_chains(node, rest, None, &mut done));
+            .park(node, slot, &mut mag, &fit, &mut done)
+            .and_then(|()| self.push_chains(node, rest, &mut done));
         if freed.is_err() {
             mag.torn = true;
         }
@@ -1038,22 +958,11 @@ impl Allocator {
     ///
     /// Fails if the issuing machine has crashed.
     pub fn free_chain(&self, at: &impl AsNode, blocks: &[Loc]) -> OpResult<usize> {
-        Ok(self.chain(at.as_node(), blocks, None)?.freed)
-    }
-
-    /// The shared-list free path: validates every block, groups the
-    /// freeable ones by size class (a free list holds one class) and
-    /// pushes each group as a chain.
-    fn chain(
-        &self,
-        node: &NodeHandle,
-        blocks: &[Loc],
-        stop: Option<TornFree>,
-    ) -> OpResult<Chained> {
+        let node = at.as_node();
         let mut done = Chained::default();
         let owned = self.owned(node, blocks, &mut done)?;
-        self.push_chains(node, owned, stop, &mut done)?;
-        Ok(done)
+        self.push_chains(node, owned, &mut done)?;
+        Ok(done.freed)
     }
 
     /// The freeable blocks of `blocks`, in order; the first refusal is
@@ -1077,33 +986,30 @@ impl Allocator {
         &self,
         node: &NodeHandle,
         mut owned: Vec<Owned>,
-        stop: Option<TornFree>,
         done: &mut Chained,
     ) -> OpResult<()> {
         // Stable: within a class the caller's order is the chain's.
         owned.sort_by_key(|b| b.class);
-        self.push_owned(node, &owned, stop, done)?;
+        self.push_owned(node, &owned, done)?;
         self.persist.complete_op(node)
     }
 
     /// Pushes validated blocks, sorted by class, onto their free lists
     /// under one leased intent slot.
-    fn push_owned(
-        &self,
-        node: &NodeHandle,
-        owned: &[Owned],
-        stop: Option<TornFree>,
-        done: &mut Chained,
-    ) -> OpResult<()> {
+    fn push_owned(&self, node: &NodeHandle, owned: &[Owned], done: &mut Chained) -> OpResult<()> {
         if owned.is_empty() {
             return Ok(());
         }
         let slot = self.slots.acquire();
-        let pushed = self.chain_with_slot(node, slot, owned, stop, done);
-        if pushed.is_ok() && !done.torn {
-            self.slots.release(slot); // else leak the lease (see pop)
+        for run in owned.chunk_by(|a, b| a.class == b.class) {
+            let mut rest = run;
+            while !rest.is_empty() {
+                // A crash error leaks the lease (see `pop`).
+                rest = &rest[self.push_run(node, slot, rest, done)?..];
+            }
         }
-        pushed
+        self.slots.release(slot);
+        Ok(())
     }
 
     /// The header of `payload`'s block if the block can be freed, else
@@ -1122,23 +1028,6 @@ impl Allocator {
             (ST_FREE | ST_MAGAZINE, _) => Err(FreeError::DoubleFree),
             _ => Err(FreeError::NotABlock),
         })
-    }
-
-    fn chain_with_slot(
-        &self,
-        node: &NodeHandle,
-        slot: usize,
-        owned: &[Owned],
-        stop: Option<TornFree>,
-        done: &mut Chained,
-    ) -> OpResult<()> {
-        for run in owned.chunk_by(|a, b| a.class == b.class) {
-            let mut rest = run;
-            while !rest.is_empty() && !done.torn {
-                rest = &rest[self.push_run(node, slot, rest, stop, done)?..];
-            }
-        }
-        Ok(())
     }
 
     /// Pushes one chain, `run` being blocks of one class:
@@ -1162,7 +1051,6 @@ impl Allocator {
         node: &NodeHandle,
         slot: usize,
         run: &[Owned],
-        stop: Option<TornFree>,
         done: &mut Chained,
     ) -> OpResult<usize> {
         let Owned {
@@ -1179,10 +1067,6 @@ impl Allocator {
             intent_word(OP_FREE, class, first, header_gen(first_hdr)),
             true,
         )?;
-        if stop == Some(TornFree::Latched) {
-            done.torn = true;
-            return Ok(run.len());
-        }
         let mut head = self.persist.shared_load(node, head_cell, true)?;
         // (2) claim and link. `tail` is the last block claimed: its
         // address, bumped generation, and where its `next` aims.
@@ -1214,10 +1098,6 @@ impl Allocator {
             claimed += 1;
             done.freed += 1;
             tail = Some((addr, gen, next));
-            if stop == Some(TornFree::Claimed(claimed)) {
-                done.torn = true;
-                return Ok(run.len());
-            }
         }
         // (3) publish
         if let Some((tail, gen, mut next)) = tail {
@@ -1237,10 +1117,6 @@ impl Allocator {
                     Ok(_) => break,
                     Err(actual) => head = actual,
                 }
-            }
-            if stop == Some(TornFree::Pushed) {
-                done.torn = true;
-                return Ok(run.len());
             }
         }
         self.persist.private_store(node, intent_cell, 0, false)?;
@@ -1580,71 +1456,6 @@ impl Allocator {
 
     // ---- test hooks -----------------------------------------------------
 
-    /// Testing hook: run an allocation pop and stop at `stage`, leaving
-    /// the durable state exactly as a crash at that instant would.
-    /// Returns the affected block's payload, or `None` when the class
-    /// free list was empty (nothing to tear). The intent slot stays
-    /// leased until [`Allocator::recover`].
-    #[doc(hidden)]
-    pub fn torn_alloc(
-        &self,
-        at: &impl AsNode,
-        cells: u32,
-        stage: TornAlloc,
-    ) -> OpResult<Option<Loc>> {
-        let node = at.as_node();
-        let class = class_for(cells).expect("torn_alloc takes a reclaimable size");
-        let torn = match self.pop(node, class, Some(stage))? {
-            PopOutcome::Torn(loc) => Some(loc),
-            PopOutcome::Empty => None,
-            PopOutcome::Got(_) => unreachable!("every stage tears before the pop returns"),
-        };
-        self.persist.complete_op(node)?;
-        Ok(torn)
-    }
-
-    /// Testing hook: run a free of `blocks` (one block or a chain) and
-    /// stop at `stage` (see [`Allocator::torn_alloc`]). Returns the
-    /// first refusal, if any. A `Claimed(n)` beyond the chain's length
-    /// tears nothing: the free completes.
-    #[doc(hidden)]
-    pub fn torn_free(
-        &self,
-        at: &impl AsNode,
-        blocks: &[Loc],
-        stage: TornFree,
-    ) -> OpResult<Result<(), FreeError>> {
-        let done = self.chain(at.as_node(), blocks, Some(stage))?;
-        Ok(done.refused.map_or(Ok(()), Err))
-    }
-
-    /// Testing hook: a [`free`](Allocator::free) of `payload` whose
-    /// magazine push stops after latching its intent, before the claim —
-    /// the state a crash there leaves. Returns `Ok(false)`, having done
-    /// nothing, when the calling thread's magazine cannot take the block
-    /// (the free would go to the shared list). The magazine stays unused
-    /// until [`Allocator::recover`].
-    #[doc(hidden)]
-    pub fn torn_park(&self, at: &impl AsNode, payload: Loc) -> OpResult<Result<bool, FreeError>> {
-        let node = at.as_node();
-        let torn = match self.freeable(node, payload)? {
-            Ok(hdr) => {
-                let block = Owned::new(payload, hdr);
-                match self.magazine_taking(block.class) {
-                    Some((slot, mut mag)) => {
-                        let done = &mut Chained::default();
-                        self.park(node, slot, &mut mag, &[block], true, done)?;
-                        Ok(true)
-                    }
-                    None => Ok(false),
-                }
-            }
-            Err(e) => Err(e),
-        };
-        self.persist.complete_op(node)?;
-        Ok(torn)
-    }
-
     /// Testing hook: the blocks parked in the calling thread's magazine,
     /// oldest first — none when its thread slot has no magazine.
     #[doc(hidden)]
@@ -1676,10 +1487,74 @@ mod tests {
     use cxl0_model::SystemConfig;
 
     fn setup(cells: u32) -> (Arc<SimFabric>, Arc<Allocator>) {
+        setup_with(FlitPolicy::CXL0, cells)
+    }
+
+    fn setup_with(policy: FlitPolicy, cells: u32) -> (Arc<SimFabric>, Arc<Allocator>) {
         let f = SimFabric::new(SystemConfig::symmetric_nvm(2, cells));
-        let persist: Arc<dyn Persistence> = Arc::new(Flit::new(FlitPolicy::CXL0));
+        let persist: Arc<dyn Persistence> = Arc::new(Flit::new(policy));
         let a = Arc::new(Allocator::over_region(f.config(), MachineId(1), persist));
         (f, a)
+    }
+
+    /// What one recovery sweep made of a dead operation: the sweep's
+    /// `(sealed_intents, restored_blocks)`, the two-cell free list, and
+    /// which of the tracked blocks are still allocated.
+    type Outcome = (usize, usize, Vec<Loc>, Vec<Loc>);
+
+    fn outcome(sealed: usize, restored: usize, listed: &[Loc], live: &[Loc]) -> Outcome {
+        (sealed, restored, listed.to_vec(), live.to_vec())
+    }
+
+    /// Kills `op` right before each of its primitives in turn, and once
+    /// not at all, under every sound strict policy. Only the issuing
+    /// thread dies — no machine crashes, so the heap stays exactly as
+    /// the dead operation left it. After each run `then` issues later
+    /// traffic, the sweep recovers, and the outcome over the blocks
+    /// `setup` and `then` track is recorded. Returns the outcomes in
+    /// kill-point order with runs of equal ones collapsed, checked to be
+    /// the same under every policy.
+    fn sweep(
+        setup: impl Fn(&Allocator, &NodeHandle) -> Vec<Loc>,
+        op: impl Fn(&Allocator, &NodeHandle, &[Loc]) -> OpResult<()>,
+        then: impl Fn(&Allocator, &NodeHandle, &mut Vec<Loc>),
+    ) -> Vec<Outcome> {
+        let policies = [
+            FlitPolicy::CXL0,
+            FlitPolicy::OWNER_OPT,
+            FlitPolicy::ASYNC,
+            FlitPolicy::NAIVE_MSTORE,
+        ];
+        let mut first: Option<Vec<Outcome>> = None;
+        for policy in policies {
+            assert!(policy.sound && policy.strict);
+            let mut outcomes: Vec<Outcome> = Vec::new();
+            for k in 1.. {
+                let (f, a) = setup_with(policy, 1024);
+                let node = f.node(MachineId(0));
+                let mut tracked = setup(&a, &node);
+                f.arm_crash(k, &[]);
+                let killed = op(&a, &node, &tracked).is_err();
+                assert_eq!(killed, f.disarm_crash(), "{}: k = {k}", policy.name);
+                then(&a, &node, &mut tracked);
+                let r = a.recover(&node).unwrap();
+                let listed = a.debug_free_list(&node, 2).unwrap();
+                tracked.dedup();
+                tracked.retain(|&b| a.free_chain(&node, &[b]).unwrap() == 1);
+                let o = (r.sealed_intents, r.restored_blocks, listed, tracked);
+                if outcomes.last() != Some(&o) {
+                    outcomes.push(o);
+                }
+                if !killed {
+                    break;
+                }
+            }
+            match &first {
+                Some(first) => assert_eq!(&outcomes, first, "{}", policy.name),
+                None => first = Some(outcomes),
+            }
+        }
+        first.expect("four policies")
     }
 
     #[test]
@@ -1803,46 +1678,50 @@ mod tests {
 
     #[test]
     fn torn_frees_are_completed_exactly_once() {
-        for stage in [TornFree::Latched, TornFree::Claimed(1), TornFree::Pushed] {
-            let (f, a) = setup(1024);
-            let node = f.node(MachineId(0));
-            let b = a.alloc(&node, 2).unwrap().unwrap();
-            a.torn_free(&node, &[b.loc], stage).unwrap().unwrap();
-            let r = a.recover(&node).unwrap();
-            assert_eq!(r.sealed_intents, 1, "{stage:?}");
-            assert_eq!(
-                a.debug_free_list(&node, 2).unwrap(),
-                vec![b.loc],
-                "{stage:?}: block must be free exactly once"
-            );
-            // And usable again.
-            let again = a.alloc(&node, 2).unwrap().unwrap();
-            assert_eq!(again.loc, b.loc);
-        }
+        let outcomes = sweep(|a, node| blocks(a, node, 1), free_all, |_, _, _| {});
+        let b = outcomes[0].3.clone();
+        // Untouched; latched or claimed, which the sweep completes;
+        // published; complete — the block is free exactly once from the
+        // latch on.
+        let expected = vec![
+            outcome(0, 0, &[], &b),
+            outcome(1, 1, &b, &[]),
+            outcome(1, 0, &b, &[]),
+            outcome(0, 0, &b, &[]),
+        ];
+        assert_eq!(outcomes, expected);
+    }
+
+    /// One block of the two-cell free list.
+    fn listed(a: &Allocator, node: &NodeHandle) -> Vec<Loc> {
+        let b = blocks(a, node, 1);
+        assert_eq!(a.free_chain(node, &b).unwrap(), 1);
+        b
+    }
+
+    fn alloc2(a: &Allocator, node: &NodeHandle, _: &[Loc]) -> OpResult<()> {
+        a.alloc(node, 2).map(drop)
+    }
+
+    fn free_all(a: &Allocator, node: &NodeHandle, blocks: &[Loc]) -> OpResult<()> {
+        a.free_chain(node, blocks).map(drop)
     }
 
     #[test]
     fn torn_allocs_never_lose_the_block() {
-        for stage in [TornAlloc::Recorded, TornAlloc::Swung, TornAlloc::Marked] {
-            let (f, a) = setup(1024);
-            let node = f.node(MachineId(0));
-            let b = a.alloc(&node, 2).unwrap().unwrap();
-            assert_eq!(a.free_chain(&node, &[b.loc]).unwrap(), 1);
-            let torn = a.torn_alloc(&node, 2, stage).unwrap();
-            assert_eq!(torn, Some(b.loc), "{stage:?}");
-            a.recover(&node).unwrap();
-            // Complete at the mark: from then on the block is allocated
-            // (and freeable); before it, back on the list exactly once.
-            if stage == TornAlloc::Marked {
-                assert!(a.debug_free_list(&node, 2).unwrap().is_empty());
-                assert_eq!(a.free_chain(&node, &[b.loc]).unwrap(), 1);
-            }
-            assert_eq!(
-                a.debug_free_list(&node, 2).unwrap(),
-                vec![b.loc],
-                "{stage:?}"
-            );
-        }
+        let outcomes = sweep(listed, alloc2, |_, _, _| {});
+        let b = outcomes[0].2.clone();
+        // Untouched; recorded (the block never left its list); swung
+        // (the sweep puts it back); marked, where the pop is complete
+        // and the block the dead caller's; complete.
+        let expected = vec![
+            outcome(0, 0, &b, &[]),
+            outcome(1, 0, &b, &[]),
+            outcome(1, 1, &b, &[]),
+            outcome(1, 0, &[], &b),
+            outcome(0, 0, &[], &b),
+        ];
+        assert_eq!(outcomes, expected);
     }
 
     /// `n` fresh two-cell blocks.
@@ -1899,33 +1778,24 @@ mod tests {
     #[test]
     fn torn_chains_are_recovered_by_walking_their_links() {
         const K: usize = 4;
-        let stages = (1..=K)
-            .map(TornFree::Claimed)
-            .chain([TornFree::Latched, TornFree::Pushed]);
-        for stage in stages {
-            let (f, a) = setup(1024);
-            let node = f.node(MachineId(0));
-            let (old, chain) = (blocks(&a, &node, 1), blocks(&a, &node, K));
-            assert_eq!(a.free_chain(&node, &old).unwrap(), 1);
-            a.torn_free(&node, &chain, stage).unwrap().unwrap();
-            let r = a.recover(&node).unwrap();
-            // Every claimed block is published; `Latched` completes the
-            // free of the block its intent names; the rest stay
-            // allocated.
-            let freed = match stage {
-                TornFree::Latched => 1,
-                TornFree::Claimed(n) => n,
-                TornFree::Pushed => K,
-            };
-            let mut expected = chain[..freed].to_vec();
-            expected.extend(&old);
-            assert_eq!(a.debug_free_list(&node, 2).unwrap(), expected, "{stage:?}");
-            let restored = if stage == TornFree::Pushed { 0 } else { freed };
-            assert_eq!((r.sealed_intents, r.restored_blocks), (1, restored));
-            for &b in &chain[freed..] {
-                a.free(&node, b).unwrap().expect("still allocated");
-            }
-        }
+        let setup = |a: &Allocator, node: &NodeHandle| {
+            let (old, chain) = (blocks(a, node, 1), blocks(a, node, K));
+            assert_eq!(a.free_chain(node, &old).unwrap(), 1);
+            chain.into_iter().chain(old).collect()
+        };
+        let free =
+            |a: &Allocator, node: &NodeHandle, b: &[Loc]| a.free_chain(node, &b[..K]).map(drop);
+        let outcomes = sweep(setup, free, |_, _, tracked| tracked.truncate(K));
+        let (chain, old) = (&outcomes[0].3, &outcomes[0].2);
+        assert_eq!((chain.len(), old.len()), (K, 1));
+        // Every claimed block is published; a latched intent completes
+        // the free of the block it names; the rest stay allocated.
+        let freed = |j: usize| [&chain[..j], old].concat();
+        let mut expected = vec![outcome(0, 0, old, chain)];
+        expected.extend((1..=K).map(|j| outcome(1, j, &freed(j), &chain[j..])));
+        expected.push(outcome(1, 0, &freed(K), &[]));
+        expected.push(outcome(0, 0, &freed(K), &[]));
+        assert_eq!(outcomes, expected);
     }
 
     #[test]
@@ -1959,30 +1829,39 @@ mod tests {
 
     #[test]
     fn a_dead_operations_intent_goes_stale_under_later_traffic() {
-        // A free dies right after publishing: its slot stays leased and
-        // keeps FREE(b, g) while other slots pop and re-free the block.
-        let (f, a) = setup(1024);
-        let node = f.node(MachineId(0));
-        let b = blocks(&a, &node, 1)[0];
-        a.torn_free(&node, &[b], TornFree::Pushed).unwrap().unwrap();
-        let live = a.alloc(&node, 2).unwrap().unwrap();
-        assert_eq!(live.loc, b, "the published block is poppable");
-        // FREE(b, g) now faces ALLOCATED g+1: stale, b stays live.
-        let r = a.recover(&node).unwrap();
-        assert_eq!((r.sealed_intents, r.restored_blocks), (1, 0));
-        assert!(a.debug_free_list(&node, 2).unwrap().is_empty());
-        a.free(&node, live.loc).unwrap().unwrap();
-        // A pop that dies after its head CAS does not stall the class
-        // (nothing to wait for: pops are lock-free) ...
-        let other = blocks(&a, &node, 1)[0];
-        assert_eq!(other, b);
-        assert_eq!(a.free_chain(&node, &[other]).unwrap(), 1);
-        assert_eq!(a.torn_alloc(&node, 2, TornAlloc::Swung).unwrap(), Some(b));
-        let fresh = a.alloc(&node, 2).unwrap().unwrap();
-        assert_ne!(fresh.loc, b, "the torn pop owns b until recovery");
-        // ... and recovery puts its block back exactly once.
-        assert_eq!(a.recover(&node).unwrap().restored_blocks, 1);
-        assert_eq!(a.debug_free_list(&node, 2).unwrap(), vec![b]);
+        // A free dies while later traffic pops and re-frees over other
+        // slots: once it has published, its FREE(b, g) faces the
+        // re-allocated b (ALLOCATED g+1) and is stale.
+        let later = |a: &Allocator, node: &NodeHandle, tracked: &mut Vec<Loc>| {
+            tracked.push(a.alloc(node, 2).unwrap().unwrap().loc);
+        };
+        let outcomes = sweep(|a, node| blocks(a, node, 1), free_all, later);
+        assert_eq!(
+            outcomes[0].3.len(),
+            2,
+            "b, and the fresh block later traffic took"
+        );
+        let (b, c) = (&outcomes[0].3[..1], &outcomes[0].3[1..]);
+        let expected = vec![
+            outcome(0, 0, &[], &[b, c].concat()),
+            outcome(1, 1, b, c),
+            outcome(1, 0, &[], b),
+            outcome(0, 0, &[], b),
+        ];
+        assert_eq!(outcomes, expected);
+        // A pop that dies does not stall the class (pops are lock-free):
+        // later traffic pops b while the dead pop has not swung the head
+        // past it, takes a fresh block once it has, and the sweep puts b
+        // back exactly once.
+        let outcomes = sweep(listed, alloc2, later);
+        let expected = vec![
+            outcome(0, 0, &[], b),
+            outcome(1, 0, &[], b),
+            outcome(1, 1, b, c),
+            outcome(1, 0, &[], &[b, c].concat()),
+            outcome(0, 0, &[], &[b, c].concat()),
+        ];
+        assert_eq!(outcomes, expected);
     }
 
     #[test]

@@ -230,6 +230,6 @@ mod allocator;
 pub(crate) mod layout;
 
 pub use allocator::{
-    AllocRecovery, AllocStats, Allocator, BlockRef, FreeError, TornAlloc, TornFree, INTENT_SLOTS,
-    MAX_CLASS_CELLS, META_CELLS, NUM_CLASSES,
+    AllocRecovery, AllocStats, Allocator, BlockRef, FreeError, INTENT_SLOTS, MAX_CLASS_CELLS,
+    META_CELLS, NUM_CLASSES,
 };

@@ -69,6 +69,14 @@
 //! operation and must stop; `recover(m)` readmits the machine with fresh
 //! threads. Stopping the world makes the crash a single atomic
 //! transition, as in the model.
+//!
+//! The model lets a machine crash between any two primitives:
+//! [`SimFabric::arm_crash`] arms a one-shot *crash point* right before
+//! the `k`-th primitive (counted as [`Stats::total_ops`] counts them),
+//! which crashes its victims — none, one or several machines — and
+//! fails that primitive with [`Crashed`], so the issuing thread dies
+//! mid-operation. Arming is a bit in the gate's halted word: the
+//! unarmed path pays nothing for it.
 
 use std::sync::atomic::{fence, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -688,15 +696,27 @@ impl Drop for CellGuard<'_> {
     }
 }
 
-/// The crash gate's read-mostly control line: a halted flag (nonzero
-/// while a crash is draining in-flight operations) and the bitmask of
-/// crashed machines.
+/// The crash gate's read-mostly control line: the gate word, the
+/// bitmask of crashed machines and the armed crash point.
 #[repr(align(64))]
 #[derive(Debug)]
 struct CrashWord {
+    /// [`HALTED`] while a crash is draining in-flight operations;
+    /// [`ARMED`] while a crash point waits. Both clear on the hot path.
     halted: AtomicU64,
     crashed: AtomicU64,
+    /// Primitives left until the armed crash point fires.
+    countdown: AtomicU64,
+    /// Bitmask of the machines the crash point crashes.
+    victims: AtomicU64,
+    /// Nonzero once the armed crash point has fired.
+    fired: AtomicU64,
 }
+
+/// [`CrashWord::halted`] bit: a crash is stopping the world.
+const HALTED: u64 = 1;
+/// [`CrashWord::halted`] bit: a crash point is armed.
+const ARMED: u64 = 2;
 
 /// Shards per machine of the pending-`AFlush` buffer; one mutexed set
 /// per shard so unrelated threads stop serializing.
@@ -855,6 +875,9 @@ impl SimFabric {
             crash_word: CrashWord {
                 halted: AtomicU64::new(0),
                 crashed: AtomicU64::new(0),
+                countdown: AtomicU64::new(0),
+                victims: AtomicU64::new(0),
+                fired: AtomicU64::new(0),
             },
             crash_lock: Mutex::new(()),
             pending: (0..cfg.num_machines()).map(|_| PendingBuf::new()).collect(),
@@ -946,21 +969,30 @@ impl SimFabric {
     /// that variant is in force. Machines in `m`'s failure domain crash
     /// together. Idempotent.
     pub fn crash(&self, m: MachineId) {
+        self.crash_all(1u64 << m.index());
+    }
+
+    /// Crashes every machine of `victims` (a bitmask) and their failure
+    /// domains in one world-stopped transition.
+    fn crash_all(&self, victims: u64) {
+        let crashed_bits = (self.cfg.machines())
+            .filter(|m| victims & (1u64 << m.index()) != 0)
+            .flat_map(|m| self.cfg.failure_domain(m))
+            .fold(0u64, |bits, d| bits | 1u64 << d.index());
         // Stop the world so the crash is one atomic transition: halt the
         // gate, then wait for every in-flight operation to retire.
         let _serial = self.crash_lock.lock();
-        self.crash_word.halted.store(1, Ordering::SeqCst);
+        self.crash_word.halted.fetch_or(HALTED, Ordering::SeqCst);
         self.stats.await_quiescent();
-        let mut crashed_bits = 0u64;
         let mut zeroed_bits = 0u64;
-        for d in self.cfg.failure_domain(m) {
-            self.crash_word
-                .crashed
-                .fetch_or(1u64 << d.index(), Ordering::SeqCst);
+        for d in self.cfg.machines() {
+            let bit = 1u64 << d.index();
+            if crashed_bits & bit == 0 {
+                continue;
+            }
+            self.crash_word.crashed.fetch_or(bit, Ordering::SeqCst);
             // Un-retired asynchronous flush requests die with the machine.
             self.pending[d.index()].clear();
-            let bit = 1u64 << d.index();
-            crashed_bits |= bit;
             if self.cfg.machine(d).memory == MemoryKind::Volatile {
                 zeroed_bits |= bit;
             }
@@ -994,7 +1026,33 @@ impl SimFabric {
             // post-recovery ones.
             tr.on_crash();
         }
-        self.crash_word.halted.store(0, Ordering::SeqCst);
+        self.crash_word.halted.fetch_and(!HALTED, Ordering::SeqCst);
+    }
+
+    /// Arms the one-shot crash point: right before the `k`-th primitive
+    /// issued from now on (counted as [`Stats::total_ops`] counts them:
+    /// `GPF` is none), every machine of `victims` crashes at once, as
+    /// [`SimFabric::crash`] does, and that primitive fails with
+    /// [`Crashed`] untaken, so its thread dies mid-operation. Victims
+    /// stay crashed until recovered; arming again replaces the point.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `k` is zero.
+    pub fn arm_crash(&self, k: u64, victims: &[MachineId]) {
+        assert!(k > 0, "primitives are counted from 1");
+        let bits = victims.iter().fold(0, |b, m| b | 1u64 << m.index());
+        self.crash_word.victims.store(bits, Ordering::SeqCst);
+        self.crash_word.fired.store(0, Ordering::SeqCst);
+        self.crash_word.countdown.store(k, Ordering::SeqCst);
+        self.crash_word.halted.fetch_or(ARMED, Ordering::SeqCst);
+    }
+
+    /// Disarms the crash point and returns whether it fired (call it
+    /// once the traffic it was armed for has stopped).
+    pub fn disarm_crash(&self) -> bool {
+        self.crash_word.halted.fetch_and(!ARMED, Ordering::SeqCst);
+        self.crash_word.fired.swap(0, Ordering::SeqCst) != 0
     }
 
     /// Recovers machine `m` (and its failure domain): new threads may run
@@ -1044,25 +1102,23 @@ impl SimFabric {
     /// Drains every cache to memory (the state change a successful `GPF`
     /// waits for). Exposed for orderly-shutdown scenarios.
     pub fn drain_all(&self) {
+        // The sanitizer mirrors the drain as one batch, like a
+        // barrier's: no cell's drain order can read as a race.
+        let mut batch = Vec::new();
         for owner in self.cfg.machines() {
             let (base, count) = self.extents[owner.index()];
             for a in 0..count {
                 let cell = &self.cells[base + a as usize];
                 // Cheap optimistic skip: most cells are uncached.
                 if cell.read().0 != 0 {
-                    let st = cell.lock();
+                    let (loc, st) = (Loc::new(owner, a), cell.lock());
                     st.drain();
-                    if let Some(ck) = self.checker.get() {
-                        ck.on_mutate(
-                            None,
-                            Loc::new(owner, a),
-                            st.holders(),
-                            st.cache_val(),
-                            st.mem_val(),
-                        );
-                    }
+                    batch.push((loc, st.holders(), st.cache_val(), st.mem_val()));
                 }
             }
+        }
+        if let Some(ck) = self.checker.get() {
+            ck.on_barrier(None, &batch);
         }
     }
 
@@ -1161,37 +1217,64 @@ impl NodeHandle {
     /// sequentially consistent publish/check order against `crash()`'s
     /// halt/drain order guarantees (Dekker-style) that a crash either
     /// sees this operation and waits for it, or this operation sees the
-    /// halt and backs off. The check order matters: reading
-    /// `halted == 0` proves this publication either precedes the halt
+    /// halt and backs off. The check order matters: a clear `HALTED`
+    /// bit proves this publication either precedes the halt
     /// (so the drain waits for us and the op linearizes before the
     /// crash) or follows the reopen — and in the latter case the
     /// `crashed` bits, stored before the reopen, are guaranteed visible
     /// to the subsequent check. Checking `crashed` first would leave a
     /// window where an op threads between the drain and the bit
     /// publication and mutates a just-crashed machine.
-    fn enter(&self) -> OpResult<OpGuard<'_>> {
+    /// A `COUNTED` primitive (one [`Stats`] counts) ticks an armed
+    /// crash point on the way in.
+    fn enter<const COUNTED: bool>(&self) -> OpResult<OpGuard<'_>> {
         let fabric = &*self.fabric;
         let rail = fabric.stats.rail();
         let m_bit = 1u64 << self.machine.index();
+        let machine = self.machine;
         loop {
             rail.begin();
-            if fabric.crash_word.halted.load(Ordering::SeqCst) != 0 {
+            let gate = fabric.crash_word.halted.load(Ordering::SeqCst);
+            if gate & HALTED != 0 {
                 // A crash is draining: retire our publication and wait
                 // for the gate to reopen.
                 rail.end();
                 spin_until(|| {
-                    (fabric.crash_word.halted.load(Ordering::Acquire) == 0).then_some(())
+                    (fabric.crash_word.halted.load(Ordering::Acquire) & HALTED == 0).then_some(())
                 });
                 continue;
             }
             if fabric.crash_word.crashed.load(Ordering::SeqCst) & m_bit != 0 {
                 rail.end();
-                return Err(Crashed {
-                    machine: self.machine,
-                });
+                return Err(Crashed { machine });
+            }
+            if COUNTED && gate & ARMED != 0 {
+                rail.end();
+                return self.enter_armed();
             }
             return Ok(OpGuard { rail });
         }
+    }
+
+    /// Counts one primitive under an armed crash point, firing it at the
+    /// `k`-th, then enters the gate. Off the gate, or the crash would
+    /// wait for its own caller.
+    #[cold]
+    #[inline(never)]
+    fn enter_armed(&self) -> OpResult<OpGuard<'_>> {
+        let word = &self.fabric.crash_word;
+        if word.countdown.fetch_sub(1, Ordering::SeqCst) == 1 {
+            let victims = word.victims.load(Ordering::SeqCst);
+            if victims != 0 {
+                self.fabric.crash_all(victims);
+            }
+            word.halted.fetch_and(!ARMED, Ordering::SeqCst);
+            word.fired.store(1, Ordering::SeqCst);
+            return Err(Crashed {
+                machine: self.machine,
+            });
+        }
+        self.enter::<false>()
     }
 
     fn op_cost(&self, p: Primitive, loc: Loc) -> u64 {
@@ -1355,7 +1438,9 @@ impl NodeHandle {
             // `halted` before `crashed`, as in `enter()`: a clean halted
             // read either proves the snapshot precedes any in-flight
             // crash, or follows a reopen whose earlier `crashed` stores
-            // the second check is then guaranteed to observe.
+            // the second check is then guaranteed to observe. An armed
+            // crash point makes the word nonzero too: the load then
+            // takes the gated path, which counts it.
             if let Some(v) = hit {
                 if fabric.crash_word.halted.load(Ordering::SeqCst) == 0
                     && fabric.crash_word.crashed.load(Ordering::SeqCst) & bit == 0
@@ -1369,7 +1454,7 @@ impl NodeHandle {
                 }
             }
         }
-        let g = self.enter()?;
+        let g = self.enter::<true>()?;
         g.charge(OpClass::Loads, self.op_cost(Primitive::Load, loc));
         let cell = self.fabric.cell(loc);
         self.check_load(loc);
@@ -1414,7 +1499,7 @@ impl NodeHandle {
     ///
     /// Fails if this machine has crashed.
     pub fn lstore(&self, loc: Loc, v: u64) -> OpResult<()> {
-        let g = self.enter()?;
+        let g = self.enter::<true>()?;
         g.charge(OpClass::LStores, self.op_cost(Primitive::LStore, loc));
         let st = self.fabric.cell(loc).lock();
         st.set_cache_val(v);
@@ -1429,7 +1514,7 @@ impl NodeHandle {
     ///
     /// Fails if this machine has crashed.
     pub fn rstore(&self, loc: Loc, v: u64) -> OpResult<()> {
-        let g = self.enter()?;
+        let g = self.enter::<true>()?;
         g.charge(OpClass::RStores, self.op_cost(Primitive::RStore, loc));
         let st = self.fabric.cell(loc).lock();
         st.set_cache_val(v);
@@ -1444,7 +1529,7 @@ impl NodeHandle {
     ///
     /// Fails if this machine has crashed.
     pub fn mstore(&self, loc: Loc, v: u64) -> OpResult<()> {
-        let g = self.enter()?;
+        let g = self.enter::<true>()?;
         g.charge(OpClass::MStores, self.op_cost(Primitive::MStore, loc));
         let st = self.fabric.cell(loc).lock();
         st.set_mem_val(v);
@@ -1474,7 +1559,7 @@ impl NodeHandle {
     ///
     /// Fails if this machine has crashed.
     pub fn lflush(&self, loc: Loc) -> OpResult<()> {
-        let g = self.enter()?;
+        let g = self.enter::<true>()?;
         g.charge(OpClass::LFlushes, self.op_cost(Primitive::LFlush, loc));
         let bit = 1u64 << self.machine.index();
         let cell = self.fabric.cell(loc);
@@ -1503,7 +1588,7 @@ impl NodeHandle {
     ///
     /// Fails if this machine has crashed.
     pub fn rflush(&self, loc: Loc) -> OpResult<()> {
-        let g = self.enter()?;
+        let g = self.enter::<true>()?;
         g.charge(OpClass::RFlushes, self.op_cost(Primitive::RFlush, loc));
         let cell = self.fabric.cell(loc);
         // Fast path: an uncached line is already as persistent as it gets.
@@ -1534,7 +1619,7 @@ impl NodeHandle {
     ///
     /// Fails if this machine has crashed.
     pub fn gpf(&self) -> OpResult<()> {
-        let _g = self.enter()?;
+        let _g = self.enter::<false>()?;
         self.fabric.drain_all();
         Ok(())
     }
@@ -1549,7 +1634,7 @@ impl NodeHandle {
     ///
     /// Fails if this machine has crashed.
     pub fn aflush(&self, loc: Loc) -> OpResult<()> {
-        let g = self.enter()?;
+        let g = self.enter::<true>()?;
         g.charge(OpClass::AFlushes, self.fabric.cost.aflush_issue);
         self.fabric.pending[self.machine.index()].insert(loc);
         Ok(())
@@ -1567,7 +1652,7 @@ impl NodeHandle {
     ///
     /// Fails if this machine has crashed.
     pub fn barrier(&self) -> OpResult<usize> {
-        let g = self.enter()?;
+        let g = self.enter::<true>()?;
         // Streaming equivalent of `CostModel::barrier_cost` over the
         // per-line full-RFlush costs: track the slowest line and the
         // count instead of collecting a vector.
@@ -1610,7 +1695,7 @@ impl NodeHandle {
     ///
     /// Fails with [`Crashed`] if this machine has crashed.
     pub fn cas(&self, kind: StoreKind, loc: Loc, old: u64, new: u64) -> OpResult<Result<u64, u64>> {
-        let g = self.enter()?;
+        let g = self.enter::<true>()?;
         let prim = match kind {
             StoreKind::Local => Primitive::LRmw,
             StoreKind::Remote => Primitive::RRmw,
@@ -1657,7 +1742,7 @@ impl NodeHandle {
     ///
     /// Fails if this machine has crashed.
     pub fn faa(&self, kind: StoreKind, loc: Loc, delta: u64) -> OpResult<u64> {
-        let g = self.enter()?;
+        let g = self.enter::<true>()?;
         let prim = match kind {
             StoreKind::Local => Primitive::LRmw,
             StoreKind::Remote => Primitive::RRmw,
@@ -2157,5 +2242,69 @@ mod tests {
         f.recover(M0);
         f.recover(M1);
         assert_eq!(f.node(M0).load(x(0, 0)).unwrap(), 0);
+    }
+
+    /// Every counted primitive kind, once each, plus a `GPF` (which
+    /// `Stats` does not count). Returns how many primitives completed.
+    fn crash_point_script(n0: &NodeHandle) -> usize {
+        let y = x(1, 1);
+        let steps: [&dyn Fn() -> OpResult<()>; 12] = [
+            &|| n0.load(y).map(drop), // the gateless fast path
+            &|| n0.lstore(y, 1),
+            &|| n0.rstore(y, 2),
+            &|| n0.mstore(y, 3),
+            &|| n0.lflush(y),
+            &|| n0.rflush(y),
+            &|| n0.gpf(),
+            &|| n0.cas(StoreKind::Local, y, 3, 4).map(drop),
+            &|| n0.faa(StoreKind::Remote, y, 1).map(drop),
+            &|| n0.aflush(y),
+            &|| n0.barrier().map(drop),
+            &|| n0.load(y).map(drop),
+        ];
+        steps.iter().take_while(|step| step().is_ok()).count()
+    }
+
+    #[test]
+    fn crash_point_fires_right_before_the_kth_counted_primitive() {
+        let dry = fabric2();
+        assert_eq!(crash_point_script(&dry.node(M0)), 12);
+        let n = dry.stats().total_ops();
+        assert_eq!(n, 11, "GPF is not a counted primitive");
+        for k in 1..=n {
+            let f = fabric2();
+            let before = f.stats().total_ops();
+            f.arm_crash(k, &[M1]);
+            let done = crash_point_script(&f.node(M0));
+            assert_eq!(f.stats().total_ops() - before, k - 1, "k = {k}");
+            assert_eq!(done as u64, if k > 6 { k } else { k - 1 }, "k = {k}");
+            assert!(f.disarm_crash(), "k = {k}");
+            assert!(f.is_crashed(M1) && !f.is_crashed(M0), "k = {k}");
+        }
+        // Past the last primitive the point never fires.
+        let f = fabric2();
+        f.arm_crash(n + 1, &[M1]);
+        assert_eq!(crash_point_script(&f.node(M0)), 12);
+        assert!(!f.disarm_crash());
+        assert!(!f.is_crashed(M1));
+        assert_eq!(crash_point_script(&f.node(M0)), 12, "disarmed");
+    }
+
+    #[test]
+    fn crash_point_without_victims_kills_only_the_issuing_op() {
+        let f = fabric2();
+        let n0 = f.node(M0);
+        n0.lstore(x(1, 0), 7).unwrap();
+        f.arm_crash(2, &[]);
+        n0.load(x(1, 0)).unwrap();
+        assert_eq!(
+            n0.rflush(x(1, 0)),
+            Err(Crashed { machine: M0 }),
+            "the second primitive dies"
+        );
+        assert!(f.disarm_crash());
+        assert!(!f.is_crashed(M0) && !f.is_crashed(M1));
+        assert_eq!(f.peek_memory(x(1, 0)), 0, "the dead flush had no effect");
+        assert_eq!(n0.load(x(1, 0)).unwrap(), 7, "no cache was lost");
     }
 }

@@ -441,10 +441,10 @@ impl Checker {
         }
     }
 
-    /// A barrier retired a batch of pending flushes. Persists are
-    /// mirrored first and publications evaluated against the post-batch
-    /// state, so the drain order *within* one barrier can never be
-    /// observed as a race.
+    /// A barrier retired a batch of pending flushes (or a `GPF` drained
+    /// every cache). Persists are mirrored first and publications
+    /// evaluated against the post-batch state, so the drain order
+    /// *within* one batch can never be observed as a race.
     pub(crate) fn on_barrier(
         &self,
         who: Option<(MachineId, usize)>,

@@ -63,6 +63,11 @@
 //!   every claimed slot `ABORTED` and each caller gets
 //!   [`Crashed`]: outcome unknown, exactly the
 //!   ambiguity a crash gives plain ops that were in flight.
+//! - When only the combiner's *thread* dies mid-batch (a crash point
+//!   that spares its machine), the batch aborts the same way, but its
+//!   unflushed work stays visible in that machine's cache. The board
+//!   then sticks: every later op fails with [`Crashed`], as it would
+//!   wait forever on the dead combiner, until `recover`.
 //! - Nodes unlinked by a batch are released only after the flush — a
 //!   crash can never leave a *persisted* head/top pointing at a block
 //!   already handed out again. Released nodes land in the board's
@@ -91,7 +96,7 @@
 //! `recover`) are for quiescent phases — tests and post-crash repair.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use cxl0_model::{Loc, MachineId};
@@ -240,6 +245,10 @@ pub struct CombineBoard {
     /// blocks (the same exposure as a plain op crashing mid-free) and
     /// [`Combined::recover`] returns them to the allocator instead.
     spare: Mutex<Vec<BlockRef>>,
+    /// A pass died on a live machine (its thread killed, not its
+    /// machine), leaving unflushed batch work in that cache: every op
+    /// fails, as if blocked on the dead combiner, until `recover`.
+    stuck: AtomicBool,
     stats: Arc<CombineStats>,
 }
 
@@ -251,8 +260,24 @@ impl CombineBoard {
             watermark: AtomicUsize::new(0),
             active: AtomicU64::new(0),
             spare: Mutex::new(Vec::new()),
+            stuck: AtomicBool::new(false),
             stats,
         }
+    }
+
+    /// Fails while the board is stuck behind a dead pass.
+    fn live(&self, node: &NodeHandle) -> OpResult<()> {
+        let (machine, stuck) = (node.machine(), self.stuck.load(Ordering::Acquire));
+        (!stuck).then_some(()).ok_or(Crashed { machine })
+    }
+
+    /// A pass by `node` died with `e`: unless its machine crashed (and
+    /// took the unflushed work along), the board is stuck.
+    fn died(&self, node: &NodeHandle, e: Crashed) -> Crashed {
+        if !node.fabric().is_crashed(node.machine()) {
+            self.stuck.store(true, Ordering::Release);
+        }
+        e
     }
 
     fn try_lock(&self) -> Option<BoardGuard<'_>> {
@@ -524,11 +549,16 @@ impl<S: Combinable> Combined<S> {
                         continue;
                     }
                     if let Some(guard) = self.board.try_lock() {
-                        // We won the election. A combiner-machine crash
-                        // surfaces through our own slot (ABORTED), so the
-                        // pass's error needs no separate handling here.
-                        let _ = self.combine(node);
+                        // We won the election; our pass claimed our op.
+                        // If the pass dies so does the op, taken effect
+                        // or not, as any op a crash interrupts.
+                        let pass = self.combine(node);
                         drop(guard);
+                        if let Err(e) = pass {
+                            slot.state.store(EMPTY, Ordering::Release);
+                            self.board.active.fetch_sub(1, Ordering::AcqRel);
+                            return Err(e);
+                        }
                         continue;
                     }
                     if spins.is_multiple_of(64) {
@@ -569,7 +599,13 @@ impl<S: Combinable> Combined<S> {
     /// take the combiner lock and run a batch of one, preserving the
     /// sole-mutator invariant.
     fn apply_solo(&self, node: &NodeHandle, kind: u64, arg: u64) -> OpResult<(u64, u64)> {
-        let guard = self.board.lock_blocking();
+        let _guard = self.board.lock_blocking();
+        self.board.live(node)?;
+        self.solo_pass(node, kind, arg)
+            .map_err(|e| self.board.died(node, e))
+    }
+
+    fn solo_pass(&self, node: &NodeHandle, kind: u64, arg: u64) -> OpResult<(u64, u64)> {
         let mut spare = self.board.spare.lock();
         let spare_before = spare.len();
         let mut frees = Vec::new();
@@ -593,9 +629,18 @@ impl<S: Combinable> Combined<S> {
         stats.batches.fetch_add(1, Ordering::Relaxed);
         stats.ops.fetch_add(1, Ordering::Relaxed);
         stats.spare_reuses.fetch_add(reused, Ordering::Relaxed);
-        drop(spare);
-        drop(guard);
         Ok((st, res))
+    }
+
+    /// Post-crash board repair, before the structure's: a stuck board's
+    /// dead pass left unflushed work the structure already shows, so
+    /// every cache drains (`GPF`) before recovery builds on it.
+    fn settle(&self, node: &NodeHandle) -> OpResult<()> {
+        if self.board.stuck.load(Ordering::Acquire) {
+            node.gpf()?;
+            self.board.stuck.store(false, Ordering::Release);
+        }
+        Ok(())
     }
 
     /// Post-crash board repair (quiescent phases only): returns every
@@ -627,6 +672,7 @@ impl<S: Combinable> Combined<S> {
     fn combine(&self, node: &NodeHandle) -> OpResult<()> {
         let _span = node.trace_span(crate::trace::OpKind::CombineBatch);
         let board = &*self.board;
+        board.live(node)?;
         let hi = board.watermark.load(Ordering::Acquire).min(COMBINE_SLOTS);
         let mut claimed: Vec<(usize, u64, u64)> = Vec::with_capacity(hi);
         for (i, slot) in board.slots[..hi].iter().enumerate() {
@@ -741,7 +787,7 @@ impl<S: Combinable> Combined<S> {
                 slot.result.store(e.machine.0 as u64, Ordering::Relaxed);
                 slot.state.store(ABORTED, Ordering::Release);
             }
-            return Err(e);
+            return Err(board.died(node, e));
         }
         // Reclamation strictly after the flush; on a crash here the
         // blocks leak (exactly a plain op's mid-free crash exposure) but
@@ -796,14 +842,15 @@ impl<T: Word> Combined<DurableQueue<T>> {
         Ok((st == DONE_OK).then(|| T::from_word(res)))
     }
 
-    /// Post-crash repair (quiescent phases only):
-    /// [`DurableQueue::recover`] on the structure, then the board's
-    /// spare-node cache goes back to the allocator.
+    /// Post-crash repair (quiescent phases only): a stuck board is
+    /// settled, [`DurableQueue::recover`] runs on the structure, then the
+    /// board's spare-node cache goes back to the allocator.
     ///
     /// # Errors
     ///
     /// Fails if the issuing machine has crashed.
     pub fn recover(&self, at: &impl AsNode) -> OpResult<()> {
+        self.settle(at.as_node())?;
         self.inner.recover(at)?;
         self.drain_spare(at.as_node())
     }
@@ -850,13 +897,14 @@ impl<T: Word> Combined<DurableStack<T>> {
     }
 
     /// Post-crash repair (quiescent phases only): the stack's list
-    /// needs none, but the board's spare-node cache goes back to the
-    /// allocator.
+    /// needs none, but a stuck board is settled and its spare-node cache
+    /// goes back to the allocator.
     ///
     /// # Errors
     ///
     /// Fails if the issuing machine has crashed.
     pub fn recover(&self, at: &impl AsNode) -> OpResult<()> {
+        self.settle(at.as_node())?;
         self.drain_spare(at.as_node())
     }
 

@@ -356,10 +356,12 @@ impl FlitPolicy {
 /// are kept).
 /// Two behaviours hold for *every* policy:
 ///
-/// - **The counter is lowered on every exit path**, crashed stores
-///   included. A store only fails when its issuer has crashed, and the
-///   unpersisted line is gone with the issuer's cache — there is nothing
-///   left for readers to help.
+/// - **The counter is lowered on every exit path** but one. A store
+///   whose issuer crashed left its unpersisted line in the issuer's
+///   cache, gone with it — nothing for readers to help. A store whose
+///   thread alone died (a crash point that spared its machine) may
+///   have left that line in a live cache: its counter stays raised, so
+///   readers keep helping it persist.
 /// - **`ack_persist` follows successful flagged stores and RMWs only.**
 ///   A failed CAS acted as a shared load: it helps persist the value it
 ///   observed (condition 3 of the P-V interface) but claims nothing.
@@ -448,7 +450,7 @@ impl Flit {
             self.persist(node, loc, installed(&r))?;
             Ok(r)
         });
-        if self.flushes() {
+        if self.flushes() && (result.is_ok() || node.fabric().is_crashed(node.machine())) {
             self.table.exit(loc);
         }
         result
@@ -552,6 +554,24 @@ mod tests {
         let f = SimFabric::new(SystemConfig::symmetric_nvm(2, 8));
         let node = f.node(M0);
         (f, node, Loc::new(MEM, 0))
+    }
+
+    #[test]
+    fn a_killed_store_keeps_its_counter_raised_while_its_machine_lives() {
+        let (f, node, x) = setup();
+        let p = Flit::new(FlitPolicy::CXL0);
+        f.arm_crash(2, &[]); // the store lands, its flush dies
+        assert!(p.shared_store(&node, x, 7, true).is_err());
+        assert!(f.disarm_crash());
+        assert!(p.table().in_flight(x), "readers must keep helping");
+        assert_eq!(p.shared_load(&node, x, true).unwrap(), 7);
+        assert_eq!(f.peek_memory(x), 7, "a reader's load persisted it");
+        // An issuer that crashes takes its line along: nothing to help.
+        let (f, node, x) = setup();
+        let p = Flit::new(FlitPolicy::CXL0);
+        f.arm_crash(2, &[M0]);
+        assert!(p.shared_store(&node, x, 7, true).is_err());
+        assert!(!p.table().in_flight(x));
     }
 
     #[test]

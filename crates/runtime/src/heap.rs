@@ -114,31 +114,6 @@ impl SharedHeap {
     }
 }
 
-/// Encodes a location as a non-zero pointer value for storage in shared
-/// memory cells (`0` is the null pointer). Only locations within the
-/// pointed-to structure's region are encoded, so the address alone
-/// suffices. (The crash-consistent allocator layers a generation tag on
-/// top of this scheme — see [`crate::alloc`]; this bare encoding serves
-/// low-level code that manages its own cells.)
-pub fn encode_ptr(loc: Loc) -> u64 {
-    u64::from(loc.addr.0) + 1
-}
-
-/// Decodes [`encode_ptr`]'s encoding; `0` decodes to `None`, and so
-/// does any address at or beyond `extent` (the region's cell count, or
-/// the structure's own sub-range) — a stale or corrupted word can never
-/// decode into another allocation's range and be silently dereferenced.
-pub fn decode_ptr(region: MachineId, extent: u32, raw: u64) -> Option<Loc> {
-    if raw == 0 || raw > u64::from(extent) {
-        None
-    } else {
-        Some(Loc::new(region, (raw - 1) as u32))
-    }
-}
-
-/// The null pointer encoding.
-pub const NULL_PTR: u64 = 0;
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -192,56 +167,6 @@ mod tests {
     fn oversized_range_panics() {
         let cfg = SystemConfig::symmetric_nvm(1, 4);
         let _ = SharedHeap::with_range(&cfg, MachineId(0), 2, 8);
-    }
-
-    #[test]
-    fn pointer_encoding_round_trips() {
-        let m = MachineId(1);
-        let loc = Loc::new(m, 42);
-        let raw = encode_ptr(loc);
-        assert_ne!(raw, NULL_PTR);
-        assert_eq!(decode_ptr(m, 64, raw), Some(loc));
-        assert_eq!(decode_ptr(m, 64, NULL_PTR), None);
-    }
-
-    #[test]
-    fn decode_rejects_out_of_extent_addresses() {
-        let m = MachineId(0);
-        // The last in-extent address decodes; one past does not.
-        assert_eq!(
-            decode_ptr(m, 64, encode_ptr(Loc::new(m, 63))),
-            Some(Loc::new(m, 63))
-        );
-        assert_eq!(decode_ptr(m, 64, encode_ptr(Loc::new(m, 64))), None);
-        assert_eq!(decode_ptr(m, 64, u64::MAX), None);
-        assert_eq!(decode_ptr(m, 0, 1), None);
-    }
-
-    mod proptests {
-        use super::*;
-        use proptest::prelude::*;
-
-        proptest! {
-            /// Round trip: any in-extent location survives
-            /// encode → decode; anything at or past the extent is
-            /// rejected rather than aliased into range.
-            #[test]
-            fn encode_decode_round_trips_and_respects_extent(
-                addr in proptest::arbitrary::any::<u32>(),
-                extent in proptest::arbitrary::any::<u32>(),
-            ) {
-                let m = MachineId(2);
-                let raw = encode_ptr(Loc::new(m, addr));
-                prop_assert!(raw != NULL_PTR);
-                let decoded = decode_ptr(m, extent, raw);
-                if addr < extent {
-                    prop_assert_eq!(decoded, Some(Loc::new(m, addr)));
-                } else {
-                    prop_assert_eq!(decoded, None);
-                }
-                prop_assert_eq!(decode_ptr(m, extent, NULL_PTR), None);
-            }
-        }
     }
 
     #[test]

@@ -105,7 +105,7 @@ pub use ds::{
 };
 pub use error::{Crashed, OpResult};
 pub use flit::{Flit, FlitPolicy, FlitTable, FlushKind, Persistence};
-pub use heap::{decode_ptr, encode_ptr, SharedHeap, NULL_PTR};
+pub use heap::SharedHeap;
 pub use smr::{SmrDomain, SmrGuard, SmrStats};
 pub use snapshot::{take_gpf_snapshot, MemorySnapshot};
 pub use trace::{

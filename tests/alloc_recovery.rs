@@ -1,26 +1,26 @@
 //! Crash consistency of the `cxl0::alloc` allocator subsystem, under
-//! randomized interleavings of alloc/free/chain-free/magazine/torn-op/
-//! crash/recover — crashes of the memory node, of the issuing compute
-//! node (whose lost cache resurfaces stale intents), or both — and under
-//! every [`PersistMode`]: **no block is ever lost, and no block
-//! is ever handed out twice**; the same claim swept exhaustively over
-//! every crash point of a short script; plus the headline acceptance
-//! scenario, a `DurableQueue` churn loop of ≥ 10× the region's bump
-//! capacity that completes because reclaimed nodes are reused.
+//! randomized interleavings of alloc/free/chain-free/magazine ops,
+//! operations killed at a random primitive, and crash/recover —
+//! crashes of the memory node, of the issuing compute node (whose lost
+//! cache resurfaces stale intents), or both — and under every
+//! [`PersistMode`]: **no block is ever lost, and no block is ever
+//! handed out twice**; the same claim swept exhaustively over every
+//! primitive of a short script; plus the headline acceptance scenario,
+//! a `DurableQueue` churn loop of ≥ 10× the region's bump capacity that
+//! completes because reclaimed nodes are reused.
 //!
 //! Every test here runs on a test-harness thread whose thread slot is
 //! below 8, so its frees park in the thread's magazine.
 
 use std::collections::BTreeSet;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use cxl0::model::{Loc, MachineId, SystemConfig};
-use cxl0::runtime::alloc::{Allocator, TornAlloc, TornFree, META_CELLS};
-use cxl0::runtime::api::{Cluster, PersistMode};
+use cxl0::runtime::alloc::{Allocator, META_CELLS};
+use cxl0::runtime::api::{Cluster, PersistMode, Session};
 use cxl0::runtime::{
-    BufferedEpoch, Crashed, DurableQueue, Flit, FreeError, NodeHandle, OpResult, Persistence,
-    SharedHeap, SimFabric, SmrDomain,
+    BufferedEpoch, DurableQueue, Flit, FreeError, NodeHandle, OpResult, Persistence, SharedHeap,
+    SimFabric, SmrDomain,
 };
 use proptest::prelude::*;
 
@@ -40,22 +40,24 @@ enum Op {
     FreeEach(u8),
     /// Allocate up to n blocks, taking parked ones back first.
     AllocEach(u8),
-    /// Tear a magazine push of the i-th oldest live block after its
-    /// intent, before its claim, then crash + recover.
-    TornParkCrash(u8, Option<Victims>),
-    /// Tear an allocation pop at the given stage, then crash + recover
-    /// (see [`Op::TornChainCrash`] for the `None` case).
-    TornAllocCrash(u8, Option<Victims>),
-    /// Tear a free of the i-th oldest live block, then crash + recover.
-    TornFreeCrash(u8, u8, Option<Victims>),
-    /// Tear a chain free of up to n of the oldest live blocks — after
-    /// the intent, after j < n claims, after the last claim, after the
-    /// head CAS — then crash + recover. With `None` the crash is left
-    /// to a later op: the torn operation's thread is dead, its intent
-    /// slot stays leased, and traffic goes on over the other slots —
-    /// which is how intents of *several* slots, stale ones included,
-    /// come to face one sweep.
-    TornChainCrash(u8, u8, Option<Victims>),
+    /// `free` the i-th oldest live block — parked in the magazine when
+    /// it has room — killed right before its k-th primitive, then crash
+    /// + recover.
+    KillPark(u8, u8, Option<Victims>),
+    /// An alloc killed right before its k-th primitive, then crash +
+    /// recover (see [`Op::KillChain`] for the `None` case).
+    KillAlloc(u8, Option<Victims>),
+    /// A list free of the i-th oldest live block killed right before its
+    /// k-th primitive, then crash + recover.
+    KillFree(u8, u8, Option<Victims>),
+    /// A chain free of up to n of the oldest live blocks killed right
+    /// before its k-th primitive, then crash + recover. The kill is
+    /// thread death only: no machine crashes with it, so the heap stays
+    /// as the dead operation left it. With `None` the crash is left to
+    /// a later op: the killed operation's intent slot stays leased, and
+    /// traffic goes on over the other slots — which is how intents of
+    /// *several* slots, stale ones included, come to face one sweep.
+    KillChain(u8, u8, Option<Victims>),
     /// Crash the memory node and run recovery (clean — nothing torn).
     CrashRecover,
     /// Crash the issuing compute node as well as the memory node: the
@@ -92,25 +94,13 @@ fn arb_op() -> impl Strategy<Value = Op> {
         (1..6u8).prop_map(Op::FreeChain),
         (1..10u8).prop_map(Op::FreeEach),
         (1..10u8).prop_map(Op::AllocEach),
-        (0..8u8, arb_victims()).prop_map(|(i, v)| Op::TornParkCrash(i, v)),
-        (0..3u8, arb_victims()).prop_map(|(s, v)| Op::TornAllocCrash(s, v)),
-        (0..8u8, 0..3u8, arb_victims()).prop_map(|(i, s, v)| Op::TornFreeCrash(i, s, v)),
-        (1..6u8, 0..8u8, arb_victims()).prop_map(|(n, s, v)| Op::TornChainCrash(n, s, v)),
+        (0..8u8, 1..16u8, arb_victims()).prop_map(|(i, k, v)| Op::KillPark(i, k, v)),
+        (1..16u8, arb_victims()).prop_map(|(k, v)| Op::KillAlloc(k, v)),
+        (0..8u8, 1..16u8, arb_victims()).prop_map(|(i, k, v)| Op::KillFree(i, k, v)),
+        (1..6u8, 1..32u8, arb_victims()).prop_map(|(n, k, v)| Op::KillChain(n, k, v)),
         Just(Op::CrashRecover),
         Just(Op::ComputeCrashRecover),
     ]
-}
-
-const ALLOC_STAGES: [TornAlloc; 3] = [TornAlloc::Recorded, TornAlloc::Swung, TornAlloc::Marked];
-
-/// The tear points of an `n`-block chain free, in protocol order:
-/// `Latched`, `Claimed(1..=n)`, `Pushed` (`stage` wraps).
-fn chain_stage(n: usize, stage: u8) -> TornFree {
-    match usize::from(stage) % (n + 2) {
-        0 => TornFree::Latched,
-        j if j <= n => TornFree::Claimed(j),
-        _ => TornFree::Pushed,
-    }
 }
 
 /// The single-threaded reference model: which blocks the application
@@ -122,11 +112,14 @@ struct Model {
     live: Vec<Loc>,
     /// Blocks returned to the allocator (the class free set).
     freed: BTreeSet<Loc>,
-    /// Blocks a torn operation left for recovery to put back: on no
-    /// list and not the application's until the next sweep.
-    orphaned: Vec<Loc>,
-    /// Intent slots leased to torn (dead) operations since the last
-    /// sweep.
+    /// The blocks of each free killed mid-operation, in chain order:
+    /// it published some prefix of them (none to all), and its dead
+    /// caller still owns the rest.
+    killed_frees: Vec<Vec<Loc>>,
+    /// Blocks a killed alloc took off its list or out of its magazine:
+    /// recovery puts each back, unless the pop had completed.
+    killed_pops: Vec<Loc>,
+    /// Intent slots leased to killed operations since the last sweep.
     leaked_slots: usize,
 }
 
@@ -137,32 +130,116 @@ impl Model {
         self.live.drain(..n).collect()
     }
 
-    /// A free torn at `stage`: a published chain is free already;
-    /// short of that every claimed block is recovery's to put back (a
-    /// latched intent completes the free of the block it names), and
-    /// the unclaimed rest stay with the application.
-    fn tear_free(&mut self, blocks: &[Loc], stage: TornFree) {
-        self.leaked_slots += 1;
-        let claimed = match stage {
-            TornFree::Latched => 1,
-            TornFree::Claimed(j) => j,
-            TornFree::Pushed => {
-                self.freed.extend(blocks);
-                return;
-            }
-        };
-        self.orphaned.extend(&blocks[..claimed]);
-        self.live.extend(&blocks[claimed..]);
+    /// An alloc took `b` — handed it out, or died popping it. A block
+    /// of a killed free is on a list only once that free published its
+    /// whole chain.
+    fn popped(&mut self, b: Loc) {
+        assert!(!self.live.contains(&b), "block {b:?} handed out while live");
+        assert!(
+            !self.killed_pops.contains(&b),
+            "block {b:?} handed out from a killed pop"
+        );
+        if let Some(at) = self.killed_frees.iter().position(|c| c.contains(&b)) {
+            self.freed.extend(self.killed_frees.remove(at));
+        }
+        self.freed.remove(&b);
     }
 
-    /// The sweep ran: every orphan is back on its list.
-    fn recovered(&mut self) {
-        self.freed.extend(self.orphaned.drain(..));
+    /// An alloc handed out `b`.
+    fn allocated(&mut self, b: Loc) {
+        self.popped(b);
+        self.live.push(b);
+    }
+
+    /// The sweep ran and `listed` is the free list: adopt the outcome
+    /// of every killed operation — a free published a prefix of its
+    /// chain, a pop's block is back on the list or allocated.
+    fn recovered(&mut self, listed: &BTreeSet<Loc>) {
+        for chain in self.killed_frees.drain(..) {
+            let j = chain.iter().take_while(|b| listed.contains(b)).count();
+            assert!(
+                chain[j..].iter().all(|b| !listed.contains(b)),
+                "a killed free published {chain:?} out of order"
+            );
+            self.freed.extend(&chain[..j]);
+            self.live.extend(&chain[j..]);
+        }
+        for b in self.killed_pops.drain(..) {
+            if listed.contains(&b) {
+                self.freed.insert(b);
+            } else {
+                self.live.push(b);
+            }
+        }
         self.leaked_slots = 0;
     }
 }
 
-/// Torn operations leak their intent slot until the next sweep; force
+/// Runs `op` with its issuing thread killed right before its `k`-th
+/// primitive, crashing `victims` there (and recovering them at once).
+/// `None` if it died there, its result if it finished first.
+fn killed_at<T>(
+    fabric: &SimFabric,
+    k: u64,
+    victims: &[MachineId],
+    op: impl FnOnce() -> OpResult<T>,
+) -> Option<T> {
+    fabric.arm_crash(k, victims);
+    let result = op();
+    assert_eq!(result.is_err(), fabric.disarm_crash());
+    for &m in victims {
+        fabric.recover(m);
+    }
+    result.ok()
+}
+
+/// Runs `run(k)` for `k` = 1, 2, … until it reports that its kill
+/// point did not fire, and returns its outcomes in order with runs of
+/// equal ones collapsed.
+fn collapsed_kills<O: PartialEq>(mut run: impl FnMut(u64) -> (O, bool)) -> Vec<O> {
+    let mut outcomes = Vec::new();
+    for k in 1.. {
+        let (outcome, killed) = run(k);
+        if outcomes.last() != Some(&outcome) {
+            outcomes.push(outcome);
+        }
+        if !killed {
+            break;
+        }
+    }
+    outcomes
+}
+
+/// The strict, sound durability modes: FliT under every flush policy
+/// but the deliberately unsound x86 port.
+fn strict_sound_modes() -> Vec<PersistMode> {
+    PersistMode::comparison_set()
+        .into_iter()
+        .filter(|m| m.is_strict() && m.policy().sound)
+        .collect()
+}
+
+/// The two-cell free list, sorted, and which of `tracked` a free
+/// proves still allocated (freeing them).
+fn listed_and_live(alloc: &Allocator, s: &Session, tracked: &[Loc]) -> (Vec<Loc>, Vec<Loc>) {
+    let mut listed = alloc.debug_free_list(s, 2).unwrap();
+    listed.sort();
+    let live = tracked
+        .iter()
+        .filter(|&&b| alloc.free_chain(s, &[b]).unwrap() == 1)
+        .copied()
+        .collect();
+    (listed, live)
+}
+
+/// The blocks parked in the calling thread's magazine or on the
+/// two-cell free list.
+fn free_blocks(alloc: &Allocator, s: &Session) -> BTreeSet<Loc> {
+    let listed = alloc.debug_free_list(s, 2).unwrap();
+    alloc.debug_parked().into_iter().chain(listed).collect()
+}
+
+/// Killed operations leak their intent slot until the next sweep; force
 /// one well before the pool of 32 runs dry.
 const MAX_LEAKED_SLOTS: usize = 8;
 
@@ -203,39 +280,51 @@ fn run_interleaving(mode: PersistMode, ops: Vec<Op>) {
         }
         let s = cluster.session(compute);
         s.recover_roots().unwrap();
-        model.recovered();
         // Invariant: after recovery the free list holds *exactly* the
         // model's freed set (no block lost, none twice).
         let list: Vec<Loc> = alloc.debug_free_list(&s, CELLS).unwrap();
         let listed: BTreeSet<Loc> = list.iter().copied().collect();
         assert_eq!(listed.len(), list.len(), "a block is on the list twice");
+        model.recovered(&listed);
         assert_eq!(listed, model.freed, "free list diverged from the model");
         for b in &model.live {
             assert!(!listed.contains(b), "live block {b:?} is on the free list");
         }
     };
-
-    let alloc_one = |model: &mut Model| {
-        if let Some(b) = alloc.alloc(&session, CELLS).unwrap() {
-            assert!(
-                !model.live.contains(&b.loc),
-                "block {0:?} handed out while live",
-                b.loc
-            );
-            assert!(
-                !model.orphaned.contains(&b.loc),
-                "block {0:?} handed out from a torn operation",
-                b.loc
-            );
-            model.freed.remove(&b.loc);
-            model.live.push(b.loc);
+    let fabric = cluster.fabric();
+    // A killed operation's thread dies with its machine: the issuing
+    // node crashes at the kill (and restarts at once, skipping the
+    // sweep), taking its unflushed lines along. The no-durability
+    // baseline keeps everything in that cache, so there only the
+    // thread dies.
+    let killer: &[MachineId] = if mode.is_strict() { &[compute] } else { &[] };
+    // A killed free: its blocks await recovery's verdict.
+    let kill_free = |model: &mut Model, blocks: Vec<Loc>, freed: Option<usize>| match freed {
+        Some(n) => {
+            assert_eq!(n, blocks.len());
+            model.freed.extend(blocks);
+        }
+        None => {
+            model.leaked_slots += 1;
+            model.killed_frees.push(blocks);
         }
     };
+
     for op in ops {
         let mut crash = None;
         match op {
-            Op::Alloc => alloc_one(&mut model),
-            Op::AllocEach(n) => (0..n).for_each(|_| alloc_one(&mut model)),
+            Op::Alloc => {
+                if let Some(b) = alloc.alloc(&session, CELLS).unwrap() {
+                    model.allocated(b.loc);
+                }
+            }
+            Op::AllocEach(n) => {
+                for _ in 0..n {
+                    if let Some(b) = alloc.alloc(&session, CELLS).unwrap() {
+                        model.allocated(b.loc);
+                    }
+                }
+            }
             Op::Free(i) => {
                 if model.live.is_empty() {
                     continue;
@@ -250,17 +339,12 @@ fn run_interleaving(mode: PersistMode, ops: Vec<Op>) {
                     assert!(model.freed.insert(loc));
                 }
             }
-            Op::TornParkCrash(i, victims) => {
+            Op::KillPark(i, k, victims) => {
                 if !model.live.is_empty() {
-                    let at = usize::from(i) % model.live.len();
-                    let loc = model.live[at];
-                    // A push torn after its intent: the free was invoked,
-                    // so recovery completes it. A magazine that cannot
-                    // take the block leaves it untouched.
-                    if alloc.torn_park(&session, loc).unwrap().unwrap() {
-                        model.live.remove(at);
-                        model.orphaned.push(loc);
-                    }
+                    let loc = model.live.remove(usize::from(i) % model.live.len());
+                    let freed = killed_at(fabric, k.into(), killer, || alloc.free(&session, loc));
+                    let freed = freed.map(|r| r.map_or(0, |()| 1));
+                    kill_free(&mut model, vec![loc], freed);
                 }
                 crash = victims;
             }
@@ -282,48 +366,48 @@ fn run_interleaving(mode: PersistMode, ops: Vec<Op>) {
                 assert_eq!(alloc.free_chain(&session, &chain).unwrap(), chain.len());
                 model.freed.extend(chain);
             }
-            Op::TornAllocCrash(stage, victims) => {
-                // Tears mid-pop (a no-op if the free list is empty):
-                // before the head CAS the block never left its list,
-                // after it recovery must put it back — unless the tear
-                // came after the header mark, where the allocation is
-                // complete and the block is the (dead) caller's.
-                let stage = ALLOC_STAGES[usize::from(stage) % 3];
-                let torn = alloc.torn_alloc(&session, CELLS, stage).unwrap();
-                if let Some(loc) = torn {
-                    assert!(model.freed.contains(&loc), "tore a non-free block");
-                    model.leaked_slots += 1;
-                    match stage {
-                        TornAlloc::Recorded => {}
-                        TornAlloc::Swung => {
-                            model.freed.remove(&loc);
-                            model.orphaned.push(loc);
+            Op::KillAlloc(k, victims) => {
+                // A pop killed before its head CAS left its block on the
+                // list; after it, the block is recovery's to put back —
+                // unless the pop completed at its header mark, and the
+                // block is the dead caller's. A magazine pop is the mark.
+                let before = free_blocks(&alloc, &session);
+                match killed_at(fabric, k.into(), killer, || alloc.alloc(&session, CELLS)) {
+                    Some(got) => {
+                        if let Some(b) = got {
+                            model.allocated(b.loc);
                         }
-                        TornAlloc::Marked => {
-                            model.freed.remove(&loc);
-                            model.live.push(loc);
+                    }
+                    None => {
+                        model.leaked_slots += 1;
+                        let after = free_blocks(&alloc, &session);
+                        let taken: Vec<Loc> = before.difference(&after).copied().collect();
+                        assert!(taken.len() <= 1, "one pop took {taken:?}");
+                        for b in taken {
+                            model.popped(b);
+                            model.killed_pops.push(b);
                         }
                     }
                 }
                 crash = victims;
             }
-            Op::TornFreeCrash(i, stage, victims) => {
+            Op::KillFree(i, k, victims) => {
                 if !model.live.is_empty() {
                     let loc = model.live.remove(usize::from(i) % model.live.len());
-                    let stage = chain_stage(1, stage);
-                    alloc.torn_free(&session, &[loc], stage).unwrap().unwrap();
-                    // The free was invoked and the caller no longer owns
-                    // the block; recovery must complete it exactly once.
-                    model.tear_free(&[loc], stage);
+                    let freed = killed_at(fabric, k.into(), killer, || {
+                        alloc.free_chain(&session, &[loc])
+                    });
+                    kill_free(&mut model, vec![loc], freed);
                 }
                 crash = victims;
             }
-            Op::TornChainCrash(n, stage, victims) => {
+            Op::KillChain(n, k, victims) => {
                 let chain = model.take_oldest(n);
                 if !chain.is_empty() {
-                    let stage = chain_stage(chain.len(), stage);
-                    alloc.torn_free(&session, &chain, stage).unwrap().unwrap();
-                    model.tear_free(&chain, stage);
+                    let freed = killed_at(fabric, k.into(), killer, || {
+                        alloc.free_chain(&session, &chain)
+                    });
+                    kill_free(&mut model, chain, freed);
                 }
                 crash = victims;
             }
@@ -338,13 +422,21 @@ fn run_interleaving(mode: PersistMode, ops: Vec<Op>) {
         }
     }
     crash_recover(&mut model, Victims::Both);
+    // Every block the model holds live — killed operations' blocks
+    // included — is allocated: a free of each succeeds.
+    let freed = alloc.free_chain(&session, &model.live).unwrap();
+    assert_eq!(
+        freed,
+        model.live.len(),
+        "a block the model holds live was lost"
+    );
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// The acceptance-criterion proptest: random alloc/free/chain/
-    /// torn-op/crash/recover interleavings, under every *sound*
+    /// killed-op/crash/recover interleavings, under every *sound*
     /// durability mode plus the no-durability baseline (whose state
     /// survives a memory-node crash in the issuing node's cache, so its
     /// crashes are memory-node crashes only). The one
@@ -396,39 +488,42 @@ fn flit_x86_unsoundness_reaches_the_allocator() {
     );
 }
 
+/// Buffered durability rolls unsynced epochs back wholesale; with a
+/// sync point after a killed free, the recovery sweep sees the torn
+/// state and completes it, exactly like the strict modes — at every
+/// kill point of the free.
 #[test]
 fn torn_ops_recover_under_buffered_mode_after_sync() {
-    // Buffered durability rolls unsynced epochs back wholesale; with a
-    // sync point after the tear, the recovery sweep sees the torn state
-    // and completes it, exactly like the strict modes.
-    let cluster = Cluster::builder(SystemConfig::symmetric_nvm(2, 4096))
-        .persist(PersistMode::Buffered {
-            capacity: 512,
-            sync_interval: 0,
-        })
-        .root_capacity(0)
-        .build()
-        .unwrap();
-    let mem = cluster.memory_node();
-    let s = cluster.session(MachineId(0));
-    let alloc = Arc::clone(s.allocator());
-
-    let a = alloc.alloc(&s, 2).unwrap().unwrap();
-    let b = alloc.alloc(&s, 2).unwrap().unwrap();
-    alloc.free(&s, a.loc).unwrap().unwrap();
-    alloc
-        .torn_free(&s, &[b.loc], TornFree::Claimed(1))
-        .unwrap()
-        .unwrap();
-    s.sync().unwrap();
-
-    cluster.crash(mem);
-    cluster.recover(mem);
-    s.recover_roots().unwrap();
-    let listed: Vec<Loc> = alloc.debug_free_list(&s, 2).unwrap();
-    let set: BTreeSet<Loc> = listed.iter().copied().collect();
-    assert_eq!(set.len(), listed.len());
-    assert_eq!(set, [a.loc, b.loc].into_iter().collect());
+    let mode = PersistMode::Buffered {
+        capacity: 512,
+        sync_interval: 0,
+    };
+    let mut blocks = Vec::new();
+    let outcomes = collapsed_kills(|k| {
+        let cluster = Cluster::builder(SystemConfig::symmetric_nvm(2, 4096))
+            .persist(mode)
+            .root_capacity(0)
+            .build()
+            .unwrap();
+        let mem = cluster.memory_node();
+        let s = cluster.session(MachineId(0));
+        let alloc = Arc::clone(s.allocator());
+        let a = alloc.alloc(&s, 2).unwrap().unwrap().loc;
+        let b = alloc.alloc(&s, 2).unwrap().unwrap().loc;
+        alloc.free(&s, a).unwrap().unwrap();
+        let killed = killed_at(cluster.fabric(), k, &[], || alloc.free_chain(&s, &[b])).is_none();
+        s.sync().unwrap();
+        cluster.crash(mem);
+        cluster.recover(mem);
+        s.recover_roots().unwrap();
+        blocks = vec![a, b];
+        (listed_and_live(&alloc, &s, &[b]), killed)
+    });
+    let [a, b] = [blocks[0], blocks[1]];
+    let mut both = vec![a, b];
+    both.sort();
+    // Untouched, or freed exactly once from the latch on.
+    assert_eq!(outcomes, [(vec![a], vec![b]), (both, vec![])]);
 }
 
 /// The headline acceptance scenario: an enqueue/dequeue churn loop of
@@ -505,29 +600,35 @@ fn stack_and_list_churn_run_past_bump_capacity() {
     );
 }
 
-/// Allocator recovery is wired into the session API: a torn allocator
-/// op plus `Session::recover_roots` leaves the heap fully serviceable.
+/// Allocator recovery is wired into the session API: a free killed at
+/// any of its primitives, then a memory-node crash and
+/// `Session::recover_roots`, leaves the block free exactly once from
+/// the free's latch on — under every strict sound mode.
 #[test]
 fn recover_roots_runs_the_allocator_sweep() {
-    let cluster = Cluster::symmetric(1, 4096).unwrap();
-    let mem = cluster.memory_node();
-    let s = cluster.session(MachineId(0));
-    let alloc = Arc::clone(s.allocator());
-
-    let b = alloc.alloc(&s, 2).unwrap().unwrap();
-    alloc
-        .torn_free(&s, &[b.loc], TornFree::Claimed(1))
-        .unwrap()
-        .unwrap();
-
-    cluster.crash(mem);
-    cluster.recover(mem);
-    s.recover_roots().unwrap();
-
-    // The torn free completed: the block is reusable, exactly once.
-    let again = alloc.alloc(&s, 2).unwrap().unwrap();
-    assert_eq!(again.loc, b.loc);
-    assert!(alloc.debug_free_list(&s, 2).unwrap().is_empty());
+    for mode in strict_sound_modes() {
+        let mut block = None;
+        let outcomes = collapsed_kills(|k| {
+            let cluster = Cluster::builder(SystemConfig::symmetric_nvm(2, 4096))
+                .persist(mode)
+                .build()
+                .unwrap();
+            let mem = cluster.memory_node();
+            let s = cluster.session(MachineId(0));
+            let alloc = Arc::clone(s.allocator());
+            let b = alloc.alloc(&s, 2).unwrap().unwrap().loc;
+            let killed =
+                killed_at(cluster.fabric(), k, &[], || alloc.free_chain(&s, &[b])).is_none();
+            cluster.crash(mem);
+            cluster.recover(mem);
+            s.recover_roots().unwrap();
+            block = Some(b);
+            (listed_and_live(&alloc, &s, &[b]), killed)
+        });
+        let b = block.unwrap();
+        let expected = [(vec![], vec![b]), (vec![b], vec![])];
+        assert_eq!(outcomes, expected, "{}", mode.name());
+    }
 }
 
 /// Frees park in the thread's magazine up to its depth of 8 and go to
@@ -566,139 +667,87 @@ fn the_magazine_parks_eight_frees_and_hands_them_back_oldest_first() {
 
 /// Recovery voids the magazines and publishes every parked block —
 /// through chains that overlap because a block taken back was parked
-/// again — and completes a push torn before its claim. A magazine that
-/// never pushed costs nothing: the sweep after it is clean.
+/// again — and completes a push killed before its claim, at every kill
+/// point of the push. A magazine that never pushed costs nothing: the
+/// sweep after it is clean.
 #[test]
 fn recovery_returns_parked_blocks_and_completes_a_torn_push() {
-    let cluster = Cluster::symmetric(1, 4096).unwrap();
-    let mem = cluster.memory_node();
-    let s = cluster.session(MachineId(0));
-    let alloc = Arc::clone(s.allocator());
-    let b: Vec<Loc> = (0..4)
-        .map(|_| alloc.alloc(&s, 2).unwrap().unwrap().loc)
-        .collect();
-    for &x in &b[..3] {
-        alloc.free(&s, x).unwrap().unwrap();
-    }
-    // Take the oldest back and park it again: it now heads a chain
-    // that runs into the one it left.
-    assert_eq!(alloc.alloc(&s, 2).unwrap().unwrap().loc, b[0]);
-    alloc.free(&s, b[0]).unwrap().unwrap();
-    assert!(alloc.torn_park(&s, b[3]).unwrap().unwrap());
-    // A torn magazine is left alone: this free goes to the list.
-    let listed = alloc.alloc(&s, 2).unwrap().unwrap().loc;
-    assert_eq!(alloc.free_chain(&s, &[listed]).unwrap(), 1);
+    for mode in strict_sound_modes() {
+        let (mut blocks, mut fresh) = (Vec::new(), None);
+        let outcomes = collapsed_kills(|k| {
+            let cluster = Cluster::builder(SystemConfig::symmetric_nvm(2, 4096))
+                .persist(mode)
+                .build()
+                .unwrap();
+            let mem = cluster.memory_node();
+            let s = cluster.session(MachineId(0));
+            let alloc = Arc::clone(s.allocator());
+            let b: Vec<Loc> = (0..4)
+                .map(|_| alloc.alloc(&s, 2).unwrap().unwrap().loc)
+                .collect();
+            for &x in &b[..3] {
+                alloc.free(&s, x).unwrap().unwrap();
+            }
+            // Take the oldest back and park it again: it now heads a
+            // chain that runs into the one it left.
+            assert_eq!(alloc.alloc(&s, 2).unwrap().unwrap().loc, b[0]);
+            alloc.free(&s, b[0]).unwrap().unwrap();
+            let killed = killed_at(cluster.fabric(), k, &[], || alloc.free(&s, b[3])).is_none();
+            // Later traffic: a magazine the dead push left torn is left
+            // alone, and this alloc falls through to the bump tail.
+            let later = alloc.alloc(&s, 2).unwrap().unwrap().loc;
+            assert_eq!(alloc.free_chain(&s, &[later]).unwrap(), 1);
 
-    for m in [mem, MachineId(0)] {
-        cluster.crash(m);
+            for m in [mem, MachineId(0)] {
+                cluster.crash(m);
+            }
+            for m in [mem, MachineId(0)] {
+                cluster.recover(m);
+            }
+            let r = alloc.recover(&s).unwrap();
+            let tracked = [&b[..], &[later]].concat();
+            let (listed, live) = listed_and_live(&alloc, &s, &tracked);
+            // Both cells were zeroed and the magazine voided.
+            assert_eq!(alloc.recover(&s).unwrap(), Default::default());
+            if !b.contains(&later) {
+                fresh = Some(later);
+            }
+            blocks = b;
+            ((r.sealed_intents, r.restored_blocks, listed, live), killed)
+        });
+        let (b, c) = (
+            &blocks,
+            fresh.expect("a torn magazine sends the alloc to the bump tail"),
+        );
+        let all: Vec<Loc> = [&b[..], &[c]].concat();
+        // The list free's intent is always sealed: its unflushed clear
+        // died with the compute node's cache.
+        let mut expected = vec![
+            // Untouched: the later alloc takes b[1] back from the magazine.
+            (1, 0, b[..3].to_vec(), vec![b[3]]),
+            // Killed at the latch: the magazine is torn, b[3] untouched.
+            (1, 0, [&b[..3], &[c]].concat(), vec![b[3]]),
+            // Latched: the sweep completes the push torn before its
+            // claim. The cell naming the chain's newest block is not
+            // sealed, and only the torn block counts as restored.
+            (2, 1, all.clone(), vec![]),
+            // Complete: b[3] parked, the later alloc takes b[1] back.
+            (1, 0, b.clone(), vec![]),
+        ];
+        if mode == PersistMode::FlitAsync {
+            // Claimed, its `AFlush` retired by the later traffic's
+            // barrier, with the magazine still torn.
+            expected.insert(3, (1, 0, all, vec![]));
+        }
+        assert_eq!(outcomes, expected, "{}", mode.name());
     }
-    for m in [mem, MachineId(0)] {
-        cluster.recover(m);
-    }
-    let r = alloc.recover(&s).unwrap();
-    // Sealed: the torn push, and the list free's intent, whose
-    // unflushed clear died with the compute node's cache. The cell
-    // naming the chain's newest block is not, and only the torn
-    // block counts as restored.
-    assert_eq!((r.sealed_intents, r.restored_blocks), (2, 1));
-    let list: BTreeSet<Loc> = alloc.debug_free_list(&s, 2).unwrap().into_iter().collect();
-    let expected: BTreeSet<Loc> = b.iter().copied().chain([listed]).collect();
-    assert_eq!(list, expected);
-    assert_eq!(alloc.debug_free_list(&s, 2).unwrap().len(), 5);
-    // Both cells were zeroed and the magazine voided.
-    assert_eq!(alloc.recover(&s).unwrap(), Default::default());
-    let again = alloc.alloc(&s, 2).unwrap().unwrap();
-    assert!(expected.contains(&again.loc));
 }
 
 // ---- the exhaustive crash-point sweep -----------------------------------
 //
-// Granularity: one `Persistence` call, not one fabric primitive. A call
-// that issues several primitives (a FliT store is a store and a flush) is
-// cut before it starts, never between its primitives; a crash hook at the
-// primitive boundary would refine the sweep to those points.
-
-/// A [`Persistence`] that delegates to `inner` until its `k`-th call.
-/// Right before that call it crashes `victim` (recovering the machine at
-/// once: the crash is an instant) and fails the call and every later
-/// one — the calling thread dies there.
-#[derive(Debug)]
-struct CrashAt {
-    inner: Arc<dyn Persistence>,
-    fabric: Arc<SimFabric>,
-    victim: MachineId,
-    calls: AtomicUsize,
-    at: AtomicUsize,
-}
-
-impl CrashAt {
-    fn tick(&self) -> OpResult<()> {
-        let n = self.calls.fetch_add(1, Ordering::SeqCst);
-        let at = self.at.load(Ordering::SeqCst);
-        if n == at {
-            self.fabric.crash(self.victim);
-            self.fabric.recover(self.victim);
-        }
-        if n >= at {
-            return Err(Crashed {
-                machine: self.victim,
-            });
-        }
-        Ok(())
-    }
-}
-
-impl Persistence for CrashAt {
-    fn name(&self) -> &'static str {
-        self.inner.name()
-    }
-    fn shared_load(&self, node: &NodeHandle, loc: Loc, pflag: bool) -> OpResult<u64> {
-        self.tick()?;
-        self.inner.shared_load(node, loc, pflag)
-    }
-    fn shared_store(&self, node: &NodeHandle, loc: Loc, v: u64, pflag: bool) -> OpResult<()> {
-        self.tick()?;
-        self.inner.shared_store(node, loc, v, pflag)
-    }
-    fn private_load(&self, node: &NodeHandle, loc: Loc) -> OpResult<u64> {
-        self.tick()?;
-        self.inner.private_load(node, loc)
-    }
-    fn private_store(&self, node: &NodeHandle, loc: Loc, v: u64, pflag: bool) -> OpResult<()> {
-        self.tick()?;
-        self.inner.private_store(node, loc, v, pflag)
-    }
-    fn shared_cas(
-        &self,
-        node: &NodeHandle,
-        loc: Loc,
-        old: u64,
-        new: u64,
-        pflag: bool,
-    ) -> OpResult<Result<u64, u64>> {
-        self.tick()?;
-        self.inner.shared_cas(node, loc, old, new, pflag)
-    }
-    fn shared_faa(&self, node: &NodeHandle, loc: Loc, delta: u64, pflag: bool) -> OpResult<u64> {
-        self.tick()?;
-        self.inner.shared_faa(node, loc, delta, pflag)
-    }
-    fn complete_op(&self, node: &NodeHandle) -> OpResult<()> {
-        self.tick()?;
-        self.inner.complete_op(node)
-    }
-    fn defers_batches(&self) -> bool {
-        self.inner.defers_batches()
-    }
-    fn batched_store(&self, node: &NodeHandle, loc: Loc, v: u64) -> OpResult<()> {
-        self.tick()?;
-        self.inner.batched_store(node, loc, v)
-    }
-    fn flush_batch(&self, node: &NodeHandle) -> OpResult<()> {
-        self.tick()?;
-        self.inner.flush_batch(node)
-    }
-}
+// Granularity: one fabric primitive. The crash point fires right before
+// the `k`-th primitive, so a FliT store is cut between its store and its
+// flush, and a `Persistence` call that issues no primitive is no point.
 
 const COMPUTE: MachineId = MachineId(0);
 const MEMORY: MachineId = MachineId(1);
@@ -719,14 +768,14 @@ struct Known {
 }
 
 /// The queue's header block and every node reachable from its head.
-fn queue_blocks(alloc: &Allocator, q: &DurableQueue, node: &NodeHandle) -> BTreeSet<Loc> {
+fn queue_blocks(alloc: &Allocator, q: &DurableQueue, node: &NodeHandle) -> OpResult<BTreeSet<Loc>> {
     let mut out = BTreeSet::from([q.header_cell()]);
-    let mut cur = alloc.decode(node.load(q.header_cell()).unwrap());
+    let mut cur = alloc.decode(node.load(q.header_cell())?);
     while let Some(n) = cur {
         out.insert(n);
-        cur = alloc.decode(node.load(Loc::new(n.owner, n.addr.0 + 1)).unwrap());
+        cur = alloc.decode(node.load(Loc::new(n.owner, n.addr.0 + 1))?);
     }
-    out
+    Ok(out)
 }
 
 /// The swept scripts.
@@ -813,12 +862,12 @@ fn sweep_script(
         known.in_flight.clear();
         known.allocating = true;
         assert!(q.enqueue(node, v)?);
-        known.blocks.extend(queue_blocks(alloc, q, node));
+        known.blocks.extend(queue_blocks(alloc, q, node)?);
         known.allocating = false;
-        let dummy = alloc.decode(node.load(q.header_cell()).unwrap());
+        let dummy = alloc.decode(node.load(q.header_cell())?);
         known.in_flight = dummy.into_iter().collect();
         assert_eq!(q.dequeue(node)?, Some(v));
-        known.blocks.extend(queue_blocks(alloc, q, node));
+        known.blocks.extend(queue_blocks(alloc, q, node)?);
     }
     known.in_flight.clear();
     Ok(())
@@ -828,29 +877,28 @@ fn sweep_script(
 /// buffered epoch, whose rollback runs before the allocator's sweep).
 type MakePersist = dyn Fn(&Arc<SimFabric>) -> (Arc<dyn Persistence>, Option<Arc<BufferedEpoch>>);
 
-/// One run of the sweep: builds the heap under `inner`, runs `script`
-/// with a crash of `victim` before the `k`-th `Persistence` call (none
-/// when `k` is past the script's calls), recovers — the allocator's
-/// sweep, then the reclamation domain's, then the queue's — and checks
-/// that no block is lost, none is listed twice, and no live block is
-/// listed. Returns how many calls the script made.
-fn sweep_run(script: Script, mode: &str, make: &MakePersist, victim: MachineId, k: usize) -> usize {
+/// One run of the sweep: builds the heap, runs `script` with a crash
+/// of `victim` right before its `k`-th primitive (none when `k` is
+/// `None`), recovers — the allocator's sweep, then the reclamation
+/// domain's, then the queue's — and checks that no block is lost, none
+/// is listed twice, and no live block is listed. Returns how many
+/// primitives the script issued.
+fn sweep_run(
+    script: Script,
+    mode: &str,
+    make: &MakePersist,
+    victim: MachineId,
+    k: Option<u64>,
+) -> u64 {
     let fabric = SimFabric::new(SystemConfig::symmetric_nvm(2, 8192));
     let node = fabric.node(COMPUTE);
-    let (inner, buffered) = make(&fabric);
-    let crash = Arc::new(CrashAt {
-        inner,
-        fabric: Arc::clone(&fabric),
-        victim,
-        calls: AtomicUsize::new(0),
-        at: AtomicUsize::new(usize::MAX),
-    });
+    let (persist, buffered) = make(&fabric);
     let alloc = Arc::new(Allocator::with_range(
         fabric.config(),
         MEMORY,
         1024,
         8192 - 1024,
-        Arc::clone(&crash) as Arc<dyn Persistence>,
+        persist,
     ));
     alloc.format(&node).unwrap();
     let smr = SmrDomain::new(Arc::clone(&alloc));
@@ -862,13 +910,23 @@ fn sweep_run(script: Script, mode: &str, make: &MakePersist, victim: MachineId, 
     let other = alloc.alloc(&node, 1).unwrap().unwrap().loc;
     known.live.extend(b.iter().chain([&other]));
     known.blocks.extend(known.live.iter().copied());
-    known.blocks.extend(queue_blocks(&alloc, &q, &node));
+    known
+        .blocks
+        .extend(queue_blocks(&alloc, &q, &node).unwrap());
 
-    let base = crash.calls.load(Ordering::SeqCst);
-    crash.at.store(base.saturating_add(k), Ordering::SeqCst);
+    let base = fabric.stats().total_ops();
+    if let Some(k) = k {
+        fabric.arm_crash(k, &[victim]);
+    }
     let cut = sweep_script(script, &alloc, &smr, &q, &node, &b, other, &mut known).is_err();
-    let calls = crash.calls.load(Ordering::SeqCst) - base;
-    crash.at.store(usize::MAX, Ordering::SeqCst);
+    let prims = fabric.stats().total_ops() - base;
+    let ctx = format!("{script:?} script, {mode}, crash of {victim:?} before primitive {k:?}");
+    assert_eq!(
+        cut,
+        fabric.disarm_crash(),
+        "{ctx}: the script dies at the point"
+    );
+    fabric.recover(victim);
     if !cut {
         known.in_flight.clear();
         known.allocating = false;
@@ -895,7 +953,6 @@ fn sweep_run(script: Script, mode: &str, make: &MakePersist, victim: MachineId, 
     );
     assert_eq!(smr.limbo_len(), 0);
 
-    let ctx = format!("{script:?} script, {mode}, crash of {victim:?} before call {k}");
     let mut listed = Vec::new();
     for cells in [1, 2] {
         listed.extend(alloc.debug_free_list(&node, cells).unwrap());
@@ -911,7 +968,7 @@ fn sweep_run(script: Script, mode: &str, make: &MakePersist, victim: MachineId, 
         .iter()
         .filter(|x| !known.in_flight.contains(x))
         .copied()
-        .chain(queue_blocks(&alloc, &q, &node))
+        .chain(queue_blocks(&alloc, &q, &node).unwrap())
         .collect();
     for x in &live {
         assert!(!listed_set.contains(x), "{ctx}: live block {x:?} is listed");
@@ -925,7 +982,7 @@ fn sweep_run(script: Script, mode: &str, make: &MakePersist, victim: MachineId, 
         .collect();
     let spare = usize::from(known.allocating);
     assert!(lost.len() <= spare, "{ctx}: blocks lost: {lost:?}");
-    calls
+    prims
 }
 
 /// Every crash point of both scripts, for both victims, under every
@@ -958,11 +1015,14 @@ fn every_crash_point_of_a_magazine_script_recovers_every_block() {
     assert_eq!(modes.len(), 5, "four sound FliT modes and buffered");
     for script in [Script::Magazine, Script::Splice] {
         for (mode, make, victims) in &modes {
-            let calls = sweep_run(script, mode, make.as_ref(), COMPUTE, usize::MAX);
-            assert!(calls > 50, "{mode}: the script made only {calls} calls");
+            let prims = sweep_run(script, mode, make.as_ref(), COMPUTE, None);
+            assert!(
+                prims > 40,
+                "{mode}: the script issued only {prims} primitives"
+            );
             for &victim in victims {
-                for k in 0..=calls {
-                    sweep_run(script, mode, make.as_ref(), victim, k);
+                for k in 1..=prims {
+                    sweep_run(script, mode, make.as_ref(), victim, Some(k));
                 }
             }
         }

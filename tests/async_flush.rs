@@ -11,7 +11,8 @@
 //!    durably linearizable objects under partial crashes, and its deferred
 //!    helping flushes beat synchronous helping in simulated time.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+mod common;
+
 use std::sync::Arc;
 
 use cxl0::dlcheck::spec::{QueueOp, QueueRet, QueueSpec, RegisterOp, RegisterRet, RegisterSpec};
@@ -116,44 +117,20 @@ fn concurrent_barriers_of_one_machine_each_persist_their_own_line() {
     );
 }
 
-fn crash_workload<F>(fabric: &Arc<SimFabric>, threads: usize, work: F)
-where
-    F: Fn(usize, &cxl0::runtime::NodeHandle, &AtomicBool) + Send + Sync + 'static,
-{
-    let work = Arc::new(work);
-    let stop = Arc::new(AtomicBool::new(false));
-    let mut handles = Vec::new();
-    for t in 0..threads {
-        let node = fabric.node(MachineId(t % 2));
-        let stop = Arc::clone(&stop);
-        let work = Arc::clone(&work);
-        handles.push(std::thread::spawn(move || work(t, &node, &stop)));
-    }
-    std::thread::sleep(std::time::Duration::from_millis(15));
-    fabric.crash(MEM);
-    std::thread::sleep(std::time::Duration::from_millis(2));
-    fabric.recover(MEM);
-    std::thread::sleep(std::time::Duration::from_millis(10));
-    stop.store(true, Ordering::Relaxed);
-    for h in handles {
-        h.join().unwrap();
-    }
-}
-
 #[test]
 fn flit_async_register_durably_linearizable_under_crash() {
-    let fabric = SimFabric::new(SystemConfig::symmetric_nvm(3, 1 << 15));
-    let heap = Arc::new(SharedHeap::new(fabric.config(), MEM));
-    let p: Arc<dyn Persistence> = Arc::new(Flit::new(FlitPolicy::ASYNC));
-    let reg = DurableRegister::create(&heap, p).unwrap();
-    let recorder: Recorder<RegisterOp, RegisterRet> = Recorder::new();
-    {
-        let reg = reg.clone();
-        let rec = recorder.clone();
-        crash_workload(&fabric, 4, move |t, node, stop| {
-            let mut i = 0u64;
-            while !stop.load(Ordering::Relaxed) && i <= 40 {
-                let machine = node.machine().index();
+    let build = || {
+        let fabric = SimFabric::new(SystemConfig::symmetric_nvm(3, 1 << 15));
+        let heap = Arc::new(SharedHeap::new(fabric.config(), MEM));
+        let p: Arc<dyn Persistence> = Arc::new(Flit::new(FlitPolicy::ASYNC));
+        let reg = DurableRegister::create(&heap, p).unwrap();
+        let recorder: Recorder<RegisterOp, RegisterRet> = Recorder::new();
+        (Arc::clone(&fabric), (fabric, reg, recorder))
+    };
+    let (fabric, reg, recorder) =
+        common::crash_workload(4, MEM, build, |t, (_, reg, rec), node, steps| {
+            let machine = node.machine().index();
+            for i in steps.take(41) {
                 if (t + i as usize).is_multiple_of(2) {
                     let v = (t as u64) * 1000 + i + 1;
                     let id = rec.invoke(ThreadId(t), machine, RegisterOp::Write(v));
@@ -168,36 +145,39 @@ fn flit_async_register_durably_linearizable_under_crash() {
                         Err(_) => break,
                     }
                 }
-                i += 1;
             }
         });
-    }
     recorder.crash(MEM.index());
     let node = fabric.node(MachineId(0));
     let id = recorder.invoke(ThreadId(99), 0, RegisterOp::Read);
     let v = reg.read(&node).unwrap();
     recorder.respond(id, RegisterRet::Value(v));
-    let result = check_durably_linearizable(&RegisterSpec, &recorder.finish());
+    let history = recorder.finish();
+    assert!(
+        common::pending(&history) >= 1,
+        "the crash killed no operation"
+    );
+    let result = check_durably_linearizable(&RegisterSpec, &history);
     assert!(result.is_ok(), "{result}");
 }
 
 #[test]
 fn flit_async_queue_durably_linearizable_under_crash() {
-    let fabric = SimFabric::new(SystemConfig::symmetric_nvm(3, 1 << 15));
-    let p: Arc<dyn Persistence> = Arc::new(Flit::new(FlitPolicy::ASYNC));
-    let alloc = Arc::new(Allocator::over_region(fabric.config(), MEM, p));
-    let queue = DurableQueue::create(&alloc, &fabric.node(MachineId(0)))
-        .unwrap()
-        .unwrap();
-    let recorder: Recorder<QueueOp, QueueRet> = Recorder::new();
-    {
-        let queue = queue.clone();
-        let rec = recorder.clone();
-        crash_workload(&fabric, 4, move |t, node, stop| {
-            let mut i = 0u64;
-            while !stop.load(Ordering::Relaxed) && i < 30 {
-                let machine = node.machine().index();
-                if t.is_multiple_of(2) {
+    let build = || {
+        let fabric = SimFabric::new(SystemConfig::symmetric_nvm(3, 1 << 15));
+        let p: Arc<dyn Persistence> = Arc::new(Flit::new(FlitPolicy::ASYNC));
+        let alloc = Arc::new(Allocator::over_region(fabric.config(), MEM, p));
+        let queue = DurableQueue::create(&alloc, &fabric.node(MachineId(0)))
+            .unwrap()
+            .unwrap();
+        let recorder: Recorder<QueueOp, QueueRet> = Recorder::new();
+        (Arc::clone(&fabric), (fabric, queue, recorder))
+    };
+    let (fabric, queue, recorder) =
+        common::crash_workload(4, MEM, build, |t, (_, queue, rec), node, steps| {
+            let machine = node.machine().index();
+            for i in steps.take(30) {
+                if (t + i as usize).is_multiple_of(2) {
                     let v = (t as u64) * 1000 + i + 1;
                     let id = rec.invoke(ThreadId(t), machine, QueueOp::Enq(v));
                     match queue.enqueue(node, v) {
@@ -211,10 +191,8 @@ fn flit_async_queue_durably_linearizable_under_crash() {
                         Err(_) => break,
                     }
                 }
-                i += 1;
             }
         });
-    }
     recorder.crash(MEM.index());
     let node = fabric.node(MachineId(0));
     queue.recover(&node).unwrap();
@@ -226,7 +204,12 @@ fn flit_async_queue_durably_linearizable_under_crash() {
             break;
         }
     }
-    let result = check_durably_linearizable(&QueueSpec, &recorder.finish());
+    let history = recorder.finish();
+    assert!(
+        common::pending(&history) >= 1,
+        "the crash killed no operation"
+    );
+    let result = check_durably_linearizable(&QueueSpec, &history);
     assert!(result.is_ok(), "{result}");
 }
 

@@ -8,14 +8,17 @@
 //! recovers through the unchanged `Session::recover_roots` +
 //! `recover()` path.
 
+mod common;
+
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use cxl0::api::{Cluster, PersistMode, Session};
+use cxl0::api::{Cluster, PersistMode};
 use cxl0::dlcheck::spec::{QueueOp, QueueRet, QueueSpec, StackOp, StackRet, StackSpec};
 use cxl0::dlcheck::{check_durably_linearizable, Recorder, ThreadId};
 use cxl0::model::{MachineId, SystemConfig};
+use cxl0::runtime::{CheckConfig, CombinedQueue, CombinedStack, NodeHandle};
 use proptest::prelude::*;
 
 const MEM: MachineId = MachineId(2);
@@ -36,57 +39,29 @@ fn sound_modes() -> Vec<PersistMode> {
         .collect()
 }
 
-/// Drives `threads` workers on the two compute machines, crashing the
-/// memory node once mid-run (the combined-front twin of the plain
-/// suite's `crash_workload`).
-fn crash_workload<F>(cluster: &Arc<Cluster>, threads: usize, work: F)
-where
-    F: Fn(usize, &Session, &AtomicBool) + Send + Sync + 'static,
-{
-    let work = Arc::new(work);
-    let stop = Arc::new(AtomicBool::new(false));
-    let mut handles = Vec::new();
-    for t in 0..threads {
-        let session = cluster.session(MachineId(t % 2));
-        let stop = Arc::clone(&stop);
-        let work = Arc::clone(&work);
-        handles.push(std::thread::spawn(move || work(t, &session, &stop)));
-    }
-    std::thread::sleep(std::time::Duration::from_millis(15));
-    cluster.crash(MEM);
-    std::thread::sleep(std::time::Duration::from_millis(2));
-    cluster.recover(MEM);
-    std::thread::sleep(std::time::Duration::from_millis(10));
-    stop.store(true, Ordering::Relaxed);
-    for h in handles {
-        h.join().unwrap();
-    }
-}
-
 /// Combined queue, memory-node crash mid-run, full history checked for
 /// durable linearizability — under every sound durability strategy.
 #[test]
 fn combined_queue_durably_linearizable_under_crash_all_sound_modes() {
     for mode in sound_modes() {
-        let cluster = setup(mode);
-        let queue = cluster.combined(
-            cluster
-                .session(MachineId(0))
-                .create_queue::<u64>("q")
-                .unwrap(),
-        );
-        let recorder: Recorder<QueueOp, QueueRet> = Recorder::new();
-        {
-            let queue = queue.clone();
-            let rec = recorder.clone();
-            crash_workload(&cluster, 4, move |t, session, stop| {
-                let mut i = 0u64;
-                while !stop.load(Ordering::Relaxed) && i < 25 {
-                    let machine = session.machine().index();
-                    if t.is_multiple_of(2) {
+        let build = || {
+            let cluster = setup(mode);
+            let session = cluster.session(MachineId(0));
+            let queue = cluster.combined(session.create_queue::<u64>("q").unwrap());
+            let recorder: Recorder<QueueOp, QueueRet> = Recorder::new();
+            (Arc::clone(cluster.fabric()), (cluster, queue, recorder))
+        };
+        let work =
+            |t: usize,
+             (_, queue, rec): &(Arc<Cluster>, CombinedQueue, Recorder<QueueOp, QueueRet>),
+             node: &NodeHandle,
+             steps: common::Steps| {
+                let machine = node.machine().index();
+                for i in steps.take(25) {
+                    if (t + i as usize).is_multiple_of(2) {
                         let v = (t as u64) * 1000 + i + 1;
                         let id = rec.invoke(ThreadId(t), machine, QueueOp::Enq(v));
-                        match queue.enqueue(session, v) {
+                        match queue.enqueue(node, v) {
                             Ok(true) => rec.respond(id, QueueRet::Ok),
                             // Heap exhaustion or crash: the op stays
                             // pending in the history (outcome unknown).
@@ -94,15 +69,14 @@ fn combined_queue_durably_linearizable_under_crash_all_sound_modes() {
                         }
                     } else {
                         let id = rec.invoke(ThreadId(t), machine, QueueOp::Deq);
-                        match queue.dequeue(session) {
+                        match queue.dequeue(node) {
                             Ok(v) => rec.respond(id, QueueRet::Deqd(v)),
                             Err(_) => break,
                         }
                     }
-                    i += 1;
                 }
-            });
-        }
+            };
+        let (cluster, _, recorder) = common::crash_workload(4, MEM, build, work);
         recorder.crash(MEM.index());
         // Reattach by name through the unchanged recovery path and
         // drain through the front: everything acknowledged before the
@@ -119,7 +93,13 @@ fn combined_queue_durably_linearizable_under_crash_all_sound_modes() {
                 break;
             }
         }
-        let result = check_durably_linearizable(&QueueSpec, &recorder.finish());
+        let history = recorder.finish();
+        assert!(
+            common::pending(&history) >= 1,
+            "{}: no op killed",
+            mode.name()
+        );
+        let result = check_durably_linearizable(&QueueSpec, &history);
         assert!(result.is_ok(), "{}: {result}", mode.name());
     }
 }
@@ -131,39 +111,37 @@ fn combined_queue_durably_linearizable_under_crash_all_sound_modes() {
 #[test]
 fn combined_stack_durably_linearizable_under_crash_all_sound_modes() {
     for mode in sound_modes() {
-        let cluster = setup(mode);
-        let stack = cluster.combined(
-            cluster
-                .session(MachineId(0))
-                .create_stack::<u64>("s")
-                .unwrap(),
-        );
-        let recorder: Recorder<StackOp, StackRet> = Recorder::new();
-        {
-            let stack = stack.clone();
-            let rec = recorder.clone();
-            crash_workload(&cluster, 4, move |t, session, stop| {
-                let mut i = 0u64;
-                while !stop.load(Ordering::Relaxed) && i < 25 {
-                    let machine = session.machine().index();
+        let build = || {
+            let cluster = setup(mode);
+            let session = cluster.session(MachineId(0));
+            let stack = cluster.combined(session.create_stack::<u64>("s").unwrap());
+            let recorder: Recorder<StackOp, StackRet> = Recorder::new();
+            (Arc::clone(cluster.fabric()), (cluster, stack, recorder))
+        };
+        let work =
+            |t: usize,
+             (_, stack, rec): &(Arc<Cluster>, CombinedStack, Recorder<StackOp, StackRet>),
+             node: &NodeHandle,
+             steps: common::Steps| {
+                let machine = node.machine().index();
+                for i in steps.take(25) {
                     if (t + i as usize).is_multiple_of(2) {
                         let v = (t as u64) * 1000 + i + 1;
                         let id = rec.invoke(ThreadId(t), machine, StackOp::Push(v));
-                        match stack.push(session, v) {
+                        match stack.push(node, v) {
                             Ok(true) => rec.respond(id, StackRet::Ok),
                             _ => break,
                         }
                     } else {
                         let id = rec.invoke(ThreadId(t), machine, StackOp::Pop);
-                        match stack.pop(session) {
+                        match stack.pop(node) {
                             Ok(v) => rec.respond(id, StackRet::Popped(v)),
                             Err(_) => break,
                         }
                     }
-                    i += 1;
                 }
-            });
-        }
+            };
+        let (cluster, _, recorder) = common::crash_workload(4, MEM, build, work);
         recorder.crash(MEM.index());
         let session = cluster.session(MachineId(0));
         session.recover_roots().unwrap();
@@ -177,7 +155,13 @@ fn combined_stack_durably_linearizable_under_crash_all_sound_modes() {
                 break;
             }
         }
-        let result = check_durably_linearizable(&StackSpec, &recorder.finish());
+        let history = recorder.finish();
+        assert!(
+            common::pending(&history) >= 1,
+            "{}: no op killed",
+            mode.name()
+        );
+        let result = check_durably_linearizable(&StackSpec, &history);
         assert!(result.is_ok(), "{}: {result}", mode.name());
     }
 }
@@ -198,13 +182,17 @@ fn mid_batch_crash_leaves_no_partial_batch() {
     );
     let threads = 6usize;
     let stop = Arc::new(AtomicBool::new(false));
+    // Continuous 6-thread traffic: the crash lands while batches are in
+    // flight (acknowledgement waits on the batch flush, so there are
+    // always announced-but-unflushed ops to interrupt).
+    cluster.fabric().arm_crash(1500, &[MEM]);
     let mut handles = Vec::new();
     for t in 0..threads {
         let queue = queue.clone();
         let session = cluster.session(MachineId(t % 2));
         let stop = Arc::clone(&stop);
         handles.push(std::thread::spawn(move || {
-            // Enqueue 1, 2, 3, … until the crash (or stop); report how
+            // Enqueue 1, 2, 3, … until killed (or stopped); report how
             // many were acknowledged.
             let mut acked = 0u64;
             while !stop.load(Ordering::Relaxed) {
@@ -216,13 +204,12 @@ fn mid_batch_crash_leaves_no_partial_batch() {
             acked
         }));
     }
-    // Continuous 6-thread traffic: the crash lands while batches are in
-    // flight (acknowledgement waits on the batch flush, so there are
-    // always announced-but-unflushed ops to interrupt).
-    std::thread::sleep(std::time::Duration::from_millis(25));
-    cluster.crash(MEM);
+    while !cluster.is_crashed(MEM) {
+        std::thread::yield_now();
+    }
     stop.store(true, Ordering::Relaxed);
     let acked: Vec<u64> = handles.into_iter().map(|h| h.join().unwrap()).collect();
+    assert!(cluster.fabric().disarm_crash());
     cluster.recover(MEM);
 
     let session = cluster.session(MachineId(0));
@@ -250,6 +237,52 @@ fn mid_batch_crash_leaves_no_partial_batch() {
             acked[t],
             got.len()
         );
+    }
+}
+
+/// A combiner whose thread alone is killed mid-batch — at every
+/// primitive of one combined enqueue — leaves its unflushed batch work
+/// visible in its live machine's cache. The board sticks: later ops
+/// fail until `recover`, which drains every cache before building on
+/// that work. (A kill past the batch flush, in the reclamation after
+/// it, leaves nothing unflushed and the board live.) The sanitizer
+/// stays silent throughout, and the killed enqueue took effect or did
+/// not.
+#[test]
+fn a_killed_combiner_sticks_the_board_until_recovery() {
+    for mode in [PersistMode::FlitCxl0, PersistMode::FlitAsync] {
+        let mut stuck_at = 0;
+        for k in 1.. {
+            let cluster = Cluster::builder(SystemConfig::symmetric_nvm(3, 1 << 12))
+                .persist(mode)
+                .with_checker(CheckConfig {
+                    fail_fast: false,
+                    ..CheckConfig::default()
+                })
+                .build()
+                .unwrap();
+            let session = cluster.session(MachineId(0));
+            let queue = cluster.combined(session.create_queue::<u64>("q").unwrap());
+            assert!(queue.enqueue(&session, 1).unwrap());
+            cluster.fabric().arm_crash(k, &[]);
+            let killed = queue.enqueue(&session, 2).is_err();
+            assert_eq!(killed, cluster.fabric().disarm_crash());
+            if !killed {
+                assert_eq!(queue.drain(&session).unwrap(), [1, 2]);
+                break;
+            }
+            let stuck = queue.enqueue(&session, 3).is_err();
+            stuck_at += usize::from(stuck);
+            queue.recover(&session).unwrap();
+            assert!(queue.enqueue(&session, 4).unwrap(), "recovery unsticks");
+            let mut drained = queue.drain(&session).unwrap();
+            drained.retain(|&v| v != 2);
+            let expected = if stuck { vec![1, 4] } else { vec![1, 3, 4] };
+            assert_eq!(drained, expected, "{}: k = {k}", mode.name());
+            let ck = cluster.checker().unwrap();
+            assert_eq!(ck.total_violations(), 0, "{:#?}", ck.violations());
+        }
+        assert!(stuck_at > 0, "{}: no kill stuck the board", mode.name());
     }
 }
 

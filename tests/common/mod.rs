@@ -1,0 +1,110 @@
+//! Helpers shared by the integration suites that crash a running
+//! workload.
+
+use std::fmt;
+use std::sync::Arc;
+
+use cxl0::dlcheck::{Event, History};
+use cxl0::model::MachineId;
+use cxl0::runtime::{NodeHandle, SimFabric};
+
+/// Drives `threads` workers over fresh state from `build` — the fabric
+/// and whatever the workers share: worker `t` runs
+/// `work(t, &shared, &node, steps)` on compute machine `t % 2`, one
+/// operation per step it takes from `steps`. A dry run counts the
+/// primitives the workers issue; the next run crashes the memory node
+/// `mem` right before half that many, through the fabric's crash point.
+/// The worker that issues that primitive dies mid-operation, `steps`
+/// ends for the others, and `mem` is recovered once every worker has
+/// returned. Returns the crashed run's shared state.
+///
+/// Concurrent traffic varies from run to run (batching, elimination,
+/// retries): a run that ends before the crash point fires — or a dry
+/// run that issued no primitive at all — is repeated over fresh state,
+/// the point armed at no more than half the last run's traffic.
+pub fn crash_workload<T, W>(
+    threads: usize,
+    mem: MachineId,
+    build: impl Fn() -> (Arc<SimFabric>, T),
+    work: W,
+) -> T
+where
+    T: Clone + Send + 'static,
+    W: Fn(usize, &T, &NodeHandle, Steps) + Send + Sync + 'static,
+{
+    let work = Arc::new(work);
+    let run = |fabric: &Arc<SimFabric>, shared: &T| {
+        let before = fabric.stats().total_ops();
+        let handles: Vec<_> = (0..threads)
+            .map(|t| {
+                let (work, shared) = (Arc::clone(&work), shared.clone());
+                let node = fabric.node(MachineId(t % 2));
+                let steps = Steps {
+                    fabric: Arc::clone(fabric),
+                    mem,
+                    next: 0,
+                };
+                std::thread::spawn(move || work(t, &shared, &node, steps))
+            })
+            .collect();
+        for h in handles {
+            h.join().unwrap();
+        }
+        fabric.stats().total_ops() - before
+    };
+    // The first run is the dry run.
+    let mut k = None;
+    for _ in 0..100 {
+        let (fabric, shared) = build();
+        if let Some(k) = k {
+            fabric.arm_crash(k, &[mem]);
+        }
+        let traffic = run(&fabric, &shared);
+        if k.is_some() && fabric.disarm_crash() {
+            fabric.recover(mem);
+            return shared;
+        }
+        if traffic > 0 {
+            k = Some(traffic.div_ceil(2).min(k.unwrap_or(u64::MAX)));
+        }
+    }
+    panic!("no run reached the crash point");
+}
+
+/// A worker's operation indices, `0, 1, 2, …` until the memory node
+/// crashes: the crash ends the workload, so the checked history stays
+/// the size the dry run had.
+pub struct Steps {
+    fabric: Arc<SimFabric>,
+    mem: MachineId,
+    next: u64,
+}
+
+impl Iterator for Steps {
+    type Item = u64;
+
+    fn next(&mut self) -> Option<u64> {
+        (!self.fabric.is_crashed(self.mem)).then(|| {
+            self.next += 1;
+            self.next - 1
+        })
+    }
+}
+
+/// The operations of `history` invoked without a response.
+pub fn pending<Op, Ret>(history: &History<Op, Ret>) -> usize
+where
+    Op: Clone + fmt::Debug,
+    Ret: Clone + fmt::Debug,
+{
+    let events = history.events();
+    let invoked = events
+        .iter()
+        .filter(|e| matches!(e, Event::Invoke { .. }))
+        .count();
+    let responded = events
+        .iter()
+        .filter(|e| matches!(e, Event::Respond { .. }))
+        .count();
+    invoked - responded
+}

@@ -1,15 +1,14 @@
-//! Crash-point enumeration over a recorded run.
+//! Crash-point enumeration over a scripted run.
 //!
-//! A scripted queue workload is recorded once on a sanitized cluster;
-//! the checker's shadow-state fingerprint after each operation
-//! identifies the *persist-state-distinct* points of the run (two
-//! boundaries with equal fingerprints crash identically, so only one
-//! is replayed). Each distinct point is then replayed on a fresh
-//! cluster, the memory node is crashed there, and the recovered queue's
-//! full history — completed prefix, crash event, post-recovery drain —
-//! is cross-validated with `cxl0-dlcheck`. The sanitizer itself must
-//! also stay silent across every replay: enumeration is a soundness
-//! sweep, not just a liveness one.
+//! A scripted queue workload is run once on a sanitized cluster to
+//! count its fabric primitives. Then, for every primitive, a fresh
+//! cluster replays the script with the memory node crashed right before
+//! that primitive — the fabric's crash point kills the operation that
+//! issues it, which stays pending in the history — and the recovered
+//! queue's full history — completed prefix, killed operation, crash
+//! event, post-recovery drain — is cross-validated with
+//! `cxl0-dlcheck`. The sanitizer itself must also stay silent at every
+//! point: enumeration is a soundness sweep, not just a liveness one.
 
 use std::sync::Arc;
 
@@ -17,7 +16,7 @@ use cxl0::api::{Cluster, PersistMode, Session};
 use cxl0::dlcheck::spec::{QueueOp, QueueRet, QueueSpec};
 use cxl0::dlcheck::{check_durably_linearizable, Recorder, ThreadId};
 use cxl0::model::{MachineId, SystemConfig};
-use cxl0::runtime::CheckConfig;
+use cxl0::runtime::{CheckConfig, DurableQueue};
 
 const MEM: MachineId = MachineId(2);
 
@@ -50,63 +49,61 @@ fn sanitized_cluster() -> Arc<Cluster> {
         .unwrap()
 }
 
-/// Runs `SCRIPT[..len]` against a fresh queue, recording the history
-/// into `rec` when given. Returns the session for post-run access.
-fn run_prefix(
-    cluster: &Arc<Cluster>,
-    len: usize,
-    mut observe: impl FnMut(usize, QueueOp, QueueRet),
-) -> Session {
-    let session = cluster.session(MachineId(0));
-    let q = session.create_queue::<u64>("q").unwrap();
-    for (i, op) in SCRIPT[..len].iter().enumerate() {
-        let ret = match *op {
-            QueueOp::Enq(v) => {
-                assert!(q.enqueue(&session, v).unwrap());
+/// Runs `SCRIPT` against `q`, recording each operation's invocation
+/// and response into `rec` and calling `after` past each one. An
+/// operation that fails stays pending and ends the run; returns whether
+/// the whole script ran.
+fn run_script(
+    session: &Session,
+    q: &DurableQueue<u64>,
+    rec: &Recorder<QueueOp, QueueRet>,
+    mut after: impl FnMut(),
+) -> bool {
+    for op in SCRIPT {
+        let id = rec.invoke(ThreadId(0), 0, op);
+        let ret = match op {
+            QueueOp::Enq(v) => q.enqueue(session, v).map(|ok| {
+                assert!(ok, "the heap fits the script");
                 QueueRet::Ok
-            }
-            QueueOp::Deq => QueueRet::Deqd(q.dequeue(&session).unwrap()),
+            }),
+            QueueOp::Deq => q.dequeue(session).map(QueueRet::Deqd),
         };
-        observe(i, *op, ret);
+        let Ok(ret) = ret else {
+            return false;
+        };
+        rec.respond(id, ret);
+        after();
     }
-    session
+    true
 }
 
 #[test]
 fn every_distinct_persist_state_crashes_durably_linearizable() {
-    // Pass 1: record the run, fingerprinting the shadow state at every
-    // op boundary (boundary 0 = before any op).
+    // Pass 1: count the script's primitives.
     let cluster = sanitized_cluster();
-    let ck = Arc::clone(cluster.checker().unwrap());
-    let mut fingerprints = vec![ck.fingerprint()];
-    run_prefix(&cluster, SCRIPT.len(), |_, _, _| {
-        fingerprints.push(ck.fingerprint());
-    });
+    let session = cluster.session(MachineId(0));
+    let q = session.create_queue::<u64>("q").unwrap();
+    let before = cluster.stats().total_ops();
+    assert!(run_script(&session, &q, &Recorder::new(), || {}));
+    let prims = cluster.stats().total_ops() - before;
+    let ck = cluster.checker().unwrap();
     assert_eq!(ck.total_violations(), 0, "{:#?}", ck.violations());
-
-    // Dedup: keep the first boundary of each distinct persist state.
-    let mut seen = std::collections::HashSet::new();
-    let crash_points: Vec<usize> = (0..fingerprints.len())
-        .filter(|&i| seen.insert(fingerprints[i]))
-        .collect();
     assert!(
-        crash_points.len() >= SCRIPT.len() / 2,
-        "a run this varied must visit many distinct persist states, got {}",
-        crash_points.len()
+        prims >= 10 * SCRIPT.len() as u64,
+        "a dozen queue ops issue far more than {prims} primitives"
     );
 
-    // Pass 2: replay each distinct point on a fresh cluster, crash the
-    // memory node there, recover by name, drain, and hand the complete
-    // history to the durable-linearizability checker.
-    for &point in &crash_points {
+    // Pass 2: for every primitive, replay on a fresh cluster with the
+    // memory node crashed right before it, recover by name, drain, and
+    // hand the complete history to the durable-linearizability checker.
+    for k in 1..=prims {
         let cluster = sanitized_cluster();
+        let session = cluster.session(MachineId(0));
+        let q = session.create_queue::<u64>("q").unwrap();
         let rec: Recorder<QueueOp, QueueRet> = Recorder::new();
-        run_prefix(&cluster, point, |i, op, ret| {
-            let id = rec.invoke(ThreadId(0), 0, op);
-            rec.respond(id, ret);
-            let _ = i;
-        });
-        cluster.crash(MEM);
+        cluster.fabric().arm_crash(k, &[MEM]);
+        assert!(!run_script(&session, &q, &rec, || {}), "primitive {k}");
+        assert!(cluster.fabric().disarm_crash());
         rec.crash(MEM.index());
         cluster.recover(MEM);
 
@@ -122,21 +119,22 @@ fn every_distinct_persist_state_crashes_durably_linearizable() {
                 break;
             }
         }
-        let result = check_durably_linearizable(&QueueSpec, &rec.finish());
-        assert!(result.is_ok(), "crash after op {point}: {result}");
+        let history = rec.finish();
+        let result = check_durably_linearizable(&QueueSpec, &history);
+        assert!(result.is_ok(), "crash before primitive {k}: {result}");
         let ck = cluster.checker().unwrap();
         assert_eq!(
             ck.total_violations(),
             0,
-            "crash after op {point}: {:#?}",
+            "crash before primitive {k}: {:#?}",
             ck.violations()
         );
     }
 }
 
-/// The enumerator's dedup is real: replaying the same prefix twice
-/// yields the same fingerprint sequence (the scripted single-threaded
-/// run is deterministic at op granularity for the shadow's
+/// Fingerprints identify repeat states: replaying the script twice
+/// yields the same fingerprint sequence at its op boundaries (the
+/// scripted single-threaded run is deterministic for the shadow's
 /// crash-relevant state).
 #[test]
 fn fingerprints_identify_repeat_states() {
@@ -144,8 +142,12 @@ fn fingerprints_identify_repeat_states() {
     for _ in 0..2 {
         let cluster = sanitized_cluster();
         let ck = Arc::clone(cluster.checker().unwrap());
+        let session = cluster.session(MachineId(0));
+        let q = session.create_queue::<u64>("q").unwrap();
         let mut fps = vec![ck.fingerprint()];
-        run_prefix(&cluster, SCRIPT.len(), |_, _, _| fps.push(ck.fingerprint()));
+        assert!(run_script(&session, &q, &Recorder::new(), || {
+            fps.push(ck.fingerprint())
+        }));
         runs.push(fps);
     }
     assert_eq!(runs[0], runs[1], "scripted runs fingerprint identically");
