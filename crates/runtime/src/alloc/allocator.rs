@@ -251,12 +251,12 @@ impl Magazine {
     /// up to the room left — and the rest.
     fn split(&self, owned: Vec<Owned>) -> (Vec<Owned>, Vec<Owned>) {
         let class = match owned.first() {
-            Some(b) if self.len == 0 => b.class,
+            Some(b) if self.len == 0 => b.class(),
             _ => self.class,
         };
         let mut room = self.room(class);
         owned.into_iter().partition(|b| {
-            let fits = b.class == class && room > 0;
+            let fits = b.class() == class && room > 0;
             room -= usize::from(fits);
             fits
         })
@@ -287,23 +287,35 @@ struct Chained {
     refused: Option<FreeError>,
 }
 
-/// A block the free path validated as freeable.
-#[derive(Clone, Copy)]
-struct Owned {
-    class: u64,
+/// One incarnation of a block that the caller may free: the block,
+/// and the `ALLOCATED` header its claim CAS expects — as the free path
+/// loaded it, or as a retirement built it from the generation it knew
+/// (see [`Allocator::incarnation`]). A claim that finds any other
+/// header refuses the block, so an incarnation that has since moved on
+/// is never freed.
+///
+/// Sixteen bytes, the size of a `Loc` (the class is read off the
+/// header): limbo holds thousands of these, and a 24-byte entry shifted
+/// the host heap's layout enough to keep one more 12 MB fabric cell slab
+/// resident in the benchmark's `churn_crash`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Owned {
     /// Payload address.
     addr: u32,
-    /// The (`ALLOCATED`) header as loaded — what the claim CAS expects.
+    /// The `ALLOCATED` header the claim CAS expects.
     hdr: u64,
 }
 
 impl Owned {
     fn new(payload: Loc, hdr: u64) -> Self {
         Owned {
-            class: header_class(hdr),
             addr: payload.addr.0,
             hdr,
         }
+    }
+
+    fn class(&self) -> u64 {
+        header_class(self.hdr)
     }
 }
 
@@ -810,7 +822,7 @@ impl Allocator {
         match self.freeable(node, payload)? {
             Ok(hdr) => {
                 let block = Owned::new(payload, hdr);
-                if let Some((slot, mut mag)) = self.magazine_taking(block.class) {
+                if let Some((slot, mut mag)) = self.magazine_taking(block.class()) {
                     self.park(node, slot, &mut mag, &[block], &mut done)?;
                 } else {
                     self.push_owned(node, &[block], &mut done)?;
@@ -855,7 +867,7 @@ impl Allocator {
         let parked_gen = |b: &Owned| header_gen(b.hdr).wrapping_add(1) & GEN_MASK;
         let mut rest = run;
         while let Some(first) = rest.first() {
-            let class = first.class;
+            let class = first.class();
             let cell = mag.next_cell;
             let newest = mag.newest();
             mag.torn = true; // until the claims land
@@ -907,30 +919,62 @@ impl Allocator {
         Ok(())
     }
 
-    /// Frees a bag of blocks the caller is done with — a ripe limbo bag
-    /// of [`SmrDomain`](crate::smr::SmrDomain) — and returns how many it
-    /// freed. As many as the calling thread's magazine has room for are
-    /// **spliced** into it, in bag order: blocks of the magazine's class,
-    /// or of the bag's first freeable block when the magazine is empty —
-    /// one latch and one claim each (see [`Allocator::park`]), and each
-    /// is then taken back by one header mark. The rest go to the free
-    /// lists as [`free_chain`](Allocator::free_chain) would send them.
+    /// The incarnation at generation `gen` of the `cells`-cell block at
+    /// `payload`, built with no load — what a structure knows of a block
+    /// it unlinked by a pointer word carrying `gen`. `None` when no free
+    /// could reclaim such a block: oversize, or outside the block area.
+    pub(crate) fn incarnation(&self, payload: Loc, gen: u64, cells: u32) -> Option<Owned> {
+        let class = class_for(cells)? as u64;
+        let addr = payload.addr.0;
+        (payload.owner == self.region && self.in_block_area(addr)).then(|| Owned {
+            addr,
+            hdr: header_word(ST_ALLOCATED, class, gen & GEN_MASK, None),
+        })
+    }
+
+    /// The current incarnation of `payload`'s block, read off its
+    /// header; `None` when [`free`](Allocator::free) would refuse it.
+    ///
+    /// # Errors
+    ///
+    /// Fails if the issuing machine has crashed.
+    pub(crate) fn current_incarnation(
+        &self,
+        node: &NodeHandle,
+        payload: Loc,
+    ) -> OpResult<Option<Owned>> {
+        Ok(self
+            .freeable(node, payload)?
+            .ok()
+            .map(|hdr| Owned::new(payload, hdr)))
+    }
+
+    /// Frees a bag of incarnations the caller is done with — a ripe
+    /// limbo bag of [`SmrDomain`](crate::smr::SmrDomain) — and returns
+    /// how many it freed. No header is loaded: each claim CAS expects
+    /// the incarnation's header, and a block whose header has moved on
+    /// is refused. As many as the calling thread's magazine has room
+    /// for are **spliced** into it, in bag order: blocks of the
+    /// magazine's class, or of the bag's first block when the magazine
+    /// is empty — one latch and one claim each (see
+    /// [`Allocator::park`]), and each is then taken back by one header
+    /// mark. The rest go to the free lists as
+    /// [`chain_bag`](Allocator::chain_bag) sends them.
     ///
     /// A crash mid-call leaves a magazine that took blocks torn: the
     /// caller hands the whole bag back to limbo, so none of them may be
     /// taken back before [`Allocator::recover`] voids the magazine.
-    pub(crate) fn free_bag(&self, node: &NodeHandle, blocks: &[Loc]) -> OpResult<usize> {
-        let mut done = Chained::default();
-        let owned = self.owned(node, blocks, &mut done)?;
+    pub(crate) fn free_bag(&self, node: &NodeHandle, blocks: &[Owned]) -> OpResult<usize> {
+        let owned = blocks.to_vec();
         let mag = self.magazine();
         let (fit, rest) = match &mag {
             Some((_, mag)) => mag.split(owned),
             None => (Vec::new(), owned),
         };
         let Some((slot, mut mag)) = mag.filter(|_| !fit.is_empty()) else {
-            self.push_chains(node, rest, &mut done)?;
-            return Ok(done.freed);
+            return self.chain_bag(node, rest);
         };
+        let mut done = Chained::default();
         let freed = self
             .park(node, slot, &mut mag, &fit, &mut done)
             .and_then(|()| self.push_chains(node, rest, &mut done));
@@ -938,6 +982,21 @@ impl Allocator {
             mag.torn = true;
         }
         freed.map(|()| done.freed)
+    }
+
+    /// Returns a bag of incarnations to their free lists as one chain
+    /// per size class, like [`free_chain`](Allocator::free_chain) but
+    /// with no header load — `k + 2` persists and one load (the list
+    /// head) for `k` blocks of one class. A block whose claim CAS fails
+    /// is refused. Returns how many it freed.
+    ///
+    /// # Errors
+    ///
+    /// Fails if the issuing machine has crashed.
+    pub(crate) fn chain_bag(&self, node: &NodeHandle, blocks: Vec<Owned>) -> OpResult<usize> {
+        let mut done = Chained::default();
+        self.push_chains(node, blocks, &mut done)?;
+        Ok(done.freed)
     }
 
     /// Returns every block of `blocks` to its class free list as one
@@ -989,7 +1048,7 @@ impl Allocator {
         done: &mut Chained,
     ) -> OpResult<()> {
         // Stable: within a class the caller's order is the chain's.
-        owned.sort_by_key(|b| b.class);
+        owned.sort_by_key(Owned::class);
         self.push_owned(node, &owned, done)?;
         self.persist.complete_op(node)
     }
@@ -1001,7 +1060,7 @@ impl Allocator {
             return Ok(());
         }
         let slot = self.slots.acquire();
-        for run in owned.chunk_by(|a, b| a.class == b.class) {
+        for run in owned.chunk_by(|a, b| a.class() == b.class()) {
             let mut rest = run;
             while !rest.is_empty() {
                 // A crash error leaks the lease (see `pop`).
@@ -1053,8 +1112,8 @@ impl Allocator {
         run: &[Owned],
         done: &mut Chained,
     ) -> OpResult<usize> {
+        let class = run[0].class();
         let Owned {
-            class,
             addr: first,
             hdr: first_hdr,
         } = run[0];

@@ -73,7 +73,7 @@
 //! | **alloc** from a free list | ① intent `ALLOC(top, g)` → ② head CAS past `top` → ③ header `ALLOCATED g` — complete at ③ |
 //! | **free** to a free list | ① intent `FREE(b, g)` → ② header CAS `ALLOCATED g → FREE g+1, next = top` (claim *and* link) → ③ head CAS to `b` |
 //! | **free_chain** of `k` blocks of one class | ① intent `FREE(b₀, g₀)` → `k` claim CASes, each linking `bᵢ` to `bᵢ₊₁` (the last to `top`) → one head CAS to `b₀` — `k + 2` |
-//! | **SMR drain** of `b₁ … b_k` into the magazine (`k` ≤ its room) | ① intent `MAG(b₁, g₁)` into the cell not naming the newest parked block → `k` claim CASes, front to back, `ALLOCATED g → MAGAZINE g+1`, each linking `bᵢ` to `bᵢ₊₁` and `b_k` to the newest — `k + 1`; the rest of the bag as a `free_chain` |
+//! | **SMR drain** of `b₁ … b_k` into the magazine (`k` ≤ its room) | no load: limbo kept each block's `ALLOCATED g` header → ① intent `MAG(b₁, g₁)` into the cell not naming the newest parked block → `k` claim CASes, front to back, `ALLOCATED g → MAGAZINE g+1`, each linking `bᵢ` to `bᵢ₊₁` and `b_k` to the newest — `k + 1`; the rest of the bag as a `free_chain` without its header loads |
 //! | alloc from the bump tail | the header store |
 //!
 //! A magazine takes back its **oldest** block, so the blocks still
@@ -229,6 +229,7 @@
 mod allocator;
 pub(crate) mod layout;
 
+pub(crate) use allocator::Owned;
 pub use allocator::{
     AllocRecovery, AllocStats, Allocator, BlockRef, FreeError, INTENT_SLOTS, MAX_CLASS_CELLS,
     META_CELLS, NUM_CLASSES,

@@ -59,6 +59,9 @@ use crate::smr::{SmrDomain, SmrGuard};
 
 const MARK: u64 = 1 << 63;
 
+/// Payload cells of a node: `[key, next]`.
+const NODE_CELLS: u32 = 2;
+
 fn is_marked(raw: u64) -> bool {
     raw & MARK != 0
 }
@@ -176,6 +179,19 @@ impl<K: Word> DurableList<K> {
         }
     }
 
+    /// Retires `curr`, a node this operation unlinked by the pointer
+    /// word `curr_enc`: its generation names the incarnation, so the
+    /// drain loads no header.
+    fn retire(
+        &self,
+        guard: &SmrGuard<'_>,
+        node: &NodeHandle,
+        curr: Loc,
+        curr_enc: u64,
+    ) -> OpResult<()> {
+        guard.retire_incarnation(node, curr, Allocator::ptr_gen(curr_enc), NODE_CELLS)
+    }
+
     /// Finds the first node with key ≥ `key`. Returns
     /// `(pred_cell, pred_gen, expected_in_pred, found)` where `found`
     /// is the encoded current node (null at end of list) whose key, if
@@ -211,7 +227,7 @@ impl<K: Word> DurableList<K> {
                     {
                         continue 'retry;
                     }
-                    guard.retire(node, curr)?;
+                    self.retire(guard, node, curr, curr_enc)?;
                     curr_enc = replacement;
                     continue;
                 }
@@ -268,7 +284,7 @@ impl<K: Word> DurableList<K> {
                 None => {
                     let mut attempts = 0u32;
                     let n = loop {
-                        if let Some(n) = self.alloc.alloc(node, 2)? {
+                        if let Some(n) = self.alloc.alloc(node, NODE_CELLS)? {
                             break n;
                         }
                         // The region may be exhausted only transiently:
@@ -369,7 +385,7 @@ impl<K: Word> DurableList<K> {
                 )?
                 .is_ok()
             {
-                guard.retire(node, curr)?;
+                self.retire(&guard, node, curr, curr_enc)?;
             }
             self.persist.complete_op(node)?;
             return Ok(true);

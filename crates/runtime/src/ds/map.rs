@@ -47,7 +47,7 @@ use std::sync::Arc;
 use cxl0_model::Loc;
 use parking_lot::RwLock;
 
-use crate::alloc::{Allocator, BlockRef};
+use crate::alloc::{Allocator, BlockRef, MAX_CLASS_CELLS};
 use crate::api::Word;
 use crate::backend::{AsNode, NodeHandle};
 use crate::error::OpResult;
@@ -173,6 +173,11 @@ impl<K: Word, V: Word> DurableMap<K, V> {
             }
         }
         Ok(Some(block))
+    }
+
+    /// Payload cells of the table: a key and a value per slot.
+    fn table_cells(&self) -> u32 {
+        self.capacity * 2
     }
 
     /// Loads the current table's base from the header. Callers must be
@@ -363,13 +368,21 @@ impl<K: Word, V: Word> DurableMap<K, V> {
     ///
     /// # Panics
     ///
-    /// Panics if the heap cannot supply a fresh table even after full
-    /// reclamation (two live tables of this map's class must fit).
+    /// Panics if the map's table is oversize — more than
+    /// [`MAX_CLASS_CELLS`]` / 2` slots: such a table is exact-fit and
+    /// never reclaimable, so every recycle would leak one — or if the
+    /// heap cannot supply a fresh table even after full reclamation
+    /// (two live tables of this map's class must fit).
     ///
     /// # Errors
     ///
     /// Fails if the issuing machine has crashed.
     pub fn recycle(&self, at: &impl AsNode) -> OpResult<u32> {
+        assert!(
+            self.table_cells() <= MAX_CLASS_CELLS,
+            "an oversize table ({} slots) cannot be recycled",
+            self.capacity
+        );
         let node = at.as_node();
         let _exclusive = self.sync.write();
         // Not pinned yet: the table cannot be retired from under us
@@ -431,7 +444,8 @@ impl<K: Word, V: Word> DurableMap<K, V> {
             .shared_cas(node, self.header, old_enc, Allocator::encode(fresh), true)?
             .expect("recycle is exclusive");
         let guard = self.smr.pin();
-        guard.retire(node, old_base)?;
+        let gen = Allocator::ptr_gen(old_enc);
+        guard.retire_incarnation(node, old_base, gen, self.table_cells())?;
         drop(guard);
         // Recycle is the heavyweight compaction path already; ripen the
         // grace period now (unpinned) so the retired table is promptly
@@ -460,9 +474,10 @@ impl<K: Word, V: Word> DurableMap<K, V> {
     }
 
     /// Retires the table *and* the header, returning the map's memory
-    /// to the allocator (after the grace period). The handle — and any
-    /// clone or independently attached handle — must not be used again;
-    /// this is the caller's contract, not checked.
+    /// to the allocator (after the grace period). An oversize table is
+    /// never reclaimable, so only its header is returned. The handle —
+    /// and any clone or independently attached handle — must not be
+    /// used again; this is the caller's contract, not checked.
     ///
     /// # Errors
     ///
@@ -625,6 +640,34 @@ mod tests {
             after.frees - before.frees,
             "no net allocation survives destroy"
         );
+    }
+
+    /// A map of `MAX_CLASS_CELLS / 2 + 1` slots: its table is oversize.
+    fn oversize() -> (Arc<SimFabric>, Arc<SmrDomain>, DurableMap) {
+        let f = SimFabric::new(SystemConfig::symmetric_nvm(2, 5 * MAX_CLASS_CELLS / 2));
+        let smr = domain(&f, MachineId(1));
+        let m = DurableMap::create(&smr, &f.node(MachineId(0)), MAX_CLASS_CELLS / 2 + 1)
+            .unwrap()
+            .unwrap();
+        (f, smr, m)
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot be recycled")]
+    fn an_oversize_map_refuses_to_recycle() {
+        let (f, _, m) = oversize();
+        m.recycle(&f.node(MachineId(0))).unwrap();
+    }
+
+    #[test]
+    fn destroying_an_oversize_map_returns_only_its_header() {
+        let (f, smr, m) = oversize();
+        let node = f.node(MachineId(0));
+        m.insert(&node, 1, 1).unwrap();
+        m.destroy(&node).unwrap();
+        assert_eq!(smr.stats().retires, 1, "the table never reaches limbo");
+        assert_eq!(smr.collect(&node).unwrap(), 1);
+        assert_eq!(smr.limbo_len(), 0);
     }
 
     #[test]

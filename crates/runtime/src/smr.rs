@@ -32,7 +32,16 @@
 //! unpins on drop.
 //!
 //! Unlinked blocks are [`retire`](SmrGuard::retire)d — not freed — into
-//! per-epoch **limbo bags**. The epoch advances from `e` to `e + 1`
+//! per-epoch **limbo bags**. Each limbo entry is the block's
+//! *incarnation*: the `ALLOCATED` header the allocator's claim CAS will
+//! expect. The list and the map build it from the generation of the
+//! pointer word they unlinked and their block size
+//! ([`retire_incarnation`](SmrGuard::retire_incarnation), no load);
+//! [`retire`](SmrGuard::retire) by location loads the header once, at
+//! retire time. Draining therefore loads no header, and a block whose
+//! incarnation moved on before its bag ripened (a structure retiring it
+//! twice) is refused by its claim instead of freed under its new owner.
+//! The epoch advances from `e` to `e + 1`
 //! only when every pinned slot has observed `e`; a bag retired at epoch
 //! `e` drains back to the allocator once the global epoch reaches
 //! `e + 2`, because by then every traversal that could have loaded a
@@ -44,7 +53,8 @@
 //! are spliced into it, one intent latch plus one claim each (`k + 1`
 //! persists for `k` blocks), and each is then taken back by an `alloc`
 //! with a single header mark instead of a shared-list pop. The rest go
-//! back as one [`Allocator::free_chain`] per class (`k + 2` persists).
+//! back as one chain per class, as [`Allocator::free_chain`] builds it
+//! (`k + 2` persists), minus its header loads.
 //! Draining is amortized into `retire` itself (every few retirements)
 //! and available explicitly through [`SmrDomain::collect`]; no
 //! quiescence is ever required.
@@ -58,11 +68,13 @@
 //! [`SmrDomain::recover`] (run from
 //! [`Session::recover_roots`](crate::api::Session::recover_roots),
 //! quiesced like every recovery) hands all of limbo back to the free
-//! lists as one [`Allocator::free_chain`] and clears every epoch slot.
-//! A drain the crash cut short returned its bag to limbo whole; the
-//! blocks it had already spliced or chained are refused there as double
-//! frees, since [`Allocator::recover`] put them back first. Nothing
-//! durable records the epochs themselves.
+//! lists — one chain per size class built straight from the limbo
+//! entries: for `k` blocks of one class, one load (the list head),
+//! `k + 1` RMWs and `k + 2` flushes, no header load — and clears every
+//! epoch slot. A drain the crash cut short returned its bag to limbo
+//! whole; the blocks it had already spliced or chained fail their claim
+//! there and are skipped, since [`Allocator::recover`] put them back
+//! first. Nothing durable records the epochs themselves.
 //!
 //! ## Example
 //!
@@ -96,7 +108,7 @@ use std::sync::{Arc, OnceLock};
 use cxl0_model::Loc;
 use parking_lot::Mutex;
 
-use crate::alloc::Allocator;
+use crate::alloc::{Allocator, Owned};
 use crate::backend::{thread_slot_index, AsNode, NodeHandle, RAIL_SLOTS};
 use crate::error::OpResult;
 use crate::flit::Persistence;
@@ -141,11 +153,12 @@ impl EpochSlot {
     }
 }
 
-/// One limbo bag: blocks retired while the global epoch was `epoch`.
+/// One limbo bag: blocks retired while the global epoch was `epoch`,
+/// each as the incarnation the drain's claim CAS will expect.
 #[derive(Debug)]
 struct Bag {
     epoch: u64,
-    blocks: Vec<Loc>,
+    blocks: Vec<Owned>,
 }
 
 /// Plain-data snapshot of an [`SmrDomain`]'s counters (also overlaid
@@ -352,11 +365,11 @@ impl SmrDomain {
         }
     }
 
-    /// Retires `payload` (the payload location of an allocator block
-    /// that is already durably unreachable) into the current epoch's
-    /// limbo bag. Prefer [`SmrGuard::retire`], which enforces that the
+    /// Files `block`, the incarnation of the block at `payload` that is
+    /// already durably unreachable, into the current epoch's limbo bag.
+    /// Reached only through an [`SmrGuard`], which enforces that the
     /// retiring operation is pinned.
-    fn retire(&self, node: &NodeHandle, payload: Loc) -> OpResult<()> {
+    fn retire(&self, node: &NodeHandle, payload: Loc, block: Owned) -> OpResult<()> {
         let e = self.global.word.load(Ordering::SeqCst);
         {
             let mut limbo = self.limbo.lock();
@@ -364,10 +377,10 @@ impl SmrDomain {
                 // `>=`: another retirer may have opened a newer bag
                 // between our epoch read and taking the lock; filing
                 // under the newer epoch only lengthens the grace wait.
-                Some(bag) if bag.epoch >= e => bag.blocks.push(payload),
+                Some(bag) if bag.epoch >= e => bag.blocks.push(block),
                 _ => limbo.push_back(Bag {
                     epoch: e,
-                    blocks: vec![payload],
+                    blocks: vec![block],
                 }),
             }
         }
@@ -459,14 +472,10 @@ impl SmrDomain {
                 return Ok(freed);
             };
             // Into the draining thread's magazine as far as it has
-            // room, the rest as one chain per size class.
+            // room, the rest as one chain per size class. A block whose
+            // incarnation moved on (retired twice) is refused, not freed.
             match self.alloc.free_bag(node, &bag.blocks) {
                 Ok(n) => {
-                    debug_assert_eq!(
-                        n,
-                        bag.blocks.len(),
-                        "retired blocks are allocated exactly once"
-                    );
                     freed += n;
                     self.reclaims.fetch_add(n as u64, Ordering::Relaxed);
                     self.limbo_len
@@ -488,12 +497,12 @@ impl SmrDomain {
     /// Post-crash sweep, run from
     /// [`Session::recover_roots`](crate::api::Session::recover_roots)
     /// after [`Allocator::recover`]: hands **all** of limbo straight
-    /// back to the allocator as one chain (grace periods are moot —
+    /// back to the allocator as one chain per size class, built from the
+    /// limbo entries with no header load (grace periods are moot —
     /// recovery is quiesced, so no traversal holds references) and
     /// clears every epoch slot. Returns the number of blocks swept.
     /// Frees that the allocator's own recovery already completed (a
-    /// crash mid-drain) are refused there as double frees and skipped —
-    /// tolerated here only.
+    /// crash mid-drain) fail their claim and are skipped.
     ///
     /// **Must run quiesced**: no concurrent operations, no live guards
     /// — the same contract as every other `recover`.
@@ -509,11 +518,11 @@ impl SmrDomain {
         }
         node.check_smr_recover();
         let mut limbo = self.limbo.lock();
-        let blocks: Vec<Loc> = limbo.iter().flat_map(|bag| &bag.blocks).copied().collect();
-        let swept = self.alloc.free_chain(node, &blocks)?;
+        let blocks: Vec<Owned> = limbo.iter().flat_map(|bag| &bag.blocks).copied().collect();
+        let filed = blocks.len() as u64;
+        let swept = self.alloc.chain_bag(node, blocks)?;
         limbo.clear();
-        self.limbo_len
-            .fetch_sub(blocks.len() as u64, Ordering::Relaxed);
+        self.limbo_len.fetch_sub(filed, Ordering::Relaxed);
         self.reclaims.fetch_add(swept as u64, Ordering::Relaxed);
         Ok(swept)
     }
@@ -556,12 +565,51 @@ impl SmrGuard<'_> {
     /// traversal pinned at retirement time has unpinned. Amortizes a
     /// [`SmrDomain::collect`] pass every few retirements.
     ///
+    /// The block's header is loaded here, once, to learn the
+    /// incarnation being retired. A block [`Allocator::free`] would
+    /// refuse — oversize (exact-fit, never reclaimable), already free,
+    /// or not a block — is not filed: retiring it is a no-op. A
+    /// structure that knows the generation of the block it unlinked
+    /// retires with [`SmrGuard::retire_incarnation`] and loads nothing.
+    ///
+    /// # Errors
+    ///
+    /// Fails if the issuing machine has crashed: before the header load
+    /// lands the block is not filed; once it is, it stays in limbo for
+    /// [`SmrDomain::recover`].
+    pub fn retire(&self, at: &impl AsNode, payload: Loc) -> OpResult<()> {
+        let node = at.as_node();
+        match self.domain.alloc.current_incarnation(node, payload)? {
+            Some(block) => self.domain.retire(node, payload, block),
+            None => Ok(()),
+        }
+    }
+
+    /// Retires the incarnation at generation `gen` of the `cells`-cell
+    /// block at `payload`, which this operation has durably unlinked by
+    /// a pointer word carrying `gen` ([`Allocator::ptr_gen`]) — like
+    /// [`SmrGuard::retire`], with no load. The drain's claim expects
+    /// exactly that incarnation, so if the block was freed some other
+    /// way in the meantime, the drain refuses it instead of freeing
+    /// whatever now lives there. An oversize block (`cells` above
+    /// [`MAX_CLASS_CELLS`](crate::alloc::MAX_CLASS_CELLS)) is never
+    /// reclaimable, so retiring one is a no-op.
+    ///
     /// # Errors
     ///
     /// Fails if the issuing machine has crashed (the block stays in
     /// limbo for [`SmrDomain::recover`]).
-    pub fn retire(&self, at: &impl AsNode, payload: Loc) -> OpResult<()> {
-        self.domain.retire(at.as_node(), payload)
+    pub fn retire_incarnation(
+        &self,
+        at: &impl AsNode,
+        payload: Loc,
+        gen: u64,
+        cells: u32,
+    ) -> OpResult<()> {
+        match self.domain.alloc.incarnation(payload, gen, cells) {
+            Some(block) => self.domain.retire(at.as_node(), payload, block),
+            None => Ok(()),
+        }
     }
 }
 
@@ -574,6 +622,7 @@ impl Drop for SmrGuard<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::alloc::MAX_CLASS_CELLS;
     use crate::backend::SimFabric;
     use crate::flit::{Flit, FlitPolicy};
     use cxl0_model::{MachineId, SystemConfig};
@@ -731,12 +780,13 @@ mod tests {
 
     #[test]
     fn recover_sweeps_all_limbo_and_clears_pins() {
+        const K: u64 = 3;
         let (f, alloc, smr) = setup();
         let node = f.node(MachineId(0));
         let mut locs = Vec::new();
         {
             let guard = smr.pin();
-            for _ in 0..3 {
+            for _ in 0..K {
                 let b = alloc.alloc(&node, 2).unwrap().unwrap();
                 guard.retire(&node, b.loc).unwrap();
                 locs.push(b.loc);
@@ -745,13 +795,86 @@ mod tests {
         f.crash(MachineId(1));
         f.recover(MachineId(1));
         alloc.recover(&node).unwrap();
-        assert_eq!(smr.recover(&node).unwrap(), 3);
+        let before = f.stats().snapshot();
+        assert_eq!(smr.recover(&node).unwrap(), K as usize);
+        // One chain, built from the incarnations limbo kept: the list
+        // head is its only load — no header load per block — then `K`
+        // claims and the head CAS, and `K + 2` flushes (the intent too).
+        let d = f.stats().snapshot().since(&before);
+        assert_eq!((d.loads, d.rmws, d.flushes()), (1, K + 1, K + 2));
         assert_eq!(smr.limbo_len(), 0);
         // All three blocks are reusable again.
         for _ in 0..3 {
             let b = alloc.alloc(&node, 2).unwrap().unwrap();
             assert!(locs.contains(&b.loc));
         }
+    }
+
+    /// Retires `b` at its generation, then frees it inline and takes it
+    /// back at the same address before the bag ripens — a structure
+    /// retiring one block twice — and sweeps limbo through `sweep`. The
+    /// sweep must refuse the stale incarnation: the new one stays
+    /// allocated, neither listed nor parked.
+    fn stale_retire_is_refused_by(
+        sweep: impl Fn(&Arc<SimFabric>, &Allocator, &SmrDomain) -> usize,
+    ) {
+        let (f, alloc, smr) = setup();
+        let node = f.node(MachineId(0));
+        let b = alloc.alloc(&node, 2).unwrap().unwrap();
+        smr.pin()
+            .retire_incarnation(&node, b.loc, b.gen, 2)
+            .unwrap();
+        alloc.free(&node, b.loc).unwrap().unwrap();
+        let again = alloc.alloc(&node, 2).unwrap().unwrap();
+        assert_eq!((again.loc, again.gen), (b.loc, b.gen + 1));
+        assert_eq!(
+            sweep(&f, &alloc, &smr),
+            0,
+            "the stale incarnation is refused"
+        );
+        assert_eq!(smr.limbo_len(), 0);
+        assert!(alloc.debug_free_list(&node, 2).unwrap().is_empty());
+        assert!(alloc.debug_parked().is_empty());
+        // Still allocated: its owner's free succeeds.
+        alloc.free(&node, again.loc).unwrap().unwrap();
+    }
+
+    #[test]
+    fn a_stale_retire_cannot_free_a_live_block() {
+        stale_retire_is_refused_by(|f, _, smr| smr.collect(&f.node(MachineId(0))).unwrap());
+        stale_retire_is_refused_by(|f, alloc, smr| {
+            let node = f.node(MachineId(0));
+            f.crash(MachineId(1));
+            f.recover(MachineId(1));
+            alloc.recover(&node).unwrap();
+            smr.recover(&node).unwrap()
+        });
+    }
+
+    #[test]
+    fn retiring_an_oversize_block_is_a_no_op() {
+        let f = SimFabric::new(SystemConfig::symmetric_nvm(
+            2,
+            crate::alloc::META_CELLS + MAX_CLASS_CELLS + 200,
+        ));
+        let alloc = Arc::new(Allocator::over_region(
+            f.config(),
+            MachineId(1),
+            Arc::new(Flit::new(FlitPolicy::CXL0)),
+        ));
+        let smr = SmrDomain::new(Arc::clone(&alloc));
+        let node = f.node(MachineId(0));
+        let cells = MAX_CLASS_CELLS + 1;
+        let huge = alloc.alloc(&node, cells).unwrap().unwrap();
+        {
+            let guard = smr.pin();
+            guard.retire(&node, huge.loc).unwrap();
+            guard
+                .retire_incarnation(&node, huge.loc, huge.gen, cells)
+                .unwrap();
+        }
+        assert_eq!((smr.stats().retires, smr.limbo_len()), (0, 0));
+        assert_eq!(smr.collect(&node).unwrap(), 0);
     }
 
     #[test]

@@ -831,13 +831,21 @@ fn sweep_script(
         Ok(())
     };
     // A retired block is unlinked: no longer live, and reclaimed by the
-    // drain, by the allocator's sweep or by the domain's.
+    // drain, by the allocator's sweep or by the domain's. A retire cut
+    // before its header load lands has not filed the block, which stays
+    // its caller's, as a free cut before its latch does.
     let drain = |known: &mut Known, bag: &[Loc]| -> OpResult<()> {
-        known.in_flight.clear();
         for &x in bag {
             known.live.remove(&x);
-            smr.pin().retire(node, x)?;
+            known.in_flight = vec![x];
+            let filed = smr.stats().retires;
+            let retired = smr.pin().retire(node, x);
+            if smr.stats().retires > filed {
+                known.in_flight.clear();
+            }
+            retired?;
         }
+        known.in_flight.clear();
         smr.collect(node)?;
         Ok(())
     };
