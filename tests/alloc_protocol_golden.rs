@@ -26,10 +26,21 @@
 //! back with **1 flush** instead of the list pop's 3.
 //! `tests/flit_policy_golden.rs` pins what each `Persistence` call
 //! costs per mode; this file pins which calls the allocator makes.
+//!
+//! [`RECOVERY`] pins the same counts for one `Allocator::recover` after
+//! each of four tears, each made with `arm_crash` right after the torn
+//! operation's `n`-th read-modify-write (its issuing thread dies, no
+//! machine crashes, so the heap stays as the operation left it): a
+//! `free_chain` of 3 torn after its claims, a pop torn after its head
+//! swing, a parking free torn after its claim over overlapping magazine
+//! chains (a block taken back and parked again), and an SMR drain's
+//! splice torn after 2 of its 8 claims. Every sweep reads the 32 intent
+//! words, walks what the latched intents name and publishes it once per
+//! class.
 
 use cxl0::model::{Loc, MachineId, SystemConfig};
-use cxl0::runtime::api::{Cluster, PersistMode};
-use cxl0::runtime::StatsSnapshot;
+use cxl0::runtime::api::{Cluster, PersistMode, Session};
+use cxl0::runtime::{OpResult, StatsSnapshot};
 
 /// `[loads, lstores, rstores, mstores, lflushes, rflushes, rmws,
 /// aflushes, barriers, sim_ns]` of one phase.
@@ -137,6 +148,61 @@ const GOLDEN: [(&str, [Row; 10]); 7] = [
     ]),
 ];
 
+const TEARS: [&str; 4] = [
+    "free_chain of 3 torn after its claims",
+    "pop torn after its head swing",
+    "parking free torn over overlapping magazine chains",
+    "splice torn after 2 claims",
+];
+
+/// One `Allocator::recover` row per tear of [`TEARS`], per mode, in
+/// `modes()` order.
+#[rustfmt::skip]
+const RECOVERY: [(&str, [Row; 4]); 7] = [
+    ("none", [
+        [38, 3, 0, 0, 0, 0, 0, 0, 0, 9840], // free_chain of 3 torn after its claims
+        [36, 3, 0, 0, 0, 0, 0, 0, 0, 9324], // pop torn after its head swing
+        [40, 7, 0, 0, 0, 0, 0, 0, 0, 10404], // parking free torn over overlapping magazine chains
+        [37, 4, 0, 0, 0, 0, 0, 0, 0, 9594], // splice torn after 2 claims
+    ]),
+    ("flit-x86", [
+        [38, 3, 0, 0, 4, 0, 0, 0, 0, 10080], // free_chain of 3 torn after its claims
+        [36, 3, 0, 0, 5, 0, 0, 0, 0, 9624], // pop torn after its head swing
+        [40, 7, 0, 0, 8, 0, 0, 0, 0, 10884], // parking free torn over overlapping magazine chains
+        [37, 4, 0, 0, 5, 0, 0, 0, 0, 9894], // splice torn after 2 claims
+    ]),
+    ("flit-cxl0", [
+        [38, 3, 0, 0, 0, 4, 0, 0, 0, 11420], // free_chain of 3 torn after its claims
+        [36, 3, 0, 0, 0, 5, 0, 0, 0, 11299], // pop torn after its head swing
+        [40, 7, 0, 0, 0, 8, 0, 0, 0, 13564], // parking free torn over overlapping magazine chains
+        [37, 4, 0, 0, 0, 5, 0, 0, 0, 11569], // splice torn after 2 claims
+    ]),
+    ("flit-owner-opt", [
+        [38, 3, 0, 0, 0, 4, 0, 0, 0, 11420], // free_chain of 3 torn after its claims
+        [36, 3, 0, 0, 0, 5, 0, 0, 0, 11299], // pop torn after its head swing
+        [40, 7, 0, 0, 0, 8, 0, 0, 0, 13564], // parking free torn over overlapping magazine chains
+        [37, 4, 0, 0, 0, 5, 0, 0, 0, 11569], // splice torn after 2 claims
+    ]),
+    ("flit-async", [
+        [38, 3, 0, 0, 0, 0, 0, 4, 4, 11177], // free_chain of 3 torn after its claims
+        [36, 3, 0, 0, 0, 0, 0, 5, 4, 10759], // pop torn after its head swing
+        [40, 7, 0, 0, 0, 0, 0, 8, 8, 13473], // parking free torn over overlapping magazine chains
+        [37, 4, 0, 0, 0, 0, 0, 5, 5, 11454], // splice torn after 2 claims
+    ]),
+    ("naive-mstore", [
+        [38, 0, 0, 3, 0, 0, 0, 0, 0, 11004], // free_chain of 3 torn after its claims
+        [36, 0, 0, 3, 0, 0, 0, 0, 0, 10488], // pop torn after its head swing
+        [40, 0, 0, 7, 0, 0, 0, 0, 0, 13120], // parking free torn over overlapping magazine chains
+        [37, 0, 0, 4, 0, 0, 0, 0, 0, 11146], // splice torn after 2 claims
+    ]),
+    ("buffered", [
+        [38, 3, 0, 0, 0, 0, 0, 0, 0, 9840], // free_chain of 3 torn after its claims
+        [36, 3, 0, 0, 0, 0, 0, 0, 0, 9324], // pop torn after its head swing
+        [40, 7, 0, 0, 0, 0, 0, 0, 0, 10404], // parking free torn over overlapping magazine chains
+        [37, 4, 0, 0, 0, 0, 0, 0, 0, 9594], // splice torn after 2 claims
+    ]),
+];
+
 fn modes() -> Vec<PersistMode> {
     let mut modes = PersistMode::comparison_set();
     modes.push(PersistMode::Buffered {
@@ -164,11 +230,7 @@ fn measure(mode: PersistMode) -> [Row; 10] {
     let s = cluster.session(MachineId(0));
     let alloc = s.allocator();
     let stats = cluster.fabric().stats();
-    let fresh = |n: usize| -> Vec<Loc> {
-        (0..n)
-            .map(|_| alloc.alloc(&s, 2).unwrap().expect("heap fits").loc)
-            .collect()
-    };
+    let fresh = |n: usize| fresh(&s, n);
 
     let mut rows = [[0; 10]; PHASES.len()];
     let mut phase = |i: usize, run: &dyn Fn()| {
@@ -219,12 +281,103 @@ fn measure(mode: PersistMode) -> [Row; 10] {
     rows
 }
 
-/// The measured table in `GOLDEN`'s source form, for regeneration.
-fn render(table: &[(&'static str, [Row; 10])]) -> String {
+/// Builds a fresh cluster under `mode`, sets it up with `setup`, and
+/// returns the row of the `Allocator::recover` after `op` — handed what
+/// `setup` returned — is killed right after its `n`-th read-modify-write
+/// (or has run to its end, if that was its last primitive).
+fn torn_recovery<T>(
+    mode: PersistMode,
+    n: u64,
+    setup: impl Fn(&Session) -> T,
+    op: impl Fn(&Session, &T) -> OpResult<()>,
+) -> Row {
+    for k in 1.. {
+        let cluster = Cluster::builder(SystemConfig::symmetric_nvm(2, 4096))
+            .persist(mode)
+            .root_capacity(0)
+            .build()
+            .unwrap();
+        let s = cluster.session(MachineId(0));
+        let state = setup(&s);
+        let stats = cluster.fabric().stats();
+        let before = stats.snapshot();
+        cluster.fabric().arm_crash(k, &[]);
+        let killed = op(&s, &state).is_err();
+        assert_eq!(killed, cluster.fabric().disarm_crash());
+        // An op whose `n`-th RMW is its last primitive runs to the end.
+        if stats.snapshot().since(&before).rmws < n {
+            assert!(killed, "{}: the op has no RMW {n}", mode.name());
+            continue;
+        }
+        let before = stats.snapshot();
+        s.allocator().recover(&s).unwrap();
+        return row(&stats.snapshot().since(&before));
+    }
+    unreachable!()
+}
+
+/// `n` fresh two-cell blocks.
+fn fresh(s: &Session, n: usize) -> Vec<Loc> {
+    (0..n)
+        .map(|_| s.allocator().alloc(s, 2).unwrap().expect("heap fits").loc)
+        .collect()
+}
+
+/// The recovery rows of the four tears of [`TEARS`] under `mode`.
+fn measure_recovery(mode: PersistMode) -> [Row; 4] {
+    let chain = torn_recovery(
+        mode,
+        3,
+        |s| {
+            let old = fresh(s, 1);
+            assert_eq!(s.allocator().free_chain(s, &old).unwrap(), 1);
+            fresh(s, 3)
+        },
+        |s, chain| s.allocator().free_chain(s, chain).map(drop),
+    );
+    let pop = torn_recovery(
+        mode,
+        1,
+        |s| assert_eq!(s.allocator().free_chain(s, &fresh(s, 1)).unwrap(), 1),
+        |s, ()| s.allocator().alloc(s, 2).map(drop),
+    );
+    let parked = torn_recovery(
+        mode,
+        1,
+        |s| {
+            let alloc = s.allocator();
+            let b = fresh(s, 4);
+            for &x in &b[..3] {
+                alloc.free(s, x).unwrap().unwrap();
+            }
+            // Taken back and parked again: its chain runs into the one
+            // it left.
+            assert_eq!(alloc.alloc(s, 2).unwrap().unwrap().loc, b[0]);
+            alloc.free(s, b[0]).unwrap().unwrap();
+            b[3]
+        },
+        |s, &b| s.allocator().free(s, b).map(drop),
+    );
+    let splice = torn_recovery(
+        mode,
+        2,
+        |s| {
+            let guard = s.smr().pin();
+            for b in fresh(s, 8) {
+                guard.retire(s, b).unwrap();
+            }
+        },
+        |s, ()| s.smr().collect(s).map(drop),
+    );
+    [chain, pop, parked, splice]
+}
+
+/// A measured table in its constant's source form, for regeneration.
+fn render<const N: usize>(table: &[(&'static str, [Row; N])], labels: [&str; N]) -> String {
     let mut out = String::new();
     for (name, rows) in table {
         out.push_str(&format!("    ({name:?}, [\n"));
-        for (r, phase) in rows.iter().zip(PHASES) {
+        for (r, phase) in rows.iter().zip(labels) {
             out.push_str(&format!("        {r:?}, // {phase}\n"));
         }
         out.push_str("    ]),\n");
@@ -241,7 +394,20 @@ fn every_mode_runs_the_golden_allocator_protocol() {
     assert!(
         measured[..] == GOLDEN[..],
         "the allocator's persist protocol moved; measured table:\n{}",
-        render(&measured)
+        render(&measured, PHASES)
+    );
+}
+
+#[test]
+fn every_mode_recovers_the_golden_tears() {
+    let measured: Vec<(&'static str, [Row; 4])> = modes()
+        .into_iter()
+        .map(|mode| (mode.name(), measure_recovery(mode)))
+        .collect();
+    assert!(
+        measured[..] == RECOVERY[..],
+        "the allocator's recovery sweep moved; measured table:\n{}",
+        render(&measured, TEARS)
     );
 }
 
