@@ -743,6 +743,82 @@ fn recovery_returns_parked_blocks_and_completes_a_torn_push() {
     }
 }
 
+/// A ripe bag `[b₁, X, b₂]` whose `X` was freed inline after it was
+/// retired, so the drain's claim of `X` is refused mid-run. With room in
+/// the magazine the drain splices `b₁`, linked to the parked `X`, and
+/// re-aims it at the newest parked block; with the magazine full it
+/// chains the bag to the list, and `b₁` links to the listed `X` until
+/// the publish relinks it to the top. The compute and memory nodes crash
+/// before every primitive of the `collect`; after the allocator's sweep
+/// and the domain's, every block is free exactly once — listed, and
+/// handed back at the generation one free gives it — `X` included.
+#[test]
+fn a_claim_refused_mid_run_recovers_at_every_kill_point() {
+    for mode in strict_sound_modes() {
+        for full in [false, true] {
+            let mut tracked = Vec::new();
+            let outcomes = collapsed_kills(|k| {
+                let cluster = Cluster::builder(SystemConfig::symmetric_nvm(2, 4096))
+                    .persist(mode)
+                    .root_capacity(0)
+                    .build()
+                    .unwrap();
+                let (mem, compute) = (cluster.memory_node(), MachineId(0));
+                let s = cluster.session(compute);
+                let alloc = Arc::clone(s.allocator());
+                let blocks: Vec<_> = (0..if full { 12 } else { 4 })
+                    .map(|_| alloc.alloc(&s, 2).unwrap().unwrap())
+                    .collect();
+                let (bag, x, y) = (&blocks[..3], blocks[1].loc, blocks[3].loc);
+                {
+                    let guard = s.smr().pin();
+                    for b in bag {
+                        guard.retire(&s, b.loc).unwrap();
+                    }
+                }
+                for b in &blocks[4..] {
+                    alloc.free(&s, b.loc).unwrap().unwrap();
+                }
+                // Parked with room, listed past a full magazine; `y`
+                // goes above it either way.
+                alloc.free(&s, x).unwrap().unwrap();
+                alloc.free(&s, y).unwrap().unwrap();
+                let drained =
+                    killed_at(cluster.fabric(), k, &[mem, compute], || s.smr().collect(&s));
+                if let Some(n) = drained {
+                    assert_eq!(n, 2, "{}: X is refused", mode.name());
+                    let (b1, b2) = (bag[0].loc, bag[2].loc);
+                    if full {
+                        let listed = alloc.debug_free_list(&s, 2).unwrap();
+                        assert_eq!(listed, [b2, b1, y, x], "chained past X");
+                    } else {
+                        assert_eq!(alloc.debug_parked(), [x, y, b1, b2], "spliced past X");
+                    }
+                }
+                alloc.recover(&s).unwrap();
+                s.smr().recover(&s).unwrap();
+                let listed = alloc.debug_free_list(&s, 2).unwrap();
+                let mut sorted = listed.clone();
+                sorted.sort();
+                sorted.dedup();
+                assert_eq!(sorted.len(), listed.len(), "a block is listed twice");
+                // Free exactly once: taken back at one generation past
+                // the one it was allocated at.
+                for _ in 0..listed.len() {
+                    let again = alloc.alloc(&s, 2).unwrap().unwrap();
+                    if let Some(b) = blocks.iter().find(|b| b.loc == again.loc) {
+                        assert_eq!(again.gen, b.gen + 1, "{}: {:?}", mode.name(), b.loc);
+                    }
+                }
+                tracked = blocks.iter().map(|b| b.loc).collect();
+                tracked.sort();
+                (sorted, drained.is_none())
+            });
+            assert_eq!(outcomes, [tracked], "{}, full: {full}", mode.name());
+        }
+    }
+}
+
 // ---- the exhaustive crash-point sweep -----------------------------------
 //
 // Granularity: one fabric primitive. The crash point fires right before
