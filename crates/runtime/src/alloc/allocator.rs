@@ -278,15 +278,6 @@ impl Magazine {
     }
 }
 
-/// What the free paths did with the blocks they were handed.
-#[derive(Default)]
-struct Chained {
-    /// Blocks claimed (and published).
-    freed: usize,
-    /// The first refusal, if any block was not freeable.
-    refused: Option<FreeError>,
-}
-
 /// One incarnation of a block that the caller may free: the block,
 /// and the `ALLOCATED` header its claim CAS expects — as the free path
 /// loaded it, or as a retirement built it from the generation it knew
@@ -319,22 +310,18 @@ impl Owned {
     }
 }
 
-/// Recovery's per-class view of which blocks a free list holds: `None`
-/// until the class is first asked about (one list walk), then kept
-/// current as recovery republishes blocks.
-type OnList = [Option<HashSet<u32>>; NUM_CLASSES];
-
-/// What recovery's magazine walks collected, published once every
-/// intent has been read.
+/// What one recovery sweep collected, published once every intent has
+/// been read.
 #[derive(Default)]
-struct Unparked {
-    /// Per class, the blocks to publish in walk order, each with the
-    /// generation its `FREE` header gets.
-    blocks: [Vec<(u32, u64)>; NUM_CLASSES],
+struct Sweep {
+    /// Per class, the blocks to publish in walk order: address, the
+    /// generation its `FREE` header gets, and its header as read.
+    blocks: [Vec<(u32, u64, u64)>; NUM_CLASSES],
     /// Every block collected, whatever its class.
     seen: HashSet<u32>,
-    /// The magazine intent cells to zero once the blocks are published.
-    cells: Vec<Loc>,
+    /// Per class, the blocks its free list holds: `None` until a walk
+    /// first meets a `FREE` block of the class (one list walk).
+    listed: [Option<HashSet<u32>>; NUM_CLASSES],
 }
 
 /// A crash-consistent size-class allocator over the durable shared
@@ -504,11 +491,6 @@ impl Allocator {
     fn magazine(&self) -> Option<(usize, MutexGuard<'_, Magazine>)> {
         let t = thread_slot_index();
         (t < MAG_SLOTS).then(|| (INTENT_SLOTS - MAG_SLOTS + t, self.mags[t].lock()))
-    }
-
-    /// The calling thread's magazine, if it can park a block of `class`.
-    fn magazine_taking(&self, class: u64) -> Option<(usize, MutexGuard<'_, Magazine>)> {
-        self.magazine().filter(|(_, mag)| mag.room(class) > 0)
     }
 
     fn header_cell(&self, payload: u32) -> Loc {
@@ -818,77 +800,173 @@ impl Allocator {
     /// when the free is refused (see [`FreeError`]).
     pub fn free(&self, at: &impl AsNode, payload: Loc) -> OpResult<Result<(), FreeError>> {
         let node = at.as_node();
-        let mut done = Chained::default();
-        match self.freeable(node, payload)? {
-            Ok(hdr) => {
-                let block = Owned::new(payload, hdr);
-                if let Some((slot, mut mag)) = self.magazine_taking(block.class()) {
-                    self.park(node, slot, &mut mag, &[block], &mut done)?;
-                } else {
-                    self.push_owned(node, &[block], &mut done)?;
-                }
-            }
-            Err(e) => done.refused = Some(e),
-        }
-        self.persist.complete_op(node)?;
-        Ok(done.refused.map_or(Ok(()), Err))
+        let block = self
+            .freeable(node, payload)?
+            .map(|hdr| Owned::new(payload, hdr));
+        let freed = self.free_owned(node, block.into_iter().collect(), true)?;
+        // A racing free won the claim.
+        Ok(block.and_then(|_| (freed == 1).then_some(()).ok_or(FreeError::DoubleFree)))
     }
 
-    /// The magazine push: parks `run` — one block, or a run of blocks
-    /// of one class that fits the magazine's room (see
-    /// [`Magazine::room`]) — in the calling thread's magazine `mag`,
-    /// whose intent slot is `slot`:
+    /// Returns every block of `blocks` to its class free list as one
+    /// **chain** per size class: one intent naming the chain's first
+    /// block, one claim CAS per block that also links it to its
+    /// successor (the last to the list's current top), and one head CAS
+    /// publishing the whole chain — `k + 2` persists for `k` blocks of
+    /// one class, where `k` single frees pay `3k`.
     ///
-    /// 1. **Latch** `MAG(b₁, g₁)` in whichever of the magazine's two
-    ///    intent cells does not name the newest parked block, so a push
-    ///    torn here leaves the chain's own intent intact.
+    /// Returns how many blocks were freed. A block that is not freeable
+    /// is skipped and left untouched, exactly as [`Allocator::free`]
+    /// would refuse it, so the count falls short of `blocks.len()` by
+    /// the number of refusals. A crash mid-chain loses nothing: recovery
+    /// walks the links from the intent's block and publishes every
+    /// block already claimed; the unclaimed rest stay allocated.
+    ///
+    /// # Errors
+    ///
+    /// Fails if the issuing machine has crashed.
+    pub fn free_chain(&self, at: &impl AsNode, blocks: &[Loc]) -> OpResult<usize> {
+        let node = at.as_node();
+        let mut owned = Vec::with_capacity(blocks.len());
+        for &payload in blocks {
+            if let Ok(hdr) = self.freeable(node, payload)? {
+                owned.push(Owned::new(payload, hdr));
+            }
+        }
+        self.free_owned(node, owned, false)
+    }
+
+    /// The one free path, for incarnations the caller may free — a ripe
+    /// limbo bag of [`SmrDomain`](crate::smr::SmrDomain) among them, with
+    /// no header load. When `park`, as many as the calling thread's
+    /// magazine has room for are parked first (see [`Magazine::split`]);
+    /// the rest go to their free lists as one chain per size class. A
+    /// claim CAS that finds another header than the incarnation's
+    /// refuses the block. Completes the operation and returns how many
+    /// blocks it freed.
+    ///
+    /// A crash after the magazine took blocks leaves it torn: the drain
+    /// hands its whole bag back to limbo, so none of them may be taken
+    /// back before [`Allocator::recover`] voids the magazine.
+    ///
+    /// # Errors
+    ///
+    /// Fails if the issuing machine has crashed.
+    pub(crate) fn free_owned(
+        &self,
+        node: &NodeHandle,
+        owned: Vec<Owned>,
+        park: bool,
+    ) -> OpResult<usize> {
+        let mut mag = self.magazine().filter(|_| park);
+        let (fit, mut rest) = match &mag {
+            Some((_, mag)) => mag.split(owned),
+            None => (Vec::new(), owned),
+        };
+        let mut push = || -> OpResult<usize> {
+            let mut freed = 0;
+            if let Some((slot, mag)) = mag.as_mut().filter(|_| !fit.is_empty()) {
+                freed += self.claim_runs(node, *slot, Some(mag), &fit)?;
+            }
+            if !rest.is_empty() {
+                // Stable: within a class the caller's order is the chain's.
+                rest.sort_by_key(Owned::class);
+                // A crash error leaks the lease (see `pop`).
+                let slot = self.slots.acquire();
+                for run in rest.chunk_by(|a, b| a.class() == b.class()) {
+                    freed += self.claim_runs(node, slot, None, run)?;
+                }
+                self.slots.release(slot);
+            }
+            Ok(freed)
+        };
+        let freed = push();
+        if let (Err(_), Some((_, mag))) = (&freed, &mut mag) {
+            mag.torn |= !fit.is_empty();
+        }
+        let freed = freed?;
+        self.persist.complete_op(node)?;
+        Ok(freed)
+    }
+
+    /// The claim loop every free runs, over `run`'s blocks, all of one
+    /// class, into the magazine `mag` whose intent slot is `slot` — or,
+    /// with no `mag`, onto the class free list under the leased `slot`:
+    ///
+    /// 1. **Latch** an intent naming the first block at its generation:
+    ///    `MAG` in whichever of the magazine's two cells does not name
+    ///    its newest parked block, so a push torn here leaves the chain's
+    ///    own intent intact, or `FREE`.
     /// 2. **Claim and link**, front to back: CAS each header `ALLOCATED
-    ///    g → MAGAZINE g+1`, `next` = its successor in the run, the last
-    ///    block's the newest parked block. From the last claim on the
-    ///    new intent names the whole chain; a crash after `j` claims
-    ///    leaves a walk from it over exactly the claimed prefix, which
-    ///    ends at the first unclaimed block, still `ALLOCATED`.
+    ///    g → MAGAZINE g+1` (or `FREE g+1`), `next` = its successor in
+    ///    the run, the last block's the newest parked block (or the top,
+    ///    loaded after the latch). Exactly one free of an incarnation
+    ///    wins the claim. A crash after `j` claims leaves a walk from the
+    ///    intent over exactly the claimed prefix, which ends at the first
+    ///    unclaimed block, still `ALLOCATED`.
+    /// 3. **Publish**: the magazine's ring takes the blocks back to
+    ///    front, so it stays oldest first and every block still parked
+    ///    stays on the walk from the newest one; a list takes them with
+    ///    one head CAS (re-aiming the last block first if the top moved),
+    ///    and the intent is cleared with a plain cached store.
     ///
-    /// `1 + k` persists for `k` blocks. The volatile ring takes the
-    /// blocks back to front, so it stays oldest first and every block
-    /// still parked stays on the walk from the newest one.
-    ///
-    /// A block whose claim a racing free won is refused as a double
-    /// free; the blocks claimed before it are re-aimed past it and the
-    /// rest of the run is pushed under a fresh latch.
-    fn park(
+    /// `1 + k` persists for `k` parked blocks, `k + 2` for a chain. A
+    /// block whose claim a racing free won is refused: the last block
+    /// claimed before it is re-aimed past it, and the rest of the run
+    /// goes under a fresh latch. Returns how many blocks it claimed.
+    fn claim_runs(
         &self,
         node: &NodeHandle,
         slot: usize,
-        mag: &mut Magazine,
+        mut mag: Option<&mut Magazine>,
         run: &[Owned],
-        done: &mut Chained,
-    ) -> OpResult<()> {
-        let parked_gen = |b: &Owned| header_gen(b.hdr).wrapping_add(1) & GEN_MASK;
+    ) -> OpResult<usize> {
+        let (op, state) = match mag {
+            Some(_) => (OP_MAG, ST_MAGAZINE),
+            None => (OP_FREE, ST_FREE),
+        };
+        let claimed_gen = |b: &Owned| header_gen(b.hdr).wrapping_add(1) & GEN_MASK;
+        let mut freed = 0;
         let mut rest = run;
         while let Some(first) = rest.first() {
             let class = first.class();
-            let cell = mag.next_cell;
-            let newest = mag.newest();
-            mag.torn = true; // until the claims land
-            self.persist.private_store(
-                node,
-                self.slot_cell(slot, cell),
-                intent_word(OP_MAG, class, first.addr, header_gen(first.hdr)),
-                true,
-            )?;
+            let aim = |b: &Owned, next| {
+                let hdr = header_word(state, class, claimed_gen(b), next);
+                self.persist
+                    .private_store(node, self.header_cell(b.addr), hdr, true)
+            };
+            // (1) latch
+            let cell = self.slot_cell(slot, mag.as_ref().map_or(0, |mag| mag.next_cell));
+            if let Some(mag) = mag.as_deref_mut() {
+                mag.torn = true; // until the claims land
+            }
+            let intent = intent_word(op, class, first.addr, header_gen(first.hdr));
+            self.persist.private_store(node, cell, intent, true)?;
+            let head_cell = self.head_cell(class as usize);
+            let mut head = 0;
+            let end = match mag.as_deref() {
+                Some(mag) => mag.newest(),
+                None => {
+                    head = self.persist.shared_load(node, head_cell, true)?;
+                    head_top(head)
+                }
+            };
+            // (2) claim and link
             let mut claimed = 0;
             for (i, b) in rest.iter().enumerate() {
-                let next = rest.get(i + 1).map_or(newest, |s| Some(s.addr));
-                let parked = header_word(ST_MAGAZINE, class, parked_gen(b), next);
+                let next = rest.get(i + 1).map_or(end, |s| Some(s.addr));
+                let hdr = header_word(state, class, claimed_gen(b), next);
                 if self
                     .persist
-                    .shared_cas(node, self.header_cell(b.addr), b.hdr, parked, true)?
+                    .shared_cas(node, self.header_cell(b.addr), b.hdr, hdr, true)?
                     .is_err()
                 {
-                    done.refused.get_or_insert(FreeError::DoubleFree);
                     break;
                 }
+                // The sanitizer learns of the free here, while the block
+                // is unpublished: once a list holds it a racing pop may
+                // hand it out, and a late "freed" would overwrite that
+                // pop's "live".
                 node.check_free(Loc::new(self.region, b.addr));
                 self.note_free(class_cells(class as usize));
                 claimed += 1;
@@ -896,27 +974,68 @@ impl Allocator {
             let spliced = &rest[..claimed];
             if let Some(last) = spliced.last().filter(|_| claimed < rest.len()) {
                 // It links to the block a racing free won.
-                self.persist.private_store(
-                    node,
-                    self.header_cell(last.addr),
-                    header_word(ST_MAGAZINE, class, parked_gen(last), newest),
-                    true,
-                )?;
+                aim(last, end)?;
             }
-            mag.torn = false;
-            if claimed > 0 {
-                for b in spliced.iter().rev() {
-                    mag.push_newest((b.addr, parked_gen(b)));
+            // (3) publish
+            match mag.as_deref_mut() {
+                Some(mag) => {
+                    mag.torn = false;
+                    if claimed > 0 {
+                        for b in spliced.iter().rev() {
+                            mag.push_newest((b.addr, claimed_gen(b)));
+                        }
+                        mag.class = class;
+                        mag.next_cell = 1 - mag.next_cell;
+                    }
                 }
-                mag.class = class;
-                mag.next_cell = 1 - cell;
-                done.freed += claimed;
+                None => {
+                    if let (Some(first), Some(last)) = (spliced.first(), spliced.last()) {
+                        let mut next = end;
+                        loop {
+                            let top = head_top(head);
+                            if next != top {
+                                aim(last, top)?;
+                                next = top;
+                            }
+                            let pushed =
+                                head_word(Some(first.addr), head_ver(head).wrapping_add(1));
+                            match self
+                                .persist
+                                .shared_cas(node, head_cell, head, pushed, true)?
+                            {
+                                Ok(_) => break,
+                                Err(actual) => head = actual,
+                            }
+                        }
+                    }
+                    self.persist.private_store(node, cell, 0, false)?;
+                }
             }
-            // Past the lost block, if any: with nothing claimed the
-            // latched intent is stale and the next latch overwrites it.
+            freed += claimed;
+            // Past the lost block, if any: with nothing claimed a
+            // magazine's latched intent is stale, and the next latch
+            // overwrites it.
             rest = &rest[(claimed + 1).min(rest.len())..];
         }
-        Ok(())
+        Ok(freed)
+    }
+
+    /// The header of `payload`'s block if the block can be freed, else
+    /// why it cannot.
+    fn freeable(&self, node: &NodeHandle, payload: Loc) -> OpResult<Result<u64, FreeError>> {
+        let addr = payload.addr.0;
+        if payload.owner != self.region || !self.in_block_area(addr) {
+            return Ok(Err(FreeError::NotABlock));
+        }
+        let hdr = self
+            .persist
+            .shared_load(node, self.header_cell(addr), true)?;
+        Ok(match (header_state(hdr), header_class(hdr)) {
+            (ST_ALLOCATED, HUGE_CLASS) => Err(FreeError::Oversize),
+            (ST_ALLOCATED, class) if (class as usize) < NUM_CLASSES => Ok(hdr),
+            (ST_FREE | ST_MAGAZINE, _) => Err(FreeError::DoubleFree),
+            _ => Err(FreeError::NotABlock),
+        })
     }
 
     /// The incarnation at generation `gen` of the `cells`-cell block at
@@ -949,290 +1068,35 @@ impl Allocator {
             .map(|hdr| Owned::new(payload, hdr)))
     }
 
-    /// Frees a bag of incarnations the caller is done with — a ripe
-    /// limbo bag of [`SmrDomain`](crate::smr::SmrDomain) — and returns
-    /// how many it freed. No header is loaded: each claim CAS expects
-    /// the incarnation's header, and a block whose header has moved on
-    /// is refused. As many as the calling thread's magazine has room
-    /// for are **spliced** into it, in bag order: blocks of the
-    /// magazine's class, or of the bag's first block when the magazine
-    /// is empty — one latch and one claim each (see
-    /// [`Allocator::park`]), and each is then taken back by one header
-    /// mark. The rest go to the free lists as
-    /// [`chain_bag`](Allocator::chain_bag) sends them.
-    ///
-    /// A crash mid-call leaves a magazine that took blocks torn: the
-    /// caller hands the whole bag back to limbo, so none of them may be
-    /// taken back before [`Allocator::recover`] voids the magazine.
-    pub(crate) fn free_bag(&self, node: &NodeHandle, blocks: &[Owned]) -> OpResult<usize> {
-        let owned = blocks.to_vec();
-        let mag = self.magazine();
-        let (fit, rest) = match &mag {
-            Some((_, mag)) => mag.split(owned),
-            None => (Vec::new(), owned),
-        };
-        let Some((slot, mut mag)) = mag.filter(|_| !fit.is_empty()) else {
-            return self.chain_bag(node, rest);
-        };
-        let mut done = Chained::default();
-        let freed = self
-            .park(node, slot, &mut mag, &fit, &mut done)
-            .and_then(|()| self.push_chains(node, rest, &mut done));
-        if freed.is_err() {
-            mag.torn = true;
-        }
-        freed.map(|()| done.freed)
-    }
-
-    /// Returns a bag of incarnations to their free lists as one chain
-    /// per size class, like [`free_chain`](Allocator::free_chain) but
-    /// with no header load — `k + 2` persists and one load (the list
-    /// head) for `k` blocks of one class. A block whose claim CAS fails
-    /// is refused. Returns how many it freed.
-    ///
-    /// # Errors
-    ///
-    /// Fails if the issuing machine has crashed.
-    pub(crate) fn chain_bag(&self, node: &NodeHandle, blocks: Vec<Owned>) -> OpResult<usize> {
-        let mut done = Chained::default();
-        self.push_chains(node, blocks, &mut done)?;
-        Ok(done.freed)
-    }
-
-    /// Returns every block of `blocks` to its class free list as one
-    /// **chain** per size class: one intent naming the chain's first
-    /// block, one claim CAS per block that also links it to its
-    /// successor (the last to the list's current top), and one head CAS
-    /// publishing the whole chain — `k + 2` persists for `k` blocks of
-    /// one class, where `k` single frees pay `3k`.
-    ///
-    /// Returns how many blocks were freed. A block that is not freeable
-    /// is skipped and left untouched, exactly as [`Allocator::free`]
-    /// would refuse it, so the count falls short of `blocks.len()` by
-    /// the number of refusals. A crash mid-chain loses nothing: recovery
-    /// walks the links from the intent's block and publishes every
-    /// block already claimed; the unclaimed rest stay allocated.
-    ///
-    /// # Errors
-    ///
-    /// Fails if the issuing machine has crashed.
-    pub fn free_chain(&self, at: &impl AsNode, blocks: &[Loc]) -> OpResult<usize> {
-        let node = at.as_node();
-        let mut done = Chained::default();
-        let owned = self.owned(node, blocks, &mut done)?;
-        self.push_chains(node, owned, &mut done)?;
-        Ok(done.freed)
-    }
-
-    /// The freeable blocks of `blocks`, in order; the first refusal is
-    /// noted in `done`.
-    fn owned(&self, node: &NodeHandle, blocks: &[Loc], done: &mut Chained) -> OpResult<Vec<Owned>> {
-        let mut owned = Vec::with_capacity(blocks.len());
-        for &payload in blocks {
-            match self.freeable(node, payload)? {
-                Ok(hdr) => owned.push(Owned::new(payload, hdr)),
-                Err(e) => {
-                    done.refused.get_or_insert(e);
-                }
-            }
-        }
-        Ok(owned)
-    }
-
-    /// Pushes validated blocks onto their free lists, one chain per size
-    /// class, and completes the operation.
-    fn push_chains(
-        &self,
-        node: &NodeHandle,
-        mut owned: Vec<Owned>,
-        done: &mut Chained,
-    ) -> OpResult<()> {
-        // Stable: within a class the caller's order is the chain's.
-        owned.sort_by_key(Owned::class);
-        self.push_owned(node, &owned, done)?;
-        self.persist.complete_op(node)
-    }
-
-    /// Pushes validated blocks, sorted by class, onto their free lists
-    /// under one leased intent slot.
-    fn push_owned(&self, node: &NodeHandle, owned: &[Owned], done: &mut Chained) -> OpResult<()> {
-        if owned.is_empty() {
-            return Ok(());
-        }
-        let slot = self.slots.acquire();
-        for run in owned.chunk_by(|a, b| a.class() == b.class()) {
-            let mut rest = run;
-            while !rest.is_empty() {
-                // A crash error leaks the lease (see `pop`).
-                rest = &rest[self.push_run(node, slot, rest, done)?..];
-            }
-        }
-        self.slots.release(slot);
-        Ok(())
-    }
-
-    /// The header of `payload`'s block if the block can be freed, else
-    /// why it cannot.
-    fn freeable(&self, node: &NodeHandle, payload: Loc) -> OpResult<Result<u64, FreeError>> {
-        let addr = payload.addr.0;
-        if payload.owner != self.region || !self.in_block_area(addr) {
-            return Ok(Err(FreeError::NotABlock));
-        }
-        let hdr = self
-            .persist
-            .shared_load(node, self.header_cell(addr), true)?;
-        Ok(match (header_state(hdr), header_class(hdr)) {
-            (ST_ALLOCATED, HUGE_CLASS) => Err(FreeError::Oversize),
-            (ST_ALLOCATED, class) if (class as usize) < NUM_CLASSES => Ok(hdr),
-            (ST_FREE | ST_MAGAZINE, _) => Err(FreeError::DoubleFree),
-            _ => Err(FreeError::NotABlock),
-        })
-    }
-
-    /// Pushes one chain, `run` being blocks of one class:
-    ///
-    /// 1. **Latch** an intent naming the first block at its generation.
-    /// 2. **Claim and link**, front to back: each block's header goes
-    ///    `ALLOCATED g → FREE g+1, next = successor` in one CAS (exactly
-    ///    one free of an incarnation wins it); the last block's
-    ///    successor is the list's current top. Claimed blocks are on no
-    ///    list yet, but a walk along `next` from the intent's block
-    ///    reaches every one of them — that is what recovery does.
-    /// 3. **Publish** the chain with one head CAS (re-aiming the last
-    ///    block first if the top moved), then clear the intent with a
-    ///    plain cached store.
-    ///
-    /// Returns how many blocks of `run` it consumed: all of them, or —
-    /// when a racing free won a block's claim — the chain up to that
-    /// block plus the lost block itself.
-    fn push_run(
-        &self,
-        node: &NodeHandle,
-        slot: usize,
-        run: &[Owned],
-        done: &mut Chained,
-    ) -> OpResult<usize> {
-        let class = run[0].class();
-        let Owned {
-            addr: first,
-            hdr: first_hdr,
-        } = run[0];
-        let head_cell = self.head_cell(class as usize);
-        let intent_cell = self.intent_cell(slot);
-        // (1) latch
-        self.persist.private_store(
-            node,
-            intent_cell,
-            intent_word(OP_FREE, class, first, header_gen(first_hdr)),
-            true,
-        )?;
-        let mut head = self.persist.shared_load(node, head_cell, true)?;
-        // (2) claim and link. `tail` is the last block claimed: its
-        // address, bumped generation, and where its `next` aims.
-        let mut tail = None;
-        let mut claimed = 0;
-        for (i, &Owned { addr, hdr, .. }) in run.iter().enumerate() {
-            let next = run.get(i + 1).map_or(head_top(head), |b| Some(b.addr));
-            let gen = header_gen(hdr).wrapping_add(1) & GEN_MASK;
-            if self
-                .persist
-                .shared_cas(
-                    node,
-                    self.header_cell(addr),
-                    hdr,
-                    header_word(ST_FREE, class, gen, next),
-                    true,
-                )?
-                .is_err()
-            {
-                done.refused.get_or_insert(FreeError::DoubleFree);
-                break;
-            }
-            // The sanitizer learns of the free here, while the block is
-            // still unpublished: once the head CAS republishes it a
-            // racing pop may hand it out, and a late "freed" would
-            // overwrite that pop's "live".
-            node.check_free(Loc::new(self.region, addr));
-            self.note_free(class_cells(class as usize));
-            claimed += 1;
-            done.freed += 1;
-            tail = Some((addr, gen, next));
-        }
-        // (3) publish
-        if let Some((tail, gen, mut next)) = tail {
-            loop {
-                let top = head_top(head);
-                if next != top {
-                    // The tail aims at a block whose claim was lost, or
-                    // at a top that has moved.
-                    self.relink(node, class, tail, gen, top)?;
-                    next = top;
-                }
-                let pushed = head_word(Some(first), head_ver(head).wrapping_add(1));
-                match self
-                    .persist
-                    .shared_cas(node, head_cell, head, pushed, true)?
-                {
-                    Ok(_) => break,
-                    Err(actual) => head = actual,
-                }
-            }
-        }
-        self.persist.private_store(node, intent_cell, 0, false)?;
-        Ok((claimed + 1).min(run.len()))
-    }
-
-    /// Re-aims the `next` link of a free block that no list can reach
-    /// (claimed but unpublished, or orphaned and being restored) — the
-    /// block is exclusively the caller's, so a persistent private store
-    /// suffices.
-    fn relink(
-        &self,
-        node: &NodeHandle,
-        class: u64,
-        addr: u32,
-        gen: u64,
-        next: Option<u32>,
-    ) -> OpResult<()> {
-        self.persist.private_store(
-            node,
-            self.header_cell(addr),
-            header_word(ST_FREE, class, gen, next),
-            true,
-        )
-    }
-
     // ---- recovery -------------------------------------------------------
 
     /// Post-crash sweep. Must run quiesced (no concurrent allocator
-    /// traffic), like every `recover` in this crate. Seals every latched
-    /// intent, reading off the named block's header — state, generation,
-    /// list membership; the table is in [`crate::alloc`] — whether the
-    /// operation was torn: a pop torn after its head CAS is put back, a
-    /// free torn before its claim is claimed, and a torn chain is
-    /// *walked* — along `next` from the intent's block while blocks are
-    /// `FREE`, of the intent's class, and on no list (under quiescence
-    /// such a block belongs to no one) — and published. Anything else is
-    /// a stale intent, its unflushed clear lost with the issuer's cache,
-    /// and frees nothing: a live block is `ALLOCATED`, and a generation
-    /// only matches the operation that recorded it.
+    /// traffic), like every `recover` in this crate. Reads every latched
+    /// intent cell — the transient slots' and both of each magazine's —
+    /// the same way, against the header of the block it names (the rule
+    /// is in [`crate::alloc`]): a block still at the intent's pre-claim
+    /// header is taken, one at its post-claim header is walked from, and
+    /// anything else is a stale intent — its unflushed clear lost with
+    /// the issuer's cache — that frees nothing: a live block is
+    /// `ALLOCATED`, and a generation only matches the operation that
+    /// recorded it.
     ///
-    /// The thread magazines are volatile, so the sweep voids them and
-    /// returns every parked block to its free list: each of a magazine's
-    /// two intent cells is walked along `next` from the block it names
-    /// while blocks are `MAGAZINE` (or `FREE` on no list), each block
-    /// taken once however the chains overlap; a push torn before its
-    /// claim (the named block still `ALLOCATED` at the intent's
-    /// generation) is completed. Both cells are zeroed once the blocks
-    /// are published.
+    /// The walk follows `next` while blocks are of the intent's class
+    /// and `MAGAZINE`, or `FREE` on no list — under quiescence neither
+    /// belongs to anyone, as the thread magazines are volatile — into one
+    /// visited set. Once every intent is read, each class is published
+    /// once, the collected blocks `FREE` and linked in walk order; then
+    /// every latched cell is zeroed, the magazines are voided and the
+    /// volatile intent-slot pool is reset.
     ///
     /// Cost: 32 intent loads, +1 per latched magazine (a magazine's
-    /// second cell is read only when its first holds a magazine intent)
-    /// and one header load per latched intent cell; each class's free
-    /// list is walked **at most once** per sweep (only if some intent
-    /// names a `FREE` block of that class at a matching generation),
-    /// plus the blocks walked — torn chains and parked blocks. Finally
-    /// the volatile intent-slot pool is reset.
+    /// second cell is read only when its first holds a magazine intent),
+    /// one header load per latched intent cell and one per further block
+    /// walked; each class's free list is walked **at most once** per
+    /// sweep (only if a walk meets a `FREE` block of that class). Per
+    /// class with blocks to publish: one head load, one header store per
+    /// block not already `FREE` at its generation and linked to its
+    /// successor, and the head store; then one store per latched cell.
     ///
     /// # Errors
     ///
@@ -1240,63 +1104,46 @@ impl Allocator {
     pub fn recover(&self, at: &impl AsNode) -> OpResult<AllocRecovery> {
         let node = at.as_node();
         let mut report = AllocRecovery::default();
-        let mut on_list = OnList::default();
-        let mut unparked = Unparked::default();
+        let mut sweep = Sweep::default();
+        let mut latched = Vec::new();
         for slot in 0..INTENT_SLOTS {
-            let cell = self.intent_cell(slot);
-            let word = self.persist.shared_load(node, cell, true)?;
+            let (first, second) = (self.slot_cell(slot, 0), self.slot_cell(slot, 1));
+            let word = self.persist.shared_load(node, first, true)?;
             if word == 0 {
                 continue;
             }
-            if intent_op(word) == OP_MAG {
-                // Cell 1 is written only after cell 0, and both are
-                // zeroed together: a magazine that never pushed costs
-                // no second load.
-                let second = self.slot_cell(slot, 1);
-                let other = self.persist.shared_load(node, second, true)?;
-                for (cell, word) in [(cell, word), (second, other)] {
-                    if word != 0 {
-                        self.recover_magazine_cell(
-                            node,
-                            word,
-                            &mut on_list,
-                            &mut unparked,
-                            &mut report,
-                        )?;
-                        unparked.cells.push(cell);
-                    }
-                }
-                continue;
-            }
-            report.sealed_intents += 1;
-            let class = intent_class(word);
-            let gen = decode_gen(word);
-            let bumped = gen.wrapping_add(1) & GEN_MASK;
-            let named = decode_addr(word)
-                .filter(|&a| (class as usize) < NUM_CLASSES && self.in_block_area(a));
-            if let Some(addr) = named {
-                let hdr = self
-                    .persist
-                    .shared_load(node, self.header_cell(addr), true)?;
-                let maybe_orphaned = match (intent_op(word), header_state(hdr)) {
-                    (OP_ALLOC, ST_FREE) => header_gen(hdr) == gen,
-                    (OP_FREE, ST_FREE) => header_gen(hdr) == bumped,
-                    (OP_FREE, ST_ALLOCATED) if header_gen(hdr) == gen => {
-                        // Roll the free forward to its claimed state.
-                        self.relink(node, class, addr, bumped, None)?;
-                        true
-                    }
-                    _ => false,
-                };
-                if maybe_orphaned {
-                    report.restored_blocks +=
-                        self.restore_chain(node, &mut on_list, class as usize, addr)?;
+            // Cell 1 is written only after cell 0, and both are zeroed
+            // together: a magazine that never pushed costs no second load.
+            let other = match intent_op(word) {
+                OP_MAG => self.persist.shared_load(node, second, true)?,
+                _ => 0,
+            };
+            for (cell, word) in [(first, word), (second, other)] {
+                if word != 0 {
+                    self.seal(node, word, &mut sweep, &mut report)?;
+                    latched.push(cell);
                 }
             }
-            self.persist.private_store(node, cell, 0, true)?;
         }
-        self.publish_unparked(node, &unparked)?;
-        for &cell in &unparked.cells {
+        for (class, blocks) in sweep.blocks.iter().enumerate() {
+            let Some(&(first, ..)) = blocks.first() else {
+                continue;
+            };
+            let head_cell = self.head_cell(class);
+            let head = self.persist.shared_load(node, head_cell, true)?;
+            for (i, &(addr, gen, hdr)) in blocks.iter().enumerate() {
+                let next = blocks.get(i + 1).map_or(head_top(head), |b| Some(b.0));
+                let free = header_word(ST_FREE, class as u64, gen, next);
+                if hdr != free {
+                    self.persist
+                        .private_store(node, self.header_cell(addr), free, true)?;
+                }
+            }
+            // Quiesced: nothing races the head, a persistent store will do.
+            let pushed = head_word(Some(first), head_ver(head).wrapping_add(1));
+            self.persist.private_store(node, head_cell, pushed, true)?;
+        }
+        for cell in latched {
             self.persist.private_store(node, cell, 0, true)?;
         }
         for mag in &self.mags {
@@ -1307,28 +1154,22 @@ impl Allocator {
         Ok(report)
     }
 
-    /// Recovery of one magazine intent cell `MAG(b, g)`: reads `b`'s
-    /// header and collects what the cell still names. A cell naming a
-    /// parked block is not counted as sealed, and parked blocks are not
-    /// counted as restored: no operation on them was torn.
-    ///
-    /// | header of `b` | verdict → action |
-    /// |---|---|
-    /// | `MAGAZINE g+1` | the chain's newest block (or an older one): walk |
-    /// | `ALLOCATED g` | push torn before its claim: take `b` |
-    /// | `FREE g+1` | a racing free won `b`, or a sweep died publishing: walk |
-    /// | anything else | stale: none |
-    fn recover_magazine_cell(
+    /// Recovery's verdict on one latched intent `op(b, g)`. A pop claims
+    /// `b` at `g` (swinging the head past it), a free or a park at
+    /// `g+1`. If `b` is still `ALLOCATED g` under a free's or a park's
+    /// intent, the operation was torn before its claim: `b` is taken. If
+    /// it is `FREE` or `MAGAZINE` at the claimed generation, the walk
+    /// starts from it. Anything else is stale. Every cell counts as
+    /// sealed but one naming a block parked at the claimed generation:
+    /// no operation on it was torn.
+    fn seal(
         &self,
         node: &NodeHandle,
         word: u64,
-        on_list: &mut OnList,
-        unparked: &mut Unparked,
+        sweep: &mut Sweep,
         report: &mut AllocRecovery,
     ) -> OpResult<()> {
-        let class = intent_class(word);
-        let gen = decode_gen(word);
-        let bumped = gen.wrapping_add(1) & GEN_MASK;
+        let (op, class, gen) = (intent_op(word), intent_class(word), decode_gen(word));
         let named =
             decode_addr(word).filter(|&a| (class as usize) < NUM_CLASSES && self.in_block_area(a));
         let Some(addr) = named else {
@@ -1338,158 +1179,64 @@ impl Allocator {
         let hdr = self
             .persist
             .shared_load(node, self.header_cell(addr), true)?;
-        match (header_state(hdr), header_gen(hdr)) {
-            (ST_MAGAZINE, g) if g == bumped => {}
-            (ST_ALLOCATED, g) if g == gen => {
-                report.sealed_intents += 1;
-                if unparked.seen.insert(addr) {
-                    report.restored_blocks += 1;
-                    unparked.blocks[class as usize].push((addr, bumped));
-                }
-                return Ok(());
+        let claimed = match op {
+            OP_ALLOC => gen,
+            _ => gen.wrapping_add(1) & GEN_MASK,
+        };
+        let at_claimed = header_gen(hdr) == claimed;
+        report.sealed_intents += usize::from(!(at_claimed && header_state(hdr) == ST_MAGAZINE));
+        match header_state(hdr) {
+            // Taken once, however many intents name it.
+            ST_ALLOCATED if op != OP_ALLOC && header_gen(hdr) == gen && sweep.seen.insert(addr) => {
+                report.restored_blocks += 1;
+                sweep.blocks[class as usize].push((addr, claimed, hdr));
             }
-            (ST_FREE, g) if g == bumped => report.sealed_intents += 1,
-            _ => {
-                report.sealed_intents += 1;
-                return Ok(());
+            ST_FREE | ST_MAGAZINE if at_claimed => {
+                report.restored_blocks += self.walk(node, sweep, class, addr, hdr)?;
             }
+            _ => {}
         }
-        report.restored_blocks += self.walk_parked(node, on_list, unparked, class, addr, hdr)?;
         Ok(())
     }
 
-    /// Recovery's magazine walk: from `start` (whose header is `hdr`)
-    /// along `next` while blocks are of `class` and `MAGAZINE`, or
-    /// `FREE` on no list (under quiescence such a block belongs to no
-    /// one), collecting each block once. The walk ends at a block some
-    /// thread took back (`ALLOCATED`), at a listed one, or at a block
-    /// already collected — chains of one magazine overlap, and a block
-    /// taken back and parked again links into its old chain. Returns
+    /// Recovery's walk: from `addr`, whose header is `hdr`, along `next`
+    /// while blocks are of `class` and `MAGAZINE`, or `FREE` on no list,
+    /// collecting each block once. It ends at a block someone holds
+    /// (`ALLOCATED`: a torn chain's first unclaimed block, or one a
+    /// thread took back), at a listed one (the old top), or at one
+    /// already collected — a magazine's chains overlap, since a block
+    /// taken back and parked again links into the chain it left. Returns
     /// how many `FREE` blocks it collected.
-    fn walk_parked(
+    fn walk(
         &self,
         node: &NodeHandle,
-        on_list: &mut OnList,
-        unparked: &mut Unparked,
+        sweep: &mut Sweep,
         class: u64,
-        start: u32,
+        mut addr: u32,
         mut hdr: u64,
     ) -> OpResult<usize> {
-        let mut cur = start;
-        let mut orphans = 0;
-        loop {
-            if header_class(hdr) != class || unparked.seen.contains(&cur) {
-                return Ok(orphans);
+        let (mut orphans, c) = (0, class as usize);
+        while header_class(hdr) == class && !sweep.seen.contains(&addr) {
+            let free = header_state(hdr) == ST_FREE;
+            if free && sweep.listed[c].is_none() {
+                sweep.listed[c] = Some(self.list_blocks(node, c)?.into_iter().collect());
             }
-            match header_state(hdr) {
-                ST_MAGAZINE => {}
-                ST_FREE => {
-                    let listed = self.on_list(node, on_list, class as usize)?;
-                    if !listed.insert(cur) {
-                        return Ok(orphans);
-                    }
-                    orphans += 1;
-                }
-                _ => return Ok(orphans),
-            }
-            unparked.seen.insert(cur);
-            unparked.blocks[class as usize].push((cur, header_gen(hdr)));
-            match header_next(hdr).filter(|&a| self.in_block_area(a)) {
-                Some(next) => {
-                    cur = next;
-                    hdr = self
-                        .persist
-                        .shared_load(node, self.header_cell(next), true)?;
-                }
-                None => return Ok(orphans),
-            }
-        }
-    }
-
-    /// Publishes the blocks the magazine walks collected: per class,
-    /// each header set `FREE` and linked to the next collected block,
-    /// the last to the current top, and the head swung to the first —
-    /// `k + 1` persists for `k` blocks.
-    fn publish_unparked(&self, node: &NodeHandle, unparked: &Unparked) -> OpResult<()> {
-        for (class, blocks) in unparked.blocks.iter().enumerate() {
-            let Some(&(first, _)) = blocks.first() else {
-                continue;
-            };
-            let head_cell = self.head_cell(class);
-            let head = self.persist.shared_load(node, head_cell, true)?;
-            for (i, &(addr, gen)) in blocks.iter().enumerate() {
-                let next = blocks.get(i + 1).map_or(head_top(head), |&(a, _)| Some(a));
-                self.relink(node, class as u64, addr, gen, next)?;
-            }
-            // Quiesced: nothing races the head, a persistent store will do.
-            self.persist.private_store(
-                node,
-                head_cell,
-                head_word(Some(first), head_ver(head).wrapping_add(1)),
-                true,
-            )?;
-        }
-        Ok(())
-    }
-
-    /// Recovery's view of class `class`'s free list (one list walk, the
-    /// first time it is asked for).
-    fn on_list<'a>(
-        &self,
-        node: &NodeHandle,
-        on_list: &'a mut OnList,
-        class: usize,
-    ) -> OpResult<&'a mut HashSet<u32>> {
-        if on_list[class].is_none() {
-            on_list[class] = Some(self.list_blocks(node, class)?.into_iter().collect());
-        }
-        Ok(on_list[class].as_mut().expect("built above"))
-    }
-
-    /// Recovery's chain walk (see [`Allocator::recover`]): collects the
-    /// orphans reachable from `start`, then republishes them as they
-    /// are linked — the last re-aimed at the current top, the head
-    /// swung to `start` — in two persists however long the chain.
-    /// Returns how many blocks it put back.
-    fn restore_chain(
-        &self,
-        node: &NodeHandle,
-        on_list: &mut OnList,
-        class: usize,
-        start: u32,
-    ) -> OpResult<usize> {
-        let listed = self.on_list(node, on_list, class)?;
-        let mut tail = None;
-        let mut restored = 0;
-        let mut cur = Some(start);
-        while let Some(addr) = cur.filter(|&a| self.in_block_area(a)) {
-            let hdr = self
-                .persist
-                .shared_load(node, self.header_cell(addr), true)?;
-            let orphan = header_state(hdr) == ST_FREE
-                && header_class(hdr) == class as u64
-                && listed.insert(addr);
-            if !orphan {
+            let orphan = free && sweep.listed[c].as_ref().is_some_and(|l| !l.contains(&addr));
+            if !orphan && header_state(hdr) != ST_MAGAZINE {
                 break;
             }
-            restored += 1;
-            tail = Some((addr, header_gen(hdr)));
-            cur = header_next(hdr);
+            orphans += usize::from(orphan);
+            sweep.seen.insert(addr);
+            sweep.blocks[c].push((addr, header_gen(hdr), hdr));
+            let Some(next) = header_next(hdr).filter(|&a| self.in_block_area(a)) else {
+                break;
+            };
+            addr = next;
+            hdr = self
+                .persist
+                .shared_load(node, self.header_cell(next), true)?;
         }
-        let Some((tail, gen)) = tail else {
-            return Ok(0);
-        };
-        let head_cell = self.head_cell(class);
-        let head = self.persist.shared_load(node, head_cell, true)?;
-        self.relink(node, class as u64, tail, gen, head_top(head))?;
-        // Quiesced: nothing races the head, a persistent store will do.
-        self.persist.private_store(
-            node,
-            head_cell,
-            head_word(Some(start), head_ver(head).wrapping_add(1)),
-            true,
-        )?;
-        Ok(restored)
+        Ok(orphans)
     }
 
     /// The payload addresses on class `class`'s free list, top first

@@ -89,63 +89,55 @@
 //!   says "this slot **may** have popped that block"; whether it did is
 //!   read off the block.
 //! * The **claim** CAS of a free is won by exactly one free of an
-//!   incarnation (a racing double free is refused), bumps the
-//!   generation, and leaves the block `FREE` but on no list until the
-//!   head CAS publishes it. A chain's claimed blocks are linked front
-//!   to back, so a walk along `next` from the intent's block reaches
-//!   every one of them. [`Allocator::free`] *is* the chain of one.
+//!   incarnation (a racing double free is refused) and bumps the
+//!   generation. Every free runs the same claim loop — latch an intent
+//!   naming the first block, then claim and link front to back — and
+//!   only the header it writes (`MAGAZINE` or `FREE`) and how it
+//!   publishes the run (a ring push, or a head CAS) differ. A claimed
+//!   block is on no list until the head CAS publishes it, but a walk
+//!   along `next` from the intent's block reaches every one of them. A
+//!   [`free`](Allocator::free) the magazine cannot take is the chain of
+//!   one.
 //! * The intent **clear** is a plain cached store — no flush. If the
 //!   issuer's cache is lost before the line drains, the intent
 //!   resurfaces *stale* in the next sweep, which is harmless (below).
 //!
 //! **Recovery** ([`Allocator::recover`], run from
 //! [`Session::recover_roots`](crate::api::Session::recover_roots),
-//! quiesced) reads each latched intent against the header of the block
-//! it names:
+//! quiesced) reads every latched intent cell — transient and magazine
+//! alike — against the header of the block `b` it names. A pop claims
+//! `b` at the intent's generation `g`, a free or a park at `g+1`:
 //!
-//! | intent | header | generation | on its list | verdict → action |
-//! |---|---|---|---|---|
-//! | `ALLOC(b, g)` | `FREE` | `g` | no | torn after ②: put `b` back |
-//! | `ALLOC(b, g)` | `FREE` | `g` | yes | torn before ②, or lost its CAS: none |
-//! | `ALLOC(b, g)` | `ALLOCATED` | `g` | — | complete (or another pop's block): none |
-//! | `FREE(b, g)` | `ALLOCATED` | `g` | — | torn after ①: claim `b`, then as next row |
-//! | `FREE(b, g)` | `FREE` | `g+1` | no | torn after a claim: **walk** the chain, publish it |
-//! | `FREE(b, g)` | `FREE` | `g+1` | yes | complete: none |
-//! | `MAG(b, g)` | `MAGAZINE` | `g+1` | — | parked: **walk** the magazine, publish it |
-//! | `MAG(b, g)` | `ALLOCATED` | `g` | — | push torn before its claim: publish `b` as `FREE g+1` |
-//! | `MAG(b, g)` | `FREE` | `g+1` | no | a racing free's claim, or a sweep that died publishing: walk |
-//! | `MAG(b₁, g₁)` of a splice | `ALLOCATED` | `g₁` | — | torn before its first claim: publish `b₁` as `FREE g₁+1`; `b₂ … b_k` are still `ALLOCATED` and back in limbo, and `SmrDomain::recover` frees them, refusing `b₁` |
-//! | `MAG(b₁, g₁)` of a splice | `MAGAZINE` | `g₁+1` | — | torn after `j` claims: walk `b₁ … b_j` (`b_{j+1}` is still `ALLOCATED`), the older blocks from the other cell; `SmrDomain::recover` frees `b_{j+1} … b_k`, refusing the prefix |
-//! | any | any | any other | — | **stale** — the block moved on: none |
+//! | header of `b` | verdict → action |
+//! |---|---|
+//! | `ALLOCATED g` under a `FREE` or `MAG` intent (the pre-claim header) | torn before its claim: **take** `b` |
+//! | `FREE` or `MAGAZINE` at the claimed generation (the post-claim header) | **walk** from `b` |
+//! | anything else | **stale** — complete, or the block moved on: none |
 //!
-//! The *chain walk* follows `next` from the intent's block while blocks
-//! are `FREE`, of the intent's class, and on no list; it stops at the
-//! first block the torn chain had not claimed (still `ALLOCATED`, and
-//! still its owner's) or at the old top (on the list). Every block it
-//! reaches is put back, which is sound because recovery is quiesced: a
-//! `FREE` block on no list belongs to no one. The walked blocks are
-//! already linked, so republishing them costs two persists however long
-//! the chain.
-//!
-//! The *magazine walk* reads a magazine slot's second cell only when
-//! its first holds a `MAG` intent (a push writes cell 0 first, and
-//! recovery zeroes both), so a heap whose magazines never pushed pays
-//! the same 32 intent loads as before. It follows `next` from each
-//! named block while blocks are of its class and `MAGAZINE` (or `FREE`
-//! on no list), with a visited set: a block taken back and parked again
-//! links into the chain it left, so chains overlap and revisit. The
-//! blocks it collects are published after every intent has been read,
-//! each header set `FREE` and linked to the next (`k + 1` persists per
-//! class), then both cells are zeroed and every volatile magazine is
-//! voided: the magazines are per-thread, volatile state that no crash
-//! preserves.
+//! The *walk* follows `next` while blocks are of the intent's class and
+//! `MAGAZINE`, or `FREE` on no list — under quiescence neither belongs
+//! to anyone, as the magazines are volatile state no crash preserves —
+//! collecting each block once into one visited set. It stops at a block
+//! someone holds (a torn chain's first unclaimed block, still
+//! `ALLOCATED`, or one a thread took back), at a listed one (the old
+//! top, or a pop's block still on its list), or at one already
+//! collected: a block taken back and parked again links into the chain
+//! it left, so a magazine's chains overlap. Once every intent is read,
+//! each class is **published once**: the collected blocks set `FREE`
+//! and linked in walk order, the last to the top, the head swung to the
+//! first — a header already `FREE` at its generation and linked to its
+//! successor (a torn chain's, mostly) is not rewritten. Then every
+//! latched cell is zeroed and every volatile magazine voided. A
+//! magazine's second cell is read only when its first holds a `MAG`
+//! intent (a push writes cell 0 first, and recovery zeroes both), so a
+//! heap whose magazines never pushed pays 32 intent loads.
 //!
 //! Why **stale intents are harmless**: a live block's header is
-//! `ALLOCATED`, and the only rules that act on an `ALLOCATED` header
-//! need a `FREE` or `MAG` intent at the header's *current* generation
+//! `ALLOCATED`, and only a take acts on an `ALLOCATED` header, which
+//! needs a `FREE` or `MAG` intent at the header's *current* generation
 //! — which only a free invoked on this incarnation writes, and a free
 //! that returns without claiming does so only because the header
-//! already moved on. Every other rule acts on `MAGAZINE` blocks, whose
+//! already moved on. A walk acts only on `MAGAZINE` blocks, whose
 //! magazines recovery voids, or on `FREE` blocks that no list holds,
 //! which no one owns. Generations advance on every free, so an intent
 //! from an earlier incarnation of a block matches nothing (up to the

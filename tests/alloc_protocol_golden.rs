@@ -160,47 +160,48 @@ const TEARS: [&str; 4] = [
 #[rustfmt::skip]
 const RECOVERY: [(&str, [Row; 4]); 7] = [
     ("none", [
-        [38, 3, 0, 0, 0, 0, 0, 0, 0, 9840], // free_chain of 3 torn after its claims
-        [36, 3, 0, 0, 0, 0, 0, 0, 0, 9324], // pop torn after its head swing
+        [37, 2, 0, 0, 0, 0, 0, 0, 0, 9570], // free_chain of 3 torn after its claims
+        [35, 2, 0, 0, 0, 0, 0, 0, 0, 9054], // pop torn after its head swing
         [40, 7, 0, 0, 0, 0, 0, 0, 0, 10404], // parking free torn over overlapping magazine chains
         [37, 4, 0, 0, 0, 0, 0, 0, 0, 9594], // splice torn after 2 claims
     ]),
     ("flit-x86", [
-        [38, 3, 0, 0, 4, 0, 0, 0, 0, 10080], // free_chain of 3 torn after its claims
-        [36, 3, 0, 0, 5, 0, 0, 0, 0, 9624], // pop torn after its head swing
+        [37, 2, 0, 0, 3, 0, 0, 0, 0, 9750], // free_chain of 3 torn after its claims
+        [35, 2, 0, 0, 4, 0, 0, 0, 0, 9294], // pop torn after its head swing
         [40, 7, 0, 0, 8, 0, 0, 0, 0, 10884], // parking free torn over overlapping magazine chains
         [37, 4, 0, 0, 5, 0, 0, 0, 0, 9894], // splice torn after 2 claims
     ]),
     ("flit-cxl0", [
-        [38, 3, 0, 0, 0, 4, 0, 0, 0, 11420], // free_chain of 3 torn after its claims
-        [36, 3, 0, 0, 0, 5, 0, 0, 0, 11299], // pop torn after its head swing
+        [37, 2, 0, 0, 0, 3, 0, 0, 0, 10755], // free_chain of 3 torn after its claims
+        [35, 2, 0, 0, 0, 4, 0, 0, 0, 10634], // pop torn after its head swing
         [40, 7, 0, 0, 0, 8, 0, 0, 0, 13564], // parking free torn over overlapping magazine chains
         [37, 4, 0, 0, 0, 5, 0, 0, 0, 11569], // splice torn after 2 claims
     ]),
     ("flit-owner-opt", [
-        [38, 3, 0, 0, 0, 4, 0, 0, 0, 11420], // free_chain of 3 torn after its claims
-        [36, 3, 0, 0, 0, 5, 0, 0, 0, 11299], // pop torn after its head swing
+        [37, 2, 0, 0, 0, 3, 0, 0, 0, 10755], // free_chain of 3 torn after its claims
+        [35, 2, 0, 0, 0, 4, 0, 0, 0, 10634], // pop torn after its head swing
         [40, 7, 0, 0, 0, 8, 0, 0, 0, 13564], // parking free torn over overlapping magazine chains
         [37, 4, 0, 0, 0, 5, 0, 0, 0, 11569], // splice torn after 2 claims
     ]),
     ("flit-async", [
-        [38, 3, 0, 0, 0, 0, 0, 4, 4, 11177], // free_chain of 3 torn after its claims
-        [36, 3, 0, 0, 0, 0, 0, 5, 4, 10759], // pop torn after its head swing
+        [37, 2, 0, 0, 0, 0, 0, 3, 3, 10564], // free_chain of 3 torn after its claims
+        [35, 2, 0, 0, 0, 0, 0, 4, 3, 9966], // pop torn after its head swing
         [40, 7, 0, 0, 0, 0, 0, 8, 8, 13473], // parking free torn over overlapping magazine chains
         [37, 4, 0, 0, 0, 0, 0, 5, 5, 11454], // splice torn after 2 claims
     ]),
     ("naive-mstore", [
-        [38, 0, 0, 3, 0, 0, 0, 0, 0, 11004], // free_chain of 3 torn after its claims
-        [36, 0, 0, 3, 0, 0, 0, 0, 0, 10488], // pop torn after its head swing
+        [37, 0, 0, 2, 0, 0, 0, 0, 0, 10346], // free_chain of 3 torn after its claims
+        [35, 0, 0, 2, 0, 0, 0, 0, 0, 9830], // pop torn after its head swing
         [40, 0, 0, 7, 0, 0, 0, 0, 0, 13120], // parking free torn over overlapping magazine chains
         [37, 0, 0, 4, 0, 0, 0, 0, 0, 11146], // splice torn after 2 claims
     ]),
     ("buffered", [
-        [38, 3, 0, 0, 0, 0, 0, 0, 0, 9840], // free_chain of 3 torn after its claims
-        [36, 3, 0, 0, 0, 0, 0, 0, 0, 9324], // pop torn after its head swing
+        [37, 2, 0, 0, 0, 0, 0, 0, 0, 9570], // free_chain of 3 torn after its claims
+        [35, 2, 0, 0, 0, 0, 0, 0, 0, 9054], // pop torn after its head swing
         [40, 7, 0, 0, 0, 0, 0, 0, 0, 10404], // parking free torn over overlapping magazine chains
         [37, 4, 0, 0, 0, 0, 0, 0, 0, 9594], // splice torn after 2 claims
     ]),
+
 ];
 
 fn modes() -> Vec<PersistMode> {
