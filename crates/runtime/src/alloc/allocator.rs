@@ -236,25 +236,15 @@ impl Magazine {
         (self.len > 0).then(|| self.parked[(self.oldest + self.len - 1) % MAG_DEPTH].0)
     }
 
-    /// How many blocks of `class` a push may still park: none while
-    /// torn or holding blocks of another class.
-    fn room(&self, class: u64) -> usize {
-        if self.torn || (self.len > 0 && self.class != class) {
-            0
-        } else {
-            MAG_DEPTH - self.len
-        }
-    }
-
     /// Splits `owned` into the blocks a push may park — in order, of
     /// the parked blocks' class (the first block's when there are none),
-    /// up to the room left — and the rest.
+    /// up to the room left, none while torn — and the rest.
     fn split(&self, owned: Vec<Owned>) -> (Vec<Owned>, Vec<Owned>) {
         let class = match owned.first() {
             Some(b) if self.len == 0 => b.class(),
             _ => self.class,
         };
-        let mut room = self.room(class);
+        let mut room = if self.torn { 0 } else { MAG_DEPTH - self.len };
         owned.into_iter().partition(|b| {
             let fits = b.class() == class && room > 0;
             room -= usize::from(fits);

@@ -36,7 +36,11 @@
 //! chains (a block taken back and parked again), and an SMR drain's
 //! splice torn after 2 of its 8 claims. Every sweep reads the 32 intent
 //! words, walks what the latched intents name and publishes it once per
-//! class.
+//! class. Read off the `flit-cxl0` rows: the torn chain costs 2 stores
+//! — the head store, and its intent cell zeroed — because its claimed
+//! blocks are already linked to the top and are not rewritten, while
+//! every parked block is rewritten `FREE`. A recovery row may go down
+//! with a change, never up.
 
 use cxl0::model::{Loc, MachineId, SystemConfig};
 use cxl0::runtime::api::{Cluster, PersistMode, Session};
