@@ -236,20 +236,24 @@ impl Magazine {
         (self.len > 0).then(|| self.parked[(self.oldest + self.len - 1) % MAG_DEPTH].0)
     }
 
-    /// Splits `owned` into the blocks a push may park — in order, of
-    /// the parked blocks' class (the first block's when there are none),
-    /// up to the room left, none while torn — and the rest.
-    fn split(&self, owned: Vec<Owned>) -> (Vec<Owned>, Vec<Owned>) {
+    /// Moves the blocks a push may park to the front of `owned` and
+    /// returns how many: in order, of the parked blocks' class (the
+    /// first block's when there are none), up to the room left, none
+    /// while torn. The rest keep their order behind them.
+    fn split(&self, owned: &mut [Owned]) -> usize {
         let class = match owned.first() {
             Some(b) if self.len == 0 => b.class(),
             _ => self.class,
         };
-        let mut room = if self.torn { 0 } else { MAG_DEPTH - self.len };
-        owned.into_iter().partition(|b| {
-            let fits = b.class() == class && room > 0;
-            room -= usize::from(fits);
-            fits
-        })
+        let room = if self.torn { 0 } else { MAG_DEPTH - self.len };
+        let mut fit = 0;
+        for i in 0..owned.len() {
+            if fit < room && owned[i].class() == class {
+                owned[fit..=i].rotate_right(1);
+                fit += 1;
+            }
+        }
+        fit
     }
 
     fn push_newest(&mut self, block: (u32, u64)) {
@@ -793,7 +797,7 @@ impl Allocator {
         let block = self
             .freeable(node, payload)?
             .map(|hdr| Owned::new(payload, hdr));
-        let freed = self.free_owned(node, block.into_iter().collect(), true)?;
+        let freed = self.free_owned(node, block.ok().as_mut_slice(), true)?;
         // A racing free won the claim.
         Ok(block.and_then(|_| (freed == 1).then_some(()).ok_or(FreeError::DoubleFree)))
     }
@@ -823,7 +827,7 @@ impl Allocator {
                 owned.push(Owned::new(payload, hdr));
             }
         }
-        self.free_owned(node, owned, false)
+        self.free_owned(node, &mut owned, false)
     }
 
     /// The one free path, for incarnations the caller may free — a ripe
@@ -845,18 +849,16 @@ impl Allocator {
     pub(crate) fn free_owned(
         &self,
         node: &NodeHandle,
-        owned: Vec<Owned>,
+        owned: &mut [Owned],
         park: bool,
     ) -> OpResult<usize> {
         let mut mag = self.magazine().filter(|_| park);
-        let (fit, mut rest) = match &mag {
-            Some((_, mag)) => mag.split(owned),
-            None => (Vec::new(), owned),
-        };
+        let fit = mag.as_ref().map_or(0, |(_, mag)| mag.split(owned));
+        let (fit, rest) = owned.split_at_mut(fit);
         let mut push = || -> OpResult<usize> {
             let mut freed = 0;
             if let Some((slot, mag)) = mag.as_mut().filter(|_| !fit.is_empty()) {
-                freed += self.claim_runs(node, *slot, Some(mag), &fit)?;
+                freed += self.claim_runs(node, *slot, Some(mag), fit)?;
             }
             if !rest.is_empty() {
                 // Stable: within a class the caller's order is the chain's.

@@ -474,7 +474,7 @@ impl SmrDomain {
             // Into the draining thread's magazine as far as it has
             // room, the rest as one chain per size class. A block whose
             // incarnation moved on (retired twice) is refused, not freed.
-            match self.alloc.free_owned(node, bag.blocks.clone(), true) {
+            match self.alloc.free_owned(node, &mut bag.blocks.clone(), true) {
                 Ok(n) => {
                     freed += n;
                     self.reclaims.fetch_add(n as u64, Ordering::Relaxed);
@@ -518,9 +518,9 @@ impl SmrDomain {
         }
         node.check_smr_recover();
         let mut limbo = self.limbo.lock();
-        let blocks: Vec<Owned> = limbo.iter().flat_map(|bag| &bag.blocks).copied().collect();
+        let mut blocks: Vec<Owned> = limbo.iter().flat_map(|bag| &bag.blocks).copied().collect();
         let filed = blocks.len() as u64;
-        let swept = self.alloc.free_owned(node, blocks, false)?;
+        let swept = self.alloc.free_owned(node, &mut blocks, false)?;
         limbo.clear();
         self.limbo_len.fetch_sub(filed, Ordering::Relaxed);
         self.reclaims.fetch_add(swept as u64, Ordering::Relaxed);
