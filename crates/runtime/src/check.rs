@@ -744,47 +744,61 @@ impl Checker {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::alloc::layout::ptr_word;
+    use crate::backend::{thread_slot_index, NodeHandle, SimFabric};
+    use cxl0_model::SystemConfig;
 
+    /// The memory node: owner of every cell the tests touch.
     const M: MachineId = MachineId(1);
 
     fn loc(a: u32) -> Loc {
         Loc::new(M, a)
     }
 
-    fn checker() -> Checker {
-        Checker::new(CheckConfig::default())
+    /// A two-machine NVM fabric with a checker installed, and a handle
+    /// on the compute machine 0.
+    fn armed(cfg: CheckConfig) -> (Arc<SimFabric>, Arc<Checker>, NodeHandle) {
+        let f = SimFabric::new(SystemConfig::symmetric_nvm(2, 64));
+        let ck = Arc::new(Checker::new(cfg));
+        f.install_checker(Arc::clone(&ck));
+        let node = f.node(MachineId(0));
+        (f, ck, node)
+    }
+
+    fn checked() -> (Arc<SimFabric>, Arc<Checker>, NodeHandle) {
+        armed(CheckConfig::default())
     }
 
     /// A publication of a fully-persisted block is silent; the same
     /// publication with one dirty cell is a durability race.
     #[test]
     fn publication_of_dirty_block_is_a_race() {
-        let ck = checker();
+        let (_f, ck, node) = checked();
         // Root block (header) @10, 2 cells; node block @20, 2 cells.
-        ck.on_alloc(loc(10), 2, 5);
-        ck.on_alloc(loc(20), 2, 7);
+        node.check_alloc(loc(10), 2, 5);
+        node.check_alloc(loc(20), 2, 7);
         // Node payload: value persisted, link persisted.
-        ck.on_mutate(Some((M, 0)), loc(20), 0, 42, 42);
-        ck.on_mutate(Some((M, 0)), loc(21), 0, 9, 9);
+        node.mstore(loc(20), 42).unwrap();
+        node.mstore(loc(21), 9).unwrap();
         // Root registered: reach seeds from the header block.
-        ck.add_root(loc(10));
+        node.check_add_root(loc(10));
         assert_eq!(ck.durability_races(), 0);
         // Link in the root block persists a pointer to the node: clean.
-        let p = crate::alloc::layout::ptr_word(20, 7);
-        ck.on_mutate(Some((M, 0)), loc(10), 0, p, p);
+        node.mstore(loc(10), ptr_word(20, 7)).unwrap();
         assert_eq!(ck.durability_races(), 0);
 
         // Now a second node whose value never persisted...
-        let ck = checker();
-        ck.on_alloc(loc(10), 2, 5);
-        ck.on_alloc(loc(20), 2, 7);
+        let (_f, ck, node) = checked();
+        node.check_alloc(loc(10), 2, 5);
+        node.check_alloc(loc(20), 2, 7);
         // Dirty value: held in a cache, memory stale.
-        ck.on_mutate(Some((M, 0)), loc(20), 1 << 1, 42, 0);
-        ck.add_root(loc(10));
-        let p = crate::alloc::layout::ptr_word(20, 7);
-        ck.on_mutate(Some((M, 0)), loc(10), 0, p, p);
+        node.lstore(loc(20), 42).unwrap();
+        node.check_add_root(loc(10));
+        node.mstore(loc(10), ptr_word(20, 7)).unwrap();
         assert_eq!(ck.durability_races(), 1);
-        assert_eq!(ck.violations()[0].class, ViolationClass::DurabilityRace);
+        let v = &ck.violations()[0];
+        assert_eq!(v.class, ViolationClass::DurabilityRace);
+        assert_eq!(v.loc, loc(20), "blamed at the dirty cell");
     }
 
     /// Scalars whose generation bits are zero never alias a pointer
@@ -792,17 +806,16 @@ mod tests {
     /// do not publish.
     #[test]
     fn scalars_and_stale_pointers_do_not_publish() {
-        let ck = checker();
-        ck.on_alloc(loc(10), 1, 3);
-        ck.on_alloc(loc(20), 2, 7);
-        ck.on_mutate(Some((M, 0)), loc(20), 1 << 1, 1, 0); // dirty
-        ck.add_root(loc(10));
+        let (_f, ck, node) = checked();
+        node.check_alloc(loc(10), 1, 3);
+        node.check_alloc(loc(20), 2, 7);
+        node.lstore(loc(20), 1).unwrap(); // dirty
+        node.check_add_root(loc(10));
         // A scalar that happens to decode to address 20 but carries gen 0.
-        ck.on_mutate(Some((M, 0)), loc(10), 0, 21, 21);
+        node.mstore(loc(10), 21).unwrap();
         assert_eq!(ck.durability_races(), 0);
         // A stale-generation pointer to the same block.
-        let stale = crate::alloc::layout::ptr_word(20, 6);
-        ck.on_mutate(Some((M, 0)), loc(10), 0, stale, stale);
+        node.mstore(loc(10), ptr_word(20, 6)).unwrap();
         assert_eq!(ck.durability_races(), 0);
     }
 
@@ -810,25 +823,29 @@ mod tests {
     /// in the crash fires on the next read; a drained value does not.
     #[test]
     fn lost_ack_fires_on_recovery_read() {
-        let ck = checker();
-        // Store settles into machine 1's cache only (the FlitX86 shape).
-        ck.on_mutate(Some((M, 0)), loc(5), 1 << 1, 7, 0);
-        ck.on_ack(M, loc(5));
-        // Crash machine 1; its memory is NVM (not zeroed).
-        ck.on_crash(1 << 1, 0, false);
-        ck.on_load((MachineId(0), 0), loc(5));
+        let (f, ck, node) = checked();
+        // A non-owner's local flush settles the store into the owner's
+        // cache only (the FlitX86 shape), and the strategy acks it.
+        node.lstore(loc(5), 7).unwrap();
+        node.lflush(loc(5)).unwrap();
+        node.ack_persist(loc(5));
+        // Crash the owner; its memory is NVM (not zeroed).
+        f.crash(M);
+        f.recover(M);
+        assert_eq!(node.load(loc(5)).unwrap(), 0);
         assert_eq!(ck.unpersisted_reads(), 1);
         // Fires once per lost value.
-        ck.on_load((MachineId(0), 0), loc(5));
+        node.load(loc(5)).unwrap();
         assert_eq!(ck.unpersisted_reads(), 1);
 
-        let ck = checker();
-        ck.on_mutate(Some((M, 0)), loc(5), 1 << 1, 7, 0);
+        let (f, ck, node) = checked();
+        node.lstore(loc(5), 7).unwrap();
         // Drain before the ack: clean, nothing at risk.
-        ck.on_mutate(None, loc(5), 1 << 1, 7, 7);
-        ck.on_ack(M, loc(5));
-        ck.on_crash(1 << 1, 0, false);
-        ck.on_load((MachineId(0), 0), loc(5));
+        node.rflush(loc(5)).unwrap();
+        node.ack_persist(loc(5));
+        f.crash(M);
+        f.recover(M);
+        assert_eq!(node.load(loc(5)).unwrap(), 7);
         assert_eq!(ck.unpersisted_reads(), 0);
     }
 
@@ -836,26 +853,28 @@ mod tests {
     /// blocks never by a pinned thread.
     #[test]
     fn retire_lifecycle_rules() {
-        let ck = checker();
-        ck.on_alloc(loc(30), 2, 4);
-        ck.on_retire(loc(30), 10);
+        let (_f, ck, node) = checked();
+        let slot = thread_slot_index();
+        node.check_alloc(loc(30), 2, 4);
+        node.check_retire(loc(30), 10);
         // Unpinned access to a retired block: violation.
-        ck.on_load((M, 3), loc(31));
+        node.load(loc(31)).unwrap();
         assert_eq!(ck.use_after_retire(), 1);
         // Access under a protecting pin (epoch ≤ retire + 1): fine.
-        ck.on_pin(4, 10);
-        ck.on_load((M, 4), loc(31));
+        ck.on_pin(slot, 10);
+        node.load(loc(31)).unwrap();
         assert_eq!(ck.use_after_retire(), 1);
-        ck.on_unpin(4);
+        ck.on_unpin(slot);
         // Freed block touched by a pinned thread: the seeded inline-free
         // bug's signature.
-        ck.on_free(loc(30));
-        ck.on_pin(5, 12);
-        ck.on_load((M, 5), loc(30));
+        node.check_free(loc(30));
+        ck.on_pin(slot, 12);
+        node.load(loc(30)).unwrap();
         assert_eq!(ck.use_after_retire(), 2);
+        ck.on_unpin(slot);
         // Unpinned read of a freed cell is the counted-pointer
         // structures' legal pattern.
-        ck.on_load((M, 6), loc(30));
+        node.load(loc(30)).unwrap();
         assert_eq!(ck.use_after_retire(), 2);
     }
 
@@ -864,28 +883,29 @@ mod tests {
     /// regardless of drain order.
     #[test]
     fn barrier_batch_orders_persists_before_publications() {
-        let ck = checker();
-        ck.on_alloc(loc(10), 1, 3);
-        ck.on_alloc(loc(20), 2, 7);
-        ck.add_root(loc(10));
+        let (_f, ck, node) = checked();
+        node.check_alloc(loc(10), 1, 3);
+        node.check_alloc(loc(20), 2, 7);
+        node.check_add_root(loc(10));
         // Cache writes: value and the root's link, all pending.
-        ck.on_mutate(Some((M, 0)), loc(20), 1 << 1, 42, 0);
-        ck.on_mutate(Some((M, 0)), loc(21), 1 << 1, 9, 9);
-        let p = crate::alloc::layout::ptr_word(20, 7);
-        ck.on_mutate(Some((M, 0)), loc(10), 1 << 1, p, 0);
-        // One barrier retires both — link first in the batch.
-        ck.on_barrier(Some((M, 0)), &[(loc(10), 0, p, p), (loc(20), 0, 42, 42)]);
+        node.lstore(loc(20), 42).unwrap();
+        node.mstore(loc(21), 9).unwrap();
+        node.lstore(loc(10), ptr_word(20, 7)).unwrap();
+        node.aflush(loc(20)).unwrap();
+        node.aflush(loc(10)).unwrap();
+        // One barrier retires both — the link's shard drains first.
+        assert_eq!(node.barrier().unwrap(), 2);
         assert_eq!(ck.durability_races(), 0);
     }
 
     #[test]
     fn fingerprint_distinguishes_persist_states() {
-        let ck = checker();
+        let (_f, ck, node) = checked();
         let f0 = ck.fingerprint();
-        ck.on_mutate(Some((M, 0)), loc(5), 1 << 1, 7, 0);
+        node.lstore(loc(5), 7).unwrap();
         let f1 = ck.fingerprint();
         assert_ne!(f0, f1);
-        ck.on_mutate(None, loc(5), 1 << 1, 7, 7);
+        node.rflush(loc(5)).unwrap();
         let f2 = ck.fingerprint();
         assert_ne!(f1, f2);
     }
@@ -893,12 +913,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "persistency sanitizer")]
     fn fail_fast_panics() {
-        let ck = Checker::new(CheckConfig {
+        let (_f, _ck, node) = armed(CheckConfig {
             fail_fast: true,
             ..CheckConfig::default()
         });
-        ck.on_alloc(loc(30), 1, 4);
-        ck.on_retire(loc(30), 1);
-        ck.on_load((M, 0), loc(30));
+        node.check_alloc(loc(30), 1, 4);
+        node.check_retire(loc(30), 1);
+        let _ = node.load(loc(30));
     }
 }

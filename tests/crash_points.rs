@@ -152,3 +152,28 @@ fn fingerprints_identify_repeat_states() {
     }
     assert_eq!(runs[0], runs[1], "scripted runs fingerprint identically");
 }
+
+/// The op-boundary fingerprints of the scripted run, as a partition:
+/// entry `i` is the first boundary whose fingerprint equals boundary
+/// `i`'s. Boundaries that repeat a state map to an earlier index, so a
+/// change to what the fingerprint covers can neither merge two
+/// crash-distinct states nor split two crash-equivalent ones unnoticed.
+#[test]
+fn fingerprint_partition_of_the_scripted_run_is_pinned() {
+    let cluster = sanitized_cluster();
+    let ck = Arc::clone(cluster.checker().unwrap());
+    let session = cluster.session(MachineId(0));
+    let q = session.create_queue::<u64>("q").unwrap();
+    let mut fps = vec![ck.fingerprint()];
+    assert!(run_script(&session, &q, &Recorder::new(), || {
+        fps.push(ck.fingerprint())
+    }));
+    let classes: Vec<usize> = fps
+        .iter()
+        .map(|f| fps.iter().position(|g| g == f).unwrap())
+        .collect();
+    let distinct = classes.iter().enumerate().filter(|&(i, &c)| i == c).count();
+    // Only the empty dequeue (op 7) leaves the persist state as it was.
+    assert_eq!(distinct, 12, "{classes:?}");
+    assert_eq!(classes, [0, 1, 2, 3, 4, 5, 6, 6, 8, 9, 10, 11, 12]);
+}
