@@ -2,7 +2,7 @@
 //! workload.
 
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 
 use cxl0::dlcheck::{Event, History};
 use cxl0::model::MachineId;
@@ -16,7 +16,9 @@ use cxl0::runtime::{NodeHandle, SimFabric};
 /// `mem` right before half that many, through the fabric's crash point.
 /// The worker that issues that primitive dies mid-operation, `steps`
 /// ends for the others, and `mem` is recovered once every worker has
-/// returned. Returns the crashed run's shared state.
+/// returned. Returns the crashed run's shared state. Workers wait on
+/// one start barrier before their first operation, so their traffic
+/// overlaps instead of running one thread after another.
 ///
 /// Concurrent traffic varies from run to run (batching, elimination,
 /// retries): a run that ends before the crash point fires — or a dry
@@ -35,16 +37,21 @@ where
     let work = Arc::new(work);
     let run = |fabric: &Arc<SimFabric>, shared: &T| {
         let before = fabric.stats().total_ops();
+        let start = Arc::new(Barrier::new(threads));
         let handles: Vec<_> = (0..threads)
             .map(|t| {
                 let (work, shared) = (Arc::clone(&work), shared.clone());
+                let start = Arc::clone(&start);
                 let node = fabric.node(MachineId(t % 2));
                 let steps = Steps {
                     fabric: Arc::clone(fabric),
                     mem,
                     next: 0,
                 };
-                std::thread::spawn(move || work(t, &shared, &node, steps))
+                std::thread::spawn(move || {
+                    start.wait();
+                    work(t, &shared, &node, steps)
+                })
             })
             .collect();
         for h in handles {
