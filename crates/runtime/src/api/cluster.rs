@@ -223,7 +223,7 @@ impl ClusterBuilder {
 
         let fabric = SimFabric::new(self.cfg.clone());
         // Arm the sanitizer before any traffic (the allocator format
-        // below must already be mirrored). An explicit `with_checker`
+        // below must already be seen). An explicit `with_checker`
         // wins; otherwise `CXL0_SANITIZE=1` arms a mode-derived
         // configuration: durability races only under strict modes
         // (buffered modes legally persist out of publication order),

@@ -86,6 +86,7 @@ use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use crate::check::{CellMarks, Checker};
 use crate::cost::CostModel;
 use crate::error::{Crashed, OpResult};
 
@@ -446,7 +447,7 @@ pub struct StatsSnapshot {
     pub smr_limbo: u64,
     /// Persistency sanitizer: durability races detected. Zero in
     /// raw-fabric snapshots and when no checker is installed; populated
-    /// by the cluster layer from [`Checker`](crate::check::Checker)
+    /// by the cluster layer from [`Checker`]
     /// counters. A *gauge* for [`StatsSnapshot::since`] purposes: the
     /// running total is what you want to assert on.
     pub check_durability_races: u64,
@@ -558,13 +559,16 @@ impl StatsSnapshot {
 /// read-modify-write. All field accesses are atomics, so the seqlock is
 /// race-free by construction (no torn reads are possible, only
 /// inconsistent snapshots, which validation discards).
+/// The line's spare bytes hold the sanitizer's conclusions about the
+/// cell, so a checker allocates nothing per cell.
 #[repr(align(64))]
 #[derive(Debug)]
-struct LocCell {
+pub(crate) struct LocCell {
     seq: AtomicU64,
     holders: AtomicU64,
     cache_val: AtomicU64,
     mem_val: AtomicU64,
+    pub(crate) marks: CellMarks,
 }
 
 /// Spins until `attempt` yields a value, backing off to a scheduler
@@ -592,11 +596,18 @@ impl LocCell {
             holders: AtomicU64::new(0),
             cache_val: AtomicU64::new(0),
             mem_val: AtomicU64::new(0),
+            marks: CellMarks::default(),
         }
     }
 
+    /// The owner's memory word, one atomic load outside the lock: the
+    /// last value some writer stored under it.
+    pub(crate) fn mem_now(&self) -> u64 {
+        self.mem_val.load(Ordering::Acquire)
+    }
+
     /// Acquires the writer lock.
-    fn lock(&self) -> CellGuard<'_> {
+    pub(crate) fn lock(&self) -> CellGuard<'_> {
         spin_until(|| {
             let s = self.seq.load(Ordering::Relaxed);
             if s & 1 == 0
@@ -617,7 +628,7 @@ impl LocCell {
 
     /// An optimistic consistent snapshot `(holders, cache_val, mem_val)`
     /// (the canonical seqlock read protocol).
-    fn read(&self) -> (u64, u64, u64) {
+    pub(crate) fn read(&self) -> (u64, u64, u64) {
         spin_until(|| {
             let s1 = self.seq.load(Ordering::Acquire);
             if s1 & 1 == 0 {
@@ -641,13 +652,13 @@ impl LocCell {
 /// publish a field store ahead of the seq-odd store and let an
 /// optimistic reader validate a torn snapshot against the stale even
 /// sequence value. (`Release` stores are free on x86.)
-struct CellGuard<'a> {
+pub(crate) struct CellGuard<'a> {
     cell: &'a LocCell,
     unlocked_seq: u64,
 }
 
 impl CellGuard<'_> {
-    fn holders(&self) -> u64 {
+    pub(crate) fn holders(&self) -> u64 {
         self.cell.holders.load(Ordering::Relaxed)
     }
 
@@ -655,7 +666,7 @@ impl CellGuard<'_> {
         self.cell.holders.store(v, Ordering::Release);
     }
 
-    fn cache_val(&self) -> u64 {
+    pub(crate) fn cache_val(&self) -> u64 {
         self.cell.cache_val.load(Ordering::Relaxed)
     }
 
@@ -663,8 +674,13 @@ impl CellGuard<'_> {
         self.cell.cache_val.store(v, Ordering::Release);
     }
 
-    fn mem_val(&self) -> u64 {
+    pub(crate) fn mem_val(&self) -> u64 {
         self.cell.mem_val.load(Ordering::Relaxed)
+    }
+
+    /// The sanitizer's marks on the locked cell.
+    pub(crate) fn marks(&self) -> &CellMarks {
+        &self.cell.marks
     }
 
     fn set_mem_val(&self, v: u64) {
@@ -838,10 +854,10 @@ pub struct SimFabric {
     stats: Stats,
     cost: CostModel,
     /// The persistency sanitizer, when one is installed
-    /// ([`SimFabric::install_checker`]). Hooks are called with the
-    /// affected cell's writer lock held; the checker never touches
-    /// cells, so the cell → checker lock order is acyclic.
-    checker: OnceLock<Arc<crate::check::Checker>>,
+    /// ([`SimFabric::install_checker`]). Hooks run under the affected
+    /// cell's writer lock; the checker never waits on a cell while
+    /// holding its own lock, so the cell → checker order is acyclic.
+    checker: OnceLock<Arc<Checker>>,
     /// The runtime tracer, when one is installed
     /// ([`SimFabric::install_tracer`]). Like the checker, absent by
     /// default: every seam is then a single `OnceLock` load and issues
@@ -896,12 +912,14 @@ impl SimFabric {
     /// checker per fabric; later calls are ignored. Prefer
     /// [`ClusterBuilder::with_checker`](crate::api::ClusterBuilder::with_checker),
     /// which also wires the allocator, SMR domain and root registry.
-    pub fn install_checker(&self, checker: Arc<crate::check::Checker>) {
-        let _ = self.checker.set(checker);
+    pub fn install_checker(self: &Arc<Self>, checker: Arc<Checker>) {
+        if self.checker.set(Arc::clone(&checker)).is_ok() {
+            checker.attach(Arc::downgrade(self));
+        }
     }
 
     /// The installed persistency sanitizer, if any.
-    pub fn checker(&self) -> Option<&Arc<crate::check::Checker>> {
+    pub fn checker(&self) -> Option<&Arc<Checker>> {
         self.checker.get()
     }
 
@@ -952,7 +970,7 @@ impl SimFabric {
         self.crash_word.crashed.load(Ordering::Acquire) & (1u64 << m.index()) != 0
     }
 
-    fn cell(&self, loc: Loc) -> &LocCell {
+    pub(crate) fn cell(&self, loc: Loc) -> &LocCell {
         let (base, count) = self.extents[loc.owner.index()];
         assert!(
             loc.addr.index() < count as usize,
@@ -962,6 +980,50 @@ impl SimFabric {
             count
         );
         &self.cells[base + loc.addr.index()]
+    }
+
+    /// Calls `f` on every cell of the slab with its location.
+    pub(crate) fn each_cell(&self, mut f: impl FnMut(Loc, &LocCell)) {
+        for (m, &(base, count)) in self.extents.iter().enumerate() {
+            for a in 0..count {
+                f(Loc::new(MachineId(m), a), &self.cells[base + a as usize]);
+            }
+        }
+    }
+
+    /// Runs `f`, a mutation of `loc` under its writer lock `st`, and
+    /// hands a checker the settled cell and the memory word `f` replaced.
+    /// `by` is the issuing machine (`None`: background, a load's copy).
+    fn settle(&self, by: Option<MachineId>, loc: Loc, st: &CellGuard<'_>, f: impl FnOnce()) {
+        match self.checker.get() {
+            None => f(),
+            Some(ck) => {
+                let old_mem = st.mem_val();
+                f();
+                ck.on_mutate(self, by.map(|m| (m, thread_slot_index())), loc, old_mem, st);
+            }
+        }
+    }
+
+    /// Drains `loc` under its writer lock `st` as one line of a batch (a
+    /// barrier or a `GPF`): a checker `ck` settles the cell here and
+    /// judges the `changed` memory words after the whole batch.
+    fn drain_in_batch(
+        ck: Option<&Arc<Checker>>,
+        loc: Loc,
+        st: &CellGuard<'_>,
+        changed: &mut Vec<(Loc, u64)>,
+    ) {
+        match ck {
+            None => st.drain(),
+            Some(ck) => {
+                let old_mem = st.mem_val();
+                st.drain();
+                if ck.settle(st, old_mem) {
+                    changed.push((loc, st.mem_val()));
+                }
+            }
+        }
     }
 
     /// Crashes machine `m`: stop-the-world, wipe `m`'s cache entries
@@ -984,7 +1046,6 @@ impl SimFabric {
         let _serial = self.crash_lock.lock();
         self.crash_word.halted.fetch_or(HALTED, Ordering::SeqCst);
         self.stats.await_quiescent();
-        let mut zeroed_bits = 0u64;
         for d in self.cfg.machines() {
             let bit = 1u64 << d.index();
             if crashed_bits & bit == 0 {
@@ -993,9 +1054,6 @@ impl SimFabric {
             self.crash_word.crashed.fetch_or(bit, Ordering::SeqCst);
             // Un-retired asynchronous flush requests die with the machine.
             self.pending[d.index()].clear();
-            if self.cfg.machine(d).memory == MemoryKind::Volatile {
-                zeroed_bits |= bit;
-            }
             for owner in self.cfg.machines() {
                 for a in 0..self.cfg.machine(owner).locations {
                     let st = self.cells[self.extents[owner.index()].0 + a as usize].lock();
@@ -1015,9 +1073,11 @@ impl SimFabric {
             }
         }
         if let Some(ck) = self.checker.get() {
-            // The world is stopped: the shadow sees the same atomic
-            // transition the fabric just performed.
-            ck.on_crash(crashed_bits, zeroed_bits, self.variant == ModelVariant::Psn);
+            // The world is still stopped: the checker reads what the
+            // crash left of every cell.
+            for cell in self.cells.iter() {
+                ck.on_crash(cell);
+            }
         }
         if let Some(tr) = self.tracer.get() {
             // Seal the incarnation while the world is still stopped:
@@ -1082,43 +1142,36 @@ impl SimFabric {
                 continue;
             }
             let owner_bit = 1u64 << loc.owner.index();
-            if st.holders() & owner_bit != 0 && rng.gen_bool(0.5) {
-                // Propagate-C-M: owner's cache → owner's memory.
-                st.drain();
-            } else {
-                // Propagate-C-C: a random non-owner holder → owner.
-                let others = st.holders() & !owner_bit;
-                if others != 0 {
-                    let idx = pick_bit(others, &mut rng);
-                    st.set_holders((st.holders() & !(1u64 << idx)) | owner_bit);
+            self.settle(None, loc, &st, || {
+                if st.holders() & owner_bit != 0 && rng.gen_bool(0.5) {
+                    // Propagate-C-M: owner's cache → owner's memory.
+                    st.drain();
+                } else {
+                    // Propagate-C-C: a random non-owner holder → owner.
+                    let others = st.holders() & !owner_bit;
+                    if others != 0 {
+                        let idx = pick_bit(others, &mut rng);
+                        st.set_holders((st.holders() & !(1u64 << idx)) | owner_bit);
+                    }
                 }
-            }
-            if let Some(ck) = self.checker.get() {
-                ck.on_mutate(None, loc, st.holders(), st.cache_val(), st.mem_val());
-            }
+            });
         }
     }
 
     /// Drains every cache to memory (the state change a successful `GPF`
     /// waits for). Exposed for orderly-shutdown scenarios.
     pub fn drain_all(&self) {
-        // The sanitizer mirrors the drain as one batch, like a
-        // barrier's: no cell's drain order can read as a race.
-        let mut batch = Vec::new();
-        for owner in self.cfg.machines() {
-            let (base, count) = self.extents[owner.index()];
-            for a in 0..count {
-                let cell = &self.cells[base + a as usize];
-                // Cheap optimistic skip: most cells are uncached.
-                if cell.read().0 != 0 {
-                    let (loc, st) = (Loc::new(owner, a), cell.lock());
-                    st.drain();
-                    batch.push((loc, st.holders(), st.cache_val(), st.mem_val()));
-                }
+        // The sanitizer judges the drain as one batch, like a barrier's.
+        let ck = self.checker.get();
+        let mut changed = Vec::new();
+        self.each_cell(|loc, cell| {
+            // Cheap optimistic skip: most cells are uncached.
+            if cell.read().0 != 0 {
+                Self::drain_in_batch(ck, loc, &cell.lock(), &mut changed);
             }
-        }
-        if let Some(ck) = self.checker.get() {
-            ck.on_barrier(None, &batch);
+        });
+        if let Some(ck) = ck {
+            ck.publish(self, None, &changed);
         }
     }
 
@@ -1281,24 +1334,31 @@ impl NodeHandle {
         self.fabric.cost.cost(p, self.machine == loc.owner)
     }
 
-    /// Sanitizer hook: mirror a settled mutation of `loc` (called with
-    /// the cell's writer lock held, so per-cell event order is exact).
-    fn check_mutate(&self, loc: Loc, st: &CellGuard<'_>) {
-        if let Some(ck) = self.fabric.checker.get() {
-            ck.on_mutate(
-                Some((self.machine, thread_slot_index())),
-                loc,
-                st.holders(),
-                st.cache_val(),
-                st.mem_val(),
-            );
-        }
+    /// The three store rules: installs `v` at `loc` under its writer
+    /// lock `st` with strength `kind`.
+    fn store_locked(&self, kind: StoreKind, loc: Loc, st: &CellGuard<'_>, v: u64) {
+        let by = Some(self.machine);
+        self.fabric.settle(by, loc, st, || match kind {
+            StoreKind::Local => {
+                st.set_cache_val(v);
+                st.set_holders(1u64 << self.machine.index());
+            }
+            StoreKind::Remote => {
+                st.set_cache_val(v);
+                st.set_holders(1u64 << loc.owner.index());
+            }
+            StoreKind::Memory => {
+                st.set_mem_val(v);
+                st.set_holders(0);
+            }
+        });
     }
 
     /// Sanitizer hook: an application read of `loc`.
     fn check_load(&self, loc: Loc) {
         if let Some(ck) = self.fabric.checker.get() {
-            ck.on_load((self.machine, thread_slot_index()), loc);
+            let who = (self.machine, thread_slot_index());
+            ck.on_load(who, loc, self.fabric.cell(loc));
         }
     }
 
@@ -1307,7 +1367,7 @@ impl NodeHandle {
     /// as durable. No-op without a checker or tracer.
     pub(crate) fn ack_persist(&self, loc: Loc) {
         if let Some(ck) = self.fabric.checker.get() {
-            ck.on_ack(self.machine, loc);
+            ck.on_ack(self.fabric.cell(loc));
         }
         if let Some(tr) = self.fabric.tracer.get() {
             tr.on_persist_ack();
@@ -1387,7 +1447,7 @@ impl NodeHandle {
     /// `header` became durably reachable by name.
     pub(crate) fn check_add_root(&self, header: Loc) {
         if let Some(ck) = self.fabric.checker.get() {
-            ck.add_root(header);
+            ck.add_root(&self.fabric, header);
         }
     }
 
@@ -1462,14 +1522,10 @@ impl NodeHandle {
             ModelVariant::Base | ModelVariant::Psn => {
                 let st = cell.lock();
                 if st.holders() != 0 {
-                    // LOAD-from-C: copy into the issuer's cache.
-                    st.set_holders(st.holders() | bit);
-                    // Mirror the holder change only (a load is not a
-                    // mutation of the value: no provenance, no
-                    // lost-value clobber).
-                    if let Some(ck) = self.fabric.checker.get() {
-                        ck.on_mutate(None, loc, st.holders(), st.cache_val(), st.mem_val());
-                    }
+                    // LOAD-from-C: copy into the issuer's cache (a load
+                    // is not a mutation of the value: no provenance).
+                    self.fabric
+                        .settle(None, loc, &st, || st.set_holders(st.holders() | bit));
                     Ok(st.cache_val())
                 } else {
                     // LOAD-from-M (no copy).
@@ -1483,10 +1539,7 @@ impl NodeHandle {
                 } else {
                     // Blocking until the line drains to memory ≡ force
                     // the drain, then read memory.
-                    st.drain();
-                    if let Some(ck) = self.fabric.checker.get() {
-                        ck.on_mutate(None, loc, st.holders(), st.cache_val(), st.mem_val());
-                    }
+                    self.fabric.settle(None, loc, &st, || st.drain());
                     Ok(st.mem_val())
                 }
             }
@@ -1501,10 +1554,7 @@ impl NodeHandle {
     pub fn lstore(&self, loc: Loc, v: u64) -> OpResult<()> {
         let g = self.enter::<true>()?;
         g.charge(OpClass::LStores, self.op_cost(Primitive::LStore, loc));
-        let st = self.fabric.cell(loc).lock();
-        st.set_cache_val(v);
-        st.set_holders(1u64 << self.machine.index());
-        self.check_mutate(loc, &st);
+        self.store_locked(StoreKind::Local, loc, &self.fabric.cell(loc).lock(), v);
         Ok(())
     }
 
@@ -1516,10 +1566,7 @@ impl NodeHandle {
     pub fn rstore(&self, loc: Loc, v: u64) -> OpResult<()> {
         let g = self.enter::<true>()?;
         g.charge(OpClass::RStores, self.op_cost(Primitive::RStore, loc));
-        let st = self.fabric.cell(loc).lock();
-        st.set_cache_val(v);
-        st.set_holders(1u64 << loc.owner.index());
-        self.check_mutate(loc, &st);
+        self.store_locked(StoreKind::Remote, loc, &self.fabric.cell(loc).lock(), v);
         Ok(())
     }
 
@@ -1531,10 +1578,7 @@ impl NodeHandle {
     pub fn mstore(&self, loc: Loc, v: u64) -> OpResult<()> {
         let g = self.enter::<true>()?;
         g.charge(OpClass::MStores, self.op_cost(Primitive::MStore, loc));
-        let st = self.fabric.cell(loc).lock();
-        st.set_mem_val(v);
-        st.set_holders(0);
-        self.check_mutate(loc, &st);
+        self.store_locked(StoreKind::Memory, loc, &self.fabric.cell(loc).lock(), v);
         Ok(())
     }
 
@@ -1570,14 +1614,15 @@ impl NodeHandle {
         let owner_bit = 1u64 << loc.owner.index();
         let st = cell.lock();
         if st.holders() & bit != 0 {
-            if self.machine == loc.owner {
-                // Propagate-C-M.
-                st.drain();
-            } else {
-                // Propagate-C-C toward the owner.
-                st.set_holders((st.holders() & !bit) | owner_bit);
-            }
-            self.check_mutate(loc, &st);
+            self.fabric.settle(Some(self.machine), loc, &st, || {
+                if self.machine == loc.owner {
+                    // Propagate-C-M.
+                    st.drain();
+                } else {
+                    // Propagate-C-C toward the owner.
+                    st.set_holders((st.holders() & !bit) | owner_bit);
+                }
+            });
         }
         Ok(())
     }
@@ -1596,8 +1641,8 @@ impl NodeHandle {
             return Ok(());
         }
         let st = cell.lock();
-        st.drain();
-        self.check_mutate(loc, &st);
+        self.fabric
+            .settle(Some(self.machine), loc, &st, || st.drain());
         Ok(())
     }
 
@@ -1657,26 +1702,19 @@ impl NodeHandle {
         // per-line full-RFlush costs: track the slowest line and the
         // count instead of collecting a vector.
         let mut max_line = 0u64;
-        // With a checker installed, collect each retired line's
-        // post-drain state (under its lock) and report the whole batch
-        // at once: persists are mirrored before publication checks, so
-        // intra-barrier drain order can never read as a race.
-        let checking = self.fabric.checker.get().is_some();
-        let mut batch = Vec::new();
+        let ck = self.fabric.checker.get();
+        let mut changed = Vec::new();
         let retired = self.fabric.pending[self.machine.index()].retire(|loc| {
             let cell = self.fabric.cell(loc);
             if cell.read().0 != 0 {
-                let st = cell.lock();
-                st.drain();
-                if checking {
-                    batch.push((loc, st.holders(), st.cache_val(), st.mem_val()));
-                }
+                SimFabric::drain_in_batch(ck, loc, &cell.lock(), &mut changed);
             }
             let local = self.machine == loc.owner;
             max_line = max_line.max(self.fabric.cost.cost(Primitive::RFlush, local));
         });
-        if let Some(ck) = self.fabric.checker.get() {
-            ck.on_barrier(Some((self.machine, thread_slot_index())), &batch);
+        if let Some(ck) = ck {
+            let who = Some((self.machine, thread_slot_index()));
+            ck.publish(&self.fabric, who, &changed);
         }
         g.charge(
             OpClass::Barriers,
@@ -1714,24 +1752,12 @@ impl NodeHandle {
         let st = cell.lock();
         let visible = st.visible();
         if visible != old {
+            // The read's check may lock the cell itself.
+            drop(st);
             self.check_load(loc);
             return Ok(Err(visible));
         }
-        match kind {
-            StoreKind::Local => {
-                st.set_cache_val(new);
-                st.set_holders(1u64 << self.machine.index());
-            }
-            StoreKind::Remote => {
-                st.set_cache_val(new);
-                st.set_holders(1u64 << loc.owner.index());
-            }
-            StoreKind::Memory => {
-                st.set_mem_val(new);
-                st.set_holders(0);
-            }
-        }
-        self.check_mutate(loc, &st);
+        self.store_locked(kind, loc, &st, new);
         Ok(Ok(old))
     }
 
@@ -1752,21 +1778,7 @@ impl NodeHandle {
         let st = self.fabric.cell(loc).lock();
         let visible = st.visible();
         let new = visible.wrapping_add(delta);
-        match kind {
-            StoreKind::Local => {
-                st.set_cache_val(new);
-                st.set_holders(1u64 << self.machine.index());
-            }
-            StoreKind::Remote => {
-                st.set_cache_val(new);
-                st.set_holders(1u64 << loc.owner.index());
-            }
-            StoreKind::Memory => {
-                st.set_mem_val(new);
-                st.set_holders(0);
-            }
-        }
-        self.check_mutate(loc, &st);
+        self.store_locked(kind, loc, &st, new);
         Ok(visible)
     }
 }

@@ -1,16 +1,16 @@
-//! # Persistency sanitizer: shadow-state durability checking
+//! # Persistency sanitizer: durability checking beside the fabric
 //!
-//! An always-compiled, opt-in analysis that mirrors every store, flush,
-//! barrier and crash the [`SimFabric`](crate::SimFabric) executes and
+//! An always-compiled, opt-in analysis that follows every store, flush,
+//! barrier and crash the [`SimFabric`] executes and
 //! reports violations of the discipline §6's durable-linearizability
 //! transformation relies on. Where the example-based crash tests can
 //! only catch a missing flush if a particular interleaving happens to
 //! hit it, the sanitizer turns "this suite passed" into "no durability
 //! race occurred on any executed path".
 //!
-//! ## Shadow state
+//! ## Per-cell state
 //!
-//! Per **cell** the checker tracks the persist state machine the FliT
+//! Per **cell** the checker follows the persist state machine the FliT
 //! strategies step through:
 //!
 //! ```text
@@ -19,14 +19,14 @@
 //!   └──── flush (LFlush-by-owner / RFlush / MStore) ─────────────────┘
 //! ```
 //!
-//! concretely as a mirror of `(holders, cache, mem)` — a cell is *dirty*
-//! while some cache holds a value its owner's memory does not (`holders ≠
-//! ∅ ∧ cache ≠ mem`); `aflush` leaves it dirty-but-pending until a
-//! barrier or the fabric's background drain (τ) retires it. On top of the
-//! mirror sit a *durable-reachability* bit per block — seeded from the
-//! named-root registry and propagated through every persisted pointer
-//! word — and the SMR lifecycle (live → retired → reclaimed) per
-//! allocator block.
+//! It reads that state from the fabric's own cell — *dirty* while some
+//! cache holds a value its owner's memory does not (`holders ≠ ∅ ∧
+//! cache ≠ mem`) — and keeps only its conclusions in the spare bytes of
+//! the cell's line: dirty when its last hook settled, the value an
+//! acknowledgement put *at risk*, the value a crash *lost*. Per block it
+//! keeps a *durable-reachability* bit — seeded from the named-root
+//! registry, propagated through persisted pointer words — and the SMR
+//! lifecycle (live → retired → reclaimed).
 //!
 //! ## Violation classes
 //!
@@ -59,30 +59,31 @@
 //!
 //! ## Precision notes
 //!
-//! The checker holds one mutex and is called with the affected cell's
-//! seqlock held (lock order: cell → checker; the checker never touches
-//! cells), so per-cell event order is exact. Barrier retirement is
-//! reported as one batch and applied persists-first, so intra-barrier
-//! drain order cannot fabricate a race. One narrow race remains — a
-//! store racing a barrier batch can be mirrored before the batch lands —
-//! and it can only mark a cell *clean* early: false negatives at worst,
-//! never false positives. Pointer words are recognized by their exact
-//! encoding *and* block generation; generations are seeded nonzero per
-//! block (see [`crate::alloc`]), so small application scalars can never
+//! Every per-cell hook runs under that cell's writer lock and reads and
+//! marks the cell through it, so per-cell event order is exact. The
+//! checker's one lock covers block lifecycles only; hooks on cells
+//! outside the allocator region never take it, and it is never held
+//! while waiting on a cell: a publication reads the block's other cells
+//! with single atomic loads (lock order: cell → checker). A barrier
+//! lands each persist under its line's lock and judges publications
+//! after the whole batch, so drain order within a batch cannot fabricate
+//! a race. Pointer words are recognized by their exact encoding *and*
+//! block generation; generations are seeded nonzero per block (see
+//! [`crate::alloc`]), so small application scalars can never
 //! masquerade as published pointers.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, OnceLock, Weak};
 
-use parking_lot::Mutex;
+use parking_lot::{Mutex, RwLock};
 
 use cxl0_model::{Loc, MachineId};
 
 use crate::alloc::layout::{decode_addr, decode_gen};
-use crate::backend::RAIL_SLOTS;
+use crate::backend::{CellGuard, LocCell, SimFabric, RAIL_SLOTS};
 
 /// Which checks are armed and how violations are delivered.
 ///
@@ -130,15 +131,19 @@ pub enum ViolationClass {
     UseAfterRetire,
 }
 
+impl ViolationClass {
+    fn name(self) -> &'static str {
+        match self {
+            ViolationClass::DurabilityRace => "durability-race",
+            ViolationClass::UnpersistedReadAtRecovery => "unpersisted-read-at-recovery",
+            ViolationClass::UseAfterRetire => "use-after-retire",
+        }
+    }
+}
+
 impl fmt::Display for ViolationClass {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ViolationClass::DurabilityRace => write!(f, "durability-race"),
-            ViolationClass::UnpersistedReadAtRecovery => {
-                write!(f, "unpersisted-read-at-recovery")
-            }
-            ViolationClass::UseAfterRetire => write!(f, "use-after-retire"),
-        }
+        f.write_str(self.name())
     }
 }
 
@@ -170,25 +175,47 @@ impl fmt::Display for Violation {
     }
 }
 
-/// Mirror of one cell: the fabric's `(holders, cache, mem)` plus the
-/// persist bookkeeping layered on top.
-#[derive(Debug, Clone, Copy, Default)]
-struct CellShadow {
-    holders: u64,
-    cache: u64,
-    mem: u64,
-    /// An acknowledged persist that had not physically completed when
-    /// acknowledged: the value the strategy promised durable.
-    at_risk: Option<u64>,
-    /// A crash destroyed the only copy of an acknowledged value; the
-    /// next read of this cell is an unpersisted-read-at-recovery.
-    lost: Option<u64>,
+/// The checker's conclusions about one cell, kept in the spare bytes of
+/// the fabric's cell line. Written only under the cell's writer lock;
+/// other cells' hooks read `flags` with one atomic load.
+#[derive(Debug, Default)]
+pub(crate) struct CellMarks {
+    /// [`DIRTY`] (dirty when the last hook settled), [`AT_RISK`], [`LOST`].
+    flags: AtomicU64,
+    /// Under [`AT_RISK`]: the value an acknowledgement promised durable
+    /// before it physically completed.
+    at_risk: AtomicU64,
+    /// Under [`LOST`]: an acknowledged value a crash destroyed the only
+    /// copy of; the next read of the cell reports it.
+    lost: AtomicU64,
 }
 
-impl CellShadow {
-    fn dirty(&self) -> bool {
-        self.holders != 0 && self.cache != self.mem
+const DIRTY: u64 = 1;
+const AT_RISK: u64 = 2;
+const LOST: u64 = 4;
+
+impl CellMarks {
+    fn flags(&self) -> u64 {
+        self.flags.load(Ordering::Acquire)
     }
+
+    fn set_flags(&self, new: u64) {
+        self.flags.store(new, Ordering::Release);
+    }
+
+    fn at_risk(&self) -> Option<u64> {
+        (self.flags() & AT_RISK != 0).then(|| self.at_risk.load(Ordering::Relaxed))
+    }
+
+    fn lost(&self) -> Option<u64> {
+        (self.flags() & LOST != 0).then(|| self.lost.load(Ordering::Relaxed))
+    }
+}
+
+/// Whether the locked cell is dirty: a cache holds a value its owner's
+/// memory does not.
+fn dirty(st: &CellGuard<'_>) -> bool {
+    st.holders() != 0 && st.cache_val() != st.mem_val()
 }
 
 /// SMR lifecycle of an allocator block.
@@ -210,27 +237,18 @@ struct BlockShadow {
     retire_epoch: u64,
 }
 
-#[derive(Debug, Clone, Copy, Default)]
-struct PinShadow {
-    depth: u32,
-    epoch: u64,
-}
+/// Blocks by payload base address (single allocator region).
+type Blocks = BTreeMap<u32, BlockShadow>;
 
-/// Mutex-protected shadow of the whole fabric.
-#[derive(Debug, Default)]
-struct Shadow {
-    cells: HashMap<Loc, CellShadow>,
-    /// Blocks by payload base address (single allocator region).
-    blocks: BTreeMap<u32, BlockShadow>,
-    /// The machine hosting the allocator region, learned at first alloc.
-    region: Option<MachineId>,
-    pins: Vec<PinShadow>,
-}
+/// Low bits of a pin word: the slot's pin nesting depth; the epoch it
+/// pinned sits above them.
+const PIN_DEPTH_BITS: u32 = 16;
+const PIN_DEPTH: u64 = (1 << PIN_DEPTH_BITS) - 1;
 
 /// Cap on retained full violation reports (counters keep exact totals).
 const MAX_REPORTS: usize = 64;
 
-/// The shadow-state persistency checker. See the [module docs](self).
+/// The persistency checker. See the [module docs](self).
 ///
 /// Created by
 /// [`ClusterBuilder::with_checker`](crate::api::ClusterBuilder::with_checker)
@@ -239,7 +257,17 @@ const MAX_REPORTS: usize = 64;
 /// the public surface is configuration and reporting.
 pub struct Checker {
     cfg: CheckConfig,
-    shadow: Mutex<Shadow>,
+    /// The fabric the checker is installed on, whose cells
+    /// [`Checker::fingerprint`] reads.
+    fabric: OnceLock<Weak<SimFabric>>,
+    /// The machine hosting the allocator region, learned at first alloc.
+    region: OnceLock<MachineId>,
+    /// Block lifecycles, behind the checker's one lock. It is never held
+    /// across a primitive or while waiting on a cell.
+    blocks: RwLock<Blocks>,
+    /// One pin word per rail slot (depth and epoch); each update is one
+    /// atomic read-modify-write, as the overflow slot is shared.
+    pins: Box<[AtomicU64]>,
     races: AtomicU64,
     unpersisted: AtomicU64,
     uar: AtomicU64,
@@ -265,16 +293,22 @@ impl Checker {
     pub fn new(cfg: CheckConfig) -> Self {
         Checker {
             cfg,
-            shadow: Mutex::new(Shadow {
-                pins: vec![PinShadow::default(); RAIL_SLOTS + 1],
-                ..Shadow::default()
-            }),
+            fabric: OnceLock::new(),
+            region: OnceLock::new(),
+            blocks: RwLock::new(BTreeMap::new()),
+            pins: (0..=RAIL_SLOTS).map(|_| AtomicU64::new(0)).collect(),
             races: AtomicU64::new(0),
             unpersisted: AtomicU64::new(0),
             uar: AtomicU64::new(0),
             reports: Mutex::new(Vec::new()),
             trace: OnceLock::new(),
         }
+    }
+
+    /// Records the fabric the checker was installed on (by
+    /// [`SimFabric::install_checker`]).
+    pub(crate) fn attach(&self, fabric: Weak<SimFabric>) {
+        let _ = self.fabric.set(fabric);
     }
 
     /// Mirrors every future violation into `tracer` as an instant trace
@@ -316,31 +350,30 @@ impl Checker {
         self.reports.lock().clone()
     }
 
-    /// A deterministic digest of the persist-relevant shadow state:
-    /// per-cell `(mem, dirty, at-risk, lost)` and per-block lifecycle +
-    /// reachability. Two execution points with equal fingerprints are
-    /// indistinguishable to a crash, which is what the crash-point
-    /// enumerator deduplicates on.
+    /// A deterministic digest of the persist-relevant state: per cell
+    /// not in its initial state, `(mem, dirty, at-risk, lost)`, and per
+    /// block lifecycle + reachability. Two execution points with equal
+    /// fingerprints are indistinguishable to a crash, which is what the
+    /// crash-point enumerator deduplicates on.
     pub fn fingerprint(&self) -> u64 {
-        let g = self.shadow.lock();
         let mut h = std::collections::hash_map::DefaultHasher::new();
-        let mut cells: Vec<_> = g
-            .cells
-            .iter()
-            .map(|(l, c)| {
-                (
-                    l.owner.index(),
-                    l.addr.0,
-                    c.mem,
-                    c.dirty(),
-                    c.at_risk,
-                    c.lost,
-                )
-            })
-            .collect();
-        cells.sort_unstable();
-        cells.hash(&mut h);
-        for (base, b) in &g.blocks {
+        // Cells first, with no checker lock held: a seqlock read may wait.
+        if let Some(fabric) = self.fabric.get().and_then(Weak::upgrade) {
+            fabric.each_cell(|loc, cell| {
+                let (holders, cache, mem) = cell.read();
+                let marks = &cell.marks;
+                let state = (
+                    mem,
+                    holders != 0 && cache != mem,
+                    marks.at_risk(),
+                    marks.lost(),
+                );
+                if state != (0, false, None, None) {
+                    (loc.owner.index(), loc.addr.0, state).hash(&mut h);
+                }
+            });
+        }
+        for (base, b) in self.blocks.read().iter() {
             (base, b.gen, b.state, b.reach).hash(&mut h);
         }
         h.finish()
@@ -372,12 +405,7 @@ impl Checker {
         }
         drop(reports);
         if let Some(tr) = self.trace.get() {
-            let name = match class {
-                ViolationClass::DurabilityRace => "durability-race",
-                ViolationClass::UnpersistedReadAtRecovery => "unpersisted-read-at-recovery",
-                ViolationClass::UseAfterRetire => "use-after-retire",
-            };
-            tr.violation(name, loc, who, &v.detail);
+            tr.violation(class.name(), loc, who, &v.detail);
         }
         if self.cfg.fail_fast {
             panic!("persistency sanitizer: {v}");
@@ -386,141 +414,134 @@ impl Checker {
 
     // ---- fabric hooks ---------------------------------------------------
 
-    /// An application read of `loc` (no state transfer mirrored: loads
-    /// never change a cell's persist state, and the gateless fast path
-    /// must not write the mirror out of order).
-    pub(crate) fn on_load(&self, who: (MachineId, usize), loc: Loc) {
-        let mut g = self.shadow.lock();
-        self.check_retire(&g, Some(who), loc, "load");
-        if let Some(cell) = g.cells.get_mut(&loc) {
-            if let Some(v) = cell.lost.take() {
-                if self.cfg.unpersisted_reads {
-                    let mem = cell.mem;
-                    drop(g);
-                    self.report(
-                        ViolationClass::UnpersistedReadAtRecovery,
-                        loc,
-                        Some(who),
-                        format!(
-                            "read of a cell whose acknowledged persist (value {v}) was lost \
-                             in a crash; memory still holds {mem}"
-                        ),
-                    );
-                }
-            }
+    /// An application read of `cell` at `loc`. A read of a cell whose
+    /// acknowledged value a crash lost reports it, once.
+    pub(crate) fn on_load(&self, who: (MachineId, usize), loc: Loc, cell: &LocCell) {
+        self.check_retire(who, loc, "load");
+        if cell.marks.flags() & LOST == 0 {
+            return;
+        }
+        let st = cell.lock();
+        let Some(v) = st.marks().lost() else { return };
+        st.marks().set_flags(st.marks().flags() & !LOST);
+        let mem = st.mem_val();
+        drop(st);
+        if self.cfg.unpersisted_reads {
+            self.report(
+                ViolationClass::UnpersistedReadAtRecovery,
+                loc,
+                Some(who),
+                format!(
+                    "read of a cell whose acknowledged persist (value {v}) was lost in a \
+                     crash; memory still holds {mem}"
+                ),
+            );
         }
     }
 
-    /// A mutation of `loc` settled: mirror the post-state. Called with
-    /// the cell's seqlock held for stores, RMWs, flush drains and τ
-    /// moves alike; `who` is `None` for fabric background activity.
+    /// A mutation of the locked cell `st` at `loc` settled, replacing
+    /// memory word `old_mem`. Called for stores, RMWs, flush drains and
+    /// τ moves alike; `who` is `None` for fabric background activity.
     pub(crate) fn on_mutate(
         &self,
+        fabric: &SimFabric,
         who: Option<(MachineId, usize)>,
         loc: Loc,
-        holders: u64,
-        cache: u64,
-        mem: u64,
+        old_mem: u64,
+        st: &CellGuard<'_>,
     ) {
-        let mut g = self.shadow.lock();
         if let Some(w) = who {
-            self.check_retire(&g, Some(w), loc, "store");
+            self.check_retire(w, loc, "store");
         }
-        let cell = g.cells.entry(loc).or_default();
-        let mem_changed = mem != cell.mem;
-        cell.holders = holders;
-        cell.cache = cache;
-        cell.mem = mem;
-        // Any settled mutation supersedes a crash-lost ghost value.
-        cell.lost = None;
-        if !cell.dirty() {
-            cell.at_risk = None;
-        }
-        if mem_changed {
-            self.publish_word(&mut g, who, loc, mem);
+        if self.settle(st, old_mem) {
+            self.publish(fabric, who, &[(loc, st.mem_val())]);
         }
     }
 
-    /// A barrier retired a batch of pending flushes (or a `GPF` drained
-    /// every cache). Persists are mirrored first and publications
-    /// evaluated against the post-batch state, so the drain order
-    /// *within* one batch can never be observed as a race.
-    pub(crate) fn on_barrier(
+    /// Updates the locked cell's marks after a mutation that replaced
+    /// memory word `old_mem`, and says whether its memory changed. Any
+    /// settled mutation supersedes a crash-lost value; a clean cell has
+    /// nothing at risk.
+    pub(crate) fn settle(&self, st: &CellGuard<'_>, old_mem: u64) -> bool {
+        let marks = st.marks();
+        let at_risk = marks.flags() & AT_RISK;
+        marks.set_flags(if dirty(st) { DIRTY | at_risk } else { 0 });
+        st.mem_val() != old_mem
+    }
+
+    /// Memory words of the allocator region settled to new values (one
+    /// store, or a whole barrier batch): judge the publications they
+    /// make, once every persist of the batch has landed.
+    pub(crate) fn publish(
         &self,
+        fabric: &SimFabric,
         who: Option<(MachineId, usize)>,
-        items: &[(Loc, u64, u64, u64)],
+        changed: &[(Loc, u64)],
     ) {
-        let mut g = self.shadow.lock();
-        let mut changed = Vec::new();
-        for &(loc, holders, cache, mem) in items {
-            let cell = g.cells.entry(loc).or_default();
-            if mem != cell.mem {
-                changed.push((loc, mem));
-            }
-            cell.holders = holders;
-            cell.cache = cache;
-            cell.mem = mem;
-            cell.lost = None;
-            if !cell.dirty() {
-                cell.at_risk = None;
-            }
+        let region = self.region.get();
+        if !self.cfg.durability_races || changed.iter().all(|(l, _)| Some(&l.owner) != region) {
+            return;
         }
-        for (loc, mem) in changed {
-            self.publish_word(&mut g, who, loc, mem);
+        let mut g = self.blocks.write();
+        for &(loc, word) in changed {
+            // A current-generation pointer to a live unreached block,
+            // settled into a durably-reachable block, publishes it.
+            let in_reach = Some(&loc.owner) == region
+                && g.range(..=loc.addr.0)
+                    .next_back()
+                    .is_some_and(|(&base, b)| loc.addr.0 < base + b.cells && b.reach);
+            if let Some(base) = Self::pointee(&g, word).filter(|_| in_reach) {
+                self.publish_block(fabric, &mut g, who, loc, base);
+            }
         }
     }
 
-    /// A persistence strategy acknowledged an operation on `loc` as
-    /// durable. If the mirror shows the cell still dirty, the promised
-    /// value is recorded *at risk*: a crash that destroys the cached
-    /// copy before it drains turns it into a lost value.
-    pub(crate) fn on_ack(&self, _machine: MachineId, loc: Loc) {
+    /// A persistence strategy acknowledged an operation on `cell` as
+    /// durable. If the cell is still dirty, the promised value is
+    /// recorded *at risk*: a crash that destroys the cached copy before
+    /// it drains turns it into a lost value.
+    pub(crate) fn on_ack(&self, cell: &LocCell) {
         if !self.cfg.unpersisted_reads {
             return;
         }
-        let mut g = self.shadow.lock();
-        let cell = g.cells.entry(loc).or_default();
-        cell.at_risk = if cell.dirty() { Some(cell.cache) } else { None };
+        let st = &cell.lock();
+        let marks = st.marks();
+        marks.at_risk.store(st.cache_val(), Ordering::Relaxed);
+        let risk = if dirty(st) { AT_RISK } else { 0 };
+        marks.set_flags(marks.flags() & !AT_RISK | risk);
     }
 
-    /// Machines crashed (stop-the-world, called with the fabric halted):
-    /// mirror the holder wipe/memory zeroing and resolve at-risk cells.
-    ///
-    /// `crashed` is the bitmask of crashed machines, `zeroed` the subset
-    /// whose (volatile) shared memory was zeroed, `psn_wipe` true when
-    /// the PSN variant clears *all* holders of crashed owners' cells.
-    pub(crate) fn on_crash(&self, crashed: u64, zeroed: u64, psn_wipe: bool) {
-        let mut g = self.shadow.lock();
-        for (loc, cell) in g.cells.iter_mut() {
-            let owner_bit = 1u64 << loc.owner.index();
-            cell.holders &= !crashed;
-            if zeroed & owner_bit != 0 {
-                cell.mem = 0;
-            }
-            if psn_wipe && crashed & owner_bit != 0 {
-                cell.holders = 0;
-            }
-            if let Some(v) = cell.at_risk {
-                if cell.mem == v {
-                    // Persisted after all (e.g. a τ drain beat the crash).
-                    cell.at_risk = None;
-                } else if cell.holders != 0 && cell.cache == v {
-                    // A surviving cache still holds it; it may yet drain.
-                } else {
-                    cell.at_risk = None;
-                    cell.lost = Some(v);
-                }
+    /// A crash just happened (called with the fabric halted, for every
+    /// cell): settle the cell's dirty mark against what the crash left
+    /// and resolve an at-risk value. An uncached cell with no marks has
+    /// nothing to settle.
+    pub(crate) fn on_crash(&self, cell: &LocCell) {
+        if cell.marks.flags() == 0 && cell.read().0 == 0 {
+            return;
+        }
+        let st = &cell.lock();
+        let marks = st.marks();
+        let mut now = marks.flags() & (AT_RISK | LOST) | if dirty(st) { DIRTY } else { 0 };
+        if let Some(v) = marks.at_risk() {
+            if st.mem_val() == v {
+                // Persisted after all (e.g. a τ drain beat the crash).
+                now &= !AT_RISK;
+            } else if st.holders() != 0 && st.cache_val() == v {
+                // A surviving cache still holds it; it may yet drain.
+            } else {
+                marks.lost.store(v, Ordering::Relaxed);
+                now = now & !AT_RISK | LOST;
             }
         }
+        marks.set_flags(now);
     }
 
     // ---- allocator / registry hooks -------------------------------------
 
     /// A block was handed out: (re)register its span and generation.
     pub(crate) fn on_alloc(&self, loc: Loc, cells: u32, gen: u64) {
-        let mut g = self.shadow.lock();
-        g.region.get_or_insert(loc.owner);
-        g.blocks.insert(
+        self.region.get_or_init(|| loc.owner);
+        self.blocks.write().insert(
             loc.addr.0,
             BlockShadow {
                 cells,
@@ -534,8 +555,8 @@ impl Checker {
 
     /// A block returned to its free list (directly or via SMR reclaim).
     pub(crate) fn on_free(&self, loc: Loc) {
-        let mut g = self.shadow.lock();
-        if let Some(b) = g.blocks.get_mut(&loc.addr.0) {
+        let mut g = self.blocks.write();
+        if let Some(b) = g.get_mut(&loc.addr.0) {
             b.state = BlockState::Freed;
             b.reach = false;
         }
@@ -543,8 +564,8 @@ impl Checker {
 
     /// A block entered the SMR limbo list at `epoch`.
     pub(crate) fn on_retire(&self, loc: Loc, epoch: u64) {
-        let mut g = self.shadow.lock();
-        if let Some(b) = g.blocks.get_mut(&loc.addr.0) {
+        let mut g = self.blocks.write();
+        if let Some(b) = g.get_mut(&loc.addr.0) {
             if b.state == BlockState::Live {
                 b.state = BlockState::Retired;
                 b.retire_epoch = epoch;
@@ -555,10 +576,10 @@ impl Checker {
     /// A named root was committed or looked up: the block holding
     /// `header` is durably reachable, as is everything its persisted
     /// payload points to.
-    pub(crate) fn add_root(&self, header: Loc) {
-        let mut g = self.shadow.lock();
-        if g.blocks.contains_key(&header.addr.0) {
-            self.publish_block(&mut g, None, header, header.addr.0);
+    pub(crate) fn add_root(&self, fabric: &SimFabric, header: Loc) {
+        let mut g = self.blocks.write();
+        if g.contains_key(&header.addr.0) {
+            self.publish_block(fabric, &mut g, None, header, header.addr.0);
         }
     }
 
@@ -568,27 +589,30 @@ impl Checker {
     /// epoch recorded in the slot word — for the shared overflow slot,
     /// the first joiner's).
     pub(crate) fn on_pin(&self, slot: usize, epoch: u64) {
-        let mut g = self.shadow.lock();
-        let p = &mut g.pins[slot.min(RAIL_SLOTS)];
-        if p.depth == 0 {
-            p.epoch = epoch;
-        }
-        p.depth += 1;
+        self.update_pin(slot, |w| {
+            if w & PIN_DEPTH == 0 {
+                epoch << PIN_DEPTH_BITS | 1
+            } else {
+                w + 1
+            }
+        });
     }
 
     /// Thread in rail `slot` released its pin.
     pub(crate) fn on_unpin(&self, slot: usize) {
-        let mut g = self.shadow.lock();
-        let p = &mut g.pins[slot.min(RAIL_SLOTS)];
-        p.depth = p.depth.saturating_sub(1);
+        self.update_pin(slot, |w| if w & PIN_DEPTH == 0 { w } else { w - 1 });
+    }
+
+    fn update_pin(&self, slot: usize, f: impl Fn(u64) -> u64) {
+        let pin = &self.pins[slot.min(RAIL_SLOTS)];
+        let _ = pin.fetch_update(Ordering::AcqRel, Ordering::Acquire, |w| Some(f(w)));
     }
 
     /// The SMR domain recovered after a crash: every pin died with its
     /// thread.
     pub(crate) fn on_smr_recover(&self) {
-        let mut g = self.shadow.lock();
-        for p in g.pins.iter_mut() {
-            *p = PinShadow::default();
+        for pin in self.pins.iter() {
+            pin.store(0, Ordering::Release);
         }
     }
 
@@ -604,78 +628,35 @@ impl Checker {
     /// to protect it, or touching a *freed* block while pinned — the
     /// epoch domain's grace guarantee says a pinned thread can still
     /// hold references only to blocks whose reclamation is deferred.
-    fn check_retire(&self, g: &Shadow, who: Option<(MachineId, usize)>, loc: Loc, what: &str) {
-        if !self.cfg.use_after_retire {
+    fn check_retire(&self, who: (MachineId, usize), loc: Loc, what: &str) {
+        if !self.cfg.use_after_retire || self.region.get() != Some(&loc.owner) {
             return;
         }
-        let Some(w) = who else { return };
-        if g.region != Some(loc.owner) {
-            return;
-        }
-        let Some((&base, b)) = g.blocks.range(..=loc.addr.0).next_back() else {
+        let g = self.blocks.read();
+        let Some((&base, b)) = g.range(..=loc.addr.0).next_back() else {
             return;
         };
-        if loc.addr.0 < base || loc.addr.0 >= base + b.cells {
+        if loc.addr.0 >= base + b.cells {
             return;
         }
-        let pin = g.pins[w.1.min(RAIL_SLOTS)];
-        match b.state {
-            BlockState::Live => {}
-            BlockState::Retired => {
-                if pin.depth == 0 || pin.epoch > b.retire_epoch + 1 {
-                    self.report(
-                        ViolationClass::UseAfterRetire,
-                        loc,
-                        who,
-                        format!(
-                            "{what} of block @{base} (gen {}) retired at epoch {} by a \
-                             thread {}",
-                            b.gen,
-                            b.retire_epoch,
-                            if pin.depth == 0 {
-                                "holding no epoch pin".to_string()
-                            } else {
-                                format!("pinned too late (epoch {})", pin.epoch)
-                            }
-                        ),
-                    );
-                }
+        let pin = self.pins[who.1.min(RAIL_SLOTS)].load(Ordering::Acquire);
+        let (depth, epoch, retired) = (pin & PIN_DEPTH, pin >> PIN_DEPTH_BITS, b.retire_epoch);
+        let why = match b.state {
+            BlockState::Retired if depth == 0 => {
+                format!("retired at epoch {retired} by a thread holding no epoch pin")
             }
-            BlockState::Freed => {
-                if pin.depth > 0 {
-                    self.report(
-                        ViolationClass::UseAfterRetire,
-                        loc,
-                        who,
-                        format!(
-                            "{what} of reclaimed block @{base} (gen {}) by a thread pinned \
-                             at epoch {} — the block was reclaimed before its grace period",
-                            b.gen, pin.epoch
-                        ),
-                    );
-                }
+            BlockState::Retired if epoch > retired + 1 => {
+                format!("retired at epoch {retired} by a thread pinned too late (epoch {epoch})")
             }
-        }
-    }
-
-    /// `loc`'s memory value settled to `word`: if `loc` sits in a
-    /// durably-reachable block and `word` is a current-generation pointer
-    /// to a live unreached block, that block just got published.
-    fn publish_word(&self, g: &mut Shadow, who: Option<(MachineId, usize)>, loc: Loc, word: u64) {
-        if !self.cfg.durability_races || g.region != Some(loc.owner) {
-            return;
-        }
-        let in_reach = g
-            .blocks
-            .range(..=loc.addr.0)
-            .next_back()
-            .is_some_and(|(&base, b)| loc.addr.0 >= base && loc.addr.0 < base + b.cells && b.reach);
-        if !in_reach {
-            return;
-        }
-        if let Some(base) = Self::pointee(g, word) {
-            self.publish_block(g, who, loc, base);
-        }
+            BlockState::Freed if depth > 0 => format!(
+                "reclaimed, by a thread pinned at epoch {epoch} — the block was reclaimed \
+                 before its grace period"
+            ),
+            _ => return,
+        };
+        let detail = format!("{what} of block @{base} (gen {}) {why}", b.gen);
+        drop(g);
+        self.report(ViolationClass::UseAfterRetire, loc, Some(who), detail);
     }
 
     /// The payload base `word` points to, iff `word` is exactly a
@@ -684,29 +665,30 @@ impl Checker {
     /// 34..54 are zero for any value < 2³⁴) never alias. Bits 62/63
     /// (null tag, deletion mark) disqualify a word: a marked link never
     /// publishes anything its unmarked predecessor didn't.
-    fn pointee(g: &Shadow, word: u64) -> Option<u32> {
+    fn pointee(g: &Blocks, word: u64) -> Option<u32> {
         if word >> 62 != 0 {
             return None;
         }
         let base = decode_addr(word)?;
-        let b = g.blocks.get(&base)?;
+        let b = g.get(&base)?;
         (b.state == BlockState::Live && !b.reach && b.gen == decode_gen(word)).then_some(base)
     }
 
     /// Marks the block at `base` durably reachable, reports any dirty
     /// cell in it (the durability race), and chases persisted pointer
-    /// words in its payload.
+    /// words in its payload. Reads each cell of the region (`source`'s
+    /// machine) with single atomic loads: it never waits on a cell.
     fn publish_block(
         &self,
-        g: &mut Shadow,
+        fabric: &SimFabric,
+        g: &mut Blocks,
         who: Option<(MachineId, usize)>,
         source: Loc,
         base: u32,
     ) {
-        let Some(region) = g.region else { return };
         let mut work = vec![base];
         while let Some(base) = work.pop() {
-            let Some(b) = g.blocks.get_mut(&base) else {
+            let Some(b) = g.get_mut(&base) else {
                 continue;
             };
             if b.reach || b.state == BlockState::Freed {
@@ -715,24 +697,21 @@ impl Checker {
             b.reach = true;
             let (cells, gen) = (b.cells, b.gen);
             for a in base..base + cells {
-                let loc = Loc::new(region, a);
-                let Some(cell) = g.cells.get(&loc) else {
-                    continue;
-                };
-                if self.cfg.durability_races && cell.dirty() {
+                let loc = Loc::new(source.owner, a);
+                let cell = fabric.cell(loc);
+                let word = cell.mem_now();
+                if self.cfg.durability_races && cell.marks.flags() & DIRTY != 0 {
                     self.report(
                         ViolationClass::DurabilityRace,
                         loc,
                         who,
                         format!(
                             "block @{base} (gen {gen}) became durably reachable via {source} \
-                             while this cell is dirty (cache {} vs memory {}): a crash here \
-                             loses acknowledged payload that recovery can reach",
-                            cell.cache, cell.mem
+                             while this cell is dirty (memory {word}): a crash here loses \
+                             acknowledged payload that recovery can reach"
                         ),
                     );
                 }
-                let word = cell.mem;
                 if let Some(next) = Self::pointee(g, word) {
                     work.push(next);
                 }

@@ -595,7 +595,7 @@ mod tests {
         let q: DurableQueue = DurableQueue::create(&alloc, &node).unwrap().unwrap();
         // What the registry does for a named structure: seed durable
         // reachability at the header.
-        ck.add_root(q.header_cell());
+        node.check_add_root(q.header_cell());
         // The sound protocol is silent.
         assert!(q.enqueue(&node, 1).unwrap());
         assert_eq!(q.dequeue(&node).unwrap(), Some(1));

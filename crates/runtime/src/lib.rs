@@ -36,8 +36,8 @@
 //!   allocator and the traversal structures: traversals pin the global
 //!   epoch, unlinked blocks retire into volatile per-epoch limbo bags,
 //!   and reclamation waits out a grace period instead of quiescence.
-//! * [`check`] — the **persistency sanitizer**: an opt-in shadow-state
-//!   analysis under the [`Persistence`] strategies that detects
+//! * [`check`] — the **persistency sanitizer**: an opt-in analysis
+//!   beside the fabric, under the [`Persistence`] strategies that detects
 //!   durability races, unpersisted reads at recovery and use-after-retire
 //!   with thread/op provenance (`docs/SANITIZER.md`).
 //! * [`trace`] — the **runtime tracer**: opt-in per-thread op spans with
