@@ -994,6 +994,7 @@ impl SimFabric {
     /// Runs `f`, a mutation of `loc` under its writer lock `st`, and
     /// hands a checker the settled cell and the memory word `f` replaced.
     /// `by` is the issuing machine (`None`: background, a load's copy).
+    #[inline]
     fn settle(&self, by: Option<MachineId>, loc: Loc, st: &CellGuard<'_>, f: impl FnOnce()) {
         match self.checker.get() {
             None => f(),
@@ -1008,6 +1009,7 @@ impl SimFabric {
     /// Drains `loc` under its writer lock `st` as one line of a batch (a
     /// barrier or a `GPF`): a checker `ck` settles the cell here and
     /// judges the `changed` memory words after the whole batch.
+    #[inline]
     fn drain_in_batch(
         ck: Option<&Arc<Checker>>,
         loc: Loc,
@@ -1336,6 +1338,7 @@ impl NodeHandle {
 
     /// The three store rules: installs `v` at `loc` under its writer
     /// lock `st` with strength `kind`.
+    #[inline]
     fn store_locked(&self, kind: StoreKind, loc: Loc, st: &CellGuard<'_>, v: u64) {
         let by = Some(self.machine);
         self.fabric.settle(by, loc, st, || match kind {
