@@ -7,8 +7,13 @@
 //! issues it, which stays pending in the history — and the recovered
 //! queue's full history — completed prefix, killed operation, crash
 //! event, post-recovery drain — is cross-validated with
-//! `cxl0-dlcheck`. The sanitizer itself must also stay silent at every
-//! point: enumeration is a soundness sweep, not just a liveness one.
+//! `cxl0-dlcheck`. A second sweep crashes compute node 0, the script's
+//! issuer, before every primitive instead: nothing repairs the queue
+//! after a compute-node crash, so the survivor, machine 1, runs the
+//! shared plumbing's recovery but not the queue's own, drains, and runs
+//! two more enqueue/dequeue pairs under a primitive watchdog. The
+//! sanitizer itself must also stay silent at every point: enumeration
+//! is a soundness sweep, not just a liveness one.
 
 use std::sync::Arc;
 
@@ -18,6 +23,7 @@ use cxl0::dlcheck::{check_durably_linearizable, Recorder, ThreadId};
 use cxl0::model::{MachineId, SystemConfig};
 use cxl0::runtime::{CheckConfig, DurableQueue};
 
+const M0: MachineId = MachineId(0);
 const MEM: MachineId = MachineId(2);
 
 /// The scripted run: enough enqueues/dequeues to cross every queue
@@ -77,9 +83,9 @@ fn run_script(
     true
 }
 
-#[test]
-fn every_distinct_persist_state_crashes_durably_linearizable() {
-    // Pass 1: count the script's primitives.
+/// Counts the primitives `SCRIPT` issues after the queue's creation on
+/// an uncrashed sanitized cluster, whose checker must stay silent.
+fn script_primitives() -> u64 {
     let cluster = sanitized_cluster();
     let session = cluster.session(MachineId(0));
     let q = session.create_queue::<u64>("q").unwrap();
@@ -92,42 +98,116 @@ fn every_distinct_persist_state_crashes_durably_linearizable() {
         prims >= 10 * SCRIPT.len() as u64,
         "a dozen queue ops issue far more than {prims} primitives"
     );
+    prims
+}
 
-    // Pass 2: for every primitive, replay on a fresh cluster with the
-    // memory node crashed right before it, recover by name, drain, and
-    // hand the complete history to the durable-linearizability checker.
-    for k in 1..=prims {
-        let cluster = sanitized_cluster();
-        let session = cluster.session(MachineId(0));
-        let q = session.create_queue::<u64>("q").unwrap();
-        let rec: Recorder<QueueOp, QueueRet> = Recorder::new();
-        cluster.fabric().arm_crash(k, &[MEM]);
-        assert!(!run_script(&session, &q, &rec, || {}), "primitive {k}");
-        assert!(cluster.fabric().disarm_crash());
-        rec.crash(MEM.index());
+/// Replays `SCRIPT` from machine 0 on a fresh sanitized cluster with
+/// `victim` crashed right before the `k`-th primitive after the queue's
+/// creation, and records the crash. Returns the cluster and the history
+/// so far.
+fn crash_before(k: u64, victim: MachineId) -> (Arc<Cluster>, Recorder<QueueOp, QueueRet>) {
+    let cluster = sanitized_cluster();
+    let session = cluster.session(MachineId(0));
+    let q = session.create_queue::<u64>("q").unwrap();
+    let rec: Recorder<QueueOp, QueueRet> = Recorder::new();
+    cluster.fabric().arm_crash(k, &[victim]);
+    assert!(!run_script(&session, &q, &rec, || {}), "primitive {k}");
+    assert!(cluster.fabric().disarm_crash());
+    rec.crash(victim.index());
+    (cluster, rec)
+}
+
+/// Runs `op` on `q` from the survivor, machine 1, recording it.
+fn survivor_op(
+    rec: &Recorder<QueueOp, QueueRet>,
+    session: &Session,
+    q: &DurableQueue<u64>,
+    op: QueueOp,
+) -> QueueRet {
+    let id = rec.invoke(ThreadId(1), 1, op);
+    let ret = match op {
+        QueueOp::Enq(v) => {
+            assert!(q.enqueue(session, v).unwrap(), "the heap fits the script");
+            QueueRet::Ok
+        }
+        QueueOp::Deq => QueueRet::Deqd(q.dequeue(session).unwrap()),
+    };
+    rec.respond(id, ret);
+    ret
+}
+
+/// Drains `q` from the survivor, recording each dequeue.
+fn survivor_drain(rec: &Recorder<QueueOp, QueueRet>, session: &Session, q: &DurableQueue<u64>) {
+    while survivor_op(rec, session, q, QueueOp::Deq) != QueueRet::Deqd(None) {}
+}
+
+/// Hands the complete history to the durable-linearizability checker
+/// and asserts the sanitizer stayed silent.
+fn check_history(cluster: &Cluster, rec: &Recorder<QueueOp, QueueRet>, what: &str) {
+    let history = rec.finish();
+    let result = check_durably_linearizable(&QueueSpec, &history);
+    assert!(result.is_ok(), "{what}: {result}");
+    let ck = cluster.checker().unwrap();
+    assert_eq!(ck.total_violations(), 0, "{what}: {:#?}", ck.violations());
+}
+
+#[test]
+fn every_distinct_persist_state_crashes_durably_linearizable() {
+    // Pass 1: count the script's primitives. Pass 2: for every
+    // primitive, replay on a fresh cluster with the memory node crashed
+    // right before it, recover by name, drain, and check the history.
+    for k in 1..=script_primitives() {
+        let (cluster, rec) = crash_before(k, MEM);
         cluster.recover(MEM);
-
         let session = cluster.session(MachineId(1));
         session.recover_roots().unwrap();
         let q = session.open_queue::<u64>("q").unwrap();
         q.recover(&session).unwrap();
-        loop {
-            let id = rec.invoke(ThreadId(1), 1, QueueOp::Deq);
-            let v = q.dequeue(&session).unwrap();
-            rec.respond(id, QueueRet::Deqd(v));
-            if v.is_none() {
-                break;
-            }
+        survivor_drain(&rec, &session, &q);
+        check_history(
+            &cluster,
+            &rec,
+            &format!("memory crash before primitive {k}"),
+        );
+    }
+}
+
+/// Primitives the survivor may issue before the watchdog kills it: far
+/// more than its few operations need, far fewer than a spin.
+const WATCHDOG: u64 = 10_000;
+
+#[test]
+fn every_issuer_crash_leaves_a_queue_the_survivor_can_use() {
+    // Compute node 0 crashes before each primitive of the script. Nothing
+    // repairs the queue after a compute-node crash: the survivor runs
+    // the shared plumbing's recovery but not the queue's own, drains,
+    // and runs two more pairs, under a primitive watchdog that kills it
+    // if it spins.
+    for k in 1..=script_primitives() {
+        let (cluster, rec) = crash_before(k, M0);
+        let session = cluster.session(MachineId(1));
+        session.recover_roots().unwrap();
+        let q = session.open_queue::<u64>("q").unwrap();
+        cluster.fabric().arm_crash(WATCHDOG, &[MachineId(1)]);
+        survivor_drain(&rec, &session, &q);
+        for v in [7, 8] {
+            assert_eq!(
+                survivor_op(&rec, &session, &q, QueueOp::Enq(v)),
+                QueueRet::Ok
+            );
+            assert_eq!(
+                survivor_op(&rec, &session, &q, QueueOp::Deq),
+                QueueRet::Deqd(Some(v))
+            );
         }
-        let history = rec.finish();
-        let result = check_durably_linearizable(&QueueSpec, &history);
-        assert!(result.is_ok(), "crash before primitive {k}: {result}");
-        let ck = cluster.checker().unwrap();
-        assert_eq!(
-            ck.total_violations(),
-            0,
-            "crash before primitive {k}: {:#?}",
-            ck.violations()
+        assert!(
+            !cluster.fabric().disarm_crash(),
+            "issuer crash before primitive {k}: the survivor spun"
+        );
+        check_history(
+            &cluster,
+            &rec,
+            &format!("issuer crash before primitive {k}"),
         );
     }
 }
