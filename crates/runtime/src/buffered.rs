@@ -383,6 +383,16 @@ impl Persistence for BufferedEpoch {
         Ok(())
     }
 
+    fn hint_kind(&self) -> StoreKind {
+        FlitPolicy::BUFFERED.hint_kind()
+    }
+
+    fn retire_helps(&self, node: &NodeHandle) -> OpResult<()> {
+        // Readers never help.
+        let _ = node;
+        Ok(())
+    }
+
     // Rollback recovery replays the *redo log*: a batched store that
     // bypassed `record()` (as `Flit`'s `AFlush`-riding batch path does)
     // would be rolled back to the last epoch snapshot without a log entry

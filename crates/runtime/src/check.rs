@@ -70,7 +70,10 @@
 //! a race. Pointer words are recognized by their exact encoding *and*
 //! block generation; generations are seeded nonzero per block (see
 //! [`crate::alloc`]), so small application scalars can never
-//! masquerade as published pointers.
+//! masquerade as published pointers. A dirty *hint* in a reachable
+//! block — the queue's tail, swung at `RStore` strength and never
+//! flushed — is no race: nothing is published through it, since every
+//! block it can name is already reachable from the durable head.
 
 use std::collections::BTreeMap;
 use std::fmt;

@@ -3,8 +3,18 @@
 //!
 //! Layout: header block `[head, tail]`, node blocks `[value, next]`,
 //! with a dummy node. The tail may lag one node behind (the usual M&S
-//! invariant); every operation helps advance it, and
-//! [`DurableQueue::recover`] performs the same helping after a crash.
+//! invariant); every operation helps advance it.
+//!
+//! **The tail is a hint.** Every node it can name is reachable from the
+//! durable head, so it needs no FliT persist: each swing is one CAS at
+//! the strategy's [hint strength](Persistence::hint_kind) — an `RStore`
+//! under the strict modes, which lands in the memory node's cache and
+//! so survives the crash of the compute node that issued it. Survivors
+//! of a compute-node crash therefore keep using the queue without a
+//! recovery. A memory-node crash can leave any stale tail behind, even
+//! one naming a block that has since been recycled;
+//! [`DurableQueue::recover`] ignores it and rebuilds the tail by walking
+//! from the durable head.
 //!
 //! Nodes are allocated from — and on dequeue **returned to** — the
 //! crash-consistent [`Allocator`], so sustained enqueue/dequeue churn
@@ -22,7 +32,7 @@ use cxl0_model::Loc;
 
 use crate::alloc::{Allocator, BlockRef};
 use crate::api::Word;
-use crate::backend::AsNode;
+use crate::backend::{AsNode, NodeHandle};
 use crate::error::OpResult;
 use crate::flit::Persistence;
 
@@ -129,6 +139,28 @@ impl<T: Word> DurableQueue<T> {
         Loc::new(node.owner, node.addr.0 + 1)
     }
 
+    /// Reads the tail hint: a bare load, since no flagged store ever
+    /// targets it, so no FliT counter can be raised on it.
+    fn load_tail(&self, node: &NodeHandle) -> OpResult<u64> {
+        node.load(self.tail_cell())
+    }
+
+    /// Swings the tail hint from `old` to `new`: one CAS at hint
+    /// strength. A failed swing means another thread moved the tail.
+    fn swing_tail(&self, node: &NodeHandle, old: u64, new: u64) -> OpResult<()> {
+        node.cas(self.persist.hint_kind(), self.tail_cell(), old, new)
+            .map(drop)
+    }
+
+    /// Helps a lagging tail past `next`, a link this thread read but did
+    /// not write: the help that read may have started completes first,
+    /// so the tail never names a node whose link can still be lost with
+    /// its writer's cache.
+    fn help_tail(&self, node: &NodeHandle, old: u64, next: u64) -> OpResult<()> {
+        self.persist.retire_helps(node)?;
+        self.swing_tail(node, old, next)
+    }
+
     /// Enqueues `v` at the tail. Returns `false` (no error) if the node
     /// heap is exhausted.
     ///
@@ -152,7 +184,7 @@ impl<T: Word> DurableQueue<T> {
         )?;
         let n_enc = Allocator::encode(n);
         loop {
-            let tail = self.persist.shared_load(node, self.tail_cell(), true)?;
+            let tail = self.load_tail(node)?;
             let t = self.alloc.decode(tail).expect("tail is never null");
             let next = self.persist.shared_load(node, self.next_cell(t), true)?;
             // The append CAS must expect the null *of the incarnation we
@@ -171,10 +203,9 @@ impl<T: Word> DurableQueue<T> {
                     true,
                 )? {
                     Ok(_) => {
-                        // Linearized; help swing the tail.
-                        let _ =
-                            self.persist
-                                .shared_cas(node, self.tail_cell(), tail, n_enc, true)?;
+                        // Linearized, and the link is durable; swing the
+                        // tail to our node.
+                        self.swing_tail(node, tail, n_enc)?;
                         self.persist.complete_op(node)?;
                         return Ok(true);
                     }
@@ -182,9 +213,7 @@ impl<T: Word> DurableQueue<T> {
                 }
             } else if self.alloc.decode(next).is_some() {
                 // Tail lagging: help.
-                let _ = self
-                    .persist
-                    .shared_cas(node, self.tail_cell(), tail, next, true)?;
+                self.help_tail(node, tail, next)?;
             }
             // Otherwise: a null of a foreign generation — `t` was
             // recycled under us; the snapshot is garbage, re-read.
@@ -202,7 +231,7 @@ impl<T: Word> DurableQueue<T> {
         let _span = node.trace_span(crate::trace::OpKind::Dequeue);
         loop {
             let head = self.persist.shared_load(node, self.head_cell(), true)?;
-            let tail = self.persist.shared_load(node, self.tail_cell(), true)?;
+            let tail = self.load_tail(node)?;
             let h = self.alloc.decode(head).expect("head is never null");
             let next = self.persist.shared_load(node, self.next_cell(h), true)?;
             // The Michael–Scott consistency re-check. Under reclamation
@@ -220,9 +249,7 @@ impl<T: Word> DurableQueue<T> {
                     return Ok(None);
                 }
                 // Tail lagging behind a half-finished enqueue: help.
-                let _ = self
-                    .persist
-                    .shared_cas(node, self.tail_cell(), tail, next, true)?;
+                self.help_tail(node, tail, next)?;
             } else {
                 // Validated snapshot with head ≠ tail: the head node has
                 // a live successor. (Defensively retry rather than
@@ -347,29 +374,32 @@ impl<T: Word> DurableQueue<T> {
         &self.persist
     }
 
-    /// Post-crash repair: advance a lagging tail (the only transient
-    /// inconsistency a crash can leave in the list; a mid-operation
-    /// allocator tear is repaired separately by
-    /// [`Allocator::recover`], which
+    /// Post-crash repair: rebuilds the tail. The tail is a hint, and a
+    /// memory-node crash can leave any stale value of it behind — even
+    /// one naming a block that has since been freed and recycled — so
+    /// recovery does not read it: it walks from the durable head to the
+    /// last node and writes the tail once, at hint strength. That costs
+    /// O(queue length). A mid-operation allocator tear is repaired
+    /// separately by [`Allocator::recover`], which
     /// [`Session::recover_roots`](crate::api::Session::recover_roots)
-    /// runs for you).
+    /// runs for you. Must run quiesced.
     ///
     /// # Errors
     ///
     /// Fails if the issuing machine has crashed.
     pub fn recover(&self, at: &impl AsNode) -> OpResult<()> {
         let node = at.as_node();
+        let mut last = self.persist.shared_load(node, self.head_cell(), true)?;
         loop {
-            let tail = self.persist.shared_load(node, self.tail_cell(), true)?;
-            let t = self.alloc.decode(tail).expect("tail is never null");
-            let next = self.persist.shared_load(node, self.next_cell(t), true)?;
+            let l = self.alloc.decode(last).expect("head is never null");
+            let next = self.persist.shared_load(node, self.next_cell(l), true)?;
             if self.alloc.decode(next).is_none() {
-                return Ok(());
+                break;
             }
-            let _ = self
-                .persist
-                .shared_cas(node, self.tail_cell(), tail, next, true)?;
+            last = next;
         }
+        self.persist.retire_helps(node)?;
+        node.store(self.persist.hint_kind(), self.tail_cell(), last)
     }
 
     /// Drains the queue into a vector (helper for tests/recovery).

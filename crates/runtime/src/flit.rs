@@ -6,21 +6,32 @@
 //! the transformation issues. That choice is plain data, so the strategy
 //! table is the code:
 //!
-//! | Policy | Flagged store | Persist | Reader's help | Counters | Acked persists survive partial crashes? |
-//! |---|---|---|---|---|---|
-//! | [`CXL0`](FlitPolicy::CXL0) | `LStore` | `RFlush` | `RFlush` | yes | **yes** (Alg. 2, proven in §B) |
-//! | [`OWNER_OPT`](FlitPolicy::OWNER_OPT) | `LStore` | `LFlush` if the issuer owns the line, else `RFlush` | same | yes | yes (§6.1 optimisation) |
-//! | [`X86`](FlitPolicy::X86) | `LStore` | `LFlush` | `LFlush` | yes | **no** — Alg. 1 ported naively; its flush only reaches the owner's *cache* |
-//! | [`ASYNC`](FlitPolicy::ASYNC) | `LStore` | `AFlush` + `Barrier` | bare `AFlush` | yes | yes (Alg. 1 on the `CXL0_AF` extension) |
-//! | [`NAIVE_MSTORE`](FlitPolicy::NAIVE_MSTORE) | `MStore` | none needed | none | no | yes, but slower (§6.1) |
-//! | [`NONE`](FlitPolicy::NONE) | `LStore` | none | none | no | promises nothing — plain linearizable object |
-//! | [`BUFFERED`](FlitPolicy::BUFFERED) | `LStore` | none (epoch syncs) | none | no | yes, as of the last sync ([`BufferedEpoch`](crate::BufferedEpoch)) |
+//! | Policy | Flagged store | Persist | Reader's help | Counters | Hint | Acked persists survive partial crashes? |
+//! |---|---|---|---|---|---|---|
+//! | [`CXL0`](FlitPolicy::CXL0) | `LStore` | `RFlush` | `RFlush` | yes | `RStore` | **yes** (Alg. 2, proven in §B) |
+//! | [`OWNER_OPT`](FlitPolicy::OWNER_OPT) | `LStore` | `LFlush` if the issuer owns the line, else `RFlush` | same | yes | `RStore` | yes (§6.1 optimisation) |
+//! | [`X86`](FlitPolicy::X86) | `LStore` | `LFlush` | `LFlush` | yes | `LStore` | **no** — Alg. 1 ported naively; its flush only reaches the owner's *cache* |
+//! | [`ASYNC`](FlitPolicy::ASYNC) | `LStore` | `AFlush` + `Barrier` | bare `AFlush` | yes | `RStore` | yes (Alg. 1 on the `CXL0_AF` extension) |
+//! | [`NAIVE_MSTORE`](FlitPolicy::NAIVE_MSTORE) | `MStore` | none needed | none | no | `RStore` | yes, but slower (§6.1) |
+//! | [`NONE`](FlitPolicy::NONE) | `LStore` | none | none | no | `LStore` | promises nothing — plain linearizable object |
+//! | [`BUFFERED`](FlitPolicy::BUFFERED) | `LStore` | none (epoch syncs) | none | no | `LStore` | yes, as of the last sync ([`BufferedEpoch`](crate::BufferedEpoch)) |
 //!
 //! The per-cell *FliT counter* signals to readers that a store to the cell
 //! may be globally visible but not yet persistent; a reader seeing a
 //! positive counter helps by flushing before returning (Alg. 2 lines
 //! 41–45). Counters are volatile metadata kept in a striped table
 //! ([`FlitTable`]).
+//!
+//! A *hint* is a cell whose value recovery recomputes from durable state
+//! — the queue's tail, which recovery rebuilds by walking from the
+//! durable head. It owes no persist and no counter, only survival of
+//! its issuer's crash, because nothing repairs a structure after a
+//! compute node crashes: the survivors go on using it as it is. An
+//! `RStore` lands in the owner's cache, so it is lost only when the
+//! memory node itself crashes, which forces a recovery anyway. The
+//! strict policies write hints at that strength
+//! ([`FlitPolicy::hint_kind`]); the others promise nothing across a
+//! compute-node crash and write them with a plain `LStore`.
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -144,6 +155,21 @@ pub trait Persistence: Send + Sync + fmt::Debug {
     /// `completeOp` (Alg. 2 line 55): called at the end of every
     /// high-level operation.
     fn complete_op(&self, node: &NodeHandle) -> OpResult<()>;
+
+    /// The strength of a store or RMW to a *hint*, a cell recovery
+    /// recomputes from durable state (see the [module docs](self)): the
+    /// running policy's [`FlitPolicy::hint_kind`]. A hint write is a bare
+    /// primitive at this strength — no counter, no flush, no ack — and
+    /// a hint is read with a bare load, since no flagged store targets
+    /// it.
+    fn hint_kind(&self) -> StoreKind;
+
+    /// Completes the helping flushes the issuer's flagged loads have
+    /// started but not finished (Alg. 1's `FENCE` at `shared_store`
+    /// entry). A hint write that names what such a load read must come
+    /// after it: otherwise the hint could name a link that is lost with
+    /// its writer's cache. A no-op unless helps are asynchronous.
+    fn retire_helps(&self, node: &NodeHandle) -> OpResult<()>;
 
     /// True when [`Persistence::batched_store`] defers its persistence
     /// work to the next [`Persistence::flush_batch`] instead of
@@ -347,6 +373,19 @@ impl FlitPolicy {
         name: "buffered",
         ..FlitPolicy::NONE
     };
+
+    /// The strength of a hint write (the module table's *Hint* column):
+    /// `RStore` under the [`strict`](FlitPolicy::strict) policies, whose
+    /// survivors keep using a structure after a compute node crashes,
+    /// and `LStore` under the others, which promise nothing across such
+    /// a crash.
+    pub const fn hint_kind(&self) -> StoreKind {
+        if self.strict {
+            StoreKind::Remote
+        } else {
+            StoreKind::Local
+        }
+    }
 }
 
 /// The FliT transformation (Algorithm 2), executing one [`FlitPolicy`].
@@ -515,6 +554,17 @@ impl Persistence for Flit {
     fn complete_op(&self, node: &NodeHandle) -> OpResult<()> {
         // Alg. 1 line 29: retire this operation's helping `AFlush`es
         // before it returns. Synchronous flushes leave nothing pending.
+        if self.is_async() {
+            node.barrier()?;
+        }
+        Ok(())
+    }
+
+    fn hint_kind(&self) -> StoreKind {
+        self.policy.hint_kind()
+    }
+
+    fn retire_helps(&self, node: &NodeHandle) -> OpResult<()> {
         if self.is_async() {
             node.barrier()?;
         }

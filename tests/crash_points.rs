@@ -125,12 +125,13 @@ fn survivor_op(
     op: QueueOp,
 ) -> QueueRet {
     let id = rec.invoke(ThreadId(1), 1, op);
+    let killed = "the watchdog killed the survivor";
     let ret = match op {
         QueueOp::Enq(v) => {
-            assert!(q.enqueue(session, v).unwrap(), "the heap fits the script");
+            assert!(q.enqueue(session, v).expect(killed), "the heap fits");
             QueueRet::Ok
         }
-        QueueOp::Deq => QueueRet::Deqd(q.dequeue(session).unwrap()),
+        QueueOp::Deq => QueueRet::Deqd(q.dequeue(session).expect(killed)),
     };
     rec.respond(id, ret);
     ret
@@ -238,6 +239,11 @@ fn fingerprints_identify_repeat_states() {
 /// `i`'s. Boundaries that repeat a state map to an earlier index, so a
 /// change to what the fingerprint covers can neither merge two
 /// crash-distinct states nor split two crash-equivalent ones unnoticed.
+///
+/// One extra boundary follows a `GPF` right after the first enqueue. The
+/// drain persists the tail hint that enqueue left in the memory node's
+/// cache and changes no block's lifecycle, so only the cell half of the
+/// fingerprint tells it from the boundary before it.
 #[test]
 fn fingerprint_partition_of_the_scripted_run_is_pinned() {
     let cluster = sanitized_cluster();
@@ -246,14 +252,19 @@ fn fingerprint_partition_of_the_scripted_run_is_pinned() {
     let q = session.create_queue::<u64>("q").unwrap();
     let mut fps = vec![ck.fingerprint()];
     assert!(run_script(&session, &q, &Recorder::new(), || {
-        fps.push(ck.fingerprint())
+        fps.push(ck.fingerprint());
+        if fps.len() == 2 {
+            cluster.fabric().drain_all();
+            fps.push(ck.fingerprint());
+        }
     }));
     let classes: Vec<usize> = fps
         .iter()
         .map(|f| fps.iter().position(|g| g == f).unwrap())
         .collect();
     let distinct = classes.iter().enumerate().filter(|&(i, &c)| i == c).count();
-    // Only the empty dequeue (op 7) leaves the persist state as it was.
-    assert_eq!(distinct, 12, "{classes:?}");
-    assert_eq!(classes, [0, 1, 2, 3, 4, 5, 6, 6, 8, 9, 10, 11, 12]);
+    // Only the empty dequeue (op 7, boundary 8) leaves the persist state
+    // as it was.
+    assert_eq!(distinct, 13, "{classes:?}");
+    assert_eq!(classes, [0, 1, 2, 3, 4, 5, 6, 7, 7, 9, 10, 11, 12, 13]);
 }

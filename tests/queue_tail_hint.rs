@@ -16,9 +16,17 @@
 //!   cache would revert to the old dummy's first incarnation, whose
 //!   successor is a null of another generation: the survivor would spin.
 //! - [`recovery_rebuilds_a_stale_tail_from_the_head`]: churn until the
-//!   tail's memory word names a block that has since been recycled into
-//!   the live queue, crash the memory node, recover, and check the
-//!   queue against its model and under 100 more pairs.
+//!   tail's memory word names a block that has since been recycled as
+//!   the live queue's last node, crash the memory node and machine 0
+//!   (whose cache holds a copy of the current tail), recover, and check
+//!   the queue against its model and under 100 more pairs.
+//! - [`a_helped_link_is_durable_before_the_tail_names_it`]: machine 0's
+//!   enqueue dies with its link cached but unpersisted; machine 1's
+//!   enqueue helps the tail past that link, and machines 0 and 1 crash
+//!   together before each of machine 1's primitives in turn. A tail
+//!   swing that named the link before the helping flush completed would
+//!   outlive a link the crash lost, and the survivor, machine 2, would
+//!   spin.
 //!
 //! Every test here runs on a test-harness thread whose thread slot is
 //! below 8, so its frees park in the thread's magazine.
@@ -27,6 +35,8 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 
 use cxl0::api::{Cluster, PersistMode, Session};
+use cxl0::dlcheck::spec::{QueueOp, QueueRet, QueueSpec};
+use cxl0::dlcheck::{check_durably_linearizable, Recorder, ThreadId};
 use cxl0::model::{Loc, MachineId, SystemConfig};
 use cxl0::runtime::{DurableQueue, OpResult};
 
@@ -72,10 +82,15 @@ fn live_words(s: &Session, q: &DurableQueue<u64>) -> OpResult<Vec<u64>> {
     Ok(words)
 }
 
-/// Runs `f` with the watchdog armed over `cluster`'s primitives, then
-/// asserts it never fired.
-fn watched<T>(cluster: &Cluster, what: &str, f: impl FnOnce() -> OpResult<T>) -> T {
-    cluster.fabric().arm_crash(WATCHDOG, &[M1]);
+/// Runs `f` with the watchdog armed over `cluster`'s primitives, ready
+/// to crash the `survivor` that runs it, then asserts it never fired.
+fn watched<T>(
+    cluster: &Cluster,
+    survivor: MachineId,
+    what: &str,
+    f: impl FnOnce() -> OpResult<T>,
+) -> T {
+    cluster.fabric().arm_crash(WATCHDOG, &[survivor]);
     let result = f();
     assert!(
         !cluster.fabric().disarm_crash(),
@@ -111,7 +126,7 @@ fn a_survivor_uses_the_queue_after_the_issuer_crashes() {
 
         let s1 = cluster.session(M1);
         let q = s1.open_queue::<u64>("q").unwrap();
-        let drained = watched(&cluster, name, || {
+        let drained = watched(&cluster, M1, name, || {
             assert!(q.enqueue(&s1, 4)?);
             q.drain(&s1)
         });
@@ -121,26 +136,24 @@ fn a_survivor_uses_the_queue_after_the_issuer_crashes() {
     }
 }
 
-/// True when the tail's memory word names a block of the live list
-/// under a generation other than the one the list holds it at.
+/// True when the tail's memory word names the live list's last block
+/// under a generation other than its current one. The successor that
+/// word leads to is a null of another generation, so a recovery that
+/// started from the tail would stop right there and keep it.
 fn durable_tail_is_stale(cluster: &Cluster, s: &Session, q: &DurableQueue<u64>) -> bool {
     let tail = cluster.fabric().peek_memory(tail_cell(q));
-    let Some(block) = s.allocator().decode(tail) else {
-        return false;
-    };
-    live_words(s, q)
-        .unwrap()
-        .into_iter()
-        .any(|w| s.allocator().decode(w) == Some(block) && w != tail)
+    let last = *live_words(s, q).unwrap().last().unwrap();
+    let alloc = s.allocator();
+    alloc.decode(tail).is_some() && alloc.decode(tail) == alloc.decode(last) && tail != last
 }
 
 #[test]
 fn recovery_rebuilds_a_stale_tail_from_the_head() {
-    let modes = [PersistMode::Buffered {
+    let buffered = PersistMode::Buffered {
         capacity: 256,
         sync_interval: 0,
-    }];
-    for mode in modes {
+    };
+    for mode in SOUND_STRICT.into_iter().chain([buffered]) {
         let name = mode.name();
         let cluster = cluster(mode);
         let s = cluster.session(M0);
@@ -167,6 +180,10 @@ fn recovery_rebuilds_a_stale_tail_from_the_head() {
         }
         assert!(stale, "{name}: the tail's memory word never went stale");
         s.sync().unwrap();
+        // Machine 0 crashes with the memory node: its loads copied the
+        // current tail into its cache, and a copy there would outlive the
+        // owner's crash (which wipes only the owner's own cache).
+        cluster.crash(M0);
         cluster.crash(MEM);
         cluster.recover(MEM);
 
@@ -174,7 +191,7 @@ fn recovery_rebuilds_a_stale_tail_from_the_head() {
         s.recover_roots().unwrap();
         let q = s.open_queue::<u64>("q").unwrap();
         q.recover(&s).unwrap();
-        let contents = watched(&cluster, name, || {
+        let contents = watched(&cluster, M1, name, || {
             let contents = q.drain(&s)?;
             for v in next..next + 100 {
                 assert!(q.enqueue(&s, v)?);
@@ -185,5 +202,88 @@ fn recovery_rebuilds_a_stale_tail_from_the_head() {
         assert_eq!(contents, Vec::from(model), "{name}");
         let ck = cluster.checker().map_or(0, |ck| ck.total_violations());
         assert_eq!(ck, 0, "{name}: sanitizer");
+    }
+}
+
+/// The survivor of [`a_helped_link_is_durable_before_the_tail_names_it`]:
+/// a third compute node.
+const M2: MachineId = MachineId(2);
+
+/// A fresh cluster of three compute nodes and a memory node whose
+/// queue's first enqueue, of 1 from machine 0, was killed right before
+/// its `k`-th primitive, machine 0 left running. Returns the cluster, the
+/// queue and whether that enqueue died with its link visible but not
+/// yet in memory.
+fn link_in_flight(mode: PersistMode, k: u64) -> (Arc<Cluster>, DurableQueue<u64>, bool) {
+    let cluster = Cluster::builder(SystemConfig::symmetric_nvm(4, 1 << 12))
+        .persist(mode)
+        .build()
+        .unwrap();
+    let s0 = cluster.session(M0);
+    let q = s0.create_queue::<u64>("q").unwrap();
+    let dummy = s0.allocator().decode(live_words(&s0, &q).unwrap()[0]);
+    let link = Loc::new(cluster.memory_node(), dummy.unwrap().addr.0 + 1);
+    cluster.fabric().arm_crash(k, &[]);
+    let killed = q.enqueue(&s0, 1).is_err();
+    assert_eq!(killed, cluster.fabric().disarm_crash());
+    let visible = s0.allocator().decode(s0.node().load(link).unwrap());
+    let durable = s0.allocator().decode(cluster.fabric().peek_memory(link));
+    let in_flight = killed && visible.is_some() && durable.is_none();
+    (cluster, q, in_flight)
+}
+
+#[test]
+fn a_helped_link_is_durable_before_the_tail_names_it() {
+    for mode in SOUND_STRICT {
+        let name = mode.name();
+        let Some(k) = (1..100).find(|&k| link_in_flight(mode, k).2) else {
+            // An `MStore` link is durable the moment it is visible.
+            assert_eq!(mode, PersistMode::NaiveMStore, "{name}: no link in flight");
+            continue;
+        };
+        // Count machine 1's helping enqueue (its load of the link copies
+        // the line into machine 1's cache), then crash machines 0 and 1
+        // together before each of its primitives, and once after it.
+        let (cluster, q, _) = link_in_flight(mode, k);
+        let before = cluster.stats().total_ops();
+        assert!(q.enqueue(&cluster.session(M1), 2).unwrap());
+        let prims = cluster.stats().total_ops() - before;
+        for j in 1..=prims + 1 {
+            let what = format!("{name}: machines 0 and 1 crashed before primitive {j}");
+            let (cluster, q, _) = link_in_flight(mode, k);
+            let rec: Recorder<QueueOp, QueueRet> = Recorder::new();
+            rec.invoke(ThreadId(0), 0, QueueOp::Enq(1));
+            let id = rec.invoke(ThreadId(1), 1, QueueOp::Enq(2));
+            cluster.fabric().arm_crash(j, &[M0, M1]);
+            let helped = q.enqueue(&cluster.session(M1), 2);
+            if !cluster.fabric().disarm_crash() {
+                assert!(helped.unwrap(), "{what}");
+                rec.respond(id, QueueRet::Ok);
+                cluster.crash(M0);
+                cluster.crash(M1);
+            }
+            rec.crash(M0.index());
+            rec.crash(M1.index());
+
+            let s2 = cluster.session(M2);
+            s2.recover_roots().unwrap();
+            watched(&cluster, M2, &what, || {
+                let id = rec.invoke(ThreadId(2), 2, QueueOp::Enq(3));
+                assert!(q.enqueue(&s2, 3)?);
+                rec.respond(id, QueueRet::Ok);
+                loop {
+                    let id = rec.invoke(ThreadId(2), 2, QueueOp::Deq);
+                    let v = q.dequeue(&s2)?;
+                    rec.respond(id, QueueRet::Deqd(v));
+                    if v.is_none() {
+                        return Ok(());
+                    }
+                }
+            });
+            let result = check_durably_linearizable(&QueueSpec, &rec.finish());
+            assert!(result.is_ok(), "{what}: {result}");
+            let ck = cluster.checker().map_or(0, |ck| ck.total_violations());
+            assert_eq!(ck, 0, "{what}: sanitizer");
+        }
     }
 }
