@@ -554,10 +554,7 @@ impl Persistence for Flit {
     fn complete_op(&self, node: &NodeHandle) -> OpResult<()> {
         // Alg. 1 line 29: retire this operation's helping `AFlush`es
         // before it returns. Synchronous flushes leave nothing pending.
-        if self.is_async() {
-            node.barrier()?;
-        }
-        Ok(())
+        self.retire_helps(node)
     }
 
     fn hint_kind(&self) -> StoreKind {
