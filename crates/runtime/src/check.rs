@@ -727,7 +727,10 @@ impl Checker {
 mod tests {
     use super::*;
     use crate::alloc::layout::ptr_word;
-    use crate::backend::{thread_slot_index, NodeHandle, SimFabric};
+    use crate::alloc::Allocator;
+    use crate::backend::{NodeHandle, SimFabric};
+    use crate::flit::{Flit, FlitPolicy};
+    use crate::smr::SmrDomain;
     use cxl0_model::SystemConfig;
 
     /// The memory node: owner of every cell the tests touch.
@@ -749,6 +752,26 @@ mod tests {
 
     fn checked() -> (Arc<SimFabric>, Arc<Checker>, NodeHandle) {
         armed(CheckConfig::default())
+    }
+
+    /// [`checked`] over a larger memory node, plus an allocator and the
+    /// SMR domain whose pins the checker judges accesses by.
+    fn with_smr() -> (
+        Arc<SimFabric>,
+        Arc<Checker>,
+        Arc<Allocator>,
+        Arc<SmrDomain>,
+        NodeHandle,
+    ) {
+        let f = SimFabric::new(SystemConfig::symmetric_nvm(2, 4096));
+        let ck = Arc::new(Checker::new(CheckConfig::default()));
+        f.install_checker(Arc::clone(&ck));
+        let persist = Arc::new(Flit::new(FlitPolicy::CXL0));
+        let alloc = Arc::new(Allocator::over_region(f.config(), M, persist));
+        let smr = Arc::new(SmrDomain::new(Arc::clone(&alloc)));
+        smr.install_checker(Arc::clone(&ck));
+        let node = f.node(MachineId(0));
+        (f, ck, alloc, smr, node)
     }
 
     /// A publication of a fully-persisted block is silent; the same
@@ -835,29 +858,46 @@ mod tests {
     /// blocks never by a pinned thread.
     #[test]
     fn retire_lifecycle_rules() {
-        let (_f, ck, node) = checked();
-        let slot = thread_slot_index();
+        let (_f, ck, _alloc, smr, node) = with_smr();
         node.check_alloc(loc(30), 2, 4);
-        node.check_retire(loc(30), 10);
+        node.check_retire(loc(30), smr.epoch());
         // Unpinned access to a retired block: violation.
         node.load(loc(31)).unwrap();
         assert_eq!(ck.use_after_retire(), 1);
         // Access under a protecting pin (epoch ≤ retire + 1): fine.
-        ck.on_pin(slot, 10);
+        let guard = smr.pin();
         node.load(loc(31)).unwrap();
         assert_eq!(ck.use_after_retire(), 1);
-        ck.on_unpin(slot);
+        drop(guard);
         // Freed block touched by a pinned thread: the seeded inline-free
         // bug's signature.
         node.check_free(loc(30));
-        ck.on_pin(slot, 12);
+        let guard = smr.pin();
         node.load(loc(30)).unwrap();
         assert_eq!(ck.use_after_retire(), 2);
-        ck.on_unpin(slot);
+        drop(guard);
         // Unpinned read of a freed cell is the counted-pointer
         // structures' legal pattern.
         node.load(loc(30)).unwrap();
         assert_eq!(ck.use_after_retire(), 2);
+    }
+
+    /// A thread that dies pinned holds no pin once the domain recovers:
+    /// its slot's next read of the block recovery freed is an unpinned
+    /// read, the counted-pointer structures' legal pattern.
+    #[test]
+    fn recovery_unpins_a_dead_thread() {
+        let (f, ck, alloc, smr, node) = with_smr();
+        let b = alloc.alloc(&node, 2).unwrap().unwrap();
+        let guard = smr.pin();
+        guard.retire(&node, b.loc).unwrap();
+        // The thread dies mid-operation: its guard never drops.
+        std::mem::forget(guard);
+        f.crash(MachineId(0));
+        f.recover(MachineId(0));
+        assert_eq!(smr.recover(&node).unwrap(), 1, "limbo is swept");
+        node.load(b.loc).unwrap();
+        assert_eq!(ck.total_violations(), 0, "{:?}", ck.violations());
     }
 
     /// Barrier batches apply persists before publication checks, so a
