@@ -13,7 +13,7 @@
 //! | [`fabric`] | `cxl0-fabric` | latency simulation + Figure 5 (§5.2) |
 //! | [`runtime`] | `cxl0-runtime` | executable fabric, FliT (Alg. 2) + FliT-async (Alg. 1 on `CXL0_AF`) + buffered epochs (§8), durable data structures, shared log, GPF snapshots (§6) |
 //! | [`dlcheck`] | `cxl0-dlcheck` | durable + buffered-durable linearizability checking (§6, §8) |
-//! | [`trace`] | `cxl0-runtime` | opt-in observability: op-level spans, latency histograms, recovery-phase telemetry, Chrome/JSONL export (`CXL0_TRACE`) |
+//! | [`trace`] | `cxl0-runtime` | opt-in observability: op-level spans, latency histograms, recovery-phase telemetry, Chrome trace-event export (`CXL0_TRACE`) |
 //! | [`workloads`] | `cxl0-workloads` | benchmark workload generation |
 //!
 //! ## Quickstart: the programming model

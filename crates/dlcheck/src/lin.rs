@@ -125,19 +125,27 @@ where
         }
     }
 
-    // Iterative DFS with an explicit stack of (mask, state, chosen-op path).
+    // Iterative DFS with an explicit stack of (mask, state, path), where
+    // a path is an index into one arena of (parent path, chosen op)
+    // links, shared by every entry that extends it; ROOT is the empty
+    // path.
+    const ROOT: usize = usize::MAX;
+    let mut links: Vec<(usize, usize)> = Vec::new();
     let mut visited: HashSet<(BitSet, S::State)> = HashSet::new();
     let init = spec.initial();
-    let mut stack: Vec<(BitSet, S::State, Vec<usize>)> =
-        vec![(BitSet::new(n), init.clone(), Vec::new())];
+    let mut stack: Vec<(BitSet, S::State, usize)> = vec![(BitSet::new(n), init.clone(), ROOT)];
     visited.insert((BitSet::new(n), init));
 
     while let Some((mask, state, path)) = stack.pop() {
         if mask.contains_all(&completed) {
-            let witness = path
-                .into_iter()
-                .map(|j| (ops[j].id, ops[j].op.clone()))
-                .collect();
+            let mut witness = Vec::new();
+            let mut at = path;
+            while at != ROOT {
+                let (parent, j) = links[at];
+                witness.push((ops[j].id, ops[j].op.clone()));
+                at = parent;
+            }
+            witness.reverse();
             return LinResult::Linearizable { witness };
         }
         for j in 0..n {
@@ -154,9 +162,8 @@ where
             next_mask.set(j);
             let key = (next_mask.clone(), next_state.clone());
             if visited.insert(key) {
-                let mut next_path = path.clone();
-                next_path.push(j);
-                stack.push((next_mask, next_state, next_path));
+                links.push((path, j));
+                stack.push((next_mask, next_state, links.len() - 1));
             }
         }
         // Pending ops may also be *omitted*: omission needs no transition —

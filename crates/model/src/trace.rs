@@ -6,8 +6,9 @@
 //! program emits, the object the operational semantics and litmus tests
 //! reason about. It is unrelated to `cxl0_runtime::trace`, the runtime's
 //! opt-in *observability* layer (op-latency spans, histograms, recovery
-//! telemetry, Chrome/JSONL export). When a label sequence is meant, it is
-//! this type; when profiling output is meant, it is the runtime tracer.
+//! telemetry, Chrome trace-event export). When a label sequence is
+//! meant, it is this type; when profiling output is meant, it is the
+//! runtime tracer.
 
 use std::fmt;
 

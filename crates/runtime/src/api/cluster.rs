@@ -234,14 +234,11 @@ impl ClusterBuilder {
                 .filter(|v| !v.is_empty() && v != "0")
                 .map(|_| CheckConfig {
                     durability_races: self.mode.is_strict(),
-                    unpersisted_reads: true,
-                    use_after_retire: true,
                     fail_fast: self.mode.policy().sound,
                 })
         });
-        let checker = check_cfg.map(|cfg| Arc::new(Checker::new(cfg)));
-        if let Some(ck) = &checker {
-            fabric.install_checker(Arc::clone(ck));
+        if let Some(cfg) = check_cfg {
+            fabric.install_checker(Arc::new(Checker::new(cfg)));
         }
         // Arm the tracer the same way: explicit `with_tracing` wins,
         // otherwise `CXL0_TRACE=<path>` (or `=1` for no export) arms a
@@ -252,15 +249,10 @@ impl ClusterBuilder {
                 .filter(|v| !v.is_empty() && v != "0")
                 .map(|v| TraceConfig {
                     export_path: (v != "1").then_some(v),
-                    ..TraceConfig::default()
                 })
         });
-        let tracer = trace_cfg.map(|cfg| Arc::new(Tracer::new(cfg)));
-        if let Some(tr) = &tracer {
-            fabric.install_tracer(Arc::clone(tr));
-            if let Some(ck) = &checker {
-                ck.install_trace_sink(Arc::clone(tr));
-            }
+        if let Some(cfg) = trace_cfg {
+            fabric.install_tracer(Arc::new(Tracer::new(cfg)));
         }
         let heap = Arc::new(SharedHeap::with_range(
             fabric.config(),
@@ -317,10 +309,10 @@ impl ClusterBuilder {
         // every traversal structure shares these epochs, which is what
         // makes grace periods sound across handles.
         let smr = Arc::new(SmrDomain::new(Arc::clone(&allocator)));
-        if let Some(ck) = &checker {
-            // pin/unpin never touch the fabric, so the domain carries
-            // its own handle to the same checker.
-            smr.install_checker(Arc::clone(ck));
+        if let Some(ck) = fabric.checker() {
+            // pin/unpin never touch the fabric: the checker reads this
+            // domain's epoch slots instead.
+            ck.attach_smr(Arc::clone(&smr));
         }
 
         Ok(Arc::new(Cluster {
@@ -333,8 +325,6 @@ impl ClusterBuilder {
             mode: self.mode,
             memory_node,
             directory,
-            checker,
-            tracer,
             combine_stats: Arc::new(CombineStats::default()),
             combine_boards: Mutex::new(HashMap::new()),
         }))
@@ -360,12 +350,6 @@ pub struct Cluster {
     mode: PersistMode,
     memory_node: MachineId,
     directory: RootDirectory,
-    /// The persistency sanitizer, when armed (see
-    /// [`ClusterBuilder::with_checker`]).
-    checker: Option<Arc<Checker>>,
-    /// The runtime tracer, when armed (see
-    /// [`ClusterBuilder::with_tracing`]).
-    tracer: Option<Arc<Tracer>>,
     /// Cluster-wide combining counters (all fronts share one set).
     combine_stats: Arc<CombineStats>,
     /// Volatile announcement boards, keyed by structure root cell so
@@ -438,26 +422,25 @@ impl Cluster {
     /// The persistency sanitizer, when armed (via
     /// [`ClusterBuilder::with_checker`] or `CXL0_SANITIZE=1`).
     pub fn checker(&self) -> Option<&Arc<Checker>> {
-        self.checker.as_ref()
+        self.fabric.checker()
     }
 
     /// The runtime tracer, when armed (via
     /// [`ClusterBuilder::with_tracing`] or `CXL0_TRACE=<path>`). Query
     /// it for latency histograms, recovery breakdowns and exports.
     pub fn tracer(&self) -> Option<&Arc<Tracer>> {
-        self.tracer.as_ref()
+        self.fabric.tracer()
     }
 
-    /// Exports the trace to `path` now (`.jsonl` → JSONL, otherwise
-    /// Chrome trace-event JSON), independent of any configured
-    /// drop-time export path.
+    /// Exports the trace to `path` now as Chrome trace-event JSON,
+    /// independent of any configured drop-time export path.
     ///
     /// # Errors
     ///
     /// [`ApiError::NoTracer`] when no tracer is armed;
     /// [`ApiError::TraceExport`] on an I/O failure.
     pub fn export_trace(&self, path: &str) -> ApiResult<()> {
-        let tracer = self.tracer.as_ref().ok_or(ApiError::NoTracer)?;
+        let tracer = self.tracer().ok_or(ApiError::NoTracer)?;
         tracer
             .write_to(path)
             .map_err(|e| ApiError::TraceExport(e.to_string()))
@@ -510,12 +493,12 @@ impl Cluster {
         snap.smr_advances = smr.advances;
         snap.smr_epoch = smr.epoch;
         snap.smr_limbo = smr.limbo;
-        if let Some(ck) = &self.checker {
+        if let Some(ck) = self.checker() {
             snap.check_durability_races = ck.durability_races();
             snap.check_unpersisted_reads = ck.unpersisted_reads();
             snap.check_use_after_retire = ck.use_after_retire();
         }
-        if let Some(tr) = &self.tracer {
+        if let Some(tr) = self.tracer() {
             snap.trace_events = tr.events_recorded();
             snap.trace_dropped = tr.events_dropped();
             let h = tr.merged_histogram();
@@ -591,7 +574,7 @@ impl Drop for Cluster {
         // the deployment winds down, without the program opting in at
         // every exit path. Failures are reported, not propagated — drop
         // cannot return and must not panic.
-        if let Some(tr) = &self.tracer {
+        if let Some(tr) = self.tracer() {
             if let Some(path) = tr.config().export_path.clone() {
                 if let Err(e) = tr.write_to(&path) {
                     eprintln!("cxl0: trace export to {path} failed: {e}");

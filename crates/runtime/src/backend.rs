@@ -1438,14 +1438,6 @@ impl NodeHandle {
         }
     }
 
-    /// Sanitizer seam for [`crate::smr`]: post-crash recovery voided all
-    /// reservations and limbo bags.
-    pub(crate) fn check_smr_recover(&self) {
-        if let Some(ck) = self.fabric.checker.get() {
-            ck.on_smr_recover();
-        }
-    }
-
     /// Sanitizer seam for the named-root registry: the block holding
     /// `header` became durably reachable by name.
     pub(crate) fn check_add_root(&self, header: Loc) {

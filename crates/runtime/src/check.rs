@@ -60,7 +60,10 @@
 //! ## Precision notes
 //!
 //! Every per-cell hook runs under that cell's writer lock and reads and
-//! marks the cell through it, so per-cell event order is exact. The
+//! marks the cell through it, so per-cell event order is exact. Pins are
+//! read from the SMR domain's own epoch slot at each access, so the
+//! checker judges by the pin the domain acts on, and a recovery that
+//! clears the slots unpins the dead threads for both. The
 //! checker's one lock covers block lifecycles only; hooks on cells
 //! outside the allocator region never take it, and it is never held
 //! while waiting on a cell: a publication reads the block's other cells
@@ -86,9 +89,15 @@ use parking_lot::{Mutex, RwLock};
 use cxl0_model::{Loc, MachineId};
 
 use crate::alloc::layout::{decode_addr, decode_gen};
-use crate::backend::{CellGuard, LocCell, SimFabric, RAIL_SLOTS};
+use crate::backend::{CellGuard, LocCell, SimFabric};
+use crate::smr::SmrDomain;
 
 /// Which checks are armed and how violations are delivered.
+///
+/// Unpersisted reads at recovery and use-after-retire are always
+/// checked: the first is driven purely by strategy acknowledgements, so
+/// strategies that promise nothing trip nothing, and the second by the
+/// SMR domain's pins.
 ///
 /// [`ClusterBuilder::build`](crate::api::ClusterBuilder::build) derives
 /// the right configuration from the cluster's
@@ -100,13 +109,6 @@ pub struct CheckConfig {
     /// under strict per-operation persistence: buffered modes legally
     /// persist whole epochs out of publication order.
     pub durability_races: bool,
-    /// Detect reads of cells whose acknowledged persist was lost in a
-    /// crash. Driven purely by strategy acknowledgements, so it is safe
-    /// to arm everywhere: strategies that promise nothing trip nothing.
-    pub unpersisted_reads: bool,
-    /// Detect accesses to retired/reclaimed blocks outside a protecting
-    /// epoch pin.
-    pub use_after_retire: bool,
     /// Panic on the first violation instead of only recording it. What
     /// `CXL0_SANITIZE=1` sets for sound modes so suites fail loudly.
     pub fail_fast: bool,
@@ -116,8 +118,6 @@ impl Default for CheckConfig {
     fn default() -> Self {
         CheckConfig {
             durability_races: true,
-            unpersisted_reads: true,
-            use_after_retire: true,
             fail_fast: false,
         }
     }
@@ -243,11 +243,6 @@ struct BlockShadow {
 /// Blocks by payload base address (single allocator region).
 type Blocks = BTreeMap<u32, BlockShadow>;
 
-/// Low bits of a pin word: the slot's pin nesting depth; the epoch it
-/// pinned sits above them.
-const PIN_DEPTH_BITS: u32 = 16;
-const PIN_DEPTH: u64 = (1 << PIN_DEPTH_BITS) - 1;
-
 /// Cap on retained full violation reports (counters keep exact totals).
 const MAX_REPORTS: usize = 64;
 
@@ -255,29 +250,28 @@ const MAX_REPORTS: usize = 64;
 ///
 /// Created by
 /// [`ClusterBuilder::with_checker`](crate::api::ClusterBuilder::with_checker)
-/// (or `CXL0_SANITIZE=1`) and shared by the fabric, the allocator, the
-/// SMR domain and the root registry. All hook methods are crate-internal;
-/// the public surface is configuration and reporting.
+/// (or `CXL0_SANITIZE=1`) and installed on the fabric, through which
+/// the allocator, the SMR domain and the root registry reach it. All
+/// hook methods are crate-internal; the public surface is configuration
+/// and reporting.
 pub struct Checker {
     cfg: CheckConfig,
     /// The fabric the checker is installed on, whose cells
-    /// [`Checker::fingerprint`] reads.
+    /// [`Checker::fingerprint`] reads and whose tracer, when one is
+    /// installed, receives every report as an instant event.
     fabric: OnceLock<Weak<SimFabric>>,
+    /// The SMR domain whose epoch slots say which threads are pinned.
+    /// Without one, every access counts as unpinned.
+    smr: OnceLock<Arc<SmrDomain>>,
     /// The machine hosting the allocator region, learned at first alloc.
     region: OnceLock<MachineId>,
     /// Block lifecycles, behind the checker's one lock. It is never held
     /// across a primitive or while waiting on a cell.
     blocks: RwLock<Blocks>,
-    /// One pin word per rail slot (depth and epoch); each update is one
-    /// atomic read-modify-write, as the overflow slot is shared.
-    pins: Box<[AtomicU64]>,
     races: AtomicU64,
     unpersisted: AtomicU64,
     uar: AtomicU64,
     reports: Mutex<Vec<Violation>>,
-    /// The runtime tracer, when one is co-installed: every report also
-    /// lands in the trace as an instant event with provenance.
-    trace: OnceLock<Arc<crate::trace::Tracer>>,
 }
 
 impl fmt::Debug for Checker {
@@ -297,14 +291,13 @@ impl Checker {
         Checker {
             cfg,
             fabric: OnceLock::new(),
+            smr: OnceLock::new(),
             region: OnceLock::new(),
             blocks: RwLock::new(BTreeMap::new()),
-            pins: (0..=RAIL_SLOTS).map(|_| AtomicU64::new(0)).collect(),
             races: AtomicU64::new(0),
             unpersisted: AtomicU64::new(0),
             uar: AtomicU64::new(0),
             reports: Mutex::new(Vec::new()),
-            trace: OnceLock::new(),
         }
     }
 
@@ -314,12 +307,10 @@ impl Checker {
         let _ = self.fabric.set(fabric);
     }
 
-    /// Mirrors every future violation into `tracer` as an instant trace
-    /// event with machine/thread provenance. At most one sink; later
-    /// calls are ignored. The cluster layer wires this automatically
-    /// when both a checker and a tracer are installed.
-    pub fn install_trace_sink(&self, tracer: Arc<crate::trace::Tracer>) {
-        let _ = self.trace.set(tracer);
+    /// Judges use-after-retire by the pins of `smr`, the one domain the
+    /// allocator's traversal structures retire through. First link wins.
+    pub(crate) fn attach_smr(&self, smr: Arc<SmrDomain>) {
+        let _ = self.smr.set(smr);
     }
 
     /// The active configuration.
@@ -407,8 +398,10 @@ impl Checker {
             reports.push(v.clone());
         }
         drop(reports);
-        if let Some(tr) = self.trace.get() {
-            tr.violation(class.name(), loc, who, &v.detail);
+        if let Some(fabric) = self.fabric.get().and_then(Weak::upgrade) {
+            if let Some(tr) = fabric.tracer() {
+                tr.violation(class.name(), loc, who, &v.detail);
+            }
         }
         if self.cfg.fail_fast {
             panic!("persistency sanitizer: {v}");
@@ -429,17 +422,15 @@ impl Checker {
         st.marks().set_flags(st.marks().flags() & !LOST);
         let mem = st.mem_val();
         drop(st);
-        if self.cfg.unpersisted_reads {
-            self.report(
-                ViolationClass::UnpersistedReadAtRecovery,
-                loc,
-                Some(who),
-                format!(
-                    "read of a cell whose acknowledged persist (value {v}) was lost in a \
-                     crash; memory still holds {mem}"
-                ),
-            );
-        }
+        self.report(
+            ViolationClass::UnpersistedReadAtRecovery,
+            loc,
+            Some(who),
+            format!(
+                "read of a cell whose acknowledged persist (value {v}) was lost in a \
+                 crash; memory still holds {mem}"
+            ),
+        );
     }
 
     /// A mutation of the locked cell `st` at `loc` settled, replacing
@@ -504,9 +495,6 @@ impl Checker {
     /// recorded *at risk*: a crash that destroys the cached copy before
     /// it drains turns it into a lost value.
     pub(crate) fn on_ack(&self, cell: &LocCell) {
-        if !self.cfg.unpersisted_reads {
-            return;
-        }
         let st = &cell.lock();
         let marks = st.marks();
         marks.at_risk.store(st.cache_val(), Ordering::Relaxed);
@@ -586,39 +574,6 @@ impl Checker {
         }
     }
 
-    // ---- SMR hooks ------------------------------------------------------
-
-    /// Thread in rail `slot` pinned the epoch domain at `epoch` (the
-    /// epoch recorded in the slot word — for the shared overflow slot,
-    /// the first joiner's).
-    pub(crate) fn on_pin(&self, slot: usize, epoch: u64) {
-        self.update_pin(slot, |w| {
-            if w & PIN_DEPTH == 0 {
-                epoch << PIN_DEPTH_BITS | 1
-            } else {
-                w + 1
-            }
-        });
-    }
-
-    /// Thread in rail `slot` released its pin.
-    pub(crate) fn on_unpin(&self, slot: usize) {
-        self.update_pin(slot, |w| if w & PIN_DEPTH == 0 { w } else { w - 1 });
-    }
-
-    fn update_pin(&self, slot: usize, f: impl Fn(u64) -> u64) {
-        let pin = &self.pins[slot.min(RAIL_SLOTS)];
-        let _ = pin.fetch_update(Ordering::AcqRel, Ordering::Acquire, |w| Some(f(w)));
-    }
-
-    /// The SMR domain recovered after a crash: every pin died with its
-    /// thread.
-    pub(crate) fn on_smr_recover(&self) {
-        for pin in self.pins.iter() {
-            pin.store(0, Ordering::Release);
-        }
-    }
-
     // ---- internals ------------------------------------------------------
 
     /// Use-after-retire rules for an application access to `loc`.
@@ -632,7 +587,7 @@ impl Checker {
     /// epoch domain's grace guarantee says a pinned thread can still
     /// hold references only to blocks whose reclamation is deferred.
     fn check_retire(&self, who: (MachineId, usize), loc: Loc, what: &str) {
-        if !self.cfg.use_after_retire || self.region.get() != Some(&loc.owner) {
+        if self.region.get() != Some(&loc.owner) {
             return;
         }
         let g = self.blocks.read();
@@ -642,16 +597,16 @@ impl Checker {
         if loc.addr.0 >= base + b.cells {
             return;
         }
-        let pin = self.pins[who.1.min(RAIL_SLOTS)].load(Ordering::Acquire);
-        let (depth, epoch, retired) = (pin & PIN_DEPTH, pin >> PIN_DEPTH_BITS, b.retire_epoch);
-        let why = match b.state {
-            BlockState::Retired if depth == 0 => {
+        let pinned = self.smr.get().and_then(|smr| smr.pinned_epoch(who.1));
+        let retired = b.retire_epoch;
+        let why = match (b.state, pinned) {
+            (BlockState::Retired, None) => {
                 format!("retired at epoch {retired} by a thread holding no epoch pin")
             }
-            BlockState::Retired if epoch > retired + 1 => {
+            (BlockState::Retired, Some(epoch)) if epoch > retired + 1 => {
                 format!("retired at epoch {retired} by a thread pinned too late (epoch {epoch})")
             }
-            BlockState::Freed if depth > 0 => format!(
+            (BlockState::Freed, Some(epoch)) => format!(
                 "reclaimed, by a thread pinned at epoch {epoch} — the block was reclaimed \
                  before its grace period"
             ),
@@ -769,7 +724,7 @@ mod tests {
         let persist = Arc::new(Flit::new(FlitPolicy::CXL0));
         let alloc = Arc::new(Allocator::over_region(f.config(), M, persist));
         let smr = Arc::new(SmrDomain::new(Arc::clone(&alloc)));
-        smr.install_checker(Arc::clone(&ck));
+        ck.attach_smr(Arc::clone(&smr));
         let node = f.node(MachineId(0));
         (f, ck, alloc, smr, node)
     }

@@ -625,7 +625,7 @@ mod tests {
         }));
         f.install_checker(Arc::clone(&ck));
         let smr = domain(&f, MachineId(2));
-        smr.install_checker(Arc::clone(&ck));
+        ck.attach_smr(Arc::clone(&smr));
         let node = f.node(MachineId(0));
         let l: DurableList = DurableList::create(&smr, &node).unwrap().unwrap();
         for k in [2u64, 4, 6] {

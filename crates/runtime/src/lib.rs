@@ -43,7 +43,7 @@
 //! * [`trace`] — the **runtime tracer**: opt-in per-thread op spans with
 //!   wall/simulated time and persist amplification, log2 latency
 //!   histograms (p50/p99/p999), recovery-phase timing and Chrome
-//!   trace-event / JSONL exporters (`docs/OBSERVABILITY.md`).
+//!   trace-event export (`docs/OBSERVABILITY.md`).
 //! * [`heap`] — the raw bump tail the allocator builds on.
 //! * [`cost`] — simulated per-primitive latencies (Figure-5 shaped).
 //!

@@ -103,7 +103,7 @@
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use cxl0_model::Loc;
 use parking_lot::Mutex;
@@ -205,11 +205,6 @@ pub struct SmrDomain {
     retires: AtomicU64,
     reclaims: AtomicU64,
     advances: AtomicU64,
-    /// The persistency sanitizer, when one is installed on this domain's
-    /// cluster: pin/unpin are purely volatile (no [`NodeHandle`] in
-    /// scope), so the domain carries its own handle instead of routing
-    /// through the fabric.
-    checker: OnceLock<Arc<crate::check::Checker>>,
 }
 
 impl SmrDomain {
@@ -226,14 +221,7 @@ impl SmrDomain {
             retires: AtomicU64::new(0),
             reclaims: AtomicU64::new(0),
             advances: AtomicU64::new(0),
-            checker: OnceLock::new(),
         }
-    }
-
-    /// Installs the persistency sanitizer (first installation wins;
-    /// called from cluster construction).
-    pub(crate) fn install_checker(&self, checker: Arc<crate::check::Checker>) {
-        let _ = self.checker.set(checker);
     }
 
     /// The allocator retired blocks drain back into.
@@ -250,6 +238,15 @@ impl SmrDomain {
     /// The current global epoch.
     pub fn epoch(&self) -> u64 {
         self.global.word.load(Ordering::SeqCst)
+    }
+
+    /// The epoch rail `slot`'s pin recorded, or `None` while it holds no
+    /// pin — what the persistency sanitizer judges an access by.
+    pub(crate) fn pinned_epoch(&self, slot: usize) -> Option<u64> {
+        let w = self.slots[slot.min(RAIL_SLOTS)]
+            .word
+            .load(Ordering::Acquire);
+        (w >= COUNT_ONE).then_some(w & EPOCH_MASK)
     }
 
     /// Blocks currently awaiting their grace period.
@@ -336,9 +333,6 @@ impl SmrDomain {
             }
             slot.pins.fetch_add(1, Ordering::Relaxed);
         }
-        if let Some(ck) = self.checker.get() {
-            ck.on_pin(idx, slot.word.load(Ordering::SeqCst) & EPOCH_MASK);
-        }
         SmrGuard {
             domain: self,
             slot: idx,
@@ -359,9 +353,6 @@ impl SmrDomain {
             // The epoch bits stay behind at count zero; scanners ignore
             // them and the next first pinner overwrites them.
             slot.word.fetch_sub(COUNT_ONE, Ordering::Release);
-        }
-        if let Some(ck) = self.checker.get() {
-            ck.on_unpin(idx);
         }
     }
 
@@ -516,7 +507,6 @@ impl SmrDomain {
         for slot in self.slots.iter() {
             slot.word.store(0, Ordering::SeqCst);
         }
-        node.check_smr_recover();
         let mut limbo = self.limbo.lock();
         let mut blocks: Vec<Owned> = limbo.iter().flat_map(|bag| &bag.blocks).copied().collect();
         let filed = blocks.len() as u64;

@@ -62,9 +62,7 @@
 //! complete events timed in wall microseconds, violations are instant
 //! events, `pid` is the crash incarnation and `tid` the thread slot,
 //! and each span's `args` carry the simulated-time and persist
-//! attribution. [`Tracer::export_jsonl`] emits one self-describing JSON
-//! object per line for ad-hoc analysis. [`Tracer::write_to`] picks the
-//! format from the file extension (`.jsonl` vs anything else).
+//! attribution. [`Tracer::write_to`] writes it to a file.
 //!
 //! See `docs/OBSERVABILITY.md` for the full tour, including measured
 //! overhead numbers.
@@ -90,25 +88,17 @@ pub const HIST_BUCKETS: usize = 64;
 /// beyond this, further crash-sealed events count as dropped.
 const RETIRED_CAP: usize = 1 << 16;
 
-/// Configuration for the runtime tracer.
-#[derive(Debug, Clone)]
-pub struct TraceConfig {
-    /// Events retained per thread slot before the ring wraps (oldest
-    /// dropped, counted). Default 4096.
-    pub ring_capacity: usize,
-    /// Where to export on [`Cluster`](crate::api::Cluster) drop; `None`
-    /// keeps the trace queryable in-process only. A `.jsonl` suffix
-    /// selects JSONL, anything else Chrome trace-event JSON.
-    pub export_path: Option<String>,
-}
+/// Events retained per thread slot before the ring wraps (oldest
+/// dropped, counted).
+const RING_CAPACITY: usize = 4096;
 
-impl Default for TraceConfig {
-    fn default() -> Self {
-        TraceConfig {
-            ring_capacity: 4096,
-            export_path: None,
-        }
-    }
+/// Configuration for the runtime tracer.
+#[derive(Debug, Clone, Default)]
+pub struct TraceConfig {
+    /// Where to export Chrome trace-event JSON on
+    /// [`Cluster`](crate::api::Cluster) drop; `None` keeps the trace
+    /// queryable in-process only.
+    pub export_path: Option<String>,
 }
 
 impl TraceConfig {
@@ -116,7 +106,6 @@ impl TraceConfig {
     pub fn to_path(path: impl Into<String>) -> Self {
         TraceConfig {
             export_path: Some(path.into()),
-            ..TraceConfig::default()
         }
     }
 }
@@ -465,13 +454,12 @@ pub struct Tracer {
 impl Tracer {
     /// Creates a tracer with `cfg`.
     pub fn new(cfg: TraceConfig) -> Self {
-        let cap = cfg.ring_capacity;
         Tracer {
             cfg,
             epoch: Instant::now(),
             slots: (0..=RAIL_SLOTS)
                 .map(|i| SlotRecorder {
-                    ring: Mutex::new(Ring::new(cap)),
+                    ring: Mutex::new(Ring::new(RING_CAPACITY)),
                     acks: AtomicU64::new(0),
                     shared: i == RAIL_SLOTS,
                 })
@@ -685,30 +673,13 @@ impl Tracer {
         out
     }
 
-    /// Exports one self-describing JSON object per line.
-    pub fn export_jsonl(&self) -> String {
-        let evs = self.events();
-        let mut out = String::with_capacity(evs.len() * 224);
-        for e in &evs {
-            jsonl_event(&mut out, e);
-            out.push('\n');
-        }
-        out
-    }
-
-    /// Writes the trace to `path`, picking JSONL for a `.jsonl`
-    /// extension and Chrome trace-event JSON otherwise.
+    /// Writes the trace to `path` as Chrome trace-event JSON.
     ///
     /// # Errors
     ///
     /// Propagates the underlying I/O error.
     pub fn write_to(&self, path: &str) -> std::io::Result<()> {
-        let body = if path.ends_with(".jsonl") {
-            self.export_jsonl()
-        } else {
-            self.export_chrome_json()
-        };
-        std::fs::write(path, body)
+        std::fs::write(path, self.export_chrome_json())
     }
 }
 
@@ -854,37 +825,6 @@ fn chrome_event(out: &mut String, e: &TraceEvent) {
     out.push_str("}}");
 }
 
-fn jsonl_event(out: &mut String, e: &TraceEvent) {
-    use std::fmt::Write;
-    let _ = write!(
-        out,
-        "{{\"name\":\"{}\",\"cat\":\"{}\",\"slot\":{},\"incarnation\":{},\
-         \"wall_start_ns\":{},\"wall_dur_ns\":{},\"sim_start_ns\":{},\"sim_dur_ns\":{},\
-         \"flushes\":{},\"aflushes\":{},\"barriers\":{},\"persist_acks\":{}",
-        e.kind.name(),
-        e.kind.category(),
-        e.slot,
-        e.incarnation,
-        e.wall_start_ns,
-        e.wall_dur_ns,
-        e.sim_start_ns,
-        e.sim_dur_ns,
-        e.flushes,
-        e.aflushes,
-        e.barriers,
-        e.persist_acks,
-    );
-    if let Some(m) = e.machine {
-        let _ = write!(out, ",\"machine\":{}", m.index());
-    }
-    if let Some(d) = &e.detail {
-        out.push_str(",\"detail\":\"");
-        push_escaped(out, d);
-        out.push('"');
-    }
-    out.push('}');
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -974,6 +914,5 @@ mod tests {
         let chrome = tr.export_chrome_json();
         assert!(chrome.starts_with('['));
         assert!(chrome.trim_end().ends_with(']'));
-        assert_eq!(tr.export_jsonl(), "");
     }
 }

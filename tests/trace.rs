@@ -431,27 +431,3 @@ fn recovery_breakdown_has_every_phase() {
     session.recover_roots().unwrap();
     assert_eq!(tracer.recovery_breakdown().len(), RecoveryPhase::ALL.len());
 }
-
-/// The JSONL export is one parseable object per line with the
-/// self-describing schema.
-#[test]
-fn jsonl_export_is_line_parseable() {
-    let cluster = traced_cluster();
-    let session = cluster.session(MachineId(0));
-    let queue = session.create_queue::<u64>("q").unwrap();
-    for i in 0..5 {
-        queue.enqueue(&session, i).unwrap();
-    }
-    let text = cluster.tracer().unwrap().export_jsonl();
-    let mut enqueues = 0;
-    for line in text.lines() {
-        let obj = Parser::parse(line);
-        assert!(matches!(obj, Json::Obj(_)));
-        if obj.str("name") == "enqueue" {
-            enqueues += 1;
-            assert_eq!(obj.str("cat"), "op");
-            assert!(obj.num("sim_dur_ns") >= 0.0);
-        }
-    }
-    assert_eq!(enqueues, 5);
-}
