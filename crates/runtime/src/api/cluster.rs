@@ -237,8 +237,9 @@ impl ClusterBuilder {
                     fail_fast: self.mode.policy().sound,
                 })
         });
-        if let Some(cfg) = check_cfg {
-            fabric.install_checker(Arc::new(Checker::new(cfg)));
+        let checker = check_cfg.map(|cfg| Arc::new(Checker::new(cfg)));
+        if let Some(ck) = &checker {
+            fabric.install_checker(Arc::clone(ck));
         }
         // Arm the tracer the same way: explicit `with_tracing` wins,
         // otherwise `CXL0_TRACE=<path>` (or `=1` for no export) arms a
@@ -251,8 +252,9 @@ impl ClusterBuilder {
                     export_path: (v != "1").then_some(v),
                 })
         });
-        if let Some(cfg) = trace_cfg {
-            fabric.install_tracer(Arc::new(Tracer::new(cfg)));
+        let tracer = trace_cfg.map(|cfg| Arc::new(Tracer::new(cfg)));
+        if let Some(tr) = &tracer {
+            fabric.install_tracer(Arc::clone(tr));
         }
         let heap = Arc::new(SharedHeap::with_range(
             fabric.config(),
@@ -309,7 +311,7 @@ impl ClusterBuilder {
         // every traversal structure shares these epochs, which is what
         // makes grace periods sound across handles.
         let smr = Arc::new(SmrDomain::new(Arc::clone(&allocator)));
-        if let Some(ck) = fabric.checker() {
+        if let Some(ck) = &checker {
             // pin/unpin never touch the fabric: the checker reads this
             // domain's epoch slots instead.
             ck.attach_smr(Arc::clone(&smr));
@@ -325,6 +327,8 @@ impl ClusterBuilder {
             mode: self.mode,
             memory_node,
             directory,
+            checker,
+            tracer,
             combine_stats: Arc::new(CombineStats::default()),
             combine_boards: Mutex::new(HashMap::new()),
         }))
@@ -350,6 +354,12 @@ pub struct Cluster {
     mode: PersistMode,
     memory_node: MachineId,
     directory: RootDirectory,
+    /// The persistency sanitizer, when armed (see
+    /// [`ClusterBuilder::with_checker`]).
+    checker: Option<Arc<Checker>>,
+    /// The runtime tracer, when armed (see
+    /// [`ClusterBuilder::with_tracing`]).
+    tracer: Option<Arc<Tracer>>,
     /// Cluster-wide combining counters (all fronts share one set).
     combine_stats: Arc<CombineStats>,
     /// Volatile announcement boards, keyed by structure root cell so
@@ -422,14 +432,14 @@ impl Cluster {
     /// The persistency sanitizer, when armed (via
     /// [`ClusterBuilder::with_checker`] or `CXL0_SANITIZE=1`).
     pub fn checker(&self) -> Option<&Arc<Checker>> {
-        self.fabric.checker()
+        self.checker.as_ref()
     }
 
     /// The runtime tracer, when armed (via
     /// [`ClusterBuilder::with_tracing`] or `CXL0_TRACE=<path>`). Query
     /// it for latency histograms, recovery breakdowns and exports.
     pub fn tracer(&self) -> Option<&Arc<Tracer>> {
-        self.fabric.tracer()
+        self.tracer.as_ref()
     }
 
     /// Exports the trace to `path` now as Chrome trace-event JSON,
