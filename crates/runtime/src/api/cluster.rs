@@ -450,7 +450,7 @@ impl Cluster {
     /// [`ApiError::NoTracer`] when no tracer is armed;
     /// [`ApiError::TraceExport`] on an I/O failure.
     pub fn export_trace(&self, path: &str) -> ApiResult<()> {
-        let tracer = self.tracer().ok_or(ApiError::NoTracer)?;
+        let tracer = self.tracer.as_ref().ok_or(ApiError::NoTracer)?;
         tracer
             .write_to(path)
             .map_err(|e| ApiError::TraceExport(e.to_string()))
@@ -503,12 +503,12 @@ impl Cluster {
         snap.smr_advances = smr.advances;
         snap.smr_epoch = smr.epoch;
         snap.smr_limbo = smr.limbo;
-        if let Some(ck) = self.checker() {
+        if let Some(ck) = &self.checker {
             snap.check_durability_races = ck.durability_races();
             snap.check_unpersisted_reads = ck.unpersisted_reads();
             snap.check_use_after_retire = ck.use_after_retire();
         }
-        if let Some(tr) = self.tracer() {
+        if let Some(tr) = &self.tracer {
             snap.trace_events = tr.events_recorded();
             snap.trace_dropped = tr.events_dropped();
             let h = tr.merged_histogram();
@@ -584,7 +584,7 @@ impl Drop for Cluster {
         // the deployment winds down, without the program opting in at
         // every exit path. Failures are reported, not propagated — drop
         // cannot return and must not panic.
-        if let Some(tr) = self.tracer() {
+        if let Some(tr) = &self.tracer {
             if let Some(path) = tr.config().export_path.clone() {
                 if let Err(e) = tr.write_to(&path) {
                     eprintln!("cxl0: trace export to {path} failed: {e}");

@@ -241,7 +241,9 @@ impl SmrDomain {
     }
 
     /// The epoch rail `slot`'s pin recorded, or `None` while it holds no
-    /// pin — what the persistency sanitizer judges an access by.
+    /// pin — what the persistency sanitizer judges an access by. The
+    /// load acquires what the pin's `SeqCst` publish and the unpin's
+    /// `Release` store made visible.
     pub(crate) fn pinned_epoch(&self, slot: usize) -> Option<u64> {
         let w = self.slots[slot.min(RAIL_SLOTS)]
             .word
