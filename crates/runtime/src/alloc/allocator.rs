@@ -281,8 +281,8 @@ impl Magazine {
 ///
 /// Sixteen bytes, the size of a `Loc` (the class is read off the
 /// header): limbo holds thousands of these, and a 24-byte entry shifted
-/// the host heap's layout enough to keep one more 12 MB fabric cell slab
-/// resident in the benchmark's `churn_crash`.
+/// the host heap's layout enough to keep one more fabric cell slab
+/// (12 MB then) resident in the benchmark's `churn_crash`.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Owned {
     /// Payload address.

@@ -86,7 +86,7 @@ use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::check::{CellMarks, Checker};
+use crate::check::Checker;
 use crate::cost::CostModel;
 use crate::error::{Crashed, OpResult};
 
@@ -551,24 +551,29 @@ impl StatsSnapshot {
 }
 
 /// One location's model state `(holders bitmask, cached value, memory
-/// value)` as a cache-line-aligned sequence-locked record of atomics.
+/// value)` as a sequence-locked record of atomics: exactly 32 bytes,
+/// aligned to 32, so two cells share each 64-byte host line and none
+/// straddles one. A two-cell record — a map slot's `[key, value]`, a
+/// queue node's `[value, next]`, a list node's `[key, next]` — sits on
+/// one line whenever its first cell starts the line, where 64-byte
+/// cells always took two.
 ///
 /// The sequence word doubles as the writer lock (odd = locked). Mutating
 /// rules hold the writer lock; read-only rules take an optimistic
 /// snapshot validated against the sequence word, paying no atomic
 /// read-modify-write. All field accesses are atomics, so the seqlock is
 /// race-free by construction (no torn reads are possible, only
-/// inconsistent snapshots, which validation discards).
-/// The line's spare bytes hold the sanitizer's conclusions about the
-/// cell, so a checker allocates nothing per cell.
-#[repr(align(64))]
+/// inconsistent snapshots, which validation discards). The sanitizer's
+/// conclusions about a cell live in the checker's own array, indexed by
+/// the cell's slab index ([`SimFabric::slot`]), so an unarmed fabric
+/// carries none.
+#[repr(align(32))]
 #[derive(Debug)]
 pub(crate) struct LocCell {
     seq: AtomicU64,
     holders: AtomicU64,
     cache_val: AtomicU64,
     mem_val: AtomicU64,
-    pub(crate) marks: CellMarks,
 }
 
 /// Spins until `attempt` yields a value, backing off to a scheduler
@@ -596,7 +601,6 @@ impl LocCell {
             holders: AtomicU64::new(0),
             cache_val: AtomicU64::new(0),
             mem_val: AtomicU64::new(0),
-            marks: CellMarks::default(),
         }
     }
 
@@ -676,11 +680,6 @@ impl CellGuard<'_> {
 
     pub(crate) fn mem_val(&self) -> u64 {
         self.cell.mem_val.load(Ordering::Relaxed)
-    }
-
-    /// The sanitizer's marks on the locked cell.
-    pub(crate) fn marks(&self) -> &CellMarks {
-        &self.cell.marks
     }
 
     fn set_mem_val(&self, v: u64) {
@@ -912,9 +911,16 @@ impl SimFabric {
     /// checker per fabric; later calls are ignored. Prefer
     /// [`ClusterBuilder::with_checker`](crate::api::ClusterBuilder::with_checker),
     /// which also wires the allocator, SMR domain and root registry.
+    ///
+    /// The checker's per-cell marks are allocated here, one per cell of
+    /// the slab: a fabric that never installs a checker carries none.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `checker` is already installed on another fabric.
     pub fn install_checker(self: &Arc<Self>, checker: Arc<Checker>) {
         if self.checker.set(Arc::clone(&checker)).is_ok() {
-            checker.attach(Arc::downgrade(self));
+            checker.attach(Arc::downgrade(self), self.cells.len());
         }
     }
 
@@ -970,7 +976,9 @@ impl SimFabric {
         self.crash_word.crashed.load(Ordering::Acquire) & (1u64 << m.index()) != 0
     }
 
-    pub(crate) fn cell(&self, loc: Loc) -> &LocCell {
+    /// The slab index of `loc`'s cell, which also indexes the
+    /// checker's marks.
+    pub(crate) fn slot(&self, loc: Loc) -> usize {
         let (base, count) = self.extents[loc.owner.index()];
         assert!(
             loc.addr.index() < count as usize,
@@ -979,14 +987,20 @@ impl SimFabric {
             loc.owner,
             count
         );
-        &self.cells[base + loc.addr.index()]
+        base + loc.addr.index()
     }
 
-    /// Calls `f` on every cell of the slab with its location.
-    pub(crate) fn each_cell(&self, mut f: impl FnMut(Loc, &LocCell)) {
+    pub(crate) fn cell(&self, loc: Loc) -> &LocCell {
+        &self.cells[self.slot(loc)]
+    }
+
+    /// Calls `f` on every cell of the slab with its slab index and
+    /// location.
+    pub(crate) fn each_cell(&self, mut f: impl FnMut(usize, Loc, &LocCell)) {
         for (m, &(base, count)) in self.extents.iter().enumerate() {
             for a in 0..count {
-                f(Loc::new(MachineId(m), a), &self.cells[base + a as usize]);
+                let slot = base + a as usize;
+                f(slot, Loc::new(MachineId(m), a), &self.cells[slot]);
             }
         }
     }
@@ -1001,9 +1015,26 @@ impl SimFabric {
             Some(ck) => {
                 let old_mem = st.mem_val();
                 f();
-                ck.on_mutate(self, by.map(|m| (m, thread_slot_index())), loc, old_mem, st);
+                self.mutated(ck, by, loc, old_mem, st);
             }
         }
+    }
+
+    /// The checker's half of [`SimFabric::settle`]. Out of line, so the
+    /// stores' unarmed path inlines none of it: inlined, the slab-index
+    /// computation and its bounds check slowed unarmed stores by 12–15 %.
+    #[cold]
+    #[inline(never)]
+    fn mutated(
+        &self,
+        ck: &Checker,
+        by: Option<MachineId>,
+        loc: Loc,
+        old_mem: u64,
+        st: &CellGuard<'_>,
+    ) {
+        let who = by.map(|m| (m, thread_slot_index()));
+        ck.on_mutate(self, who, loc, self.slot(loc), old_mem, st);
     }
 
     /// Drains `loc` under its writer lock `st` as one line of a batch (a
@@ -1011,6 +1042,7 @@ impl SimFabric {
     /// judges the `changed` memory words after the whole batch.
     #[inline]
     fn drain_in_batch(
+        &self,
         ck: Option<&Arc<Checker>>,
         loc: Loc,
         st: &CellGuard<'_>,
@@ -1021,7 +1053,7 @@ impl SimFabric {
             Some(ck) => {
                 let old_mem = st.mem_val();
                 st.drain();
-                if ck.settle(st, old_mem) {
+                if ck.settle(self.slot(loc), st, old_mem) {
                     changed.push((loc, st.mem_val()));
                 }
             }
@@ -1038,6 +1070,18 @@ impl SimFabric {
 
     /// Crashes every machine of `victims` (a bitmask) and their failure
     /// domains in one world-stopped transition.
+    ///
+    /// With the world halted and drained, only a cell the crash changes
+    /// is locked: one a victim caches, a victim's own cell holding a
+    /// nonzero word in volatile memory, or, under PSN, a victim's own
+    /// cell that any cache holds. Every other cell is judged by one
+    /// seqlock snapshot and left alone. Gateless loads stay sound: a
+    /// cell the crash leaves alone reads the same before and after it,
+    /// so a load's snapshot of it is linearizable on either side, and a
+    /// victim's load still finds its `crashed` bit (stored before the
+    /// gate reopens) when it checks the crash word. A cell the crash
+    /// changes is written under its lock as before, whose release
+    /// publishes the halt to any load whose snapshot saw the change.
     fn crash_all(&self, victims: u64) {
         let crashed_bits = (self.cfg.machines())
             .filter(|m| victims & (1u64 << m.index()) != 0)
@@ -1048,37 +1092,45 @@ impl SimFabric {
         let _serial = self.crash_lock.lock();
         self.crash_word.halted.fetch_or(HALTED, Ordering::SeqCst);
         self.stats.await_quiescent();
-        for d in self.cfg.machines() {
-            let bit = 1u64 << d.index();
-            if crashed_bits & bit == 0 {
-                continue;
+        self.crash_word
+            .crashed
+            .fetch_or(crashed_bits, Ordering::SeqCst);
+        for (owner, &(base, count)) in self.extents.iter().enumerate() {
+            let own = crashed_bits & (1u64 << owner) != 0;
+            if own {
+                // Un-retired asynchronous flush requests die with the
+                // machine.
+                self.pending[owner].clear();
             }
-            self.crash_word.crashed.fetch_or(bit, Ordering::SeqCst);
-            // Un-retired asynchronous flush requests die with the machine.
-            self.pending[d.index()].clear();
-            for owner in self.cfg.machines() {
-                for a in 0..self.cfg.machine(owner).locations {
-                    let st = self.cells[self.extents[owner.index()].0 + a as usize].lock();
-                    // The crashed machine's cache entries vanish.
-                    st.set_holders(st.holders() & !bit);
-                    if owner == d {
-                        if self.cfg.machine(d).memory == MemoryKind::Volatile {
-                            st.set_mem_val(0);
-                        }
-                        if self.variant == ModelVariant::Psn {
-                            // Poison: every cache entry for a line owned by
-                            // the crashed machine is invalidated.
-                            st.set_holders(0);
-                        }
-                    }
+            let volatile = own && self.cfg.machine(MachineId(owner)).memory == MemoryKind::Volatile;
+            // Poison: every cache entry for a line owned by a crashed
+            // machine is invalidated.
+            let poison = own && self.variant == ModelVariant::Psn;
+            for cell in &self.cells[base..base + count as usize] {
+                let (holders, _, mem) = cell.read();
+                if holders & crashed_bits == 0
+                    && !(volatile && mem != 0)
+                    && !(poison && holders != 0)
+                {
+                    continue;
+                }
+                let st = cell.lock();
+                // The crashed machines' cache entries vanish.
+                st.set_holders(if poison {
+                    0
+                } else {
+                    st.holders() & !crashed_bits
+                });
+                if volatile {
+                    st.set_mem_val(0);
                 }
             }
         }
         if let Some(ck) = self.checker.get() {
             // The world is still stopped: the checker reads what the
             // crash left of every cell.
-            for cell in self.cells.iter() {
-                ck.on_crash(cell);
+            for (slot, cell) in self.cells.iter().enumerate() {
+                ck.on_crash(slot, cell);
             }
         }
         if let Some(tr) = self.tracer.get() {
@@ -1166,10 +1218,10 @@ impl SimFabric {
         // The sanitizer judges the drain as one batch, like a barrier's.
         let ck = self.checker.get();
         let mut changed = Vec::new();
-        self.each_cell(|loc, cell| {
+        self.each_cell(|_, loc, cell| {
             // Cheap optimistic skip: most cells are uncached.
             if cell.read().0 != 0 {
-                Self::drain_in_batch(ck, loc, &cell.lock(), &mut changed);
+                self.drain_in_batch(ck, loc, &cell.lock(), &mut changed);
             }
         });
         if let Some(ck) = ck {
@@ -1361,7 +1413,8 @@ impl NodeHandle {
     fn check_load(&self, loc: Loc) {
         if let Some(ck) = self.fabric.checker.get() {
             let who = (self.machine, thread_slot_index());
-            ck.on_load(who, loc, self.fabric.cell(loc));
+            let slot = self.fabric.slot(loc);
+            ck.on_load(who, loc, slot, &self.fabric.cells[slot]);
         }
     }
 
@@ -1370,7 +1423,8 @@ impl NodeHandle {
     /// as durable. No-op without a checker or tracer.
     pub(crate) fn ack_persist(&self, loc: Loc) {
         if let Some(ck) = self.fabric.checker.get() {
-            ck.on_ack(self.fabric.cell(loc));
+            let slot = self.fabric.slot(loc);
+            ck.on_ack(slot, &self.fabric.cells[slot]);
         }
         if let Some(tr) = self.fabric.tracer.get() {
             tr.on_persist_ack();
@@ -1702,7 +1756,8 @@ impl NodeHandle {
         let retired = self.fabric.pending[self.machine.index()].retire(|loc| {
             let cell = self.fabric.cell(loc);
             if cell.read().0 != 0 {
-                SimFabric::drain_in_batch(ck, loc, &cell.lock(), &mut changed);
+                self.fabric
+                    .drain_in_batch(ck, loc, &cell.lock(), &mut changed);
             }
             let local = self.machine == loc.owner;
             max_line = max_line.max(self.fabric.cost.cost(Primitive::RFlush, local));
@@ -2249,6 +2304,70 @@ mod tests {
         f.recover(M0);
         f.recover(M1);
         assert_eq!(f.node(M0).load(x(0, 0)).unwrap(), 0);
+    }
+
+    #[test]
+    fn cells_are_half_a_host_line_and_marks_come_with_a_checker() {
+        assert_eq!(std::mem::size_of::<LocCell>(), 32);
+        assert_eq!(std::mem::align_of::<LocCell>(), 32);
+        let f = fabric2();
+        assert!(f.checker().is_none(), "an unarmed fabric carries no marks");
+        let ck = Arc::new(Checker::new(crate::CheckConfig::default()));
+        assert_eq!(ck.marked_cells(), 0, "a checker allocates marks on install");
+        f.install_checker(Arc::clone(&ck));
+        assert_eq!(ck.marked_cells(), 8, "one mark per cell of the slab");
+    }
+
+    /// The slab indices of the cells whose sequence word moved between
+    /// `before` and now: the cells some writer locked.
+    fn locked_since(f: &SimFabric, before: &[u64]) -> Vec<usize> {
+        let now = f.cells.iter().map(|c| c.seq.load(Ordering::Relaxed));
+        now.zip(before)
+            .enumerate()
+            .filter(|(_, (n, b))| n != *b)
+            .map(|(i, _)| i)
+            .collect()
+    }
+
+    fn seqs(f: &SimFabric) -> Vec<u64> {
+        f.cells
+            .iter()
+            .map(|c| c.seq.load(Ordering::Relaxed))
+            .collect()
+    }
+
+    #[test]
+    fn crash_locks_only_the_cells_it_changes() {
+        // NVM, base variant: only the lines the victim caches change.
+        let f = SimFabric::new(SystemConfig::symmetric_nvm(3, 2));
+        f.node(M0).lstore(x(2, 0), 1).unwrap();
+        f.node(M1).lstore(x(2, 1), 2).unwrap();
+        let before = seqs(&f);
+        f.crash(M0);
+        assert_eq!(locked_since(&f, &before), [f.slot(x(2, 0))]);
+        assert!(!f.is_cached(x(2, 0)) && f.is_cached(x(2, 1)));
+
+        // Volatile memory: the victim's nonzero words are zeroed too.
+        let f = SimFabric::new(SystemConfig::symmetric_volatile(2, 2));
+        f.node(M1).mstore(x(0, 0), 5).unwrap();
+        f.node(M1).lstore(x(1, 1), 6).unwrap();
+        let before = seqs(&f);
+        f.crash(M0);
+        assert_eq!(locked_since(&f, &before), [f.slot(x(0, 0))]);
+        assert_eq!(f.peek_memory(x(0, 0)), 0);
+
+        // PSN: every cached copy of the victim's lines is poisoned.
+        let f = SimFabric::with_options(
+            SystemConfig::symmetric_nvm(2, 2),
+            ModelVariant::Psn,
+            CostModel::free(),
+        );
+        f.node(M1).lstore(x(0, 1), 7).unwrap();
+        f.node(M1).lstore(x(1, 0), 8).unwrap();
+        let before = seqs(&f);
+        f.crash(M0);
+        assert_eq!(locked_since(&f, &before), [f.slot(x(0, 1))]);
+        assert!(!f.is_cached(x(0, 1)) && f.is_cached(x(1, 0)));
     }
 
     /// Every counted primitive kind, once each, plus a `GPF` (which

@@ -21,9 +21,12 @@
 //!
 //! It reads that state from the fabric's own cell — *dirty* while some
 //! cache holds a value its owner's memory does not (`holders ≠ ∅ ∧
-//! cache ≠ mem`) — and keeps only its conclusions in the spare bytes of
-//! the cell's line: dirty when its last hook settled, the value an
-//! acknowledgement put *at risk*, the value a crash *lost*. Per block it
+//! cache ≠ mem`) — and keeps only its conclusions in arrays of its own,
+//! allocated when it is installed and indexed by the cell's slab index:
+//! a flag byte per cell (dirty when its last hook settled, at risk,
+//! lost) and, beside it, the value an acknowledgement put *at risk* and
+//! the value a crash *lost*. An unarmed fabric carries no marks at all.
+//! Per block it
 //! keeps a *durable-reachability* bit — seeded from the named-root
 //! registry, propagated through persisted pointer words — and the SMR
 //! lifecycle (live → retired → reclaimed).
@@ -81,7 +84,7 @@
 use std::collections::BTreeMap;
 use std::fmt;
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, OnceLock, Weak};
 
 use parking_lot::{Mutex, RwLock};
@@ -178,40 +181,48 @@ impl fmt::Display for Violation {
     }
 }
 
-/// The checker's conclusions about one cell, kept in the spare bytes of
-/// the fabric's cell line. Written only under the cell's writer lock;
-/// other cells' hooks read `flags` with one atomic load.
-#[derive(Debug, Default)]
-pub(crate) struct CellMarks {
+/// The checker's conclusions about one cell: a view into the two
+/// arrays of [`Attached`] at the cell's slab index. Written only under
+/// the cell's writer lock; other cells' hooks read `flags` with one
+/// atomic load.
+#[derive(Clone, Copy)]
+struct CellMarks<'a> {
     /// [`DIRTY`] (dirty when the last hook settled), [`AT_RISK`], [`LOST`].
-    flags: AtomicU64,
-    /// Under [`AT_RISK`]: the value an acknowledgement promised durable
-    /// before it physically completed.
-    at_risk: AtomicU64,
+    flags: &'a AtomicU8,
+    /// `[at_risk, lost]`. Under [`AT_RISK`]: the value an
+    /// acknowledgement promised durable before it physically completed.
     /// Under [`LOST`]: an acknowledged value a crash destroyed the only
     /// copy of; the next read of the cell reports it.
-    lost: AtomicU64,
+    values: &'a [AtomicU64; 2],
 }
 
-const DIRTY: u64 = 1;
-const AT_RISK: u64 = 2;
-const LOST: u64 = 4;
+const DIRTY: u8 = 1;
+const AT_RISK: u8 = 2;
+const LOST: u8 = 4;
 
-impl CellMarks {
-    fn flags(&self) -> u64 {
+impl CellMarks<'_> {
+    fn flags(self) -> u8 {
         self.flags.load(Ordering::Acquire)
     }
 
-    fn set_flags(&self, new: u64) {
+    fn set_flags(self, new: u8) {
         self.flags.store(new, Ordering::Release);
     }
 
-    fn at_risk(&self) -> Option<u64> {
-        (self.flags() & AT_RISK != 0).then(|| self.at_risk.load(Ordering::Relaxed))
+    fn at_risk(self) -> Option<u64> {
+        (self.flags() & AT_RISK != 0).then(|| self.values[0].load(Ordering::Relaxed))
     }
 
-    fn lost(&self) -> Option<u64> {
-        (self.flags() & LOST != 0).then(|| self.lost.load(Ordering::Relaxed))
+    fn set_at_risk(self, v: u64) {
+        self.values[0].store(v, Ordering::Relaxed);
+    }
+
+    fn lost(self) -> Option<u64> {
+        (self.flags() & LOST != 0).then(|| self.values[1].load(Ordering::Relaxed))
+    }
+
+    fn set_lost(self, v: u64) {
+        self.values[1].store(v, Ordering::Relaxed);
     }
 }
 
@@ -256,10 +267,9 @@ const MAX_REPORTS: usize = 64;
 /// and reporting.
 pub struct Checker {
     cfg: CheckConfig,
-    /// The fabric the checker is installed on, whose cells
-    /// [`Checker::fingerprint`] reads and whose tracer, when one is
-    /// installed, receives every report as an instant event.
-    fabric: OnceLock<Weak<SimFabric>>,
+    /// The fabric the checker is installed on and the marks of its
+    /// cells, set together by [`SimFabric::install_checker`].
+    attached: OnceLock<Attached>,
     /// The SMR domain whose epoch slots say which threads are pinned.
     /// Without one, every access counts as unpinned.
     smr: OnceLock<Arc<SmrDomain>>,
@@ -272,6 +282,21 @@ pub struct Checker {
     unpersisted: AtomicU64,
     uar: AtomicU64,
     reports: Mutex<Vec<Violation>>,
+}
+
+/// What a checker learns when it is installed.
+struct Attached {
+    /// The fabric whose cells [`Checker::fingerprint`] reads and whose
+    /// tracer, when one is installed, receives every report as an
+    /// instant event.
+    fabric: Weak<SimFabric>,
+    /// Per cell of the fabric's slab, at its slab index
+    /// ([`SimFabric::slot`]): the flags of its [`CellMarks`]. One byte
+    /// each, so the array every hook reads stays dense in the host cache.
+    flags: Box<[AtomicU8]>,
+    /// The values of each cell's [`CellMarks`], read only under the
+    /// flag that names them.
+    values: Box<[[AtomicU64; 2]]>,
 }
 
 impl fmt::Debug for Checker {
@@ -290,7 +315,7 @@ impl Checker {
     pub fn new(cfg: CheckConfig) -> Self {
         Checker {
             cfg,
-            fabric: OnceLock::new(),
+            attached: OnceLock::new(),
             smr: OnceLock::new(),
             region: OnceLock::new(),
             blocks: RwLock::new(BTreeMap::new()),
@@ -302,9 +327,43 @@ impl Checker {
     }
 
     /// Records the fabric the checker was installed on (by
-    /// [`SimFabric::install_checker`]).
-    pub(crate) fn attach(&self, fabric: Weak<SimFabric>) {
-        let _ = self.fabric.set(fabric);
+    /// [`SimFabric::install_checker`]) and allocates the marks of its
+    /// `cells` cells.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the checker is already installed on a fabric.
+    pub(crate) fn attach(&self, fabric: Weak<SimFabric>, cells: usize) {
+        let attached = Attached {
+            fabric,
+            flags: (0..cells).map(|_| AtomicU8::new(0)).collect(),
+            values: (0..cells).map(|_| Default::default()).collect(),
+        };
+        assert!(
+            self.attached.set(attached).is_ok(),
+            "a checker serves one fabric"
+        );
+    }
+
+    /// The marks of the cell at slab index `slot`. Hooks run only on the
+    /// fabric the checker is installed on, so the marks exist.
+    fn marks(&self, slot: usize) -> CellMarks<'_> {
+        let attached = self.attached.get().expect("hooks run once installed");
+        CellMarks {
+            flags: &attached.flags[slot],
+            values: &attached.values[slot],
+        }
+    }
+
+    /// The installed fabric, while it lives.
+    fn fabric(&self) -> Option<Arc<SimFabric>> {
+        self.attached.get().and_then(|a| a.fabric.upgrade())
+    }
+
+    /// How many cells carry marks: the installed fabric's slab, or 0.
+    #[cfg(test)]
+    pub(crate) fn marked_cells(&self) -> usize {
+        self.attached.get().map_or(0, |a| a.flags.len())
     }
 
     /// Judges use-after-retire by the pins of `smr`, the one domain the
@@ -352,10 +411,10 @@ impl Checker {
     pub fn fingerprint(&self) -> u64 {
         let mut h = std::collections::hash_map::DefaultHasher::new();
         // Cells first, with no checker lock held: a seqlock read may wait.
-        if let Some(fabric) = self.fabric.get().and_then(Weak::upgrade) {
-            fabric.each_cell(|loc, cell| {
+        if let Some(fabric) = self.fabric() {
+            fabric.each_cell(|slot, loc, cell| {
                 let (holders, cache, mem) = cell.read();
-                let marks = &cell.marks;
+                let marks = self.marks(slot);
                 let state = (
                     mem,
                     holders != 0 && cache != mem,
@@ -398,7 +457,7 @@ impl Checker {
             reports.push(v.clone());
         }
         drop(reports);
-        if let Some(fabric) = self.fabric.get().and_then(Weak::upgrade) {
+        if let Some(fabric) = self.fabric() {
             if let Some(tr) = fabric.tracer() {
                 tr.violation(class.name(), loc, who, &v.detail);
             }
@@ -410,16 +469,18 @@ impl Checker {
 
     // ---- fabric hooks ---------------------------------------------------
 
-    /// An application read of `cell` at `loc`. A read of a cell whose
-    /// acknowledged value a crash lost reports it, once.
-    pub(crate) fn on_load(&self, who: (MachineId, usize), loc: Loc, cell: &LocCell) {
+    /// An application read of `cell` at `loc` (slab index `slot`). A
+    /// read of a cell whose acknowledged value a crash lost reports it,
+    /// once.
+    pub(crate) fn on_load(&self, who: (MachineId, usize), loc: Loc, slot: usize, cell: &LocCell) {
         self.check_retire(who, loc, "load");
-        if cell.marks.flags() & LOST == 0 {
+        let marks = self.marks(slot);
+        if marks.flags() & LOST == 0 {
             return;
         }
         let st = cell.lock();
-        let Some(v) = st.marks().lost() else { return };
-        st.marks().set_flags(st.marks().flags() & !LOST);
+        let Some(v) = marks.lost() else { return };
+        marks.set_flags(marks.flags() & !LOST);
         let mem = st.mem_val();
         drop(st);
         self.report(
@@ -433,31 +494,33 @@ impl Checker {
         );
     }
 
-    /// A mutation of the locked cell `st` at `loc` settled, replacing
-    /// memory word `old_mem`. Called for stores, RMWs, flush drains and
-    /// τ moves alike; `who` is `None` for fabric background activity.
+    /// A mutation of the locked cell `st` at `loc` (slab index `slot`)
+    /// settled, replacing memory word `old_mem`. Called for stores, RMWs,
+    /// flush drains and τ moves alike; `who` is `None` for fabric
+    /// background activity.
     pub(crate) fn on_mutate(
         &self,
         fabric: &SimFabric,
         who: Option<(MachineId, usize)>,
         loc: Loc,
+        slot: usize,
         old_mem: u64,
         st: &CellGuard<'_>,
     ) {
         if let Some(w) = who {
             self.check_retire(w, loc, "store");
         }
-        if self.settle(st, old_mem) {
+        if self.settle(slot, st, old_mem) {
             self.publish(fabric, who, &[(loc, st.mem_val())]);
         }
     }
 
-    /// Updates the locked cell's marks after a mutation that replaced
-    /// memory word `old_mem`, and says whether its memory changed. Any
-    /// settled mutation supersedes a crash-lost value; a clean cell has
-    /// nothing at risk.
-    pub(crate) fn settle(&self, st: &CellGuard<'_>, old_mem: u64) -> bool {
-        let marks = st.marks();
+    /// Updates the marks of the locked cell `st` (slab index `slot`)
+    /// after a mutation that replaced memory word `old_mem`, and says
+    /// whether its memory changed. Any settled mutation supersedes a
+    /// crash-lost value; a clean cell has nothing at risk.
+    pub(crate) fn settle(&self, slot: usize, st: &CellGuard<'_>, old_mem: u64) -> bool {
+        let marks = self.marks(slot);
         let at_risk = marks.flags() & AT_RISK;
         marks.set_flags(if dirty(st) { DIRTY | at_risk } else { 0 });
         st.mem_val() != old_mem
@@ -490,28 +553,32 @@ impl Checker {
         }
     }
 
-    /// A persistence strategy acknowledged an operation on `cell` as
-    /// durable. If the cell is still dirty, the promised value is
-    /// recorded *at risk*: a crash that destroys the cached copy before
-    /// it drains turns it into a lost value.
-    pub(crate) fn on_ack(&self, cell: &LocCell) {
+    /// A persistence strategy acknowledged an operation on `cell` (slab
+    /// index `slot`) as durable. If the cell is still dirty, the promised
+    /// value is recorded *at risk*: a crash that destroys the cached copy
+    /// before it drains turns it into a lost value.
+    pub(crate) fn on_ack(&self, slot: usize, cell: &LocCell) {
         let st = &cell.lock();
-        let marks = st.marks();
-        marks.at_risk.store(st.cache_val(), Ordering::Relaxed);
-        let risk = if dirty(st) { AT_RISK } else { 0 };
+        let marks = self.marks(slot);
+        let risk = if dirty(st) {
+            marks.set_at_risk(st.cache_val());
+            AT_RISK
+        } else {
+            0
+        };
         marks.set_flags(marks.flags() & !AT_RISK | risk);
     }
 
     /// A crash just happened (called with the fabric halted, for every
-    /// cell): settle the cell's dirty mark against what the crash left
-    /// and resolve an at-risk value. An uncached cell with no marks has
-    /// nothing to settle.
-    pub(crate) fn on_crash(&self, cell: &LocCell) {
-        if cell.marks.flags() == 0 && cell.read().0 == 0 {
+    /// cell with its slab index `slot`): settle the cell's dirty mark
+    /// against what the crash left and resolve an at-risk value. An
+    /// uncached cell with no marks has nothing to settle.
+    pub(crate) fn on_crash(&self, slot: usize, cell: &LocCell) {
+        let marks = self.marks(slot);
+        if marks.flags() == 0 && cell.read().0 == 0 {
             return;
         }
         let st = &cell.lock();
-        let marks = st.marks();
         let mut now = marks.flags() & (AT_RISK | LOST) | if dirty(st) { DIRTY } else { 0 };
         if let Some(v) = marks.at_risk() {
             if st.mem_val() == v {
@@ -520,7 +587,7 @@ impl Checker {
             } else if st.holders() != 0 && st.cache_val() == v {
                 // A surviving cache still holds it; it may yet drain.
             } else {
-                marks.lost.store(v, Ordering::Relaxed);
+                marks.set_lost(v);
                 now = now & !AT_RISK | LOST;
             }
         }
@@ -656,9 +723,9 @@ impl Checker {
             let (cells, gen) = (b.cells, b.gen);
             for a in base..base + cells {
                 let loc = Loc::new(source.owner, a);
-                let cell = fabric.cell(loc);
-                let word = cell.mem_now();
-                if self.cfg.durability_races && cell.marks.flags() & DIRTY != 0 {
+                let slot = fabric.slot(loc);
+                let word = fabric.cell(loc).mem_now();
+                if self.cfg.durability_races && self.marks(slot).flags() & DIRTY != 0 {
                     self.report(
                         ViolationClass::DurabilityRace,
                         loc,
@@ -807,6 +874,31 @@ mod tests {
         f.recover(M);
         assert_eq!(node.load(loc(5)).unwrap(), 7);
         assert_eq!(ck.unpersisted_reads(), 0);
+    }
+
+    /// Marks sit at the cell's slab index, past the extents of the
+    /// machines before its owner: a lost ack on a cell of machine 2 is
+    /// reported on that cell's recovery read and on no other cell — not
+    /// at the same address of machines 0 and 1, nor beside it.
+    #[test]
+    fn lost_ack_is_reported_at_its_cell_on_any_machine() {
+        let f = SimFabric::new(SystemConfig::symmetric_nvm(3, 8));
+        let ck = Arc::new(Checker::new(CheckConfig::default()));
+        f.install_checker(Arc::clone(&ck));
+        let node = f.node(MachineId(0));
+        let lost = Loc::new(MachineId(2), 5);
+        node.lstore(lost, 7).unwrap();
+        node.lflush(lost).unwrap();
+        node.ack_persist(lost);
+        f.crash(MachineId(2));
+        f.recover(MachineId(2));
+        for l in f.config().all_locations().filter(|&l| l != lost) {
+            node.load(l).unwrap();
+        }
+        assert_eq!(ck.total_violations(), 0, "{:?}", ck.violations());
+        assert_eq!(node.load(lost).unwrap(), 0);
+        assert_eq!(ck.unpersisted_reads(), 1);
+        assert_eq!(ck.violations()[0].loc, lost);
     }
 
     /// Retired blocks may only be touched under a protecting pin; freed

@@ -2,8 +2,10 @@
 //! statistics rails, the epoch-style crash gate, and the determinism of
 //! simulated-time accounting.
 
+use std::sync::{Arc, Barrier};
+
 use cxl0::model::{Loc, MachineId, StoreKind, SystemConfig};
-use cxl0::runtime::{CostModel, SimFabric};
+use cxl0::runtime::{CostModel, NodeHandle, OpResult, SimFabric};
 
 const M0: MachineId = MachineId(0);
 const M1: MachineId = MachineId(1);
@@ -121,6 +123,101 @@ fn crash_mid_storm_is_atomic_and_all_threads_observe_crashed() {
         fabric.node(M1).load(Loc::new(M1, 0)).unwrap() % 1_000_000 % 16,
         0
     );
+}
+
+/// Cell pairs of [`neighbouring_cells_on_one_host_line_stay_independent`].
+const PAIRS: u32 = 64;
+/// Rounds over every cell of one storming thread.
+const ROUNDS: u64 = 200;
+/// Primitives one round issues per cell (see [`storm`]).
+const PRIMS_PER_CELL: u64 = 7;
+/// The machine owning every stormed cell.
+const POOL: MachineId = MachineId(2);
+
+/// The word a cell at address `a` holds after its `n`-th update: the
+/// address rides in the high half, so a word read from the wrong cell
+/// shows.
+fn tagged(a: u32, n: u64) -> u64 {
+    u64::from(a) << 32 | n
+}
+
+/// Updates every cell `2k + parity` of [`POOL`] `ROUNDS` times, twice
+/// per round — a CAS in this machine's cache persisted by an `RFlush`,
+/// then an `LStore` moved by an `LFlush` and persisted by an `RFlush` —
+/// and reads the cell and its neighbour `a ^ 1` back. `durable[k]`
+/// counts the updates of the `k`-th cell known to be in memory. Returns
+/// at the first `Crashed`.
+fn storm(node: &NodeHandle, parity: u32, durable: &mut [u64]) -> OpResult<()> {
+    for _ in 0..ROUNDS {
+        for (k, n) in durable.iter_mut().enumerate() {
+            let a = 2 * k as u32 + parity;
+            let (own, other) = (Loc::new(POOL, a), Loc::new(POOL, a ^ 1));
+            let swapped = node.cas(StoreKind::Local, own, tagged(a, *n), tagged(a, *n + 1))?;
+            assert_eq!(swapped, Ok(tagged(a, *n)), "lost update at cell {a}");
+            node.rflush(own)?;
+            *n += 1;
+            node.lstore(own, tagged(a, *n + 1))?;
+            node.lflush(own)?;
+            node.rflush(own)?;
+            *n += 1;
+            assert_eq!(node.load(own)?, tagged(a, *n), "cell {a}");
+            let seen = node.load(other)?;
+            assert_eq!(
+                seen >> 32,
+                u64::from(a ^ 1),
+                "torn snapshot: cell {} read {seen:#x}",
+                a ^ 1
+            );
+        }
+    }
+    Ok(())
+}
+
+/// (d) A cell is half a host cache line, so neighbouring cells share
+/// one: two threads on different machines update the cells `2k` and
+/// `2k + 1` of a third machine with CAS, stores, flushes and loads, and
+/// a crash point crashes the second thread's machine mid-storm. No
+/// update is lost, no read mixes in a neighbour's word, and every
+/// cell's memory ends holding exactly its writer's last persisted value.
+#[test]
+fn neighbouring_cells_on_one_host_line_stay_independent() {
+    let fabric = SimFabric::new(SystemConfig::symmetric_nvm(3, 2 * PAIRS));
+    let pool = fabric.node(POOL);
+    for a in 0..2 * PAIRS {
+        pool.mstore(Loc::new(POOL, a), tagged(a, 0)).unwrap();
+    }
+    // Before a third of the traffic: whichever thread runs first, the
+    // crash point fires before the second thread can finish.
+    let total = 2 * ROUNDS * u64::from(PAIRS) * PRIMS_PER_CELL;
+    fabric.arm_crash(total / 3, &[M1]);
+    let start = Arc::new(Barrier::new(2));
+    let handles: Vec<_> = [M0, M1]
+        .into_iter()
+        .map(|m| {
+            let node = fabric.node(m);
+            let start = Arc::clone(&start);
+            std::thread::spawn(move || {
+                let mut durable = vec![0u64; PAIRS as usize];
+                start.wait();
+                let finished = storm(&node, m.index() as u32, &mut durable).is_ok();
+                (finished, durable)
+            })
+        })
+        .collect();
+    let ends: Vec<_> = handles.into_iter().map(|h| h.join().unwrap()).collect();
+    assert!(fabric.disarm_crash(), "the crash point fired mid-storm");
+    assert!(fabric.is_crashed(M1) && !fabric.is_crashed(M0));
+    assert!(!ends[1].0, "the crashed machine's thread stopped early");
+    for (parity, (_, durable)) in ends.iter().enumerate() {
+        for (k, &n) in durable.iter().enumerate() {
+            let a = 2 * k as u32 + parity as u32;
+            assert_eq!(
+                fabric.peek_memory(Loc::new(POOL, a)),
+                tagged(a, n),
+                "memory of cell {a}"
+            );
+        }
+    }
 }
 
 /// Runs one deterministic single-threaded workload and returns the
