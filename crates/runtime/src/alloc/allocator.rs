@@ -13,7 +13,7 @@ use crate::alloc::layout::{
     header_state, header_word, intent_class, intent_op, intent_word, null_word, ptr_word, seed_gen,
     GEN_MASK, HUGE_CLASS, OP_ALLOC, OP_FREE, OP_MAG, ST_ALLOCATED, ST_FREE, ST_MAGAZINE,
 };
-use crate::backend::{thread_slot_index, AsNode, NodeHandle};
+use crate::backend::{thread_slot_index, NodeHandle};
 use crate::error::OpResult;
 use crate::flit::Persistence;
 use crate::heap::SharedHeap;
@@ -501,8 +501,7 @@ impl Allocator {
     /// # Errors
     ///
     /// Fails if the issuing machine has crashed.
-    pub fn format(&self, at: &impl AsNode) -> OpResult<()> {
-        let node = at.as_node();
+    pub fn format(&self, node: &NodeHandle) -> OpResult<()> {
         let base = self.meta_base;
         let geometry = ((NUM_CLASSES as u64) << 8) | INTENT_SLOTS as u64;
         for (i, v) in [
@@ -582,9 +581,8 @@ impl Allocator {
     /// # Errors
     ///
     /// Fails if the issuing machine has crashed.
-    pub fn alloc(&self, at: &impl AsNode, cells: u32) -> OpResult<Option<BlockRef>> {
+    pub fn alloc(&self, node: &NodeHandle, cells: u32) -> OpResult<Option<BlockRef>> {
         assert!(cells > 0, "zero-cell allocations are meaningless");
-        let node = at.as_node();
         let result = self.alloc_inner(node, cells)?;
         self.persist.complete_op(node)?;
         Ok(result)
@@ -792,8 +790,7 @@ impl Allocator {
     ///
     /// `Err(Crashed)` if the issuing machine has crashed; `Ok(Err(_))`
     /// when the free is refused (see [`FreeError`]).
-    pub fn free(&self, at: &impl AsNode, payload: Loc) -> OpResult<Result<(), FreeError>> {
-        let node = at.as_node();
+    pub fn free(&self, node: &NodeHandle, payload: Loc) -> OpResult<Result<(), FreeError>> {
         let block = self
             .freeable(node, payload)?
             .map(|hdr| Owned::new(payload, hdr));
@@ -819,8 +816,7 @@ impl Allocator {
     /// # Errors
     ///
     /// Fails if the issuing machine has crashed.
-    pub fn free_chain(&self, at: &impl AsNode, blocks: &[Loc]) -> OpResult<usize> {
-        let node = at.as_node();
+    pub fn free_chain(&self, node: &NodeHandle, blocks: &[Loc]) -> OpResult<usize> {
         let mut owned = Vec::with_capacity(blocks.len());
         for &payload in blocks {
             if let Ok(hdr) = self.freeable(node, payload)? {
@@ -1093,8 +1089,7 @@ impl Allocator {
     /// # Errors
     ///
     /// Fails if the issuing machine has crashed.
-    pub fn recover(&self, at: &impl AsNode) -> OpResult<AllocRecovery> {
-        let node = at.as_node();
+    pub fn recover(&self, node: &NodeHandle) -> OpResult<AllocRecovery> {
         let mut report = AllocRecovery::default();
         let mut sweep = Sweep::default();
         let mut latched = Vec::new();
@@ -1268,8 +1263,7 @@ impl Allocator {
     /// Testing hook: the blocks on class-of-`cells`'s free list, top
     /// first.
     #[doc(hidden)]
-    pub fn debug_free_list(&self, at: &impl AsNode, cells: u32) -> OpResult<Vec<Loc>> {
-        let node = at.as_node();
+    pub fn debug_free_list(&self, node: &NodeHandle, cells: u32) -> OpResult<Vec<Loc>> {
         let class = class_for(cells).expect("debug_free_list takes a reclaimable size");
         let list = self.list_blocks(node, class)?;
         self.persist.complete_op(node)?;

@@ -126,7 +126,7 @@ impl ClusterBuilder {
     /// Starts from a topology. Defaults: [`PersistMode::FlitCxl0`], the
     /// highest-indexed machine with shared locations as the memory node,
     /// 32 registry entries. The fabric always runs the base variant under
-    /// the Figure-5 cost model ([`SimFabric::new`]).
+    /// the Figure-5 cost table ([`SimFabric::new`]).
     pub fn new(cfg: SystemConfig) -> Self {
         ClusterBuilder {
             cfg,

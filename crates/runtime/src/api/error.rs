@@ -2,12 +2,15 @@
 
 use std::fmt;
 
+use cxl0_model::Loc;
+
 use crate::api::registry::RootKind;
 use crate::error::Crashed;
 
 /// Everything that can go wrong at the session layer.
 ///
-/// Low-level data-structure operations fail only with [`Crashed`]; the
+/// Low-level data-structure operations fail only with [`Crashed`], except
+/// a queue's recovery, which also reports [`ApiError::Corrupt`]; the
 /// session layer adds configuration, allocation and naming failures.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ApiError {
@@ -65,6 +68,12 @@ pub enum ApiError {
     NoTracer,
     /// Writing the trace export file failed (I/O error text attached).
     TraceExport(String),
+    /// Recovery found a pointer of the structure at `header` null, which
+    /// every sound strategy keeps durable: the crash lost it.
+    Corrupt {
+        /// The structure's header cell.
+        header: Loc,
+    },
 }
 
 impl fmt::Display for ApiError {
@@ -101,6 +110,12 @@ impl fmt::Display for ApiError {
                 "tracing is not armed (use ClusterBuilder::with_tracing or CXL0_TRACE)"
             ),
             ApiError::TraceExport(e) => write!(f, "trace export failed: {e}"),
+            ApiError::Corrupt { header } => {
+                write!(
+                    f,
+                    "the structure at {header} lost a durable pointer in a crash"
+                )
+            }
         }
     }
 }

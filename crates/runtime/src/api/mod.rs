@@ -11,8 +11,8 @@
 //! use cxl0_runtime::api::{Cluster, PersistMode};
 //! use cxl0_model::{MachineId, SystemConfig};
 //!
-//! // Topology, model variant, cost model and durability strategy in one
-//! // builder; swapping strategies is a one-line change.
+//! // Topology and durability strategy in one builder; swapping
+//! // strategies is a one-line change.
 //! let cluster = Cluster::builder(SystemConfig::symmetric_nvm(3, 4096))
 //!     .persist(PersistMode::FlitCxl0)
 //!     .build()?;

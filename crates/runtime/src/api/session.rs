@@ -3,16 +3,17 @@
 //! registry, so application code creates, opens and drives durable
 //! structures without threading any of those through every call.
 
+use std::ops::Deref;
 use std::sync::Arc;
 
-use cxl0_model::{Loc, MachineId};
+use cxl0_model::Loc;
 
 use crate::alloc::Allocator;
 use crate::api::cluster::Cluster;
 use crate::api::error::{ApiError, ApiResult};
 use crate::api::registry::{truncate_type_tag, RootInfo, RootKind, RootRecord};
 use crate::api::word::Word;
-use crate::backend::{AsNode, NodeHandle, StatsSnapshot};
+use crate::backend::{NodeHandle, StatsSnapshot};
 use crate::ds::{
     DurableCounter, DurableList, DurableLog, DurableMap, DurableQueue, DurableRegister,
     DurableStack,
@@ -24,10 +25,11 @@ use crate::trace::RecoveryPhase;
 
 /// A per-machine context over a [`Cluster`].
 ///
-/// Data-structure operations accept a session wherever they accept a raw
-/// node handle (both implement [`AsNode`]), so `q.enqueue(&session, v)`
-/// is the whole calling convention. Sessions are cheap to clone and one
-/// per worker thread is the intended pattern.
+/// A session is its machine's [`NodeHandle`] plus the cluster's context,
+/// and it dereferences to that handle: data-structure operations take
+/// `&NodeHandle`, so `q.enqueue(&session, v)` is the whole calling
+/// convention. Sessions are cheap to clone and one per worker thread is
+/// the intended pattern.
 ///
 /// # Examples
 ///
@@ -58,8 +60,10 @@ pub struct Session {
     entered: StatsSnapshot,
 }
 
-impl AsNode for Session {
-    fn as_node(&self) -> &NodeHandle {
+impl Deref for Session {
+    type Target = NodeHandle;
+
+    fn deref(&self) -> &NodeHandle {
         &self.node
     }
 }
@@ -74,13 +78,8 @@ impl Session {
         }
     }
 
-    /// The machine this session issues from.
-    pub fn machine(&self) -> MachineId {
-        self.node.machine()
-    }
-
-    /// The raw per-machine handle (low-level escape hatch: primitives
-    /// like `mstore`/`rflush`/`aflush` live there).
+    /// The raw per-machine handle, which the session also dereferences
+    /// to (primitives like `mstore`/`rflush`/`aflush` live there).
     pub fn node(&self) -> &NodeHandle {
         &self.node
     }
@@ -479,7 +478,7 @@ fn map_tag<K: Word, V: Word>() -> u64 {
 mod tests {
     use super::*;
     use crate::api::cluster::PersistMode;
-    use cxl0_model::SystemConfig;
+    use cxl0_model::{MachineId, SystemConfig};
 
     fn cluster() -> Arc<Cluster> {
         Cluster::builder(SystemConfig::symmetric_nvm(3, 1 << 14))

@@ -87,7 +87,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::check::Checker;
-use crate::cost::CostModel;
+use crate::cost;
 use crate::error::{Crashed, OpResult};
 
 /// Number of exclusive per-thread rails; threads beyond this many alive
@@ -851,7 +851,6 @@ pub struct SimFabric {
     /// requests (`CXL0_AF` extension; cleared by a crash of the machine).
     pending: Vec<PendingBuf>,
     stats: Stats,
-    cost: CostModel,
     /// The persistency sanitizer, when one is installed
     /// ([`SimFabric::install_checker`]). Hooks run under the affected
     /// cell's writer lock; the checker never waits on a cell while
@@ -865,18 +864,17 @@ pub struct SimFabric {
 }
 
 impl SimFabric {
-    /// Creates a fabric over `cfg` with the base variant and the Figure-5
-    /// cost model.
+    /// Creates a fabric over `cfg` with the base variant.
     pub fn new(cfg: SystemConfig) -> Arc<Self> {
-        Self::with_options(cfg, ModelVariant::Base, CostModel::figure5())
+        Self::with_variant(cfg, ModelVariant::Base)
     }
 
-    /// Creates a fabric with an explicit variant and cost model.
+    /// Creates a fabric over `cfg` with an explicit model variant.
     ///
     /// # Panics
     ///
     /// Panics if `cfg` has more than 64 machines (the holder bitmask).
-    pub fn with_options(cfg: SystemConfig, variant: ModelVariant, cost: CostModel) -> Arc<Self> {
+    pub fn with_variant(cfg: SystemConfig, variant: ModelVariant) -> Arc<Self> {
         assert!(cfg.num_machines() <= 64, "at most 64 machines supported");
         let mut extents = Vec::with_capacity(cfg.num_machines());
         let mut total = 0usize;
@@ -901,7 +899,6 @@ impl SimFabric {
             cells,
             extents,
             stats: Stats::default(),
-            cost,
             checker: OnceLock::new(),
             tracer: OnceLock::new(),
         })
@@ -1259,28 +1256,6 @@ fn pick_bit(mask: u64, rng: &mut StdRng) -> u32 {
     m.trailing_zeros()
 }
 
-/// Anything that can issue operations as a machine: a raw [`NodeHandle`]
-/// or a higher-level context wrapping one (the `api` module's `Session`).
-///
-/// The durable data structures accept `&impl AsNode`, so the same
-/// structure code works against both layers of the crate.
-pub trait AsNode {
-    /// The underlying per-machine handle.
-    fn as_node(&self) -> &NodeHandle;
-}
-
-impl AsNode for NodeHandle {
-    fn as_node(&self) -> &NodeHandle {
-        self
-    }
-}
-
-impl<T: AsNode + ?Sized> AsNode for &T {
-    fn as_node(&self) -> &NodeHandle {
-        (**self).as_node()
-    }
-}
-
 /// In-flight-operation guard: entry through the epoch gate plus the
 /// issuing thread's rail, through which the operation records its class
 /// and simulated cost.
@@ -1385,7 +1360,7 @@ impl NodeHandle {
     }
 
     fn op_cost(&self, p: Primitive, loc: Loc) -> u64 {
-        self.fabric.cost.cost(p, self.machine == loc.owner)
+        cost::cost(p, self.machine == loc.owner)
     }
 
     /// The three store rules: installs `v` at `loc` under its writer
@@ -1729,7 +1704,7 @@ impl NodeHandle {
     /// Fails if this machine has crashed.
     pub fn aflush(&self, loc: Loc) -> OpResult<()> {
         let g = self.enter::<true>()?;
-        g.charge(OpClass::AFlushes, self.fabric.cost.aflush_issue);
+        g.charge(OpClass::AFlushes, cost::AFLUSH_ISSUE);
         self.fabric.pending[self.machine.index()].insert(loc);
         Ok(())
     }
@@ -1738,7 +1713,7 @@ impl NodeHandle {
     /// pending `AFlush` request of this machine, forcing each line to the
     /// owner's memory. Pending write-backs overlap on the link, so `n`
     /// lines cost one full `RFlush` plus `n-1` pipelined increments
-    /// (see [`CostModel::barrier_cost`]) instead of `n` round trips.
+    /// (see [`cost::barrier_cost_of`]) instead of `n` round trips.
     ///
     /// Returns the number of lines retired.
     ///
@@ -1747,9 +1722,8 @@ impl NodeHandle {
     /// Fails if this machine has crashed.
     pub fn barrier(&self) -> OpResult<usize> {
         let g = self.enter::<true>()?;
-        // Streaming equivalent of `CostModel::barrier_cost` over the
-        // per-line full-RFlush costs: track the slowest line and the
-        // count instead of collecting a vector.
+        // `cost::barrier_cost_of` needs only the slowest line's
+        // full-RFlush cost and the count, so no vector is collected.
         let mut max_line = 0u64;
         let ck = self.fabric.checker.get();
         let mut changed = Vec::new();
@@ -1760,7 +1734,7 @@ impl NodeHandle {
                     .drain_in_batch(ck, loc, &cell.lock(), &mut changed);
             }
             let local = self.machine == loc.owner;
-            max_line = max_line.max(self.fabric.cost.cost(Primitive::RFlush, local));
+            max_line = max_line.max(cost::cost(Primitive::RFlush, local));
         });
         if let Some(ck) = ck {
             let who = Some((self.machine, thread_slot_index()));
@@ -1768,7 +1742,7 @@ impl NodeHandle {
         }
         g.charge(
             OpClass::Barriers,
-            self.fabric.cost.barrier_cost_of(max_line, retired as u64),
+            cost::barrier_cost_of(max_line, retired as u64),
         );
         Ok(retired)
     }
@@ -1997,11 +1971,7 @@ mod tests {
 
     #[test]
     fn psn_crash_poisons_remote_copies() {
-        let f = SimFabric::with_options(
-            SystemConfig::symmetric_nvm(2, 1),
-            ModelVariant::Psn,
-            CostModel::free(),
-        );
+        let f = SimFabric::with_variant(SystemConfig::symmetric_nvm(2, 1), ModelVariant::Psn);
         let n0 = f.node(M0);
         n0.lstore(x(1, 0), 3).unwrap();
         f.crash(M1);
@@ -2012,11 +1982,7 @@ mod tests {
 
     #[test]
     fn lwb_load_forces_writeback() {
-        let f = SimFabric::with_options(
-            SystemConfig::symmetric_nvm(2, 1),
-            ModelVariant::Lwb,
-            CostModel::free(),
-        );
+        let f = SimFabric::with_variant(SystemConfig::symmetric_nvm(2, 1), ModelVariant::Lwb);
         let n0 = f.node(M0);
         let n1 = f.node(M1);
         n0.lstore(x(1, 0), 4).unwrap();
@@ -2357,11 +2323,7 @@ mod tests {
         assert_eq!(f.peek_memory(x(0, 0)), 0);
 
         // PSN: every cached copy of the victim's lines is poisoned.
-        let f = SimFabric::with_options(
-            SystemConfig::symmetric_nvm(2, 2),
-            ModelVariant::Psn,
-            CostModel::free(),
-        );
+        let f = SimFabric::with_variant(SystemConfig::symmetric_nvm(2, 2), ModelVariant::Psn);
         f.node(M1).lstore(x(0, 1), 7).unwrap();
         f.node(M1).lstore(x(1, 0), 8).unwrap();
         let before = seqs(&f);

@@ -24,7 +24,7 @@
 //! number of *distinct* cells written in the interval, not to the number
 //! of stores — skewed workloads absorb repeated updates to hot cells —
 //! and the log write-backs overlap under one barrier instead of paying a
-//! full round trip each (`CostModel::flush_pipelined`).
+//! full round trip each (`cost::barrier_cost_of`).
 //!
 //! ## Scope and simplifications
 //!

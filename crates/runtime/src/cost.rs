@@ -1,139 +1,81 @@
-//! A simple cost model: simulated nanoseconds per CXL0 primitive,
+//! The simulated cost of each CXL0 primitive in nanoseconds,
 //! distinguishing local (issuer owns the line) from remote accesses.
 //!
-//! The default table is calibrated to the *shape* of the paper's Figure 5
-//! (see `cxl0-fabric` for the transaction-level derivation): local loads
+//! The table is calibrated to the *shape* of the paper's Figure 5 (see
+//! `cxl0-fabric` for the transaction-level derivation): local loads
 //! ≈ 2.3× faster than remote, `LStore` ≈ write-buffer speed, and
-//! `MStore`/`RFlush` paying the full memory round trip. The runtime
-//! accumulates these costs so benchmarks can report deterministic
-//! simulated time alongside wall-clock time.
+//! `MStore`/`RFlush` paying the full memory round trip. It is fixed: the
+//! runtime accumulates these costs so benchmarks can report
+//! deterministic simulated time alongside wall-clock time, and one table
+//! keeps every such figure comparable.
 
 use cxl0_model::Primitive;
 
-/// Simulated per-primitive latencies in nanoseconds.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CostModel {
-    /// Load served with the issuer owning the line's home.
-    pub load_local: u64,
-    /// Load of a line homed on another machine.
-    pub load_remote: u64,
-    /// `LStore` (write buffer / local cache).
-    pub lstore: u64,
-    /// `RStore` to a remote owner's cache.
-    pub rstore_remote: u64,
-    /// `MStore` to local memory.
-    pub mstore_local: u64,
-    /// `MStore` to remote memory.
-    pub mstore_remote: u64,
-    /// `LFlush` (drain one level).
-    pub lflush: u64,
-    /// `RFlush` of a locally-homed line.
-    pub rflush_local: u64,
-    /// `RFlush` of a remotely-homed line.
-    pub rflush_remote: u64,
-    /// RMW premium added on top of the matching store cost.
-    pub rmw_extra: u64,
-    /// Issuing an asynchronous flush request (`AFlush`, the `CLFLUSHOPT`
-    /// analogue of the `CXL0_AF` extension): just a buffer enqueue.
-    pub aflush_issue: u64,
-    /// Fixed overhead of a `Barrier` (the `SFENCE` analogue), before any
-    /// pending write-backs are waited for.
-    pub barrier_base: u64,
-    /// Incremental per-line cost of each *additional* write-back retired
-    /// under one barrier: pending flushes overlap on the link, so `n`
-    /// lines cost one full `RFlush` plus `n-1` of these, not `n` full
-    /// round trips.
-    pub flush_pipelined: u64,
-}
+/// Load served with the issuer owning the line's home.
+const LOAD_LOCAL: u64 = 110;
+/// Load of a line homed on another machine (≈ 2.34× a local load, as
+/// the paper's host measures).
+const LOAD_REMOTE: u64 = 258;
+/// `LStore` (write buffer / local cache).
+const LSTORE: u64 = 12;
+/// `RStore` to a remote owner's cache (≈ 2.08× the device's `LStore`).
+const RSTORE_REMOTE: u64 = 115;
+/// `MStore` to local memory (an NT store plus fence).
+const MSTORE_LOCAL: u64 = 170;
+/// `MStore` to remote memory (≈ 2.3× a local `MStore`).
+const MSTORE_REMOTE: u64 = 400;
+/// `LFlush` (drain one level).
+const LFLUSH: u64 = 60;
+/// `RFlush` of a locally-homed line (≈ `MStore`, as in the paper).
+const RFLUSH_LOCAL: u64 = 175;
+/// `RFlush` of a remotely-homed line.
+const RFLUSH_REMOTE: u64 = 395;
+/// RMW premium added on top of the matching store cost.
+const RMW_EXTRA: u64 = 30;
+/// Issuing an asynchronous flush request (`AFlush`, the `CLFLUSHOPT`
+/// analogue of the `CXL0_AF` extension): just a buffer enqueue, no link
+/// traffic.
+pub(crate) const AFLUSH_ISSUE: u64 = 8;
+/// Fixed overhead of a `Barrier` (the `SFENCE` analogue), before any
+/// pending write-backs are waited for.
+const BARRIER_BASE: u64 = 30;
+/// Incremental per-line cost of each *additional* write-back retired
+/// under one barrier: pending flushes overlap on the link, so `n` lines
+/// cost one full `RFlush` plus `n-1` of these, not `n` full round trips.
+const FLUSH_PIPELINED: u64 = 90;
 
-impl CostModel {
-    /// Calibrated to the ratios reported in §5.2 / Figure 5 of the paper
-    /// (median ns; the absolute scale is the paper's CPU-side numbers).
-    pub fn figure5() -> Self {
-        CostModel {
-            load_local: 110,
-            load_remote: 258,   // ≈ 2.34× load_local (paper: host 2.34×)
-            lstore: 12,         // write buffer
-            rstore_remote: 115, // device RStore ≈ 2.08× its LStore
-            mstore_local: 170,  // NT store + fence
-            mstore_remote: 400, // ≈ 2.3× local MStore
-            lflush: 60,
-            rflush_local: 175, // ≈ MStore (paper: RFlush ≈ MStore)
-            rflush_remote: 395,
-            rmw_extra: 30,
-            aflush_issue: 8,     // buffer enqueue, no link traffic
-            barrier_base: 30,    // fence overhead
-            flush_pipelined: 90, // overlapped write-backs ≪ a full RFlush
-        }
-    }
-
-    /// A zero-cost model (no simulated time accounting).
-    pub fn free() -> Self {
-        CostModel {
-            load_local: 0,
-            load_remote: 0,
-            lstore: 0,
-            rstore_remote: 0,
-            mstore_local: 0,
-            mstore_remote: 0,
-            lflush: 0,
-            rflush_local: 0,
-            rflush_remote: 0,
-            rmw_extra: 0,
-            aflush_issue: 0,
-            barrier_base: 0,
-            flush_pipelined: 0,
-        }
-    }
-
-    /// The cost of one primitive; `local` is true when the issuer owns the
-    /// target line.
-    pub fn cost(&self, p: Primitive, local: bool) -> u64 {
-        match (p, local) {
-            (Primitive::Load, true) => self.load_local,
-            (Primitive::Load, false) => self.load_remote,
-            (Primitive::LStore, _) => self.lstore,
-            (Primitive::RStore, true) => self.lstore, // owner RStore ≡ LStore
-            (Primitive::RStore, false) => self.rstore_remote,
-            (Primitive::MStore, true) => self.mstore_local,
-            (Primitive::MStore, false) => self.mstore_remote,
-            (Primitive::LFlush, _) => self.lflush,
-            (Primitive::RFlush, true) => self.rflush_local,
-            (Primitive::RFlush, false) => self.rflush_remote,
-            (Primitive::Gpf, _) => self.rflush_remote * 4,
-            (Primitive::LRmw, l) => self.cost(Primitive::LStore, l) + self.rmw_extra,
-            (Primitive::RRmw, l) => self.cost(Primitive::RStore, l) + self.rmw_extra,
-            (Primitive::MRmw, l) => self.cost(Primitive::MStore, l) + self.rmw_extra,
-            (Primitive::Crash, _) => 0,
-        }
-    }
-
-    /// The cost of a `Barrier` that retires write-backs for the given
-    /// per-line full-`RFlush` costs: the slowest line is paid in full, the
-    /// rest overlap at [`CostModel::flush_pipelined`] each.
-    pub fn barrier_cost(&self, line_costs: &[u64]) -> u64 {
-        self.barrier_cost_of(
-            line_costs.iter().max().copied().unwrap_or(0),
-            line_costs.len() as u64,
-        )
-    }
-
-    /// Streaming form of [`CostModel::barrier_cost`]: the slowest line's
-    /// full-`RFlush` cost and the retired-line count fully determine the
-    /// barrier cost, so callers that visit lines one at a time need not
-    /// collect them. This is the single definition of the formula.
-    pub fn barrier_cost_of(&self, max_line: u64, lines: u64) -> u64 {
-        if lines == 0 {
-            self.barrier_base
-        } else {
-            self.barrier_base + max_line + self.flush_pipelined * (lines - 1)
-        }
+/// The cost of one primitive; `local` is true when the issuer owns the
+/// target line.
+pub fn cost(p: Primitive, local: bool) -> u64 {
+    match (p, local) {
+        (Primitive::Load, true) => LOAD_LOCAL,
+        (Primitive::Load, false) => LOAD_REMOTE,
+        (Primitive::LStore, _) => LSTORE,
+        (Primitive::RStore, true) => LSTORE, // owner RStore ≡ LStore
+        (Primitive::RStore, false) => RSTORE_REMOTE,
+        (Primitive::MStore, true) => MSTORE_LOCAL,
+        (Primitive::MStore, false) => MSTORE_REMOTE,
+        (Primitive::LFlush, _) => LFLUSH,
+        (Primitive::RFlush, true) => RFLUSH_LOCAL,
+        (Primitive::RFlush, false) => RFLUSH_REMOTE,
+        (Primitive::Gpf, _) => RFLUSH_REMOTE * 4,
+        (Primitive::LRmw, l) => cost(Primitive::LStore, l) + RMW_EXTRA,
+        (Primitive::RRmw, l) => cost(Primitive::RStore, l) + RMW_EXTRA,
+        (Primitive::MRmw, l) => cost(Primitive::MStore, l) + RMW_EXTRA,
+        (Primitive::Crash, _) => 0,
     }
 }
 
-impl Default for CostModel {
-    fn default() -> Self {
-        CostModel::figure5()
+/// The cost of a `Barrier` that retires `lines` write-backs, the slowest
+/// of which costs `max_line` as a full `RFlush`: that line is paid in
+/// full, the rest overlap on the link at a pipelined increment each.
+/// Callers that visit lines one at a time track only the maximum and the
+/// count. This is the single definition of the formula.
+pub fn barrier_cost_of(max_line: u64, lines: u64) -> u64 {
+    if lines == 0 {
+        BARRIER_BASE
+    } else {
+        BARRIER_BASE + max_line + FLUSH_PIPELINED * (lines - 1)
     }
 }
 
@@ -143,55 +85,34 @@ mod tests {
 
     #[test]
     fn figure5_ratios_hold() {
-        let c = CostModel::figure5();
-        let r = c.load_remote as f64 / c.load_local as f64;
+        let r = LOAD_REMOTE as f64 / LOAD_LOCAL as f64;
         assert!((2.0..2.7).contains(&r), "remote/local load ratio {r}");
-        assert!(c.rflush_local.abs_diff(c.mstore_local) < 20);
-        assert!(c.rstore_remote > c.lstore);
-        assert!(c.mstore_remote > c.rstore_remote);
+        assert!(RFLUSH_LOCAL.abs_diff(MSTORE_LOCAL) < 20);
+        assert!(cost(Primitive::RStore, false) > cost(Primitive::LStore, false));
+        assert!(cost(Primitive::MStore, false) > cost(Primitive::RStore, false));
     }
 
     #[test]
     fn owner_rstore_costs_like_lstore() {
-        let c = CostModel::figure5();
-        assert_eq!(
-            c.cost(Primitive::RStore, true),
-            c.cost(Primitive::LStore, true)
-        );
-    }
-
-    #[test]
-    fn free_model_is_zero() {
-        let c = CostModel::free();
-        for p in Primitive::ISSUED {
-            assert_eq!(c.cost(p, true), 0);
-            assert_eq!(c.cost(p, false), 0);
-        }
+        assert_eq!(cost(Primitive::RStore, true), cost(Primitive::LStore, true));
     }
 
     #[test]
     fn rmw_adds_premium() {
-        let c = CostModel::figure5();
         assert_eq!(
-            c.cost(Primitive::MRmw, false),
-            c.cost(Primitive::MStore, false) + c.rmw_extra
+            cost(Primitive::MRmw, false),
+            cost(Primitive::MStore, false) + RMW_EXTRA
         );
     }
 
     #[test]
     fn barrier_cost_pipelines_after_the_slowest_line() {
-        let c = CostModel::figure5();
-        assert_eq!(c.barrier_cost(&[]), c.barrier_base);
-        assert_eq!(
-            c.barrier_cost(&[c.rflush_remote]),
-            c.barrier_base + c.rflush_remote
-        );
-        let three = c.barrier_cost(&[c.rflush_remote, c.rflush_local, c.rflush_remote]);
-        assert_eq!(
-            three,
-            c.barrier_base + c.rflush_remote + 2 * c.flush_pipelined
-        );
+        let remote = cost(Primitive::RFlush, false);
+        assert_eq!(barrier_cost_of(0, 0), BARRIER_BASE);
+        assert_eq!(barrier_cost_of(remote, 1), BARRIER_BASE + remote);
+        let three = barrier_cost_of(remote, 3);
+        assert_eq!(three, BARRIER_BASE + remote + 2 * FLUSH_PIPELINED);
         // Batching n lines under one barrier beats n synchronous RFlushes.
-        assert!(three < 3 * c.rflush_remote);
+        assert!(three < 3 * remote);
     }
 }

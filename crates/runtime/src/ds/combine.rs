@@ -103,8 +103,8 @@ use cxl0_model::{Loc, MachineId};
 use parking_lot::Mutex;
 
 use crate::alloc::BlockRef;
-use crate::api::Word;
-use crate::backend::{thread_slot_index, AsNode, NodeHandle};
+use crate::api::{ApiResult, Word};
+use crate::backend::{thread_slot_index, NodeHandle};
 use crate::ds::queue::DurableQueue;
 use crate::ds::stack::DurableStack;
 use crate::error::{Crashed, OpResult};
@@ -825,9 +825,9 @@ impl<T: Word> Combined<DurableQueue<T>> {
     /// Fails if the issuing machine has crashed, or if the combiner
     /// serving this op crashed mid-batch (outcome unknown, as for any
     /// op in flight at a crash).
-    pub fn enqueue(&self, at: &impl AsNode, v: T) -> OpResult<bool> {
-        let _span = at.as_node().trace_span(crate::trace::OpKind::Enqueue);
-        let (st, _) = self.submit(at.as_node(), PENDING_INSERT, v.to_word())?;
+    pub fn enqueue(&self, node: &NodeHandle, v: T) -> OpResult<bool> {
+        let _span = node.trace_span(crate::trace::OpKind::Enqueue);
+        let (st, _) = self.submit(node, PENDING_INSERT, v.to_word())?;
         Ok(st == DONE_OK)
     }
 
@@ -836,9 +836,9 @@ impl<T: Word> Combined<DurableQueue<T>> {
     /// # Errors
     ///
     /// See [`Combined::enqueue`].
-    pub fn dequeue(&self, at: &impl AsNode) -> OpResult<Option<T>> {
-        let _span = at.as_node().trace_span(crate::trace::OpKind::Dequeue);
-        let (st, res) = self.submit(at.as_node(), PENDING_REMOVE, 0)?;
+    pub fn dequeue(&self, node: &NodeHandle) -> OpResult<Option<T>> {
+        let _span = node.trace_span(crate::trace::OpKind::Dequeue);
+        let (st, res) = self.submit(node, PENDING_REMOVE, 0)?;
         Ok((st == DONE_OK).then(|| T::from_word(res)))
     }
 
@@ -848,11 +848,11 @@ impl<T: Word> Combined<DurableQueue<T>> {
     ///
     /// # Errors
     ///
-    /// Fails if the issuing machine has crashed.
-    pub fn recover(&self, at: &impl AsNode) -> OpResult<()> {
-        self.settle(at.as_node())?;
-        self.inner.recover(at)?;
-        self.drain_spare(at.as_node())
+    /// Fails as [`DurableQueue::recover`] does.
+    pub fn recover(&self, node: &NodeHandle) -> ApiResult<()> {
+        self.settle(node)?;
+        self.inner.recover(node)?;
+        Ok(self.drain_spare(node)?)
     }
 
     /// Drains the queue (quiescent phases only).
@@ -860,8 +860,8 @@ impl<T: Word> Combined<DurableQueue<T>> {
     /// # Errors
     ///
     /// Fails if the issuing machine has crashed.
-    pub fn drain(&self, at: &impl AsNode) -> OpResult<Vec<T>> {
-        self.inner.drain(at)
+    pub fn drain(&self, node: &NodeHandle) -> OpResult<Vec<T>> {
+        self.inner.drain(node)
     }
 
     /// The underlying queue's header cell (for re-attachment).
@@ -877,9 +877,9 @@ impl<T: Word> Combined<DurableStack<T>> {
     /// # Errors
     ///
     /// See [`Combined::enqueue`].
-    pub fn push(&self, at: &impl AsNode, v: T) -> OpResult<bool> {
-        let _span = at.as_node().trace_span(crate::trace::OpKind::Push);
-        let (st, _) = self.submit(at.as_node(), PENDING_INSERT, v.to_word())?;
+    pub fn push(&self, node: &NodeHandle, v: T) -> OpResult<bool> {
+        let _span = node.trace_span(crate::trace::OpKind::Push);
+        let (st, _) = self.submit(node, PENDING_INSERT, v.to_word())?;
         Ok(st == DONE_OK)
     }
 
@@ -890,9 +890,9 @@ impl<T: Word> Combined<DurableStack<T>> {
     /// # Errors
     ///
     /// See [`Combined::enqueue`].
-    pub fn pop(&self, at: &impl AsNode) -> OpResult<Option<T>> {
-        let _span = at.as_node().trace_span(crate::trace::OpKind::Pop);
-        let (st, res) = self.submit(at.as_node(), PENDING_REMOVE, 0)?;
+    pub fn pop(&self, node: &NodeHandle) -> OpResult<Option<T>> {
+        let _span = node.trace_span(crate::trace::OpKind::Pop);
+        let (st, res) = self.submit(node, PENDING_REMOVE, 0)?;
         Ok((st == DONE_OK).then(|| T::from_word(res)))
     }
 
@@ -903,9 +903,9 @@ impl<T: Word> Combined<DurableStack<T>> {
     /// # Errors
     ///
     /// Fails if the issuing machine has crashed.
-    pub fn recover(&self, at: &impl AsNode) -> OpResult<()> {
-        self.settle(at.as_node())?;
-        self.drain_spare(at.as_node())
+    pub fn recover(&self, node: &NodeHandle) -> OpResult<()> {
+        self.settle(node)?;
+        self.drain_spare(node)
     }
 
     /// Drains the stack (quiescent phases only).
@@ -913,8 +913,8 @@ impl<T: Word> Combined<DurableStack<T>> {
     /// # Errors
     ///
     /// Fails if the issuing machine has crashed.
-    pub fn drain(&self, at: &impl AsNode) -> OpResult<Vec<T>> {
-        self.inner.drain(at)
+    pub fn drain(&self, node: &NodeHandle) -> OpResult<Vec<T>> {
+        self.inner.drain(node)
     }
 
     /// The underlying stack's top cell (for re-attachment).

@@ -4,7 +4,7 @@ use std::sync::Arc;
 
 use cxl0_model::Loc;
 
-use crate::backend::AsNode;
+use crate::backend::NodeHandle;
 use crate::error::OpResult;
 use crate::flit::Persistence;
 use crate::heap::SharedHeap;
@@ -54,8 +54,7 @@ impl DurableCounter {
     /// # Errors
     ///
     /// Fails if the issuing machine has crashed.
-    pub fn add(&self, at: &impl AsNode, delta: u64) -> OpResult<u64> {
-        let node = at.as_node();
+    pub fn add(&self, node: &NodeHandle, delta: u64) -> OpResult<u64> {
         let old = self.persist.shared_faa(node, self.cell, delta, true)?;
         self.persist.complete_op(node)?;
         Ok(old)
@@ -66,8 +65,7 @@ impl DurableCounter {
     /// # Errors
     ///
     /// Fails if the issuing machine has crashed.
-    pub fn get(&self, at: &impl AsNode) -> OpResult<u64> {
-        let node = at.as_node();
+    pub fn get(&self, node: &NodeHandle) -> OpResult<u64> {
         let v = self.persist.shared_load(node, self.cell, true)?;
         self.persist.complete_op(node)?;
         Ok(v)

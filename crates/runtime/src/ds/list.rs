@@ -52,7 +52,7 @@ use cxl0_model::Loc;
 
 use crate::alloc::Allocator;
 use crate::api::Word;
-use crate::backend::{AsNode, NodeHandle};
+use crate::backend::NodeHandle;
 use crate::error::OpResult;
 use crate::flit::Persistence;
 use crate::smr::{SmrDomain, SmrGuard};
@@ -114,8 +114,7 @@ impl<K: Word> DurableList<K> {
     /// # Errors
     ///
     /// Fails if the issuing machine has crashed.
-    pub fn create(smr: &Arc<SmrDomain>, at: &impl AsNode) -> OpResult<Option<Self>> {
-        let node = at.as_node();
+    pub fn create(smr: &Arc<SmrDomain>, node: &NodeHandle) -> OpResult<Option<Self>> {
         let alloc = Arc::clone(smr.allocator());
         let persist = Arc::clone(alloc.persistence());
         let Some(head) = alloc.alloc(node, 1)? else {
@@ -257,8 +256,7 @@ impl<K: Word> DurableList<K> {
     /// # Errors
     ///
     /// Fails if the issuing machine has crashed.
-    pub fn insert(&self, at: &impl AsNode, key: K) -> OpResult<bool> {
-        let node = at.as_node();
+    pub fn insert(&self, node: &NodeHandle, key: K) -> OpResult<bool> {
         let _span = node.trace_span(crate::trace::OpKind::Insert);
         let key = key.to_word();
         assert!(
@@ -344,8 +342,7 @@ impl<K: Word> DurableList<K> {
     /// # Errors
     ///
     /// Fails if the issuing machine has crashed.
-    pub fn remove(&self, at: &impl AsNode, key: K) -> OpResult<bool> {
-        let node = at.as_node();
+    pub fn remove(&self, node: &NodeHandle, key: K) -> OpResult<bool> {
         let _span = node.trace_span(crate::trace::OpKind::Remove);
         let key = key.to_word();
         let guard = self.smr.pin();
@@ -406,8 +403,7 @@ impl<K: Word> DurableList<K> {
     /// # Errors
     ///
     /// Fails if the issuing machine has crashed.
-    pub fn reclaim(&self, at: &impl AsNode) -> OpResult<usize> {
-        let node = at.as_node();
+    pub fn reclaim(&self, node: &NodeHandle) -> OpResult<usize> {
         let freed = self.smr.collect(node)?;
         self.persist.complete_op(node)?;
         Ok(freed)
@@ -421,8 +417,7 @@ impl<K: Word> DurableList<K> {
     /// # Errors
     ///
     /// Fails if the issuing machine has crashed.
-    pub fn contains(&self, at: &impl AsNode, key: K) -> OpResult<bool> {
-        let node = at.as_node();
+    pub fn contains(&self, node: &NodeHandle, key: K) -> OpResult<bool> {
         let _span = node.trace_span(crate::trace::OpKind::Get);
         let key = key.to_word();
         let guard = self.smr.pin();
@@ -437,8 +432,7 @@ impl<K: Word> DurableList<K> {
     /// # Errors
     ///
     /// Fails if the issuing machine has crashed.
-    pub fn keys(&self, at: &impl AsNode) -> OpResult<Vec<K>> {
-        let node = at.as_node();
+    pub fn keys(&self, node: &NodeHandle) -> OpResult<Vec<K>> {
         let _guard = self.smr.pin();
         let mut out = Vec::new();
         let mut curr_enc = unmark(self.persist.shared_load(node, self.head, true)?);

@@ -21,7 +21,7 @@ use std::sync::Arc;
 use cxl0_model::Loc;
 
 use crate::api::Word;
-use crate::backend::AsNode;
+use crate::backend::NodeHandle;
 use crate::error::OpResult;
 use crate::flit::Persistence;
 use crate::heap::SharedHeap;
@@ -142,8 +142,7 @@ impl<T: Word> DurableLog<T> {
     ///
     /// Fails if the issuing machine has crashed; the reserved slot, if
     /// any, becomes a hole that [`DurableLog::recover`] seals.
-    pub fn append(&self, at: &impl AsNode, value: T) -> OpResult<Option<u64>> {
-        let node = at.as_node();
+    pub fn append(&self, node: &NodeHandle, value: T) -> OpResult<Option<u64>> {
         let value = value.to_word();
         assert!(
             value < u64::MAX - 1,
@@ -168,8 +167,7 @@ impl<T: Word> DurableLog<T> {
     /// # Errors
     ///
     /// Fails if the issuing machine has crashed.
-    pub fn read(&self, at: &impl AsNode, i: u64) -> OpResult<SlotState<T>> {
-        let node = at.as_node();
+    pub fn read(&self, node: &NodeHandle, i: u64) -> OpResult<SlotState<T>> {
         let raw = self.persist.shared_load(node, self.slot(i), true)?;
         self.persist.complete_op(node)?;
         Ok(match raw {
@@ -185,8 +183,7 @@ impl<T: Word> DurableLog<T> {
     /// # Errors
     ///
     /// Fails if the issuing machine has crashed.
-    pub fn frontier(&self, at: &impl AsNode) -> OpResult<u64> {
-        let node = at.as_node();
+    pub fn frontier(&self, node: &NodeHandle) -> OpResult<u64> {
         let t = self.persist.shared_load(node, self.tail, true)?;
         self.persist.complete_op(node)?;
         Ok(t.min(u64::from(self.capacity)))
@@ -200,8 +197,7 @@ impl<T: Word> DurableLog<T> {
     /// # Errors
     ///
     /// Fails if the issuing machine has crashed.
-    pub fn recover(&self, at: &impl AsNode) -> OpResult<(u64, u64)> {
-        let node = at.as_node();
+    pub fn recover(&self, node: &NodeHandle) -> OpResult<(u64, u64)> {
         let frontier = self.frontier(node)?;
         let mut committed = 0;
         let mut sealed = 0;
@@ -224,8 +220,7 @@ impl<T: Word> DurableLog<T> {
     /// # Errors
     ///
     /// Fails if the issuing machine has crashed.
-    pub fn scan(&self, at: &impl AsNode) -> OpResult<Vec<(u64, T)>> {
-        let node = at.as_node();
+    pub fn scan(&self, node: &NodeHandle) -> OpResult<Vec<(u64, T)>> {
         let frontier = self.frontier(node)?;
         let mut out = Vec::new();
         for i in 0..frontier {

@@ -49,7 +49,7 @@ use parking_lot::RwLock;
 
 use crate::alloc::{Allocator, BlockRef, MAX_CLASS_CELLS};
 use crate::api::Word;
-use crate::backend::{AsNode, NodeHandle};
+use crate::backend::NodeHandle;
 use crate::error::OpResult;
 use crate::flit::Persistence;
 use crate::smr::SmrDomain;
@@ -104,9 +104,12 @@ impl<K: Word, V: Word> DurableMap<K, V> {
     /// # Errors
     ///
     /// Fails if the issuing machine has crashed.
-    pub fn create(smr: &Arc<SmrDomain>, at: &impl AsNode, capacity: u32) -> OpResult<Option<Self>> {
+    pub fn create(
+        smr: &Arc<SmrDomain>,
+        node: &NodeHandle,
+        capacity: u32,
+    ) -> OpResult<Option<Self>> {
         assert!(capacity > 0, "capacity must be positive");
-        let node = at.as_node();
         let alloc = Arc::clone(smr.allocator());
         let persist = Arc::clone(alloc.persistence());
         let capacity = capacity.next_power_of_two().max(2);
@@ -255,8 +258,7 @@ impl<K: Word, V: Word> DurableMap<K, V> {
     /// # Errors
     ///
     /// Fails if the issuing machine has crashed.
-    pub fn insert(&self, at: &impl AsNode, key: K, value: V) -> OpResult<Option<Option<V>>> {
-        let node = at.as_node();
+    pub fn insert(&self, node: &NodeHandle, key: K, value: V) -> OpResult<Option<Option<V>>> {
         let _span = node.trace_span(crate::trace::OpKind::Insert);
         let key = key.to_word();
         let value = value.to_word();
@@ -266,6 +268,7 @@ impl<K: Word, V: Word> DurableMap<K, V> {
         let _guard = self.smr.pin();
         let base = self.table(node)?;
         let Some(slot) = self.find_slot(node, base, key, true)? else {
+            self.persist.complete_op(node)?;
             return Ok(None);
         };
         // Swap the value cell atomically to learn the previous binding.
@@ -296,8 +299,7 @@ impl<K: Word, V: Word> DurableMap<K, V> {
     /// # Errors
     ///
     /// Fails if the issuing machine has crashed.
-    pub fn get(&self, at: &impl AsNode, key: K) -> OpResult<Option<V>> {
-        let node = at.as_node();
+    pub fn get(&self, node: &NodeHandle, key: K) -> OpResult<Option<V>> {
         let _span = node.trace_span(crate::trace::OpKind::Get);
         let key = key.to_word();
         let _guard = self.smr.pin();
@@ -324,8 +326,7 @@ impl<K: Word, V: Word> DurableMap<K, V> {
     /// # Errors
     ///
     /// Fails if the issuing machine has crashed.
-    pub fn remove(&self, at: &impl AsNode, key: K) -> OpResult<Option<V>> {
-        let node = at.as_node();
+    pub fn remove(&self, node: &NodeHandle, key: K) -> OpResult<Option<V>> {
         let _span = node.trace_span(crate::trace::OpKind::Remove);
         let key = key.to_word();
         let _mutating = self.sync.read();
@@ -377,13 +378,12 @@ impl<K: Word, V: Word> DurableMap<K, V> {
     /// # Errors
     ///
     /// Fails if the issuing machine has crashed.
-    pub fn recycle(&self, at: &impl AsNode) -> OpResult<u32> {
+    pub fn recycle(&self, node: &NodeHandle) -> OpResult<u32> {
         assert!(
             self.table_cells() <= MAX_CLASS_CELLS,
             "an oversize table ({} slots) cannot be recycled",
             self.capacity
         );
-        let node = at.as_node();
         let _exclusive = self.sync.write();
         // Not pinned yet: the table cannot be retired from under us
         // (only recycle/destroy retire tables and we hold the write
@@ -482,8 +482,7 @@ impl<K: Word, V: Word> DurableMap<K, V> {
     /// # Errors
     ///
     /// Fails if the issuing machine has crashed.
-    pub fn destroy(self, at: &impl AsNode) -> OpResult<()> {
-        let node = at.as_node();
+    pub fn destroy(self, node: &NodeHandle) -> OpResult<()> {
         let _exclusive = self.sync.write();
         let base = {
             let _guard = self.smr.pin();
@@ -579,6 +578,30 @@ mod tests {
         assert!(m.insert(&node, 1, 1).unwrap().is_some());
         assert!(m.insert(&node, 2, 2).unwrap().is_some());
         assert_eq!(m.insert(&node, 3, 3).unwrap(), None);
+    }
+
+    #[test]
+    fn a_refused_insert_completes_its_operation() {
+        // Under FlitAsync a flagged load of a cell whose FliT counter is
+        // raised enqueues a helping AFlush that only the operation's
+        // completion (Alg. 2 line 55) retires.
+        let f = SimFabric::new(SystemConfig::symmetric_nvm(3, 4096));
+        let flit = Arc::new(Flit::new(FlitPolicy::ASYNC));
+        let smr = Arc::new(SmrDomain::new(Arc::new(Allocator::over_region(
+            f.config(),
+            MachineId(2),
+            flit.clone(),
+        ))));
+        let node = f.node(MachineId(0));
+        let m: DurableMap = DurableMap::create(&smr, &node, 2).unwrap().unwrap();
+        assert!(m.insert(&node, 1, 1).unwrap().is_some());
+        assert!(m.insert(&node, 2, 2).unwrap().is_some());
+        let base = m.table(&node).unwrap();
+        for slot in 0..2 {
+            flit.table().enter(m.key_cell(base, slot));
+        }
+        assert_eq!(m.insert(&node, 3, 3).unwrap(), None, "the table is full");
+        assert_eq!(f.pending_flushes(MachineId(0)), 0, "helps left unretired");
     }
 
     #[test]

@@ -22,11 +22,12 @@
 //! reclaimed.
 //!
 //! Element types are generic over [`Word`](crate::api::Word) (default
-//! `u64`), and every operation takes `&impl AsNode` — a raw
-//! [`NodeHandle`](crate::backend::NodeHandle) or an
-//! [`api::Session`](crate::api::Session) — so the same structures serve
-//! both API layers. Named creation/reattachment lives on the session
-//! (`create_queue`/`open_queue` and friends).
+//! `u64`), and every operation takes the issuing machine's
+//! [`NodeHandle`](crate::backend::NodeHandle): each CXL0 primitive has
+//! one issuer. An [`api::Session`](crate::api::Session) dereferences to
+//! its handle, so `&session` is passed the same way. Named
+//! creation/reattachment lives on the session (`create_queue`/
+//! `open_queue` and friends).
 
 pub mod combine;
 pub mod counter;

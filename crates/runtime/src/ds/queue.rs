@@ -31,8 +31,8 @@ use std::sync::Arc;
 use cxl0_model::Loc;
 
 use crate::alloc::{Allocator, BlockRef};
-use crate::api::Word;
-use crate::backend::{AsNode, NodeHandle};
+use crate::api::{ApiError, ApiResult, Word};
+use crate::backend::NodeHandle;
 use crate::error::OpResult;
 use crate::flit::Persistence;
 
@@ -73,8 +73,7 @@ impl<T: Word> DurableQueue<T> {
     /// # Errors
     ///
     /// Fails if the issuing machine has crashed.
-    pub fn create(alloc: &Arc<Allocator>, at: &impl AsNode) -> OpResult<Option<Self>> {
-        let node = at.as_node();
+    pub fn create(alloc: &Arc<Allocator>, node: &NodeHandle) -> OpResult<Option<Self>> {
         let persist = Arc::clone(alloc.persistence());
         let Some(header) = alloc.alloc(node, 2)? else {
             return Ok(None);
@@ -167,8 +166,7 @@ impl<T: Word> DurableQueue<T> {
     /// # Errors
     ///
     /// Fails if the issuing machine has crashed.
-    pub fn enqueue(&self, at: &impl AsNode, v: T) -> OpResult<bool> {
-        let node = at.as_node();
+    pub fn enqueue(&self, node: &NodeHandle, v: T) -> OpResult<bool> {
         let _span = node.trace_span(crate::trace::OpKind::Enqueue);
         let raw = v.to_word();
         let Some(n) = self.alloc.alloc(node, 2)? else {
@@ -226,8 +224,7 @@ impl<T: Word> DurableQueue<T> {
     /// # Errors
     ///
     /// Fails if the issuing machine has crashed.
-    pub fn dequeue(&self, at: &impl AsNode) -> OpResult<Option<T>> {
-        let node = at.as_node();
+    pub fn dequeue(&self, node: &NodeHandle) -> OpResult<Option<T>> {
         let _span = node.trace_span(crate::trace::OpKind::Dequeue);
         loop {
             let head = self.persist.shared_load(node, self.head_cell(), true)?;
@@ -297,11 +294,10 @@ impl<T: Word> DurableQueue<T> {
     /// across the reuse, which is what generation bumps exist to catch.
     pub(crate) fn enqueue_batched(
         &self,
-        at: &impl AsNode,
+        node: &NodeHandle,
         raw: u64,
         spare: &mut Vec<BlockRef>,
     ) -> OpResult<bool> {
-        let node = at.as_node();
         let n = match spare.pop() {
             Some(n) => n,
             None => match self.alloc.alloc(node, 2)? {
@@ -340,10 +336,9 @@ impl<T: Word> DurableQueue<T> {
     /// persisted head still points at it.
     pub(crate) fn dequeue_batched(
         &self,
-        at: &impl AsNode,
+        node: &NodeHandle,
         frees: &mut Vec<BlockRef>,
     ) -> OpResult<Option<u64>> {
-        let node = at.as_node();
         let head = self.persist.private_load(node, self.head_cell())?;
         let h = self.alloc.decode(head).expect("head is never null");
         let next = self.persist.private_load(node, self.next_cell(h))?;
@@ -362,9 +357,9 @@ impl<T: Word> DurableQueue<T> {
 
     /// Returns nodes a combined batch unlinked to the allocator, once
     /// the batch's head swings are durable.
-    pub(crate) fn reclaim_batch(&self, at: &impl AsNode, frees: &[BlockRef]) -> OpResult<()> {
+    pub(crate) fn reclaim_batch(&self, node: &NodeHandle, frees: &[BlockRef]) -> OpResult<()> {
         let locs: Vec<Loc> = frees.iter().map(|b| b.loc).collect();
-        let freed = self.alloc.free_chain(at, &locs)?;
+        let freed = self.alloc.free_chain(node, &locs)?;
         debug_assert_eq!(freed, locs.len(), "combiner owns the nodes it unlinked");
         Ok(())
     }
@@ -386,12 +381,18 @@ impl<T: Word> DurableQueue<T> {
     ///
     /// # Errors
     ///
-    /// Fails if the issuing machine has crashed.
-    pub fn recover(&self, at: &impl AsNode) -> OpResult<()> {
-        let node = at.as_node();
+    /// Fails if the issuing machine has crashed, or with
+    /// [`ApiError::Corrupt`] if the crash lost the head pointer, which
+    /// only an unsound strategy such as `FlitX86` lets happen.
+    pub fn recover(&self, node: &NodeHandle) -> ApiResult<()> {
         let mut last = self.persist.shared_load(node, self.head_cell(), true)?;
         loop {
-            let l = self.alloc.decode(last).expect("head is never null");
+            let Some(l) = self.alloc.decode(last) else {
+                self.persist.retire_helps(node)?;
+                return Err(ApiError::Corrupt {
+                    header: self.header,
+                });
+            };
             let next = self.persist.shared_load(node, self.next_cell(l), true)?;
             if self.alloc.decode(next).is_none() {
                 break;
@@ -399,7 +400,7 @@ impl<T: Word> DurableQueue<T> {
             last = next;
         }
         self.persist.retire_helps(node)?;
-        node.store(self.persist.hint_kind(), self.tail_cell(), last)
+        Ok(node.store(self.persist.hint_kind(), self.tail_cell(), last)?)
     }
 
     /// Drains the queue into a vector (helper for tests/recovery).
@@ -407,9 +408,9 @@ impl<T: Word> DurableQueue<T> {
     /// # Errors
     ///
     /// Fails if the issuing machine has crashed.
-    pub fn drain(&self, at: &impl AsNode) -> OpResult<Vec<T>> {
+    pub fn drain(&self, node: &NodeHandle) -> OpResult<Vec<T>> {
         let mut out = Vec::new();
-        while let Some(v) = self.dequeue(at)? {
+        while let Some(v) = self.dequeue(node)? {
             out.push(v);
         }
         Ok(out)

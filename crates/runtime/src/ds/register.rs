@@ -6,7 +6,7 @@ use std::sync::Arc;
 use cxl0_model::Loc;
 
 use crate::api::Word;
-use crate::backend::AsNode;
+use crate::backend::NodeHandle;
 use crate::error::OpResult;
 use crate::flit::Persistence;
 use crate::heap::SharedHeap;
@@ -72,8 +72,7 @@ impl<T: Word> DurableRegister<T> {
     /// # Errors
     ///
     /// Fails if the issuing machine has crashed.
-    pub fn read(&self, at: &impl AsNode) -> OpResult<T> {
-        let node = at.as_node();
+    pub fn read(&self, node: &NodeHandle) -> OpResult<T> {
         let v = self.persist.shared_load(node, self.cell, true)?;
         self.persist.complete_op(node)?;
         Ok(T::from_word(v))
@@ -84,8 +83,7 @@ impl<T: Word> DurableRegister<T> {
     /// # Errors
     ///
     /// Fails if the issuing machine has crashed.
-    pub fn write(&self, at: &impl AsNode, v: T) -> OpResult<()> {
-        let node = at.as_node();
+    pub fn write(&self, node: &NodeHandle, v: T) -> OpResult<()> {
         self.persist
             .shared_store(node, self.cell, v.to_word(), true)?;
         self.persist.complete_op(node)
@@ -96,8 +94,7 @@ impl<T: Word> DurableRegister<T> {
     /// # Errors
     ///
     /// Fails with `Crashed` if the issuing machine has crashed.
-    pub fn cas(&self, at: &impl AsNode, old: T, new: T) -> OpResult<Result<T, T>> {
-        let node = at.as_node();
+    pub fn cas(&self, node: &NodeHandle, old: T, new: T) -> OpResult<Result<T, T>> {
         let r = self
             .persist
             .shared_cas(node, self.cell, old.to_word(), new.to_word(), true)?;

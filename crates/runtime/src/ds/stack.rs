@@ -16,7 +16,7 @@ use cxl0_model::Loc;
 
 use crate::alloc::{Allocator, BlockRef};
 use crate::api::Word;
-use crate::backend::AsNode;
+use crate::backend::NodeHandle;
 use crate::error::OpResult;
 use crate::flit::Persistence;
 
@@ -53,8 +53,7 @@ impl<T: Word> DurableStack<T> {
     /// # Errors
     ///
     /// Fails if the issuing machine has crashed.
-    pub fn create(alloc: &Arc<Allocator>, at: &impl AsNode) -> OpResult<Option<Self>> {
-        let node = at.as_node();
+    pub fn create(alloc: &Arc<Allocator>, node: &NodeHandle) -> OpResult<Option<Self>> {
         let persist = Arc::clone(alloc.persistence());
         let Some(top) = alloc.alloc(node, 1)? else {
             return Ok(None);
@@ -101,8 +100,7 @@ impl<T: Word> DurableStack<T> {
     /// # Errors
     ///
     /// Fails if the issuing machine has crashed.
-    pub fn push(&self, at: &impl AsNode, v: T) -> OpResult<bool> {
-        let node = at.as_node();
+    pub fn push(&self, node: &NodeHandle, v: T) -> OpResult<bool> {
         let _span = node.trace_span(crate::trace::OpKind::Push);
         let raw = v.to_word();
         let Some(n) = self.alloc.alloc(node, 2)? else {
@@ -132,8 +130,7 @@ impl<T: Word> DurableStack<T> {
     /// # Errors
     ///
     /// Fails if the issuing machine has crashed.
-    pub fn pop(&self, at: &impl AsNode) -> OpResult<Option<T>> {
-        let node = at.as_node();
+    pub fn pop(&self, node: &NodeHandle) -> OpResult<Option<T>> {
         let _span = node.trace_span(crate::trace::OpKind::Pop);
         loop {
             let top = self.persist.shared_load(node, self.top, true)?;
@@ -171,11 +168,10 @@ impl<T: Word> DurableStack<T> {
     /// [`DurableQueue::enqueue_batched`](crate::ds::queue::DurableQueue)).
     pub(crate) fn push_batched(
         &self,
-        at: &impl AsNode,
+        node: &NodeHandle,
         raw: u64,
         spare: &mut Vec<BlockRef>,
     ) -> OpResult<bool> {
-        let node = at.as_node();
         let n = match spare.pop() {
             Some(n) => n,
             None => match self.alloc.alloc(node, 2)? {
@@ -199,10 +195,9 @@ impl<T: Word> DurableStack<T> {
     /// never leave a persisted top pointing at a reallocated block.
     pub(crate) fn pop_batched(
         &self,
-        at: &impl AsNode,
+        node: &NodeHandle,
         frees: &mut Vec<BlockRef>,
     ) -> OpResult<Option<u64>> {
-        let node = at.as_node();
         let top = self.persist.private_load(node, self.top)?;
         let Some(t) = self.alloc.decode(top) else {
             return Ok(None);
@@ -220,9 +215,9 @@ impl<T: Word> DurableStack<T> {
 
     /// Returns nodes a combined batch unlinked to the allocator, once
     /// the batch's top swings are durable.
-    pub(crate) fn reclaim_batch(&self, at: &impl AsNode, frees: &[BlockRef]) -> OpResult<()> {
+    pub(crate) fn reclaim_batch(&self, node: &NodeHandle, frees: &[BlockRef]) -> OpResult<()> {
         let locs: Vec<Loc> = frees.iter().map(|b| b.loc).collect();
-        let freed = self.alloc.free_chain(at, &locs)?;
+        let freed = self.alloc.free_chain(node, &locs)?;
         debug_assert_eq!(freed, locs.len(), "combiner owns the nodes it unlinked");
         Ok(())
     }
@@ -238,9 +233,9 @@ impl<T: Word> DurableStack<T> {
     /// # Errors
     ///
     /// Fails if the issuing machine has crashed.
-    pub fn drain(&self, at: &impl AsNode) -> OpResult<Vec<T>> {
+    pub fn drain(&self, node: &NodeHandle) -> OpResult<Vec<T>> {
         let mut out = Vec::new();
-        while let Some(v) = self.pop(at)? {
+        while let Some(v) = self.pop(node)? {
             out.push(v);
         }
         Ok(out)
@@ -251,8 +246,7 @@ impl<T: Word> DurableStack<T> {
     /// # Errors
     ///
     /// Fails if the issuing machine has crashed.
-    pub fn len(&self, at: &impl AsNode) -> OpResult<usize> {
-        let node = at.as_node();
+    pub fn len(&self, node: &NodeHandle) -> OpResult<usize> {
         let mut n = 0;
         let mut cur = self.persist.shared_load(node, self.top, true)?;
         while let Some(c) = self.alloc.decode(cur) {
@@ -267,8 +261,8 @@ impl<T: Word> DurableStack<T> {
     /// # Errors
     ///
     /// Fails if the issuing machine has crashed.
-    pub fn is_empty(&self, at: &impl AsNode) -> OpResult<bool> {
-        let raw = self.persist.shared_load(at.as_node(), self.top, true)?;
+    pub fn is_empty(&self, node: &NodeHandle) -> OpResult<bool> {
+        let raw = self.persist.shared_load(node, self.top, true)?;
         Ok(self.alloc.decode(raw).is_none())
     }
 }

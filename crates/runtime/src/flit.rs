@@ -333,7 +333,7 @@ impl FlitPolicy {
     /// fabric.recover(MachineId(2));
     /// queue.recover(&node)?;
     /// assert_eq!(queue.dequeue(&node)?, Some(7));
-    /// # Ok::<(), cxl0_runtime::Crashed>(())
+    /// # Ok::<(), cxl0_runtime::ApiError>(())
     /// ```
     pub const ASYNC: FlitPolicy = FlitPolicy {
         name: "flit-async",

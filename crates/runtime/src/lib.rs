@@ -95,10 +95,9 @@ pub mod trace;
 
 pub use alloc::{AllocStats, Allocator, BlockRef, FreeError};
 pub use api::{ApiError, ApiResult, Cluster, ClusterBuilder, PersistMode, Session, Word};
-pub use backend::{AsNode, NodeHandle, SimFabric, Stats, StatsSnapshot};
+pub use backend::{NodeHandle, SimFabric, Stats, StatsSnapshot};
 pub use buffered::BufferedEpoch;
 pub use check::{CheckConfig, Checker, Violation, ViolationClass};
-pub use cost::CostModel;
 pub use ds::{
     Combinable, CombineStats, Combined, CombinedQueue, CombinedStack, DurableCounter, DurableList,
     DurableLog, DurableMap, DurableQueue, DurableRegister, DurableStack, Elimination, SlotState,

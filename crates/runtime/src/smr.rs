@@ -109,7 +109,7 @@ use cxl0_model::Loc;
 use parking_lot::Mutex;
 
 use crate::alloc::{Allocator, Owned};
-use crate::backend::{thread_slot_index, AsNode, NodeHandle, RAIL_SLOTS};
+use crate::backend::{thread_slot_index, NodeHandle, RAIL_SLOTS};
 use crate::error::OpResult;
 use crate::flit::Persistence;
 
@@ -427,9 +427,9 @@ impl SmrDomain {
     ///
     /// Fails if the issuing machine has crashed; blocks not yet freed
     /// stay in limbo for [`SmrDomain::recover`].
-    pub fn collect(&self, at: &impl AsNode) -> OpResult<usize> {
-        let _span = at.as_node().trace_span(crate::trace::OpKind::SmrCollect);
-        self.collect_inner(at.as_node())
+    pub fn collect(&self, node: &NodeHandle) -> OpResult<usize> {
+        let _span = node.trace_span(crate::trace::OpKind::SmrCollect);
+        self.collect_inner(node)
     }
 
     fn collect_inner(&self, node: &NodeHandle) -> OpResult<usize> {
@@ -504,8 +504,7 @@ impl SmrDomain {
     ///
     /// Fails if the issuing machine has crashed; limbo then keeps every
     /// block for the next `recover`.
-    pub fn recover(&self, at: &impl AsNode) -> OpResult<usize> {
-        let node = at.as_node();
+    pub fn recover(&self, node: &NodeHandle) -> OpResult<usize> {
         for slot in self.slots.iter() {
             slot.word.store(0, Ordering::SeqCst);
         }
@@ -569,8 +568,7 @@ impl SmrGuard<'_> {
     /// Fails if the issuing machine has crashed: before the header load
     /// lands the block is not filed; once it is, it stays in limbo for
     /// [`SmrDomain::recover`].
-    pub fn retire(&self, at: &impl AsNode, payload: Loc) -> OpResult<()> {
-        let node = at.as_node();
+    pub fn retire(&self, node: &NodeHandle, payload: Loc) -> OpResult<()> {
         match self.domain.alloc.current_incarnation(node, payload)? {
             Some(block) => self.domain.retire(node, payload, block),
             None => Ok(()),
@@ -593,13 +591,13 @@ impl SmrGuard<'_> {
     /// limbo for [`SmrDomain::recover`]).
     pub fn retire_incarnation(
         &self,
-        at: &impl AsNode,
+        node: &NodeHandle,
         payload: Loc,
         gen: u64,
         cells: u32,
     ) -> OpResult<()> {
         match self.domain.alloc.incarnation(payload, gen, cells) {
-            Some(block) => self.domain.retire(at.as_node(), payload, block),
+            Some(block) => self.domain.retire(node, payload, block),
             None => Ok(()),
         }
     }

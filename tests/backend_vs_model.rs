@@ -14,7 +14,7 @@ use cxl0::explore::{Explorer, StateSet};
 use cxl0::model::{
     Label, Loc, MachineConfig, MachineId, ModelVariant, Semantics, StoreKind, SystemConfig, Val,
 };
-use cxl0::runtime::{CostModel, SimFabric};
+use cxl0::runtime::SimFabric;
 use proptest::prelude::*;
 
 #[derive(Debug, Clone)]
@@ -64,7 +64,7 @@ fn loc(owner: usize, addr: usize) -> Loc {
 
 fn run_against_model(variant: ModelVariant, ops: Vec<Op>) {
     let cfg = config();
-    let fabric = SimFabric::with_options(cfg.clone(), variant, CostModel::free());
+    let fabric = SimFabric::with_variant(cfg.clone(), variant);
     let sem = Semantics::with_variant(cfg, variant);
     let exp = Explorer::new(&sem);
     let mut states: StateSet = exp.initial_set();
@@ -175,7 +175,7 @@ proptest! {
 #[test]
 fn deterministic_scenario_matches_model() {
     let cfg = config();
-    let fabric = SimFabric::with_options(cfg.clone(), ModelVariant::Base, CostModel::free());
+    let fabric = SimFabric::with_variant(cfg.clone(), ModelVariant::Base);
     let n0 = fabric.node(MachineId(0));
     let n1 = fabric.node(MachineId(1));
     let x = Loc::new(MachineId(0), 0);

@@ -12,7 +12,7 @@
 use cxl0::explore::{Explorer, StateSet};
 use cxl0::model::asyncflush::{AsyncLabel, AsyncSemantics, AsyncState};
 use cxl0::model::{Label, Loc, MachineConfig, MachineId, StoreKind, SystemConfig, Val};
-use cxl0::runtime::{CostModel, SimFabric};
+use cxl0::runtime::SimFabric;
 use proptest::prelude::*;
 
 #[derive(Debug, Clone)]
@@ -67,11 +67,7 @@ proptest! {
         ops in proptest::collection::vec(arb_op(), 0..35),
     ) {
         let cfg = config();
-        let fabric = SimFabric::with_options(
-            cfg.clone(),
-            cxl0::model::ModelVariant::Base,
-            CostModel::free(),
-        );
+        let fabric = SimFabric::with_variant(cfg.clone(), cxl0::model::ModelVariant::Base);
         let sem = AsyncSemantics::new(cfg);
         let exp = Explorer::new(&sem);
         let mut states: StateSet<AsyncState> = exp.initial_set();
@@ -148,11 +144,7 @@ proptest! {
 #[test]
 fn deterministic_batching_scenario_matches_model() {
     let cfg = SystemConfig::symmetric_nvm(2, 2);
-    let fabric = SimFabric::with_options(
-        cfg.clone(),
-        cxl0::model::ModelVariant::Base,
-        CostModel::free(),
-    );
+    let fabric = SimFabric::with_variant(cfg.clone(), cxl0::model::ModelVariant::Base);
     let n0 = fabric.node(MachineId(0));
     let x = Loc::new(MachineId(1), 0);
     let y = Loc::new(MachineId(1), 1);

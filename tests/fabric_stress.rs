@@ -5,7 +5,7 @@
 use std::sync::{Arc, Barrier};
 
 use cxl0::model::{Loc, MachineId, StoreKind, SystemConfig};
-use cxl0::runtime::{CostModel, NodeHandle, OpResult, SimFabric};
+use cxl0::runtime::{NodeHandle, OpResult, SimFabric};
 
 const M0: MachineId = MachineId(0);
 const M1: MachineId = MachineId(1);
@@ -223,11 +223,7 @@ fn neighbouring_cells_on_one_host_line_stay_independent() {
 /// Runs one deterministic single-threaded workload and returns the
 /// fabric's final snapshot.
 fn deterministic_run() -> cxl0::runtime::StatsSnapshot {
-    let fabric = SimFabric::with_options(
-        SystemConfig::symmetric_nvm(3, 256),
-        cxl0::model::ModelVariant::Base,
-        CostModel::figure5(),
-    );
+    let fabric = SimFabric::new(SystemConfig::symmetric_nvm(3, 256));
     let near = fabric.node(MachineId(2)); // owns the target region
     let far = fabric.node(M0);
     for i in 0..2_000u64 {
@@ -274,7 +270,7 @@ fn anchor_run() -> cxl0::runtime::StatsSnapshot {
 }
 
 /// (c) Simulated time is deterministic: the same single-threaded
-/// workload under `CostModel::figure5()` produces bit-identical
+/// workload under the Figure-5 cost table produces bit-identical
 /// `sim_ns` totals (and counters) on every run, and the recorded anchor
 /// unit costs exactly what it cost when it was recorded. This pins the
 /// cost accounting: a perf change to the backend must not change it.

@@ -7,7 +7,7 @@ use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
 use cxl0::api::{ApiError, Cluster, PersistMode, RootKind};
-use cxl0::model::{MachineId, SystemConfig};
+use cxl0::model::{MachineConfig, MachineId, SystemConfig};
 use proptest::prelude::*;
 
 const NAMES: [&str; 4] = ["alpha", "beta", "gamma", "delta"];
@@ -208,6 +208,48 @@ fn open_queue_round_trip_needs_no_header_locs() {
     let q = s.open_queue::<u64>("jobs").unwrap();
     q.recover(&s).unwrap();
     assert_eq!(q.drain(&s).unwrap(), vec![1, 2, 3]);
+}
+
+#[test]
+fn a_queue_whose_head_the_crash_lost_reports_corrupt() {
+    // The deliberately unsound x86 FliT port flushes only to the owner's
+    // cache, so a memory-node crash can take the queue's head pointer
+    // with it while the registry still names the queue. The traffic is
+    // `examples/named_roots.rs`'s.
+    let cluster = Cluster::builder(SystemConfig::new(vec![
+        MachineConfig::compute_only(),
+        MachineConfig::compute_only(),
+        MachineConfig::non_volatile(1 << 14),
+    ]))
+    .persist(PersistMode::FlitX86)
+    .build()
+    .unwrap();
+    let s = cluster.session(MachineId(0));
+    let q = s.create_queue::<u64>("jobs/pending").unwrap();
+    let done = s.create_counter("jobs/done").unwrap();
+    let owner = s.create_map::<u64, u64>("jobs/owner", 64).unwrap();
+    for id in 1..=8u64 {
+        q.enqueue(&s, id).unwrap();
+        owner.insert(&s, id, 100 + id % 2).unwrap();
+    }
+    let w = cluster.session(MachineId(1));
+    let worker = w.open_queue::<u64>("jobs/pending").unwrap();
+    for _ in 0..3 {
+        worker.dequeue(&w).unwrap().unwrap();
+        done.add(&w, 1).unwrap();
+    }
+    cluster.crash(cluster.memory_node());
+    cluster.recover(cluster.memory_node());
+
+    let r = cluster.session(MachineId(0));
+    r.recover_roots().unwrap();
+    let q = r.open_queue::<u64>("jobs/pending").unwrap();
+    assert_eq!(
+        q.recover(&r),
+        Err(ApiError::Corrupt {
+            header: q.header_cell()
+        })
+    );
 }
 
 #[test]
