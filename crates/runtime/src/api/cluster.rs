@@ -252,9 +252,8 @@ impl ClusterBuilder {
                     export_path: (v != "1").then_some(v),
                 })
         });
-        let tracer = trace_cfg.map(|cfg| Arc::new(Tracer::new(cfg)));
-        if let Some(tr) = &tracer {
-            fabric.install_tracer(Arc::clone(tr));
+        if let Some(cfg) = trace_cfg {
+            fabric.install_tracer(Arc::new(Tracer::new(cfg)));
         }
         let heap = Arc::new(SharedHeap::with_range(
             fabric.config(),
@@ -327,8 +326,6 @@ impl ClusterBuilder {
             mode: self.mode,
             memory_node,
             directory,
-            checker,
-            tracer,
             combine_stats: Arc::new(CombineStats::default()),
             combine_boards: Mutex::new(HashMap::new()),
         }))
@@ -354,12 +351,6 @@ pub struct Cluster {
     mode: PersistMode,
     memory_node: MachineId,
     directory: RootDirectory,
-    /// The persistency sanitizer, when armed (see
-    /// [`ClusterBuilder::with_checker`]).
-    checker: Option<Arc<Checker>>,
-    /// The runtime tracer, when armed (see
-    /// [`ClusterBuilder::with_tracing`]).
-    tracer: Option<Arc<Tracer>>,
     /// Cluster-wide combining counters (all fronts share one set).
     combine_stats: Arc<CombineStats>,
     /// Volatile announcement boards, keyed by structure root cell so
@@ -432,14 +423,14 @@ impl Cluster {
     /// The persistency sanitizer, when armed (via
     /// [`ClusterBuilder::with_checker`] or `CXL0_SANITIZE=1`).
     pub fn checker(&self) -> Option<&Arc<Checker>> {
-        self.checker.as_ref()
+        self.fabric.checker()
     }
 
     /// The runtime tracer, when armed (via
     /// [`ClusterBuilder::with_tracing`] or `CXL0_TRACE=<path>`). Query
     /// it for latency histograms, recovery breakdowns and exports.
     pub fn tracer(&self) -> Option<&Arc<Tracer>> {
-        self.tracer.as_ref()
+        self.fabric.tracer()
     }
 
     /// Exports the trace to `path` now as Chrome trace-event JSON,
@@ -450,7 +441,7 @@ impl Cluster {
     /// [`ApiError::NoTracer`] when no tracer is armed;
     /// [`ApiError::TraceExport`] on an I/O failure.
     pub fn export_trace(&self, path: &str) -> ApiResult<()> {
-        let tracer = self.tracer.as_ref().ok_or(ApiError::NoTracer)?;
+        let tracer = self.tracer().ok_or(ApiError::NoTracer)?;
         tracer
             .write_to(path)
             .map_err(|e| ApiError::TraceExport(e.to_string()))
@@ -503,12 +494,12 @@ impl Cluster {
         snap.smr_advances = smr.advances;
         snap.smr_epoch = smr.epoch;
         snap.smr_limbo = smr.limbo;
-        if let Some(ck) = &self.checker {
+        if let Some(ck) = self.checker() {
             snap.check_durability_races = ck.durability_races();
             snap.check_unpersisted_reads = ck.unpersisted_reads();
             snap.check_use_after_retire = ck.use_after_retire();
         }
-        if let Some(tr) = &self.tracer {
+        if let Some(tr) = self.tracer() {
             snap.trace_events = tr.events_recorded();
             snap.trace_dropped = tr.events_dropped();
             let h = tr.merged_histogram();
@@ -584,7 +575,7 @@ impl Drop for Cluster {
         // the deployment winds down, without the program opting in at
         // every exit path. Failures are reported, not propagated — drop
         // cannot return and must not panic.
-        if let Some(tr) = &self.tracer {
+        if let Some(tr) = self.tracer() {
             if let Some(path) = tr.config().export_path.clone() {
                 if let Err(e) = tr.write_to(&path) {
                     eprintln!("cxl0: trace export to {path} failed: {e}");

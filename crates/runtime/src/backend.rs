@@ -26,14 +26,20 @@
 //! The per-operation path deliberately touches no globally shared
 //! mutable cache line:
 //!
-//! * **Location slab.** All location state lives in one contiguous slab
-//!   of cache-line-aligned location cells with precomputed per-machine
-//!   offsets (no nested `Vec` indirection). Each cell is a tiny
-//!   sequence-locked record of atomics: mutating rules spin on the
-//!   cell's sequence word (writer lock), while read-only rules
-//!   (`Load`-from-M, a failed CAS, no-op flushes, `peek_memory`)
-//!   validate an optimistic snapshot against the sequence word and
-//!   issue **no** atomic read-modify-write at all.
+//! * **Location slab.** All location state lives in one slab of
+//!   location cells, two per 64-byte host line, indexed through
+//!   precomputed per-machine offsets. The slab is a table of fixed-size
+//!   chunks, each allocated and zeroed by the first primitive that
+//!   touches one of its cells (a cold, out-of-line branch), so a pool's
+//!   host memory, build time and crash sweep grow with the cells a
+//!   workload touches, not with the cells it configures; walks over the
+//!   whole slab skip untouched chunks, whose cells are in the all-zero
+//!   initial state. Each cell is a tiny sequence-locked record of
+//!   atomics: mutating rules spin on the cell's sequence word (writer
+//!   lock), while read-only rules (`Load`-from-M, a failed CAS, no-op
+//!   flushes, `peek_memory`) validate an optimistic snapshot against
+//!   the sequence word and issue **no** atomic read-modify-write at
+//!   all.
 //! * **Striped statistics.** Operation counters and simulated time are
 //!   recorded on cache-line-padded per-thread *rails* ([`Stats`] owns
 //!   one rail per leased thread slot, plus one shared overflow rail).
@@ -78,6 +84,7 @@
 //! mid-operation. Arming is a bit in the gate's halted word: the
 //! unarmed path pays nothing for it.
 
+use std::ops::Range;
 use std::sync::atomic::{fence, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
@@ -551,12 +558,12 @@ impl StatsSnapshot {
 }
 
 /// One location's model state `(holders bitmask, cached value, memory
-/// value)` as a sequence-locked record of atomics: exactly 32 bytes,
-/// aligned to 32, so two cells share each 64-byte host line and none
-/// straddles one. A two-cell record — a map slot's `[key, value]`, a
-/// queue node's `[value, next]`, a list node's `[key, next]` — sits on
-/// one line whenever its first cell starts the line, where 64-byte
-/// cells always took two.
+/// value)` as a sequence-locked record of atomics: exactly 32 bytes.
+/// The slab lays cells out in 64-byte [`Line`]s, so cells `2k` and
+/// `2k + 1` share one host line and none straddles one. A two-cell
+/// record — a map slot's `[key, value]`, a queue node's `[value, next]`,
+/// a list node's `[key, next]` — sits on one line whenever its first
+/// cell has an even slab index, where 64-byte cells always took two.
 ///
 /// The sequence word doubles as the writer lock (odd = locked). Mutating
 /// rules hold the writer lock; read-only rules take an optimistic
@@ -604,12 +611,6 @@ impl LocCell {
         }
     }
 
-    /// The owner's memory word, one atomic load outside the lock: the
-    /// last value some writer stored under it.
-    pub(crate) fn mem_now(&self) -> u64 {
-        self.mem_val.load(Ordering::Acquire)
-    }
-
     /// Acquires the writer lock.
     pub(crate) fn lock(&self) -> CellGuard<'_> {
         spin_until(|| {
@@ -647,6 +648,32 @@ impl LocCell {
             None
         })
     }
+}
+
+/// Cells per chunk of the slab (128 KiB of host memory).
+const CHUNK_CELLS: usize = 4096;
+
+/// One 64-byte host line of the slab: the cells with slab indices `2k`
+/// and `2k + 1`.
+#[repr(align(64))]
+#[derive(Debug)]
+struct Line([LocCell; 2]);
+
+/// `CHUNK_CELLS` consecutive cells of the slab, allocated and zeroed by
+/// the first primitive that touches one of them.
+type Chunk = Box<[Line; CHUNK_CELLS / 2]>;
+
+fn new_chunk() -> Chunk {
+    let lines: Box<[Line]> = (0..CHUNK_CELLS / 2)
+        .map(|_| Line([LocCell::new(), LocCell::new()]))
+        .collect();
+    lines.try_into().expect("a chunk is CHUNK_CELLS / 2 lines")
+}
+
+/// The cell at slab index `slot` of its chunk.
+#[inline]
+fn chunk_cell(chunk: &Chunk, slot: usize) -> &LocCell {
+    &chunk[slot % CHUNK_CELLS / 2].0[slot % 2]
 }
 
 /// Writer-lock guard over one [`LocCell`]. Field loads may be relaxed
@@ -835,10 +862,13 @@ impl PendingBuf {
 pub struct SimFabric {
     cfg: SystemConfig,
     variant: ModelVariant,
-    /// Flat slab of every machine's location cells;
-    /// `cells[extents[m].0 + a]` guards the state of `Loc::new(m, a)`.
-    cells: Box<[LocCell]>,
-    /// Per-machine `(base offset, location count)` into `cells`. The
+    /// Every machine's location cells, in chunks of `CHUNK_CELLS`
+    /// materialised on first touch: the cell at slab index
+    /// `extents[m].0 + a` guards the state of `Loc::new(m, a)`. An
+    /// untouched cell is in the all-zero initial state, which no crash,
+    /// drain or propagation changes, so walks skip absent chunks.
+    chunks: Box<[OnceLock<Chunk>]>,
+    /// Per-machine `(base offset, location count)` into the slab. The
     /// count bounds-checks addresses per machine — without it an
     /// out-of-range address would silently alias the next machine's
     /// cells instead of panicking like the old nested-`Vec` indexing.
@@ -883,7 +913,9 @@ impl SimFabric {
             extents.push((total, locations));
             total += locations as usize;
         }
-        let cells = (0..total).map(|_| LocCell::new()).collect();
+        let chunks = (0..total.div_ceil(CHUNK_CELLS))
+            .map(|_| OnceLock::new())
+            .collect();
         Arc::new(SimFabric {
             crash_word: CrashWord {
                 halted: AtomicU64::new(0),
@@ -896,7 +928,7 @@ impl SimFabric {
             pending: (0..cfg.num_machines()).map(|_| PendingBuf::new()).collect(),
             cfg,
             variant,
-            cells,
+            chunks,
             extents,
             stats: Stats::default(),
             checker: OnceLock::new(),
@@ -909,15 +941,16 @@ impl SimFabric {
     /// [`ClusterBuilder::with_checker`](crate::api::ClusterBuilder::with_checker),
     /// which also wires the allocator, SMR domain and root registry.
     ///
-    /// The checker's per-cell marks are allocated here, one per cell of
-    /// the slab: a fabric that never installs a checker carries none.
+    /// The checker's per-cell marks are allocated here, one per
+    /// configured cell, touched or not: a fabric that never installs a
+    /// checker carries none.
     ///
     /// # Panics
     ///
     /// Panics if `checker` is already installed on another fabric.
     pub fn install_checker(self: &Arc<Self>, checker: Arc<Checker>) {
         if self.checker.set(Arc::clone(&checker)).is_ok() {
-            checker.attach(Arc::downgrade(self), self.cells.len());
+            checker.attach(Arc::downgrade(self), self.slab_len());
         }
     }
 
@@ -987,19 +1020,79 @@ impl SimFabric {
         base + loc.addr.index()
     }
 
-    pub(crate) fn cell(&self, loc: Loc) -> &LocCell {
-        &self.cells[self.slot(loc)]
+    /// Number of configured cells: one past the last slab index.
+    fn slab_len(&self) -> usize {
+        self.extents
+            .last()
+            .map_or(0, |&(base, count)| base + count as usize)
     }
 
-    /// Calls `f` on every cell of the slab with its slab index and
-    /// location.
-    pub(crate) fn each_cell(&self, mut f: impl FnMut(usize, Loc, &LocCell)) {
-        for (m, &(base, count)) in self.extents.iter().enumerate() {
-            for a in 0..count {
-                let slot = base + a as usize;
-                f(slot, Loc::new(MachineId(m), a), &self.cells[slot]);
+    /// `loc`'s cell, materialising its chunk on first touch. Always
+    /// inlined: as a call, it cost every primitive 3–5 ns on a 2-vCPU
+    /// x86-64 host.
+    #[inline(always)]
+    pub(crate) fn cell(&self, loc: Loc) -> &LocCell {
+        let slot = self.slot(loc);
+        match self.resident(slot) {
+            Some(cell) => cell,
+            None => self.materialise(slot),
+        }
+    }
+
+    /// The cold half of [`SimFabric::cell`]: allocates and zeroes the
+    /// chunk of slab index `slot` (one thread wins a concurrent first
+    /// touch; the others wait for its chunk). Out of line, like
+    /// [`SimFabric::mutated`], so the primitives inline none of it.
+    #[cold]
+    #[inline(never)]
+    fn materialise(&self, slot: usize) -> &LocCell {
+        chunk_cell(self.chunks[slot / CHUNK_CELLS].get_or_init(new_chunk), slot)
+    }
+
+    /// The cell at slab index `slot`, or `None` while its chunk is
+    /// untouched (and the cell in the all-zero initial state).
+    #[inline(always)]
+    fn resident(&self, slot: usize) -> Option<&LocCell> {
+        let chunk = self.chunks[slot / CHUNK_CELLS].get()?;
+        Some(chunk_cell(chunk, slot))
+    }
+
+    /// How many chunks of the slab are materialised.
+    #[cfg(test)]
+    pub(crate) fn resident_chunks(&self) -> usize {
+        self.chunks.iter().filter(|c| c.get().is_some()).count()
+    }
+
+    /// Calls `f` with the slab index and cell of every materialised cell
+    /// in `slots`, in slot order.
+    fn each_resident(&self, slots: Range<usize>, mut f: impl FnMut(usize, &LocCell)) {
+        for k in slots.start / CHUNK_CELLS..slots.end.div_ceil(CHUNK_CELLS) {
+            if let Some(chunk) = self.chunks[k].get() {
+                let first = slots.start.max(k * CHUNK_CELLS);
+                for s in first..slots.end.min((k + 1) * CHUNK_CELLS) {
+                    f(s, chunk_cell(chunk, s));
+                }
             }
         }
+    }
+
+    /// Calls `f` on every materialised cell of the slab with its slab
+    /// index and location, in slot order. The cells it skips are in
+    /// their all-zero initial state.
+    pub(crate) fn each_cell(&self, mut f: impl FnMut(usize, Loc, &LocCell)) {
+        for (m, &(base, count)) in self.extents.iter().enumerate() {
+            self.each_resident(base..base + count as usize, |slot, cell| {
+                f(slot, Loc::new(MachineId(m), (slot - base) as u32), cell)
+            });
+        }
+    }
+
+    /// The owner's memory word of `loc`, one atomic load outside the
+    /// lock (the last value some writer stored under it), without
+    /// materialising its chunk.
+    pub(crate) fn mem_now(&self, loc: Loc) -> u64 {
+        self.resident(self.slot(loc))
+            .map_or(0, |cell| cell.mem_val.load(Ordering::Acquire))
     }
 
     /// Runs `f`, a mutation of `loc` under its writer lock `st`, and
@@ -1103,13 +1196,13 @@ impl SimFabric {
             // Poison: every cache entry for a line owned by a crashed
             // machine is invalidated.
             let poison = own && self.variant == ModelVariant::Psn;
-            for cell in &self.cells[base..base + count as usize] {
+            self.each_resident(base..base + count as usize, |_, cell| {
                 let (holders, _, mem) = cell.read();
                 if holders & crashed_bits == 0
                     && !(volatile && mem != 0)
                     && !(poison && holders != 0)
                 {
-                    continue;
+                    return;
                 }
                 let st = cell.lock();
                 // The crashed machines' cache entries vanish.
@@ -1121,14 +1214,13 @@ impl SimFabric {
                 if volatile {
                     st.set_mem_val(0);
                 }
-            }
+            });
         }
         if let Some(ck) = self.checker.get() {
             // The world is still stopped: the checker reads what the
-            // crash left of every cell.
-            for (slot, cell) in self.cells.iter().enumerate() {
-                ck.on_crash(slot, cell);
-            }
+            // crash left of every cell (an untouched one carries no
+            // marks).
+            self.each_resident(0..self.slab_len(), |slot, cell| ck.on_crash(slot, cell));
         }
         if let Some(tr) = self.tracer.get() {
             // Seal the incarnation while the world is still stopped:
@@ -1182,16 +1274,23 @@ impl SimFabric {
     /// nondeterminism deterministically from a seed.
     pub fn propagate_randomly(&self, seed: u64, n: usize) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let locs: Vec<Loc> = self.cfg.all_locations().collect();
-        if locs.is_empty() {
+        let len = self.slab_len();
+        if len == 0 {
             return;
         }
         for _ in 0..n {
-            let loc = locs[rng.gen_range(0..locs.len())];
-            let st = self.cell(loc).lock();
+            // Slab indices run over the machines' locations in
+            // `SystemConfig::all_locations` order.
+            let slot = rng.gen_range(0..len);
+            let Some(cell) = self.resident(slot) else {
+                continue; // untouched: no holders
+            };
+            let st = cell.lock();
             if st.holders() == 0 {
                 continue;
             }
+            let m = self.extents.partition_point(|&(base, _)| base <= slot) - 1;
+            let loc = Loc::new(MachineId(m), (slot - self.extents[m].0) as u32);
             let owner_bit = 1u64 << loc.owner.index();
             self.settle(None, loc, &st, || {
                 if st.holders() & owner_bit != 0 && rng.gen_bool(0.5) {
@@ -1230,12 +1329,14 @@ impl SimFabric {
     /// "post-crash recovery inspection" view, bypassing caches. Intended
     /// for tests and recovery assertions, not for algorithm code.
     pub fn peek_memory(&self, loc: Loc) -> u64 {
-        self.cell(loc).read().2
+        self.resident(self.slot(loc))
+            .map_or(0, |cell| cell.read().2)
     }
 
     /// True if some cache currently holds `loc`.
     pub fn is_cached(&self, loc: Loc) -> bool {
-        self.cell(loc).read().0 != 0
+        self.resident(self.slot(loc))
+            .is_some_and(|cell| cell.read().0 != 0)
     }
 
     /// Number of un-retired `AFlush` requests in machine `m`'s persistency
@@ -1388,8 +1489,7 @@ impl NodeHandle {
     fn check_load(&self, loc: Loc) {
         if let Some(ck) = self.fabric.checker.get() {
             let who = (self.machine, thread_slot_index());
-            let slot = self.fabric.slot(loc);
-            ck.on_load(who, loc, slot, &self.fabric.cells[slot]);
+            ck.on_load(who, loc, self.fabric.slot(loc), self.fabric.cell(loc));
         }
     }
 
@@ -1398,8 +1498,7 @@ impl NodeHandle {
     /// as durable. No-op without a checker or tracer.
     pub(crate) fn ack_persist(&self, loc: Loc) {
         if let Some(ck) = self.fabric.checker.get() {
-            let slot = self.fabric.slot(loc);
-            ck.on_ack(slot, &self.fabric.cells[slot]);
+            ck.on_ack(self.fabric.slot(loc), self.fabric.cell(loc));
         }
         if let Some(tr) = self.fabric.tracer.get() {
             tr.on_persist_ack();
@@ -2286,20 +2385,23 @@ mod tests {
 
     /// The slab indices of the cells whose sequence word moved between
     /// `before` and now: the cells some writer locked.
-    fn locked_since(f: &SimFabric, before: &[u64]) -> Vec<usize> {
-        let now = f.cells.iter().map(|c| c.seq.load(Ordering::Relaxed));
-        now.zip(before)
-            .enumerate()
-            .filter(|(_, (n, b))| n != *b)
-            .map(|(i, _)| i)
+    fn locked_since(f: &SimFabric, before: &[(usize, u64)]) -> Vec<usize> {
+        let now = seqs(f);
+        assert_eq!(now.len(), before.len(), "no chunk materialised since");
+        now.iter()
+            .zip(before)
+            .filter(|(n, b)| n != b)
+            .map(|(&(slot, _), _)| slot)
             .collect()
     }
 
-    fn seqs(f: &SimFabric) -> Vec<u64> {
-        f.cells
-            .iter()
-            .map(|c| c.seq.load(Ordering::Relaxed))
-            .collect()
+    /// The sequence word of every materialised cell, by slab index.
+    fn seqs(f: &SimFabric) -> Vec<(usize, u64)> {
+        let mut seqs = Vec::new();
+        f.each_resident(0..f.slab_len(), |slot, c| {
+            seqs.push((slot, c.seq.load(Ordering::Relaxed)))
+        });
+        seqs
     }
 
     #[test]
@@ -2330,6 +2432,96 @@ mod tests {
         f.crash(M0);
         assert_eq!(locked_since(&f, &before), [f.slot(x(0, 1))]);
         assert!(!f.is_cached(x(0, 1)) && f.is_cached(x(1, 0)));
+    }
+
+    #[test]
+    fn a_pool_materialises_only_the_chunk_it_touches() {
+        // 3 × 2^26 cells: 6 GiB if the slab were dense.
+        let f = SimFabric::new(SystemConfig::symmetric_nvm(3, 1 << 26));
+        assert_eq!(f.resident_chunks(), 0);
+        let (n0, y) = (f.node(M0), x(2, 40_000_000));
+        assert_eq!(f.peek_memory(y), 0);
+        assert!(!f.is_cached(y));
+        f.propagate_randomly(1, 100);
+        n0.gpf().unwrap();
+        assert_eq!(f.resident_chunks(), 0, "no read-only walk materialises");
+        n0.lstore(y, 7).unwrap();
+        n0.rflush(y).unwrap();
+        f.crash(MachineId(2));
+        f.crash(M0);
+        f.recover(MachineId(2));
+        f.recover(M0);
+        assert_eq!(n0.load(y).unwrap(), 7);
+        assert_eq!(f.peek_memory(y), 7);
+        assert_eq!(f.resident_chunks(), 1);
+    }
+
+    #[test]
+    fn racing_first_touches_of_one_chunk_both_land() {
+        for round in 0..100u64 {
+            let f = SimFabric::new(SystemConfig::symmetric_nvm(2, 2 * CHUNK_CELLS as u32));
+            let start = Arc::new(std::sync::Barrier::new(2));
+            let cells = [x(1, 1), x(1, CHUNK_CELLS as u32 - 2)];
+            let handles: Vec<_> = [M0, M1]
+                .into_iter()
+                .zip(cells)
+                .map(|(m, y)| {
+                    let (node, start) = (f.node(m), Arc::clone(&start));
+                    std::thread::spawn(move || {
+                        start.wait();
+                        node.lstore(y, round + 1).unwrap();
+                        node.rflush(y).unwrap();
+                    })
+                })
+                .collect();
+            for h in handles {
+                h.join().unwrap();
+            }
+            for y in cells {
+                assert_eq!(f.peek_memory(y), round + 1, "round {round}, {y}");
+            }
+            assert_eq!(f.resident_chunks(), 1, "round {round}");
+        }
+    }
+
+    #[test]
+    fn cells_2k_and_2k_plus_1_share_one_host_line() {
+        // Machine 1's cells start at an odd slab index, in chunk 1, and
+        // end in chunk 2.
+        let f = SimFabric::new(SystemConfig::symmetric_nvm(2, CHUNK_CELLS as u32 + 1));
+        let (first, last) = (x(1, 0), x(1, CHUNK_CELLS as u32));
+        f.node(M0).load(first).unwrap();
+        f.node(M0).load(last).unwrap();
+        assert_eq!(f.resident_chunks(), 2);
+        let mut lines = 0;
+        f.each_resident(0..f.slab_len(), |slot, cell| {
+            let at = std::ptr::from_ref(cell) as usize;
+            if slot % 2 == 0 {
+                assert_eq!(at % 64, 0, "cell {slot} starts a line");
+                lines += 1;
+            } else {
+                assert_eq!(at % 64, 32, "cell {slot} ends a line");
+                let even = f.resident(slot - 1).unwrap();
+                assert_eq!(std::ptr::from_ref(even) as usize + 32, at);
+            }
+        });
+        assert_eq!(lines, (f.slab_len() - CHUNK_CELLS) / 2, "chunks 1 and 2");
+    }
+
+    #[test]
+    fn materialising_an_untouched_chunk_leaves_the_fingerprint() {
+        let f = SimFabric::new(SystemConfig::symmetric_nvm(2, 2 * CHUNK_CELLS as u32));
+        let ck = Arc::new(Checker::new(crate::CheckConfig::default()));
+        f.install_checker(Arc::clone(&ck));
+        let n0 = f.node(M0);
+        n0.lstore(x(1, 3), 5).unwrap();
+        n0.rflush(x(1, 3)).unwrap();
+        n0.lstore(x(1, 4), 6).unwrap();
+        let before = ck.fingerprint();
+        assert_eq!(f.resident_chunks(), 1);
+        assert_eq!(n0.load(x(1, CHUNK_CELLS as u32)).unwrap(), 0);
+        assert_eq!(f.resident_chunks(), 2, "the read materialised a chunk");
+        assert_eq!(ck.fingerprint(), before);
     }
 
     /// Every counted primitive kind, once each, plus a `GPF` (which

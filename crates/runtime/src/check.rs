@@ -723,9 +723,8 @@ impl Checker {
             let (cells, gen) = (b.cells, b.gen);
             for a in base..base + cells {
                 let loc = Loc::new(source.owner, a);
-                let slot = fabric.slot(loc);
-                let word = fabric.cell(loc).mem_now();
-                if self.cfg.durability_races && self.marks(slot).flags() & DIRTY != 0 {
+                let word = fabric.mem_now(loc);
+                if self.cfg.durability_races && self.marks(fabric.slot(loc)).flags() & DIRTY != 0 {
                     self.report(
                         ViolationClass::DurabilityRace,
                         loc,
