@@ -11,7 +11,7 @@ use parking_lot::Mutex;
 
 use crate::alloc::{Allocator, META_CELLS};
 use crate::api::error::{ApiError, ApiResult};
-use crate::api::registry::{RootDirectory, ENTRY_CELLS};
+use crate::api::registry::{region_cells, RootDirectory};
 use crate::api::session::Session;
 use crate::backend::{SimFabric, Stats, StatsSnapshot};
 use crate::buffered::BufferedEpoch;
@@ -151,7 +151,8 @@ impl ClusterBuilder {
         self
     }
 
-    /// Sets the named-root registry size, in entries. `0` disables the
+    /// Sets the named-root registry size, in entries (the registry
+    /// reserves one more entry's cells for its header). `0` disables the
     /// registry (no segment cells reserved; `create_*`/`open_*` with
     /// names will fail with [`ApiError::RegistryFull`]).
     pub fn root_capacity(mut self, entries: u32) -> Self {
@@ -212,14 +213,11 @@ impl ClusterBuilder {
         // The registry and the allocator's metadata must both fit, with
         // at least one block-area cell to spare. (Saturating arithmetic
         // keeps the overflow case inside the same error path.)
-        let needed = self
-            .root_capacity
-            .saturating_mul(ENTRY_CELLS)
-            .saturating_add(META_CELLS);
+        let registry_cells = region_cells(self.root_capacity);
+        let needed = registry_cells.saturating_add(META_CELLS);
         if needed >= available {
             return Err(ApiError::RegistryTooLarge { needed, available });
         }
-        let registry_cells = self.root_capacity * ENTRY_CELLS;
 
         let fabric = SimFabric::new(self.cfg.clone());
         // Arm the sanitizer before any traffic (the allocator format
@@ -588,6 +586,7 @@ impl Drop for Cluster {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::api::registry::ENTRY_CELLS;
 
     #[test]
     fn build_reserves_registry_then_allocator_metadata() {
@@ -595,10 +594,10 @@ mod tests {
             .root_capacity(16)
             .build()
             .unwrap();
-        // The block area starts right after 16 * ENTRY_CELLS registry
-        // cells plus the allocator's metadata.
+        // The block area starts right after 16 registry entries, the
+        // registry's header entry and the allocator's metadata.
         let first = cluster.heap().alloc(1).unwrap();
-        assert_eq!(first.addr.0, 16 * ENTRY_CELLS + META_CELLS);
+        assert_eq!(first.addr.0, 17 * ENTRY_CELLS + META_CELLS);
         assert_eq!(first.owner, cluster.memory_node());
     }
 

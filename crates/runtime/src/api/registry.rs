@@ -9,17 +9,23 @@
 //!
 //! ## Layout and crash consistency
 //!
-//! The registry occupies the first `capacity * ENTRY_CELLS` cells of the
-//! memory node's shared segment (a well-known offset: recovery needs no
-//! volatile state to find it). Each entry is [`ENTRY_CELLS`] cells:
+//! The registry occupies the first `(capacity + 1) * ENTRY_CELLS` cells
+//! of the memory node's shared segment (a well-known offset: recovery
+//! needs no volatile state to find it): `capacity` entries, then one
+//! header entry. Each entry is [`ENTRY_CELLS`] cells:
 //!
 //! | cell | contents |
 //! |---|---|
 //! | 0 | name hash; claimed as `hash \| PENDING` by CAS, commit clears the bit |
 //! | 1 | name length in bytes (≤ [`MAX_NAME_BYTES`]) |
-//! | 2–5 | name bytes, packed little-endian |
+//! | 2–5 | name bytes, packed little-endian (a lookup loads the first `⌈len / 8⌉`) |
 //! | 6 | payload: `aux << 32 \| (header addr + 1)` |
 //! | 7 | kind tag (low 8 bits, `kind + 1`) and [`Word::TAG`] fingerprint (high 56 bits) |
+//!
+//! The header entry, at entry index `capacity`, holds the **pending-claims
+//! word** in its cell 0 (cells 1–7 are unused; a whole entry keeps the
+//! allocator's metadata, which follows the registry, on the same cell
+//! parity). A registry of capacity 0 reserves no cells at all.
 //!
 //! All writes go through the cluster's [`Persistence`] strategy, so the
 //! directory inherits whatever durability the cluster was built with.
@@ -31,6 +37,19 @@
 //! registry recovery (`Session::recover_roots`) seals back to empty (the
 //! structure's cells are leaked, consistent with the heap's
 //! monotonic-bump crash philosophy).
+//!
+//! The pending-claims word counts the claims that may be in flight. A
+//! claimant raises it by a flagged FAA *before* its claim CAS and lowers
+//! it again once its entry can no longer read `PENDING`: after the
+//! persisted store of its commit or abort, or at once when it loses the
+//! CAS. Hence the invariant recovery relies on: **any durable image
+//! that holds a `PENDING` entry has a nonzero word.** Recovery loads
+//! the word and, when it reads 0, is done after that one load.
+//! Otherwise (a create was in flight at the crash, or a claimant died
+//! before its CAS) it loads every entry's head cell, seals the pending
+//! ones and stores 0 back with a persist — so its cost tracks the
+//! creates in flight, not the capacity. The count is cluster-wide, so
+//! clearing it needs recovery's quiescence.
 //!
 //! Sealing a pending entry back to empty can punch a hole into a linear
 //! probe chain, so probes never early-stop at an empty slot: `create` and
@@ -54,6 +73,17 @@ use crate::flit::Persistence;
 pub const ENTRY_CELLS: u32 = 8;
 /// Maximum root-name length, in bytes (4 name cells × 8 bytes).
 pub const MAX_NAME_BYTES: usize = 32;
+
+/// Cells the registry reserves at offset 0 of the memory node's segment
+/// for `capacity` entries: the entries plus the header entry, or none at
+/// all when the registry is disabled. Saturates instead of overflowing,
+/// so an oversized capacity fails the cluster's size check.
+pub(crate) fn region_cells(capacity: u32) -> u32 {
+    if capacity == 0 {
+        return 0;
+    }
+    capacity.saturating_add(1).saturating_mul(ENTRY_CELLS)
+}
 
 /// Claim marker in an entry's hash cell: set while a `create` is between
 /// claim and commit.
@@ -217,6 +247,18 @@ impl RootDirectory {
         )
     }
 
+    /// The pending-claims word: cell 0 of the header entry.
+    fn pending_word(&self) -> Loc {
+        self.cell(self.capacity, 0)
+    }
+
+    /// Lowers the pending-claims word after a claim has ended durably.
+    fn lower_pending(&self, node: &NodeHandle) -> OpResult<()> {
+        self.persist
+            .shared_faa(node, self.pending_word(), u64::MAX, true)
+            .map(|_| ())
+    }
+
     fn check_name(name: &str) -> ApiResult<u64> {
         if name.is_empty() {
             return Err(ApiError::NameEmpty);
@@ -233,8 +275,13 @@ impl RootDirectory {
     /// Reads entry `e`'s committed record, if committed and decodable.
     fn read_committed(&self, node: &NodeHandle, e: u32) -> OpResult<Option<RootInfo>> {
         let len = self.persist.shared_load(node, self.cell(e, 1), true)?;
+        if len > MAX_NAME_BYTES as u64 {
+            return Ok(None);
+        }
+        // Only the cells the name occupies: the rest are never written.
         let mut name_cells = [0u64; 4];
-        for (i, c) in name_cells.iter_mut().enumerate() {
+        let used = (len as usize).div_ceil(8);
+        for (i, c) in name_cells.iter_mut().take(used).enumerate() {
             *c = self
                 .persist
                 .shared_load(node, self.cell(e, 2 + i as u32), true)?;
@@ -302,11 +349,16 @@ impl RootDirectory {
             let Some(e) = first_free else {
                 return Err(ApiError::RegistryFull);
             };
+            // Raise the pending-claims word before the claim can land,
+            // so no durable image holds this PENDING under a zero word.
+            self.persist
+                .shared_faa(node, self.pending_word(), 1, true)?;
             if self
                 .persist
                 .shared_cas(node, self.cell(e, 0), 0, hash | PENDING, true)?
                 .is_err()
             {
+                self.lower_pending(node)?;
                 continue 'retry;
             }
             return Ok(RootClaim { entry: e, hash });
@@ -337,9 +389,10 @@ impl RootDirectory {
         let meta = (truncate_type_tag(record.type_tag) << 8) | record.kind.tag();
         self.persist
             .private_store(node, self.cell(e, 7), meta, true)?;
-        // Commit: clear PENDING.
+        // Commit: clear PENDING, then lower the word it was covered by.
         self.persist
             .shared_store(node, self.cell(e, 0), claim.hash, true)?;
+        self.lower_pending(node)?;
         // The named structure is durably reachable from here on: seed the
         // sanitizer's reachability from its header block.
         node.check_add_root(record.header);
@@ -351,6 +404,7 @@ impl RootDirectory {
     pub(crate) fn abort(&self, node: &NodeHandle, claim: &RootClaim) -> OpResult<()> {
         self.persist
             .shared_store(node, self.cell(claim.entry, 0), 0, true)?;
+        self.lower_pending(node)?;
         self.persist.complete_op(node)
     }
 
@@ -431,17 +485,25 @@ impl RootDirectory {
     /// creatable again. The claimed structure cells are leaked, exactly
     /// like heap cells of any crashed operation.
     ///
+    /// Costs one load of the pending-claims word when it reads 0 (no
+    /// create was in flight); otherwise a head-cell load per entry, a
+    /// persisted store per sealed entry and one more clearing the word.
+    ///
     /// Must run quiesced (no concurrent `create_*`), like the data
     /// structures' own `recover` methods. Returns the number of entries
     /// sealed.
     pub(crate) fn recover(&self, node: &NodeHandle) -> OpResult<usize> {
         let mut sealed = 0;
-        for e in 0..self.capacity {
-            let head = self.persist.shared_load(node, self.cell(e, 0), true)?;
-            if head & PENDING != 0 {
-                self.persist.shared_store(node, self.cell(e, 0), 0, true)?;
-                sealed += 1;
+        if self.capacity > 0 && self.persist.shared_load(node, self.pending_word(), true)? != 0 {
+            for e in 0..self.capacity {
+                let head = self.persist.shared_load(node, self.cell(e, 0), true)?;
+                if head & PENDING != 0 {
+                    self.persist.shared_store(node, self.cell(e, 0), 0, true)?;
+                    sealed += 1;
+                }
             }
+            self.persist
+                .shared_store(node, self.pending_word(), 0, true)?;
         }
         self.persist.complete_op(node)?;
         Ok(sealed)

@@ -168,6 +168,14 @@ impl Session {
     /// names creatable again. Must run quiesced (no concurrent
     /// operations), like the structures' own `recover` methods.
     ///
+    /// The registry phase costs one load when no create was in flight
+    /// at the crash, whatever the registry's capacity; otherwise it
+    /// loads every entry's head cell and persists one store per sealed
+    /// entry plus one clearing its pending-claims word (see
+    /// [`registry`](crate::api::registry)). The allocator's sweep is a
+    /// fixed walk of its metadata whatever the heap holds, and the
+    /// reclamation domain's issues no primitive while limbo is empty.
+    ///
     /// Returns the number of sealed registry entries.
     ///
     /// # Errors
@@ -459,14 +467,6 @@ impl Session {
         let info = self.lookup(name, RootKind::List, K::TAG)?;
         Ok(DurableList::attach(info.header, Arc::clone(self.smr())))
     }
-
-    /// Testing hook: claim `name` in the registry without committing —
-    /// the state a creator crashing between claim and commit leaves
-    /// behind. Sealed by [`Session::recover_roots`].
-    #[doc(hidden)]
-    pub fn simulate_torn_create(&self, name: &str) -> ApiResult<()> {
-        self.cluster.directory().claim(&self.node, name).map(|_| ())
-    }
 }
 
 /// Combined fingerprint for a map's key and value types.
@@ -571,11 +571,27 @@ mod tests {
         ));
     }
 
+    /// Kills `s`'s `create_counter(name)` right after its claim lands,
+    /// by crashing `s`'s machine before the create's first commit
+    /// primitive: the claim loads the head cell of each of the 32
+    /// entries, then raises the pending-claims word and CASes the
+    /// entry, each persisted by a flush. The machine is recovered
+    /// before returning.
+    fn tear_create(c: &Cluster, s: &Session, name: &str) {
+        c.fabric().arm_crash(32 + 5, &[s.machine()]);
+        assert!(matches!(
+            s.create_counter(name).err(),
+            Some(ApiError::Crashed(_))
+        ));
+        assert!(c.fabric().disarm_crash());
+        c.recover(s.machine());
+    }
+
     #[test]
     fn torn_create_blocks_the_name_until_sealed() {
         let c = cluster();
         let s = c.session(MachineId(0));
-        s.simulate_torn_create("jobs").unwrap();
+        tear_create(&c, &s, "jobs");
         assert_eq!(
             s.create_queue::<u64>("jobs").err(),
             Some(ApiError::PendingRoot("jobs".into()))
@@ -598,13 +614,16 @@ mod tests {
         let c = cluster();
         let s = c.session(MachineId(0));
         s.create_map::<u64, u64>("idx", 64).unwrap();
+        tear_create(&c, &s, "stuck");
         let free = c.heap().remaining();
         // Name conflicts are detected before allocation: the claim-first
         // flow keeps routine failures side-effect-free.
         assert!(s.create_map::<u64, u64>("idx", 64).is_err());
         assert!(s.create_queue::<u64>("idx").is_err());
-        s.simulate_torn_create("stuck").unwrap();
-        assert!(s.create_counter("stuck").is_err());
+        assert_eq!(
+            s.create_counter("stuck").err(),
+            Some(ApiError::PendingRoot("stuck".into()))
+        );
         assert_eq!(c.heap().remaining(), free);
     }
 

@@ -250,8 +250,8 @@ impl<K: Word> DurableList<K> {
     /// # Panics
     ///
     /// Panics if `key` is zero or has bit 62/63 set, or if the node
-    /// heap is exhausted even after reclaiming every ripe retired
-    /// block.
+    /// heap stays exhausted while reclamation makes no progress: limbo
+    /// is empty, or the epoch is stuck behind a held pin.
     ///
     /// # Errors
     ///
@@ -280,7 +280,8 @@ impl<K: Word> DurableList<K> {
             let n = match spare {
                 Some(n) => n,
                 None => {
-                    let mut attempts = 0u32;
+                    let mut stalled = 0u32;
+                    let mut epoch = self.smr.epoch();
                     let n = loop {
                         if let Some(n) = self.alloc.alloc(node, NODE_CELLS)? {
                             break n;
@@ -290,19 +291,30 @@ impl<K: Word> DurableList<K> {
                         // are not on the free lists yet. Unpin (so the
                         // epoch can fully advance), reclaim — waiting
                         // out concurrent traversals between empty
-                        // attempts — then re-pin and retry before
-                        // declaring real exhaustion.
+                        // attempts — then re-pin and retry. Exhaustion
+                        // is real only after 64 attempts in a row made
+                        // no progress: none freed a block, and none saw
+                        // the epoch advance while limbo held blocks
+                        // (which then ripen within two advances). An
+                        // empty limbo or an epoch stuck behind a held
+                        // pin stalls every attempt.
                         drop(guard);
                         let freed = self.smr.collect(node)?;
-                        attempts += 1;
+                        let now = self.smr.epoch();
+                        if freed > 0 || (now != epoch && self.smr.limbo_len() > 0) {
+                            stalled = 0;
+                        } else {
+                            stalled += 1;
+                        }
+                        epoch = now;
                         assert!(
-                            freed > 0 || attempts < 64,
+                            stalled < 64,
                             "list heap exhausted (nothing left to reclaim): {:?} {:?}",
                             self.smr.stats(),
                             self.alloc.stats(),
                         );
                         if freed == 0 {
-                            crate::smr::exhaustion_backoff(attempts);
+                            crate::smr::exhaustion_backoff(stalled);
                         }
                         guard = self.smr.pin();
                     };
@@ -509,6 +521,36 @@ mod tests {
         assert_eq!(l.reclaim(&node).unwrap(), 0);
         assert!(l.insert(&node, 3).unwrap());
         assert_eq!(l.keys(&node).unwrap(), vec![1, 2, 3, 4, 5]);
+    }
+
+    #[test]
+    #[should_panic(expected = "list heap exhausted")]
+    fn exhausted_heap_with_empty_limbo_panics() {
+        let f = SimFabric::new(SystemConfig::symmetric_nvm(2, 256));
+        let smr = domain(&f, MachineId(1));
+        let node = f.node(MachineId(0));
+        let l: DurableList = DurableList::create(&smr, &node).unwrap().unwrap();
+        // Nothing is ever removed: limbo stays empty.
+        for k in 1..=256u64 {
+            l.insert(&node, k).unwrap();
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "list heap exhausted")]
+    fn exhausted_heap_behind_a_held_pin_panics() {
+        let f = SimFabric::new(SystemConfig::symmetric_nvm(2, 256));
+        let smr = domain(&f, MachineId(1));
+        let node = f.node(MachineId(0));
+        let l: DurableList = DurableList::create(&smr, &node).unwrap().unwrap();
+        // A pin held across the churn: the epoch advances at most once
+        // past it, so the blocks the removals retire never ripen.
+        let _held = smr.pin();
+        for i in 0..256u64 {
+            let k = i % 7 + 1;
+            l.insert(&node, k).unwrap();
+            l.remove(&node, k).unwrap();
+        }
     }
 
     #[test]

@@ -526,12 +526,16 @@ impl SmrDomain {
 /// doesn't wait burns through any attempt bound before the reader
 /// finishes a *single* sweep and the epoch can ripen limbo. Yields
 /// first (the common case: the reader just needs a time slice), then
-/// sleeps with a linearly growing interval.
+/// sleeps with a linearly growing interval: attempts 8–63 sleep about a
+/// second in all. A loaded host can keep a pinned reader off its CPU
+/// for tens of milliseconds (a 2-core host running the test suite
+/// beside a churn test stalled the epoch for over 70 ms), and a caller
+/// that gives up sooner misreads that as exhaustion.
 pub fn exhaustion_backoff(attempt: u32) {
     if attempt < 8 {
         std::thread::yield_now();
     } else {
-        std::thread::sleep(std::time::Duration::from_micros(u64::from(attempt) * 20));
+        std::thread::sleep(std::time::Duration::from_micros(u64::from(attempt) * 500));
     }
 }
 

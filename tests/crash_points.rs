@@ -11,13 +11,15 @@
 //! issuer, before every primitive instead: nothing repairs the queue
 //! after a compute-node crash, so the survivor, machine 1, runs the
 //! shared plumbing's recovery but not the queue's own, drains, and runs
-//! two more enqueue/dequeue pairs under a primitive watchdog. The
-//! sanitizer itself must also stay silent at every point: enumeration
-//! is a soundness sweep, not just a liveness one.
+//! two more enqueue/dequeue pairs under a primitive watchdog. A third
+//! sweep kills a registry create at every primitive, with the memory
+//! node, the issuer or no machine crashed, and checks the registry that
+//! recovery leaves. The sanitizer itself must also stay silent at every
+//! point: enumeration is a soundness sweep, not just a liveness one.
 
 use std::sync::Arc;
 
-use cxl0::api::{Cluster, PersistMode, Session};
+use cxl0::api::{ApiError, Cluster, PersistMode, Session};
 use cxl0::dlcheck::spec::{QueueOp, QueueRet, QueueSpec};
 use cxl0::dlcheck::{check_durably_linearizable, Recorder, ThreadId};
 use cxl0::model::{MachineId, SystemConfig};
@@ -267,4 +269,94 @@ fn fingerprint_partition_of_the_scripted_run_is_pinned() {
     // as it was.
     assert_eq!(distinct, 13, "{classes:?}");
     assert_eq!(classes, [0, 1, 2, 3, 4, 5, 6, 7, 7, 9, 10, 11, 12, 13]);
+}
+
+/// A sanitized cluster that already holds the counter `keep` at 7.
+fn cluster_keeping_a_root() -> Arc<Cluster> {
+    let cluster = sanitized_cluster();
+    let session = cluster.session(M0);
+    session
+        .create_counter("keep")
+        .unwrap()
+        .add(&session, 7)
+        .unwrap();
+    cluster
+}
+
+/// The loads `op` issues.
+fn loads(cluster: &Cluster, op: impl FnOnce()) -> u64 {
+    let before = cluster.stats().snapshot().loads;
+    op();
+    cluster.stats().snapshot().loads - before
+}
+
+/// The loads `recover_roots` issues beyond the allocator's and the
+/// reclamation domain's own sweeps. Both sweeps run once first, so
+/// whatever the traffic before parked is settled and the next sweep of
+/// each costs what it costs inside `recover_roots`. Loads, not
+/// primitives: a store the crash killed on a live machine keeps its
+/// FliT counter raised, so every later flagged load of its cell adds a
+/// helping flush.
+fn registry_recovery_loads(cluster: &Cluster, session: &Session) -> u64 {
+    let plumbing = || {
+        cluster.allocator().recover(session).unwrap();
+        cluster.smr().recover(session).unwrap();
+    };
+    plumbing();
+    let clean = loads(cluster, plumbing);
+    loads(cluster, || {
+        session.recover_roots().unwrap();
+    }) - clean
+}
+
+#[test]
+fn every_kill_point_of_a_registry_create_leaves_a_usable_registry() {
+    let create = {
+        let cluster = cluster_keeping_a_root();
+        let session = cluster.session(M0);
+        let before = cluster.stats().total_ops();
+        session.create_queue::<u64>("jobs").unwrap();
+        cluster.stats().total_ops() - before
+    };
+    for victims in [&[MEM][..], &[M0], &[]] {
+        let mut committed = 0;
+        for k in 1..=create {
+            let what = format!("victims {victims:?}, primitive {k}");
+            let cluster = cluster_keeping_a_root();
+            let issuer = cluster.session(M0);
+            cluster.fabric().arm_crash(k, victims);
+            assert!(issuer.create_queue::<u64>("jobs").is_err(), "{what}");
+            assert!(cluster.fabric().disarm_crash(), "{what}");
+            for &m in victims {
+                cluster.recover(m);
+            }
+            let session = cluster.session(MachineId(1));
+            session.recover_roots().unwrap();
+            let jobs = match session.open_queue::<u64>("jobs") {
+                Ok(q) => {
+                    committed += 1;
+                    q.recover(&session).unwrap();
+                    q
+                }
+                Err(ApiError::NotFound(_)) => session.create_queue::<u64>("jobs").unwrap(),
+                Err(e) => panic!("{what}: {e}"),
+            };
+            assert!(jobs.enqueue(&session, k).unwrap(), "{what}");
+            assert_eq!(jobs.dequeue(&session).unwrap(), Some(k), "{what}");
+            let keep = session.open_counter("keep").unwrap();
+            assert_eq!(keep.get(&session).unwrap(), 7, "{what}");
+            let ck = cluster.checker().unwrap();
+            assert_eq!(ck.total_violations(), 0, "{what}: {:#?}", ck.violations());
+            // Recovery cleared the pending-claims word: the next one
+            // reads it and nothing else of the registry.
+            assert_eq!(registry_recovery_loads(&cluster, &session), 1, "{what}");
+        }
+        // A kill at either primitive that lowers the pending-claims word
+        // leaves `jobs` committed; so may one at the commit store's
+        // flush, as far as the store survives. None earlier does.
+        assert!(
+            (2..=3).contains(&committed),
+            "{victims:?}: {committed} of {create} kill points committed"
+        );
+    }
 }

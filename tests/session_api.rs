@@ -6,7 +6,7 @@
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
-use cxl0::api::{ApiError, Cluster, PersistMode, RootKind};
+use cxl0::api::{ApiError, Cluster, PersistMode, RootKind, Session};
 use cxl0::model::{MachineConfig, MachineId, SystemConfig};
 use proptest::prelude::*;
 
@@ -19,8 +19,8 @@ enum Op {
     /// `counter.add` / `register.write` / `queue.enqueue` on the named
     /// structure (no-op when the name holds a different kind).
     Mutate(u8, u8),
-    /// Claim the name in the registry without committing, as a creator
-    /// crashing mid-`create` would.
+    /// Crash the creator's machine right after its `create_counter`
+    /// claimed the name, before the commit, and recover the machine.
     TornCreate(u8),
     /// Crash the memory node, recover it, seal pending roots, reattach
     /// every committed name and verify its contents.
@@ -78,10 +78,32 @@ fn verify_all(cluster: &Arc<Cluster>, model: &Model) {
     }
 }
 
+/// Registry entries of the interleaving's cluster.
+const ROOT_CAPACITY: u32 = 8;
+
+/// Kills `session`'s `create_counter(name)` between its claim and its
+/// commit, by crashing the session's machine, which is then recovered.
+/// The commit starts at primitive `capacity + 5`: the claim loads each
+/// of the registry's `capacity` head cells, then raises the
+/// pending-claims word and CASes the entry, each persisted by a flush,
+/// and a counter's allocation issues none.
+fn tear_create(cluster: &Cluster, session: &Session, name: &str, capacity: u32) {
+    let creator = session.machine();
+    cluster
+        .fabric()
+        .arm_crash(u64::from(capacity) + 5, &[creator]);
+    assert!(matches!(
+        session.create_counter(name),
+        Err(ApiError::Crashed(_))
+    ));
+    assert!(cluster.fabric().disarm_crash());
+    cluster.recover(creator);
+}
+
 fn run_interleaving(ops: Vec<Op>) {
     let cluster = Cluster::builder(SystemConfig::symmetric_nvm(3, 1 << 14))
         .persist(PersistMode::FlitCxl0)
-        .root_capacity(8)
+        .root_capacity(ROOT_CAPACITY)
         .build()
         .unwrap();
     let mem = cluster.memory_node();
@@ -156,7 +178,7 @@ fn run_interleaving(ops: Vec<Op>) {
                 if !model.kinds.contains_key(name)
                     && !model.pending.get(name).copied().unwrap_or(false)
                 {
-                    session.simulate_torn_create(name).unwrap();
+                    tear_create(&cluster, &session, name, ROOT_CAPACITY);
                     model.pending.insert(name, true);
                 }
             }
@@ -186,6 +208,41 @@ proptest! {
     #[test]
     fn committed_roots_always_reattach(ops in proptest::collection::vec(arb_op(), 0..40)) {
         run_interleaving(ops);
+    }
+}
+
+/// Registry recovery reads one word unless a create was in flight: with
+/// none, `recover_roots` issues as many primitives at 64 entries as at
+/// 32. A torn create makes it load every entry's head cell and seal
+/// exactly that entry: the seal and the cleared pending-claims word are
+/// a store and a flush each.
+#[test]
+fn registry_recovery_cost_tracks_creates_in_flight_not_capacity() {
+    let recover = |capacity: u32, torn: bool| {
+        let cluster = Cluster::builder(SystemConfig::symmetric_nvm(3, 1 << 14))
+            .root_capacity(capacity)
+            .build()
+            .unwrap();
+        let session = cluster.session(MachineId(0));
+        session.create_counter("keep").unwrap();
+        if torn {
+            tear_create(&cluster, &session, "torn", capacity);
+        }
+        cluster.crash(cluster.memory_node());
+        cluster.recover(cluster.memory_node());
+        let before = cluster.stats().total_ops();
+        let sealed = session.recover_roots().unwrap();
+        (sealed, cluster.stats().total_ops() - before)
+    };
+    let (sealed, at_32) = recover(32, false);
+    assert_eq!(sealed, 0);
+    assert_eq!(recover(64, false), (0, at_32), "cost grew with capacity");
+    for capacity in [32, 64] {
+        assert_eq!(
+            recover(capacity, true),
+            (1, at_32 + u64::from(capacity) + 4),
+            "capacity {capacity}"
+        );
     }
 }
 
