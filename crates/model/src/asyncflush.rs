@@ -344,16 +344,14 @@ impl AsyncSemantics {
                 })
             }
             AsyncLabel::AFlush { by, loc } => {
-                self.check_machine(by)?;
-                if !self.base.config().contains_loc(loc) {
-                    return Err(StepError::UnknownLocation { loc });
-                }
+                self.base.check_machine(by)?;
+                self.base.check_loc(loc)?;
                 let mut next = state.clone();
                 next.pending[by.index()].insert(loc);
                 Ok(next)
             }
             AsyncLabel::Barrier { by } => {
-                self.check_machine(by)?;
+                self.base.check_machine(by)?;
                 if state.pending[by.index()].is_empty() {
                     Ok(state.clone())
                 } else {
@@ -362,14 +360,6 @@ impl AsyncSemantics {
                     })
                 }
             }
-        }
-    }
-
-    fn check_machine(&self, m: MachineId) -> Result<(), StepError> {
-        if m.index() < self.base.config().num_machines() {
-            Ok(())
-        } else {
-            Err(StepError::UnknownMachine { machine: m })
         }
     }
 

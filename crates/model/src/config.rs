@@ -100,10 +100,12 @@ impl SystemConfig {
     ///
     /// # Panics
     ///
-    /// Panics if `machines` is empty, or if any `crash_group` entry refers
-    /// to a machine outside the system.
+    /// Panics if `machines` is empty or holds more than 64 machines (the
+    /// holders mask of a [`Cell`](crate::cell::Cell)), or if any
+    /// `crash_group` entry refers to a machine outside the system.
     pub fn new(machines: Vec<MachineConfig>) -> Self {
         assert!(!machines.is_empty(), "a system needs at least one machine");
+        assert!(machines.len() <= 64, "at most 64 machines supported");
         let n = machines.len();
         for (i, m) in machines.iter().enumerate() {
             for g in &m.crash_group {
@@ -246,5 +248,11 @@ mod tests {
         let mut a = MachineConfig::non_volatile(1);
         a.crash_group = vec![MachineId(5)];
         let _ = SystemConfig::new(vec![a]);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 64 machines")]
+    fn more_machines_than_a_holders_mask_rejected() {
+        let _ = SystemConfig::symmetric_nvm(65, 0);
     }
 }

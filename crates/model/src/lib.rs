@@ -11,7 +11,8 @@
 //!   ([`Label`]),
 //! * the silent propagation steps `Propagate-C-C` / `Propagate-C-M`
 //!   ([`SilentStep`]),
-//! * the transition rules of Figure 2 ([`Semantics`]),
+//! * the per-location rules of Figure 2, which the executable fabric
+//!   shares ([`cell::step`]), lifted to whole states ([`Semantics`]),
 //! * the model variants `CXL0_PSN` and `CXL0_LWB` of §3.5
 //!   ([`ModelVariant`]), and
 //! * the system-model topologies of §4 with their primitive restrictions
@@ -49,7 +50,8 @@
 //! | [`config`] | §3.1 | machines, memory kinds, failure domains |
 //! | [`label`] | §3.3 | visible labels, primitives, silent steps |
 //! | [`state`] | §3.3 | `γ = (C, M)`, global cache invariant |
-//! | [`semantics`] | Fig. 2, §3.3 | the transition rules |
+//! | [`cell`] | Fig. 2, §3.3, §3.5 | one location's `(holders, cache, memory)` and the per-location rules |
+//! | [`semantics`] | Fig. 2, §3.3 | the rules over whole states, `GPF`, silent-step enumeration |
 //! | [`variant`] | §3.5 | `CXL0`, `CXL0_PSN`, `CXL0_LWB` |
 //! | [`asyncflush`] | §3.2 (extension) | `CXL0_AF`: persistency buffers, `AFlush`, `Barrier` |
 //! | [`topology`] | §4 | primitive availability per configuration |
@@ -60,6 +62,7 @@
 #![forbid(unsafe_code)]
 
 pub mod asyncflush;
+pub mod cell;
 pub mod config;
 pub mod ids;
 pub mod label;

@@ -1,5 +1,8 @@
 //! The operational semantics of CXL0 (Figure 2 of the paper), plus the RMW
-//! rules of §3.3 and the variant rules of §3.5.
+//! rules of §3.3 and the variant rules of §3.5, over whole states. The
+//! per-location rules live in [`cell`]; this module projects each label
+//! onto the cells it touches and adds `GPF`, the topology restrictions
+//! and the enumeration of silent steps.
 //!
 //! [`Semantics::apply`] implements the *visible* transition relation
 //! `γ —α→ γ′` for a single label `α` with **no** interleaved silent steps;
@@ -14,9 +17,10 @@
 
 use std::fmt;
 
+use crate::cell::{self, Blocked, Cell, CellLabel};
 use crate::config::{MemoryKind, SystemConfig};
 use crate::ids::{Loc, MachineId, Val};
-use crate::label::{FlushKind, Label, SilentStep, StoreKind};
+use crate::label::{Label, SilentStep};
 use crate::state::State;
 use crate::topology::Topology;
 use crate::variant::ModelVariant;
@@ -78,6 +82,12 @@ impl fmt::Display for StepError {
 
 impl std::error::Error for StepError {}
 
+impl From<Blocked> for StepError {
+    fn from(b: Blocked) -> Self {
+        StepError::Blocked { reason: b.reason }
+    }
+}
+
 /// Result alias for single-step application.
 pub type StepResult = Result<State, StepError>;
 
@@ -114,11 +124,7 @@ pub struct Semantics {
 impl Semantics {
     /// Base-variant semantics with no topology restriction.
     pub fn new(cfg: SystemConfig) -> Self {
-        Semantics {
-            cfg,
-            variant: ModelVariant::Base,
-            topology: None,
-        }
+        Self::with_variant(cfg, ModelVariant::Base)
     }
 
     /// Semantics under the given model variant.
@@ -165,20 +171,17 @@ impl Semantics {
         State::initial(&self.cfg)
     }
 
-    fn check_loc(&self, loc: Loc) -> Result<(), StepError> {
-        if self.cfg.contains_loc(loc) {
-            Ok(())
-        } else {
-            Err(StepError::UnknownLocation { loc })
-        }
+    pub(crate) fn check_loc(&self, loc: Loc) -> Result<(), StepError> {
+        self.cfg
+            .contains_loc(loc)
+            .then_some(())
+            .ok_or(StepError::UnknownLocation { loc })
     }
 
-    fn check_machine(&self, m: MachineId) -> Result<(), StepError> {
-        if m.index() < self.cfg.num_machines() {
-            Ok(())
-        } else {
-            Err(StepError::UnknownMachine { machine: m })
-        }
+    pub(crate) fn check_machine(&self, machine: MachineId) -> Result<(), StepError> {
+        (machine.index() < self.cfg.num_machines())
+            .then_some(())
+            .ok_or(StepError::UnknownMachine { machine })
     }
 
     fn check_topology(&self, label: &Label) -> Result<(), StepError> {
@@ -192,7 +195,8 @@ impl Semantics {
         Ok(())
     }
 
-    /// Applies one visible label to `state` (no implicit `τ` steps).
+    /// Applies one visible label to `state` (no implicit `τ` steps): by
+    /// [`cell::step`] on the label's location, except `GPF` and `CRASH`.
     ///
     /// # Errors
     ///
@@ -200,211 +204,63 @@ impl Semantics {
     /// here", which explorers treat as a dead branch rather than a fault.
     pub fn apply(&self, state: &State, label: &Label) -> StepResult {
         self.check_topology(label)?;
-        match *label {
-            Label::Store { kind, by, loc, val } => self.apply_store(state, kind, by, loc, val),
-            Label::Load { by, loc, val } => self.apply_load(state, by, loc, val),
-            Label::Flush { kind, by, loc } => self.apply_flush(state, kind, by, loc),
-            Label::Gpf { by } => self.apply_gpf(state, by),
+        let (by, loc, op, expected) = match *label {
+            Label::Store { kind, by, loc, val } => (by, loc, CellLabel::Store(kind, val), None),
+            Label::Load { by, loc, val } => (by, loc, CellLabel::Load, Some(val)),
+            Label::Flush { kind, by, loc } => (by, loc, CellLabel::Flush(kind), None),
             Label::Rmw {
                 kind,
                 by,
                 loc,
                 old,
                 new,
-            } => self.apply_rmw(state, kind, by, loc, old, new),
-            Label::Crash { machine } => self.apply_crash(state, machine),
-        }
-    }
-
-    /// LSTORE / RSTORE / MSTORE (Fig. 2).
-    fn apply_store(
-        &self,
-        state: &State,
-        kind: StoreKind,
-        by: MachineId,
-        loc: Loc,
-        val: Val,
-    ) -> StepResult {
+            } => (by, loc, CellLabel::Rmw(kind, old, new), Some(old)),
+            Label::Gpf { by } => return self.apply_gpf(state, by),
+            Label::Crash { machine } => return self.apply_crash(state, machine),
+        };
         self.check_machine(by)?;
         self.check_loc(loc)?;
+        let pre = state.cell(loc);
+        let (post, seen) = cell::step(pre, by, loc.owner, op, self.variant)?;
+        if let (Some(expected), Some(actual)) = (expected, seen) {
+            if expected != actual {
+                return Err(StepError::ValueMismatch { expected, actual });
+            }
+        }
+        Ok(Self::with_cell(state, loc, pre, post))
+    }
+
+    /// `state` with `loc`'s cell replaced by `post` (`pre` is its cell).
+    fn with_cell(state: &State, loc: Loc, pre: Cell, post: Cell) -> State {
         let mut next = state.clone();
-        match kind {
-            // LSTORE: C'_i = C_i[x↦v]; ∀j≠i. C'_j = C_j[x↦⊥].
-            StoreKind::Local => {
-                next.invalidate_all_except(by, loc);
-                next.set_cache(by, loc, val);
-            }
-            // RSTORE: C'_k = C_k[x↦v]; ∀j≠k. C'_j = C_j[x↦⊥]  (k = owner).
-            StoreKind::Remote => {
-                let k = loc.owner;
-                next.invalidate_all_except(k, loc);
-                next.set_cache(k, loc, val);
-            }
-            // MSTORE: M'_k = M_k[x↦v]; ∀j. C'_j = C_j[x↦⊥].
-            StoreKind::Memory => {
-                next.invalidate_all_caches(loc);
-                next.set_memory(loc, val);
-            }
-        }
-        Ok(next)
-    }
-
-    /// LOAD-from-C / LOAD-from-M (Fig. 2), or their LWB replacements (§3.5).
-    fn apply_load(&self, state: &State, by: MachineId, loc: Loc, val: Val) -> StepResult {
-        self.check_machine(by)?;
-        self.check_loc(loc)?;
-        match self.variant {
-            ModelVariant::Base | ModelVariant::Psn => {
-                if let Some(v) = state.cached_value(loc) {
-                    // LOAD-from-C: read from any cache holding a valid value
-                    // and copy it into the issuer's cache (this copy is what
-                    // makes a later LFlush by the issuer meaningful).
-                    if v != val {
-                        return Err(StepError::ValueMismatch {
-                            expected: val,
-                            actual: v,
-                        });
-                    }
-                    let mut next = state.clone();
-                    next.set_cache(by, loc, v);
-                    Ok(next)
-                } else {
-                    // LOAD-from-M: all caches invalid; read the owner's memory.
-                    let v = state.memory(loc);
-                    if v != val {
-                        return Err(StepError::ValueMismatch {
-                            expected: val,
-                            actual: v,
-                        });
-                    }
-                    Ok(state.clone())
-                }
-            }
-            ModelVariant::Lwb => {
-                if let Some(v) = state.cache(by, loc) {
-                    // LOAD-from-C(LWB): only a hit in the issuer's own cache
-                    // may be served from cache; the state is unchanged.
-                    if v != val {
-                        return Err(StepError::ValueMismatch {
-                            expected: val,
-                            actual: v,
-                        });
-                    }
-                    Ok(state.clone())
-                } else if state.no_cache_holds(loc) {
-                    // LOAD-from-M, as in the base model.
-                    let v = state.memory(loc);
-                    if v != val {
-                        return Err(StepError::ValueMismatch {
-                            expected: val,
-                            actual: v,
-                        });
-                    }
-                    Ok(state.clone())
-                } else {
-                    // Some other cache holds the line: the load blocks until
-                    // propagation drains it to the owner's memory.
-                    Err(StepError::Blocked {
-                        reason: "LWB load must wait until no other cache holds the line",
-                    })
-                }
-            }
-        }
-    }
-
-    /// LFLUSH / RFLUSH (Fig. 2): pure blocking preconditions.
-    fn apply_flush(&self, state: &State, kind: FlushKind, by: MachineId, loc: Loc) -> StepResult {
-        self.check_machine(by)?;
-        self.check_loc(loc)?;
-        match kind {
-            FlushKind::Local => {
-                if state.cache(by, loc).is_some() {
-                    Err(StepError::Blocked {
-                        reason: "LFlush requires C_i(x) = ⊥",
-                    })
-                } else {
-                    Ok(state.clone())
-                }
-            }
-            FlushKind::Remote => {
-                if state.no_cache_holds(loc) {
-                    Ok(state.clone())
-                } else {
-                    Err(StepError::Blocked {
-                        reason: "RFlush requires ∀j. C_j(x) = ⊥",
-                    })
-                }
-            }
-        }
+        next.set_cell(loc, pre, post);
+        next
     }
 
     /// GLOBAL-PERSISTENT-FLUSH (Fig. 2): blocks until all caches are empty.
     fn apply_gpf(&self, state: &State, by: MachineId) -> StepResult {
         self.check_machine(by)?;
-        if state.all_caches_empty() {
-            Ok(state.clone())
-        } else {
-            Err(StepError::Blocked {
-                reason: "GPF requires ∀j,x. C_j(x) = ⊥",
-            })
-        }
+        let reason = "GPF requires ∀j,x. C_j(x) = ⊥";
+        state
+            .all_caches_empty()
+            .then_some(())
+            .ok_or(StepError::Blocked { reason })?;
+        Ok(state.clone())
     }
 
-    /// The six RMW rules (§3.3): an atomic load (from cache or, if all
-    /// caches are invalid, from the owner's memory) combined with a store
-    /// of the given strength, with no interference in between.
-    fn apply_rmw(
-        &self,
-        state: &State,
-        kind: StoreKind,
-        by: MachineId,
-        loc: Loc,
-        old: Val,
-        new: Val,
-    ) -> StepResult {
-        self.check_machine(by)?;
-        self.check_loc(loc)?;
-        let actual = state.visible_value(loc);
-        if actual != old {
-            return Err(StepError::ValueMismatch {
-                expected: old,
-                actual,
-            });
-        }
-        // The store half mirrors apply_store; the load half leaves no
-        // separate trace because the store immediately overwrites/invalidates.
-        let mut next = state.clone();
-        match kind {
-            StoreKind::Local => {
-                next.invalidate_all_except(by, loc);
-                next.set_cache(by, loc, new);
-            }
-            StoreKind::Remote => {
-                let k = loc.owner;
-                next.invalidate_all_except(k, loc);
-                next.set_cache(k, loc, new);
-            }
-            StoreKind::Memory => {
-                next.invalidate_all_caches(loc);
-                next.set_memory(loc, new);
-            }
-        }
-        Ok(next)
-    }
-
-    /// CRASH (Fig. 2) or CRASH(PSN) (§3.5). Crashes every machine in the
-    /// failure domain of `machine` (usually just `machine` itself).
+    /// CRASH (Fig. 2) or CRASH(PSN) (§3.5) of every machine in the
+    /// failure domain of `machine` (usually just `machine` itself),
+    /// applied to every location's cell.
     fn apply_crash(&self, state: &State, machine: MachineId) -> StepResult {
         self.check_machine(machine)?;
+        let machines = (self.cfg.failure_domain(machine).iter()).fold(0, |b, m| b | 1 << m.index());
         let mut next = state.clone();
-        for m in self.cfg.failure_domain(machine) {
-            next.clear_cache_of(m);
-            if self.cfg.machine(m).memory == MemoryKind::Volatile {
-                next.zero_memory_of(m);
-            }
-            if self.variant == ModelVariant::Psn {
-                next.drop_owned_from_all_caches(m);
-            }
+        for loc in self.cfg.all_locations() {
+            let volatile = self.cfg.machine(loc.owner).memory == MemoryKind::Volatile;
+            let crash = CellLabel::Crash(machines, volatile);
+            let (pre, owner) = (next.cell(loc), loc.owner);
+            let (post, _) = cell::force(pre, owner, owner, crash, self.variant);
+            next.set_cell(loc, pre, post);
         }
         Ok(next)
     }
@@ -438,35 +294,13 @@ impl Semantics {
     ///
     /// Returns `Blocked` if the step is not enabled in `state`.
     pub fn apply_silent(&self, state: &State, step: &SilentStep) -> StepResult {
-        match *step {
-            SilentStep::CacheToCache { from, loc } => {
-                if from == loc.owner {
-                    return Err(StepError::Blocked {
-                        reason: "Propagate-C-C requires i ≠ k",
-                    });
-                }
-                let Some(v) = state.cache(from, loc) else {
-                    return Err(StepError::Blocked {
-                        reason: "Propagate-C-C requires C_i(x) ≠ ⊥",
-                    });
-                };
-                let mut next = state.clone();
-                next.invalidate_cache(from, loc);
-                next.set_cache(loc.owner, loc, v);
-                Ok(next)
-            }
-            SilentStep::CacheToMemory { loc } => {
-                let Some(v) = state.cache(loc.owner, loc) else {
-                    return Err(StepError::Blocked {
-                        reason: "Propagate-C-M requires C_k(x) ≠ ⊥",
-                    });
-                };
-                let mut next = state.clone();
-                next.invalidate_all_caches(loc);
-                next.set_memory(loc, v);
-                Ok(next)
-            }
-        }
+        let (from, loc, op) = match *step {
+            SilentStep::CacheToCache { from, loc } => (from, loc, CellLabel::CacheToCache),
+            SilentStep::CacheToMemory { loc } => (loc.owner, loc, CellLabel::CacheToMemory),
+        };
+        let pre = state.cell(loc);
+        let (post, _) = cell::step(pre, from, loc.owner, op, self.variant)?;
+        Ok(Self::with_cell(state, loc, pre, post))
     }
 
     /// The unique value a load of `loc` would observe in `state`
@@ -482,6 +316,7 @@ impl Semantics {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::label::StoreKind;
 
     fn sem2() -> Semantics {
         Semantics::new(SystemConfig::symmetric_nvm(2, 1))

@@ -13,6 +13,7 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
+use crate::cell::Cell;
 use crate::config::SystemConfig;
 use crate::ids::{Loc, MachineId, Val};
 
@@ -81,12 +82,7 @@ impl State {
     /// value if any cache holds one (they all agree, by the global
     /// invariant), otherwise the owner's memory value.
     pub fn visible_value(&self, loc: Loc) -> Val {
-        self.cached_value(loc).unwrap_or_else(|| self.memory(loc))
-    }
-
-    /// The value held in caches for `loc`, if any cache holds one.
-    pub fn cached_value(&self, loc: Loc) -> Option<Val> {
-        self.caches.iter().find_map(|c| c.get(&loc).copied())
+        self.cell(loc).visible()
     }
 
     /// The machines whose caches currently hold `loc`.
@@ -109,52 +105,36 @@ impl State {
         self.caches.iter().all(|c| c.is_empty())
     }
 
-    // ------------------------------------------------------------------
-    // Mutators used by the semantics module (crate-internal).
-    // ------------------------------------------------------------------
-
-    pub(crate) fn set_cache(&mut self, m: MachineId, loc: Loc, v: Val) {
-        self.caches[m.index()].insert(loc, v);
-    }
-
-    pub(crate) fn invalidate_cache(&mut self, m: MachineId, loc: Loc) {
-        self.caches[m.index()].remove(&loc);
-    }
-
-    pub(crate) fn invalidate_all_caches(&mut self, loc: Loc) {
-        for c in &mut self.caches {
-            c.remove(&loc);
+    /// The cell of `loc`: its holders, their value and the owner's memory
+    /// (what [`step`](crate::cell::step) applies a label to). With no
+    /// holder the cached value reads 0.
+    pub fn cell(&self, loc: Loc) -> Cell {
+        let mut cell = Cell {
+            mem: self.memory(loc),
+            ..Cell::default()
+        };
+        for (i, c) in self.caches.iter().enumerate() {
+            if let Some(&v) = c.get(&loc) {
+                cell.holders |= 1 << i;
+                cell.cache = v;
+            }
         }
+        cell
     }
 
-    pub(crate) fn invalidate_all_except(&mut self, keep: MachineId, loc: Loc) {
+    /// Replaces `loc`'s cell `pre` by `post`, touching only the cache
+    /// entries that change.
+    pub(crate) fn set_cell(&mut self, loc: Loc, pre: Cell, post: Cell) {
+        let same = post.cache == pre.cache;
         for (i, c) in self.caches.iter_mut().enumerate() {
-            if i != keep.index() {
+            let (was, is) = (pre.holders & (1 << i) != 0, post.holders & (1 << i) != 0);
+            if is && !(was && same) {
+                c.insert(loc, post.cache);
+            } else if was && !is {
                 c.remove(&loc);
             }
         }
-    }
-
-    pub(crate) fn clear_cache_of(&mut self, m: MachineId) {
-        self.caches[m.index()].clear();
-    }
-
-    /// Drop every entry for locations owned by `owner` from every cache
-    /// (used by the PSN crash variant).
-    pub(crate) fn drop_owned_from_all_caches(&mut self, owner: MachineId) {
-        for c in &mut self.caches {
-            c.retain(|loc, _| loc.owner != owner);
-        }
-    }
-
-    pub(crate) fn set_memory(&mut self, loc: Loc, v: Val) {
-        self.mems[loc.owner.index()][loc.addr.index()] = v;
-    }
-
-    pub(crate) fn zero_memory_of(&mut self, m: MachineId) {
-        for v in &mut self.mems[m.index()] {
-            *v = Val::ZERO;
-        }
+        self.mems[loc.owner.index()][loc.addr.index()] = post.mem;
     }
 
     /// Checks the global cache-coherence invariant of §3.3:
@@ -250,9 +230,20 @@ impl std::error::Error for InvariantViolation {}
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cell::{step, CellLabel};
+    use crate::ModelVariant;
 
     fn cfg() -> SystemConfig {
         SystemConfig::symmetric_nvm(2, 2)
+    }
+
+    /// Sets `C_m(loc) = v` alone: the invariant is the caller's business.
+    fn set_cache(st: &mut State, m: MachineId, loc: Loc, v: Val) {
+        st.caches[m.index()].insert(loc, v);
+    }
+
+    fn set_memory(st: &mut State, loc: Loc, v: Val) {
+        st.mems[loc.owner.index()][loc.addr.index()] = v;
     }
 
     #[test]
@@ -274,9 +265,9 @@ mod tests {
         let cfg = cfg();
         let mut st = State::initial(&cfg);
         let x = Loc::new(MachineId(0), 0);
-        st.set_memory(x, Val(5));
+        set_memory(&mut st, x, Val(5));
         assert_eq!(st.visible_value(x), Val(5));
-        st.set_cache(MachineId(1), x, Val(7));
+        set_cache(&mut st, MachineId(1), x, Val(7));
         assert_eq!(st.visible_value(x), Val(7));
         assert_eq!(st.holders(x), vec![MachineId(1)]);
     }
@@ -286,10 +277,10 @@ mod tests {
         let cfg = cfg();
         let mut st = State::initial(&cfg);
         let x = Loc::new(MachineId(0), 0);
-        st.set_cache(MachineId(0), x, Val(1));
-        st.set_cache(MachineId(1), x, Val(1));
+        set_cache(&mut st, MachineId(0), x, Val(1));
+        set_cache(&mut st, MachineId(1), x, Val(1));
         assert!(st.check_invariant().is_ok());
-        st.set_cache(MachineId(1), x, Val(2));
+        set_cache(&mut st, MachineId(1), x, Val(2));
         let err = st.check_invariant().unwrap_err();
         assert_eq!(err.loc, x);
         assert_eq!(err.first_val, Val(1));
@@ -298,21 +289,34 @@ mod tests {
     }
 
     #[test]
-    fn invalidation_helpers() {
+    fn a_cell_round_trips_through_the_state() {
         let cfg = cfg();
         let mut st = State::initial(&cfg);
-        let x = Loc::new(MachineId(0), 0);
-        let y = Loc::new(MachineId(1), 1);
-        st.set_cache(MachineId(0), x, Val(1));
-        st.set_cache(MachineId(1), x, Val(1));
-        st.set_cache(MachineId(0), y, Val(2));
-        st.invalidate_all_except(MachineId(0), x);
-        assert_eq!(st.holders(x), vec![MachineId(0)]);
-        st.invalidate_all_caches(x);
+        let (x, y) = (Loc::new(MachineId(0), 0), Loc::new(MachineId(1), 1));
+        set_cache(&mut st, MachineId(0), y, Val(2));
+        let c = Cell {
+            holders: 0b11,
+            cache: Val(1),
+            mem: Val(4),
+        };
+        st.set_cell(x, st.cell(x), c);
+        assert_eq!(st.cell(x), c);
+        assert_eq!(st.holders(x), vec![MachineId(0), MachineId(1)]);
+        st.set_cell(x, c, Cell::default());
         assert!(st.no_cache_holds(x));
-        assert_eq!(st.cache(MachineId(0), y), Some(Val(2)));
-        st.clear_cache_of(MachineId(0));
-        assert!(st.all_caches_empty());
+        assert_eq!(st.memory(x), Val::ZERO);
+        assert_eq!(st.cache(MachineId(0), y), Some(Val(2)), "other cells stay");
+    }
+
+    /// Applies the `CRASH` cell rule of the machines in `machines` to every
+    /// location, writing each cell back through [`State::set_cell`].
+    fn crash(st: &mut State, cfg: &SystemConfig, machines: u64, volatile: bool, v: ModelVariant) {
+        for loc in cfg.all_locations() {
+            let pre = st.cell(loc);
+            let label = CellLabel::Crash(machines, volatile);
+            let (post, _) = step(pre, loc.owner, loc.owner, label, v).unwrap();
+            st.set_cell(loc, pre, post);
+        }
     }
 
     #[test]
@@ -321,9 +325,9 @@ mod tests {
         let mut st = State::initial(&cfg);
         let x0 = Loc::new(MachineId(0), 0);
         let x1 = Loc::new(MachineId(1), 0);
-        st.set_cache(MachineId(1), x0, Val(1));
-        st.set_cache(MachineId(1), x1, Val(2));
-        st.drop_owned_from_all_caches(MachineId(0));
+        set_cache(&mut st, MachineId(1), x0, Val(1));
+        set_cache(&mut st, MachineId(1), x1, Val(2));
+        crash(&mut st, &cfg, 0b01, false, ModelVariant::Psn);
         assert!(st.no_cache_holds(x0));
         assert_eq!(st.cache(MachineId(1), x1), Some(Val(2)));
     }
@@ -332,17 +336,19 @@ mod tests {
     fn zero_memory_resets_values() {
         let cfg = cfg();
         let mut st = State::initial(&cfg);
-        let x = Loc::new(MachineId(0), 1);
-        st.set_memory(x, Val(9));
-        st.zero_memory_of(MachineId(0));
+        let (x, y) = (Loc::new(MachineId(0), 1), Loc::new(MachineId(1), 1));
+        set_memory(&mut st, x, Val(9));
+        set_memory(&mut st, y, Val(8));
+        crash(&mut st, &cfg, 0b01, true, ModelVariant::Base);
         assert_eq!(st.memory(x), Val::ZERO);
+        assert_eq!(st.memory(y), Val(8), "a live machine's memory stays");
     }
 
     #[test]
     fn display_renders_both_components() {
         let cfg = cfg();
         let mut st = State::initial(&cfg);
-        st.set_cache(MachineId(0), Loc::new(MachineId(1), 0), Val(3));
+        set_cache(&mut st, MachineId(0), Loc::new(MachineId(1), 0), Val(3));
         let s = st.to_string();
         assert!(s.contains("C_m0"));
         assert!(s.contains("M_m1"));
@@ -355,7 +361,7 @@ mod tests {
         let cfg = cfg();
         let a = State::initial(&cfg);
         let mut b = a.clone();
-        b.set_memory(Loc::new(MachineId(0), 0), Val(1));
+        set_memory(&mut b, Loc::new(MachineId(0), 0), Val(1));
         let mut hs = HashSet::new();
         hs.insert(a.clone());
         hs.insert(b.clone());

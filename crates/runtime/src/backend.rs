@@ -5,21 +5,15 @@
 //! ## Correspondence with the abstract model
 //!
 //! The global cache invariant of §3.3 makes the abstract state
-//! *per-location*: for each location there is at most one cached value,
-//! held by a set of machines, plus the owner's memory value. `SimFabric`
-//! therefore shards the state into one cell per location holding
-//! `(holders bitmask, cached value, memory value)`; every CXL0 rule except
-//! `GPF` and crash touches exactly one location and is applied atomically
-//! under that cell's writer lock, which makes each operation a
-//! linearizable application of one (or, for flushes, a `τ*`-prefixed)
-//! transition of the model. The integration test
-//! `tests/backend_vs_model.rs` checks this refinement mechanically against
-//! `cxl0-model`.
-//!
-//! *Blocking* primitives (`LFlush`, `RFlush`, `GPF`) are implemented by
-//! **forcing** the propagation steps their preconditions wait for — the
-//! resulting state is exactly the one the blocking rule unblocks in, so
-//! the reachable states are unchanged.
+//! *per-location*, so `SimFabric` shards it into one cell per location
+//! holding `(holders bitmask, cached value, memory value)`: the model's
+//! [`Cell`]. Every rule but `GPF` is computed by the model's own
+//! [`cell::step`] — through [`cell::force`], which first takes the `τ*`
+//! steps a blocked `LFlush`, `RFlush` or LWB load waits for — under the
+//! cell's writer lock, or on a seqlock snapshot when the step changes
+//! nothing. Each primitive is thus a linearizable model transition (a
+//! `τ*`-prefixed one, for a blocking primitive); a unit test replays the
+//! steps of threaded runs through the model's rules.
 //!
 //! ## Concurrency: how the hot path scales
 //!
@@ -88,7 +82,10 @@ use std::ops::Range;
 use std::sync::atomic::{fence, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
-use cxl0_model::{Loc, MachineId, MemoryKind, ModelVariant, Primitive, StoreKind, SystemConfig};
+use cxl0_model::cell::{self, Cell, CellLabel};
+use cxl0_model::{
+    FlushKind, Loc, MachineId, MemoryKind, ModelVariant, Primitive, StoreKind, SystemConfig, Val,
+};
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -631,18 +628,27 @@ impl LocCell {
         })
     }
 
-    /// An optimistic consistent snapshot `(holders, cache_val, mem_val)`
-    /// (the canonical seqlock read protocol).
-    pub(crate) fn read(&self) -> (u64, u64, u64) {
+    /// An optimistic consistent snapshot of the cell (the canonical
+    /// seqlock read protocol).
+    pub(crate) fn read(&self) -> Cell {
+        self.snapshot().1
+    }
+
+    /// [`LocCell::read`] with the (even) sequence word the snapshot
+    /// validated against.
+    #[inline(always)]
+    fn snapshot(&self) -> (u64, Cell) {
         spin_until(|| {
             let s1 = self.seq.load(Ordering::Acquire);
             if s1 & 1 == 0 {
-                let h = self.holders.load(Ordering::Relaxed);
-                let c = self.cache_val.load(Ordering::Relaxed);
-                let m = self.mem_val.load(Ordering::Relaxed);
+                let cell = Cell {
+                    holders: self.holders.load(Ordering::Relaxed),
+                    cache: Val(self.cache_val.load(Ordering::Relaxed)),
+                    mem: Val(self.mem_val.load(Ordering::Relaxed)),
+                };
                 fence(Ordering::Acquire);
                 if self.seq.load(Ordering::Relaxed) == s1 {
-                    return Some((h, c, m));
+                    return Some((s1, cell));
                 }
             }
             None
@@ -689,46 +695,34 @@ pub(crate) struct CellGuard<'a> {
 }
 
 impl CellGuard<'_> {
-    pub(crate) fn holders(&self) -> u64 {
-        self.cell.holders.load(Ordering::Relaxed)
-    }
-
-    fn set_holders(&self, v: u64) {
-        self.cell.holders.store(v, Ordering::Release);
-    }
-
-    pub(crate) fn cache_val(&self) -> u64 {
-        self.cell.cache_val.load(Ordering::Relaxed)
-    }
-
-    fn set_cache_val(&self, v: u64) {
-        self.cell.cache_val.store(v, Ordering::Release);
-    }
-
-    pub(crate) fn mem_val(&self) -> u64 {
-        self.cell.mem_val.load(Ordering::Relaxed)
-    }
-
-    fn set_mem_val(&self, v: u64) {
-        self.cell.mem_val.store(v, Ordering::Release);
-    }
-
-    /// The value a load observes: the unique cached value if one exists,
-    /// the owner's memory value otherwise.
-    fn visible(&self) -> u64 {
-        if self.holders() != 0 {
-            self.cache_val()
-        } else {
-            self.mem_val()
+    /// The locked cell.
+    #[inline(always)]
+    pub(crate) fn get(&self) -> Cell {
+        Cell {
+            holders: self.cell.holders.load(Ordering::Relaxed),
+            cache: Val(self.cell.cache_val.load(Ordering::Relaxed)),
+            mem: Val(self.cell.mem_val.load(Ordering::Relaxed)),
         }
     }
 
-    /// `Propagate-C-M`/drain: cached value (if any) to memory.
-    fn drain(&self) {
-        if self.holders() != 0 {
-            self.set_mem_val(self.cache_val());
-            self.set_holders(0);
+    /// Replaces the locked cell `pre` by `post`, storing only the words
+    /// that changed.
+    #[inline(always)]
+    fn put(&self, pre: Cell, post: Cell) {
+        if post.holders != pre.holders {
+            self.cell.holders.store(post.holders, Ordering::Release);
         }
+        if post.cache != pre.cache {
+            self.cell.cache_val.store(post.cache.0, Ordering::Release);
+        }
+        if post.mem != pre.mem {
+            self.cell.mem_val.store(post.mem.0, Ordering::Release);
+        }
+    }
+
+    /// The (odd) sequence word while the lock is held.
+    fn seq(&self) -> u64 {
+        self.unlocked_seq - 1
     }
 }
 
@@ -891,6 +885,9 @@ pub struct SimFabric {
     /// default: every seam is then a single `OnceLock` load and issues
     /// no atomic read-modify-write.
     tracer: OnceLock<Arc<crate::trace::Tracer>>,
+    /// The steps taken, while a test records them ([`SimFabric::record`]).
+    #[cfg(test)]
+    taken: OnceLock<Mutex<Vec<Taken>>>,
 }
 
 impl SimFabric {
@@ -900,12 +897,7 @@ impl SimFabric {
     }
 
     /// Creates a fabric over `cfg` with an explicit model variant.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cfg` has more than 64 machines (the holder bitmask).
     pub fn with_variant(cfg: SystemConfig, variant: ModelVariant) -> Arc<Self> {
-        assert!(cfg.num_machines() <= 64, "at most 64 machines supported");
         let mut extents = Vec::with_capacity(cfg.num_machines());
         let mut total = 0usize;
         for m in cfg.machines() {
@@ -933,6 +925,8 @@ impl SimFabric {
             stats: Stats::default(),
             checker: OnceLock::new(),
             tracer: OnceLock::new(),
+            #[cfg(test)]
+            taken: OnceLock::new(),
         })
     }
 
@@ -1095,18 +1089,53 @@ impl SimFabric {
             .map_or(0, |cell| cell.mem_val.load(Ordering::Acquire))
     }
 
-    /// Runs `f`, a mutation of `loc` under its writer lock `st`, and
-    /// hands a checker the settled cell and the memory word `f` replaced.
-    /// `by` is the issuing machine (`None`: background, a load's copy).
-    #[inline]
-    fn settle(&self, by: Option<MachineId>, loc: Loc, st: &CellGuard<'_>, f: impl FnOnce()) {
-        match self.checker.get() {
-            None => f(),
-            Some(ck) => {
-                let old_mem = st.mem_val();
-                f();
-                self.mutated(ck, by, loc, old_mem, st);
-            }
+    /// `label` by `issuer` on a seqlock snapshot of `loc`'s `cell`, if it
+    /// is enabled there and neither changes nor writes anything (a load
+    /// that copies nothing, a flush with nothing to move, a failed CAS, a
+    /// crash that spares the cell): such a step linearises at the
+    /// snapshot. Returns its sequence word, the snapshot and the value
+    /// observed; `None`: take the lock.
+    #[inline(always)]
+    fn unlocked(
+        &self,
+        cell: &LocCell,
+        loc: Loc,
+        issuer: MachineId,
+        label: CellLabel,
+    ) -> Option<(u64, Cell, Option<Val>)> {
+        let (seq, pre) = cell.snapshot();
+        match cell::step(pre, issuer, loc.owner, label, self.variant) {
+            Ok((post, out)) if post == pre && !writes(label, out) => Some((seq, pre, out)),
+            _ => None,
+        }
+    }
+
+    /// `label` by `issuer` on `loc`'s cell under its writer lock `st`,
+    /// forced ([`cell::force`]): the cell before, after (not yet stored),
+    /// and the value observed.
+    #[inline(always)]
+    fn force_locked(
+        &self,
+        loc: Loc,
+        st: &CellGuard<'_>,
+        issuer: MachineId,
+        label: CellLabel,
+    ) -> (Cell, Cell, Option<Val>) {
+        let pre = st.get();
+        let (post, out) = cell::force(pre, issuer, loc.owner, label, self.variant);
+        self.took(loc, issuer, label, st.seq(), pre, Ok((post, out)));
+        (pre, post, out)
+    }
+
+    /// Stores `post` over `pre` in `loc`'s cell under its writer lock `st`
+    /// and hands a checker the settled cell and the memory word it
+    /// replaced. `by` is the issuing machine (`None`: background, a
+    /// load's copy).
+    #[inline(always)]
+    fn settle(&self, by: Option<MachineId>, loc: Loc, st: &CellGuard<'_>, pre: Cell, post: Cell) {
+        st.put(pre, post);
+        if let Some(ck) = self.checker.get() {
+            self.mutated(ck, by, loc, pre.mem.0, st);
         }
     }
 
@@ -1127,25 +1156,27 @@ impl SimFabric {
         ck.on_mutate(self, who, loc, self.slot(loc), old_mem, st);
     }
 
-    /// Drains `loc` under its writer lock `st` as one line of a batch (a
-    /// barrier or a `GPF`): a checker `ck` settles the cell here and
-    /// judges the `changed` memory words after the whole batch.
-    #[inline]
+    /// Drains `loc`'s `cell` (a forced `RFlush` by its owner) as one line of
+    /// a batch (a barrier or a `GPF`): a checker `ck` settles the cell here
+    /// and judges the `changed` memory words after the whole batch.
     fn drain_in_batch(
         &self,
         ck: Option<&Arc<Checker>>,
         loc: Loc,
-        st: &CellGuard<'_>,
+        cell: &LocCell,
         changed: &mut Vec<(Loc, u64)>,
     ) {
-        match ck {
-            None => st.drain(),
-            Some(ck) => {
-                let old_mem = st.mem_val();
-                st.drain();
-                if ck.settle(self.slot(loc), st, old_mem) {
-                    changed.push((loc, st.mem_val()));
-                }
+        let drain = CellLabel::Flush(FlushKind::Remote);
+        if let Some((seq, pre, _)) = self.unlocked(cell, loc, loc.owner, drain) {
+            self.took(loc, loc.owner, drain, seq, pre, Ok((pre, None)));
+            return;
+        }
+        let st = cell.lock();
+        let (pre, post, _) = self.force_locked(loc, &st, loc.owner, drain);
+        st.put(pre, post);
+        if let Some(ck) = ck {
+            if ck.settle(self.slot(loc), &st, pre.mem.0) {
+                changed.push((loc, post.mem.0));
             }
         }
     }
@@ -1192,28 +1223,17 @@ impl SimFabric {
                 // machine.
                 self.pending[owner].clear();
             }
-            let volatile = own && self.cfg.machine(MachineId(owner)).memory == MemoryKind::Volatile;
-            // Poison: every cache entry for a line owned by a crashed
-            // machine is invalidated.
-            let poison = own && self.variant == ModelVariant::Psn;
-            self.each_resident(base..base + count as usize, |_, cell| {
-                let (holders, _, mem) = cell.read();
-                if holders & crashed_bits == 0
-                    && !(volatile && mem != 0)
-                    && !(poison && holders != 0)
-                {
+            let volatile = self.cfg.machine(MachineId(owner)).memory == MemoryKind::Volatile;
+            let crash = CellLabel::Crash(crashed_bits, volatile);
+            self.each_resident(base..base + count as usize, |slot, cell| {
+                let loc = Loc::new(MachineId(owner), (slot - base) as u32);
+                if let Some((seq, pre, _)) = self.unlocked(cell, loc, loc.owner, crash) {
+                    self.took(loc, loc.owner, crash, seq, pre, Ok((pre, None)));
                     return;
                 }
                 let st = cell.lock();
-                // The crashed machines' cache entries vanish.
-                st.set_holders(if poison {
-                    0
-                } else {
-                    st.holders() & !crashed_bits
-                });
-                if volatile {
-                    st.set_mem_val(0);
-                }
+                let (pre, post, _) = self.force_locked(loc, &st, loc.owner, crash);
+                st.put(pre, post);
             });
         }
         if let Some(ck) = self.checker.get() {
@@ -1285,26 +1305,29 @@ impl SimFabric {
             let Some(cell) = self.resident(slot) else {
                 continue; // untouched: no holders
             };
-            let st = cell.lock();
-            if st.holders() == 0 {
-                continue;
-            }
             let m = self.extents.partition_point(|&(base, _)| base <= slot) - 1;
             let loc = Loc::new(MachineId(m), (slot - self.extents[m].0) as u32);
-            let owner_bit = 1u64 << loc.owner.index();
-            self.settle(None, loc, &st, || {
-                if st.holders() & owner_bit != 0 && rng.gen_bool(0.5) {
-                    // Propagate-C-M: owner's cache → owner's memory.
-                    st.drain();
+            let st = cell.lock();
+            let pre = st.get();
+            let (holders, owner_bit) = (pre.holders, 1u64 << m);
+            // Propagate-C-M, or Propagate-C-C from a random non-owner
+            // holder (by the owner if there is none: blocked, no change).
+            let (from, label) = if holders & owner_bit != 0 && rng.gen_bool(0.5) {
+                (loc.owner, CellLabel::CacheToMemory)
+            } else {
+                let others = holders & !owner_bit;
+                let from = if others != 0 {
+                    MachineId(pick_bit(others, &mut rng) as usize)
                 } else {
-                    // Propagate-C-C: a random non-owner holder → owner.
-                    let others = st.holders() & !owner_bit;
-                    if others != 0 {
-                        let idx = pick_bit(others, &mut rng);
-                        st.set_holders((st.holders() & !(1u64 << idx)) | owner_bit);
-                    }
-                }
-            });
+                    loc.owner
+                };
+                (from, CellLabel::CacheToCache)
+            };
+            let result = cell::step(pre, from, loc.owner, label, self.variant);
+            self.took(loc, from, label, st.seq(), pre, result);
+            if let Ok((post, _)) = result {
+                self.settle(None, loc, &st, pre, post);
+            }
         }
     }
 
@@ -1314,12 +1337,7 @@ impl SimFabric {
         // The sanitizer judges the drain as one batch, like a barrier's.
         let ck = self.checker.get();
         let mut changed = Vec::new();
-        self.each_cell(|_, loc, cell| {
-            // Cheap optimistic skip: most cells are uncached.
-            if cell.read().0 != 0 {
-                self.drain_in_batch(ck, loc, &cell.lock(), &mut changed);
-            }
-        });
+        self.each_cell(|_, loc, cell| self.drain_in_batch(ck, loc, cell, &mut changed));
         if let Some(ck) = ck {
             ck.publish(self, None, &changed);
         }
@@ -1330,13 +1348,13 @@ impl SimFabric {
     /// for tests and recovery assertions, not for algorithm code.
     pub fn peek_memory(&self, loc: Loc) -> u64 {
         self.resident(self.slot(loc))
-            .map_or(0, |cell| cell.read().2)
+            .map_or(0, |cell| cell.read().mem.0)
     }
 
     /// True if some cache currently holds `loc`.
     pub fn is_cached(&self, loc: Loc) -> bool {
         self.resident(self.slot(loc))
-            .is_some_and(|cell| cell.read().0 != 0)
+            .is_some_and(|cell| cell.read().holders != 0)
     }
 
     /// Number of un-retired `AFlush` requests in machine `m`'s persistency
@@ -1344,6 +1362,24 @@ impl SimFabric {
     pub fn pending_flushes(&self, m: MachineId) -> usize {
         self.pending[m.index()].len()
     }
+
+    /// Records a step a primitive took (see [`SimFabric::record`]); a
+    /// no-op outside the crate's unit tests.
+    #[cfg(not(test))]
+    #[inline(always)]
+    fn took(&self, _: Loc, _: MachineId, _: CellLabel, _: u64, _: Cell, _: StepOutcome) {}
+}
+
+/// What a step did to a cell: the new cell and the value observed, or
+/// the precondition it found blocked.
+type StepOutcome = Result<(Cell, Option<Val>), cell::Blocked>;
+
+/// Whether a step of `label` that observed `out` writes a value: a store
+/// or a successful RMW, which a checker sees even when it changes nothing.
+#[inline(always)]
+fn writes(label: CellLabel, out: Option<Val>) -> bool {
+    matches!(label, CellLabel::Store(..))
+        || matches!(label, CellLabel::Rmw(_, old, _) if out == Some(old))
 }
 
 fn pick_bit(mask: u64, rng: &mut StdRng) -> u32 {
@@ -1464,25 +1500,20 @@ impl NodeHandle {
         cost::cost(p, self.machine == loc.owner)
     }
 
-    /// The three store rules: installs `v` at `loc` under its writer
-    /// lock `st` with strength `kind`.
-    #[inline]
-    fn store_locked(&self, kind: StoreKind, loc: Loc, st: &CellGuard<'_>, v: u64) {
-        let by = Some(self.machine);
-        self.fabric.settle(by, loc, st, || match kind {
-            StoreKind::Local => {
-                st.set_cache_val(v);
-                st.set_holders(1u64 << self.machine.index());
-            }
-            StoreKind::Remote => {
-                st.set_cache_val(v);
-                st.set_holders(1u64 << loc.owner.index());
-            }
-            StoreKind::Memory => {
-                st.set_mem_val(v);
-                st.set_holders(0);
-            }
-        });
+    /// `label` by this machine on `loc`'s cell under its writer lock
+    /// `st`, forced past any blocking precondition; a store, a successful
+    /// RMW or any change to the cell is settled with the checker.
+    /// Returns the value observed.
+    #[inline(always)]
+    fn step_locked(&self, loc: Loc, st: &CellGuard<'_>, label: CellLabel) -> Option<Val> {
+        let fabric = &*self.fabric;
+        let (pre, post, out) = fabric.force_locked(loc, st, self.machine, label);
+        if post != pre || writes(label, out) {
+            // A load's copy is not a mutation of the value: no provenance.
+            let by = (label != CellLabel::Load).then_some(self.machine);
+            fabric.settle(by, loc, st, pre, post);
+        }
+        out
     }
 
     /// Sanitizer hook: an application read of `loc`.
@@ -1581,7 +1612,7 @@ impl NodeHandle {
     /// Fails if this machine has crashed.
     pub fn load(&self, loc: Loc) -> OpResult<u64> {
         // Gateless read-only fast path: a load that needs no state
-        // change (LOAD-from-M, or an own-cache hit) linearizes at its
+        // change (LOAD-from-M, or a hit that copies nothing) linearizes at its
         // seqlock-consistent snapshot, so it skips the epoch gate — it
         // only records its cost and validates the crash word *after*
         // taking the snapshot. The post-snapshot check is what makes
@@ -1596,113 +1627,56 @@ impl NodeHandle {
         // (or a crash of another location's wipe) runs to completion.
         let fabric = &*self.fabric;
         let bit = 1u64 << self.machine.index();
+        let cell = fabric.cell(loc);
+        // `halted` before `crashed`, as in `enter()`: a clean halted read
+        // either proves the snapshot precedes any in-flight crash, or
+        // follows a reopen whose earlier `crashed` stores the second
+        // check is then guaranteed to observe. An armed crash point makes
+        // the word nonzero too: the load then takes the gated path, which
+        // counts it.
+        if let Some((seq, pre, Some(v))) = fabric.unlocked(cell, loc, self.machine, CellLabel::Load)
         {
-            let (h, c, m) = fabric.cell(loc).read();
-            let hit = match fabric.variant {
-                ModelVariant::Base | ModelVariant::Psn => {
-                    if h == 0 {
-                        Some(m) // LOAD-from-M (no copy)
-                    } else if h & bit != 0 {
-                        Some(c) // already a holder: the copy is a no-op
-                    } else {
-                        None
-                    }
-                }
-                ModelVariant::Lwb => {
-                    if h & bit != 0 {
-                        Some(c) // own-cache hit
-                    } else if h == 0 {
-                        Some(m)
-                    } else {
-                        None
-                    }
-                }
-            };
-            // `halted` before `crashed`, as in `enter()`: a clean halted
-            // read either proves the snapshot precedes any in-flight
-            // crash, or follows a reopen whose earlier `crashed` stores
-            // the second check is then guaranteed to observe. An armed
-            // crash point makes the word nonzero too: the load then
-            // takes the gated path, which counts it.
-            if let Some(v) = hit {
-                if fabric.crash_word.halted.load(Ordering::SeqCst) == 0
-                    && fabric.crash_word.crashed.load(Ordering::SeqCst) & bit == 0
-                {
-                    fabric
-                        .stats
-                        .rail()
-                        .bump(OpClass::Loads, self.op_cost(Primitive::Load, loc));
-                    self.check_load(loc);
-                    return Ok(v);
-                }
+            if fabric.crash_word.halted.load(Ordering::SeqCst) == 0
+                && fabric.crash_word.crashed.load(Ordering::SeqCst) & bit == 0
+            {
+                fabric
+                    .stats
+                    .rail()
+                    .bump(OpClass::Loads, self.op_cost(Primitive::Load, loc));
+                self.check_load(loc);
+                fabric.took(
+                    loc,
+                    self.machine,
+                    CellLabel::Load,
+                    seq,
+                    pre,
+                    Ok((pre, Some(v))),
+                );
+                return Ok(v.0);
             }
         }
         let g = self.enter::<true>()?;
         g.charge(OpClass::Loads, self.op_cost(Primitive::Load, loc));
-        let cell = self.fabric.cell(loc);
         self.check_load(loc);
-        match self.fabric.variant {
-            ModelVariant::Base | ModelVariant::Psn => {
-                let st = cell.lock();
-                if st.holders() != 0 {
-                    // LOAD-from-C: copy into the issuer's cache (a load
-                    // is not a mutation of the value: no provenance).
-                    self.fabric
-                        .settle(None, loc, &st, || st.set_holders(st.holders() | bit));
-                    Ok(st.cache_val())
-                } else {
-                    // LOAD-from-M (no copy).
-                    Ok(st.mem_val())
-                }
-            }
-            ModelVariant::Lwb => {
-                let st = cell.lock();
-                if st.holders() & bit != 0 {
-                    Ok(st.cache_val())
-                } else {
-                    // Blocking until the line drains to memory ≡ force
-                    // the drain, then read memory.
-                    self.fabric.settle(None, loc, &st, || st.drain());
-                    Ok(st.mem_val())
-                }
-            }
-        }
+        // LOAD-from-C copies the line into the issuer's cache; an LWB
+        // load waits for the line to drain, which is forced here.
+        let seen = self.step_locked(loc, &cell.lock(), CellLabel::Load);
+        Ok(seen.map_or(0, Val::raw))
     }
 
-    /// `LStore`: store to this machine's cache.
-    ///
-    /// # Errors
-    ///
-    /// Fails if this machine has crashed.
+    /// `LStore`: store to this machine's cache (see [`NodeHandle::store`]).
     pub fn lstore(&self, loc: Loc, v: u64) -> OpResult<()> {
-        let g = self.enter::<true>()?;
-        g.charge(OpClass::LStores, self.op_cost(Primitive::LStore, loc));
-        self.store_locked(StoreKind::Local, loc, &self.fabric.cell(loc).lock(), v);
-        Ok(())
+        self.store(StoreKind::Local, loc, v)
     }
 
-    /// `RStore`: store to the owner's cache.
-    ///
-    /// # Errors
-    ///
-    /// Fails if this machine has crashed.
+    /// `RStore`: store to the owner's cache (see [`NodeHandle::store`]).
     pub fn rstore(&self, loc: Loc, v: u64) -> OpResult<()> {
-        let g = self.enter::<true>()?;
-        g.charge(OpClass::RStores, self.op_cost(Primitive::RStore, loc));
-        self.store_locked(StoreKind::Remote, loc, &self.fabric.cell(loc).lock(), v);
-        Ok(())
+        self.store(StoreKind::Remote, loc, v)
     }
 
-    /// `MStore`: store directly to the owner's memory.
-    ///
-    /// # Errors
-    ///
-    /// Fails if this machine has crashed.
+    /// `MStore`: store directly to the owner's memory (see [`NodeHandle::store`]).
     pub fn mstore(&self, loc: Loc, v: u64) -> OpResult<()> {
-        let g = self.enter::<true>()?;
-        g.charge(OpClass::MStores, self.op_cost(Primitive::MStore, loc));
-        self.store_locked(StoreKind::Memory, loc, &self.fabric.cell(loc).lock(), v);
-        Ok(())
+        self.store(StoreKind::Memory, loc, v)
     }
 
     /// Store with a runtime-selected strength.
@@ -1710,75 +1684,55 @@ impl NodeHandle {
     /// # Errors
     ///
     /// Fails if this machine has crashed.
+    #[inline(always)]
     pub fn store(&self, kind: StoreKind, loc: Loc, v: u64) -> OpResult<()> {
-        match kind {
-            StoreKind::Local => self.lstore(loc, v),
-            StoreKind::Remote => self.rstore(loc, v),
-            StoreKind::Memory => self.mstore(loc, v),
-        }
+        let (class, prim) = match kind {
+            StoreKind::Local => (OpClass::LStores, Primitive::LStore),
+            StoreKind::Remote => (OpClass::RStores, Primitive::RStore),
+            StoreKind::Memory => (OpClass::MStores, Primitive::MStore),
+        };
+        let g = self.enter::<true>()?;
+        g.charge(class, self.op_cost(prim, loc));
+        let label = CellLabel::Store(kind, Val(v));
+        self.step_locked(loc, &self.fabric.cell(loc).lock(), label);
+        Ok(())
     }
 
-    /// `LFlush`: drain this machine's cached copy one level (to the
-    /// owner's cache, or to memory when this machine owns the line). The
-    /// blocking precondition is satisfied by forcing the propagation.
-    ///
-    /// # Errors
-    ///
-    /// Fails if this machine has crashed.
+    /// `LFlush`: drain this machine's cached copy one level, to the
+    /// owner's cache or, for the owner, to memory (see [`NodeHandle::flush`]).
     pub fn lflush(&self, loc: Loc) -> OpResult<()> {
-        let g = self.enter::<true>()?;
-        g.charge(OpClass::LFlushes, self.op_cost(Primitive::LFlush, loc));
-        let bit = 1u64 << self.machine.index();
-        let cell = self.fabric.cell(loc);
-        // Fast path: nothing of ours to flush.
-        if cell.read().0 & bit == 0 {
-            return Ok(());
-        }
-        let owner_bit = 1u64 << loc.owner.index();
-        let st = cell.lock();
-        if st.holders() & bit != 0 {
-            self.fabric.settle(Some(self.machine), loc, &st, || {
-                if self.machine == loc.owner {
-                    // Propagate-C-M.
-                    st.drain();
-                } else {
-                    // Propagate-C-C toward the owner.
-                    st.set_holders((st.holders() & !bit) | owner_bit);
-                }
-            });
-        }
-        Ok(())
+        self.flush(FlushKind::Local, loc)
     }
 
-    /// `RFlush`: force the line all the way to the owner's memory.
-    ///
-    /// # Errors
-    ///
-    /// Fails if this machine has crashed.
+    /// `RFlush`: force the line all the way to the owner's memory (see
+    /// [`NodeHandle::flush`]).
     pub fn rflush(&self, loc: Loc) -> OpResult<()> {
-        let g = self.enter::<true>()?;
-        g.charge(OpClass::RFlushes, self.op_cost(Primitive::RFlush, loc));
-        let cell = self.fabric.cell(loc);
-        // Fast path: an uncached line is already as persistent as it gets.
-        if cell.read().0 == 0 {
-            return Ok(());
-        }
-        let st = cell.lock();
-        self.fabric
-            .settle(Some(self.machine), loc, &st, || st.drain());
-        Ok(())
+        self.flush(FlushKind::Remote, loc)
     }
 
-    /// Flush with a runtime-selected strength.
+    /// Flush with a runtime-selected strength. The blocking precondition
+    /// is met by forcing the propagation it waits for ([`cell::force`]).
     ///
     /// # Errors
     ///
     /// Fails if this machine has crashed.
-    pub fn flush(&self, kind: cxl0_model::FlushKind, loc: Loc) -> OpResult<()> {
-        match kind {
-            cxl0_model::FlushKind::Local => self.lflush(loc),
-            cxl0_model::FlushKind::Remote => self.rflush(loc),
+    #[inline(always)]
+    pub fn flush(&self, kind: FlushKind, loc: Loc) -> OpResult<()> {
+        let (class, prim) = match kind {
+            FlushKind::Local => (OpClass::LFlushes, Primitive::LFlush),
+            FlushKind::Remote => (OpClass::RFlushes, Primitive::RFlush),
+        };
+        let g = self.enter::<true>()?;
+        g.charge(class, self.op_cost(prim, loc));
+        let (fabric, label) = (&*self.fabric, CellLabel::Flush(kind));
+        let cell = fabric.cell(loc);
+        // Fast path: nothing this flush waits for is cached.
+        if let Some((seq, pre, _)) = fabric.unlocked(cell, loc, self.machine, label) {
+            fabric.took(loc, self.machine, label, seq, pre, Ok((pre, None)));
+            return Ok(());
         }
+        self.step_locked(loc, &cell.lock(), label);
+        Ok(())
     }
 
     /// `GPF`: drain every cache in the system to memory.
@@ -1827,11 +1781,7 @@ impl NodeHandle {
         let ck = self.fabric.checker.get();
         let mut changed = Vec::new();
         let retired = self.fabric.pending[self.machine.index()].retire(|loc| {
-            let cell = self.fabric.cell(loc);
-            if cell.read().0 != 0 {
-                self.fabric
-                    .drain_in_batch(ck, loc, &cell.lock(), &mut changed);
-            }
+            (self.fabric).drain_in_batch(ck, loc, self.fabric.cell(loc), &mut changed);
             let local = self.machine == loc.owner;
             max_line = max_line.max(cost::cost(Primitive::RFlush, local));
         });
@@ -1846,6 +1796,18 @@ impl NodeHandle {
         Ok(retired)
     }
 
+    /// Enters the gate for an RMW of strength `kind` at `loc`, charged.
+    fn enter_rmw(&self, kind: StoreKind, loc: Loc) -> OpResult<OpGuard<'_>> {
+        let g = self.enter::<true>()?;
+        let prim = match kind {
+            StoreKind::Local => Primitive::LRmw,
+            StoreKind::Remote => Primitive::RRmw,
+            StoreKind::Memory => Primitive::MRmw,
+        };
+        g.charge(OpClass::Rmws, self.op_cost(prim, loc));
+        Ok(g)
+    }
+
     /// Compare-and-swap with the given store strength: atomically loads
     /// the visible value and, if it equals `old`, installs `new`.
     ///
@@ -1856,32 +1818,31 @@ impl NodeHandle {
     ///
     /// Fails with [`Crashed`] if this machine has crashed.
     pub fn cas(&self, kind: StoreKind, loc: Loc, old: u64, new: u64) -> OpResult<Result<u64, u64>> {
-        let g = self.enter::<true>()?;
-        let prim = match kind {
-            StoreKind::Local => Primitive::LRmw,
-            StoreKind::Remote => Primitive::RRmw,
-            StoreKind::Memory => Primitive::MRmw,
+        let _g = self.enter_rmw(kind, loc)?;
+        let (fabric, label) = (&*self.fabric, CellLabel::Rmw(kind, Val(old), Val(new)));
+        let cell = fabric.cell(loc);
+        // Fast path: a mismatched CAS changes nothing, so the optimistic
+        // snapshot already linearizes it.
+        let seen = match fabric.unlocked(cell, loc, self.machine, label) {
+            Some((seq, pre, seen)) => {
+                fabric.took(loc, self.machine, label, seq, pre, Ok((pre, seen)));
+                seen
+            }
+            None => {
+                let st = cell.lock();
+                let seen = self.step_locked(loc, &st, label);
+                // The read's check below may lock the cell itself.
+                drop(st);
+                seen
+            }
         };
-        g.charge(OpClass::Rmws, self.op_cost(prim, loc));
-        let cell = self.fabric.cell(loc);
-        // Fast path: a mismatched CAS is a plain load, which the
-        // optimistic snapshot already linearizes.
-        let (h, c, m) = cell.read();
-        let visible = if h != 0 { c } else { m };
-        if visible != old {
-            self.check_load(loc);
-            return Ok(Err(visible));
+        match seen {
+            Some(Val(v)) if v == old => Ok(Ok(old)),
+            seen => {
+                self.check_load(loc);
+                Ok(Err(seen.map_or(0, Val::raw)))
+            }
         }
-        let st = cell.lock();
-        let visible = st.visible();
-        if visible != old {
-            // The read's check may lock the cell itself.
-            drop(st);
-            self.check_load(loc);
-            return Ok(Err(visible));
-        }
-        self.store_locked(kind, loc, &st, new);
-        Ok(Ok(old))
     }
 
     /// Fetch-and-add with the given store strength; returns the previous
@@ -1891,18 +1852,64 @@ impl NodeHandle {
     ///
     /// Fails if this machine has crashed.
     pub fn faa(&self, kind: StoreKind, loc: Loc, delta: u64) -> OpResult<u64> {
-        let g = self.enter::<true>()?;
-        let prim = match kind {
-            StoreKind::Local => Primitive::LRmw,
-            StoreKind::Remote => Primitive::RRmw,
-            StoreKind::Memory => Primitive::MRmw,
-        };
-        g.charge(OpClass::Rmws, self.op_cost(prim, loc));
+        let _g = self.enter_rmw(kind, loc)?;
         let st = self.fabric.cell(loc).lock();
-        let visible = st.visible();
-        let new = visible.wrapping_add(delta);
-        self.store_locked(kind, loc, &st, new);
-        Ok(visible)
+        let seen = st.get().visible();
+        let label = CellLabel::Rmw(kind, seen, Val(seen.0.wrapping_add(delta)));
+        self.step_locked(loc, &st, label);
+        Ok(seen.0)
+    }
+}
+
+/// One step a primitive (or a crash, drain or propagation) took on a
+/// cell, as [`SimFabric::record`] logs it.
+#[cfg(test)]
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Taken {
+    pub(crate) loc: Loc,
+    pub(crate) issuer: MachineId,
+    pub(crate) label: CellLabel,
+    /// The sequence word the step read its pre-state at: even for a
+    /// seqlock snapshot (an unlocked fast path, which changed nothing),
+    /// odd while a writer lock was held (its release leaves `seq + 1`).
+    pub(crate) seq: u64,
+    pub(crate) pre: Cell,
+    pub(crate) outcome: StepOutcome,
+}
+
+#[cfg(test)]
+impl SimFabric {
+    /// Starts logging every step taken on this fabric's cells.
+    pub(crate) fn record(&self) {
+        let _ = self.taken.set(Mutex::new(Vec::new()));
+    }
+
+    /// The steps logged since [`SimFabric::record`].
+    pub(crate) fn taken(&self) -> Vec<Taken> {
+        self.taken
+            .get()
+            .map_or_else(Vec::new, |log| log.lock().clone())
+    }
+
+    fn took(
+        &self,
+        loc: Loc,
+        issuer: MachineId,
+        label: CellLabel,
+        seq: u64,
+        pre: Cell,
+        outcome: StepOutcome,
+    ) {
+        if let Some(log) = self.taken.get() {
+            log.lock().push(Taken {
+                loc,
+                issuer,
+                label,
+                seq,
+                pre,
+                outcome,
+            });
+        }
     }
 }
 
@@ -2586,5 +2593,114 @@ mod tests {
         assert!(!f.is_crashed(M0) && !f.is_crashed(M1));
         assert_eq!(f.peek_memory(x(1, 0)), 0, "the dead flush had no effect");
         assert_eq!(n0.load(x(1, 0)).unwrap(), 7, "no cache was lost");
+    }
+
+    /// Replays every step `f` logged through the model's rules —
+    /// [`cell::step`] for a silent step, [`cell::force`] for anything a
+    /// primitive may wait out — and demands the logged outcome; an
+    /// unlocked step must have changed nothing. Each pre-state must be the
+    /// one the cell's lock history left at its sequence word, and every
+    /// such state but the initial one must come from a logged lock.
+    /// Returns how many unlocked and locked steps were replayed.
+    fn replay(f: &SimFabric) -> [usize; 2] {
+        let taken = f.taken();
+        let mut states = std::collections::HashMap::new();
+        let mut released = std::collections::HashSet::new();
+        let mut counts = [0; 2];
+        for t in &taken {
+            let (owner, variant) = (t.loc.owner, f.variant());
+            let expected = match t.label {
+                CellLabel::CacheToCache | CellLabel::CacheToMemory => {
+                    cell::step(t.pre, t.issuer, owner, t.label, variant)
+                }
+                _ => Ok(cell::force(t.pre, t.issuer, owner, t.label, variant)),
+            };
+            assert_eq!(t.outcome, expected, "{t:?}");
+            let post = t.outcome.map_or(t.pre, |(post, _)| post);
+            let locked = t.seq % 2 == 1;
+            counts[usize::from(locked)] += 1;
+            assert!(locked || post == t.pre, "an unlocked step moved: {t:?}");
+            let mut at = vec![(t.seq & !1, t.pre)];
+            if locked {
+                at.push((t.seq + 1, post));
+                released.insert((t.loc, t.seq + 1));
+            }
+            for (seq, cell) in at {
+                let known = *states.entry((t.loc, seq)).or_insert(cell);
+                assert_eq!(known, cell, "two states at sequence word {seq}: {t:?}");
+            }
+        }
+        for (&(loc, seq), &cell) in &states {
+            if seq == 0 {
+                assert_eq!(cell, Cell::default(), "{loc} starts zeroed");
+            } else {
+                assert!(released.contains(&(loc, seq)), "{loc}@{seq}: unlogged lock");
+            }
+        }
+        counts
+    }
+
+    #[test]
+    fn threaded_steps_replay_through_the_model_rules() {
+        use cxl0_model::MachineConfig;
+        const OPS: usize = 1500;
+        for variant in ModelVariant::ALL {
+            let cfg = SystemConfig::new(vec![
+                MachineConfig::non_volatile(2),
+                MachineConfig::volatile(2),
+                MachineConfig::compute_only(),
+            ]);
+            let f = SimFabric::with_variant(cfg, variant);
+            f.record();
+            let locs = [x(0, 0), x(0, 1), x(1, 0), x(1, 1)];
+            let start = Arc::new(std::sync::Barrier::new(4));
+            let workers: Vec<_> = (0..3)
+                .map(|m| {
+                    let (node, start) = (f.node(MachineId(m)), Arc::clone(&start));
+                    std::thread::spawn(move || {
+                        let mut rng = StdRng::seed_from_u64(m as u64);
+                        start.wait();
+                        for _ in 0..OPS {
+                            let loc = locs[rng.gen_range(0..locs.len())];
+                            let kind = [StoreKind::Local, StoreKind::Remote, StoreKind::Memory]
+                                [rng.gen_range(0..3usize)];
+                            let v = rng.gen_range(1..4);
+                            // A primitive of a crashed machine fails; the
+                            // thread keeps issuing until it is recovered.
+                            let _ = match rng.gen_range(0..10) {
+                                0..=2 => node.load(loc).map(drop),
+                                3 => node.store(kind, loc, v),
+                                4 => node.lflush(loc),
+                                5 => node.rflush(loc),
+                                6 => node.cas(kind, loc, v, v + 1).map(drop),
+                                7 => node.faa(kind, loc, 1).map(drop),
+                                8 => node.aflush(loc),
+                                _ => node.barrier().map(drop),
+                            };
+                        }
+                    })
+                })
+                .collect();
+            start.wait();
+            for round in 0..60u64 {
+                f.propagate_randomly(round, 4);
+                match round % 10 {
+                    3 => f.node(M0).gpf().unwrap_or(()),
+                    7 => {
+                        f.crash(M1);
+                        f.recover(M1);
+                    }
+                    _ => std::thread::yield_now(),
+                }
+            }
+            for w in workers {
+                w.join().unwrap();
+            }
+            let [unlocked, locked] = replay(&f);
+            assert!(
+                unlocked > OPS / 2 && locked > OPS / 2,
+                "{variant}: {unlocked} + {locked}"
+            );
+        }
     }
 }

@@ -229,7 +229,8 @@ impl CellMarks<'_> {
 /// Whether the locked cell is dirty: a cache holds a value its owner's
 /// memory does not.
 fn dirty(st: &CellGuard<'_>) -> bool {
-    st.holders() != 0 && st.cache_val() != st.mem_val()
+    let c = st.get();
+    c.holders != 0 && c.cache != c.mem
 }
 
 /// SMR lifecycle of an allocator block.
@@ -413,11 +414,11 @@ impl Checker {
         // Cells first, with no checker lock held: a seqlock read may wait.
         if let Some(fabric) = self.fabric() {
             fabric.each_cell(|slot, loc, cell| {
-                let (holders, cache, mem) = cell.read();
+                let c = cell.read();
                 let marks = self.marks(slot);
                 let state = (
-                    mem,
-                    holders != 0 && cache != mem,
+                    c.mem.0,
+                    c.holders != 0 && c.cache != c.mem,
                     marks.at_risk(),
                     marks.lost(),
                 );
@@ -481,7 +482,7 @@ impl Checker {
         let st = cell.lock();
         let Some(v) = marks.lost() else { return };
         marks.set_flags(marks.flags() & !LOST);
-        let mem = st.mem_val();
+        let mem = st.get().mem;
         drop(st);
         self.report(
             ViolationClass::UnpersistedReadAtRecovery,
@@ -511,7 +512,7 @@ impl Checker {
             self.check_retire(w, loc, "store");
         }
         if self.settle(slot, st, old_mem) {
-            self.publish(fabric, who, &[(loc, st.mem_val())]);
+            self.publish(fabric, who, &[(loc, st.get().mem.0)]);
         }
     }
 
@@ -523,7 +524,7 @@ impl Checker {
         let marks = self.marks(slot);
         let at_risk = marks.flags() & AT_RISK;
         marks.set_flags(if dirty(st) { DIRTY | at_risk } else { 0 });
-        st.mem_val() != old_mem
+        st.get().mem.0 != old_mem
     }
 
     /// Memory words of the allocator region settled to new values (one
@@ -561,7 +562,7 @@ impl Checker {
         let st = &cell.lock();
         let marks = self.marks(slot);
         let risk = if dirty(st) {
-            marks.set_at_risk(st.cache_val());
+            marks.set_at_risk(st.get().cache.0);
             AT_RISK
         } else {
             0
@@ -575,16 +576,17 @@ impl Checker {
     /// uncached cell with no marks has nothing to settle.
     pub(crate) fn on_crash(&self, slot: usize, cell: &LocCell) {
         let marks = self.marks(slot);
-        if marks.flags() == 0 && cell.read().0 == 0 {
+        if marks.flags() == 0 && cell.read().holders == 0 {
             return;
         }
         let st = &cell.lock();
         let mut now = marks.flags() & (AT_RISK | LOST) | if dirty(st) { DIRTY } else { 0 };
         if let Some(v) = marks.at_risk() {
-            if st.mem_val() == v {
+            let c = st.get();
+            if c.mem.0 == v {
                 // Persisted after all (e.g. a τ drain beat the crash).
                 now &= !AT_RISK;
-            } else if st.holders() != 0 && st.cache_val() == v {
+            } else if c.holders != 0 && c.cache.0 == v {
                 // A surviving cache still holds it; it may yet drain.
             } else {
                 marks.set_lost(v);

@@ -280,8 +280,7 @@ impl<K: Word> DurableList<K> {
             let n = match spare {
                 Some(n) => n,
                 None => {
-                    let mut stalled = 0u32;
-                    let mut epoch = self.smr.epoch();
+                    let mut stalls = crate::smr::Stalls::new(&self.smr);
                     let n = loop {
                         if let Some(n) = self.alloc.alloc(node, NODE_CELLS)? {
                             break n;
@@ -291,31 +290,11 @@ impl<K: Word> DurableList<K> {
                         // are not on the free lists yet. Unpin (so the
                         // epoch can fully advance), reclaim — waiting
                         // out concurrent traversals between empty
-                        // attempts — then re-pin and retry. Exhaustion
-                        // is real only after 64 attempts in a row made
-                        // no progress: none freed a block, and none saw
-                        // the epoch advance while limbo held blocks
-                        // (which then ripen within two advances). An
-                        // empty limbo or an epoch stuck behind a held
-                        // pin stalls every attempt.
+                        // attempts — then re-pin and retry, until
+                        // `Stalls` calls the exhaustion real.
                         drop(guard);
                         let freed = self.smr.collect(node)?;
-                        let now = self.smr.epoch();
-                        if freed > 0 || (now != epoch && self.smr.limbo_len() > 0) {
-                            stalled = 0;
-                        } else {
-                            stalled += 1;
-                        }
-                        epoch = now;
-                        assert!(
-                            stalled < 64,
-                            "list heap exhausted (nothing left to reclaim): {:?} {:?}",
-                            self.smr.stats(),
-                            self.alloc.stats(),
-                        );
-                        if freed == 0 {
-                            crate::smr::exhaustion_backoff(stalled);
-                        }
+                        stalls.after_collect(&self.smr, freed, "list");
                         guard = self.smr.pin();
                     };
                     self.persist

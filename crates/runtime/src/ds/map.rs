@@ -372,7 +372,8 @@ impl<K: Word, V: Word> DurableMap<K, V> {
     /// Panics if the map's table is oversize — more than
     /// [`MAX_CLASS_CELLS`]` / 2` slots: such a table is exact-fit and
     /// never reclaimable, so every recycle would leak one — or if the
-    /// heap cannot supply a fresh table even after full reclamation
+    /// heap cannot supply a fresh table while reclamation makes no
+    /// progress: limbo is empty, or the epoch is stuck behind a held pin
     /// (two live tables of this map's class must fit).
     ///
     /// # Errors
@@ -394,25 +395,13 @@ impl<K: Word, V: Word> DurableMap<K, V> {
             .alloc
             .decode(old_enc)
             .expect("map header always names a table");
-        let mut attempts = 0u32;
+        let mut stalls = crate::smr::Stalls::new(&self.smr);
         let fresh = loop {
             if let Some(b) = Self::fresh_table(&self.alloc, &self.persist, node, self.capacity)? {
                 break b;
             }
             let freed = self.smr.collect(node)?;
-            attempts += 1;
-            assert!(
-                freed > 0 || attempts < 64,
-                "map heap exhausted (nothing left to reclaim): {:?} {:?}",
-                self.smr.stats(),
-                self.alloc.stats(),
-            );
-            if freed == 0 {
-                // Wait out concurrent traversals between empty
-                // attempts: they hold the grace period open for their
-                // whole (finite) operation.
-                crate::smr::exhaustion_backoff(attempts);
-            }
+            stalls.after_collect(&self.smr, freed, "map");
         };
         // Copy live entries; the write lock freezes the old table.
         let mut live = 0u32;

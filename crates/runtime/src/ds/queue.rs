@@ -160,6 +160,22 @@ impl<T: Word> DurableQueue<T> {
         self.swing_tail(node, old, next)
     }
 
+    /// Swings the tail hint from `old` back to the head if it still
+    /// reads `old` after a snapshot showed it names no node of the
+    /// queue. Without a crash that cannot last: a node is freed only
+    /// once the tail has passed it, so a re-read finds the tail moved.
+    /// A memory-node crash can leave a stale tail naming a freed block,
+    /// and an operation in flight across the crash would otherwise
+    /// re-read that snapshot forever, before [`DurableQueue::recover`]
+    /// runs; from the head, the usual helping walks the tail forward.
+    fn repair_tail(&self, node: &NodeHandle, old: u64) -> OpResult<()> {
+        if self.load_tail(node)? != old {
+            return Ok(());
+        }
+        let head = self.persist.shared_load(node, self.head_cell(), true)?;
+        self.swing_tail(node, old, head)
+    }
+
     /// Enqueues `v` at the tail. Returns `false` (no error) if the node
     /// heap is exhausted.
     ///
@@ -212,9 +228,12 @@ impl<T: Word> DurableQueue<T> {
             } else if self.alloc.decode(next).is_some() {
                 // Tail lagging: help.
                 self.help_tail(node, tail, next)?;
+            } else {
+                // A null of a foreign generation — `t` was recycled
+                // under us (the snapshot is garbage, re-read), or the
+                // tail is stale.
+                self.repair_tail(node, tail)?;
             }
-            // Otherwise: a null of a foreign generation — `t` was
-            // recycled under us; the snapshot is garbage, re-read.
         }
     }
 
@@ -249,9 +268,9 @@ impl<T: Word> DurableQueue<T> {
                 self.help_tail(node, tail, next)?;
             } else {
                 // Validated snapshot with head ≠ tail: the head node has
-                // a live successor. (Defensively retry rather than
-                // panic if that is ever violated.)
+                // a live successor, unless the tail is stale.
                 let Some(nx) = self.alloc.decode(next) else {
+                    self.repair_tail(node, tail)?;
                     continue;
                 };
                 let v = self.persist.shared_load(node, self.value_cell(nx), true)?;
@@ -674,5 +693,38 @@ mod tests {
         f.recover(MachineId(2));
         q.recover(&node).unwrap();
         assert_eq!(q.drain(&node).unwrap(), vec![7, 8, 9]);
+    }
+
+    #[test]
+    fn operations_repair_a_stale_tail_naming_a_freed_node() {
+        // What a memory-node crash can leave behind until `recover`
+        // runs: the tail names a node that was since dequeued and freed.
+        let (f, q) = setup();
+        let q = Arc::new(q);
+        let node = f.node(MachineId(0));
+        q.enqueue(&node, 1).unwrap();
+        let stale = q.load_tail(&node).unwrap();
+        assert_eq!(q.dequeue(&node).unwrap(), Some(1));
+        q.enqueue(&node, 2).unwrap();
+        assert_eq!(q.dequeue(&node).unwrap(), Some(2));
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let kind = q.persist.hint_kind();
+            let mut out = Vec::new();
+            // An empty queue whose tail is not its head.
+            node.store(kind, q.tail_cell(), stale).unwrap();
+            out.push(q.dequeue(&node).unwrap());
+            // An enqueue whose tail's node was recycled for the new one.
+            node.store(kind, q.tail_cell(), stale).unwrap();
+            assert!(q.enqueue(&node, 3).unwrap());
+            q.enqueue(&node, 4).unwrap();
+            out.extend([q.dequeue(&node).unwrap(), q.dequeue(&node).unwrap()]);
+            out.push(q.dequeue(&node).unwrap());
+            tx.send(out).unwrap();
+        });
+        let out = rx
+            .recv_timeout(std::time::Duration::from_secs(60))
+            .expect("an operation spins on the stale tail");
+        assert_eq!(out, vec![None, Some(3), Some(4), None]);
     }
 }

@@ -539,6 +539,56 @@ pub fn exhaustion_backoff(attempt: u32) {
     }
 }
 
+/// The exhaustion rule of an allocation loop that reclaims between
+/// attempts: exhaustion is real after [`Stalls::LIMIT`] attempts in a row
+/// without progress. An attempt progressed if its `collect` freed a block
+/// or it saw the epoch advance while limbo held blocks (which then ripen
+/// within two advances); an empty limbo, or an epoch stuck behind a held
+/// pin, stalls every attempt.
+#[derive(Debug)]
+pub(crate) struct Stalls {
+    /// Attempts in a row without progress, and the epoch the last saw.
+    count: u32,
+    epoch: u64,
+}
+
+impl Stalls {
+    const LIMIT: u32 = 64;
+
+    pub(crate) fn new(domain: &SmrDomain) -> Self {
+        let epoch = domain.epoch();
+        Stalls { count: 0, epoch }
+    }
+
+    /// Accounts an attempt that freed `freed` blocks and saw `epoch` with
+    /// `limbo` blocks in limbo; says whether exhaustion is now real.
+    fn account(&mut self, freed: usize, epoch: u64, limbo: u64) -> bool {
+        let progressed = freed > 0 || (epoch != self.epoch && limbo > 0);
+        self.count = if progressed { 0 } else { self.count + 1 };
+        self.epoch = epoch;
+        self.count >= Self::LIMIT
+    }
+
+    /// Accounts a failed allocation whose `collect` on `domain` freed
+    /// `freed` blocks, then backs off ([`exhaustion_backoff`]) if none.
+    ///
+    /// # Panics
+    ///
+    /// Panics once exhaustion is real: `what`'s heap is exhausted.
+    pub(crate) fn after_collect(&mut self, domain: &SmrDomain, freed: usize, what: &str) {
+        let exhausted = self.account(freed, domain.epoch(), domain.limbo_len());
+        assert!(
+            !exhausted,
+            "{what} heap exhausted (nothing left to reclaim): {:?} {:?}",
+            domain.stats(),
+            domain.alloc.stats(),
+        );
+        if freed == 0 {
+            exhaustion_backoff(self.count);
+        }
+    }
+}
+
 /// An active pin on an [`SmrDomain`] (see [`SmrDomain::pin`]): while
 /// any guard from before a block's retirement is live, that block stays
 /// out of reuse. Dropping the guard unpins.
@@ -630,6 +680,39 @@ mod tests {
         ));
         let smr = SmrDomain::new(Arc::clone(&alloc));
         (f, alloc, smr)
+    }
+
+    #[test]
+    fn progress_resets_the_stall_count_and_64_stalls_in_a_row_exhaust() {
+        let (_, _, smr) = setup();
+        let mut stalls = Stalls::new(&smr);
+        let epoch = smr.epoch();
+        for _ in 0..63 {
+            assert!(!stalls.account(0, epoch, 3));
+        }
+        assert!(!stalls.account(1, epoch, 0), "a freed block is progress");
+        for _ in 0..63 {
+            assert!(!stalls.account(0, epoch, 3));
+        }
+        assert!(!stalls.account(0, epoch + 1, 3), "an advance over limbo is");
+        assert!(
+            !stalls.account(0, epoch + 2, 0),
+            "an advance over none is not"
+        );
+        for _ in 0..62 {
+            assert!(!stalls.account(0, epoch + 2, 3));
+        }
+        assert!(stalls.account(0, epoch + 2, 3), "the 64th stall in a row");
+    }
+
+    #[test]
+    #[should_panic(expected = "test heap exhausted")]
+    fn a_64th_stalled_collect_in_a_row_panics() {
+        let (f, _, smr) = setup();
+        let mut stalls = Stalls::new(&smr);
+        stalls.count = Stalls::LIMIT - 1;
+        let freed = smr.collect(&f.node(MachineId(0))).unwrap();
+        stalls.after_collect(&smr, freed, "test");
     }
 
     #[test]

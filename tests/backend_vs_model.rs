@@ -2,6 +2,16 @@
 //! behavior the `SimFabric` backend produces must be a behavior of the
 //! CXL0 semantics (labels interleaved with `τ*`).
 //!
+//! The fabric and `Semantics` share their per-location rules: both apply
+//! `cxl0_model::cell::step` (the fabric through `cell::force`, which takes
+//! the `τ*` prefix a blocked flush or LWB load waits for). So each step
+//! the fabric takes is a model step by construction, and the concurrent
+//! oracle in `crates/runtime/src/backend.rs`
+//! (`threaded_steps_replay_through_the_model_rules`) checks the paths
+//! that do not compute their result under the cell's lock — the
+//! unlocked fast paths — on threaded runs. This suite checks what that
+//! oracle cannot: that the whole-state lifting holds end to end.
+//!
 //! Method: drive both with the same single-threaded operation sequence
 //! (including flushes, random propagation and crashes); after each
 //! backend operation, apply the corresponding label to the τ-closed model

@@ -5,9 +5,13 @@
 //! now includes persistency-buffer retirement.
 //!
 //! The backend implements `barrier` by *forcing* the write-backs its
-//! blocking rule waits for, exactly like `RFlush`; the explorer's
-//! τ-closure before each label shows the resulting state is one the
-//! blocking rule admits.
+//! blocking rule waits for: each pending line drains as an `RFlush` by
+//! its owner through `cxl0_model::cell::force`, the per-location rules
+//! the model's `Semantics` applies too. The explorer's τ-closure before
+//! each label shows the resulting state is one the blocking rule
+//! admits; the persistency buffers and `Barrier` itself are outside the
+//! shared rules, which is what this suite checks beyond the runtime's
+//! concurrent step oracle (`threaded_steps_replay_through_the_model_rules`).
 
 use cxl0::explore::{Explorer, StateSet};
 use cxl0::model::asyncflush::{AsyncLabel, AsyncSemantics, AsyncState};

@@ -2,7 +2,7 @@
 //! workload.
 
 use std::fmt;
-use std::sync::{Arc, Barrier};
+use std::sync::{Arc, Barrier, Mutex};
 
 use cxl0::dlcheck::{Event, History};
 use cxl0::model::MachineId;
@@ -23,7 +23,10 @@ use cxl0::runtime::{NodeHandle, SimFabric};
 /// Concurrent traffic varies from run to run (batching, elimination,
 /// retries): a run that ends before the crash point fires — or a dry
 /// run that issued no primitive at all — is repeated over fresh state,
-/// the point armed at no more than half the last run's traffic.
+/// the point armed at no more than half the last run's traffic. So is a
+/// crashed run whose workers did not overlap: each worker notes the
+/// fabric's `total_ops` at its first and last step, and at least two of
+/// these spans must intersect.
 pub fn crash_workload<T, W>(
     threads: usize,
     mem: MachineId,
@@ -35,9 +38,11 @@ where
     W: Fn(usize, &T, &NodeHandle, Steps) + Send + Sync + 'static,
 {
     let work = Arc::new(work);
+    // Returns the run's traffic and whether two workers overlapped.
     let run = |fabric: &Arc<SimFabric>, shared: &T| {
         let before = fabric.stats().total_ops();
         let start = Arc::new(Barrier::new(threads));
+        let spans: Vec<_> = (0..threads).map(|_| Arc::new(Mutex::new(None))).collect();
         let handles: Vec<_> = (0..threads)
             .map(|t| {
                 let (work, shared) = (Arc::clone(&work), shared.clone());
@@ -47,6 +52,7 @@ where
                     fabric: Arc::clone(fabric),
                     mem,
                     next: 0,
+                    span: Arc::clone(&spans[t]),
                 };
                 std::thread::spawn(move || {
                     start.wait();
@@ -57,7 +63,12 @@ where
         for h in handles {
             h.join().unwrap();
         }
-        fabric.stats().total_ops() - before
+        let spans: Vec<(u64, u64)> = spans.iter().filter_map(|s| *s.lock().unwrap()).collect();
+        let overlapped = spans
+            .iter()
+            .enumerate()
+            .any(|(i, &(a1, b1))| (spans[i + 1..].iter()).any(|&(a2, b2)| a1 <= b2 && a2 <= b1));
+        (fabric.stats().total_ops() - before, overlapped)
     };
     // The first run is the dry run.
     let mut k = None;
@@ -66,16 +77,19 @@ where
         if let Some(k) = k {
             fabric.arm_crash(k, &[mem]);
         }
-        let traffic = run(&fabric, &shared);
+        let (traffic, overlapped) = run(&fabric, &shared);
         if k.is_some() && fabric.disarm_crash() {
-            fabric.recover(mem);
-            return shared;
+            if overlapped {
+                fabric.recover(mem);
+                return shared;
+            }
+            continue; // the workers ran one after another: run it again
         }
         if traffic > 0 {
             k = Some(traffic.div_ceil(2).min(k.unwrap_or(u64::MAX)));
         }
     }
-    panic!("no run reached the crash point");
+    panic!("no run with overlapping workers reached the crash point");
 }
 
 /// A worker's operation indices, `0, 1, 2, …` until the memory node
@@ -85,6 +99,8 @@ pub struct Steps {
     fabric: Arc<SimFabric>,
     mem: MachineId,
     next: u64,
+    /// The fabric's `total_ops` at this worker's first and last step.
+    span: Arc<Mutex<Option<(u64, u64)>>>,
 }
 
 impl Iterator for Steps {
@@ -92,6 +108,9 @@ impl Iterator for Steps {
 
     fn next(&mut self) -> Option<u64> {
         (!self.fabric.is_crashed(self.mem)).then(|| {
+            let at = self.fabric.stats().total_ops();
+            let mut span = self.span.lock().unwrap();
+            *span = Some((span.map_or(at, |(first, _)| first), at));
             self.next += 1;
             self.next - 1
         })
