@@ -11,8 +11,8 @@
 //!   application, trace executability);
 //! * [`litmus`] / [`paper`] — the litmus-test engine and the paper's 13
 //!   tests (Fig. 3 tests 1–9, §3.5 tests 10–12, §6 test 13);
-//! * [`space`] — bounded reachable-state exploration, invariant checking,
-//!   and label-alphabet generation;
+//! * [`space`] — bounded reachable-state exploration and label-alphabet
+//!   generation;
 //! * [`simulate`] — exhaustive checking of Proposition 1 (the paper's Rocq
 //!   proofs, rechecked over finite configurations);
 //! * [`refine`] — bounded trace refinement between model variants (the

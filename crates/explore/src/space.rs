@@ -192,24 +192,6 @@ pub fn reachable_states<L: Lts>(
     explore(sem, alphabet, max_states).states
 }
 
-/// Checks that the global cache invariant holds in every reachable state.
-///
-/// # Errors
-///
-/// Returns the first violating state (pretty-printed).
-pub fn check_invariant_everywhere(
-    sem: &Semantics,
-    alphabet: &[Label],
-    max_states: usize,
-) -> Result<usize, String> {
-    let graph = explore(sem, alphabet, max_states);
-    for st in &graph.states {
-        st.check_invariant()
-            .map_err(|e| format!("{e}\nin state:\n{st}"))?;
-    }
-    Ok(graph.num_states())
-}
-
 /// The set of visible traces of length ≤ `depth`, as label sequences.
 /// Exponential; only usable for tiny alphabets — intended for
 /// cross-checking the refinement checker.
@@ -271,15 +253,6 @@ mod tests {
         // all reachable.
         assert_eq!(graph.num_states(), 6);
         assert!(graph.num_edges() > 0);
-    }
-
-    #[test]
-    fn invariant_holds_everywhere_small() {
-        let cfg = SystemConfig::symmetric_nvm(2, 1);
-        let sem = Semantics::new(cfg.clone());
-        let alphabet = AlphabetBuilder::new(&cfg).build();
-        let n = check_invariant_everywhere(&sem, &alphabet, 100_000).unwrap();
-        assert!(n > 10);
     }
 
     #[test]

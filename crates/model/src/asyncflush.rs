@@ -675,9 +675,8 @@ mod tests {
 
 #[cfg(test)]
 mod proptests {
-    //! Properties of the extension: the base cache invariant survives
-    //! every extended step, buffers only hold valid locations, and a
-    //! retire step is enabled whenever its line has drained.
+    //! Properties of the extension: buffers only hold valid locations,
+    //! and a retire step is enabled whenever its line has drained.
 
     use proptest::prelude::*;
 
@@ -738,7 +737,6 @@ mod proptests {
                 if let Ok(next) = sem.apply(&st, &fixed) {
                     st = next;
                 }
-                st.base().check_invariant().unwrap();
                 // Buffers only hold valid locations.
                 for m in cfg.machines() {
                     for &loc in st.pending_of(m) {
@@ -750,7 +748,6 @@ mod proptests {
                 if !steps.is_empty() {
                     let k = tau_iter.next().unwrap_or(0) % steps.len();
                     st = sem.apply_silent(&st, &steps[k]).unwrap();
-                    st.base().check_invariant().unwrap();
                 }
             }
         }

@@ -1,10 +1,11 @@
 //! One location's CXL0 state and the per-location rules of Figure 2, the
 //! RMWs of §3.3 and the variants of §3.5: the one copy of them. By the
 //! global cache invariant every rule but `GPF` acts on one location's
-//! `(holders, cached value, memory value)`. [`Semantics`](crate::Semantics)
-//! projects a whole [`State`](crate::State) onto that [`Cell`] and calls
-//! [`step`]; `cxl0-runtime`'s fabric stores the same three words per
-//! location and computes every primitive with [`force`].
+//! `(holders, cached value, memory value)`. A [`State`](crate::State) is one
+//! [`Cell`] per location, and [`Semantics`](crate::Semantics) replaces the
+//! label's cell by what [`step`] returns; `cxl0-runtime`'s fabric stores
+//! the same three words per location and computes every primitive with
+//! [`force`].
 
 use crate::ids::{MachineId, Val};
 use crate::label::{FlushKind, StoreKind};
@@ -24,11 +25,12 @@ use crate::variant::ModelVariant;
 /// assert_eq!((c.holders, seen), (0b11, Some(Val(7))));
 /// # Ok::<(), cxl0_model::cell::Blocked>(())
 /// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Cell {
     /// Bit `i` is set iff `C_i(x) ≠ ⊥` (so at most 64 machines).
     pub holders: u64,
-    /// The value every holder caches; stale while `holders` is 0.
+    /// The value every holder caches. While `holders` is 0 no rule reads
+    /// it: the fabric leaves it stale, a [`State`](crate::State) zeroes it.
     pub cache: Val,
     /// The owner's memory value `M_k(x)`.
     pub mem: Val,

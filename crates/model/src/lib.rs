@@ -49,7 +49,7 @@
 //! | [`ids`] | §3.1 | `MachineId`, `Addr`, `Loc`, `Val` |
 //! | [`config`] | §3.1 | machines, memory kinds, failure domains |
 //! | [`label`] | §3.3 | visible labels, primitives, silent steps |
-//! | [`state`] | §3.3 | `γ = (C, M)`, global cache invariant |
+//! | [`state`] | §3.3 | `γ = (C, M)` as one cell per location (the global cache invariant) |
 //! | [`cell`] | Fig. 2, §3.3, §3.5 | one location's `(holders, cache, memory)` and the per-location rules |
 //! | [`semantics`] | Fig. 2, §3.3 | the rules over whole states, `GPF`, silent-step enumeration |
 //! | [`variant`] | §3.5 | `CXL0`, `CXL0_PSN`, `CXL0_LWB` |
@@ -77,15 +77,15 @@ pub use config::{MachineConfig, MemoryKind, SystemConfig};
 pub use ids::{Addr, Loc, MachineId, Val};
 pub use label::{FlushKind, Label, Primitive, SilentStep, StoreKind};
 pub use semantics::{Semantics, StepError, StepResult};
-pub use state::{Cache, InvariantViolation, State};
+pub use state::State;
 pub use topology::{Capabilities, Topology};
 pub use trace::Trace;
 pub use variant::ModelVariant;
 
 #[cfg(test)]
 mod invariant_proptests {
-    //! Property: the global cache invariant of §3.3 is preserved by every
-    //! applicable step (visible or silent), from any reachable state.
+    //! Properties of every state reachable by visible and silent steps:
+    //! it is canonical, and the caches that hold a location agree.
 
     use proptest::prelude::*;
 
@@ -115,9 +115,37 @@ mod invariant_proptests {
         })
     }
 
+    /// A cell no cache holds caches 0, and `st` equals the state rebuilt
+    /// cell by cell from its `cache` and `memory` views.
+    fn assert_canonical(sem: &Semantics, st: &State) -> Result<(), TestCaseError> {
+        let mut rebuilt = sem.initial_state();
+        for loc in sem.config().all_locations() {
+            let c = st.cell(loc);
+            prop_assert!(
+                c.holders != 0 || c.cache == Val::ZERO,
+                "{} caches {}",
+                loc,
+                c.cache
+            );
+            let mut view = cell::Cell {
+                mem: st.memory(loc),
+                ..cell::Cell::default()
+            };
+            for m in sem.config().machines() {
+                if let Some(v) = st.cache(m, loc) {
+                    view.holders |= 1 << m.index();
+                    view.cache = v;
+                }
+            }
+            rebuilt.set_cell(loc, view);
+        }
+        prop_assert_eq!(&rebuilt, st);
+        Ok(())
+    }
+
     proptest! {
         #[test]
-        fn invariant_preserved_under_random_sequences(
+        fn states_stay_canonical_under_random_sequences(
             labels in proptest::collection::vec(arb_label(3, 2), 0..40),
             taus in proptest::collection::vec(0usize..4, 0..40),
             variant in proptest::sample::select(ModelVariant::ALL.to_vec()),
@@ -143,16 +171,15 @@ mod invariant_proptests {
                     other => other,
                 };
                 if let Ok(next) = sem.apply(&st, &fixed) {
-                    next.check_invariant().unwrap();
                     st = next;
+                    assert_canonical(&sem, &st)?;
                 }
                 // Interleave a random enabled silent step.
                 let steps = sem.silent_steps(&st);
                 if !steps.is_empty() {
                     let k = tau_iter.next().unwrap_or(0) % steps.len();
-                    let next = sem.apply_silent(&st, &steps[k]).unwrap();
-                    next.check_invariant().unwrap();
-                    st = next;
+                    st = sem.apply_silent(&st, &steps[k]).unwrap();
+                    assert_canonical(&sem, &st)?;
                 }
             }
         }

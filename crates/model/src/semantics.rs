@@ -17,7 +17,7 @@
 
 use std::fmt;
 
-use crate::cell::{self, Blocked, Cell, CellLabel};
+use crate::cell::{self, Blocked, CellLabel};
 use crate::config::{MemoryKind, SystemConfig};
 use crate::ids::{Loc, MachineId, Val};
 use crate::label::{Label, SilentStep};
@@ -220,21 +220,15 @@ impl Semantics {
         };
         self.check_machine(by)?;
         self.check_loc(loc)?;
-        let pre = state.cell(loc);
-        let (post, seen) = cell::step(pre, by, loc.owner, op, self.variant)?;
+        let (post, seen) = cell::step(state.cell(loc), by, loc.owner, op, self.variant)?;
         if let (Some(expected), Some(actual)) = (expected, seen) {
             if expected != actual {
                 return Err(StepError::ValueMismatch { expected, actual });
             }
         }
-        Ok(Self::with_cell(state, loc, pre, post))
-    }
-
-    /// `state` with `loc`'s cell replaced by `post` (`pre` is its cell).
-    fn with_cell(state: &State, loc: Loc, pre: Cell, post: Cell) -> State {
         let mut next = state.clone();
-        next.set_cell(loc, pre, post);
-        next
+        next.set_cell(loc, post);
+        Ok(next)
     }
 
     /// GLOBAL-PERSISTENT-FLUSH (Fig. 2): blocks until all caches are empty.
@@ -258,9 +252,8 @@ impl Semantics {
         for loc in self.cfg.all_locations() {
             let volatile = self.cfg.machine(loc.owner).memory == MemoryKind::Volatile;
             let crash = CellLabel::Crash(machines, volatile);
-            let (pre, owner) = (next.cell(loc), loc.owner);
-            let (post, _) = cell::force(pre, owner, owner, crash, self.variant);
-            next.set_cell(loc, pre, post);
+            let (post, _) = cell::force(next.cell(loc), loc.owner, loc.owner, crash, self.variant);
+            next.set_cell(loc, post);
         }
         Ok(next)
     }
@@ -271,15 +264,15 @@ impl Semantics {
     pub fn silent_steps(&self, state: &State) -> Vec<SilentStep> {
         let mut out = Vec::new();
         let cc_allowed = self.topology.as_ref().is_none_or(Topology::allows_prop_cc);
-        for i in 0..state.num_machines() {
-            let m = MachineId(i);
-            for (&loc, _) in state.cache_of(m).iter() {
-                if loc.owner == m {
+        for (loc, c) in state.cells() {
+            let held = (0..state.num_machines()).map(MachineId);
+            for from in held.filter(|m| c.holders & (1 << m.index()) != 0) {
+                if from == loc.owner {
                     // Propagate-C-M: owner's cache → owner's memory.
                     out.push(SilentStep::CacheToMemory { loc });
                 } else if cc_allowed {
                     // Propagate-C-C: non-owner's cache → owner's cache.
-                    out.push(SilentStep::CacheToCache { from: m, loc });
+                    out.push(SilentStep::CacheToCache { from, loc });
                 }
             }
         }
@@ -298,9 +291,10 @@ impl Semantics {
             SilentStep::CacheToCache { from, loc } => (from, loc, CellLabel::CacheToCache),
             SilentStep::CacheToMemory { loc } => (loc.owner, loc, CellLabel::CacheToMemory),
         };
-        let pre = state.cell(loc);
-        let (post, _) = cell::step(pre, from, loc.owner, op, self.variant)?;
-        Ok(Self::with_cell(state, loc, pre, post))
+        let (post, _) = cell::step(state.cell(loc), from, loc.owner, op, self.variant)?;
+        let mut next = state.clone();
+        next.set_cell(loc, post);
+        Ok(next)
     }
 
     /// The unique value a load of `loc` would observe in `state`
@@ -467,7 +461,7 @@ mod tests {
         let st = sem.apply(&st, &Label::mstore(M0, x(0), Val(4))).unwrap();
         let st = sem.apply(&st, &Label::lstore(M0, x(0), Val(5))).unwrap();
         let st = sem.apply(&st, &Label::crash(M0)).unwrap();
-        assert!(st.cache_of(M0).is_empty());
+        assert!(st.all_caches_empty());
         assert_eq!(st.memory(x(0)), Val(4)); // NVM survives
     }
 
@@ -564,7 +558,6 @@ mod tests {
         st = sem.apply(&st, &Label::load(M1, x(1), Val(1))).unwrap();
         // Both caches hold x(1) = 1 now.
         assert_eq!(st.holders(x(1)).len(), 2);
-        st.check_invariant().unwrap();
         let st2 = sem
             .apply_silent(
                 &st,
@@ -574,7 +567,6 @@ mod tests {
                 },
             )
             .unwrap();
-        st2.check_invariant().unwrap();
         assert_eq!(st2.holders(x(1)), vec![M1]);
         let st3 = sem
             .apply_silent(&st2, &SilentStep::CacheToMemory { loc: x(1) })
@@ -611,7 +603,7 @@ mod tests {
         let st = sem.apply(&st, &Label::lstore(M1, x(0), Val(2))).unwrap();
         let st = sem.apply(&st, &Label::crash(M0)).unwrap();
         // Both machines lost their caches; m1's volatile memory reset.
-        assert!(st.cache_of(M1).is_empty());
+        assert!(st.all_caches_empty());
         assert_eq!(st.memory(x(1)), Val::ZERO);
     }
 }

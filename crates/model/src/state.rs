@@ -6,19 +6,18 @@
 //! how far the latest value of each address has travelled toward physical
 //! memory.
 //!
-//! The representation uses `BTreeMap`s for caches (absent key = `⊥`) so
-//! that states are canonical, hashable and orderable — which the explorer
-//! crate relies on for state-space deduplication.
+//! By the global cache invariant every cache that holds a location holds
+//! the same value, so a state is one [`Cell`] per location, stored by owner
+//! and address like the memories it contains. A cell that no cache holds
+//! keeps cached value 0, so each state has one representation and states
+//! are canonical, hashable and orderable, which the explorer crate relies
+//! on for state-space deduplication.
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 use crate::cell::Cell;
 use crate::config::SystemConfig;
 use crate::ids::{Loc, MachineId, Val};
-
-/// One machine's abstract cache `C_i`. Absent entries are `⊥` (invalid).
-pub type Cache = BTreeMap<Loc, Val>;
 
 /// A CXL0 system state `γ = (C, M)`.
 ///
@@ -35,38 +34,31 @@ pub type Cache = BTreeMap<Loc, Val>;
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct State {
-    /// Per-machine caches, indexed by machine id.
-    caches: Vec<Cache>,
-    /// Per-machine memories: `mems[i][a]` is `M_i(Loc{i,a})`.
-    mems: Vec<Vec<Val>>,
+    /// `cells[k][a]` is the cell of `Loc{k, a}`.
+    cells: Vec<Vec<Cell>>,
 }
 
 impl State {
     /// The initial state: all caches empty (`C_i = λx.⊥`) and all memories
     /// zero-initialized (`M_i = λx.0`).
     pub fn initial(cfg: &SystemConfig) -> Self {
-        let n = cfg.num_machines();
         State {
-            caches: vec![Cache::new(); n],
-            mems: (0..n)
-                .map(|i| vec![Val::ZERO; cfg.machine(MachineId(i)).locations as usize])
+            cells: cfg
+                .machines()
+                .map(|m| vec![Cell::default(); cfg.machine(m).locations as usize])
                 .collect(),
         }
     }
 
     /// Number of machines in this state.
     pub fn num_machines(&self) -> usize {
-        self.caches.len()
+        self.cells.len()
     }
 
     /// `C_i(x)`: the cached value of `loc` at machine `m`, or `None` for `⊥`.
     pub fn cache(&self, m: MachineId, loc: Loc) -> Option<Val> {
-        self.caches[m.index()].get(&loc).copied()
-    }
-
-    /// The full cache map of machine `m`.
-    pub fn cache_of(&self, m: MachineId) -> &Cache {
-        &self.caches[m.index()]
+        let c = self.cell(loc);
+        (c.holders & (1 << m.index()) != 0).then_some(c.cache)
     }
 
     /// `M_k(x)`: the memory value of `loc` at its owner.
@@ -75,175 +67,99 @@ impl State {
     ///
     /// Panics if `loc` does not exist in this state.
     pub fn memory(&self, loc: Loc) -> Val {
-        self.mems[loc.owner.index()][loc.addr.index()]
+        self.cell(loc).mem
     }
 
     /// The unique value currently *visible* to a load of `loc`: the cached
-    /// value if any cache holds one (they all agree, by the global
-    /// invariant), otherwise the owner's memory value.
+    /// value if any cache holds one, otherwise the owner's memory value.
     pub fn visible_value(&self, loc: Loc) -> Val {
         self.cell(loc).visible()
     }
 
     /// The machines whose caches currently hold `loc`.
     pub fn holders(&self, loc: Loc) -> Vec<MachineId> {
-        self.caches
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| c.contains_key(&loc))
-            .map(|(i, _)| MachineId(i))
+        let h = self.cell(loc).holders;
+        (0..self.num_machines())
+            .filter(|i| h & (1 << i) != 0)
+            .map(MachineId)
             .collect()
     }
 
     /// True if no cache holds `loc` (`∀j. C_j(x) = ⊥`).
     pub fn no_cache_holds(&self, loc: Loc) -> bool {
-        self.caches.iter().all(|c| !c.contains_key(&loc))
+        self.cell(loc).holders == 0
     }
 
     /// True if every cache is completely empty (the GPF precondition).
     pub fn all_caches_empty(&self) -> bool {
-        self.caches.iter().all(|c| c.is_empty())
+        self.cells().all(|(_, c)| c.holders == 0)
     }
 
     /// The cell of `loc`: its holders, their value and the owner's memory
-    /// (what [`step`](crate::cell::step) applies a label to). With no
-    /// holder the cached value reads 0.
+    /// (what [`step`](crate::cell::step) applies a label to).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `loc` does not exist in this state.
     pub fn cell(&self, loc: Loc) -> Cell {
-        let mut cell = Cell {
-            mem: self.memory(loc),
-            ..Cell::default()
-        };
-        for (i, c) in self.caches.iter().enumerate() {
-            if let Some(&v) = c.get(&loc) {
-                cell.holders |= 1 << i;
-                cell.cache = v;
-            }
-        }
-        cell
+        self.cells[loc.owner.index()][loc.addr.index()]
     }
 
-    /// Replaces `loc`'s cell `pre` by `post`, touching only the cache
-    /// entries that change.
-    pub(crate) fn set_cell(&mut self, loc: Loc, pre: Cell, post: Cell) {
-        let same = post.cache == pre.cache;
-        for (i, c) in self.caches.iter_mut().enumerate() {
-            let (was, is) = (pre.holders & (1 << i) != 0, post.holders & (1 << i) != 0);
-            if is && !(was && same) {
-                c.insert(loc, post.cache);
-            } else if was && !is {
-                c.remove(&loc);
-            }
-        }
-        self.mems[loc.owner.index()][loc.addr.index()] = post.mem;
+    /// Every location's cell, ordered by owner, then address.
+    pub(crate) fn cells(&self) -> impl Iterator<Item = (Loc, Cell)> + '_ {
+        self.cells.iter().enumerate().flat_map(|(k, cells)| {
+            (cells.iter().enumerate()).map(move |(a, &c)| (Loc::new(MachineId(k), a as u32), c))
+        })
     }
 
-    /// Checks the global cache-coherence invariant of §3.3:
-    ///
-    /// ```text
-    /// ∀ i, j, x.  C_i(x) ≠ ⊥ ∧ C_j(x) ≠ ⊥  ⟹  C_i(x) = C_j(x)
-    /// ```
-    ///
-    /// # Errors
-    ///
-    /// Returns the first violating location with the two disagreeing
-    /// machine/value pairs.
-    pub fn check_invariant(&self) -> Result<(), InvariantViolation> {
-        let mut seen: BTreeMap<Loc, (MachineId, Val)> = BTreeMap::new();
-        for (i, c) in self.caches.iter().enumerate() {
-            for (&loc, &v) in c {
-                match seen.get(&loc) {
-                    Some(&(first, fv)) if fv != v => {
-                        return Err(InvariantViolation {
-                            loc,
-                            first,
-                            first_val: fv,
-                            second: MachineId(i),
-                            second_val: v,
-                        });
-                    }
-                    Some(_) => {}
-                    None => {
-                        seen.insert(loc, (MachineId(i), v));
-                    }
-                }
-            }
+    /// Replaces `loc`'s cell by `post`, whose cached value reads 0 once no
+    /// cache holds it.
+    pub(crate) fn set_cell(&mut self, loc: Loc, mut post: Cell) {
+        if post.holders == 0 {
+            post.cache = Val::ZERO;
         }
-        Ok(())
+        self.cells[loc.owner.index()][loc.addr.index()] = post;
     }
 }
 
 impl fmt::Display for State {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "state {{")?;
-        for (i, c) in self.caches.iter().enumerate() {
-            write!(f, "  C_m{i} = {{")?;
-            for (k, (loc, v)) in c.iter().enumerate() {
-                if k > 0 {
-                    write!(f, ", ")?;
-                }
-                write!(f, "{loc}↦{v}")?;
-            }
-            writeln!(f, "}}")?;
+        for i in 0..self.num_machines() {
+            let held = self.cells().filter(|(_, c)| c.holders & (1 << i) != 0);
+            let held: Vec<_> = held.map(|(loc, c)| format!("{loc}↦{}", c.cache)).collect();
+            writeln!(f, "  C_m{i} = {{{}}}", held.join(", "))?;
         }
-        for (i, m) in self.mems.iter().enumerate() {
-            write!(f, "  M_m{i} = [")?;
-            for (k, v) in m.iter().enumerate() {
-                if k > 0 {
-                    write!(f, ", ")?;
-                }
-                write!(f, "{v}")?;
-            }
-            writeln!(f, "]")?;
+        for (i, cells) in self.cells.iter().enumerate() {
+            let mems: Vec<_> = cells.iter().map(|c| c.mem.to_string()).collect();
+            writeln!(f, "  M_m{i} = [{}]", mems.join(", "))?;
         }
         write!(f, "}}")
     }
 }
 
-/// Violation of the global cache invariant: two caches hold different valid
-/// values for the same location.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct InvariantViolation {
-    /// The offending location.
-    pub loc: Loc,
-    /// First machine holding a valid value.
-    pub first: MachineId,
-    /// That machine's value.
-    pub first_val: Val,
-    /// Second machine holding a different valid value.
-    pub second: MachineId,
-    /// That machine's value.
-    pub second_val: Val,
-}
-
-impl fmt::Display for InvariantViolation {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "cache invariant violated at {}: {}↦{} but {}↦{}",
-            self.loc, self.first, self.first_val, self.second, self.second_val
-        )
-    }
-}
-
-impl std::error::Error for InvariantViolation {}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cell::{step, CellLabel};
-    use crate::ModelVariant;
+    use crate::{Label, ModelVariant, Semantics};
 
     fn cfg() -> SystemConfig {
         SystemConfig::symmetric_nvm(2, 2)
     }
 
-    /// Sets `C_m(loc) = v` alone: the invariant is the caller's business.
+    /// Adds `m` to `loc`'s holders, all of which then cache `v`.
     fn set_cache(st: &mut State, m: MachineId, loc: Loc, v: Val) {
-        st.caches[m.index()].insert(loc, v);
+        let mut c = st.cell(loc);
+        c.holders |= 1 << m.index();
+        c.cache = v;
+        st.set_cell(loc, c);
     }
 
     fn set_memory(st: &mut State, loc: Loc, v: Val) {
-        st.mems[loc.owner.index()][loc.addr.index()] = v;
+        let mut c = st.cell(loc);
+        c.mem = v;
+        st.set_cell(loc, c);
     }
 
     #[test]
@@ -257,7 +173,6 @@ mod tests {
             assert!(st.no_cache_holds(loc));
             assert_eq!(st.visible_value(loc), Val::ZERO);
         }
-        assert!(st.check_invariant().is_ok());
     }
 
     #[test]
@@ -273,22 +188,6 @@ mod tests {
     }
 
     #[test]
-    fn invariant_detects_disagreement() {
-        let cfg = cfg();
-        let mut st = State::initial(&cfg);
-        let x = Loc::new(MachineId(0), 0);
-        set_cache(&mut st, MachineId(0), x, Val(1));
-        set_cache(&mut st, MachineId(1), x, Val(1));
-        assert!(st.check_invariant().is_ok());
-        set_cache(&mut st, MachineId(1), x, Val(2));
-        let err = st.check_invariant().unwrap_err();
-        assert_eq!(err.loc, x);
-        assert_eq!(err.first_val, Val(1));
-        assert_eq!(err.second_val, Val(2));
-        assert!(err.to_string().contains("cache invariant violated"));
-    }
-
-    #[test]
     fn a_cell_round_trips_through_the_state() {
         let cfg = cfg();
         let mut st = State::initial(&cfg);
@@ -299,23 +198,36 @@ mod tests {
             cache: Val(1),
             mem: Val(4),
         };
-        st.set_cell(x, st.cell(x), c);
+        st.set_cell(x, c);
         assert_eq!(st.cell(x), c);
         assert_eq!(st.holders(x), vec![MachineId(0), MachineId(1)]);
-        st.set_cell(x, c, Cell::default());
+        st.set_cell(x, Cell::default());
         assert!(st.no_cache_holds(x));
         assert_eq!(st.memory(x), Val::ZERO);
         assert_eq!(st.cache(MachineId(0), y), Some(Val(2)), "other cells stay");
+    }
+
+    #[test]
+    fn a_drained_cell_forgets_its_cached_value() {
+        use std::hash::{BuildHasher, RandomState};
+        let sem = Semantics::new(cfg());
+        let (m0, x) = (MachineId(0), Loc::new(MachineId(1), 0));
+        let st = sem.initial_state();
+        let lstore = sem.apply(&st, &Label::lstore(m0, x, Val(1))).unwrap();
+        let a = sem.apply(&lstore, &Label::mstore(m0, x, Val(2))).unwrap();
+        let b = sem.apply(&st, &Label::mstore(m0, x, Val(2))).unwrap();
+        assert_eq!(a, b);
+        let h = RandomState::new();
+        assert_eq!(h.hash_one(&a), h.hash_one(&b));
     }
 
     /// Applies the `CRASH` cell rule of the machines in `machines` to every
     /// location, writing each cell back through [`State::set_cell`].
     fn crash(st: &mut State, cfg: &SystemConfig, machines: u64, volatile: bool, v: ModelVariant) {
         for loc in cfg.all_locations() {
-            let pre = st.cell(loc);
             let label = CellLabel::Crash(machines, volatile);
-            let (post, _) = step(pre, loc.owner, loc.owner, label, v).unwrap();
-            st.set_cell(loc, pre, post);
+            let (post, _) = step(st.cell(loc), loc.owner, loc.owner, label, v).unwrap();
+            st.set_cell(loc, post);
         }
     }
 

@@ -49,10 +49,8 @@ fn low_level_escape_hatch_still_reaches_primitives() {
 #[test]
 fn facade_reaches_every_workspace_layer() {
     // model
-    let cfg = SystemConfig::symmetric_nvm(2, 4);
-    let sem = cxl0::model::Semantics::new(cfg.clone());
-    let st = sem.initial_state();
-    st.check_invariant().unwrap();
+    let sem = cxl0::model::Semantics::new(SystemConfig::symmetric_nvm(2, 4));
+    assert!(sem.initial_state().all_caches_empty());
 
     // explore: the paper's litmus verdicts hold.
     let report = cxl0::explore::litmus::run_suite(&cxl0::explore::paper::figure3_tests());
