@@ -39,7 +39,9 @@
 //!   one rail per leased thread slot, plus one shared overflow rail).
 //!   A rail is written by exactly one live thread, so the common-path
 //!   update is a plain load + store pair on a line no other thread
-//!   touches; [`Stats::snapshot`] aggregates across rails.
+//!   touches; [`Stats::snapshot`] aggregates across rails, and like
+//!   every scan of a per-thread table visits only the slots leased so
+//!   far (`leased_slots` states the bound and why it is exact).
 //! * **Epoch-style crash gate.** Instead of a per-machine reader–writer
 //!   lock taken on every operation, each rail carries an *active-op*
 //!   counter: an operation publishes `active += 1` (sequentially
@@ -98,7 +100,8 @@ use crate::error::{Crashed, OpResult};
 /// at once (or counters bumped from TLS teardown) share one overflow
 /// rail that falls back to atomic read-modify-writes. Other per-thread
 /// slot arrays (the SMR epoch slots, the combining fronts' announcement
-/// boards) ride the same leases via [`thread_slot_index`].
+/// boards) ride the same leases via [`thread_slot_index`], and all are
+/// scanned through [`leased_slots`].
 pub(crate) const RAIL_SLOTS: usize = 256;
 
 /// Operation classes tracked by [`Stats`], in counter order.
@@ -120,6 +123,8 @@ const OP_CLASSES: usize = 9;
 /// Leased process-wide thread slots: a live thread holds a unique slot
 /// id for its lifetime and returns it on exit, so slot ids stay bounded
 /// by the *concurrent* thread count and exclusive rails stay exclusive.
+/// The counter doubles as the high-water mark of leased slots that
+/// bounds every scan of a per-thread table ([`leased_slots`]).
 static NEXT_TID: AtomicUsize = AtomicUsize::new(0);
 static FREE_TIDS: std::sync::Mutex<Vec<usize>> = std::sync::Mutex::new(Vec::new());
 
@@ -147,8 +152,47 @@ thread_local! {
             .lock()
             .ok()
             .and_then(|mut free| free.pop())
-            .unwrap_or_else(|| NEXT_TID.fetch_add(1, Ordering::Relaxed)),
+            .unwrap_or_else(|| NEXT_TID.fetch_add(1, Ordering::SeqCst)),
     );
+}
+
+/// The entries of a per-thread slot table (the stats rails, the SMR
+/// epoch slots, the tracer's recorders, a combining board) that a
+/// thread may have written: the first `m` entries, where the mark `m`
+/// is the number of slots ever leased ([`NEXT_TID`], capped at
+/// [`RAIL_SLOTS`]), then the shared overflow entry `table[RAIL_SLOTS]`
+/// where the table has one. A thread writes only the slot it leased or
+/// the overflow slot, and slot ids are leased in increasing order
+/// before they are reused, so no entry past the mark was ever written:
+/// a scan bounded by it returns what a scan of the whole table does,
+/// and a process that leased a handful of slots pays for a handful,
+/// not for [`RAIL_SLOTS`] + 1. The mark is read once, when the call
+/// starts.
+///
+/// Two scans race threads that may lease a slot while they run:
+///
+/// * The crash drain ([`Stats::await_quiescent`]) reads the mark after
+///   raising `HALTED`. A thread whose fresh lease the read missed
+///   leased it later in the single total order of `SeqCst` operations:
+///   the lease (`fetch_add`) and the gate word are both `SeqCst`, and
+///   the lease precedes the thread's first gate entry, so that entry's
+///   gate check sees the halt and backs off. A reused slot id was
+///   leased fresh by an exiting thread whose exit happens before the
+///   reuse, so the same holds.
+/// * The epoch advance (`SmrDomain::try_advance`) reads the mark after
+///   the global epoch `e`. A pin on a slot the read missed publishes
+///   after the advancer read `e` and then re-reads the epoch, so it pins
+///   at `e` or later: the same race as scanning a slot just before its
+///   pin publishes, which the pin's re-read already handles.
+///
+/// Every other scan runs quiesced, or may miss a slot written
+/// concurrently anyway (a combiner misses a just-announced op, which
+/// its announcer then elects itself to apply).
+pub(crate) fn leased_slots<T>(table: &[T]) -> impl Iterator<Item = &T> {
+    let mark = NEXT_TID.load(Ordering::SeqCst).min(RAIL_SLOTS);
+    table[..mark.min(table.len())]
+        .iter()
+        .chain(table.get(RAIL_SLOTS))
 }
 
 #[cold]
@@ -315,7 +359,7 @@ impl Stats {
     /// have blocked new entries first (the halted flag), or this may
     /// never terminate.
     fn await_quiescent(&self) {
-        for rail in self.rails.iter() {
+        for rail in leased_slots(&self.rails) {
             spin_until(|| (rail.active.load(Ordering::SeqCst) == 0).then_some(()));
         }
     }
@@ -336,8 +380,7 @@ impl Stats {
 
     /// Simulated time accumulated, in nanoseconds.
     pub fn sim_nanos(&self) -> u64 {
-        self.rails
-            .iter()
+        leased_slots(&self.rails)
             .map(|r| r.sim_ns.load(Ordering::Relaxed))
             .sum()
     }
@@ -347,7 +390,7 @@ impl Stats {
     pub fn snapshot(&self) -> StatsSnapshot {
         let mut counts = [0u64; OP_CLASSES];
         let mut sim_ns = 0u64;
-        for rail in self.rails.iter() {
+        for rail in leased_slots(&self.rails) {
             for (total, slot) in counts.iter_mut().zip(rail.counts.iter()) {
                 *total += slot.load(Ordering::Relaxed);
             }
@@ -2155,6 +2198,36 @@ mod tests {
         let s = f.stats().snapshot();
         assert_eq!(s.total_ops(), 3);
         assert_eq!(s.total_sync_ops(), 1);
+    }
+
+    /// The aggregates scan only the leased rails and stay exact: three
+    /// threads run one after another (each reuses the slot id the last
+    /// returned), then five side by side (which lease fresh ids, up to
+    /// the mark), and all have exited when the totals are read.
+    #[test]
+    fn aggregates_stay_exact_over_leased_reused_and_exited_slots() {
+        const OPS: u64 = 40;
+        let f = fabric2();
+        let worker = |t: u32| {
+            let node = f.node(M0);
+            for v in 0..OPS {
+                node.lstore(x(0, t % 4), v).unwrap();
+            }
+        };
+        std::thread::scope(|s| {
+            for t in 0..3 {
+                s.spawn(move || worker(t)).join().unwrap();
+            }
+            for t in 3..8 {
+                s.spawn(move || worker(t));
+            }
+        });
+        let issued = 8 * OPS;
+        assert_eq!(f.stats().snapshot().total_ops(), issued);
+        assert_eq!(
+            f.stats().sim_nanos(),
+            issued * cost::cost(Primitive::LStore, true)
+        );
     }
 
     #[test]

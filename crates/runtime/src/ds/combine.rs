@@ -13,8 +13,8 @@
 //!
 //! Every front owns a volatile *board*: [`COMBINE_SLOTS`]
 //! cache-line-padded slots, indexed by the same leased thread-slot ids
-//! that back the stats rails (PR 4), so a live thread has an exclusive
-//! slot and never contends on announcement. One operation is a slot
+//! that back the stats rails, so a live thread has an exclusive slot
+//! and never contends on announcement. One operation is a slot
 //! round-trip:
 //!
 //! 1. **Announce.** The caller writes its argument and publishes the
@@ -96,7 +96,7 @@
 //! `recover`) are for quiescent phases — tests and post-crash repair.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use cxl0_model::{Loc, MachineId};
@@ -104,7 +104,7 @@ use parking_lot::Mutex;
 
 use crate::alloc::BlockRef;
 use crate::api::{ApiResult, Word};
-use crate::backend::{thread_slot_index, NodeHandle};
+use crate::backend::{leased_slots, thread_slot_index, NodeHandle};
 use crate::ds::queue::DurableQueue;
 use crate::ds::stack::DurableStack;
 use crate::error::{Crashed, OpResult};
@@ -224,14 +224,13 @@ impl CombineStats {
 
 /// The volatile announcement board of one combined structure. Shared by
 /// every [`Combined`] handle of that structure (the cluster keys boards
-/// by root cell), rebuilt empty after a restart.
+/// by root cell), rebuilt empty after a restart. A combiner scans the
+/// slots up to the process-wide mark of leased thread slots, as every
+/// per-thread table is scanned (`backend::leased_slots`).
 #[derive(Debug)]
 pub struct CombineBoard {
     slots: Box<[Slot]>,
     lock: CombinerLock,
-    /// One past the highest slot ever announced on: bounds the
-    /// combiner's scan.
-    watermark: AtomicUsize,
     /// Announcements currently in flight — the contention signal behind
     /// the batch-formation pause in `submit`. With another op in
     /// flight, waiting a beat forms a batch; alone, the announcer
@@ -257,7 +256,6 @@ impl CombineBoard {
         CombineBoard {
             slots: (0..COMBINE_SLOTS).map(|_| Slot::new()).collect(),
             lock: CombinerLock(AtomicU64::new(0)),
-            watermark: AtomicUsize::new(0),
             active: AtomicU64::new(0),
             spare: Mutex::new(Vec::new()),
             stuck: AtomicBool::new(false),
@@ -509,7 +507,6 @@ impl<S: Combinable> Combined<S> {
         self.board.active.fetch_add(1, Ordering::AcqRel);
         slot.arg.store(arg, Ordering::Relaxed);
         slot.state.store(kind, Ordering::Release);
-        self.board.watermark.fetch_max(idx + 1, Ordering::AcqRel);
         let mut spins = 0u32;
         loop {
             match slot.state.load(Ordering::Acquire) {
@@ -673,9 +670,8 @@ impl<S: Combinable> Combined<S> {
         let _span = node.trace_span(crate::trace::OpKind::CombineBatch);
         let board = &*self.board;
         board.live(node)?;
-        let hi = board.watermark.load(Ordering::Acquire).min(COMBINE_SLOTS);
-        let mut claimed: Vec<(usize, u64, u64)> = Vec::with_capacity(hi);
-        for (i, slot) in board.slots[..hi].iter().enumerate() {
+        let mut claimed: Vec<(usize, u64, u64)> = Vec::new();
+        for (i, slot) in leased_slots(&board.slots).enumerate() {
             let st = slot.state.load(Ordering::Acquire);
             if (st == PENDING_INSERT || st == PENDING_REMOVE)
                 && slot

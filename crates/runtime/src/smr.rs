@@ -24,7 +24,9 @@
 //! cache-line-padded *epoch slot* per leased thread slot (the same
 //! process-wide leases that back the fabric's per-thread counter rails
 //! and the combining fronts' announcement arrays — see
-//! `backend::thread_slot_index`). A traversal [`pin`](SmrDomain::pin)s
+//! `backend::thread_slot_index`); an epoch advance and the recovery
+//! sweep visit only the slots leased so far (`backend::leased_slots`).
+//! A traversal [`pin`](SmrDomain::pin)s
 //! the domain on entry: its slot publishes the observed global epoch
 //! with the same Dekker-ordered store-then-recheck discipline the crash
 //! gate uses, so an epoch advance either sees the pin or the pinner
@@ -70,8 +72,8 @@
 //! quiesced like every recovery) hands all of limbo back to the free
 //! lists — one chain per size class built straight from the limbo
 //! entries: for `k` blocks of one class, one load (the list head),
-//! `k + 1` RMWs and `k + 2` flushes, no header load — and clears every
-//! epoch slot. A drain the crash cut short returned its bag to limbo
+//! `k + 1` RMWs and `k + 2` flushes, no header load — and clears the
+//! leased epoch slots. A drain the crash cut short returned its bag to limbo
 //! whole; the blocks it had already spliced or chained fail their claim
 //! there and are skipped, since [`Allocator::recover`] put them back
 //! first. Nothing durable records the epochs themselves.
@@ -109,7 +111,7 @@ use cxl0_model::Loc;
 use parking_lot::Mutex;
 
 use crate::alloc::{Allocator, Owned};
-use crate::backend::{thread_slot_index, NodeHandle, RAIL_SLOTS};
+use crate::backend::{leased_slots, thread_slot_index, NodeHandle, RAIL_SLOTS};
 use crate::error::OpResult;
 use crate::flit::Persistence;
 
@@ -259,9 +261,7 @@ impl SmrDomain {
     /// Snapshot of the domain's counters and gauges.
     pub fn stats(&self) -> SmrStats {
         SmrStats {
-            pins: self
-                .slots
-                .iter()
+            pins: leased_slots(&self.slots)
                 .map(|s| s.pins.load(Ordering::Relaxed))
                 .sum(),
             retires: self.retires.load(Ordering::Relaxed),
@@ -390,7 +390,7 @@ impl SmrDomain {
     /// pinned slot has observed the current epoch.
     fn try_advance(&self) -> bool {
         let e = self.global.word.load(Ordering::SeqCst);
-        for slot in self.slots.iter() {
+        for slot in leased_slots(&self.slots) {
             let w = slot.word.load(Ordering::SeqCst);
             if w >= COUNT_ONE && (w & EPOCH_MASK) != (e & EPOCH_MASK) {
                 return false;
@@ -493,7 +493,9 @@ impl SmrDomain {
     /// back to the allocator as one chain per size class, built from the
     /// limbo entries with no header load (grace periods are moot —
     /// recovery is quiesced, so no traversal holds references) and
-    /// clears every epoch slot. Returns the number of blocks swept.
+    /// clears every epoch slot a thread has leased, plus the overflow
+    /// slot (`backend::leased_slots`; no other slot was ever pinned).
+    /// Returns the number of blocks swept.
     /// Frees that the allocator's own recovery already completed (a
     /// crash mid-drain) fail their claim and are skipped.
     ///
@@ -505,7 +507,7 @@ impl SmrDomain {
     /// Fails if the issuing machine has crashed; limbo then keeps every
     /// block for the next `recover`.
     pub fn recover(&self, node: &NodeHandle) -> OpResult<usize> {
-        for slot in self.slots.iter() {
+        for slot in leased_slots(&self.slots) {
             slot.word.store(0, Ordering::SeqCst);
         }
         let mut limbo = self.limbo.lock();
@@ -885,6 +887,49 @@ mod tests {
             let b = alloc.alloc(&node, 2).unwrap().unwrap();
             assert!(locs.contains(&b.loc));
         }
+    }
+
+    /// The pin count, the fabric totals and the recovery sweep visit only
+    /// the leased epoch slots and miss none: three threads pin one after
+    /// another (reusing one slot id), then five side by side (leasing
+    /// fresh ids up to the mark), and the one on the highest slot leaves
+    /// a pin behind as it exits, which `recover` must clear.
+    #[test]
+    fn pins_and_recover_stay_exact_over_leased_reused_and_exited_slots() {
+        const PINS: u64 = 30;
+        let (f, _alloc, smr) = setup();
+        let worker = |t: u32| {
+            let node = f.node(MachineId(0));
+            for v in 0..PINS {
+                let _guard = smr.pin();
+                node.lstore(Loc::new(MachineId(0), t), v).unwrap();
+            }
+            thread_slot_index()
+        };
+        let slots = Mutex::new(Vec::new());
+        let side_by_side = std::sync::Barrier::new(5);
+        std::thread::scope(|s| {
+            for t in 0..3 {
+                s.spawn(move || worker(t)).join().unwrap();
+            }
+            for t in 3..8 {
+                let (slots, side_by_side, smr) = (&slots, &side_by_side, &smr);
+                s.spawn(move || {
+                    let mine = worker(t);
+                    slots.lock().push(mine);
+                    side_by_side.wait();
+                    if Some(&mine) == slots.lock().iter().max() {
+                        std::mem::forget(smr.pin());
+                    }
+                });
+            }
+        });
+        let top = *slots.lock().iter().max().expect("five workers ran");
+        assert_eq!(smr.stats().pins, 8 * PINS + 1);
+        assert_eq!(f.stats().snapshot().total_ops(), 8 * PINS);
+        assert_eq!(smr.pinned_epoch(top), Some(smr.epoch()));
+        smr.recover(&f.node(MachineId(0))).unwrap();
+        assert_eq!(smr.pinned_epoch(top), None, "the leftover pin is cleared");
     }
 
     /// Retires `b` at its generation, then frees it inline and takes it

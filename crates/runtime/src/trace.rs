@@ -78,7 +78,7 @@ use std::time::Instant;
 use cxl0_model::{Loc, MachineId};
 use parking_lot::Mutex;
 
-use crate::backend::{thread_slot_index, RailProbe, Stats, RAIL_SLOTS};
+use crate::backend::{leased_slots, thread_slot_index, RailProbe, Stats, RAIL_SLOTS};
 
 /// Number of log2 buckets in a [`LatencyHistogram`] (covers the full
 /// `u64` nanosecond range).
@@ -553,7 +553,7 @@ impl Tracer {
     pub(crate) fn on_crash(&self) {
         self.incarnation.fetch_add(1, Ordering::Relaxed);
         let mut retired = self.retired.lock();
-        for rec in self.slots.iter() {
+        for rec in leased_slots(&self.slots) {
             let mut ring = rec.ring.lock();
             while let Some(ev) = ring.events.pop_front() {
                 if retired.len() < RETIRED_CAP {
@@ -604,13 +604,17 @@ impl Tracer {
     /// Total events recorded (including ones since dropped by ring
     /// wraps or the retired-buffer cap).
     pub fn events_recorded(&self) -> u64 {
-        self.slots.iter().map(|s| s.ring.lock().recorded).sum()
+        leased_slots(&self.slots)
+            .map(|s| s.ring.lock().recorded)
+            .sum()
     }
 
     /// Events lost to ring wraps plus crash-sealed events beyond the
     /// retired-buffer cap.
     pub fn events_dropped(&self) -> u64 {
-        let rings: u64 = self.slots.iter().map(|s| s.ring.lock().dropped).sum();
+        let rings: u64 = leased_slots(&self.slots)
+            .map(|s| s.ring.lock().dropped)
+            .sum();
         rings + self.retired_dropped.load(Ordering::Relaxed)
     }
 
@@ -618,7 +622,7 @@ impl Tracer {
     /// nanoseconds; cumulative across crashes).
     pub fn histogram(&self, kind: OpKind) -> LatencyHistogram {
         let mut h = LatencyHistogram::new();
-        for rec in self.slots.iter() {
+        for rec in leased_slots(&self.slots) {
             h.merge(&rec.ring.lock().hist[kind as usize]);
         }
         h
@@ -627,7 +631,7 @@ impl Tracer {
     /// The merged histogram over *all* op kinds.
     pub fn merged_histogram(&self) -> LatencyHistogram {
         let mut h = LatencyHistogram::new();
-        for rec in self.slots.iter() {
+        for rec in leased_slots(&self.slots) {
             let ring = rec.ring.lock();
             for kh in ring.hist.iter() {
                 h.merge(kh);
@@ -646,7 +650,7 @@ impl Tracer {
     /// rings), sorted by incarnation then wall start.
     pub fn events(&self) -> Vec<TraceEvent> {
         let mut evs: Vec<TraceEvent> = self.retired.lock().clone();
-        for rec in self.slots.iter() {
+        for rec in leased_slots(&self.slots) {
             evs.extend(rec.ring.lock().events.iter().cloned());
         }
         evs.sort_by_key(|e| (e.incarnation, e.wall_start_ns, e.slot));

@@ -7,6 +7,12 @@
 //! rounds. Flushes are timed on lines the issuer just dirtied (their
 //! locked path); the stores that dirty them run outside the clock.
 //!
+//! Two more rows time the fixed costs a recovery pays whatever the
+//! crash left: `stats snapshot` (one `Stats::snapshot`, which a session
+//! open takes) and `crash + recover (idle)` (a crash and recovery of one
+//! machine of an untouched fabric: the gate halt, the drain of the
+//! leased stats rails and the reopen).
+//!
 //! Run with: `cargo run --release --example primitive_costs`
 
 use std::hint::black_box;
@@ -56,6 +62,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     fn none(_: u32) {}
     let mut shadow = [0u64; CELLS as usize];
+    let idle = SimFabric::new(SystemConfig::symmetric_nvm(2, 1));
     type Row<'a> = (&'a str, Box<dyn FnMut() -> f64 + 'a>);
     let mut rows: Vec<Row<'_>> = vec![
         (
@@ -127,6 +134,23 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             Box::new(|| {
                 time(&mut none, &mut |i| {
                     black_box(ok(node.faa(StoreKind::Local, rmw(i), 1)));
+                })
+            }),
+        ),
+        (
+            "stats snapshot",
+            Box::new(|| {
+                time(&mut none, &mut |_| {
+                    black_box(fabric.stats().snapshot());
+                })
+            }),
+        ),
+        (
+            "crash + recover (idle)",
+            Box::new(|| {
+                time(&mut none, &mut |_| {
+                    idle.crash(MachineId(1));
+                    idle.recover(MachineId(1));
                 })
             }),
         ),

@@ -2,7 +2,8 @@
 //! statistics rails, the epoch-style crash gate, and the determinism of
 //! simulated-time accounting.
 
-use std::sync::{Arc, Barrier};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{mpsc, Arc, Barrier};
 
 use cxl0::model::{Loc, MachineId, StoreKind, SystemConfig};
 use cxl0::runtime::{NodeHandle, OpResult, SimFabric};
@@ -55,34 +56,69 @@ fn striped_stats_aggregate_exactly_to_per_thread_counts() {
     assert_eq!(fabric.stats().total_ops(), s.total_ops());
 }
 
+/// Crash/recover rounds of [`crash_mid_storm_is_atomic_and_all_threads_observe_crashed`]
+/// that spawn workers while they run.
+const CRASH_ROUNDS: u64 = 8;
+/// Workers spawned per round.
+const SPAWNED: u64 = 4;
+
+/// Stores values tagged with `tag` round the first `locations` cells of
+/// [`M1`], each persisted by an `RFlush`, counting them in `stored`,
+/// until it observes `Crashed` — the only way out. Returns how many
+/// landed.
+fn store_until_crashed(node: &NodeHandle, tag: u64, locations: u32, stored: &AtomicU64) -> u64 {
+    let mut i = 0u64;
+    loop {
+        let loc = Loc::new(M1, (i % u64::from(locations)) as u32);
+        let v = tag * 1_000_000 + i;
+        if node.lstore(loc, v).and_then(|()| node.rflush(loc)).is_err() {
+            return i;
+        }
+        stored.fetch_add(1, Ordering::Release);
+        i += 1;
+    }
+}
+
+/// The crash of [`M1`] left no cache entry for its cells, and memory
+/// holds only values a writer tagged `1..=writers` stored at exactly
+/// that location (or the initial 0) — never a torn/foreign value.
+fn assert_only_written_values_survive(fabric: &SimFabric, locations: u32, writers: u64) {
+    for a in 0..locations {
+        let loc = Loc::new(M1, a);
+        assert!(!fabric.is_cached(loc), "cache entry survived the crash");
+        let v = fabric.peek_memory(loc);
+        if v != 0 {
+            let i = v % 1_000_000;
+            let t = v / 1_000_000;
+            assert!((1..=writers).contains(&t), "foreign writer tag in {v}");
+            assert_eq!(
+                i % u64::from(locations),
+                u64::from(a),
+                "value {v} persisted at the wrong location {a}"
+            );
+        }
+    }
+}
+
 /// (b) A crash in the middle of a store storm is one atomic transition:
 /// every storming thread observes `Crashed` (none wedge, none keep
 /// writing), and the post-crash state is consistent — no cache entries
 /// survive for the crashed machine and every persisted value is one
-/// some thread actually wrote to that location.
+/// some thread actually wrote to that location. It stays so when
+/// workers are spawned while crashes run, each leasing a fresh thread
+/// slot as the crash drains the leased ones.
 #[test]
 fn crash_mid_storm_is_atomic_and_all_threads_observe_crashed() {
     let locations = 16u32;
     let fabric = SimFabric::new(SystemConfig::symmetric_nvm(2, locations));
-    let mut handles = Vec::new();
-    for t in 0..6u64 {
-        let node = fabric.node(M1);
-        handles.push(std::thread::spawn(move || {
-            let mut i = 0u64;
-            loop {
-                let loc = Loc::new(M1, (i % u64::from(locations)) as u32);
-                // Tag values with the writing thread so provenance is
-                // checkable after the crash.
-                let v = (t + 1) * 1_000_000 + i;
-                let r = node.lstore(loc, v).and_then(|()| node.rflush(loc));
-                if r.is_err() {
-                    // The only way out of the loop: observing Crashed.
-                    return i;
-                }
-                i += 1;
-            }
-        }));
-    }
+    let stored = Arc::new(AtomicU64::new(0));
+    let handles: Vec<_> = (1..=6u64)
+        .map(|tag| {
+            let node = fabric.node(M1);
+            let stored = Arc::clone(&stored);
+            std::thread::spawn(move || store_until_crashed(&node, tag, locations, &stored))
+        })
+        .collect();
     // Let the storm run, then pull the plug. Every thread must exit via
     // Crashed — join() would hang forever otherwise.
     std::thread::sleep(std::time::Duration::from_millis(20));
@@ -93,25 +129,7 @@ fn crash_mid_storm_is_atomic_and_all_threads_observe_crashed() {
         progress.iter().any(|&n| n > 0),
         "the storm should have made progress before the crash"
     );
-
-    // Post-crash consistency: the crashed machine's cache entries are
-    // gone, and memory holds only values some thread wrote to exactly
-    // that location (or the initial 0) — never a torn/foreign value.
-    for a in 0..locations {
-        let loc = Loc::new(M1, a);
-        assert!(!fabric.is_cached(loc), "cache entry survived the crash");
-        let v = fabric.peek_memory(loc);
-        if v != 0 {
-            let i = v % 1_000_000;
-            let t = v / 1_000_000;
-            assert!((1..=6).contains(&t), "foreign writer tag in {v}");
-            assert_eq!(
-                i % u64::from(locations),
-                u64::from(a),
-                "value {v} persisted at the wrong location {a}"
-            );
-        }
-    }
+    assert_only_written_values_survive(&fabric, locations, 6);
 
     // The gate reopened: the other machine still works, and the crashed
     // one comes back after recovery.
@@ -123,6 +141,55 @@ fn crash_mid_storm_is_atomic_and_all_threads_observe_crashed() {
         fabric.node(M1).load(Loc::new(M1, 0)).unwrap() % 1_000_000 % 16,
         0
     );
+
+    // Rounds that spawn workers while the crash runs. Each worker parks
+    // on its thread slot once it has observed `Crashed`, so every later
+    // worker leases a fresh slot: the crash drains the rails leased so
+    // far while new ones are leased.
+    let park = Arc::new(Barrier::new((CRASH_ROUNDS * SPAWNED) as usize + 1));
+    let mut parked = Vec::new();
+    let mut writers = 6;
+    for _ in 0..CRASH_ROUNDS {
+        fabric.recover(M1);
+        let stored = Arc::new(AtomicU64::new(0));
+        let (done, crashed) = mpsc::channel();
+        let spawner = {
+            let (fabric, stored, park) =
+                (Arc::clone(&fabric), Arc::clone(&stored), Arc::clone(&park));
+            std::thread::spawn(move || {
+                (writers + 1..=writers + SPAWNED)
+                    .map(|tag| {
+                        let node = fabric.node(M1);
+                        let (stored, park, done) =
+                            (Arc::clone(&stored), Arc::clone(&park), done.clone());
+                        let worker = std::thread::spawn(move || {
+                            store_until_crashed(&node, tag, locations, &stored);
+                            done.send(()).unwrap();
+                            park.wait();
+                        });
+                        std::thread::yield_now();
+                        worker
+                    })
+                    .collect::<Vec<_>>()
+            })
+        };
+        while stored.load(Ordering::Acquire) == 0 {
+            std::thread::yield_now();
+        }
+        fabric.crash(M1);
+        for _ in 0..SPAWNED {
+            crashed.recv().unwrap();
+        }
+        parked.extend(spawner.join().unwrap());
+        writers += SPAWNED;
+        assert_only_written_values_survive(&fabric, locations, writers);
+    }
+    park.wait();
+    for worker in parked {
+        worker.join().unwrap();
+    }
+    fabric.recover(M1);
+    fabric.node(M1).load(Loc::new(M1, 0)).unwrap();
 }
 
 /// Cell pairs of [`neighbouring_cells_on_one_host_line_stay_independent`].
