@@ -15,9 +15,8 @@ use cxl0_model::{Semantics, State};
 use crate::lts::Lts;
 
 /// A canonical set of states (τ-closures are represented this way so that
-/// they can be hashed and compared during product exploration); under
-/// `CXL0_AF`, a `StateSet<AsyncState>`.
-pub type StateSet<S = State> = BTreeSet<S>;
+/// they can be hashed and compared during product exploration).
+pub type StateSet = BTreeSet<State>;
 
 /// Interprets traces under a fixed semantics ([`Semantics`] unless
 /// stated otherwise).
@@ -65,7 +64,7 @@ impl<'a, L: Lts> Explorer<'a, L> {
     }
 
     /// The τ-closed singleton of the initial state.
-    pub fn initial_set(&self) -> StateSet<L::State> {
+    pub fn initial_set(&self) -> StateSet {
         self.tau_closure(&StateSet::from([self.sem.initial_state()]))
     }
 
@@ -73,9 +72,9 @@ impl<'a, L: Lts> Explorer<'a, L> {
     /// fixpoint; always terminates because propagation strictly moves
     /// values toward memory, retirement strictly shrinks buffers, and the
     /// state space is finite).
-    pub fn tau_closure(&self, set: &StateSet<L::State>) -> StateSet<L::State> {
+    pub fn tau_closure(&self, set: &StateSet) -> StateSet {
         let mut closed = set.clone();
-        let mut frontier: Vec<L::State> = set.iter().cloned().collect();
+        let mut frontier: Vec<State> = set.iter().cloned().collect();
         while let Some(st) = frontier.pop() {
             for step in self.sem.silent_steps(&st) {
                 let next = self
@@ -93,7 +92,7 @@ impl<'a, L: Lts> Explorer<'a, L> {
     /// Applies one visible label to every state in `set` (states where the
     /// label is blocked or mismatching simply drop out), without silent
     /// steps.
-    pub fn apply_label(&self, set: &StateSet<L::State>, label: &L::Label) -> StateSet<L::State> {
+    pub fn apply_label(&self, set: &StateSet, label: &L::Label) -> StateSet {
         set.iter()
             .filter_map(|st| self.sem.apply(st, label).ok())
             .collect()
@@ -101,7 +100,7 @@ impl<'a, L: Lts> Explorer<'a, L> {
 
     /// The `⟹` step for one label: τ-closure, then the label, then
     /// τ-closure again. Input need not be τ-closed.
-    pub fn after_label(&self, set: &StateSet<L::State>, label: &L::Label) -> StateSet<L::State> {
+    pub fn after_label(&self, set: &StateSet, label: &L::Label) -> StateSet {
         let closed = self.tau_closure(set);
         let stepped = self.apply_label(&closed, label);
         self.tau_closure(&stepped)
@@ -110,9 +109,9 @@ impl<'a, L: Lts> Explorer<'a, L> {
     /// The `⟹` relation for a whole label sequence starting from `set`.
     pub fn after_trace<'t>(
         &self,
-        set: &StateSet<L::State>,
+        set: &StateSet,
         trace: impl IntoIterator<Item = &'t L::Label>,
-    ) -> StateSet<L::State> {
+    ) -> StateSet {
         let mut cur = self.tau_closure(set);
         for label in trace {
             if cur.is_empty() {
@@ -125,10 +124,7 @@ impl<'a, L: Lts> Explorer<'a, L> {
 
     /// The states reachable from the initial state via `trace` (with τ
     /// steps interleaved freely).
-    pub fn run_trace<'t>(
-        &self,
-        trace: impl IntoIterator<Item = &'t L::Label>,
-    ) -> StateSet<L::State> {
+    pub fn run_trace<'t>(&self, trace: impl IntoIterator<Item = &'t L::Label>) -> StateSet {
         self.after_trace(&self.initial_set(), trace)
     }
 
@@ -143,7 +139,7 @@ impl<'a, L: Lts> Explorer<'a, L> {
     /// checks.
     pub fn same_outcomes<'t>(
         &self,
-        set: &StateSet<L::State>,
+        set: &StateSet,
         a: impl IntoIterator<Item = &'t L::Label>,
         b: impl IntoIterator<Item = &'t L::Label>,
     ) -> bool {
@@ -154,7 +150,7 @@ impl<'a, L: Lts> Explorer<'a, L> {
     /// (`S(a) ⊆ S(b)` in the Prop.-1 reading of "`b` can simulate `a`").
     pub fn simulates<'t>(
         &self,
-        set: &StateSet<L::State>,
+        set: &StateSet,
         a: impl IntoIterator<Item = &'t L::Label>,
         b: impl IntoIterator<Item = &'t L::Label>,
     ) -> bool {
@@ -167,7 +163,7 @@ impl<'a, L: Lts> Explorer<'a, L> {
 mod tests {
     use super::*;
     use crate::space::reachable_states;
-    use cxl0_model::asyncflush::{AsyncLabel, AsyncSemantics, AsyncState};
+    use cxl0_model::asyncflush::{AsyncLabel, AsyncSemantics};
     use cxl0_model::{Label, Loc, MachineId, SystemConfig, Trace, Val};
 
     const M0: MachineId = MachineId(0);
@@ -270,7 +266,7 @@ mod tests {
         let closed = exp.tau_closure(&StateSet::from([st]));
         // Pending and retired variants of the same base state.
         assert_eq!(closed.len(), 2);
-        assert!(closed.iter().any(AsyncState::all_buffers_empty));
+        assert!(closed.iter().any(|st| st.pending(M0).next().is_none()));
     }
 
     #[test]
@@ -286,7 +282,7 @@ mod tests {
         assert!(!set.is_empty());
         for st in &set {
             // Every surviving branch has drained and persisted the store.
-            assert!(st.all_buffers_empty());
+            assert!(st.pending(M0).next().is_none());
             assert_eq!(st.memory(x(1)), Val(1));
         }
     }
@@ -311,7 +307,7 @@ mod tests {
         let via_sync = [Label::rflush(M0, x(1)).into()];
         for st in &reachable {
             let set = StateSet::from([st.clone()]);
-            if st.pending_of(M0).is_empty() {
+            if st.pending(M0).next().is_none() {
                 assert!(
                     exp.same_outcomes(&set, &via_async, &via_sync),
                     "outcome mismatch from {st}"

@@ -3,15 +3,15 @@
 //! asynchronous-flush extension [`AsyncSemantics`].
 
 use std::fmt::{Debug, Display};
-use std::hash::Hash;
 
-use cxl0_model::asyncflush::{AsyncLabel, AsyncSemantics, AsyncSilentStep, AsyncState};
+use cxl0_model::asyncflush::{AsyncLabel, AsyncSemantics};
 use cxl0_model::{
     Label, ModelVariant, Semantics, SilentStep, State, StepError, SystemConfig, Trace,
 };
 
 /// A semantics given step by step: visible labels and silent `τ` steps
-/// over a state type.
+/// over [`State`]s (under `CXL0_AF`, states whose cells carry pending
+/// masks, and silent steps that include retirements).
 ///
 /// # Examples
 ///
@@ -35,33 +35,27 @@ use cxl0_model::{
 /// assert!(!Explorer::new(&sem).is_allowed(trace.iter().chain(&lost)));
 /// ```
 pub trait Lts {
-    /// A global state.
-    type State: Clone + Ord + Hash + Debug + Display;
     /// A visible transition label.
     type Label: Copy + Debug + Display + 'static;
-    /// A silent step: propagation, and under `CXL0_AF` retirement.
-    type Silent: Copy + Debug + Display;
     /// A sequence of visible labels, as a litmus test stores it.
     type Trace: Clone + Debug;
 
     /// The semantics over `cfg` under `variant`.
     fn with_variant(cfg: SystemConfig, variant: ModelVariant) -> Self;
     /// The initial state.
-    fn initial_state(&self) -> Self::State;
+    fn initial_state(&self) -> State;
     /// Applies one visible label; `Err` if it is blocked or mismatching.
-    fn apply(&self, st: &Self::State, label: &Self::Label) -> Result<Self::State, StepError>;
+    fn apply(&self, st: &State, label: &Self::Label) -> Result<State, StepError>;
     /// The silent steps enabled in `st`.
-    fn silent_steps(&self, st: &Self::State) -> Vec<Self::Silent>;
+    fn silent_steps(&self, st: &State) -> Vec<SilentStep>;
     /// Applies one enabled silent step.
-    fn apply_silent(&self, st: &Self::State, s: &Self::Silent) -> Result<Self::State, StepError>;
+    fn apply_silent(&self, st: &State, s: &SilentStep) -> Result<State, StepError>;
     /// The labels of `trace`, in order.
     fn labels(trace: &Self::Trace) -> &[Self::Label];
 }
 
 impl Lts for Semantics {
-    type State = State;
     type Label = Label;
-    type Silent = SilentStep;
     type Trace = Trace;
 
     fn with_variant(cfg: SystemConfig, variant: ModelVariant) -> Self {
@@ -85,24 +79,22 @@ impl Lts for Semantics {
 }
 
 impl Lts for AsyncSemantics {
-    type State = AsyncState;
     type Label = AsyncLabel;
-    type Silent = AsyncSilentStep;
     type Trace = Vec<AsyncLabel>;
 
     fn with_variant(cfg: SystemConfig, variant: ModelVariant) -> Self {
         AsyncSemantics::with_variant(cfg, variant)
     }
-    fn initial_state(&self) -> AsyncState {
+    fn initial_state(&self) -> State {
         AsyncSemantics::initial_state(self)
     }
-    fn apply(&self, st: &AsyncState, label: &AsyncLabel) -> Result<AsyncState, StepError> {
+    fn apply(&self, st: &State, label: &AsyncLabel) -> Result<State, StepError> {
         AsyncSemantics::apply(self, st, label)
     }
-    fn silent_steps(&self, st: &AsyncState) -> Vec<AsyncSilentStep> {
+    fn silent_steps(&self, st: &State) -> Vec<SilentStep> {
         AsyncSemantics::silent_steps(self, st)
     }
-    fn apply_silent(&self, st: &AsyncState, s: &AsyncSilentStep) -> Result<AsyncState, StepError> {
+    fn apply_silent(&self, st: &State, s: &SilentStep) -> Result<State, StepError> {
         AsyncSemantics::apply_silent(self, st, s)
     }
     fn labels(trace: &Vec<AsyncLabel>) -> &[AsyncLabel] {

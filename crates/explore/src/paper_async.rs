@@ -182,7 +182,7 @@ pub fn check_aflush_barrier_equivalence() -> Option<String> {
             for loc in cfg.all_locations() {
                 let via_async = [AsyncLabel::aflush(m, loc), AsyncLabel::barrier(m)];
                 let via_sync = [Label::rflush(m, loc).into()];
-                let ok = if st.pending_of(m).is_empty() {
+                let ok = if st.pending(m).next().is_none() {
                     exp.same_outcomes(&set, &via_async, &via_sync)
                 } else {
                     exp.simulates(&set, &via_async, &via_sync)

@@ -4,7 +4,7 @@
 
 use std::collections::{BTreeSet, HashMap};
 
-use cxl0_model::{Label, Primitive, Semantics, StoreKind, SystemConfig, Val};
+use cxl0_model::{Label, Primitive, Semantics, SilentStep, State, StoreKind, SystemConfig, Val};
 
 use crate::lts::Lts;
 
@@ -110,7 +110,7 @@ pub enum Edge<L: Lts = Semantics> {
     /// A visible transition.
     Visible(L::Label),
     /// A silent step.
-    Silent(L::Silent),
+    Silent(SilentStep),
 }
 
 /// The graph of all states reachable from the initial state under a label
@@ -118,7 +118,7 @@ pub enum Edge<L: Lts = Semantics> {
 #[derive(Debug, Clone)]
 pub struct ReachableGraph<L: Lts = Semantics> {
     /// Deduplicated states; index 0 is the initial state.
-    pub states: Vec<L::State>,
+    pub states: Vec<State>,
     /// Edges as `(from_index, edge, to_index)`.
     pub edges: Vec<(usize, Edge<L>, usize)>,
     /// True if exploration stopped because a limit was hit.
@@ -184,11 +184,7 @@ pub fn explore<L: Lts>(sem: &L, alphabet: &[L::Label], max_states: usize) -> Rea
 }
 
 /// Convenience: the deduplicated set of reachable states.
-pub fn reachable_states<L: Lts>(
-    sem: &L,
-    alphabet: &[L::Label],
-    max_states: usize,
-) -> Vec<L::State> {
+pub fn reachable_states<L: Lts>(sem: &L, alphabet: &[L::Label], max_states: usize) -> Vec<State> {
     explore(sem, alphabet, max_states).states
 }
 

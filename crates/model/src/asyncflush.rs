@@ -9,17 +9,29 @@
 //! exactly that extension:
 //!
 //! * each machine `i` gains a **persistency buffer** `P_i ⊆ Loc` of pending
-//!   flush requests;
+//!   flush requests, held per location: `P_i` is bit `i` of every
+//!   [`Cell`](crate::cell::Cell)'s `pending` mask, so a `CXL0_AF` state is a
+//!   plain [`State`];
 //! * a new non-blocking primitive [`AsyncLabel::AFlush`] enqueues a request
 //!   into the issuer's buffer and returns immediately;
 //! * a pending request *retires* through a new silent step
-//!   ([`AsyncSilentStep::Retire`]) once the line has fully drained to the
+//!   ([`SilentStep::Retire`]) once the line has fully drained to the
 //!   owner's memory — the same post-condition as a synchronous `RFlush`;
 //! * a new blocking primitive [`AsyncLabel::Barrier`] (the `SFENCE`
 //!   analogue) is enabled only once the issuer's buffer is empty;
 //! * a machine crash **discards** that machine's buffer: un-retired flush
 //!   requests are lost with the machine, which is what makes `AFlush`
 //!   strictly weaker than `RFlush` on its own.
+//!
+//! `AFlush`, retirement and the crash are per-location rules of
+//! [`cell::step`]; only `Barrier`, like `GPF`, reads every location.
+//!
+//! Buffers are *sets* rather than sequences: a request retires when its
+//! line has drained, so two pending requests for the same line are
+//! indistinguishable, and requests for different lines retire
+//! independently. The "partially ordered" structure the paper alludes to
+//! degenerates to per-line unordered requests under CXL0's single-location
+//! flushes.
 //!
 //! The headline properties, checked exhaustively by
 //! `cxl0-explore`'s generic `Explorer` and the `paper_async` litmus suite:
@@ -43,20 +55,20 @@
 //! // AFlush is non-blocking even while the line is still cached:
 //! let st = sem.apply(&st, &Label::lstore(MachineId(0), x, Val(1)).into())?;
 //! let st = sem.apply(&st, &AsyncLabel::aflush(MachineId(0), x))?;
-//! assert!(st.is_pending(MachineId(0), x));
+//! assert_eq!(st.pending(MachineId(0)).collect::<Vec<_>>(), [x]);
 //!
 //! // ... but the barrier blocks until the request has retired:
 //! assert!(sem.apply(&st, &AsyncLabel::barrier(MachineId(0))).is_err());
 //! # Ok::<(), cxl0_model::StepError>(())
 //! ```
 
-use std::collections::BTreeSet;
 use std::fmt;
 
+use crate::cell::{self, CellLabel};
 use crate::config::SystemConfig;
 use crate::ids::{Loc, MachineId, Val};
 use crate::label::{Label, SilentStep};
-use crate::semantics::{Semantics, StepError};
+use crate::semantics::{Semantics, StepError, StepResult};
 use crate::state::State;
 use crate::variant::ModelVariant;
 
@@ -149,100 +161,6 @@ impl fmt::Display for AsyncLabel {
     }
 }
 
-/// A state of the `CXL0_AF` extension: the base state `γ = (C, M)` plus a
-/// persistency buffer `P_i` per machine.
-///
-/// Buffers are *sets* rather than sequences: a flush request retires when
-/// its line has drained, so two pending requests for the same line are
-/// indistinguishable, and requests for different lines retire independently
-/// — the "partially ordered" structure the paper alludes to degenerates to
-/// per-line unordered requests under CXL0's single-location flushes.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct AsyncState {
-    base: State,
-    pending: Vec<BTreeSet<Loc>>,
-}
-
-impl AsyncState {
-    /// The extension of the base initial state with empty buffers.
-    pub fn initial(cfg: &SystemConfig) -> Self {
-        AsyncState {
-            base: State::initial(cfg),
-            pending: vec![BTreeSet::new(); cfg.num_machines()],
-        }
-    }
-
-    /// The underlying base state `(C, M)`.
-    pub fn base(&self) -> &State {
-        &self.base
-    }
-
-    /// Machine `m`'s persistency buffer `P_m`.
-    pub fn pending_of(&self, m: MachineId) -> &BTreeSet<Loc> {
-        &self.pending[m.index()]
-    }
-
-    /// True if machine `m` has a pending flush request for `loc`.
-    pub fn is_pending(&self, m: MachineId, loc: Loc) -> bool {
-        self.pending[m.index()].contains(&loc)
-    }
-
-    /// True if no machine has any pending flush request.
-    pub fn all_buffers_empty(&self) -> bool {
-        self.pending.iter().all(BTreeSet::is_empty)
-    }
-
-    /// `M_k(x)` of the base state, for convenience in assertions.
-    pub fn memory(&self, loc: Loc) -> Val {
-        self.base.memory(loc)
-    }
-}
-
-impl fmt::Display for AsyncState {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.base)?;
-        for (i, p) in self.pending.iter().enumerate() {
-            if !p.is_empty() {
-                write!(f, "\n  P_m{i} = {{")?;
-                for (k, loc) in p.iter().enumerate() {
-                    if k > 0 {
-                        write!(f, ", ")?;
-                    }
-                    write!(f, "{loc}")?;
-                }
-                write!(f, "}}")?;
-            }
-        }
-        Ok(())
-    }
-}
-
-/// A silent step of the `CXL0_AF` extension: base propagation, or the
-/// retirement of a pending flush request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum AsyncSilentStep {
-    /// A base `Propagate-C-C` / `Propagate-C-M` step.
-    Base(SilentStep),
-    /// Retire machine `by`'s pending request for `loc`. Enabled only once
-    /// no cache holds `loc` — i.e. once the line has fully drained to the
-    /// owner's memory, the post-condition of a synchronous `RFlush`.
-    Retire {
-        /// The machine whose buffer holds the request.
-        by: MachineId,
-        /// The flushed location.
-        loc: Loc,
-    },
-}
-
-impl fmt::Display for AsyncSilentStep {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match *self {
-            AsyncSilentStep::Base(s) => s.fmt(f),
-            AsyncSilentStep::Retire { by, loc } => write!(f, "τ[retire {by} {loc}]"),
-        }
-    }
-}
-
 /// The `CXL0_AF` transition system: the base semantics (any
 /// [`ModelVariant`]) extended with persistency buffers, `AFlush` and
 /// `Barrier`.
@@ -253,7 +171,7 @@ impl fmt::Display for AsyncSilentStep {
 /// persistent once the barrier completes:
 ///
 /// ```
-/// use cxl0_model::asyncflush::{AsyncLabel, AsyncSemantics, AsyncSilentStep};
+/// use cxl0_model::asyncflush::{AsyncLabel, AsyncSemantics};
 /// use cxl0_model::{Label, Loc, MachineId, SystemConfig, Val};
 ///
 /// let sem = AsyncSemantics::new(SystemConfig::symmetric_nvm(2, 2));
@@ -316,115 +234,61 @@ impl AsyncSemantics {
     }
 
     /// The initial state: base initial state with empty buffers.
-    pub fn initial_state(&self) -> AsyncState {
-        AsyncState::initial(self.base.config())
+    pub fn initial_state(&self) -> State {
+        self.base.initial_state()
     }
 
-    /// Applies one visible label.
+    /// Applies one visible label: a base label by [`Semantics::apply`]
+    /// (whose crash also discards the failure domain's requests), `AFlush`
+    /// by [`cell::step`] on its location.
     ///
     /// # Errors
     ///
     /// As for [`Semantics::apply`]; additionally, `Barrier_i` returns
     /// [`StepError::Blocked`] while machine `i`'s buffer is non-empty.
-    pub fn apply(&self, state: &AsyncState, label: &AsyncLabel) -> Result<AsyncState, StepError> {
+    pub fn apply(&self, state: &State, label: &AsyncLabel) -> Result<State, StepError> {
         match *label {
-            AsyncLabel::Base(ref l) => {
-                let next_base = self.base.apply(&state.base, l)?;
-                let mut pending = state.pending.clone();
-                if let Label::Crash { machine } = *l {
-                    // The crashed machine's un-retired flush requests die
-                    // with it (they lived in volatile processor state).
-                    for m in self.base.config().failure_domain(machine) {
-                        pending[m.index()].clear();
-                    }
-                }
-                Ok(AsyncState {
-                    base: next_base,
-                    pending,
-                })
-            }
+            AsyncLabel::Base(ref l) => self.base.apply(state, l),
             AsyncLabel::AFlush { by, loc } => {
                 self.base.check_machine(by)?;
                 self.base.check_loc(loc)?;
+                let aflush = CellLabel::AFlush;
+                let (post, _) =
+                    cell::step(state.cell(loc), by, loc.owner, aflush, self.base.variant())?;
                 let mut next = state.clone();
-                next.pending[by.index()].insert(loc);
+                next.set_cell(loc, post);
                 Ok(next)
             }
             AsyncLabel::Barrier { by } => {
                 self.base.check_machine(by)?;
-                if state.pending[by.index()].is_empty() {
-                    Ok(state.clone())
-                } else {
-                    Err(StepError::Blocked {
+                match state.pending(by).next() {
+                    None => Ok(state.clone()),
+                    Some(_) => Err(StepError::Blocked {
                         reason: "Barrier requires the issuer's persistency buffer to be empty",
-                    })
+                    }),
                 }
             }
         }
     }
 
-    /// Enumerates the enabled silent steps: base propagation plus retirable
-    /// pending requests.
-    pub fn silent_steps(&self, state: &AsyncState) -> Vec<AsyncSilentStep> {
-        let mut out: Vec<AsyncSilentStep> = self
-            .base
-            .silent_steps(&state.base)
-            .into_iter()
-            .map(AsyncSilentStep::Base)
-            .collect();
-        for (i, buf) in state.pending.iter().enumerate() {
-            for &loc in buf {
-                if state.base.no_cache_holds(loc) {
-                    out.push(AsyncSilentStep::Retire {
-                        by: MachineId(i),
-                        loc,
-                    });
-                }
-            }
-        }
-        out.sort_unstable();
-        out
+    /// The enabled silent steps: base propagation plus retirable pending
+    /// requests ([`Semantics::silent_steps`]).
+    pub fn silent_steps(&self, state: &State) -> Vec<SilentStep> {
+        self.base.silent_steps(state)
     }
 
-    /// Applies one silent step.
+    /// Applies one silent step ([`Semantics::apply_silent`]).
     ///
     /// # Errors
     ///
     /// Returns `Blocked` if the step is not enabled in `state`.
-    pub fn apply_silent(
-        &self,
-        state: &AsyncState,
-        step: &AsyncSilentStep,
-    ) -> Result<AsyncState, StepError> {
-        match *step {
-            AsyncSilentStep::Base(ref s) => {
-                let next_base = self.base.apply_silent(&state.base, s)?;
-                Ok(AsyncState {
-                    base: next_base,
-                    pending: state.pending.clone(),
-                })
-            }
-            AsyncSilentStep::Retire { by, loc } => {
-                if !state.is_pending(by, loc) {
-                    return Err(StepError::Blocked {
-                        reason: "Retire requires a pending request",
-                    });
-                }
-                if !state.base.no_cache_holds(loc) {
-                    return Err(StepError::Blocked {
-                        reason: "Retire requires the line to have drained (∀j. C_j(x) = ⊥)",
-                    });
-                }
-                let mut next = state.clone();
-                next.pending[by.index()].remove(&loc);
-                Ok(next)
-            }
-        }
+    pub fn apply_silent(&self, state: &State, step: &SilentStep) -> StepResult {
+        self.base.apply_silent(state, step)
     }
 
     /// The unique value a load of `loc` would observe in `state`.
-    pub fn load_value(&self, state: &AsyncState, loc: Loc) -> Val {
-        self.base.load_value(&state.base, loc)
+    pub fn load_value(&self, state: &State, loc: Loc) -> Val {
+        self.base.load_value(state, loc)
     }
 }
 
@@ -443,8 +307,18 @@ mod tests {
         Loc::new(MachineId(owner), 0)
     }
 
+    /// `P_m` of `st`.
+    fn buffer(st: &State, m: MachineId) -> Vec<Loc> {
+        st.pending(m).collect()
+    }
+
+    /// True if no machine has a pending request.
+    fn no_requests(st: &State) -> bool {
+        (0..st.num_machines()).all(|m| st.pending(MachineId(m)).next().is_none())
+    }
+
     /// Fully drains all propagation and retirement, deterministically.
-    fn drain(sem: &AsyncSemantics, mut st: AsyncState) -> AsyncState {
+    fn drain(sem: &AsyncSemantics, mut st: State) -> State {
         loop {
             let steps = sem.silent_steps(&st);
             match steps.first() {
@@ -462,9 +336,9 @@ mod tests {
             .apply(&st, &Label::lstore(M0, x(1), Val(1)).into())
             .unwrap();
         let st = sem.apply(&st, &AsyncLabel::aflush(M0, x(1))).unwrap();
-        assert!(st.is_pending(M0, x(1)));
-        assert_eq!(st.pending_of(M0).len(), 1);
-        assert!(st.pending_of(M1).is_empty());
+        assert!(buffer(&st, M0) == [x(1)]);
+        assert_eq!(buffer(&st, M0).len(), 1);
+        assert!(buffer(&st, M1).is_empty());
     }
 
     #[test]
@@ -473,9 +347,9 @@ mod tests {
         let st = sem.initial_state();
         let st = sem.apply(&st, &AsyncLabel::aflush(M0, x(1))).unwrap();
         let steps = sem.silent_steps(&st);
-        assert_eq!(steps, vec![AsyncSilentStep::Retire { by: M0, loc: x(1) }]);
+        assert_eq!(steps, vec![SilentStep::Retire { by: M0, loc: x(1) }]);
         let st = sem.apply_silent(&st, &steps[0]).unwrap();
-        assert!(st.all_buffers_empty());
+        assert!(no_requests(&st));
     }
 
     #[test]
@@ -517,14 +391,14 @@ mod tests {
             .unwrap();
         let st = sem.apply(&st, &AsyncLabel::aflush(M0, x(1))).unwrap();
         let err = sem
-            .apply_silent(&st, &AsyncSilentStep::Retire { by: M0, loc: x(1) })
+            .apply_silent(&st, &SilentStep::Retire { by: M0, loc: x(1) })
             .unwrap_err();
         assert!(matches!(err, StepError::Blocked { .. }));
         // Not listed among enabled steps either.
         assert!(sem
             .silent_steps(&st)
             .iter()
-            .all(|s| !matches!(s, AsyncSilentStep::Retire { .. })));
+            .all(|s| !matches!(s, SilentStep::Retire { .. })));
     }
 
     #[test]
@@ -532,7 +406,7 @@ mod tests {
         let sem = sem2();
         let st = sem.initial_state();
         let err = sem
-            .apply_silent(&st, &AsyncSilentStep::Retire { by: M0, loc: x(1) })
+            .apply_silent(&st, &SilentStep::Retire { by: M0, loc: x(1) })
             .unwrap_err();
         assert!(matches!(err, StepError::Blocked { .. }));
     }
@@ -546,7 +420,7 @@ mod tests {
             .unwrap();
         let st = sem.apply(&st, &AsyncLabel::aflush(M0, x(1))).unwrap();
         let st = sem.apply(&st, &Label::crash(M0).into()).unwrap();
-        assert!(st.pending_of(M0).is_empty());
+        assert!(buffer(&st, M0).is_empty());
         // The barrier now succeeds vacuously — and proves nothing, because
         // the request died with the machine.
         assert!(sem.apply(&st, &AsyncLabel::barrier(M0)).is_ok());
@@ -561,7 +435,7 @@ mod tests {
             .unwrap();
         let st = sem.apply(&st, &AsyncLabel::aflush(M0, x(1))).unwrap();
         let st = sem.apply(&st, &Label::crash(M1).into()).unwrap();
-        assert!(st.is_pending(M0, x(1)));
+        assert!(buffer(&st, M0) == [x(1)]);
     }
 
     #[test]
@@ -625,8 +499,8 @@ mod tests {
             .apply(&st, &Label::mstore(M0, x(1), Val(7)).into())
             .unwrap();
         assert_eq!(st.memory(x(1)), Val(7));
-        assert!(st.base().no_cache_holds(x(1)));
-        assert!(st.all_buffers_empty());
+        assert!(st.no_cache_holds(x(1)));
+        assert!(no_requests(&st));
     }
 
     #[test]
@@ -640,7 +514,7 @@ mod tests {
             .unwrap();
         let st = sem.apply(&st, &Label::crash(M0).into()).unwrap();
         // PSN: m1's copy of m0's line is poisoned away.
-        assert_eq!(st.base().cache(M1, x(0)), None);
+        assert_eq!(st.cache(M1, x(0)), None);
     }
 
     #[test]
@@ -655,8 +529,68 @@ mod tests {
 
     #[test]
     fn silent_step_display() {
-        let step = AsyncSilentStep::Retire { by: M0, loc: x(1) };
+        let step = SilentStep::Retire { by: M0, loc: x(1) };
         assert_eq!(step.to_string(), "τ[retire m0 x[m1:a0]]");
+    }
+
+    /// Every assignment of pending masks (three machines) and cached lines
+    /// to three cells: a crash of a machine set clears exactly its bits
+    /// in every cell, `Retire_i(x)` is enabled iff bit `i` is set at `x`
+    /// and no cache holds `x`, and `Barrier_i` is blocked iff some cell
+    /// holds bit `i`.
+    #[test]
+    fn masks_follow_crashes_retirements_and_barriers() {
+        use crate::cell::Cell;
+        use crate::config::MachineConfig;
+        let mut grouped = MachineConfig::non_volatile(1);
+        grouped.crash_group = vec![M1];
+        let cfg = SystemConfig::new(vec![
+            grouped,
+            MachineConfig::volatile(1),
+            MachineConfig::non_volatile(1),
+        ]);
+        let sem = AsyncSemantics::new(cfg.clone());
+        let locs: Vec<Loc> = cfg.all_locations().collect();
+        for (masks, cached) in (0..512u64).flat_map(|m| (0..8u64).map(move |c| (m, c))) {
+            let mut st = sem.initial_state();
+            for (k, &loc) in locs.iter().enumerate() {
+                let cell = Cell {
+                    holders: (cached >> k & 1) << k,
+                    cache: Val(1),
+                    mem: Val(0),
+                    pending: masks >> (3 * k) & 7,
+                };
+                st.set_cell(loc, cell);
+            }
+            for victims in 0..8u64 {
+                for &loc in &locs {
+                    let c = st.cell(loc);
+                    let crash = CellLabel::Crash(victims, false);
+                    let (post, _) = cell::step(c, loc.owner, loc.owner, crash, ModelVariant::Base)
+                        .expect("a crash never blocks");
+                    assert_eq!(post.pending, c.pending & !victims, "{victims:#b} at {loc}");
+                }
+            }
+            for m in cfg.machines() {
+                let domain = (cfg.failure_domain(m).iter()).fold(0, |b, d| b | 1 << d.index());
+                let crashed = sem.apply(&st, &Label::crash(m).into()).unwrap();
+                for &loc in &locs {
+                    let (before, after) = (st.cell(loc).pending, crashed.cell(loc).pending);
+                    assert_eq!(after, before & !domain, "crash of {m} at {loc}");
+                }
+                let bit = 1 << m.index();
+                let held = locs.iter().any(|&l| st.cell(l).pending & bit != 0);
+                let barrier = sem.apply(&st, &AsyncLabel::barrier(m));
+                assert_eq!(barrier.is_err(), held, "Barrier_{m} in\n{st}");
+                for &loc in &locs {
+                    let c = st.cell(loc);
+                    let enabled = c.pending & bit != 0 && c.holders == 0;
+                    let retire = SilentStep::Retire { by: m, loc };
+                    assert_eq!(sem.apply_silent(&st, &retire).is_ok(), enabled);
+                    assert_eq!(sem.silent_steps(&st).contains(&retire), enabled);
+                }
+            }
+        }
     }
 
     #[test]
@@ -739,7 +673,7 @@ mod proptests {
                 }
                 // Buffers only hold valid locations.
                 for m in cfg.machines() {
-                    for &loc in st.pending_of(m) {
+                    for loc in st.pending(m) {
                         prop_assert!(cfg.contains_loc(loc));
                     }
                 }
@@ -775,12 +709,12 @@ mod proptests {
                 let enabled: std::collections::BTreeSet<_> = sem
                     .silent_steps(&st)
                     .into_iter()
-                    .filter(|s| matches!(s, AsyncSilentStep::Retire { .. }))
+                    .filter(|s| matches!(s, SilentStep::Retire { .. }))
                     .collect();
                 for m in cfg.machines() {
-                    for &loc in st.pending_of(m) {
-                        let step = AsyncSilentStep::Retire { by: m, loc };
-                        let should = st.base().no_cache_holds(loc);
+                    for loc in st.pending(m) {
+                        let step = SilentStep::Retire { by: m, loc };
+                        let should = st.no_cache_holds(loc);
                         prop_assert_eq!(enabled.contains(&step), should);
                         prop_assert_eq!(sem.apply_silent(&st, &step).is_ok(), should);
                     }

@@ -1,11 +1,13 @@
 //! One location's CXL0 state and the per-location rules of Figure 2, the
-//! RMWs of §3.3 and the variants of §3.5: the one copy of them. By the
-//! global cache invariant every rule but `GPF` acts on one location's
-//! `(holders, cached value, memory value)`. A [`State`](crate::State) is one
-//! [`Cell`] per location, and [`Semantics`](crate::Semantics) replaces the
-//! label's cell by what [`step`] returns; `cxl0-runtime`'s fabric stores
-//! the same three words per location and computes every primitive with
-//! [`force`].
+//! RMWs of §3.3, the variants of §3.5 and the `CXL0_AF` extension of §3.2:
+//! the one copy of them. By the global cache invariant every rule but `GPF`
+//! and `Barrier` acts on one location's `(holders, cached value, memory
+//! value)`, plus, under `CXL0_AF`, the mask of machines with a flush request
+//! pending there: machine `i`'s persistency buffer `P_i` is bit `i` of every
+//! cell's mask. A [`State`](crate::State) is one [`Cell`] per location, and
+//! [`Semantics`](crate::Semantics) replaces the label's cell by what
+//! [`step`] returns; `cxl0-runtime`'s fabric stores the first three words
+//! per location and computes every primitive with [`force`].
 
 use crate::ids::{MachineId, Val};
 use crate::label::{FlushKind, StoreKind};
@@ -34,6 +36,9 @@ pub struct Cell {
     pub cache: Val,
     /// The owner's memory value `M_k(x)`.
     pub mem: Val,
+    /// Bit `i` is set iff `x ∈ P_i`: machine `i` has an `AFlush` request
+    /// for the location pending (`CXL0_AF`; base CXL0 never sets it).
+    pub pending: u64,
 }
 
 impl Cell {
@@ -45,15 +50,6 @@ impl Cell {
         } else {
             self.mem
         }
-    }
-}
-
-#[inline(always)]
-fn cell(holders: u64, cache: Val, mem: Val) -> Cell {
-    Cell {
-        holders,
-        cache,
-        mem,
     }
 }
 
@@ -76,6 +72,12 @@ pub enum CellLabel {
     CacheToCache,
     /// `Propagate-C-M`: the owner's copy moves to its memory.
     CacheToMemory,
+    /// `AFlush` (`CXL0_AF`): the issuer's request enters its persistency
+    /// buffer. Never blocks.
+    AFlush,
+    /// The silent retirement of the issuer's pending request, enabled once
+    /// no cache holds the line: an `RFlush`'s post-condition (`CXL0_AF`).
+    Retire,
 }
 
 /// A blocking precondition does not hold (yet).
@@ -97,7 +99,8 @@ fn blocked<T>(reason: &'static str) -> Result<T, Blocked> {
 ///
 /// [`Blocked`]: an `LFlush` while the issuer holds the line, an `RFlush`
 /// while any cache does, an LWB load while only other caches do, or a
-/// silent step that is not enabled.
+/// silent step that is not enabled (a `Retire` without the issuer's
+/// request, or while any cache holds the line).
 #[inline(always)]
 pub fn step(
     c: Cell,
@@ -107,6 +110,12 @@ pub fn step(
     variant: ModelVariant,
 ) -> Result<(Cell, Option<Val>), Blocked> {
     let (i, k, h) = (1u64 << issuer.index(), 1u64 << owner.index(), c.holders);
+    let cell = |holders, cache, mem| Cell {
+        holders,
+        cache,
+        mem,
+        pending: c.pending,
+    };
     // LSTORE: C'_i = C_i[x↦v], ∀j≠i. C'_j = ⊥; RSTORE: the same at the
     // owner k; MSTORE: M'_k = M_k[x↦v], ∀j. C'_j = ⊥.
     let store = |kind, v| match kind {
@@ -140,16 +149,16 @@ pub fn step(
         // The six RMW rules: the load and the store with no interference.
         CellLabel::Rmw(kind, old, new) if c.visible() == old => (store(kind, new), Some(old)),
         CellLabel::Rmw(..) => (c, Some(c.visible())),
-        // CRASH drops the crashed machines' copies, CRASH(PSN) every copy
-        // of a crashed owner's line; a crashed owner's volatile memory is 0.
+        // CRASH drops the crashed machines' copies and pending requests,
+        // CRASH(PSN) every copy of a crashed owner's line; a crashed
+        // owner's volatile memory is 0.
         CellLabel::Crash(machines, volatile) => {
             let own = machines & k != 0;
             let psn = own && variant == ModelVariant::Psn;
             let mem = if own && volatile { Val::ZERO } else { c.mem };
-            (
-                cell(if psn { 0 } else { h & !machines }, c.cache, mem),
-                None,
-            )
+            let post = cell(if psn { 0 } else { h & !machines }, c.cache, mem);
+            let pending = c.pending & !machines;
+            (Cell { pending, ..post }, None)
         }
         CellLabel::CacheToCache if i == k => return blocked("Propagate-C-C requires i ≠ k"),
         CellLabel::CacheToCache if h & i == 0 => {
@@ -160,6 +169,20 @@ pub fn step(
             return blocked("Propagate-C-M requires C_k(x) ≠ ⊥")
         }
         CellLabel::CacheToMemory => (to_memory(c), None),
+        CellLabel::AFlush => {
+            let pending = c.pending | i;
+            (Cell { pending, ..c }, None)
+        }
+        CellLabel::Retire if c.pending & i == 0 => {
+            return blocked("Retire requires a pending request")
+        }
+        CellLabel::Retire if h != 0 => {
+            return blocked("Retire requires the line to have drained (∀j. C_j(x) = ⊥)")
+        }
+        CellLabel::Retire => {
+            let pending = c.pending & !i;
+            (Cell { pending, ..c }, None)
+        }
     })
 }
 
@@ -169,6 +192,11 @@ pub fn step(
 /// owner holds none, then to memory). This is the `τ*` prefix a blocking
 /// primitive of the executable fabric takes: an `LFlush` moves only the
 /// issuer's copy, an `RFlush` or an LWB load drains the line.
+///
+/// # Panics
+///
+/// Panics on a `Retire` without the issuer's request, which no silent
+/// step unblocks.
 #[inline(always)]
 pub fn force(
     mut c: Cell,
@@ -193,20 +221,22 @@ pub fn force(
     }
     match step(to_memory(c), issuer, owner, label, variant) {
         Ok(done) => done,
-        Err(_) => unreachable!("no rule blocks on a line no cache holds"),
+        Err(_) => panic!("no silent step unblocks a Retire without a request"),
     }
 }
 
 /// `Propagate-C-C`: holder `from`'s copy (a bit) moves to the owner's.
 #[inline(always)]
 fn to_owner(c: Cell, from: u64, owner: u64) -> Cell {
-    cell((c.holders & !from) | owner, c.cache, c.mem)
+    let holders = (c.holders & !from) | owner;
+    Cell { holders, ..c }
 }
 
 /// `Propagate-C-M`: the owner's copy moves to its memory.
 #[inline(always)]
 fn to_memory(c: Cell) -> Cell {
-    cell(0, c.cache, c.cache)
+    let (holders, mem) = (0, c.cache);
+    Cell { holders, mem, ..c }
 }
 
 #[cfg(test)]
@@ -222,6 +252,7 @@ mod tests {
             holders,
             cache: Val(cache),
             mem: Val(mem),
+            pending: 0,
         }
     }
 

@@ -336,11 +336,12 @@ impl fmt::Display for Primitive {
     }
 }
 
-/// A silent (`τ`) propagation step (§3.3, *Propagation steps*).
+/// A silent (`τ`) step: propagation (§3.3, *Propagation steps*), or under
+/// `CXL0_AF` the retirement of a pending flush request.
 ///
-/// These model the nondeterministic cache-eviction behavior of the system:
-/// values drift "horizontally" toward the owner's cache and "vertically"
-/// from the owner's cache into the owner's memory.
+/// Propagation models the nondeterministic cache-eviction behavior of the
+/// system: values drift "horizontally" toward the owner's cache and
+/// "vertically" from the owner's cache into the owner's memory.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum SilentStep {
     /// `Propagate-C-C`: move the value of `loc` from machine `from`'s cache
@@ -357,13 +358,24 @@ pub enum SilentStep {
         /// The location being written back.
         loc: Loc,
     },
+    /// Retire machine `by`'s pending `AFlush` request for `loc` (`CXL0_AF`).
+    /// Enabled only once no cache holds `loc`: the line has drained to
+    /// the owner's memory, the post-condition of a synchronous `RFlush`.
+    Retire {
+        /// The machine whose buffer holds the request.
+        by: MachineId,
+        /// The flushed location.
+        loc: Loc,
+    },
 }
 
 impl SilentStep {
     /// The location moved by this step.
     pub fn loc(&self) -> Loc {
         match *self {
-            SilentStep::CacheToCache { loc, .. } | SilentStep::CacheToMemory { loc } => loc,
+            SilentStep::CacheToCache { loc, .. }
+            | SilentStep::CacheToMemory { loc }
+            | SilentStep::Retire { loc, .. } => loc,
         }
     }
 }
@@ -375,6 +387,7 @@ impl fmt::Display for SilentStep {
                 write!(f, "τ[C-C {from}→{} {loc}]", loc.owner)
             }
             SilentStep::CacheToMemory { loc } => write!(f, "τ[C-M {loc}]"),
+            SilentStep::Retire { by, loc } => write!(f, "τ[retire {by} {loc}]"),
         }
     }
 }

@@ -9,8 +9,8 @@
 //! * the visible transition labels — `Load`, `LStore`/`RStore`/`MStore`,
 //!   `LFlush`/`RFlush`, `GPF`, six RMW flavours, and per-machine crashes
 //!   ([`Label`]),
-//! * the silent propagation steps `Propagate-C-C` / `Propagate-C-M`
-//!   ([`SilentStep`]),
+//! * the silent propagation steps `Propagate-C-C` / `Propagate-C-M`, and
+//!   the retirement of `CXL0_AF` flush requests ([`SilentStep`]),
 //! * the per-location rules of Figure 2, which the executable fabric
 //!   shares ([`cell::step`]), lifted to whole states ([`Semantics`]),
 //! * the model variants `CXL0_PSN` and `CXL0_LWB` of §3.5
@@ -50,10 +50,10 @@
 //! | [`config`] | §3.1 | machines, memory kinds, failure domains |
 //! | [`label`] | §3.3 | visible labels, primitives, silent steps |
 //! | [`state`] | §3.3 | `γ = (C, M)` as one cell per location (the global cache invariant) |
-//! | [`cell`] | Fig. 2, §3.3, §3.5 | one location's `(holders, cache, memory)` and the per-location rules |
+//! | [`cell`] | Fig. 2, §3.2–3.5 | one location's `(holders, cache, memory, pending)` and the per-location rules |
 //! | [`semantics`] | Fig. 2, §3.3 | the rules over whole states, `GPF`, silent-step enumeration |
 //! | [`variant`] | §3.5 | `CXL0`, `CXL0_PSN`, `CXL0_LWB` |
-//! | [`asyncflush`] | §3.2 (extension) | `CXL0_AF`: persistency buffers, `AFlush`, `Barrier` |
+//! | [`asyncflush`] | §3.2 (extension) | `CXL0_AF`: `AFlush`, `Barrier`, retirement over the cells' pending masks |
 //! | [`topology`] | §4 | primitive availability per configuration |
 //! | [`trace`] | §3.4 | label sequences & litmus notation |
 
@@ -72,7 +72,7 @@ pub mod topology;
 pub mod trace;
 pub mod variant;
 
-pub use asyncflush::{AsyncLabel, AsyncSemantics, AsyncSilentStep, AsyncState};
+pub use asyncflush::{AsyncLabel, AsyncSemantics};
 pub use config::{MachineConfig, MemoryKind, SystemConfig};
 pub use ids::{Addr, Loc, MachineId, Val};
 pub use label::{FlushKind, Label, Primitive, SilentStep, StoreKind};

@@ -258,21 +258,26 @@ impl Semantics {
         Ok(next)
     }
 
-    /// Enumerates the silent propagation steps enabled in `state`
-    /// (Propagate-C-C and Propagate-C-M of Fig. 2), respecting a topology's
-    /// `Propagate-C-C` exclusion if one is installed.
+    /// Enumerates the silent steps enabled in `state`: Propagate-C-C and
+    /// Propagate-C-M of Fig. 2, respecting a topology's `Propagate-C-C`
+    /// exclusion if one is installed, and the retirements of `CXL0_AF`
+    /// requests (none in a base state).
     pub fn silent_steps(&self, state: &State) -> Vec<SilentStep> {
         let mut out = Vec::new();
         let cc_allowed = self.topology.as_ref().is_none_or(Topology::allows_prop_cc);
         for (loc, c) in state.cells() {
-            let held = (0..state.num_machines()).map(MachineId);
-            for from in held.filter(|m| c.holders & (1 << m.index()) != 0) {
-                if from == loc.owner {
+            for m in (0..state.num_machines()).map(MachineId) {
+                let bit = 1 << m.index();
+                if c.holders & bit != 0 && m == loc.owner {
                     // Propagate-C-M: owner's cache → owner's memory.
                     out.push(SilentStep::CacheToMemory { loc });
-                } else if cc_allowed {
+                } else if c.holders & bit != 0 && cc_allowed {
                     // Propagate-C-C: non-owner's cache → owner's cache.
-                    out.push(SilentStep::CacheToCache { from, loc });
+                    out.push(SilentStep::CacheToCache { from: m, loc });
+                }
+                let retire = || cell::step(c, m, loc.owner, CellLabel::Retire, self.variant);
+                if c.pending & bit != 0 && retire().is_ok() {
+                    out.push(SilentStep::Retire { by: m, loc });
                 }
             }
         }
@@ -281,7 +286,7 @@ impl Semantics {
         out
     }
 
-    /// Applies one silent propagation step.
+    /// Applies one silent step.
     ///
     /// # Errors
     ///
@@ -290,6 +295,7 @@ impl Semantics {
         let (from, loc, op) = match *step {
             SilentStep::CacheToCache { from, loc } => (from, loc, CellLabel::CacheToCache),
             SilentStep::CacheToMemory { loc } => (loc.owner, loc, CellLabel::CacheToMemory),
+            SilentStep::Retire { by, loc } => (by, loc, CellLabel::Retire),
         };
         let (post, _) = cell::step(state.cell(loc), from, loc.owner, op, self.variant)?;
         let mut next = state.clone();

@@ -12,6 +12,10 @@
 //! keeps cached value 0, so each state has one representation and states
 //! are canonical, hashable and orderable, which the explorer crate relies
 //! on for state-space deduplication.
+//!
+//! The same type is a `CXL0_AF` state `(C, M, P)`: machine `i`'s
+//! persistency buffer `P_i` is bit `i` of every cell's `pending` mask,
+//! which base CXL0 leaves 0.
 
 use std::fmt;
 
@@ -95,6 +99,13 @@ impl State {
         self.cells().all(|(_, c)| c.holders == 0)
     }
 
+    /// `P_m`: the locations machine `m` has an `AFlush` request pending
+    /// for (`CXL0_AF`), in owner-then-address order.
+    pub fn pending(&self, m: MachineId) -> impl Iterator<Item = Loc> + '_ {
+        let bit = 1u64 << m.index();
+        (self.cells()).filter_map(move |(loc, c)| (c.pending & bit != 0).then_some(loc))
+    }
+
     /// The cell of `loc`: its holders, their value and the owner's memory
     /// (what [`step`](crate::cell::step) applies a label to).
     ///
@@ -133,6 +144,12 @@ impl fmt::Display for State {
         for (i, cells) in self.cells.iter().enumerate() {
             let mems: Vec<_> = cells.iter().map(|c| c.mem.to_string()).collect();
             writeln!(f, "  M_m{i} = [{}]", mems.join(", "))?;
+        }
+        for i in 0..self.num_machines() {
+            let locs: Vec<_> = self.pending(MachineId(i)).map(|l| l.to_string()).collect();
+            if !locs.is_empty() {
+                writeln!(f, "  P_m{i} = {{{}}}", locs.join(", "))?;
+            }
         }
         write!(f, "}}")
     }
@@ -197,10 +214,12 @@ mod tests {
             holders: 0b11,
             cache: Val(1),
             mem: Val(4),
+            pending: 0b10,
         };
         st.set_cell(x, c);
         assert_eq!(st.cell(x), c);
         assert_eq!(st.holders(x), vec![MachineId(0), MachineId(1)]);
+        assert_eq!(st.pending(MachineId(1)).collect::<Vec<_>>(), vec![x]);
         st.set_cell(x, Cell::default());
         assert!(st.no_cache_holds(x));
         assert_eq!(st.memory(x), Val::ZERO);

@@ -598,7 +598,10 @@ impl StatsSnapshot {
 }
 
 /// One location's model state `(holders bitmask, cached value, memory
-/// value)` as a sequence-locked record of atomics: exactly 32 bytes.
+/// value)` as a sequence-locked record of atomics: exactly 32 bytes. The
+/// model cell's `pending` mask is not stored here: bit `i` of it is
+/// machine `i`'s [`PendingBuf`], which a barrier drains without scanning
+/// the slab, so the cells this type yields read it as 0.
 /// The slab lays cells out in 64-byte [`Line`]s, so cells `2k` and
 /// `2k + 1` share one host line and none straddles one. A two-cell
 /// record — a map slot's `[key, value]`, a queue node's `[value, next]`,
@@ -688,6 +691,7 @@ impl LocCell {
                     holders: self.holders.load(Ordering::Relaxed),
                     cache: Val(self.cache_val.load(Ordering::Relaxed)),
                     mem: Val(self.mem_val.load(Ordering::Relaxed)),
+                    pending: 0,
                 };
                 fence(Ordering::Acquire);
                 if self.seq.load(Ordering::Relaxed) == s1 {
@@ -745,6 +749,7 @@ impl CellGuard<'_> {
             holders: self.cell.holders.load(Ordering::Relaxed),
             cache: Val(self.cell.cache_val.load(Ordering::Relaxed)),
             mem: Val(self.cell.mem_val.load(Ordering::Relaxed)),
+            pending: 0,
         }
     }
 
@@ -801,13 +806,18 @@ const ARMED: u64 = 2;
 /// per shard so unrelated threads stop serializing.
 const PENDING_SHARDS: usize = 8;
 
+/// One machine's persistency buffer `P_i`: the locations whose model cell
+/// has bit `i` of its `pending` mask set, indexed by location.
+///
 /// Each shard is a sorted, deduplicated `Vec` (binary-search insert):
 /// for the shard sizes a barrier window produces this beats a B-tree set
 /// — no per-entry node allocation, and `clear()` retains capacity so the
 /// steady state allocates nothing at all. The `nonempty` bitmask (bit
 /// per shard) lets `Barrier` visit only occupied shards, so the
 /// barrier-per-store pattern (`FlitPolicy::ASYNC`) pays one shard lock, and an
-/// empty barrier pays none.
+/// empty barrier pays none. Each method calls its callback under the
+/// shard's lock, where a test's recorder logs the event (see
+/// [`Buffered`]).
 #[derive(Debug)]
 struct PendingBuf {
     nonempty: AtomicU64,
@@ -822,7 +832,8 @@ impl PendingBuf {
         }
     }
 
-    fn insert(&self, loc: Loc) {
+    /// Adds a request for `loc` (`AFlush`), then calls `queued`.
+    fn insert(&self, loc: Loc, queued: impl FnOnce()) {
         let s = loc.addr.index() % PENDING_SHARDS;
         let mut set = self.shards[s].lock();
         let was_empty = set.is_empty();
@@ -832,14 +843,19 @@ impl PendingBuf {
                 self.nonempty.fetch_or(1u64 << s, Ordering::Release);
             }
         }
+        queued();
     }
 
     /// Retires every request shard by shard, calling `f` for each
     /// pending location and clearing as it goes; returns the number
-    /// retired. Shard-at-a-time draining means a concurrent insert into
-    /// a not-yet-visited shard may or may not be included — exactly the
-    /// guarantee a concurrent insert had against the old single-mutex
-    /// buffer.
+    /// retired. Every request inserted before the call is retired when
+    /// it returns. An insert concurrent with the call is ordered after
+    /// the barrier that makes it: into a shard the call already visited,
+    /// it stays pending, as if issued once the barrier returned; into a
+    /// shard not yet visited, it is retired as well, by the silent
+    /// `Retire` step the model takes whenever a drained line has a
+    /// request pending. So a barrier covers exactly the requests that
+    /// happen before it, which the step oracle checks.
     ///
     /// A shard's bit is cleared under the shard's lock, *after* the
     /// drain, as `insert` sets it under the lock: a barrier that still
@@ -863,10 +879,13 @@ impl PendingBuf {
         retired
     }
 
-    fn clear(&self) {
+    /// Discards every request, calling `discarded` for each (a crash).
+    fn clear(&self, mut discarded: impl FnMut(Loc)) {
         // Only called with the world stopped (no concurrent inserts).
         for shard in &self.shards {
-            shard.lock().clear();
+            let mut set = shard.lock();
+            set.iter().for_each(|&loc| discarded(loc));
+            set.clear();
         }
         self.nonempty.store(0, Ordering::Release);
     }
@@ -874,6 +893,28 @@ impl PendingBuf {
     fn len(&self) -> usize {
         self.shards.iter().map(|s| s.lock().len()).sum()
     }
+}
+
+/// An event of the persistency buffers, as a test's recorder logs it
+/// beside the cell steps ([`SimFabric::record`]): a mask rule of the model
+/// on one location, or the bound of a barrier or a crash.
+#[derive(Debug, Clone, Copy)]
+#[cfg_attr(not(test), allow(dead_code))]
+pub(crate) enum Buffered {
+    /// `AFlush_i(x)`: the request entered machine `i`'s buffer.
+    Queued(MachineId, Loc),
+    /// A barrier began.
+    Began,
+    /// `Retire_i(x)`: a barrier of `i` drained `x`'s cell (at the sequence
+    /// word, to the cell given) and retired the request.
+    Retired(MachineId, Loc, (u64, Cell)),
+    /// The barrier of `i` that began at the given event returned.
+    Fenced(MachineId, usize),
+    /// A crash discarded `i`'s request for `x`.
+    Discarded(MachineId, Loc),
+    /// A crash of the machines in the mask (failure domains included)
+    /// finished discarding their buffers.
+    Crashed(u64),
 }
 
 /// The concurrent CXL0 shared-memory fabric.
@@ -928,9 +969,10 @@ pub struct SimFabric {
     /// default: every seam is then a single `OnceLock` load and issues
     /// no atomic read-modify-write.
     tracer: OnceLock<Arc<crate::trace::Tracer>>,
-    /// The steps taken, while a test records them ([`SimFabric::record`]).
+    /// The steps taken and the buffer events, while a test records them
+    /// ([`SimFabric::record`]).
     #[cfg(test)]
-    taken: OnceLock<Mutex<Vec<Taken>>>,
+    taken: OnceLock<Mutex<(Vec<Taken>, Vec<Buffered>)>>,
 }
 
 impl SimFabric {
@@ -1201,18 +1243,20 @@ impl SimFabric {
 
     /// Drains `loc`'s `cell` (a forced `RFlush` by its owner) as one line of
     /// a batch (a barrier or a `GPF`): a checker `ck` settles the cell here
-    /// and judges the `changed` memory words after the whole batch.
+    /// and judges the `changed` memory words after the whole batch. Returns
+    /// the drained cell and the (even) sequence word it holds at.
+    #[inline(always)]
     fn drain_in_batch(
         &self,
         ck: Option<&Arc<Checker>>,
         loc: Loc,
         cell: &LocCell,
         changed: &mut Vec<(Loc, u64)>,
-    ) {
+    ) -> (u64, Cell) {
         let drain = CellLabel::Flush(FlushKind::Remote);
         if let Some((seq, pre, _)) = self.unlocked(cell, loc, loc.owner, drain) {
             self.took(loc, loc.owner, drain, seq, pre, Ok((pre, None)));
-            return;
+            return (seq, pre);
         }
         let st = cell.lock();
         let (pre, post, _) = self.force_locked(loc, &st, loc.owner, drain);
@@ -1222,6 +1266,7 @@ impl SimFabric {
                 changed.push((loc, post.mem.0));
             }
         }
+        (st.seq() + 1, post)
     }
 
     /// Crashes machine `m`: stop-the-world, wipe `m`'s cache entries
@@ -1264,7 +1309,10 @@ impl SimFabric {
             if own {
                 // Un-retired asynchronous flush requests die with the
                 // machine.
-                self.pending[owner].clear();
+                let by = MachineId(owner);
+                self.pending[owner].clear(|loc| {
+                    self.buffered(Buffered::Discarded(by, loc));
+                });
             }
             let volatile = self.cfg.machine(MachineId(owner)).memory == MemoryKind::Volatile;
             let crash = CellLabel::Crash(crashed_bits, volatile);
@@ -1279,6 +1327,7 @@ impl SimFabric {
                 st.put(pre, post);
             });
         }
+        self.buffered(Buffered::Crashed(crashed_bits));
         if let Some(ck) = self.checker.get() {
             // The world is still stopped: the checker reads what the
             // crash left of every cell (an untouched one carries no
@@ -1380,7 +1429,9 @@ impl SimFabric {
         // The sanitizer judges the drain as one batch, like a barrier's.
         let ck = self.checker.get();
         let mut changed = Vec::new();
-        self.each_cell(|_, loc, cell| self.drain_in_batch(ck, loc, cell, &mut changed));
+        self.each_cell(|_, loc, cell| {
+            self.drain_in_batch(ck, loc, cell, &mut changed);
+        });
         if let Some(ck) = ck {
             ck.publish(self, None, &changed);
         }
@@ -1411,6 +1462,15 @@ impl SimFabric {
     #[cfg(not(test))]
     #[inline(always)]
     fn took(&self, _: Loc, _: MachineId, _: CellLabel, _: u64, _: Cell, _: StepOutcome) {}
+
+    /// Records a persistency-buffer event and returns its index in the
+    /// log (see [`SimFabric::record`]); a no-op outside the crate's unit
+    /// tests.
+    #[cfg(not(test))]
+    #[inline(always)]
+    fn buffered(&self, _: Buffered) -> usize {
+        0
+    }
 }
 
 /// What a step did to a cell: the new cell and the value observed, or
@@ -1801,7 +1861,10 @@ impl NodeHandle {
     pub fn aflush(&self, loc: Loc) -> OpResult<()> {
         let g = self.enter::<true>()?;
         g.charge(OpClass::AFlushes, cost::AFLUSH_ISSUE);
-        self.fabric.pending[self.machine.index()].insert(loc);
+        let (fabric, by) = (&*self.fabric, self.machine);
+        fabric.pending[by.index()].insert(loc, || {
+            fabric.buffered(Buffered::Queued(by, loc));
+        });
         Ok(())
     }
 
@@ -1821,15 +1884,18 @@ impl NodeHandle {
         // `cost::barrier_cost_of` needs only the slowest line's
         // full-RFlush cost and the count, so no vector is collected.
         let mut max_line = 0u64;
-        let ck = self.fabric.checker.get();
+        let (fabric, by) = (&*self.fabric, self.machine);
+        let ck = fabric.checker.get();
         let mut changed = Vec::new();
-        let retired = self.fabric.pending[self.machine.index()].retire(|loc| {
-            (self.fabric).drain_in_batch(ck, loc, self.fabric.cell(loc), &mut changed);
-            let local = self.machine == loc.owner;
-            max_line = max_line.max(cost::cost(Primitive::RFlush, local));
+        let began = fabric.buffered(Buffered::Began);
+        let retired = fabric.pending[by.index()].retire(|loc| {
+            let drained = fabric.drain_in_batch(ck, loc, fabric.cell(loc), &mut changed);
+            fabric.buffered(Buffered::Retired(by, loc, drained));
+            max_line = max_line.max(cost::cost(Primitive::RFlush, by == loc.owner));
         });
+        fabric.buffered(Buffered::Fenced(by, began));
         if let Some(ck) = ck {
-            let who = Some((self.machine, thread_slot_index()));
+            let who = Some((by, thread_slot_index()));
             ck.publish(&self.fabric, who, &changed);
         }
         g.charge(
@@ -1922,16 +1988,25 @@ pub(crate) struct Taken {
 
 #[cfg(test)]
 impl SimFabric {
-    /// Starts logging every step taken on this fabric's cells.
+    /// Starts logging every step taken on this fabric's cells and every
+    /// event of its persistency buffers.
     pub(crate) fn record(&self) {
-        let _ = self.taken.set(Mutex::new(Vec::new()));
+        let _ = self.taken.set(Mutex::new((Vec::new(), Vec::new())));
     }
 
-    /// The steps logged since [`SimFabric::record`].
-    pub(crate) fn taken(&self) -> Vec<Taken> {
+    /// The steps and the buffer events logged since [`SimFabric::record`].
+    pub(crate) fn taken(&self) -> (Vec<Taken>, Vec<Buffered>) {
         self.taken
             .get()
-            .map_or_else(Vec::new, |log| log.lock().clone())
+            .map_or_else(Default::default, |log| log.lock().clone())
+    }
+
+    fn buffered(&self, event: Buffered) -> usize {
+        self.taken.get().map_or(0, |log| {
+            let buffers = &mut log.lock().1;
+            buffers.push(event);
+            buffers.len() - 1
+        })
     }
 
     fn took(
@@ -1944,7 +2019,7 @@ impl SimFabric {
         outcome: StepOutcome,
     ) {
         if let Some(log) = self.taken.get() {
-            log.lock().push(Taken {
+            log.lock().0.push(Taken {
                 loc,
                 issuer,
                 label,
@@ -1959,6 +2034,7 @@ impl SimFabric {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashMap;
 
     /// A snapshot whose `k`-th field holds `base * k`. Deliberately a
     /// full literal: a field appended to [`StatsSnapshot`] fails to
@@ -2673,11 +2749,13 @@ mod tests {
     /// primitive may wait out — and demands the logged outcome; an
     /// unlocked step must have changed nothing. Each pre-state must be the
     /// one the cell's lock history left at its sequence word, and every
-    /// such state but the initial one must come from a logged lock.
-    /// Returns how many unlocked and locked steps were replayed.
-    fn replay(f: &SimFabric) -> [usize; 2] {
-        let taken = f.taken();
-        let mut states = std::collections::HashMap::new();
+    /// such state but the initial one must come from a logged lock. Then
+    /// replays the buffer events ([`replay_buffers`]). Returns how many
+    /// unlocked and locked steps, retirements, barriers and discards were
+    /// checked.
+    fn replay(f: &SimFabric) -> [usize; 5] {
+        let (taken, buffers) = f.taken();
+        let mut states = HashMap::new();
         let mut released = std::collections::HashSet::new();
         let mut counts = [0; 2];
         for t in &taken {
@@ -2708,6 +2786,81 @@ mod tests {
                 assert_eq!(cell, Cell::default(), "{loc} starts zeroed");
             } else {
                 assert!(released.contains(&(loc, seq)), "{loc}@{seq}: unlogged lock");
+            }
+        }
+        let [retired, fenced, discarded] = replay_buffers(f, &buffers, &states);
+        [counts[0], counts[1], retired, fenced, discarded]
+    }
+
+    /// Replays the buffer events through [`cell::step`] on one pending
+    /// mask per location, in log order (each is logged under its buffer
+    /// shard's lock, or with the world stopped), and checks that
+    /// - every cell a barrier retires held the issuer's bit and had
+    ///   drained, in a state the cell's lock history holds at that
+    ///   sequence word (`states`);
+    /// - a barrier returns with no request of its issuer pending that was
+    ///   queued before it began;
+    /// - a crash discards exactly the requests of its victims.
+    ///
+    /// Returns how many retirements, barriers and discards it checked.
+    fn replay_buffers(
+        f: &SimFabric,
+        buffers: &[Buffered],
+        states: &HashMap<(Loc, u64), Cell>,
+    ) -> [usize; 3] {
+        let variant = f.variant();
+        let mut masks: HashMap<Loc, Cell> = HashMap::new();
+        // Each pending request's event index (its first, if queued again).
+        let mut since = HashMap::new();
+        let mut discarded = Vec::new();
+        let mut counts = [0; 3];
+        for (at, &e) in buffers.iter().enumerate() {
+            match e {
+                Buffered::Queued(by, loc) => {
+                    let c = masks.entry(loc).or_default();
+                    *c = cell::step(*c, by, loc.owner, CellLabel::AFlush, variant)
+                        .unwrap()
+                        .0;
+                    since.entry((by, loc)).or_insert(at);
+                }
+                Buffered::Began => {}
+                Buffered::Retired(by, loc, (seq, drained)) => {
+                    assert_eq!(states.get(&(loc, seq)), Some(&drained), "{e:?}");
+                    let c = masks.entry(loc).or_default();
+                    let held = Cell {
+                        pending: c.pending,
+                        ..drained
+                    };
+                    let retire = cell::step(held, by, loc.owner, CellLabel::Retire, variant);
+                    c.pending = retire.unwrap_or_else(|b| panic!("{e:?}: {b:?}")).0.pending;
+                    since.remove(&(by, loc));
+                    counts[0] += 1;
+                }
+                Buffered::Fenced(by, began) => {
+                    let old = since.iter().find(|(&(m, _), &t)| m == by && t < began);
+                    assert_eq!(old, None, "{e:?}: an older request is pending");
+                    counts[1] += 1;
+                }
+                Buffered::Discarded(by, loc) => discarded.push((by, loc)),
+                Buffered::Crashed(victims) => {
+                    let mut expected = Vec::new();
+                    for (&loc, c) in &mut masks {
+                        let crash = CellLabel::Crash(victims, false);
+                        let post = cell::step(*c, loc.owner, loc.owner, crash, variant)
+                            .unwrap()
+                            .0;
+                        let lost = c.pending & !post.pending;
+                        let machines = (0..64).filter(|i| lost >> i & 1 != 0).map(MachineId);
+                        expected.extend(machines.map(|m| (m, loc)));
+                        c.pending = post.pending;
+                    }
+                    since.retain(|&(m, _), _| victims & 1 << m.index() == 0);
+                    expected.sort_unstable();
+                    discarded.sort_unstable();
+                    assert_eq!(discarded, expected, "a crash of {victims:#b} discarded");
+                    counts[2] += discarded.len();
+                    discarded.clear();
+                }
             }
         }
         counts
@@ -2760,6 +2913,8 @@ mod tests {
                 match round % 10 {
                     3 => f.node(M0).gpf().unwrap_or(()),
                     7 => {
+                        // At least one request for the crash to discard.
+                        f.node(M1).aflush(x(0, 0)).unwrap();
                         f.crash(M1);
                         f.recover(M1);
                     }
@@ -2769,10 +2924,15 @@ mod tests {
             for w in workers {
                 w.join().unwrap();
             }
-            let [unlocked, locked] = replay(&f);
+            let counts = replay(&f);
+            let [unlocked, locked, retired, fenced, discarded] = counts;
             assert!(
                 unlocked > OPS / 2 && locked > OPS / 2,
                 "{variant}: {unlocked} + {locked}"
+            );
+            assert!(
+                retired > 0 && fenced > 0 && discarded > 0,
+                "{variant}: {counts:?}"
             );
         }
     }

@@ -501,8 +501,9 @@ impl Tracer {
             kind,
             slot,
             machine,
-            wall0: self.now_ns(),
+            // The probe first, so the span's wall time excludes its scan.
             probe0: stats.rail_probe(),
+            wall0: self.now_ns(),
             acks0: self.slots[slot].acks.load(Ordering::Relaxed),
         }
     }
@@ -519,8 +520,9 @@ impl Tracer {
             stats,
             phase,
             machine,
-            wall0: self.now_ns(),
+            // The counter scan first, so the phase's wall time excludes it.
             sim0: stats.sim_nanos(),
+            wall0: self.now_ns(),
         }
     }
 

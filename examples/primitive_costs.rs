@@ -6,6 +6,9 @@
 //! rounds and prints the median ns per call beside the quartiles of the
 //! rounds. Flushes are timed on lines the issuer just dirtied (their
 //! locked path); the stores that dirty them run outside the clock.
+//! `aflush` times the buffer enqueue alone: a barrier drains the buffer
+//! untimed between batches. `barrier (8 lines)` times one barrier over
+//! eight lines the issuer just dirtied and `aflush`ed, untimed.
 //!
 //! Two more rows time the fixed costs a recovery pays whatever the
 //! crash left: `stats snapshot` (one `Stats::snapshot`, which a session
@@ -28,16 +31,24 @@ const CALLS: u32 = 40_960;
 /// Distinct cells a round cycles through (so flushes find dirty lines).
 const CELLS: u32 = 256;
 
+/// Lines each timed barrier retires.
+const BARRIER_LINES: u32 = 8;
+
 /// Times `CALLS` calls of `op(i)` in batches of `CELLS`, running
 /// `prepare(i)` untimed for each cell before its batch; ns per call.
 fn time(prepare: &mut dyn FnMut(u32), op: &mut dyn FnMut(u32)) -> f64 {
+    time_batches(CELLS, prepare, op)
+}
+
+/// [`time`] in batches of `batch` calls.
+fn time_batches(batch: u32, prepare: &mut dyn FnMut(u32), op: &mut dyn FnMut(u32)) -> f64 {
     let mut ns = 0u128;
-    for _ in 0..CALLS / CELLS {
-        for i in 0..CELLS {
+    for _ in 0..CALLS / batch {
+        for i in 0..batch {
             prepare(i);
         }
         let t = Instant::now();
-        for i in 0..CELLS {
+        for i in 0..batch {
             op(i);
         }
         ns += t.elapsed().as_nanos();
@@ -51,7 +62,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let node: NodeHandle = fabric.node(MachineId(0));
     // Block `b` of machine 1's cells: remote lines, one block per row.
     let at = |b: u32| move |i: u32| Loc::new(MachineId(1), b * CELLS + i);
-    let (mem, hit, st, fl, rmw) = (at(0), at(1), at(2), at(3), at(4));
+    let (mem, hit, st, fl, rmw, af) = (at(0), at(1), at(2), at(3), at(4), at(5));
     for i in 0..CELLS {
         node.mstore(mem(i), 1)?;
         node.lstore(hit(i), 2)?;
@@ -134,6 +145,33 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             Box::new(|| {
                 time(&mut none, &mut |i| {
                     black_box(ok(node.faa(StoreKind::Local, rmw(i), 1)));
+                })
+            }),
+        ),
+        (
+            "aflush",
+            Box::new(|| {
+                let drain = &mut |i| {
+                    if i == 0 {
+                        ok(node.barrier());
+                    }
+                };
+                let ns = time(drain, &mut |i| ok(node.aflush(af(i))));
+                ok(node.barrier());
+                ns
+            }),
+        ),
+        (
+            "barrier (8 lines)",
+            Box::new(|| {
+                let dirty = &mut |_| {
+                    for i in 0..BARRIER_LINES {
+                        ok(node.lstore(af(i), 8));
+                        ok(node.aflush(af(i)));
+                    }
+                };
+                time_batches(1, dirty, &mut |_| {
+                    assert_eq!(ok(node.barrier()), BARRIER_LINES as usize);
                 })
             }),
         ),

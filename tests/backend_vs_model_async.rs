@@ -9,12 +9,15 @@
 //! its owner through `cxl0_model::cell::force`, the per-location rules
 //! the model's `Semantics` applies too. The explorer's τ-closure before
 //! each label shows the resulting state is one the blocking rule
-//! admits; the persistency buffers and `Barrier` itself are outside the
-//! shared rules, which is what this suite checks beyond the runtime's
-//! concurrent step oracle (`threaded_steps_replay_through_the_model_rules`).
+//! admits. The runtime's concurrent step oracle
+//! (`threaded_steps_replay_through_the_model_rules`) checks each
+//! `AFlush`, retirement and crash discard against the cells' pending
+//! masks; this suite checks whole sequential histories, observed values
+//! included, against the model's states, whose masks
+//! (`State::pending`) must admit the backend's buffers.
 
 use cxl0::explore::{Explorer, StateSet};
-use cxl0::model::asyncflush::{AsyncLabel, AsyncSemantics, AsyncState};
+use cxl0::model::asyncflush::{AsyncLabel, AsyncSemantics};
 use cxl0::model::{Label, Loc, MachineConfig, MachineId, StoreKind, SystemConfig, Val};
 use cxl0::runtime::SimFabric;
 use proptest::prelude::*;
@@ -74,7 +77,7 @@ proptest! {
         let fabric = SimFabric::with_variant(cfg.clone(), cxl0::model::ModelVariant::Base);
         let sem = AsyncSemantics::new(cfg);
         let exp = Explorer::new(&sem);
-        let mut states: StateSet<AsyncState> = exp.initial_set();
+        let mut states: StateSet = exp.initial_set();
         let nodes: Vec<_> = (0..2).map(|m| fabric.node(MachineId(m))).collect();
 
         for op in ops {
@@ -137,7 +140,7 @@ proptest! {
         // model state (the model may hold more pending entries — the
         // backend retires eagerly at barriers, never more lazily).
         let buffers_match = states.iter().any(|st| {
-            (0..2).all(|m| st.pending_of(MachineId(m)).len() >= fabric.pending_flushes(MachineId(m)))
+            (0..2).all(|m| st.pending(MachineId(m)).count() >= fabric.pending_flushes(MachineId(m)))
         });
         prop_assert!(buffers_match, "no model state admits the backend's buffers");
     }
