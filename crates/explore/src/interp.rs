@@ -10,16 +10,13 @@
 
 use std::collections::BTreeSet;
 
-use cxl0_model::{Semantics, State};
-
-use crate::lts::Lts;
+use cxl0_model::{Label, Semantics, State};
 
 /// A canonical set of states (τ-closures are represented this way so that
 /// they can be hashed and compared during product exploration).
 pub type StateSet = BTreeSet<State>;
 
-/// Interprets traces under a fixed semantics ([`Semantics`] unless
-/// stated otherwise).
+/// Interprets traces under a fixed [`Semantics`].
 ///
 /// # Examples
 ///
@@ -47,19 +44,37 @@ pub type StateSet = BTreeSet<State>;
 /// ]);
 /// assert!(!exp.is_allowed(&t));
 /// ```
+///
+/// Under `CXL0_AF`, an un-barriered `AFlush` may lose the store to the
+/// owner's crash (litmus A4); a `Barrier` forbids that, exactly like
+/// `RFlush` (litmus A3 vs. paper test 5):
+///
+/// ```
+/// use cxl0_explore::Explorer;
+/// use cxl0_model::{Label, Loc, MachineId, Semantics, SystemConfig, Val};
+///
+/// let sem = Semantics::new(SystemConfig::symmetric_nvm(2, 1));
+/// let (m1, m2) = (MachineId(0), MachineId(1));
+/// let x = Loc::new(m2, 0);
+/// let mut trace = vec![Label::lstore(m1, x, Val(1)), Label::aflush(m1, x)];
+/// let lost = [Label::crash(m2), Label::load(m1, x, Val(0))];
+/// assert!(Explorer::new(&sem).is_allowed(trace.iter().chain(&lost)));
+/// trace.push(Label::barrier(m1));
+/// assert!(!Explorer::new(&sem).is_allowed(trace.iter().chain(&lost)));
+/// ```
 #[derive(Debug, Clone)]
-pub struct Explorer<'a, L: Lts = Semantics> {
-    sem: &'a L,
+pub struct Explorer<'a> {
+    sem: &'a Semantics,
 }
 
-impl<'a, L: Lts> Explorer<'a, L> {
+impl<'a> Explorer<'a> {
     /// Creates an explorer over the given semantics.
-    pub fn new(sem: &'a L) -> Self {
+    pub fn new(sem: &'a Semantics) -> Self {
         Explorer { sem }
     }
 
     /// The underlying semantics.
-    pub fn semantics(&self) -> &'a L {
+    pub fn semantics(&self) -> &'a Semantics {
         self.sem
     }
 
@@ -92,7 +107,7 @@ impl<'a, L: Lts> Explorer<'a, L> {
     /// Applies one visible label to every state in `set` (states where the
     /// label is blocked or mismatching simply drop out), without silent
     /// steps.
-    pub fn apply_label(&self, set: &StateSet, label: &L::Label) -> StateSet {
+    pub fn apply_label(&self, set: &StateSet, label: &Label) -> StateSet {
         set.iter()
             .filter_map(|st| self.sem.apply(st, label).ok())
             .collect()
@@ -100,7 +115,7 @@ impl<'a, L: Lts> Explorer<'a, L> {
 
     /// The `⟹` step for one label: τ-closure, then the label, then
     /// τ-closure again. Input need not be τ-closed.
-    pub fn after_label(&self, set: &StateSet, label: &L::Label) -> StateSet {
+    pub fn after_label(&self, set: &StateSet, label: &Label) -> StateSet {
         let closed = self.tau_closure(set);
         let stepped = self.apply_label(&closed, label);
         self.tau_closure(&stepped)
@@ -110,7 +125,7 @@ impl<'a, L: Lts> Explorer<'a, L> {
     pub fn after_trace<'t>(
         &self,
         set: &StateSet,
-        trace: impl IntoIterator<Item = &'t L::Label>,
+        trace: impl IntoIterator<Item = &'t Label>,
     ) -> StateSet {
         let mut cur = self.tau_closure(set);
         for label in trace {
@@ -124,13 +139,13 @@ impl<'a, L: Lts> Explorer<'a, L> {
 
     /// The states reachable from the initial state via `trace` (with τ
     /// steps interleaved freely).
-    pub fn run_trace<'t>(&self, trace: impl IntoIterator<Item = &'t L::Label>) -> StateSet {
+    pub fn run_trace<'t>(&self, trace: impl IntoIterator<Item = &'t Label>) -> StateSet {
         self.after_trace(&self.initial_set(), trace)
     }
 
     /// Whether `trace` is executable from the initial state — i.e. whether
     /// the behavior it describes is *allowed* by the model.
-    pub fn is_allowed<'t>(&self, trace: impl IntoIterator<Item = &'t L::Label>) -> bool {
+    pub fn is_allowed<'t>(&self, trace: impl IntoIterator<Item = &'t Label>) -> bool {
         !self.run_trace(trace).is_empty()
     }
 
@@ -140,8 +155,8 @@ impl<'a, L: Lts> Explorer<'a, L> {
     pub fn same_outcomes<'t>(
         &self,
         set: &StateSet,
-        a: impl IntoIterator<Item = &'t L::Label>,
-        b: impl IntoIterator<Item = &'t L::Label>,
+        a: impl IntoIterator<Item = &'t Label>,
+        b: impl IntoIterator<Item = &'t Label>,
     ) -> bool {
         self.after_trace(set, a) == self.after_trace(set, b)
     }
@@ -151,8 +166,8 @@ impl<'a, L: Lts> Explorer<'a, L> {
     pub fn simulates<'t>(
         &self,
         set: &StateSet,
-        a: impl IntoIterator<Item = &'t L::Label>,
-        b: impl IntoIterator<Item = &'t L::Label>,
+        a: impl IntoIterator<Item = &'t Label>,
+        b: impl IntoIterator<Item = &'t Label>,
     ) -> bool {
         self.after_trace(set, a)
             .is_subset(&self.after_trace(set, b))
@@ -163,8 +178,7 @@ impl<'a, L: Lts> Explorer<'a, L> {
 mod tests {
     use super::*;
     use crate::space::reachable_states;
-    use cxl0_model::asyncflush::{AsyncLabel, AsyncSemantics};
-    use cxl0_model::{Label, Loc, MachineId, SystemConfig, Trace, Val};
+    use cxl0_model::{Loc, MachineId, SystemConfig, Trace, Val};
 
     const M0: MachineId = MachineId(0);
     const M1: MachineId = MachineId(1);
@@ -250,18 +264,14 @@ mod tests {
         assert!(exp.simulates(&set, &rs, &ls));
     }
 
-    // The `CXL0_AF` extension through the same explorer.
-
-    fn async2() -> AsyncSemantics {
-        AsyncSemantics::new(SystemConfig::symmetric_nvm(2, 1))
-    }
+    // The `CXL0_AF` labels through the same explorer.
 
     #[test]
     fn tau_closure_includes_retirement() {
-        let sem = async2();
+        let sem = sem2();
         let exp = Explorer::new(&sem);
         let st = sem
-            .apply(&sem.initial_state(), &AsyncLabel::aflush(M0, x(1)))
+            .apply(&sem.initial_state(), &Label::aflush(M0, x(1)))
             .unwrap();
         let closed = exp.tau_closure(&StateSet::from([st]));
         // Pending and retired variants of the same base state.
@@ -271,12 +281,12 @@ mod tests {
 
     #[test]
     fn barrier_filters_unretired_branches() {
-        let sem = async2();
+        let sem = sem2();
         let exp = Explorer::new(&sem);
         let trace = [
-            Label::lstore(M0, x(1), Val(1)).into(),
-            AsyncLabel::aflush(M0, x(1)),
-            AsyncLabel::barrier(M0),
+            Label::lstore(M0, x(1), Val(1)),
+            Label::aflush(M0, x(1)),
+            Label::barrier(M0),
         ];
         let set = exp.run_trace(&trace);
         assert!(!set.is_empty());
@@ -293,18 +303,18 @@ mod tests {
         // empty issuer buffer, AFlush;Barrier has exactly RFlush's
         // outcomes. (With a non-empty buffer it is strictly stronger —
         // covered by the inclusion check below.)
-        let sem = async2();
+        let sem = sem2();
         let exp = Explorer::new(&sem);
-        let alphabet: Vec<AsyncLabel> = vec![
-            Label::lstore(M0, x(1), Val(1)).into(),
-            Label::lstore(M1, x(1), Val(2)).into(),
-            Label::crash(M1).into(),
-            AsyncLabel::aflush(M0, x(0)),
+        let alphabet = vec![
+            Label::lstore(M0, x(1), Val(1)),
+            Label::lstore(M1, x(1), Val(2)),
+            Label::crash(M1),
+            Label::aflush(M0, x(0)),
         ];
         let reachable = reachable_states(&sem, &alphabet, 500);
         assert!(reachable.len() > 3);
-        let via_async = [AsyncLabel::aflush(M0, x(1)), AsyncLabel::barrier(M0)];
-        let via_sync = [Label::rflush(M0, x(1)).into()];
+        let via_async = [Label::aflush(M0, x(1)), Label::barrier(M0)];
+        let via_sync = [Label::rflush(M0, x(1))];
         for st in &reachable {
             let set = StateSet::from([st.clone()]);
             if st.pending(M0).next().is_none() {
@@ -323,17 +333,14 @@ mod tests {
 
     #[test]
     fn empty_trace_allowed() {
-        let sem = async2();
+        let sem = sem2();
         assert!(Explorer::new(&sem).is_allowed(&[]));
     }
 
     #[test]
     fn reachable_states_respects_cap() {
-        let sem = async2();
-        let alphabet: Vec<AsyncLabel> = vec![
-            Label::lstore(M0, x(1), Val(1)).into(),
-            AsyncLabel::aflush(M0, x(1)),
-        ];
+        let sem = sem2();
+        let alphabet = vec![Label::lstore(M0, x(1), Val(1)), Label::aflush(M0, x(1))];
         let capped = reachable_states(&sem, &alphabet, 2);
         assert!(capped.len() <= 2, "cap exceeded: {}", capped.len());
     }

@@ -1,12 +1,10 @@
 //! # `cxl0-explore` — explicit-state exploration for the CXL0 model
 //!
-//! This crate turns the per-step semantics of [`cxl0_model`] into the
-//! paper's full `γ ⟹ γ′` relation and builds four analyses on top:
+//! This crate turns the per-step semantics of [`cxl0_model`] — one
+//! [`Semantics`](cxl0_model::Semantics) for CXL0 and its `CXL0_AF`
+//! asynchronous-flush labels — into the paper's full `γ ⟹ γ′` relation
+//! and builds four analyses on top:
 //!
-//! * [`lts`] — the [`Lts`] trait the rest of the crate is generic over,
-//!   implemented by the base semantics and by the `CXL0_AF`
-//!   asynchronous-flush extension (§3.2's persistency-buffer sketch), so
-//!   one interpreter, litmus runner and reachability search check both;
 //! * [`interp`] — the nondeterministic interpreter (τ-closure, label
 //!   application, trace executability);
 //! * [`litmus`] / [`paper`] — the litmus-test engine and the paper's 13
@@ -19,6 +17,9 @@
 //!   paper's FDR4/CSP analysis);
 //! * [`paper_async`] — the `CXL0_AF` litmus suite `A1`–`A8` and the
 //!   exhaustive `AFlush;Barrier ≡ RFlush` equivalence check;
+//! * [`program`] — per-machine instruction streams (`AFlush` and
+//!   `Barrier` included) whose interleavings and crash points are
+//!   enumerated into outcome sets;
 //! * [`dot`] — Graphviz export of explored graphs.
 //!
 //! ## Example: running a paper litmus test
@@ -37,7 +38,6 @@
 pub mod dot;
 pub mod interp;
 pub mod litmus;
-pub mod lts;
 pub mod paper;
 pub mod paper_async;
 pub mod program;
@@ -47,7 +47,6 @@ pub mod space;
 
 pub use interp::{Explorer, StateSet};
 pub use litmus::{Litmus, LitmusOutcome, SuiteReport, Verdict};
-pub use lts::Lts;
 pub use program::{outcomes, Instr, Outcome, Program, Reg};
 pub use refine::{check_refinement, incomparability_witnesses, Refinement};
 pub use simulate::{check_all as check_proposition1, CounterExample, Prop1Item};

@@ -3,15 +3,14 @@
 //!
 //! This is the executable form of the paper's Figure 3 (tests 1–9), the
 //! §3.5 variant-comparison tests (10–12), and the §6 motivating example
-//! (test 13), and — over [`AsyncSemantics`](cxl0_model::AsyncSemantics) —
-//! of the `CXL0_AF` suite `A1`–`A8` in [`crate::paper_async`].
+//! (test 13), and of the `CXL0_AF` suite `A1`–`A8` in
+//! [`crate::paper_async`].
 
 use std::fmt;
 
-use cxl0_model::{ModelVariant, Semantics, SystemConfig};
+use cxl0_model::{ModelVariant, Semantics, SystemConfig, Trace};
 
 use crate::interp::Explorer;
-use crate::lts::Lts;
 
 /// Whether a behavior is allowed (✔) or forbidden (✗) by a model.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -50,7 +49,7 @@ impl fmt::Display for Verdict {
 /// A litmus test: a trace over a configuration, with expected verdicts for
 /// one or more model variants.
 #[derive(Debug, Clone)]
-pub struct Litmus<L: Lts = Semantics> {
+pub struct Litmus {
     /// Short name, e.g. `"test-01"`.
     pub name: String,
     /// Human-readable description of what the test demonstrates.
@@ -58,13 +57,13 @@ pub struct Litmus<L: Lts = Semantics> {
     /// The system configuration the trace runs over.
     pub config: SystemConfig,
     /// The trace of visible labels (in execution order, as in Fig. 3).
-    pub trace: L::Trace,
+    pub trace: Trace,
     /// Expected verdicts, per variant. Only variants listed here are
     /// asserted by [`Litmus::check`].
     pub expected: Vec<(ModelVariant, Verdict)>,
 }
 
-impl<L: Lts> Litmus<L> {
+impl Litmus {
     /// The expected verdict under `variant`, if the paper states one.
     pub fn expected_for(&self, variant: ModelVariant) -> Option<Verdict> {
         self.expected
@@ -75,8 +74,8 @@ impl<L: Lts> Litmus<L> {
 
     /// Runs the test under `variant` and returns the observed verdict.
     pub fn run(&self, variant: ModelVariant) -> Verdict {
-        let sem = L::with_variant(self.config.clone(), variant);
-        Verdict::from_allowed(Explorer::new(&sem).is_allowed(L::labels(&self.trace)))
+        let sem = Semantics::with_variant(self.config.clone(), variant);
+        Verdict::from_allowed(Explorer::new(&sem).is_allowed(&self.trace))
     }
 
     /// Runs the test under every variant with a stated expectation.
@@ -136,7 +135,7 @@ impl fmt::Display for LitmusOutcome {
 }
 
 /// Runs a whole suite and formats a Figure-3-style report.
-pub fn run_suite<L: Lts>(tests: &[Litmus<L>]) -> SuiteReport {
+pub fn run_suite(tests: &[Litmus]) -> SuiteReport {
     let mut outcomes = Vec::new();
     for t in tests {
         outcomes.extend(t.check());
@@ -186,7 +185,7 @@ impl fmt::Display for SuiteReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cxl0_model::{Label, Loc, MachineId, Trace, Val};
+    use cxl0_model::{Label, Loc, MachineId, Val};
 
     fn simple_litmus(expect: Verdict) -> Litmus {
         let x = Loc::new(MachineId(0), 0);

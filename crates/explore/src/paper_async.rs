@@ -17,8 +17,7 @@
 //! | A7 | `Barrier` with an empty buffer is a no-op (always enabled) | ✔ |
 //! | A8 | a crash discards pending requests: post-crash `Barrier` proves nothing | ✔ lossy |
 
-use cxl0_model::asyncflush::{AsyncLabel, AsyncSemantics};
-use cxl0_model::{Label, Loc, MachineId, SystemConfig, Val};
+use cxl0_model::{Label, Loc, MachineId, Semantics, SystemConfig, Trace, Val};
 
 use crate::interp::{Explorer, StateSet};
 use crate::litmus::{Litmus, Verdict};
@@ -32,7 +31,7 @@ fn y(i: usize) -> Loc {
 }
 
 /// The `A1`–`A8` suite.
-pub fn async_flush_tests() -> Vec<Litmus<AsyncSemantics>> {
+pub fn async_flush_tests() -> Vec<Litmus> {
     let one = SystemConfig::symmetric_nvm(1, 1);
     let two = SystemConfig::symmetric_nvm(2, 1);
     let two_wide = SystemConfig::symmetric_nvm(2, 2);
@@ -41,105 +40,105 @@ pub fn async_flush_tests() -> Vec<Litmus<AsyncSemantics>> {
             name: "test-A1".into(),
             description: "an un-barriered AFlush request dies with the issuer".into(),
             config: one.clone(),
-            trace: vec![
-                Label::lstore(M1, x(1), Val(1)).into(),
-                AsyncLabel::aflush(M1, x(1)),
-                Label::crash(M1).into(),
-                Label::load(M1, x(1), Val(0)).into(),
-            ],
+            trace: Trace::from_labels([
+                Label::lstore(M1, x(1), Val(1)),
+                Label::aflush(M1, x(1)),
+                Label::crash(M1),
+                Label::load(M1, x(1), Val(0)),
+            ]),
             expected: base(Verdict::Allowed),
         },
         Litmus {
             name: "test-A2".into(),
             description: "AFlush;Barrier persists before the issuer's crash (≙ test 3)".into(),
             config: one,
-            trace: vec![
-                Label::lstore(M1, x(1), Val(1)).into(),
-                AsyncLabel::aflush(M1, x(1)),
-                AsyncLabel::barrier(M1),
-                Label::crash(M1).into(),
-                Label::load(M1, x(1), Val(0)).into(),
-            ],
+            trace: Trace::from_labels([
+                Label::lstore(M1, x(1), Val(1)),
+                Label::aflush(M1, x(1)),
+                Label::barrier(M1),
+                Label::crash(M1),
+                Label::load(M1, x(1), Val(0)),
+            ]),
             expected: base(Verdict::Forbidden),
         },
         Litmus {
             name: "test-A3".into(),
             description: "AFlush;Barrier reaches remote persistent memory (≙ test 5)".into(),
             config: two.clone(),
-            trace: vec![
-                Label::lstore(M1, x(2), Val(1)).into(),
-                AsyncLabel::aflush(M1, x(2)),
-                AsyncLabel::barrier(M1),
-                Label::crash(M2).into(),
-                Label::load(M1, x(2), Val(0)).into(),
-            ],
+            trace: Trace::from_labels([
+                Label::lstore(M1, x(2), Val(1)),
+                Label::aflush(M1, x(2)),
+                Label::barrier(M1),
+                Label::crash(M2),
+                Label::load(M1, x(2), Val(0)),
+            ]),
             expected: base(Verdict::Forbidden),
         },
         Litmus {
             name: "test-A4".into(),
             description: "without the barrier the remote store may still be lost (≙ test 4)".into(),
             config: two.clone(),
-            trace: vec![
-                Label::lstore(M1, x(2), Val(1)).into(),
-                AsyncLabel::aflush(M1, x(2)),
-                Label::crash(M2).into(),
-                Label::load(M1, x(2), Val(0)).into(),
-            ],
+            trace: Trace::from_labels([
+                Label::lstore(M1, x(2), Val(1)),
+                Label::aflush(M1, x(2)),
+                Label::crash(M2),
+                Label::load(M1, x(2), Val(0)),
+            ]),
             expected: base(Verdict::Allowed),
         },
         Litmus {
             name: "test-A5".into(),
             description: "batching: one barrier retires both pending flushes".into(),
             config: two_wide,
-            trace: vec![
-                Label::lstore(M1, x(2), Val(1)).into(),
-                Label::lstore(M1, y(2), Val(1)).into(),
-                AsyncLabel::aflush(M1, x(2)),
-                AsyncLabel::aflush(M1, y(2)),
-                AsyncLabel::barrier(M1),
-                Label::crash(M2).into(),
+            trace: Trace::from_labels([
+                Label::lstore(M1, x(2), Val(1)),
+                Label::lstore(M1, y(2), Val(1)),
+                Label::aflush(M1, x(2)),
+                Label::aflush(M1, y(2)),
+                Label::barrier(M1),
+                Label::crash(M2),
                 // Losing *either* line is forbidden; losing y is the harder
                 // branch (flushed second), so we assert it.
-                Label::load(M1, y(2), Val(0)).into(),
-            ],
+                Label::load(M1, y(2), Val(0)),
+            ]),
             expected: base(Verdict::Forbidden),
         },
         Litmus {
             name: "test-A6".into(),
             description: "a barrier by machine 2 does not retire machine 1's requests".into(),
             config: two.clone(),
-            trace: vec![
-                Label::lstore(M1, x(2), Val(1)).into(),
-                AsyncLabel::aflush(M1, x(2)),
-                AsyncLabel::barrier(M2),
-                Label::crash(M2).into(),
-                Label::load(M1, x(2), Val(0)).into(),
-            ],
+            trace: Trace::from_labels([
+                Label::lstore(M1, x(2), Val(1)),
+                Label::aflush(M1, x(2)),
+                Label::barrier(M2),
+                Label::crash(M2),
+                Label::load(M1, x(2), Val(0)),
+            ]),
             expected: base(Verdict::Allowed),
         },
         Litmus {
             name: "test-A7".into(),
             description: "a barrier over an empty buffer never blocks".into(),
             config: two.clone(),
-            trace: vec![
-                AsyncLabel::barrier(M1),
-                Label::lstore(M1, x(2), Val(1)).into(),
-                AsyncLabel::barrier(M2),
-                Label::load(M1, x(2), Val(1)).into(),
-            ],
+            trace: Trace::from_labels([
+                Label::barrier(M1),
+                Label::lstore(M1, x(2), Val(1)),
+                Label::barrier(M2),
+                Label::load(M1, x(2), Val(1)),
+            ]),
             expected: base(Verdict::Allowed),
         },
         Litmus {
             name: "test-A8".into(),
             description: "a crash clears the buffer, so a post-crash barrier proves nothing".into(),
             config: two,
-            trace: vec![
-                Label::lstore(M2, x(2), Val(1)).into(),
-                AsyncLabel::aflush(M2, x(2)),
-                Label::crash(M2).into(),
-                AsyncLabel::barrier(M2),
-                Label::load(M1, x(2), Val(0)).into(),
-            ],
+            trace: Trace::from_labels([
+                Label::lstore(M2, x(2), Val(1)),
+                Label::aflush(M2, x(2)),
+                Label::crash(M2),
+                Label::barrier(M2),
+                Label::load(M1, x(2), Val(0)),
+            ]),
             expected: base(Verdict::Allowed),
         },
     ]
@@ -148,17 +147,17 @@ pub fn async_flush_tests() -> Vec<Litmus<AsyncSemantics>> {
 /// Every state of a two-machine, one-location-each system reachable under
 /// `LStore(·,1)`, `AFlush` and crashes by either machine (silent steps
 /// interleaved freely), bounded at 4 000 states.
-pub fn aflush_barrier_state_space() -> ReachableGraph<AsyncSemantics> {
+pub fn aflush_barrier_state_space() -> ReachableGraph {
     let cfg = SystemConfig::symmetric_nvm(2, 1);
-    let mut alphabet: Vec<AsyncLabel> = Vec::new();
+    let mut alphabet = Vec::new();
     for m in cfg.machines() {
         for loc in cfg.all_locations() {
-            alphabet.push(Label::lstore(m, loc, Val(1)).into());
-            alphabet.push(AsyncLabel::aflush(m, loc));
+            alphabet.push(Label::lstore(m, loc, Val(1)));
+            alphabet.push(Label::aflush(m, loc));
         }
-        alphabet.push(Label::crash(m).into());
+        alphabet.push(Label::crash(m));
     }
-    explore(&AsyncSemantics::new(cfg), &alphabet, 4_000)
+    explore(&Semantics::new(cfg), &alphabet, 4_000)
 }
 
 /// Checks the `AFlush;Barrier ≡ RFlush` equivalence exhaustively over
@@ -173,15 +172,15 @@ pub fn check_aflush_barrier_equivalence() -> Option<String> {
             space.num_states()
         ));
     }
-    let sem = AsyncSemantics::new(SystemConfig::symmetric_nvm(2, 1));
+    let sem = Semantics::new(SystemConfig::symmetric_nvm(2, 1));
     let exp = Explorer::new(&sem);
     let cfg = sem.config();
     for st in &space.states {
         let set = StateSet::from([st.clone()]);
         for m in cfg.machines() {
             for loc in cfg.all_locations() {
-                let via_async = [AsyncLabel::aflush(m, loc), AsyncLabel::barrier(m)];
-                let via_sync = [Label::rflush(m, loc).into()];
+                let via_async = [Label::aflush(m, loc), Label::barrier(m)];
+                let via_sync = [Label::rflush(m, loc)];
                 let ok = if st.pending(m).next().is_none() {
                     exp.same_outcomes(&set, &via_async, &via_sync)
                 } else {
@@ -229,7 +228,9 @@ mod tests {
         // Sanity: the barrier is what makes A2 forbidden.
         let mut t = async_flush_tests().swap_remove(1);
         assert_eq!(t.name, "test-A2");
-        t.trace.retain(|l| !matches!(l, AsyncLabel::Barrier { .. }));
+        t.trace = (t.trace.iter().copied())
+            .filter(|l| !matches!(l, Label::Barrier { .. }))
+            .collect();
         t.expected = base(Verdict::Allowed);
         assert!(t.passes());
     }

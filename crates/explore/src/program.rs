@@ -31,6 +31,10 @@ pub enum Instr {
     RFlush(Loc),
     /// Global persistent flush.
     Gpf,
+    /// Asynchronous flush (`CXL0_AF`): enqueue a request, never block.
+    AFlush(Loc),
+    /// `CXL0_AF` barrier: wait until this machine's requests have retired.
+    Barrier,
     /// Compare-and-swap: on success stores `new`; records the observed
     /// value in `reg` (so a failed CAS is a read).
     Cas(StoreKind, Loc, Val, Val, Reg),
@@ -154,6 +158,8 @@ impl Search<'_> {
                 Instr::LFlush(loc) => vec![(Label::lflush(m, loc), None)],
                 Instr::RFlush(loc) => vec![(Label::rflush(m, loc), None)],
                 Instr::Gpf => vec![(Label::gpf(m), None)],
+                Instr::AFlush(loc) => vec![(Label::aflush(m, loc), None)],
+                Instr::Barrier => vec![(Label::barrier(m), None)],
                 // Branch on every observable value.
                 Instr::Load(loc, reg) => observable_values(states, loc)
                     .into_iter()
@@ -347,6 +353,29 @@ mod tests {
         expected.insert(mk(0, 1));
         expected.insert(mk(2, 0));
         assert_eq!(outs, expected);
+    }
+
+    /// Litmus A3 and A4 as programs: machine 1 stores to machine 2's `x`,
+    /// `AFlush`es it (A3: then `Barrier`s) and loads it twice while
+    /// machine 2 may crash. Reading 1 and then 0 puts the crash between the
+    /// loads, after the barrier: A3's verdict (✗) forbids that outcome, and
+    /// A4's (✔) allows it.
+    #[test]
+    fn aflush_programs_match_litmus_a3_and_a4() {
+        let sem = Semantics::new(SystemConfig::symmetric_nvm(2, 1));
+        let (r1, r2) = (Reg("r1"), Reg("r2"));
+        let run = |barrier: bool| {
+            let store = Instr::Store(StoreKind::Local, x(1), Val(1));
+            let mut instrs = vec![store, Instr::AFlush(x(1))];
+            instrs.extend(barrier.then_some(Instr::Barrier));
+            instrs.extend([Instr::Load(x(1), r1), Instr::Load(x(1), r2)]);
+            let prog = Program::new().thread(M1, instrs).may_crash(M2);
+            let outs = outcomes(&sem, &prog).into_iter();
+            outs.map(|o| (o[&r1].raw(), o[&r2].raw()))
+                .collect::<BTreeSet<_>>()
+        };
+        assert_eq!(run(true), BTreeSet::from([(0, 0), (1, 1)]));
+        assert_eq!(run(false), BTreeSet::from([(0, 0), (1, 0), (1, 1)]));
     }
 
     #[test]

@@ -249,6 +249,29 @@ mod tests {
         check_all(&sem, &[Val(0), Val(1)], 100_000).unwrap();
     }
 
+    /// The alphabets Proposition 1 is checked over (the configurations of
+    /// `tests/proposition1.rs`) are base CXL0: no `AFlush`, no `Barrier`,
+    /// so every state they reach has empty persistency buffers.
+    #[test]
+    fn proposition1_alphabets_hold_no_cxl0_af_labels() {
+        use cxl0_model::MachineConfig;
+        let (nvm, vol) = (MachineConfig::non_volatile(1), MachineConfig::volatile(1));
+        let configs = [
+            SystemConfig::symmetric_nvm(2, 1),
+            SystemConfig::new(vec![nvm.clone(), vol.clone()]),
+            SystemConfig::new(vec![nvm, vol, MachineConfig::compute_only()]),
+            SystemConfig::symmetric_nvm(2, 2),
+        ];
+        for cfg in &configs {
+            let alphabet = AlphabetBuilder::new(cfg).build();
+            assert!(!alphabet.is_empty());
+            for label in &alphabet {
+                let af = matches!(label, Label::AFlush { .. } | Label::Barrier { .. });
+                assert!(!af, "{label} in the alphabet of {cfg:?}");
+            }
+        }
+    }
+
     #[test]
     fn side_conditions_skip_instantiations() {
         let x = Loc::new(MachineId(0), 0);

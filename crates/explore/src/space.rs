@@ -6,8 +6,6 @@ use std::collections::{BTreeSet, HashMap};
 
 use cxl0_model::{Label, Primitive, Semantics, SilentStep, State, StoreKind, SystemConfig, Val};
 
-use crate::lts::Lts;
-
 /// Builds the finite label alphabet used to drive exploration and
 /// refinement: every instantiation of the selected primitives over the
 /// configuration's machines, locations and a small value domain.
@@ -106,9 +104,9 @@ impl AlphabetBuilder {
 
 /// An edge of the explored transition graph.
 #[derive(Debug, Clone)]
-pub enum Edge<L: Lts = Semantics> {
+pub enum Edge {
     /// A visible transition.
-    Visible(L::Label),
+    Visible(Label),
     /// A silent step.
     Silent(SilentStep),
 }
@@ -116,16 +114,16 @@ pub enum Edge<L: Lts = Semantics> {
 /// The graph of all states reachable from the initial state under a label
 /// alphabet (plus silent steps), up to optional limits.
 #[derive(Debug, Clone)]
-pub struct ReachableGraph<L: Lts = Semantics> {
+pub struct ReachableGraph {
     /// Deduplicated states; index 0 is the initial state.
     pub states: Vec<State>,
     /// Edges as `(from_index, edge, to_index)`.
-    pub edges: Vec<(usize, Edge<L>, usize)>,
+    pub edges: Vec<(usize, Edge, usize)>,
     /// True if exploration stopped because a limit was hit.
     pub truncated: bool,
 }
 
-impl<L: Lts> ReachableGraph<L> {
+impl ReachableGraph {
     /// Number of distinct states discovered.
     pub fn num_states(&self) -> usize {
         self.states.len()
@@ -141,10 +139,10 @@ impl<L: Lts> ReachableGraph<L> {
 ///
 /// `max_states` bounds the number of distinct states (the graph is marked
 /// [`ReachableGraph::truncated`] if the bound is hit).
-pub fn explore<L: Lts>(sem: &L, alphabet: &[L::Label], max_states: usize) -> ReachableGraph<L> {
+pub fn explore(sem: &Semantics, alphabet: &[Label], max_states: usize) -> ReachableGraph {
     let init = sem.initial_state();
     let mut index = HashMap::from([(init.clone(), 0)]);
-    let mut graph = ReachableGraph::<L> {
+    let mut graph = ReachableGraph {
         states: vec![init],
         edges: Vec::new(),
         truncated: false,
@@ -184,7 +182,7 @@ pub fn explore<L: Lts>(sem: &L, alphabet: &[L::Label], max_states: usize) -> Rea
 }
 
 /// Convenience: the deduplicated set of reachable states.
-pub fn reachable_states<L: Lts>(sem: &L, alphabet: &[L::Label], max_states: usize) -> Vec<State> {
+pub fn reachable_states(sem: &Semantics, alphabet: &[Label], max_states: usize) -> Vec<State> {
     explore(sem, alphabet, max_states).states
 }
 

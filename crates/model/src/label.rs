@@ -1,10 +1,12 @@
 //! Transition labels of the CXL0 labeled transition system (§3.3).
 //!
 //! Visible labels are the actions emitted by machines — the six store/flush
-//! primitives, loads, GPF, and RMWs — plus crash events. Silent `τ` steps
-//! (nondeterministic propagation) are represented separately by
-//! [`SilentStep`], because explorers treat them differently (they may be
-//! interleaved freely between visible labels).
+//! primitives, loads, GPF, and RMWs — plus crash events, and the two
+//! primitives of the `CXL0_AF` extension (`AFlush`, `Barrier`; see
+//! [`Semantics`](crate::Semantics)). Silent `τ` steps (nondeterministic
+//! propagation, and the retirement of `AFlush` requests) are represented
+//! separately by [`SilentStep`], because explorers treat them differently
+//! (they may be interleaved freely between visible labels).
 
 use std::fmt;
 
@@ -66,6 +68,10 @@ impl fmt::Display for FlushKind {
 
 /// A visible transition label of the CXL0 LTS.
 ///
+/// The last two variants are the asynchronous flushes of `CXL0_AF`
+/// (§3.2); a trace without them is a plain CXL0 trace and never sets a
+/// persistency buffer.
+///
 /// # Examples
 ///
 /// ```
@@ -74,6 +80,9 @@ impl fmt::Display for FlushKind {
 /// let l = Label::store(StoreKind::Memory, MachineId(0), x, Val(1));
 /// assert_eq!(l.to_string(), "MStore_m0(x[m1:a0], 1)");
 /// assert_eq!(l.issuer(), Some(MachineId(0)));
+/// assert_eq!(Label::aflush(MachineId(0), x).to_string(), "AFlush_m0(x[m1:a0])");
+/// assert_eq!(Label::barrier(MachineId(0)).to_string(), "Barrier_m0");
+/// assert_eq!(Label::barrier(MachineId(0)).primitive(), None);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Label {
@@ -132,6 +141,20 @@ pub enum Label {
     Crash {
         /// The crashing machine `i`.
         machine: MachineId,
+    },
+    /// `AFlush_i(x)` (`CXL0_AF`): enqueue an asynchronous flush request
+    /// for `x` into machine `i`'s persistency buffer. Never blocks.
+    AFlush {
+        /// The issuing machine `i`.
+        by: MachineId,
+        /// The location to be flushed.
+        loc: Loc,
+    },
+    /// `Barrier_i` (`CXL0_AF`): the `SFENCE` analogue. Enabled only once
+    /// every request in machine `i`'s persistency buffer has retired.
+    Barrier {
+        /// The issuing machine `i`.
+        by: MachineId,
     },
 }
 
@@ -200,6 +223,16 @@ impl Label {
         Label::Crash { machine }
     }
 
+    /// Convenience constructor for `AFlush_i(x)`.
+    pub fn aflush(by: MachineId, loc: Loc) -> Self {
+        Label::AFlush { by, loc }
+    }
+
+    /// Convenience constructor for `Barrier_i`.
+    pub fn barrier(by: MachineId) -> Self {
+        Label::Barrier { by }
+    }
+
     /// The machine that emitted this label, or `None` for crashes (which
     /// are environment events, not emitted actions).
     pub fn issuer(&self) -> Option<MachineId> {
@@ -208,7 +241,9 @@ impl Label {
             | Label::Load { by, .. }
             | Label::Flush { by, .. }
             | Label::Gpf { by }
-            | Label::Rmw { by, .. } => Some(by),
+            | Label::Rmw { by, .. }
+            | Label::AFlush { by, .. }
+            | Label::Barrier { by } => Some(by),
             Label::Crash { .. } => None,
         }
     }
@@ -219,14 +254,17 @@ impl Label {
             Label::Store { loc, .. }
             | Label::Load { loc, .. }
             | Label::Flush { loc, .. }
-            | Label::Rmw { loc, .. } => Some(loc),
-            Label::Gpf { .. } | Label::Crash { .. } => None,
+            | Label::Rmw { loc, .. }
+            | Label::AFlush { loc, .. } => Some(loc),
+            Label::Gpf { .. } | Label::Crash { .. } | Label::Barrier { .. } => None,
         }
     }
 
-    /// Which primitive class this label belongs to (for topology checks).
-    pub fn primitive(&self) -> Primitive {
-        match *self {
+    /// Which primitive class this label belongs to (for topology checks);
+    /// `None` for `AFlush` and `Barrier`, which no topology of §4
+    /// restricts.
+    pub fn primitive(&self) -> Option<Primitive> {
+        Some(match *self {
             Label::Store { kind, .. } => match kind {
                 StoreKind::Local => Primitive::LStore,
                 StoreKind::Remote => Primitive::RStore,
@@ -248,7 +286,8 @@ impl Label {
                 StoreKind::Memory => Primitive::MRmw,
             },
             Label::Crash { .. } => Primitive::Crash,
-        }
+            Label::AFlush { .. } | Label::Barrier { .. } => return None,
+        })
     }
 }
 
@@ -269,6 +308,8 @@ impl fmt::Display for Label {
                 new,
             } => write!(f, "{kind}-RMW_{by}({loc}, {old}, {new})"),
             Label::Crash { machine } => write!(f, "E_{machine}"),
+            Label::AFlush { by, loc } => write!(f, "AFlush_{by}({loc})"),
+            Label::Barrier { by } => write!(f, "Barrier_{by}"),
         }
     }
 }
@@ -435,17 +476,21 @@ mod tests {
     fn primitive_classification() {
         assert_eq!(
             Label::rstore(MachineId(0), x1(), Val(1)).primitive(),
-            Primitive::RStore
+            Some(Primitive::RStore)
         );
         assert_eq!(
             Label::lflush(MachineId(0), x1()).primitive(),
-            Primitive::LFlush
+            Some(Primitive::LFlush)
         );
         assert_eq!(
             Label::rmw(StoreKind::Memory, MachineId(0), x1(), Val(0), Val(1)).primitive(),
-            Primitive::MRmw
+            Some(Primitive::MRmw)
         );
-        assert_eq!(Label::crash(MachineId(0)).primitive(), Primitive::Crash);
+        assert_eq!(
+            Label::crash(MachineId(0)).primitive(),
+            Some(Primitive::Crash)
+        );
+        assert_eq!(Label::aflush(MachineId(0), x1()).primitive(), None);
     }
 
     #[test]

@@ -7,8 +7,8 @@
 //! * system states `γ = (C, M)` — per-machine abstract caches and memories
 //!   ([`State`]),
 //! * the visible transition labels — `Load`, `LStore`/`RStore`/`MStore`,
-//!   `LFlush`/`RFlush`, `GPF`, six RMW flavours, and per-machine crashes
-//!   ([`Label`]),
+//!   `LFlush`/`RFlush`, `GPF`, six RMW flavours, per-machine crashes, and
+//!   the `AFlush`/`Barrier` pair of the `CXL0_AF` extension ([`Label`]),
 //! * the silent propagation steps `Propagate-C-C` / `Propagate-C-M`, and
 //!   the retirement of `CXL0_AF` flush requests ([`SilentStep`]),
 //! * the per-location rules of Figure 2, which the executable fabric
@@ -48,12 +48,11 @@
 //! |---|---|---|
 //! | [`ids`] | §3.1 | `MachineId`, `Addr`, `Loc`, `Val` |
 //! | [`config`] | §3.1 | machines, memory kinds, failure domains |
-//! | [`label`] | §3.3 | visible labels, primitives, silent steps |
+//! | [`label`] | §3.3 | visible labels (with `CXL0_AF`'s `AFlush`, `Barrier`), primitives, silent steps |
 //! | [`state`] | §3.3 | `γ = (C, M)` as one cell per location (the global cache invariant) |
 //! | [`cell`] | Fig. 2, §3.2–3.5 | one location's `(holders, cache, memory, pending)` and the per-location rules |
-//! | [`semantics`] | Fig. 2, §3.3 | the rules over whole states, `GPF`, silent-step enumeration |
+//! | [`semantics`] | Fig. 2, §3.2–3.3 | the rules over whole states, `GPF` and `Barrier`, silent-step enumeration; `CXL0_AF` |
 //! | [`variant`] | §3.5 | `CXL0`, `CXL0_PSN`, `CXL0_LWB` |
-//! | [`asyncflush`] | §3.2 (extension) | `CXL0_AF`: `AFlush`, `Barrier`, retirement over the cells' pending masks |
 //! | [`topology`] | §4 | primitive availability per configuration |
 //! | [`trace`] | §3.4 | label sequences & litmus notation |
 
@@ -61,7 +60,6 @@
 #![warn(missing_debug_implementations)]
 #![forbid(unsafe_code)]
 
-pub mod asyncflush;
 pub mod cell;
 pub mod config;
 pub mod ids;
@@ -72,7 +70,6 @@ pub mod topology;
 pub mod trace;
 pub mod variant;
 
-pub use asyncflush::{AsyncLabel, AsyncSemantics};
 pub use config::{MachineConfig, MemoryKind, SystemConfig};
 pub use ids::{Addr, Loc, MachineId, Val};
 pub use label::{FlushKind, Label, Primitive, SilentStep, StoreKind};
@@ -81,6 +78,9 @@ pub use state::State;
 pub use topology::{Capabilities, Topology};
 pub use trace::Trace;
 pub use variant::ModelVariant;
+
+#[cfg(test)]
+mod asyncflush;
 
 #[cfg(test)]
 mod invariant_proptests {
@@ -115,8 +115,9 @@ mod invariant_proptests {
         })
     }
 
-    /// A cell no cache holds caches 0, and `st` equals the state rebuilt
-    /// cell by cell from its `cache` and `memory` views.
+    /// A cell no cache holds caches 0, no base CXL0 label or silent step
+    /// sets a pending bit (only `AFlush` does), and `st` equals the state
+    /// rebuilt cell by cell from its `cache` and `memory` views.
     fn assert_canonical(sem: &Semantics, st: &State) -> Result<(), TestCaseError> {
         let mut rebuilt = sem.initial_state();
         for loc in sem.config().all_locations() {
@@ -127,6 +128,7 @@ mod invariant_proptests {
                 loc,
                 c.cache
             );
+            prop_assert_eq!(c.pending, 0, "base CXL0 set a pending bit at {}", loc);
             let mut view = cell::Cell {
                 mem: st.memory(loc),
                 ..cell::Cell::default()

@@ -14,6 +14,46 @@
 //! paper: the step is only enabled once its precondition holds, and the
 //! precondition is established by the nondeterministic propagation steps —
 //! the same technique used for `MFENCE` in operational x86-TSO models.
+//!
+//! # `CXL0_AF`: asynchronous flushes (§3.2, *Limitations of CXL*)
+//!
+//! CXL only specifies *synchronous* flushes, unlike x86
+//! (`CLFLUSHOPT`/`CLWB` with `SFENCE`) and ARM (`DC.CVAP` with `DSB.SY`);
+//! the paper notes asynchronous ones can be added "using an additional
+//! layer of partially ordered persistency buffers", along the lines of
+//! Khyzha & Lahav and Raad et al. The same semantics implements that
+//! extension with two more labels:
+//!
+//! * each machine `i` has a **persistency buffer** `P_i ⊆ Loc` of pending
+//!   flush requests: bit `i` of every [`Cell`](crate::cell::Cell)'s
+//!   `pending` mask ([`State::pending`]);
+//! * [`Label::AFlush`] enqueues a request into the issuer's buffer and
+//!   never blocks;
+//! * a request *retires* through the silent step [`SilentStep::Retire`]
+//!   once its line has fully drained to the owner's memory — the
+//!   post-condition of a synchronous `RFlush`;
+//! * [`Label::Barrier`] (the `SFENCE` analogue) is enabled only once the
+//!   issuer's buffer is empty;
+//! * a crash **discards** its failure domain's buffers: un-retired requests
+//!   are lost with the machine, which makes `AFlush` alone strictly weaker
+//!   than `RFlush`.
+//!
+//! `AFlush`, retirement and the crash are per-location rules of
+//! [`cell::step`]; only `Barrier`, like `GPF`, reads every location. Neither
+//! new label is a [`Primitive`](crate::Primitive), so no topology restricts
+//! them. A trace without them never sets a pending bit: base CXL0 is the
+//! fragment without `AFlush` and `Barrier`.
+//!
+//! Buffers are *sets* rather than sequences: a request retires when its
+//! line has drained, so two pending requests for the same line are
+//! indistinguishable, and requests for different lines retire
+//! independently. The "partially ordered" structure the paper alludes to
+//! degenerates to per-line unordered requests under CXL0's single-location
+//! flushes. `cxl0-explore`'s `paper_async` suite checks the headline
+//! properties exhaustively: `AFlush_i(x); Barrier_i` has exactly the
+//! outcomes of `RFlush_i(x)`, `AFlush_i(x)` alone guarantees nothing
+//! (litmus A1/A4), a barrier waits only for the issuer's buffer (A6), and
+//! `n` stores, `n` `AFlush`es and one `Barrier` persist all `n` lines (A5).
 
 use std::fmt;
 
@@ -114,6 +154,33 @@ pub type StepResult = Result<State, StepError>;
 /// assert_eq!(st.memory(x), Val(1));
 /// # Ok::<(), cxl0_model::StepError>(())
 /// ```
+///
+/// `CXL0_AF` batching: two stores, two `AFlush`es, one `Barrier`. The
+/// barrier blocks until both requests have retired, after which both lines
+/// are persistent:
+///
+/// ```
+/// use cxl0_model::{Label, Loc, MachineId, Semantics, SystemConfig, Val};
+///
+/// let sem = Semantics::new(SystemConfig::symmetric_nvm(2, 2));
+/// let m0 = MachineId(0);
+/// let (x, y) = (Loc::new(MachineId(1), 0), Loc::new(MachineId(1), 1));
+///
+/// let mut st = sem.initial_state();
+/// for (loc, v) in [(x, 1), (y, 2)] {
+///     st = sem.apply(&st, &Label::lstore(m0, loc, Val(v)))?;
+///     st = sem.apply(&st, &Label::aflush(m0, loc))?;
+/// }
+/// assert_eq!(st.pending(m0).collect::<Vec<_>>(), [x, y]);
+/// assert!(sem.apply(&st, &Label::barrier(m0)).is_err());
+/// // Drain everything (the explorer does this nondeterministically).
+/// while let Some(step) = sem.silent_steps(&st).first() {
+///     st = sem.apply_silent(&st, step)?;
+/// }
+/// let st = sem.apply(&st, &Label::barrier(m0))?;
+/// assert_eq!((st.memory(x), st.memory(y)), (Val(1), Val(2)));
+/// # Ok::<(), cxl0_model::StepError>(())
+/// ```
 #[derive(Debug, Clone)]
 pub struct Semantics {
     cfg: SystemConfig,
@@ -171,22 +238,23 @@ impl Semantics {
         State::initial(&self.cfg)
     }
 
-    pub(crate) fn check_loc(&self, loc: Loc) -> Result<(), StepError> {
+    fn check_loc(&self, loc: Loc) -> Result<(), StepError> {
         self.cfg
             .contains_loc(loc)
             .then_some(())
             .ok_or(StepError::UnknownLocation { loc })
     }
 
-    pub(crate) fn check_machine(&self, machine: MachineId) -> Result<(), StepError> {
+    fn check_machine(&self, machine: MachineId) -> Result<(), StepError> {
         (machine.index() < self.cfg.num_machines())
             .then_some(())
             .ok_or(StepError::UnknownMachine { machine })
     }
 
     fn check_topology(&self, label: &Label) -> Result<(), StepError> {
-        if let (Some(topo), Some(by)) = (&self.topology, label.issuer()) {
-            if !topo.allows(by, label.primitive()) {
+        if let (Some(topo), Some(by), Some(p)) = (&self.topology, label.issuer(), label.primitive())
+        {
+            if !topo.allows(by, p) {
                 return Err(StepError::NotAllowed {
                     topology: topo.name(),
                 });
@@ -196,7 +264,9 @@ impl Semantics {
     }
 
     /// Applies one visible label to `state` (no implicit `τ` steps): by
-    /// [`cell::step`] on the label's location, except `GPF` and `CRASH`.
+    /// [`cell::step`] on the label's location, except `GPF`, `Barrier` and
+    /// `CRASH` (whose cell rule [`cell::force`] applies to every location,
+    /// discarding the failure domain's `AFlush` requests too).
     ///
     /// # Errors
     ///
@@ -215,7 +285,9 @@ impl Semantics {
                 old,
                 new,
             } => (by, loc, CellLabel::Rmw(kind, old, new), Some(old)),
-            Label::Gpf { by } => return self.apply_gpf(state, by),
+            Label::AFlush { by, loc } => (by, loc, CellLabel::AFlush, None),
+            Label::Gpf { by } => return self.apply_fence(state, by, false),
+            Label::Barrier { by } => return self.apply_fence(state, by, true),
             Label::Crash { machine } => return self.apply_crash(state, machine),
         };
         self.check_machine(by)?;
@@ -231,14 +303,18 @@ impl Semantics {
         Ok(next)
     }
 
-    /// GLOBAL-PERSISTENT-FLUSH (Fig. 2): blocks until all caches are empty.
-    fn apply_gpf(&self, state: &State, by: MachineId) -> StepResult {
+    /// The two rules that read every location and change none:
+    /// GLOBAL-PERSISTENT-FLUSH (Fig. 2) blocks until all caches are empty,
+    /// `Barrier_by` (`CXL0_AF`) until `by`'s persistency buffer is.
+    fn apply_fence(&self, state: &State, by: MachineId, barrier: bool) -> StepResult {
         self.check_machine(by)?;
-        let reason = "GPF requires ∀j,x. C_j(x) = ⊥";
-        state
-            .all_caches_empty()
-            .then_some(())
-            .ok_or(StepError::Blocked { reason })?;
+        let (clear, reason) = if barrier {
+            let reason = "Barrier requires the issuer's persistency buffer to be empty";
+            (state.pending(by).next().is_none(), reason)
+        } else {
+            (state.all_caches_empty(), "GPF requires ∀j,x. C_j(x) = ⊥")
+        };
+        clear.then_some(()).ok_or(StepError::Blocked { reason })?;
         Ok(state.clone())
     }
 

@@ -19,8 +19,7 @@ use std::sync::Arc;
 
 use cxl0::api::{Cluster, PersistMode};
 use cxl0::explore::paper_async::{async_flush_tests, check_aflush_barrier_equivalence};
-use cxl0::model::asyncflush::{AsyncLabel, AsyncSemantics};
-use cxl0::model::{Label, Loc, MachineId, SystemConfig, Val};
+use cxl0::model::{Label, Loc, MachineId, Semantics, SystemConfig, Val};
 use cxl0::runtime::{Flit, FlitPolicy, Persistence};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -29,16 +28,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let x = Loc::new(m2, 0); // x lives on machine 2
 
     println!("=== Part 1: AFlush and Barrier in the abstract machine ===\n");
-    let sem = AsyncSemantics::new(SystemConfig::symmetric_nvm(2, 1));
+    let sem = Semantics::new(SystemConfig::symmetric_nvm(2, 1));
     let mut st = sem.initial_state();
 
-    st = sem.apply(&st, &Label::lstore(m1, x, Val(7)).into())?;
+    st = sem.apply(&st, &Label::lstore(m1, x, Val(7)))?;
     println!("LStore(x,7): the store sits in m1's cache\n{st}\n");
 
-    st = sem.apply(&st, &AsyncLabel::aflush(m1, x))?;
+    st = sem.apply(&st, &Label::aflush(m1, x))?;
     println!("AFlush(x): a request enters m1's persistency buffer — non-blocking\n{st}\n");
 
-    match sem.apply(&st, &AsyncLabel::barrier(m1)) {
+    match sem.apply(&st, &Label::barrier(m1)) {
         Err(e) => println!("Barrier now would block: {e}"),
         Ok(_) => unreachable!("the line has not drained yet"),
     }
@@ -50,7 +49,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!("  {step}");
         st = sem.apply_silent(&st, step)?;
     }
-    st = sem.apply(&st, &AsyncLabel::barrier(m1))?;
+    st = sem.apply(&st, &Label::barrier(m1))?;
     println!(
         "Barrier succeeds; x is persistent: M(x) = {}\n",
         st.memory(x)

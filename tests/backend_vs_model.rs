@@ -1,6 +1,8 @@
 //! Refinement of the executable runtime against the formal model: every
-//! behavior the `SimFabric` backend produces must be a behavior of the
-//! CXL0 semantics (labels interleaved with `τ*`).
+//! behavior the `SimFabric` backend produces, `aflush`/`barrier` included,
+//! must be a behavior of the CXL0 semantics with its `CXL0_AF` labels
+//! (labels interleaved with `τ*`, where `τ` includes the retirement of
+//! pending `AFlush` requests).
 //!
 //! The fabric and `Semantics` share their per-location rules: both apply
 //! `cxl0_model::cell::step` (the fabric through `cell::force`, which takes
@@ -12,11 +14,20 @@
 //! unlocked fast paths — on threaded runs. This suite checks what that
 //! oracle cannot: that the whole-state lifting holds end to end.
 //!
+//! The backend implements `barrier` by *forcing* the write-backs its
+//! blocking rule waits for: each pending line drains as an `RFlush` by its
+//! owner through `cell::force`. The explorer's τ-closure before each label
+//! shows the resulting state is one the blocking rule admits. The
+//! concurrent oracle checks each `AFlush`, retirement and crash discard
+//! against the cells' pending masks; this suite checks whole sequential
+//! histories against the model's states, whose masks (`State::pending`)
+//! must admit the backend's buffers.
+//!
 //! Method: drive both with the same single-threaded operation sequence
-//! (including flushes, random propagation and crashes); after each
-//! backend operation, apply the corresponding label to the τ-closed model
-//! state set. The set must never become empty, and every loaded value
-//! must be admitted by the model.
+//! (including flushes, asynchronous flushes and barriers, random
+//! propagation and crashes); after each backend operation, apply the
+//! corresponding label to the τ-closed model state set. The set must never
+//! become empty, and every loaded value must be admitted by the model.
 
 use std::sync::Arc;
 
@@ -34,6 +45,8 @@ enum Op {
     LFlush(usize, usize),
     RFlush(usize, usize),
     Faa(StoreKind, usize, usize, u64),
+    AFlush(usize, usize),
+    Barrier(usize),
     Crash(usize),
     Recover(usize),
     Propagate(u64),
@@ -55,6 +68,8 @@ fn arb_op() -> impl Strategy<Value = Op> {
         (m.clone(), l.clone()).prop_map(|(m, l)| Op::LFlush(m, l)),
         (m.clone(), l.clone()).prop_map(|(m, l)| Op::RFlush(m, l)),
         (kind, m.clone(), l.clone(), v).prop_map(|(k, m, l, v)| Op::Faa(k, m, l, v)),
+        (m.clone(), l.clone()).prop_map(|(m, l)| Op::AFlush(m, l)),
+        m.clone().prop_map(Op::Barrier),
         m.clone().prop_map(Op::Crash),
         m.clone().prop_map(Op::Recover),
         any::<u64>().prop_map(Op::Propagate),
@@ -127,6 +142,19 @@ fn run_against_model(variant: ModelVariant, ops: Vec<Op>) {
                     ),
                 );
             }
+            Op::AFlush(m, l) => {
+                let target = loc(l % 2, l);
+                if nodes[m].aflush(target).is_err() {
+                    continue;
+                }
+                states = exp.after_label(&states, &Label::aflush(MachineId(m), target));
+            }
+            Op::Barrier(m) => {
+                if nodes[m].barrier().is_err() {
+                    continue;
+                }
+                states = exp.after_label(&states, &Label::barrier(MachineId(m)));
+            }
             Op::Crash(m) => {
                 if fabric.is_crashed(MachineId(m)) {
                     continue;
@@ -159,10 +187,18 @@ fn run_against_model(variant: ModelVariant, ops: Vec<Op>) {
         image_matches,
         "no model state matches the backend's memory image"
     );
+
+    // The backend's pending-buffer sizes must be admitted by some model
+    // state (the model may hold more pending entries: the backend retires
+    // eagerly at barriers, never more lazily).
+    let buffers_match = states.iter().any(|st| {
+        (0..2).all(|m| st.pending(MachineId(m)).count() >= fabric.pending_flushes(MachineId(m)))
+    });
+    assert!(buffers_match, "no model state admits the backend's buffers");
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
+    #![proptest_config(ProptestConfig::with_cases(62))]
 
     #[test]
     fn base_backend_refines_base_model(ops in proptest::collection::vec(arb_op(), 0..40)) {
@@ -216,6 +252,47 @@ fn deterministic_scenario_matches_model() {
         Label::load(MachineId(0), x, Val(2)),
     ]);
     assert!(exp.is_allowed(&trace));
+}
+
+/// The motivating `CXL0_AF` scenario, deterministic: batching under one
+/// barrier behaves identically in model and backend.
+#[test]
+fn deterministic_batching_scenario_matches_model() {
+    let cfg = SystemConfig::symmetric_nvm(2, 2);
+    let fabric = SimFabric::with_variant(cfg.clone(), ModelVariant::Base);
+    let n0 = fabric.node(MachineId(0));
+    let x = Loc::new(MachineId(1), 0);
+    let y = Loc::new(MachineId(1), 1);
+
+    n0.lstore(x, 1).unwrap();
+    n0.lstore(y, 2).unwrap();
+    n0.aflush(x).unwrap();
+    n0.aflush(y).unwrap();
+    assert_eq!(fabric.pending_flushes(MachineId(0)), 2);
+    assert_eq!(n0.barrier().unwrap(), 2);
+    fabric.crash(MachineId(1));
+    fabric.recover(MachineId(1));
+    assert_eq!(n0.load(x).unwrap(), 1);
+    assert_eq!(n0.load(y).unwrap(), 2);
+
+    let sem = Semantics::new(cfg);
+    let exp = Explorer::new(&sem);
+    let trace = [
+        Label::lstore(MachineId(0), x, Val(1)),
+        Label::lstore(MachineId(0), y, Val(2)),
+        Label::aflush(MachineId(0), x),
+        Label::aflush(MachineId(0), y),
+        Label::barrier(MachineId(0)),
+        Label::crash(MachineId(1)),
+        Label::load(MachineId(0), x, Val(1)),
+        Label::load(MachineId(0), y, Val(2)),
+    ];
+    assert!(exp.is_allowed(&trace));
+
+    // And the lossy observation is forbidden after the barrier:
+    let mut lossy = trace;
+    lossy[6] = Label::load(MachineId(0), x, Val(0));
+    assert!(!exp.is_allowed(&lossy));
 }
 
 #[derive(Debug)]
