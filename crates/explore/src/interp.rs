@@ -7,6 +7,26 @@
 //! (saturating under the silent steps) and *label application*. These
 //! state sets are exactly the subsets used by a determinized view of the
 //! LTS, which the refinement checker builds products of.
+//!
+//! # Examples
+//!
+//! Under `CXL0_AF`, an un-barriered `AFlush` may lose the store to the
+//! owner's crash (litmus A4); a `Barrier` forbids that, exactly like
+//! `RFlush` (litmus A3 vs. paper test 5):
+//!
+//! ```
+//! use cxl0_explore::Explorer;
+//! use cxl0_model::{Label, Loc, MachineId, Semantics, SystemConfig, Val};
+//!
+//! let sem = Semantics::new(SystemConfig::symmetric_nvm(2, 1));
+//! let (m1, m2) = (MachineId(0), MachineId(1));
+//! let x = Loc::new(m2, 0);
+//! let mut trace = vec![Label::lstore(m1, x, Val(1)), Label::aflush(m1, x)];
+//! let lost = [Label::crash(m2), Label::load(m1, x, Val(0))];
+//! assert!(Explorer::new(&sem).is_allowed(trace.iter().chain(&lost)));
+//! trace.push(Label::barrier(m1));
+//! assert!(!Explorer::new(&sem).is_allowed(trace.iter().chain(&lost)));
+//! ```
 
 use std::collections::BTreeSet;
 
@@ -43,24 +63,6 @@ pub type StateSet = BTreeSet<State>;
 ///     Label::load(MachineId(0), x, Val(0)),
 /// ]);
 /// assert!(!exp.is_allowed(&t));
-/// ```
-///
-/// Under `CXL0_AF`, an un-barriered `AFlush` may lose the store to the
-/// owner's crash (litmus A4); a `Barrier` forbids that, exactly like
-/// `RFlush` (litmus A3 vs. paper test 5):
-///
-/// ```
-/// use cxl0_explore::Explorer;
-/// use cxl0_model::{Label, Loc, MachineId, Semantics, SystemConfig, Val};
-///
-/// let sem = Semantics::new(SystemConfig::symmetric_nvm(2, 1));
-/// let (m1, m2) = (MachineId(0), MachineId(1));
-/// let x = Loc::new(m2, 0);
-/// let mut trace = vec![Label::lstore(m1, x, Val(1)), Label::aflush(m1, x)];
-/// let lost = [Label::crash(m2), Label::load(m1, x, Val(0))];
-/// assert!(Explorer::new(&sem).is_allowed(trace.iter().chain(&lost)));
-/// trace.push(Label::barrier(m1));
-/// assert!(!Explorer::new(&sem).is_allowed(trace.iter().chain(&lost)));
 /// ```
 #[derive(Debug, Clone)]
 pub struct Explorer<'a> {

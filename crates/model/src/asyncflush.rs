@@ -1,7 +1,27 @@
-//! Unit tests and properties of the `CXL0_AF` rules (§3.2): `AFlush`,
-//! `Barrier`, the retirement of pending requests and their discard on a
-//! crash, all over plain [`Semantics`](crate::Semantics). The rules
-//! themselves are documented in [`semantics`](crate::semantics).
+//! The `CXL0_AF` rules (§3.2) at work: an example here, and unit tests and
+//! properties of `AFlush`, `Barrier`, the retirement of pending requests
+//! and their discard on a crash, all over plain
+//! [`Semantics`](crate::Semantics). The rules themselves are documented
+//! in [`semantics`](crate::semantics). The module adds no items: the
+//! labels are [`Label::AFlush`](crate::Label::AFlush) and
+//! [`Label::Barrier`](crate::Label::Barrier).
+//!
+//! # Examples
+//!
+//! `AFlush` is non-blocking even while the line is still cached, but the
+//! barrier blocks until the request has retired:
+//!
+//! ```
+//! use cxl0_model::{Label, Loc, MachineId, Semantics, SystemConfig, Val};
+//!
+//! let sem = Semantics::new(SystemConfig::symmetric_nvm(2, 1));
+//! let (m0, x) = (MachineId(0), Loc::new(MachineId(1), 0));
+//! let st = sem.apply(&sem.initial_state(), &Label::lstore(m0, x, Val(1)))?;
+//! let st = sem.apply(&st, &Label::aflush(m0, x))?;
+//! assert_eq!(st.pending(m0).collect::<Vec<_>>(), [x]);
+//! assert!(sem.apply(&st, &Label::barrier(m0)).is_err());
+//! # Ok::<(), cxl0_model::StepError>(())
+//! ```
 
 #[cfg(test)]
 mod tests {

@@ -80,9 +80,6 @@ impl fmt::Display for FlushKind {
 /// let l = Label::store(StoreKind::Memory, MachineId(0), x, Val(1));
 /// assert_eq!(l.to_string(), "MStore_m0(x[m1:a0], 1)");
 /// assert_eq!(l.issuer(), Some(MachineId(0)));
-/// assert_eq!(Label::aflush(MachineId(0), x).to_string(), "AFlush_m0(x[m1:a0])");
-/// assert_eq!(Label::barrier(MachineId(0)).to_string(), "Barrier_m0");
-/// assert_eq!(Label::barrier(MachineId(0)).primitive(), None);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Label {
@@ -144,6 +141,14 @@ pub enum Label {
     },
     /// `AFlush_i(x)` (`CXL0_AF`): enqueue an asynchronous flush request
     /// for `x` into machine `i`'s persistency buffer. Never blocks.
+    ///
+    /// ```
+    /// use cxl0_model::{Label, Loc, MachineId};
+    /// let x = Loc::new(MachineId(1), 0);
+    /// assert_eq!(Label::aflush(MachineId(0), x).to_string(), "AFlush_m0(x[m1:a0])");
+    /// assert_eq!(Label::barrier(MachineId(0)).to_string(), "Barrier_m0");
+    /// assert_eq!(Label::barrier(MachineId(0)).primitive(), None);
+    /// ```
     AFlush {
         /// The issuing machine `i`.
         by: MachineId,

@@ -79,7 +79,6 @@ pub use topology::{Capabilities, Topology};
 pub use trace::Trace;
 pub use variant::ModelVariant;
 
-#[cfg(test)]
 mod asyncflush;
 
 #[cfg(test)]

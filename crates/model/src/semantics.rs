@@ -154,33 +154,6 @@ pub type StepResult = Result<State, StepError>;
 /// assert_eq!(st.memory(x), Val(1));
 /// # Ok::<(), cxl0_model::StepError>(())
 /// ```
-///
-/// `CXL0_AF` batching: two stores, two `AFlush`es, one `Barrier`. The
-/// barrier blocks until both requests have retired, after which both lines
-/// are persistent:
-///
-/// ```
-/// use cxl0_model::{Label, Loc, MachineId, Semantics, SystemConfig, Val};
-///
-/// let sem = Semantics::new(SystemConfig::symmetric_nvm(2, 2));
-/// let m0 = MachineId(0);
-/// let (x, y) = (Loc::new(MachineId(1), 0), Loc::new(MachineId(1), 1));
-///
-/// let mut st = sem.initial_state();
-/// for (loc, v) in [(x, 1), (y, 2)] {
-///     st = sem.apply(&st, &Label::lstore(m0, loc, Val(v)))?;
-///     st = sem.apply(&st, &Label::aflush(m0, loc))?;
-/// }
-/// assert_eq!(st.pending(m0).collect::<Vec<_>>(), [x, y]);
-/// assert!(sem.apply(&st, &Label::barrier(m0)).is_err());
-/// // Drain everything (the explorer does this nondeterministically).
-/// while let Some(step) = sem.silent_steps(&st).first() {
-///     st = sem.apply_silent(&st, step)?;
-/// }
-/// let st = sem.apply(&st, &Label::barrier(m0))?;
-/// assert_eq!((st.memory(x), st.memory(y)), (Val(1), Val(2)));
-/// # Ok::<(), cxl0_model::StepError>(())
-/// ```
 #[derive(Debug, Clone)]
 pub struct Semantics {
     cfg: SystemConfig,
@@ -272,6 +245,35 @@ impl Semantics {
     ///
     /// See [`StepError`]; `Blocked` / `ValueMismatch` mean "not enabled
     /// here", which explorers treat as a dead branch rather than a fault.
+    ///
+    /// # Examples
+    ///
+    /// `CXL0_AF` batching: two stores, two `AFlush`es, one `Barrier`. The
+    /// barrier blocks until both requests have retired, after which both lines
+    /// are persistent:
+    ///
+    /// ```
+    /// use cxl0_model::{Label, Loc, MachineId, Semantics, SystemConfig, Val};
+    ///
+    /// let sem = Semantics::new(SystemConfig::symmetric_nvm(2, 2));
+    /// let m0 = MachineId(0);
+    /// let (x, y) = (Loc::new(MachineId(1), 0), Loc::new(MachineId(1), 1));
+    ///
+    /// let mut st = sem.initial_state();
+    /// for (loc, v) in [(x, 1), (y, 2)] {
+    ///     st = sem.apply(&st, &Label::lstore(m0, loc, Val(v)))?;
+    ///     st = sem.apply(&st, &Label::aflush(m0, loc))?;
+    /// }
+    /// assert_eq!(st.pending(m0).collect::<Vec<_>>(), [x, y]);
+    /// assert!(sem.apply(&st, &Label::barrier(m0)).is_err());
+    /// // Drain everything (the explorer does this nondeterministically).
+    /// while let Some(step) = sem.silent_steps(&st).first() {
+    ///     st = sem.apply_silent(&st, step)?;
+    /// }
+    /// let st = sem.apply(&st, &Label::barrier(m0))?;
+    /// assert_eq!((st.memory(x), st.memory(y)), (Val(1), Val(2)));
+    /// # Ok::<(), cxl0_model::StepError>(())
+    /// ```
     pub fn apply(&self, state: &State, label: &Label) -> StepResult {
         self.check_topology(label)?;
         let (by, loc, op, expected) = match *label {

@@ -76,6 +76,19 @@ fn arb_op() -> impl Strategy<Value = Op> {
     ]
 }
 
+/// [`arb_op`] biased toward the `CXL0_AF` primitives, so that persistency
+/// buffers fill, drain and meet crashes more often. The vendored
+/// `prop_oneof!` is unweighted; the repeated arm sets the bias.
+fn arb_async_heavy_op() -> impl Strategy<Value = Op> {
+    let m = 0..2usize;
+    prop_oneof![
+        arb_op(),
+        arb_op(),
+        (m.clone(), 0..2usize).prop_map(|(m, l)| Op::AFlush(m, l)),
+        m.prop_map(Op::Barrier),
+    ]
+}
+
 fn config() -> SystemConfig {
     SystemConfig::new(vec![
         MachineConfig::non_volatile(2),
@@ -198,7 +211,7 @@ fn run_against_model(variant: ModelVariant, ops: Vec<Op>) {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(62))]
+    #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
     fn base_backend_refines_base_model(ops in proptest::collection::vec(arb_op(), 0..40)) {
@@ -213,6 +226,17 @@ proptest! {
     #[test]
     fn lwb_backend_refines_lwb_model(ops in proptest::collection::vec(arb_op(), 0..40)) {
         run_against_model(ModelVariant::Lwb, ops);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(40))]
+
+    #[test]
+    fn backend_with_async_flushes_refines_cxl0_af(
+        ops in proptest::collection::vec(arb_async_heavy_op(), 0..35),
+    ) {
+        run_against_model(ModelVariant::Base, ops);
     }
 }
 
