@@ -22,19 +22,12 @@ pub fn to_dot(graph: &ReachableGraph, title: &str) -> String {
         let _ = writeln!(out, "  s{i} [label=\"{label}\\l\"{style}];");
     }
     for (from, edge, to) in &graph.edges {
-        match edge {
-            Edge::Visible(label) => {
-                let text = label.to_string().replace('"', "'");
-                let _ = writeln!(out, "  s{from} -> s{to} [label=\"{text}\"];");
-            }
-            Edge::Silent(step) => {
-                let text = step.to_string().replace('"', "'");
-                let _ = writeln!(
-                    out,
-                    "  s{from} -> s{to} [label=\"{text}\", style=dotted, color=gray];"
-                );
-            }
-        }
+        let text = edge.to_string().replace('"', "'");
+        let style = match edge {
+            Edge::Visible(_) => "",
+            Edge::Silent(_) => ", style=dotted, color=gray",
+        };
+        let _ = writeln!(out, "  s{from} -> s{to} [label=\"{text}\"{style}];");
     }
     let _ = writeln!(out, "}}");
     out

@@ -49,5 +49,5 @@ pub use interp::{Explorer, StateSet};
 pub use litmus::{Litmus, LitmusOutcome, SuiteReport, Verdict};
 pub use program::{outcomes, Instr, Outcome, Program, Reg};
 pub use refine::{check_refinement, incomparability_witnesses, Refinement};
-pub use simulate::{check_all as check_proposition1, CounterExample, Prop1Item};
+pub use simulate::{check_all as check_proposition1, CounterExample, Prop1Item, Prop1Report};
 pub use space::{explore, AlphabetBuilder, Edge, ReachableGraph};

@@ -1,18 +1,43 @@
 //! Mechanical checking of Proposition 1: the eight simulation/strength
 //! relations between CXL0 primitive sequences that the paper proves in
-//! Rocq. We verify them by *exhaustive* checking over every reachable
-//! state of small finite configurations (the `⟹` relation — label steps
-//! interleaved with `τ*` — is computed by the [`Explorer`]).
+//! Rocq, checked over every reachable state of small finite configurations
+//! (the `⟹` relation — label steps interleaved with `τ*` — is computed by
+//! the [`Explorer`]).
 //!
 //! Each item has the form "if `γ ⟹_{seq_a} γ′` then `γ ⟹_{seq_b} γ′`",
 //! i.e. set inclusion `S_γ(seq_a) ⊆ S_γ(seq_b)` for all reachable `γ`.
+//!
+//! # One location at a time
+//!
+//! A state is one [`Cell`] per location. Every label or silent step that
+//! names a location acts on that location's cell alone, a crash on every
+//! cell by the same rule, and `GPF` (like `Barrier`) is a conjunction: it
+//! waits for *all* caches to drain, so it is enabled exactly when every
+//! cell allows it, and then changes no cell. So the reachable space is the
+//! product of its locations' *projections* (the same machines, memory kinds
+//! and crash groups, with only that location), and steps on different
+//! locations are independent: the argument of partial-order reduction
+//! (Godefroid, LNCS 1032, 1996). [`check_all`] checks this over the whole
+//! space: every step moves every cell as the cell's projection does, and
+//! the number of states is the product of the projections' sizes (so each
+//! location reaches every cell of its projection, in every combination
+//! with the others). Each item is a sequence on one location `x`, so its
+//! outcome sets are `x`'s projected ones times the other cells'
+//! `τ*`-closures, and it holds on the whole space iff it holds on each
+//! projection. Items are checked there, and counted as a check of every
+//! state would count them: `Σ_x inst(x) · Π_{y≠x} |R(y)|`, with `R(y)` the
+//! space of `y`'s projection.
 
+use std::collections::{BTreeMap, HashSet};
 use std::fmt;
 
-use cxl0_model::{Label, Loc, MachineId, Semantics, State, Trace, Val};
+use cxl0_model::cell::Cell;
+use cxl0_model::{
+    Label, Loc, MachineConfig, MachineId, Semantics, SilentStep, State, SystemConfig, Trace, Val,
+};
 
 use crate::interp::{Explorer, StateSet};
-use crate::space::{explore, AlphabetBuilder};
+use crate::space::{explore, AlphabetBuilder, Edge};
 
 /// The eight items of Proposition 1.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -197,56 +222,203 @@ pub fn check_item(
     Ok(checked)
 }
 
-/// Checks all eight items over the full reachable state space of `sem`
-/// (driven by a default full alphabet over `values`).
-///
-/// Returns, per item, the number of `(state, issuer, location, value)`
-/// instantiations checked.
+/// What [`check_all`] checked on one configuration.
+#[derive(Debug, Clone)]
+pub struct Prop1Report {
+    /// The number of reachable states.
+    pub states: usize,
+    /// Per item, the instantiations covered: the count [`check_item`] over
+    /// every reachable state would return.
+    pub items: Vec<(Prop1Item, usize)>,
+}
+
+/// `sem` projected to one location of `owner`'s: the same machines, memory
+/// kinds, crash groups, variant and topology, with `owner` owning only
+/// `Loc::new(owner, 0)`. Returned with its reachable states, keyed by their
+/// one cell.
+fn project(
+    sem: &Semantics,
+    owner: MachineId,
+    values: &[Val],
+) -> (Semantics, BTreeMap<Cell, State>) {
+    let cfg = sem.config();
+    let machines = cfg.machines().map(|m| MachineConfig {
+        locations: u32::from(m == owner),
+        ..cfg.machine(m).clone()
+    });
+    let mut p = Semantics::with_variant(SystemConfig::new(machines.collect()), sem.variant());
+    if let Some(topology) = sem.topology() {
+        p = p.restricted(topology.clone());
+    }
+    let alphabet = AlphabetBuilder::new(p.config())
+        .values(values.iter().copied())
+        .build();
+    let states = explore(&p, &alphabet, usize::MAX).states.into_iter();
+    let states = states.map(|st| (st.cell(Loc::new(owner, 0)), st)).collect();
+    (p, states)
+}
+
+/// `edge`'s successor of `st`, if `edge` is enabled there.
+fn fire(sem: &Semantics, st: &State, edge: Edge) -> Option<State> {
+    match edge {
+        Edge::Visible(label) => sem.apply(st, &label).ok(),
+        Edge::Silent(step) => (sem.silent_steps(st).contains(&step))
+            .then(|| sem.apply_silent(st, &step).ok())
+            .flatten(),
+    }
+}
+
+/// `edge` at location `to` if it names a location (`None` if it names one
+/// other than `from`), else `edge` itself: a crash, `GPF` or `Barrier`.
+fn at(mut edge: Edge, from: Loc, to: Loc) -> Option<Edge> {
+    use Label::{AFlush, Flush, Load, Rmw, Store};
+    use SilentStep::{CacheToCache, CacheToMemory, Retire};
+    if let Edge::Visible(
+        Store { loc, .. }
+        | Load { loc, .. }
+        | Flush { loc, .. }
+        | Rmw { loc, .. }
+        | AFlush { loc, .. },
+    )
+    | Edge::Silent(CacheToCache { loc, .. } | CacheToMemory { loc } | Retire { loc, .. }) =
+        &mut edge
+    {
+        if *loc != from {
+            return None;
+        }
+        *loc = to;
+    }
+    Some(edge)
+}
+
+/// Explores the whole reachable space of `sem` under the full alphabet
+/// over `values` and checks that it is the product of its locations'
+/// projections (see the module doc). Returns each owner's projection and
+/// the number of reachable states.
+fn check_product(sem: &Semantics, values: &[Val]) -> Result<(Projections, usize), String> {
+    let cfg = sem.config();
+    let locs: Vec<Loc> = cfg.all_locations().collect();
+    let owners = cfg.machines().filter(|&k| cfg.machine(k).locations > 0);
+    let proj: Projections = owners.map(|k| (k, project(sem, k, values))).collect();
+    let alphabet = AlphabetBuilder::new(cfg)
+        .values(values.iter().copied())
+        .build();
+    let mut seen = HashSet::from([sem.initial_state()]);
+    let mut frontier = vec![sem.initial_state()];
+    while let Some(st) = frontier.pop() {
+        // Each location with its projection's state of the same cell (every
+        // cell of `st` passed the check below).
+        let views: Vec<_> = (locs.iter())
+            .map(|&y| (y, &proj[&y.owner].0, &proj[&y.owner].1[&st.cell(y)]))
+            .collect();
+        let mut edges: Vec<Edge> = alphabet.iter().map(|&label| Edge::Visible(label)).collect();
+        for &(y, p, view) in &views {
+            let steps = p.silent_steps(view).into_iter();
+            edges.extend(steps.filter_map(|s| at(Edge::Silent(s), Loc::new(y.owner, 0), y)));
+        }
+        // With each of these checked below, this makes them the product's.
+        let (silent, n) = (edges.len() - alphabet.len(), sem.silent_steps(&st).len());
+        if n != silent {
+            return Err(format!(
+                "{n} silent steps from\n{st}\nwhere the projections have {silent}"
+            ));
+        }
+        for edge in edges {
+            // Each cell moves as in its projection, or stays if the edge
+            // names another location.
+            let expected: Option<Vec<Cell>> = (views.iter())
+                .map(|&(y, p, view)| {
+                    let x = Loc::new(y.owner, 0);
+                    match at(edge, y, x) {
+                        Some(edge) => fire(p, view, edge).map(|next| next.cell(x)),
+                        None => Some(st.cell(y)),
+                    }
+                })
+                .collect();
+            let next = fire(sem, &st, edge);
+            let actual = (next.as_ref()).map(|n| locs.iter().map(|&y| n.cell(y)).collect());
+            if actual != expected {
+                let why = format!("leaves cells {actual:?}, the projections {expected:?}");
+                return Err(format!("{edge} from\n{st}\n{why}"));
+            }
+            frontier.extend(next.filter(|n| seen.insert(n.clone())));
+        }
+    }
+    // Every cell reached is one of its projection's, so the count is the
+    // product only if each location reaches all of them, in every combination.
+    let product = proj
+        .iter()
+        .map(|(k, p)| p.1.len().pow(cfg.machine(*k).locations));
+    match (seen.len(), product.product()) {
+        (n, product) if n == product => Ok((proj, n)),
+        (n, product) => Err(format!(
+            "{n} states, not the product {product} of the projections' sizes"
+        )),
+    }
+}
+
+/// Each owner's projection and its reachable states (see [`project`]).
+type Projections = BTreeMap<MachineId, (Semantics, BTreeMap<Cell, State>)>;
+
+/// Checks all eight items over the whole reachable space of `sem` (driven
+/// by the full alphabet over `values`) one location at a time, as the
+/// module doc describes.
 ///
 /// # Errors
 ///
-/// Returns the first counterexample found.
-pub fn check_all(
-    sem: &Semantics,
-    values: &[Val],
-    max_states: usize,
-) -> Result<Vec<(Prop1Item, usize)>, Box<CounterExample>> {
-    let alphabet = AlphabetBuilder::new(sem.config())
-        .values(values.iter().copied())
-        .build();
-    let graph = explore(sem, &alphabet, max_states);
-    let mut out = Vec::new();
-    for item in Prop1Item::ALL {
-        let n = check_item(sem, &graph.states, values, item)?;
-        out.push((item, n));
+/// A message naming the state and the step if the space is not the
+/// product of its locations' projections, else the first counterexample
+/// found (a state of an owner's projection).
+pub fn check_all(sem: &Semantics, values: &[Val]) -> Result<Prop1Report, String> {
+    let (proj, states) = check_product(sem, values)?;
+    let mut covered = [0; Prop1Item::ALL.len()];
+    for (owner, (p, reached)) in &proj {
+        let reached: Vec<State> = reached.values().cloned().collect();
+        // inst(x) · Π_{y≠x} |R(y)|, for each of the owner's locations x.
+        let lift = sem.config().machine(*owner).locations as usize * (states / reached.len());
+        for (n, item) in covered.iter_mut().zip(Prop1Item::ALL) {
+            *n += lift * check_item(p, &reached, values, item).map_err(|ce| ce.to_string())?;
+        }
     }
-    Ok(out)
+    let items = Prop1Item::ALL.into_iter().zip(covered).collect();
+    Ok(Prop1Report { states, items })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cxl0_model::SystemConfig;
 
-    #[test]
-    fn all_items_hold_on_two_machine_nvm() {
-        let sem = Semantics::new(SystemConfig::symmetric_nvm(2, 1));
-        let results = check_all(&sem, &[Val(0), Val(1)], 100_000).unwrap();
-        assert_eq!(results.len(), 8);
-        for (item, n) in results {
+    /// The per-location check agrees with `check_item` run on every
+    /// reachable state of the whole configuration: the same verdict (every
+    /// item holds) and the same instantiation counts.
+    fn agrees_with_brute_force(cfg: SystemConfig) {
+        let sem = Semantics::new(cfg);
+        let values = [Val(0), Val(1)];
+        let report = check_all(&sem, &values).unwrap_or_else(|e| panic!("{e}"));
+        assert_eq!(report.states, 196);
+        let alphabet = AlphabetBuilder::new(sem.config()).build();
+        let states = explore(&sem, &alphabet, usize::MAX).states;
+        assert_eq!(states.len(), report.states);
+        assert_eq!(report.items.len(), 8);
+        for (item, n) in report.items {
             assert!(n > 0, "{item} checked zero instantiations");
+            let brute =
+                check_item(&sem, &states, &values, item).unwrap_or_else(|ce| panic!("{ce}"));
+            assert_eq!(brute, n, "{item}");
         }
     }
 
     #[test]
+    fn all_items_hold_on_two_machine_nvm() {
+        agrees_with_brute_force(SystemConfig::symmetric_nvm(2, 1));
+    }
+
+    #[test]
     fn all_items_hold_with_volatile_memory() {
-        use cxl0_model::MachineConfig;
-        let cfg = SystemConfig::new(vec![
+        agrees_with_brute_force(SystemConfig::new(vec![
             MachineConfig::non_volatile(1),
             MachineConfig::volatile(1),
-        ]);
-        let sem = Semantics::new(cfg);
-        check_all(&sem, &[Val(0), Val(1)], 100_000).unwrap();
+        ]));
     }
 
     /// The alphabets Proposition 1 is checked over (the configurations of
@@ -254,7 +426,6 @@ mod tests {
     /// so every state they reach has empty persistency buffers.
     #[test]
     fn proposition1_alphabets_hold_no_cxl0_af_labels() {
-        use cxl0_model::MachineConfig;
         let (nvm, vol) = (MachineConfig::non_volatile(1), MachineConfig::volatile(1));
         let configs = [
             SystemConfig::symmetric_nvm(2, 1),

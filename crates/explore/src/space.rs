@@ -3,6 +3,7 @@
 //! checker, the refinement checker and the DOT exporter all consume.
 
 use std::collections::{BTreeSet, HashMap};
+use std::fmt;
 
 use cxl0_model::{Label, Primitive, Semantics, SilentStep, State, StoreKind, SystemConfig, Val};
 
@@ -103,12 +104,21 @@ impl AlphabetBuilder {
 }
 
 /// An edge of the explored transition graph.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub enum Edge {
     /// A visible transition.
     Visible(Label),
     /// A silent step.
     Silent(SilentStep),
+}
+
+impl fmt::Display for Edge {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Edge::Visible(label) => label.fmt(f),
+            Edge::Silent(step) => step.fmt(f),
+        }
+    }
 }
 
 /// The graph of all states reachable from the initial state under a label

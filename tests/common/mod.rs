@@ -2,6 +2,7 @@
 //! workload.
 
 use std::fmt;
+use std::sync::atomic::{AtomicUsize, Ordering::SeqCst};
 use std::sync::{Arc, Barrier, Mutex};
 
 use cxl0::dlcheck::{Event, History};
@@ -17,8 +18,10 @@ use cxl0::runtime::{NodeHandle, SimFabric};
 /// The worker that issues that primitive dies mid-operation, `steps`
 /// ends for the others, and `mem` is recovered once every worker has
 /// returned. Returns the crashed run's shared state. Workers wait on
-/// one start barrier before their first operation, so their traffic
-/// overlaps instead of running one thread after another.
+/// one start barrier before their first operation, and none takes its
+/// second step before every worker has finished its first operation (or
+/// stopped, or the memory node has crashed), so their traffic overlaps
+/// instead of running one thread after another.
 ///
 /// Concurrent traffic varies from run to run (batching, elimination,
 /// retries): a run that ends before the crash point fires — or a dry
@@ -26,7 +29,9 @@ use cxl0::runtime::{NodeHandle, SimFabric};
 /// the point armed at no more than half the last run's traffic. So is a
 /// crashed run whose workers did not overlap: each worker notes the
 /// fabric's `total_ops` at its first and last step, and at least two of
-/// these spans must intersect.
+/// these spans must intersect. The second-step wait makes every two
+/// workers that take a second step intersect, so a run is repeated only
+/// when the crash comes before that.
 pub fn crash_workload<T, W>(
     threads: usize,
     mem: MachineId,
@@ -43,6 +48,7 @@ where
         let before = fabric.stats().total_ops();
         let start = Arc::new(Barrier::new(threads));
         let spans: Vec<_> = (0..threads).map(|_| Arc::new(Mutex::new(None))).collect();
+        let past_first = Arc::new(AtomicUsize::new(0));
         let handles: Vec<_> = (0..threads)
             .map(|t| {
                 let (work, shared) = (Arc::clone(&work), shared.clone());
@@ -53,6 +59,8 @@ where
                     mem,
                     next: 0,
                     span: Arc::clone(&spans[t]),
+                    past_first: Arc::clone(&past_first),
+                    threads,
                 };
                 std::thread::spawn(move || {
                     start.wait();
@@ -101,12 +109,22 @@ pub struct Steps {
     next: u64,
     /// The fabric's `total_ops` at this worker's first and last step.
     span: Arc<Mutex<Option<(u64, u64)>>>,
+    /// The run's workers that have finished their first operation or
+    /// stopped, out of `threads`.
+    past_first: Arc<AtomicUsize>,
+    threads: usize,
 }
 
 impl Iterator for Steps {
     type Item = u64;
 
     fn next(&mut self) -> Option<u64> {
+        if self.next == 1 {
+            self.past_first.fetch_add(1, SeqCst);
+            while self.past_first.load(SeqCst) < self.threads && !self.fabric.is_crashed(self.mem) {
+                std::thread::yield_now();
+            }
+        }
         (!self.fabric.is_crashed(self.mem)).then(|| {
             let at = self.fabric.stats().total_ops();
             let mut span = self.span.lock().unwrap();
@@ -114,6 +132,16 @@ impl Iterator for Steps {
             self.next += 1;
             self.next - 1
         })
+    }
+}
+
+impl Drop for Steps {
+    /// A worker that stops before its second step (it died in the crash,
+    /// or panicked) must not hold the others at theirs.
+    fn drop(&mut self) {
+        if self.next < 2 {
+            self.past_first.fetch_add(1, SeqCst);
+        }
     }
 }
 

@@ -1,32 +1,26 @@
 //! E3: Proposition 1 — the eight simulation/strength relations between
-//! primitive sequences, checked exhaustively over the reachable state
-//! spaces of several small configurations (the paper proves these in
-//! Rocq; we recheck them mechanically).
-//!
-//! Exploration budgets are profile-scaled: a debug `cargo test` runs a
-//! fast smoke-scale subset of each state space, while
-//! `cargo test --release --test proposition1` explores the full budget
-//! (minutes). `cargo run --release --example proposition1` prints the
-//! per-item report at a budget that finishes in seconds. Every reachable
-//! state explored is checked for all eight items either way.
+//! primitive sequences, checked over the whole reachable state space of
+//! four small configurations (the paper proves these in Rocq; we recheck
+//! them mechanically). Each space is checked to be the product of its
+//! per-location spaces, and each item on those (see `cxl0_explore::simulate`);
+//! every test asserts the exact size of its space.
+//! `cargo run --release --example proposition1` prints the per-item report.
 
 use cxl0::explore::{check_proposition1, Prop1Item};
 use cxl0::model::{MachineConfig, Semantics, SystemConfig, Val};
 
-/// Full budget in release builds; a 100× smaller smoke budget in debug.
-fn budget(full: usize) -> usize {
-    if cfg!(debug_assertions) {
-        full / 100
-    } else {
-        full
-    }
+/// Checks every item on `cfg`, whose space has `states` states, and returns
+/// the instantiations each item covers.
+fn check(cfg: SystemConfig, states: usize) -> Vec<(Prop1Item, usize)> {
+    let report = check_proposition1(&Semantics::new(cfg), &[Val(0), Val(1)])
+        .unwrap_or_else(|e| panic!("{e}"));
+    assert_eq!(report.states, states);
+    report.items
 }
 
 #[test]
 fn all_items_two_machines_nvm() {
-    let sem = Semantics::new(SystemConfig::symmetric_nvm(2, 1));
-    let results = check_proposition1(&sem, &[Val(0), Val(1)], budget(200_000))
-        .unwrap_or_else(|ce| panic!("counterexample:\n{ce}"));
+    let results = check(SystemConfig::symmetric_nvm(2, 1), 196);
     assert_eq!(results.len(), 8);
     for (item, checked) in results {
         assert!(checked > 100, "{item}: only {checked} instantiations");
@@ -39,9 +33,7 @@ fn all_items_mixed_volatility() {
         MachineConfig::non_volatile(1),
         MachineConfig::volatile(1),
     ]);
-    let sem = Semantics::new(cfg);
-    check_proposition1(&sem, &[Val(0), Val(1)], budget(200_000))
-        .unwrap_or_else(|ce| panic!("counterexample:\n{ce}"));
+    check(cfg, 196);
 }
 
 #[test]
@@ -51,19 +43,13 @@ fn all_items_three_machines_with_compute_only_node() {
         MachineConfig::volatile(1),
         MachineConfig::compute_only(),
     ]);
-    let sem = Semantics::new(cfg);
-    check_proposition1(&sem, &[Val(0), Val(1)], budget(400_000))
-        .unwrap_or_else(|ce| panic!("counterexample:\n{ce}"));
+    check(cfg, 900);
 }
 
 #[test]
 fn all_items_two_locations_per_machine() {
-    // This configuration's reachable space explodes combinatorially (two
-    // locations multiply cache/memory layouts), and every explored state
-    // is checked for all 8 items; the budget caps the prefix explored.
-    let sem = Semantics::new(SystemConfig::symmetric_nvm(2, 2));
-    check_proposition1(&sem, &[Val(0), Val(1)], budget(20_000))
-        .unwrap_or_else(|ce| panic!("counterexample:\n{ce}"));
+    // Four locations of 14 cells each: 14⁴ states.
+    check(SystemConfig::symmetric_nvm(2, 2), 38_416);
 }
 
 /// Item 2 is stated one-way in the paper but is in fact an equivalence
@@ -77,7 +63,7 @@ fn owner_stores_are_fully_equivalent() {
     let sem = Semantics::new(cfg.clone());
     let exp = Explorer::new(&sem);
     let alphabet = AlphabetBuilder::new(&cfg).build();
-    let states = cxl0::explore::space::reachable_states(&sem, &alphabet, budget(100_000));
+    let states = cxl0::explore::space::reachable_states(&sem, &alphabet, usize::MAX);
     for st in states {
         let mut set = StateSet::new();
         set.insert(st);
