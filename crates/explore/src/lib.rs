@@ -9,18 +9,19 @@
 //!   application, trace executability);
 //! * [`litmus`] / [`paper`] — the litmus-test engine and the paper's 13
 //!   tests (Fig. 3 tests 1–9, §3.5 tests 10–12, §6 test 13);
-//! * [`space`] — bounded reachable-state exploration and label-alphabet
-//!   generation;
+//! * [`space`] — label-alphabet generation and reachable-state search;
+//! * `product` (crate-private) — the check that a configuration's space is
+//!   the product of its per-location projections, which the next two
+//!   analyses rest on;
 //! * [`simulate`] — exhaustive checking of Proposition 1 (the paper's Rocq
 //!   proofs, rechecked over finite configurations);
-//! * [`refine`] — bounded trace refinement between model variants (the
-//!   paper's FDR4/CSP analysis);
+//! * [`refine`] — complete trace refinement between model variants, one
+//!   location at a time (the paper's FDR4/CSP analysis);
 //! * [`paper_async`] — the `CXL0_AF` litmus suite `A1`–`A8` and the
 //!   exhaustive `AFlush;Barrier ≡ RFlush` equivalence check;
 //! * [`program`] — per-machine instruction streams (`AFlush` and
 //!   `Barrier` included) whose interleavings and crash points are
-//!   enumerated into outcome sets;
-//! * [`dot`] — Graphviz export of explored graphs.
+//!   enumerated into outcome sets.
 //!
 //! ## Example: running a paper litmus test
 //!
@@ -35,11 +36,11 @@
 #![warn(missing_debug_implementations)]
 #![forbid(unsafe_code)]
 
-pub mod dot;
 pub mod interp;
 pub mod litmus;
 pub mod paper;
 pub mod paper_async;
+mod product;
 pub mod program;
 pub mod refine;
 pub mod simulate;
@@ -48,6 +49,6 @@ pub mod space;
 pub use interp::{Explorer, StateSet};
 pub use litmus::{Litmus, LitmusOutcome, SuiteReport, Verdict};
 pub use program::{outcomes, Instr, Outcome, Program, Reg};
-pub use refine::{check_refinement, incomparability_witnesses, Refinement};
+pub use refine::{check_refinement, Refinement};
 pub use simulate::{check_all as check_proposition1, CounterExample, Prop1Item, Prop1Report};
-pub use space::{explore, AlphabetBuilder, Edge, ReachableGraph};
+pub use space::{reachable_states, AlphabetBuilder};

@@ -17,12 +17,12 @@
 //! | A7 | `Barrier` with an empty buffer is a no-op (always enabled) | ✔ |
 //! | A8 | a crash discards pending requests: post-crash `Barrier` proves nothing | ✔ lossy |
 
-use cxl0_model::{Label, Loc, MachineId, Semantics, SystemConfig, Trace, Val};
+use cxl0_model::{Label, Loc, MachineId, Semantics, State, SystemConfig, Trace, Val};
 
 use crate::interp::{Explorer, StateSet};
 use crate::litmus::{Litmus, Verdict};
 use crate::paper::{base, x, M1, M2};
-use crate::space::{explore, ReachableGraph};
+use crate::space::reachable_states;
 
 /// `yᵢ`: the second location owned by machine `i` (used by the batching
 /// test A5).
@@ -146,8 +146,8 @@ pub fn async_flush_tests() -> Vec<Litmus> {
 
 /// Every state of a two-machine, one-location-each system reachable under
 /// `LStore(·,1)`, `AFlush` and crashes by either machine (silent steps
-/// interleaved freely), bounded at 4 000 states.
-pub fn aflush_barrier_state_space() -> ReachableGraph {
+/// interleaved freely).
+pub fn aflush_barrier_state_space() -> Vec<State> {
     let cfg = SystemConfig::symmetric_nvm(2, 1);
     let mut alphabet = Vec::new();
     for m in cfg.machines() {
@@ -157,25 +157,17 @@ pub fn aflush_barrier_state_space() -> ReachableGraph {
         }
         alphabet.push(Label::crash(m));
     }
-    explore(&Semantics::new(cfg), &alphabet, 4_000)
+    reachable_states(&Semantics::new(cfg), &alphabet)
 }
 
 /// Checks the `AFlush;Barrier ≡ RFlush` equivalence exhaustively over
 /// [`aflush_barrier_state_space`], for every issuer and location. Returns
-/// the first counterexample state, or a message if the state space was
-/// truncated (the check would not be exhaustive).
+/// the first counterexample state.
 pub fn check_aflush_barrier_equivalence() -> Option<String> {
-    let space = aflush_barrier_state_space();
-    if space.truncated {
-        return Some(format!(
-            "state space truncated at {} states: the check is not exhaustive",
-            space.num_states()
-        ));
-    }
     let sem = Semantics::new(SystemConfig::symmetric_nvm(2, 1));
     let exp = Explorer::new(&sem);
     let cfg = sem.config();
-    for st in &space.states {
+    for st in &aflush_barrier_state_space() {
         let set = StateSet::from([st.clone()]);
         for m in cfg.machines() {
             for loc in cfg.all_locations() {

@@ -1,11 +1,9 @@
-//! Bounded explicit-state exploration: enumerate every state reachable
-//! under a finite label alphabet, producing a graph that the Proposition-1
-//! checker, the refinement checker and the DOT exporter all consume.
+//! Explicit-state exploration: the finite label alphabets that drive the
+//! analyses, and every state reachable under one.
 
-use std::collections::{BTreeSet, HashMap};
-use std::fmt;
+use std::collections::HashSet;
 
-use cxl0_model::{Label, Primitive, Semantics, SilentStep, State, StoreKind, SystemConfig, Val};
+use cxl0_model::{Label, Primitive, Semantics, State, StoreKind, SystemConfig, Val};
 
 /// Builds the finite label alphabet used to drive exploration and
 /// refinement: every instantiation of the selected primitives over the
@@ -103,128 +101,29 @@ impl AlphabetBuilder {
     }
 }
 
-/// An edge of the explored transition graph.
-#[derive(Debug, Clone, Copy)]
-pub enum Edge {
-    /// A visible transition.
-    Visible(Label),
-    /// A silent step.
-    Silent(SilentStep),
-}
-
-impl fmt::Display for Edge {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Edge::Visible(label) => label.fmt(f),
-            Edge::Silent(step) => step.fmt(f),
-        }
-    }
-}
-
-/// The graph of all states reachable from the initial state under a label
-/// alphabet (plus silent steps), up to optional limits.
-#[derive(Debug, Clone)]
-pub struct ReachableGraph {
-    /// Deduplicated states; index 0 is the initial state.
-    pub states: Vec<State>,
-    /// Edges as `(from_index, edge, to_index)`.
-    pub edges: Vec<(usize, Edge, usize)>,
-    /// True if exploration stopped because a limit was hit.
-    pub truncated: bool,
-}
-
-impl ReachableGraph {
-    /// Number of distinct states discovered.
-    pub fn num_states(&self) -> usize {
-        self.states.len()
-    }
-
-    /// Number of edges discovered.
-    pub fn num_edges(&self) -> usize {
-        self.edges.len()
-    }
-}
-
-/// Explores the reachable state space breadth-first.
-///
-/// `max_states` bounds the number of distinct states (the graph is marked
-/// [`ReachableGraph::truncated`] if the bound is hit).
-pub fn explore(sem: &Semantics, alphabet: &[Label], max_states: usize) -> ReachableGraph {
-    let init = sem.initial_state();
-    let mut index = HashMap::from([(init.clone(), 0)]);
-    let mut graph = ReachableGraph {
-        states: vec![init],
-        edges: Vec::new(),
-        truncated: false,
-    };
-    // States are numbered in discovery order, so visiting them by index is
-    // the breadth-first order.
-    let mut i = 0;
-    while i < graph.states.len() {
-        let st = graph.states[i].clone();
+/// Every state reachable from the initial state under `alphabet` and the
+/// silent steps, each once, in `State`'s order.
+pub fn reachable_states(sem: &Semantics, alphabet: &[Label]) -> Vec<State> {
+    let mut seen = HashSet::from([sem.initial_state()]);
+    let mut frontier = vec![sem.initial_state()];
+    while let Some(st) = frontier.pop() {
         let silent = sem.silent_steps(&st).into_iter().map(|step| {
-            let next = sem
-                .apply_silent(&st, &step)
-                .expect("enumerated silent step must be enabled");
-            (Edge::Silent(step), next)
+            sem.apply_silent(&st, &step)
+                .expect("enumerated silent step must be enabled")
         });
         let visible = alphabet
             .iter()
-            .filter_map(|label| Some((Edge::Visible(*label), sem.apply(&st, label).ok()?)));
-        for (edge, next) in silent.chain(visible) {
-            let j = match index.get(&next) {
-                Some(&j) => j,
-                None if graph.states.len() >= max_states => {
-                    graph.truncated = true;
-                    continue;
-                }
-                None => {
-                    index.insert(next.clone(), graph.states.len());
-                    graph.states.push(next);
-                    graph.states.len() - 1
-                }
-            };
-            graph.edges.push((i, edge, j));
-        }
-        i += 1;
-    }
-    graph
-}
-
-/// Convenience: the deduplicated set of reachable states.
-pub fn reachable_states(sem: &Semantics, alphabet: &[Label], max_states: usize) -> Vec<State> {
-    explore(sem, alphabet, max_states).states
-}
-
-/// The set of visible traces of length ≤ `depth`, as label sequences.
-/// Exponential; only usable for tiny alphabets — intended for
-/// cross-checking the refinement checker.
-pub fn bounded_traces(sem: &Semantics, alphabet: &[Label], depth: usize) -> BTreeSet<Vec<Label>> {
-    use crate::interp::{Explorer, StateSet};
-    let exp = Explorer::new(sem);
-    let mut out = BTreeSet::new();
-    let mut frontier: Vec<(Vec<Label>, StateSet)> = vec![(Vec::new(), exp.initial_set())];
-    out.insert(Vec::new());
-    for _ in 0..depth {
-        let mut next_frontier = Vec::new();
-        for (trace, set) in &frontier {
-            for label in alphabet {
-                let next = exp.after_label(set, label);
-                if !next.is_empty() {
-                    let mut t = trace.clone();
-                    t.push(*label);
-                    if out.insert(t.clone()) {
-                        next_frontier.push((t, next));
-                    }
-                }
+            .filter_map(|label| sem.apply(&st, label).ok());
+        for next in silent.chain(visible) {
+            if !seen.contains(&next) {
+                seen.insert(next.clone());
+                frontier.push(next);
             }
         }
-        frontier = next_frontier;
-        if frontier.is_empty() {
-            break;
-        }
     }
-    out
+    let mut states: Vec<State> = seen.into_iter().collect();
+    states.sort_unstable();
+    states
 }
 
 #[cfg(test)]
@@ -251,42 +150,10 @@ mod tests {
                 Primitive::Crash,
             ])
             .build();
-        let graph = explore(&sem, &alphabet, 10_000);
-        assert!(!graph.truncated);
+        let states = reachable_states(&sem, &alphabet);
         // 1 machine, 1 loc, vals {0,1}: cache ∈ {⊥,0,1} × mem ∈ {0,1} = 6 states,
         // all reachable.
-        assert_eq!(graph.num_states(), 6);
-        assert!(graph.num_edges() > 0);
-    }
-
-    #[test]
-    fn truncation_is_flagged() {
-        let cfg = SystemConfig::symmetric_nvm(2, 2);
-        let sem = Semantics::new(cfg.clone());
-        let alphabet = AlphabetBuilder::new(&cfg).build();
-        let graph = explore(&sem, &alphabet, 5);
-        assert!(graph.truncated);
-        assert_eq!(graph.num_states(), 5);
-    }
-
-    #[test]
-    fn bounded_traces_contains_empty_and_grows() {
-        let cfg = SystemConfig::symmetric_nvm(1, 1);
-        let sem = Semantics::new(cfg.clone());
-        let alphabet = AlphabetBuilder::new(&cfg)
-            .primitives([Primitive::MStore, Primitive::Load])
-            .values([Val(1)])
-            .build();
-        let t0 = bounded_traces(&sem, &alphabet, 0);
-        assert_eq!(t0.len(), 1);
-        let t2 = bounded_traces(&sem, &alphabet, 2);
-        assert!(t2.len() > 1);
-        // A Load(x,1) alone is not executable (initial value is 0):
-        let load1 = vec![alphabet
-            .iter()
-            .copied()
-            .find(|l| matches!(l, Label::Load { .. }))
-            .unwrap()];
-        assert!(!t2.contains(&load1));
+        assert_eq!(states.len(), 6);
+        assert!(states.contains(&sem.initial_state()));
     }
 }

@@ -24,14 +24,17 @@ use cxl0::runtime::{NodeHandle, SimFabric};
 /// instead of running one thread after another.
 ///
 /// Concurrent traffic varies from run to run (batching, elimination,
-/// retries): a run that ends before the crash point fires — or a dry
-/// run that issued no primitive at all — is repeated over fresh state,
-/// the point armed at no more than half the last run's traffic. So is a
-/// crashed run whose workers did not overlap: each worker notes the
-/// fabric's `total_ops` at its first and last step, and at least two of
-/// these spans must intersect. The second-step wait makes every two
-/// workers that take a second step intersect, so a run is repeated only
-/// when the crash comes before that.
+/// retries): a run that ends before the crash point fires is repeated
+/// over fresh state, the point armed at no more than half the last run's
+/// traffic. So is a crashed run whose workers did not overlap: each
+/// worker notes the fabric's `total_ops` at its first and last step, and
+/// at least two of these spans must intersect. The second-step wait makes
+/// every two workers that take a second step intersect, so a run is
+/// repeated only when the crash comes before that. Each such repeat is
+/// one of at most 100 attempts. A run that issued no primitive at all (a
+/// combining front whose operations all eliminated one another, which
+/// CPU contention makes common) has nothing a crash point could kill: it
+/// is repeated too, but counts as no attempt, up to 1 000 such runs.
 pub fn crash_workload<T, W>(
     threads: usize,
     mem: MachineId,
@@ -78,9 +81,9 @@ where
             .any(|(i, &(a1, b1))| (spans[i + 1..].iter()).any(|&(a2, b2)| a1 <= b2 && a2 <= b1));
         (fabric.stats().total_ops() - before, overlapped)
     };
-    // The first run is the dry run.
-    let mut k = None;
-    for _ in 0..100 {
+    // The first run with traffic is the dry run.
+    let (mut k, mut attempts, mut idle) = (None, 0, 0);
+    while attempts < 100 && idle < 1_000 {
         let (fabric, shared) = build();
         if let Some(k) = k {
             fabric.arm_crash(k, &[mem]);
@@ -91,13 +94,19 @@ where
                 fabric.recover(mem);
                 return shared;
             }
-            continue; // the workers ran one after another: run it again
-        }
-        if traffic > 0 {
+            // The workers ran one after another: run it again.
+        } else if traffic > 0 {
             k = Some(traffic.div_ceil(2).min(k.unwrap_or(u64::MAX)));
+        } else {
+            idle += 1;
+            continue;
         }
+        attempts += 1;
     }
-    panic!("no run with overlapping workers reached the crash point");
+    panic!(
+        "no run with overlapping workers reached the crash point \
+         ({attempts} attempts, {idle} runs that issued no primitive)"
+    );
 }
 
 /// A worker's operation indices, `0, 1, 2, …` until the memory node

@@ -63,7 +63,7 @@ fn owner_stores_are_fully_equivalent() {
     let sem = Semantics::new(cfg.clone());
     let exp = Explorer::new(&sem);
     let alphabet = AlphabetBuilder::new(&cfg).build();
-    let states = cxl0::explore::space::reachable_states(&sem, &alphabet, usize::MAX);
+    let states = cxl0::explore::reachable_states(&sem, &alphabet);
     for st in states {
         let mut set = StateSet::new();
         set.insert(st);

@@ -105,7 +105,7 @@ fn partitioned_pool_lflush_equals_rflush() {
         alphabet.push(Label::crash(i));
     }
 
-    let states = cxl0::explore::space::reachable_states(&sem, &alphabet, 10_000);
+    let states = cxl0::explore::reachable_states(&sem, &alphabet);
     assert!(states.len() > 4, "exploration too small: {}", states.len());
     for st in states {
         let mut set = StateSet::new();
